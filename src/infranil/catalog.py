@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from importlib import resources
 
 from .errors import CatalogError, ConstraintError
 from .exprs import eval_rational, parse_rational
-from .matrices import QMatrix
+from .matrices import QMatrix, exterior_power, integer_form
 
 HOLONOMY_CAP = 48
+HOLONOMY_CACHE_SIZE = 256
 
 ABELIAN = "abelian"
 HEISENBERG = "heisenberg"
@@ -167,6 +169,16 @@ class HolonomyGroup:
     def dets(self):
         return tuple(e.det() for e in self.elements)
 
+    @cached_property
+    def exterior_powers(self) -> tuple:
+        """exterior_powers[j] = integer_form of Lambda^j of every element, for
+        j = 0..dim: formed once per group and shared by every candidate on it
+        (ints take far less memory than Fractions in the holonomy cache)."""
+        n = self.elements[0].nrows
+        return tuple(
+            integer_form([exterior_power(a, j) for a in self.elements]) for j in range(n + 1)
+        )
+
     def is_cyclic(self) -> bool:
         return any(self._order_of(i) == self.order for i in range(self.order))
 
@@ -208,12 +220,22 @@ class HolonomyGroup:
 
 def holonomy(entry: CatalogEntry) -> HolonomyGroup:
     """Closure of the generators' differentials, with coset representatives
-    found by breadth-first products of the catalog generators."""
-    n = entry.dim
-    ident = QMatrix.identity(n)
+    found by breadth-first products of the catalog generators.
+
+    The group depends only on the generators, so it is memoized on
+    (id, generators) in a bounded LRU cache (`CatalogEntry` itself is
+    unhashable: its params are a dict).  Every caller gets the same
+    immutable group object."""
+    return _holonomy(entry.id, entry.generators)
+
+
+@lru_cache(maxsize=HOLONOMY_CACHE_SIZE)
+def _holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
+    first = generators[0]
+    ident = QMatrix.identity(first.dim)
     elements = [ident]
-    reps = [lattice_element(entry.model, entry.dim, (0,) * entry.dim, entry.k)]
-    gen_parts = [g.holonomy_part() for g in entry.generators]
+    reps = [lattice_element(first.model, first.dim, (0,) * first.dim, first.k)]
+    gen_parts = [g.holonomy_part() for g in generators]
 
     def find(mat):
         for i, e in enumerate(elements):
@@ -224,11 +246,11 @@ def holonomy(entry: CatalogEntry) -> HolonomyGroup:
     frontier = [0]
     while frontier:
         i = frontier.pop(0)
-        for g, gpart in zip(entry.generators, gen_parts):
+        for g, gpart in zip(generators, gen_parts):
             prod = gpart * elements[i]
             if find(prod) is None:
                 if len(elements) >= HOLONOMY_CAP:
-                    raise CatalogError(f"holonomy closure of {entry.id} exceeds cap {HOLONOMY_CAP}")
+                    raise CatalogError(f"holonomy closure of {entry_id} exceeds cap {HOLONOMY_CAP}")
                 elements.append(prod)
                 reps.append(g * reps[i])
                 frontier.append(len(elements) - 1)
@@ -236,7 +258,7 @@ def holonomy(entry: CatalogEntry) -> HolonomyGroup:
         tuple(find(a * b) for b in elements) for a in elements
     )
     if any(x is None for row in table for x in row):
-        raise CatalogError(f"holonomy of {entry.id} is not closed")
+        raise CatalogError(f"holonomy of {entry_id} is not closed")
     gen_idx = tuple(find(p) for p in gen_parts)
     return HolonomyGroup(tuple(elements), table, gen_idx, tuple(reps))
 

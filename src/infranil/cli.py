@@ -26,7 +26,6 @@ from .errors import (
     RouteMismatchError,
 )
 from .exprs import eval_bool, eval_rational, format_rational, parse_rational
-from .fixedpoint import check_sign_relations
 from .polynomials import QPoly
 from .selfmaps import (
     expected_zeta_cell,
@@ -134,7 +133,7 @@ def cmd_compute(args) -> int:
     except CorpusError as exc:
         raise InvalidCandidateError(str(exc)) from exc
     res = compute_zeta(candidate, kmax=args.kmax)
-    sign = check_sign_relations(candidate, kmax=args.kmax)
+    sign = res.sign_relations
     data = {
         "manifold": args.manifold,
         "family": spec.index,
@@ -180,7 +179,7 @@ def _verify_instance(spec, params):
     )
     if not rfp_equal(res.nielsen, expected):
         return False, f"engine {res.nielsen} != table {expected}"
-    report = check_sign_relations(candidate, kmax=40)
+    report = res.sign_relations
     if not report.ok:
         return False, f"sign relation violated at {report.first_violation}"
     return True, ""

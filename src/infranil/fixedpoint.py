@@ -5,22 +5,40 @@ For a valid candidate (d, D) on a manifold with holonomy group F,
     L(f^k) = (1/#F) sum_{A in F} det(I - A* D*^k)
     N(f^k) = (1/#F) sum_{A in F} |det(I - A* D*^k)|
 
-both of which must come out integral (asserted).  The spectrum of D* is
-classified exactly (counts p of real eigenvalues > 1 and n of real
-eigenvalues < -1, and the modulus split against the unit circle), the
-index-two "positive part" subgroup is computed from determinants of the
-holonomy action on the modulus > 1 block, and the parity relations tying
-N(f^k) to L(f^k) and L(f_+^k) are checked for a range of iterates.
+both of which must come out integral (asserted).  `det_table` builds the
+determinants without a matrix power or a determinant past the first few
+terms: expanding det(I - M) = sum_j (-1)^j tr(Lambda^j M) with
+Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
+
+    det(I - A D^k) = sum_{j=0..n} (-1)^j tr(Lambda^j A . E_j^k),  E_j = Lambda^j D,
+
+and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
+of order C(n, j).  So the first C(n, j) powers of E_j are formed once per
+candidate and shared by every holonomy element, every later term costs
+C(n, j) multiplications per element, and Lambda^j A is formed once per
+holonomy group.  The traces run in integers (Lambda^j A and E_j scaled by
+their common denominators) and each table entry becomes one exact Fraction.
+`lefschetz_number` and `nielsen_number` take the direct route instead (D^k
+by binary powering, one determinant per element).
+
+The spectrum of D* is classified exactly (counts p of real eigenvalues > 1
+and n of real eigenvalues < -1, and the modulus split against the unit
+circle), the index-two "positive part" subgroup is computed from
+determinants of the holonomy action on the modulus > 1 block, and the parity
+relations tying N(f^k) to L(f^k) and L(f_+^k) are checked for a range of
+iterates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .catalog import HolonomyGroup, holonomy
 from .errors import InfranilError, InvalidCandidateError
-from .matrices import QMatrix, charpoly
+from .matrices import QMatrix, charpoly, exterior_power
 from .numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from .polynomials import (
     IntPoly,
@@ -189,16 +207,58 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
 # ---------------------------------------------------------------------------
 
 
+def _trace_sequences(blocks, e: QMatrix, kmax: int):
+    """(r, q, seqs) with seqs[i][k] = r q^k tr(B_i . e^k), an integer, for
+    k = 0..kmax, where blocks = (r, flats) is the integer form of the B_i and
+    q clears the denominators of e.  The first m = dim(e) terms come from
+    explicit powers of e, the rest from the recurrence of charpoly(q e)
+    (Cayley-Hamilton: (qe)^k charpoly(qe) = 0 for every k >= 0)."""
+    r, flats = blocks
+    m = e.nrows
+    q = lcm(*(v.denominator for row in e.rows for v in row))
+    # powers of q e, transposed and flattened, so each trace is a dot product
+    powers_t = []
+    power = QMatrix.identity(m)
+    for p in range(min(m, kmax + 1)):
+        powers_t.append([int(v * q ** p) for col in zip(*power.rows) for v in col])
+        power = power * e
+    cp = charpoly(e).coeffs
+    rec = [-int(cp[i] * q ** (m - i)) for i in range(m)]
+    seqs = []
+    for flat in flats:
+        s = [sum(map(mul, flat, pt)) for pt in powers_t]
+        for k in range(m, kmax + 1):
+            s.append(sum(map(mul, rec, s[k - m:])))
+        seqs.append(s)
+    return r, q, seqs
+
+
 def det_table(candidate: MapCandidate, group: HolonomyGroup, kmax: int):
-    """table[k-1][i] = det(I - A_i D^k) for k = 1..kmax."""
-    n = candidate.entry.dim
-    ident = QMatrix.identity(n)
+    """table[k-1][i] = det(I - A_i D^k) for k = 1..kmax, by the exterior-power
+    trace recurrences of the module docstring, in integers over one common
+    denominator per row."""
+    terms = [
+        _trace_sequences(group.exterior_powers[j], exterior_power(candidate.dstar, j), kmax)
+        for j in range(1, candidate.entry.dim + 1)
+    ]
     out = []
-    power = ident
-    for _ in range(kmax):
-        power = power * candidate.dstar
-        out.append(tuple((ident - a * power).det() for a in group.elements))
+    for k in range(1, kmax + 1):
+        scales = [r * q ** k for r, q, _ in terms]
+        den = lcm(*scales)
+        weights = [(-1) ** j * (den // scale) for j, scale in enumerate(scales, start=1)]
+        out.append(tuple(
+            Fraction(den + sum(w * seqs[i][k] for w, (_, _, seqs) in zip(weights, terms)), den)
+            for i in range(group.order)
+        ))
     return out
+
+
+def _direct_row(candidate: MapCandidate, group: HolonomyGroup, k: int):
+    """det(I - A_i D^k) for one k, from D^k by binary powering and direct
+    determinants."""
+    ident = QMatrix.identity(candidate.entry.dim)
+    power = candidate.dstar.power(k)
+    return tuple((ident - a * power).det() for a in group.elements)
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -219,14 +279,12 @@ def nielsen_from_row(row, indices=None) -> int:
 
 
 def lefschetz_number(candidate: MapCandidate, k: int, group: HolonomyGroup | None = None) -> int:
-    group = group or holonomy(candidate.entry)
-    row = det_table(candidate, group, k)[k - 1]
+    row = _direct_row(candidate, group or holonomy(candidate.entry), k)
     return lefschetz_from_row(row)
 
 
 def nielsen_number(candidate: MapCandidate, k: int, group: HolonomyGroup | None = None) -> int:
-    group = group or holonomy(candidate.entry)
-    row = det_table(candidate, group, k)[k - 1]
+    row = _direct_row(candidate, group or holonomy(candidate.entry), k)
     value = nielsen_from_row(row)
     if value < abs(lefschetz_from_row(row)):
         raise InvalidCandidateError("Nielsen number below |Lefschetz number|")
@@ -485,7 +543,9 @@ def check_sign_relations(
                   N(f^k) = (-1)^(p+n) L(f^k)        (k even)
         index 2:  same signs applied to L(f_+^k) - L(f^k)
 
-    with every quantity computed independently."""
+    The group, determinant table (at least kmax rows), spectrum and positive
+    part may be passed in, as `compute_zeta` does with its own; whatever is
+    missing is computed here."""
     group = group or holonomy(candidate.entry)
     ec = ec or eigen_classify(candidate.dstar)
     part = part or positive_part(candidate, group, ec)

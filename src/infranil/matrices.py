@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InfranilError
 from .polynomials import QPoly
@@ -241,6 +242,16 @@ def exterior_power(M: QMatrix, j: int) -> QMatrix:
     subsets = list(itertools.combinations(range(n), j))
     return QMatrix(
         [[M.submatrix(ri, ci).det() for ci in subsets] for ri in subsets]
+    )
+
+
+def integer_form(mats) -> tuple:
+    """(r, flats): r is the least common denominator of every entry of the
+    matrices, and flats[i] holds the entries of r * mats[i], row-major, as
+    ints."""
+    r = lcm(*(v.denominator for m in mats for row in m.rows for v in row))
+    return r, tuple(
+        tuple(v.numerator * (r // v.denominator) for row in m.rows for v in row) for m in mats
     )
 
 

@@ -24,6 +24,8 @@ from .errors import RouteMismatchError
 from .fixedpoint import (
     EigenClass,
     PositivePart,
+    SignRelationReport,
+    check_sign_relations,
     det_table,
     eigen_classify,
     lefschetz_from_row,
@@ -177,6 +179,7 @@ class ZetaResult:
     lefschetz_plus: RatFuncProduct | None
     nielsen_direct: RatFuncProduct
     nielsen_structural: RatFuncProduct
+    sign_relations: SignRelationReport
 
     @property
     def nielsen(self) -> RatFuncProduct:
@@ -192,7 +195,9 @@ def case_label(index: int, p: int, n: int) -> str:
 
 
 def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
-    """Run both routes; their agreement is asserted (RouteMismatchError)."""
+    """Run both routes; their agreement is asserted (RouteMismatchError).
+    The parity relations for k = 1..kmax are checked on the same group,
+    table, spectrum and positive part, and reported, not asserted."""
     group = holonomy(candidate.entry)
     ec = eigen_classify(candidate.dstar)
     part = positive_part(candidate, group, ec)
@@ -226,4 +231,5 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
         lefschetz_plus=lef_plus,
         nielsen_direct=direct,
         nielsen_structural=structural,
+        sign_relations=check_sign_relations(candidate, kmax, group, table[:kmax], ec, part),
     )

@@ -218,3 +218,32 @@ def test_coset_representatives():
     group = holonomy(entry)
     for elem, rep in zip(group.elements, group.representatives):
         assert rep.holonomy_part() == elem
+
+
+def test_holonomy_memoized_per_id_and_params():
+    from infranil import catalog
+
+    hw = holonomy(catalog_lookup("hantzsche-wendt"))
+    assert holonomy(catalog_lookup("hantzsche-wendt")) is hw
+    x2 = holonomy(catalog_lookup("heis-X-c1", {"k": 2}))
+    assert holonomy(catalog_lookup("heis-X-c1", {"k": 2})) is x2
+    x4 = holonomy(catalog_lookup("heis-X-c1", {"k": 4}))
+    assert x4 is not x2
+    assert [r.k for r in x2.representatives] == [2] * x2.order
+    assert [r.k for r in x4.representatives] == [4] * x4.order
+    assert x2.representatives != x4.representatives
+    maxsize = catalog._holonomy.cache_info().maxsize
+    assert maxsize is not None and maxsize == catalog.HOLONOMY_CACHE_SIZE > 0
+
+
+def test_exterior_powers_per_holonomy_element():
+    from infranil.matrices import exterior_power
+
+    for entry in (catalog_lookup("flat3-6"), catalog_lookup("heis-XIII-c1", {"k": 3})):
+        group = holonomy(entry)
+        assert group.exterior_powers is group.exterior_powers
+        for j, (r, flats) in enumerate(group.exterior_powers):
+            for a, flat in zip(group.elements, flats):
+                assert all(type(v) is int for v in flat)
+                scaled = exterior_power(a, j) * r
+                assert flat == tuple(v for row in scaled.rows for v in row)

@@ -187,3 +187,32 @@ def test_compute_invalid_map_exit_code(tmp_path, capsys):
                        "--param", "a=2", "--param", "b=5", "--param", "s=1/3")
     assert code == 2
     assert "validation" in err
+
+
+def test_compute_json_schema_and_sign_relations(capsys):
+    from infranil.fixedpoint import check_sign_relations
+    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
+
+    keys = {
+        "manifold", "family", "params", "kmax", "p", "n", "index", "case",
+        "anosov_relation", "lefschetz_numbers", "nielsen_numbers", "lefschetz_zeta",
+        "lefschetz_zeta_plus", "nielsen_zeta", "nielsen_zeta_str", "sign_relations_ok",
+    }
+    indices = set()
+    for spec in load_corpus().families:
+        if spec.manifold not in ("klein-bottle", "heis-II"):
+            continue
+        params = sample_params(spec, 1)[0]
+        argv = ["compute", "--manifold", spec.manifold, "--family", str(spec.index),
+                "--kmax", "25", "--json"]
+        for name, value in params.items():
+            argv += ["--param", f"{name}={value}"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, spec.label
+        data = json.loads(out)
+        assert set(data) == keys
+        assert len(data["nielsen_numbers"]) == 25
+        cand = family_instantiate(spec, params)
+        assert data["sign_relations_ok"] is check_sign_relations(cand, kmax=25).ok is True
+        indices.add(data["index"])
+    assert indices == {1, 2}

@@ -1,18 +1,25 @@
 from fractions import Fraction
 
-from infranil.catalog import catalog_lookup, holonomy
+from infranil.catalog import catalog_ids, catalog_lookup, holonomy
 from infranil.fixedpoint import (
     GT1,
     INSIDE,
     anosov_fastpath,
     check_sign_relations,
+    det_table,
     eigen_classify,
     lefschetz_number,
     nielsen_number,
     positive_part,
 )
 from infranil.matrices import QMatrix
-from infranil.selfmaps import MapCandidate, validate_selfmap
+from infranil.selfmaps import (
+    MapCandidate,
+    family_instantiate,
+    load_corpus,
+    sample_params,
+    validate_selfmap,
+)
 
 F = Fraction
 
@@ -191,3 +198,90 @@ def test_nielsen_geq_abs_lefschetz_randomized():
         cand = MapCandidate(entry, (0, 0, 0), m)
         for k in (1, 2, 5):
             assert nielsen_number(cand, k) >= abs(lefschetz_number(cand, k))
+
+
+# ---------------------------------------------------------------------------
+# det_table (trace recurrences) against direct determinants
+# ---------------------------------------------------------------------------
+
+
+def direct_table(cand, group, kmax):
+    """det(I - A D^k) from an explicit matrix power and a Gaussian-elimination
+    determinant per entry: the oracle for the recurrence table."""
+    ident = QMatrix.identity(cand.entry.dim)
+    rows = []
+    power = ident
+    for _ in range(kmax):
+        power = power * cand.dstar
+        rows.append(tuple((ident - a * power).det() for a in group.elements))
+    return rows
+
+
+def assert_table_matches(cand, kmax, label):
+    group = holonomy(cand.entry)
+    table = det_table(cand, group, kmax)
+    assert len(table) == kmax, label
+    assert all(type(v) is F for row in table for v in row), label
+    assert table == direct_table(cand, group, kmax), label
+
+
+def test_det_table_matches_direct_determinants_on_corpus():
+    for spec in load_corpus().families:
+        for params in sample_params(spec, 1):
+            assert_table_matches(family_instantiate(spec, params), 44, spec.label)
+
+
+def random_heisenberg_half_integer_maps(rng, count):
+    """Valid maps on heis-I (k = 1) with half-integer entries allowed in the
+    top row of D*; validity is checked, not assumed."""
+    entry = catalog_lookup("heis-I", {"k": 1})
+    halves = [F(q, 2) for q in range(-7, 8)]
+    out = []
+    for _ in range(20 * count):
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        m = QMatrix([[a * d - b * c, rng.choice(halves), rng.choice(halves)],
+                     [0, a, b], [0, c, d]])
+        cand = MapCandidate(entry, (0, 0, 0), m)
+        if validate_selfmap(cand) is not None:
+            out.append(cand)
+            if len(out) == count:
+                break
+    return out
+
+
+def test_det_table_matches_direct_determinants_on_random_valid_maps():
+    """A seeded parameter draw of every corpus family (so every catalog
+    entry) and its second iterate, plus Heisenberg maps with half-integer D*."""
+    import random
+
+    candidates = []
+    for spec in load_corpus().families:
+        cand = family_instantiate(spec, sample_params(spec, 1, seed=2026)[0])
+        candidates += [(spec.label, cand), (spec.label + "^2", cand.iterate(2))]
+    halves = random_heisenberg_half_integer_maps(random.Random(5), 10)
+    assert len(halves) == 10
+    candidates += [("heis-I half-integer", cand) for cand in halves]
+    assert {cand.entry.id for _, cand in candidates} == set(catalog_ids())
+    assert any(
+        cand.entry.model == "heisenberg"
+        and any(v.denominator != 1 for row in cand.dstar.rows for v in row)
+        for _, cand in candidates
+    )
+    for label, cand in candidates:
+        assert_table_matches(cand, 20, label)
+
+
+def test_det_table_shorter_than_recurrence_order():
+    import random
+
+    torus = catalog_lookup("torus-3")
+    cases = [
+        MapCandidate(torus, (0, 0, 0), QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, -4]])),
+        MapCandidate(torus, (0, 0, 0), QMatrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])),  # singular
+        kb(3, 5, 0, F(1, 2)),
+        MapCandidate(catalog_lookup("hantzsche-wendt"), (F(1, 2), 0, F(1, 2)),
+                     QMatrix([[3, 0, 0], [0, -5, 0], [0, 0, 7]])),
+    ] + random_heisenberg_half_integer_maps(random.Random(9), 2)
+    for cand in cases:
+        for kmax in (1, 2, 3):
+            assert_table_matches(cand, kmax, (cand.entry.id, kmax))

@@ -134,3 +134,20 @@ def test_hantzsche_wendt_diag_zeta():
     # p = 3 odd, n = 0 even, all holonomy determinants +1: N_f = 1/L_f
     assert (res.p, res.n, res.index) == (3, 0, 1)
     assert rfp_equal(res.nielsen, rfp(([1, -1], 1), ([1, -27], -1)))
+
+
+def test_sign_relations_field_matches_standalone_check():
+    from infranil.fixedpoint import check_sign_relations
+    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
+
+    seen = {1: 0, 2: 0}
+    for spec in load_corpus().families:
+        if spec.manifold not in ("klein-bottle", "hantzsche-wendt", "flat3-8", "heis-II"):
+            continue
+        cand = family_instantiate(spec, sample_params(spec, 1)[0])
+        for kmax in (12, 40):
+            res = compute_zeta(cand, kmax=kmax)
+            assert res.sign_relations == check_sign_relations(cand, kmax=kmax), spec.label
+            assert res.sign_relations.ok and res.sign_relations.kmax == kmax
+        seen[res.index] += 1
+    assert seen[1] >= 2 and seen[2] >= 2, seen
