@@ -6,17 +6,18 @@ coefficient tuple and degree -1.  Everything here is exact: QPoly uses
 `fractions.Fraction`, IntPoly uses Python ints.
 
 The module also provides the real-root machinery (Sturm chains, root
-isolation) and complete factorization over Q for the small degrees this
-package needs (irreducible pieces of degree <= 3 occur naturally; a
-Kronecker-style bounded search covers composite residues up to degree 16).
+isolation) and complete factorization over Q of degree <= 3, the most any
+det(I - z Lambda^j D) has for n <= 3.  Rational roots are found in integers
+only: y/lc for the integer roots y of a monic rescaling, located by integer
+bisection on each piece where that rescaling is monotone.  Whatever is left
+after the linear factors has no rational root, so it is irreducible.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isinf
+from math import gcd, isinf, isqrt
 
 from .errors import InfranilError
 
@@ -447,119 +448,93 @@ def _yun_squarefree(p: QPoly) -> list:
     return out
 
 
-def _divisors(n: int) -> list:
-    """All positive divisors of |n| (n != 0), by trial division."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _rational_roots(p: IntPoly) -> list:
-    """All rational roots of a squarefree integer polynomial with p(0) != 0."""
-    roots = []
-    for num in _divisors(p.constant()):
-        for den in _divisors(p.leading()):
-            if gcd(num, den) != 1:
-                continue
-            for r in (Fraction(num, den), Fraction(-num, den)):
-                if p(r) == 0:
-                    roots.append(r)
-    return roots
-
-
-def _int_divmod(p: IntPoly, q: IntPoly):
-    quo, rem = divmod(p.to_qpoly(), q.to_qpoly())
-    if not rem.is_zero():
+def _bisect_root(g: IntPoly, lo: int, hi: int):
+    """The integer root of g in [lo, hi], where g is strictly monotone, or None."""
+    slo, shi = g(lo), g(hi)
+    if slo == 0:
+        return lo
+    if shi == 0:
+        return hi
+    if (slo > 0) == (shi > 0):
         return None
-    prim, content = quo.to_int()
-    if content.denominator != 1:
-        return None
-    return IntPoly([c * int(content) for c in prim.coeffs])
-
-
-def _interpolate(points: list) -> QPoly:
-    """Lagrange interpolation through (x, y) rational pairs."""
-    total = QPoly()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = QPoly([yi])
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * QPoly([-xj, 1]) * Fraction(1, xi - xj)
-        total = total + term
-    return total
-
-
-def _kronecker_factor(p: IntPoly, max_deg: int):
-    """Search for a nontrivial factor of degree 2..max_deg by divisor
-    interpolation (Kronecker).  `p` is squarefree, primitive, has no
-    rational roots and p(0) != 0.  Returns a factor or None."""
-    for d in range(2, max_deg + 1):
-        xs = []
-        x = 0
-        while len(xs) < d + 1:
-            if p(x) != 0:
-                xs.append(x)
-            x = -x if x > 0 else -x + 1  # 0, 1, -1, 2, -2, ...
-        value_choices = []
-        for x in xs:
-            divs = _divisors(p(x))
-            value_choices.append([v for dd in divs for v in (dd, -dd)])
-        for combo in itertools.product(*value_choices):
-            cand = _interpolate(list(zip(xs, combo)))
-            if cand.degree != d:
-                continue
-            ip, content = cand.to_int()
-            if content.denominator != 1:
-                continue
-            q = _int_divmod(p, ip)
-            if q is not None:
-                return ip
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = g(mid)
+        if v == 0:
+            return mid
+        if (v > 0) == (slo > 0):
+            lo = mid
+        else:
+            hi = mid
     return None
 
 
+def _integer_roots(g: IntPoly) -> list:
+    """Integer roots of a monic integer polynomial of degree 1..3, ascending.
+
+    The integers are cut at the floors of the real critical points, so g is
+    monotone on each piece and holds at most one root there; the Cauchy
+    bound closes the outer pieces."""
+    coeffs = g.coeffs
+    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    cuts = []
+    if g.degree == 2:
+        cuts = [-coeffs[1] // 2]
+    elif g.degree == 3:
+        # g' = 3y^2 + 2by + c has roots (-2b -/+ sqrt(disc)) / 6
+        b, c = coeffs[2], coeffs[1]
+        disc = 4 * b * b - 12 * c
+        if disc > 0:
+            s = isqrt(disc)
+            ceil_s = s + (s * s < disc)
+            cuts = [(-2 * b - ceil_s) // 6, (-2 * b + s) // 6]
+    roots = []
+    lo = -bound
+    for cut in cuts + [bound]:
+        hi = min(cut, bound)
+        if lo <= hi:
+            y = _bisect_root(g, lo, hi)
+            if y is not None:
+                roots.append(y)
+        lo = max(lo, hi + 1)
+    return roots
+
+
+def _rational_roots(p: IntPoly) -> list:
+    """Distinct rational roots of an integer polynomial of degree 1..3.
+
+    With a = lc(p) and d = deg p, g(y) = a^(d-1) p(y/a) is monic with integer
+    coefficients, so the rational roots of p are y/a for the integer roots y
+    of g."""
+    a, d = p.leading(), p.degree
+    g = IntPoly([c * a ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])] + [1])
+    return [Fraction(y, a) for y in _integer_roots(g)]
+
+
+def _exact_quotient(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p / q for a primitive q dividing p; by Gauss's lemma it is integral."""
+    return IntPoly((p.to_qpoly() // q.to_qpoly()).coeffs)
+
+
 def _factor_squarefree(p: IntPoly) -> list:
-    """Irreducible factors of a squarefree primitive integer polynomial with
-    positive leading coefficient; no multiplicities (all are 1)."""
+    """Irreducible factors of a squarefree primitive integer polynomial of
+    degree <= 3 with positive leading coefficient; no multiplicities (all
+    are 1)."""
     out = []
-    # x^v factor
-    v = 0
-    while v < len(p.coeffs) and p.coeffs[v] == 0:
-        v += 1
-    if v:
-        out.append(IntPoly([0, 1]))
-        p = IntPoly(p.coeffs[v:])
-    work = p
-    for r in _rational_roots(work):
+    for r in _rational_roots(p):
         lin = IntPoly([-r.numerator, r.denominator])
-        work = _int_divmod(work, lin)
+        p = _exact_quotient(p, lin)
         out.append(lin)
-    while work.degree >= 2:
-        if work.degree <= 3:
-            # no rational roots left, so quadratics and cubics are irreducible
-            out.append(work)
-            break
-        fac = _kronecker_factor(work, work.degree // 2)
-        if fac is None:
-            out.append(work)
-            break
-        out.append(fac)
-        work = _int_divmod(work, fac)
+    if p.degree >= 2:
+        # no rational roots left, so a quadratic or cubic is irreducible
+        out.append(p)
     return out
 
 
 def factor_over_q(poly: IntPoly) -> list:
-    """Complete factorization over Q into primitive irreducible integer
-    polynomials with positive leading coefficients.
+    """Complete factorization over Q of a polynomial of degree <= 3 into
+    primitive irreducible integer polynomials with positive leading
+    coefficients; higher degrees raise InfranilError.
 
     Returns [(factor, multiplicity), ...].  The product of the factors with
     multiplicity, times the signed content of the input, reproduces the input
@@ -569,8 +544,8 @@ def factor_over_q(poly: IntPoly) -> list:
         poly = poly.to_int()[0]
     if poly.is_zero():
         raise InfranilError("cannot factor the zero polynomial")
-    if poly.degree > 16:
-        raise InfranilError("factor_over_q supports degree <= 16")
+    if poly.degree > 3:
+        raise InfranilError("factor_over_q supports degree <= 3")
     if poly.degree == 0:
         return []
     prim, _ = poly.to_qpoly().to_int()

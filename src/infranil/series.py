@@ -224,25 +224,26 @@ def rfp_transform(x: RatFuncProduct, op: str) -> RatFuncProduct:
 
 
 def _factor_with_hints(p: IntPoly, hints):
-    """Factor p given a list of known irreducible candidate divisors."""
+    """Factor p over a list of known irreducible candidate divisors, or over
+    Q when `hints` is None.  A factor of p that no hint divides raises
+    ReconstructionError."""
+    if hints is None:
+        return factor_over_q(p)
     out = []
     work = p
-    if hints:
-        seen = set()
-        for h in hints:
-            if h.coeffs in seen or h.degree < 1:
-                continue
-            seen.add(h.coeffs)
-            while True:
-                quo, rem = divmod(work.to_qpoly(), h.to_qpoly())
-                if not rem.is_zero():
-                    break
-                out.append((h, 1))
-                work = quo.to_int()[0]
-                if work.degree == 0:
-                    break
+    seen = set()
+    for h in hints:
+        if h.coeffs in seen or h.degree < 1:
+            continue
+        seen.add(h.coeffs)
+        while work.degree > 0:
+            quo, rem = divmod(work.to_qpoly(), h.to_qpoly())
+            if not rem.is_zero():
+                break
+            out.append((h, 1))
+            work = quo.to_int()[0]
     if work.degree > 0:
-        out.extend(factor_over_q(work))
+        raise ReconstructionError(f"factor {work} of the denominator is not among the hints")
     merged = {}
     for q, m in out:
         merged[q] = merged.get(q, 0) + m
@@ -255,7 +256,8 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     must come out integral; the result is verified by cross-multiplication.
 
     `hints` may carry irreducible integer polynomials known to divide den
-    (e.g. factors of det(I - z Lambda^j D)); they shortcut factorization.
+    (e.g. factors of det(I - z Lambda^j D)); den must then factor over them,
+    and no factorization over Q is done.
     """
     if den.is_zero() or den[0] != 1:
         raise ReconstructionError("denominator must satisfy den(0) = 1")

@@ -58,7 +58,7 @@ def sequence_length(dim: int) -> int:
 def candidate_factor_hints(dstar: QMatrix):
     """Irreducible factors of det(I - z Lambda^j D) for all j, and their
     z -> -z twists: every factor of any zeta of the candidate divides their
-    product, so they shortcut factorization in the reconstruction."""
+    product, so the reconstruction factors its denominators over them."""
     hints = []
     n = dstar.nrows
     for j in range(n + 1):

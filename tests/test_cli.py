@@ -216,3 +216,44 @@ def test_compute_json_schema_and_sign_relations(capsys):
         assert data["sign_relations_ok"] is check_sign_relations(cand, kmax=25).ok is True
         indices.add(data["index"])
     assert indices == {1, 2}
+
+
+def test_compute_large_entries(capsys):
+    """Parameters far beyond the corpus samples (the constant terms are large
+    primes or have large prime factors) still give the exact zetas."""
+    from infranil.exprs import eval_rational, parse_rational
+    from infranil.matrices import QMatrix
+    from infranil.polynomials import QPoly
+    from infranil.selfmaps import expected_zeta_cell, load_corpus, resolve_params
+    from infranil.series import RatFuncProduct, rfp_equal
+    from infranil.zeta import exterior_closed_form
+
+    params = {"c": "7", "a": "3000", "b": "2999"}
+    argv = ["compute", "--manifold", "flat3-8", "--family", "1", "--json"]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value}"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["sign_relations_ok"] is True
+    spec = next(f for f in load_corpus().families if f.label == "flat3-8#1")
+    env = resolve_params(spec, {n: parse_rational(params.get(n, "0")) for n, _ in spec.params})
+    cell = expected_zeta_cell(spec, env, data["index"], data["p"], data["n"])
+    expected = RatFuncProduct.from_factors(
+        (QPoly([eval_rational(c, env) for c in f["coeffs"]]), f["exp"]) for f in cell
+    )
+    assert rfp_equal(RatFuncProduct.from_json(data["nielsen_zeta"]), expected)
+    assert data["nielsen_zeta_str"] == (
+        "(1 - 26991002*z + 26991001*z^2) / (1 - 188937014*z + 1322559049*z^2)"
+    )
+
+    m11, m22 = 123456791, 1000000007
+    code, out, _ = run(
+        capsys, "compute", "--manifold", "torus-3", "--param", f"m11={m11}",
+        "--param", f"m22={m22}", "--param", "m33=1", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["sign_relations_ok"] is True
+    closed = exterior_closed_form(QMatrix([[m11, 0, 0], [0, m22, 0], [0, 0, 1]]))
+    assert rfp_equal(RatFuncProduct.from_json(data["lefschetz_zeta"]), closed)

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from infranil.polynomials import (
     IntPoly,
     QPoly,
+    _rational_roots,
     factor_over_q,
     isolate_real_roots,
     refine_root,
@@ -118,21 +120,130 @@ def test_factor_with_multiplicities_and_content():
 
 
 def test_factor_quartic_product_of_quadratics():
+    # factor_over_q covers degree <= 3 only; a quartic is rejected, not factored
     a = IntPoly([1, -3, 1])
     b = IntPoly([1, 0, 1])
-    fs = factor_over_q(a * b)
-    assert sorted(q.coeffs for q, _ in fs) == sorted([a.coeffs, b.coeffs])
+    with pytest.raises(InfranilError):
+        factor_over_q(a * b)
+
+
+def sympy_factors(coeffs):
+    """Factors and multiplicities from sympy.factor_list, each factor as
+    ascending integer coefficients with positive leading coefficient."""
+    x = sympy.Symbol("x")
+    _, pairs = sympy.factor_list(sum(c * x ** i for i, c in enumerate(coeffs)), x)
+    out = []
+    for f, m in pairs:
+        fc = [int(c) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+        if fc[-1] < 0:
+            fc = [-c for c in fc]
+        out.append((tuple(fc), m))
+    return sorted(out)
 
 
 def test_factor_reconstruction_random():
     rng = random.Random(3)
-    for _ in range(25):
-        coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(2, 7))]
+    checked = 0
+    for _ in range(200):
+        deg = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-5, 5) for _ in range(deg + 1)]
+        else:  # a product of small factors, so that rational roots and repeats occur
+            p = IntPoly([1])
+            while p.degree < deg:
+                k = rng.randint(1, deg - p.degree)
+                p = p * IntPoly([rng.randint(-4, 4) for _ in range(k)] + [rng.choice([-3, -1, 1, 2])])
+            coeffs = list(p.coeffs)
         p = IntPoly(coeffs)
-        if p.is_zero() or p.degree < 1:
+        if p.degree < 1:
             continue
         fs = factor_over_q(p)  # internal assertion checks reconstruction
-        assert all(m >= 1 for _, m in fs)
+        assert sorted((q.coeffs, m) for q, m in fs) == sympy_factors(coeffs)
+        checked += 1
+    assert checked > 150
+
+
+def divisors(m):
+    return [k for k in range(1, abs(m) + 1) if m % k == 0]
+
+
+def divisor_roots(coeffs):
+    """Rational roots by the rational root theorem: every root is 0 or +-n/d
+    with n dividing the lowest nonzero coefficient and d the leading one."""
+    p = IntPoly(coeffs)
+    low = next(c for c in coeffs if c)
+    roots = {Fraction(0)} if coeffs[0] == 0 else set()
+    for n in divisors(low):
+        for d in divisors(coeffs[-1]):
+            roots.update(r for r in (Fraction(n, d), Fraction(-n, d)) if p(r) == 0)
+    return sorted(roots)
+
+
+def test_rational_roots_match_divisor_oracle():
+    rng = random.Random(17)
+    for _ in range(400):
+        deg = rng.choice([2, 3])
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-30, 30) for _ in range(deg)] + [rng.choice([-6, -2, -1, 1, 3, 4])]
+        else:  # product of linear factors times a random remainder
+            p = IntPoly([rng.randint(-9, 9), rng.choice([-3, -2, -1, 1, 2, 5])])
+            while p.degree < deg:
+                p = p * IntPoly([rng.randint(-9, 9), rng.choice([-2, -1, 1, 3])])
+            coeffs = list(p.coeffs)
+        if coeffs[-1] == 0:
+            continue
+        assert sorted(_rational_roots(IntPoly(coeffs))) == divisor_roots(coeffs), coeffs
+
+
+def roots_of(*coeffs):
+    return sorted(_rational_roots(IntPoly(coeffs)))
+
+
+def test_rational_roots_leading_coefficient():
+    # -2x^2 - x + 3 = -(2x + 3)(x - 1)
+    assert roots_of(3, -1, -2) == [Fraction(-3, 2), 1]
+    # (2x - 1)(3x + 2)(x - 5) = 6x^3 - 29x^2 - 7x + 10
+    assert roots_of(10, -7, -29, 6) == [Fraction(-2, 3), Fraction(1, 2), 5]
+    assert roots_of(-10, 7, 29, -6) == [Fraction(-2, 3), Fraction(1, 2), 5]
+
+
+def test_rational_roots_monotone_cubic():
+    # the derivative has no real root (discriminant < 0) or a double one (= 0)
+    assert roots_of(2, 0, 0, 1) == []             # y^3 + 2
+    assert roots_of(3, 1, 0, 2) == [-1]           # 2y^3 + y + 3
+    assert roots_of(-1, 3, -3, 1) == [1]          # (y - 1)^3
+    assert roots_of(-27, 27, -9, 1) == [3]        # (y - 3)^3
+
+
+def test_rational_roots_at_critical_point_floor():
+    # y^2 + y: critical point -1/2, root -1 = its floor
+    assert roots_of(0, 1, 1) == [-1, 0]
+    # y^3 - 7y + 6 = (y - 1)(y - 2)(y + 3): critical points +-sqrt(7/3), floors -2 and 1
+    assert roots_of(6, -7, 0, 1) == [-3, 1, 2]
+    # (y - 1)^2 (y + 2): a double root at the critical point 1
+    assert roots_of(2, -3, 0, 1) == [-2, 1]
+
+
+def test_rational_roots_at_cauchy_bound():
+    n = 97
+    # y^2 - ny: bound 1 + n, root n
+    assert roots_of(0, -n, 1) == [0, n]
+    # (y -+ n)(y^2 + 1): bound 1 + n, root +-n
+    assert roots_of(-n, 1, -n, 1) == [n]
+    assert roots_of(n, 1, n, 1) == [-n]
+
+
+def test_rational_roots_three_integer_roots():
+    # (y - 2)(y + 3)(y - 7) = y^3 - 6y^2 - 13y + 42
+    assert roots_of(42, -13, -6, 1) == [-3, 2, 7]
+
+
+def test_rational_roots_large_prime_constant():
+    q = 1000000007
+    assert roots_of(q, 1, 0, 1) == []                         # y^3 + y + q
+    assert roots_of(-q, q - 1, 1) == [-q, 1]                  # (y - 1)(y + q)
+    # (3y - q)(y^2 + y + 1)
+    assert roots_of(-q, 3 - q, 3 - q, 3) == [Fraction(q, 3)]
 
 
 def test_factor_zero_rejected():

@@ -153,3 +153,12 @@ def test_exponents_rejects_bad_denominator():
     with pytest.raises(ReconstructionError):
         # squarefree violation: (1 - z)^2
         exponents_from_logderiv(QPoly([0, 1]), QPoly([1, -2, 1]))
+
+
+def test_exponents_hints_must_cover_denominator():
+    # c_k = 3^k - 1: denominator (1 - z)(1 - 3z)
+    num, den = berlekamp_massey_q(geometric_sum([(1, 3), (-1, 1)], 20), 4)
+    full = [IntPoly([1, -1]), IntPoly([1, -3])]
+    assert exponents_from_logderiv(num, den, full) == exponents_from_logderiv(num, den)
+    with pytest.raises(ReconstructionError):
+        exponents_from_logderiv(num, den, full[1:])
