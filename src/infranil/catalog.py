@@ -170,13 +170,23 @@ class HolonomyGroup:
         return tuple(e.det() for e in self.elements)
 
     @cached_property
+    def integer_elements(self) -> tuple:
+        """integer_form of the elements: (r, flats), flats[i] = r * elements[i]
+        row-major as ints.  Formed once per group; the self-map filter reads
+        it without building the higher exterior powers."""
+        return integer_form(self.elements)
+
+    @cached_property
     def exterior_powers(self) -> tuple:
         """exterior_powers[j] = integer_form of Lambda^j of every element, for
         j = 0..dim: formed once per group and shared by every candidate on it
-        (ints take far less memory than Fractions in the holonomy cache)."""
+        (ints take far less memory than Fractions in the holonomy cache).
+        Lambda^1 is the element itself, so j = 1 is `integer_elements`."""
         n = self.elements[0].nrows
         return tuple(
-            integer_form([exterior_power(a, j) for a in self.elements]) for j in range(n + 1)
+            self.integer_elements if j == 1
+            else integer_form([exterior_power(a, j) for a in self.elements])
+            for j in range(n + 1)
         )
 
     def is_cyclic(self) -> bool:

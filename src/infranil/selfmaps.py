@@ -14,6 +14,12 @@ lattice coordinates from the translation columns, check integrality, and
 confirm the full matrix identity.  The assignment need not be a
 homomorphism, so each generator is tested against every holonomy element
 independently.
+
+Most pairs (generator, holonomy element) fail already at the differential
+level, D A == B D.  That filter runs in integers on the cached integer form
+of the holonomy group (`HolonomyGroup.integer_elements`), with each product
+formed once per call; the embedded affine products, and the lattice witness
+in Fractions, are formed only for the pairs that pass it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ import os
 import random
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from operator import mul
 
 from .catalog import (
     ABELIAN,
@@ -38,7 +46,7 @@ from .catalog import (
 )
 from .errors import ConstraintError, CorpusError, InvalidCandidateError
 from .exprs import eval_bool, eval_rational, parse_rational
-from .matrices import QMatrix
+from .matrices import QMatrix, integer_form
 
 
 def heis_endo_check(dstar: QMatrix) -> bool:
@@ -134,26 +142,51 @@ class PhiAssignment:
         raise KeyError(generator_index)
 
 
+def _flat_product(a, b, n: int) -> tuple:
+    """Row-major product of two n x n matrices given as flat int tuples."""
+    cols = [b[j::n] for j in range(n)]
+    return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
+
+
 def validate_selfmap(candidate: MapCandidate, group: HolonomyGroup | None = None):
     """Decide whether (d, D) induces a self-map; returns a PhiAssignment or
     None.  For each generator every holonomy element is tried (the assignment
     need not be a homomorphism); matches follow catalog order, so the result
-    is deterministic."""
+    is deterministic.
+
+    A `group` passed in must be `holonomy(candidate.entry)`: the holonomy
+    part of generator gi is read from it as
+    `group.elements[group.generator_indices[gi]]`.
+
+    The rotational filter D A_g == B_h D runs in integers: with q and r the
+    common denominators of D and of the holonomy elements, it holds exactly
+    when (qD)(rA_g) == (rB_h)(qD).  Each B_h D is formed once per call and
+    each D A_g once per generator.  Only where the filter passes are the
+    affine products X = cand * gen (once per generator) and
+    Y_h = rep_h * cand (once per h, shared across generators) formed, in
+    Fractions, for the exact lattice witness."""
     entry = candidate.entry
     group = group or holonomy(entry)
+    n = entry.dim
+    _, (dflat,) = integer_form([candidate.dstar])
+    _, aflats = group.integer_elements
+    b_d = [_flat_product(b, dflat, n) for b in aflats]
     cand = candidate.embedded().matrix
-    dstar = candidate.dstar
+    ys = {}
     found = []
-    for gi, gen in enumerate(entry.generators):
-        x = cand * gen.matrix
-        astar = gen.holonomy_part()
+    for gi, (gen, ai) in enumerate(zip(entry.generators, group.generator_indices)):
+        d_a = _flat_product(dflat, aflats[ai], n)
+        x = None
         hit = None
-        for hi, (bstar, rep) in enumerate(zip(group.elements, group.representatives)):
-            # rotational filter at the differential level, then the full
-            # matrix identity modulo the lattice
-            if dstar * astar != bstar * dstar:
+        for hi, bd in enumerate(b_d):
+            if bd != d_a:
                 continue
-            w = _lattice_witness(entry, x, rep.matrix * cand)
+            if x is None:
+                x = cand * gen.matrix
+            y = ys.get(hi)
+            if y is None:
+                y = ys[hi] = group.representatives[hi].matrix * cand
+            w = _lattice_witness(entry, x, y)
             if w is not None:
                 hit = (gi, hi, w)
                 break
@@ -210,15 +243,33 @@ class Corpus:
         return seen
 
 
+def _packaged_corpus_path():
+    return resources.files("infranil.data").joinpath("families.json")
+
+
 def default_corpus_path():
     override = os.environ.get("ZETA_CORPUS")
     if override:
         return override
-    return resources.files("infranil.data").joinpath("families.json")
+    return _packaged_corpus_path()
 
 
 def load_corpus(path=None) -> Corpus:
-    src = path or default_corpus_path()
+    """The family corpus at `path`, else at ZETA_CORPUS, else the packaged
+    one.  The packaged corpus is parsed once per process and the same Corpus
+    is returned on every call; an explicit path or ZETA_CORPUS is read anew
+    each time."""
+    if not path and not os.environ.get("ZETA_CORPUS"):
+        return _packaged_corpus()
+    return _parse_corpus(path or default_corpus_path())
+
+
+@cache
+def _packaged_corpus() -> Corpus:
+    return _parse_corpus(_packaged_corpus_path())
+
+
+def _parse_corpus(src) -> Corpus:
     try:
         if hasattr(src, "open"):
             with src.open() as fh:

@@ -272,11 +272,14 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     qs = [_normalize_factor(q) for q, _ in factors]
     # solve sum_i e_i * z q_i' * (den / q_i) = num
     d = den.degree
+    # basis[q] = z q' * (den // q), formed once per factor for the solve and
+    # the verification
+    basis = {}
     cols = []
     for q in qs:
         qq = q.to_qpoly()
-        basis = qq.derivative().shift_mul_x() * (den // qq)
-        cols.append([basis[k] for k in range(1, d + 1)])
+        col = basis[q] = qq.derivative().shift_mul_x() * (den // qq)
+        cols.append([col[k] for k in range(1, d + 1)])
     rhs = QMatrix([[num[k]] for k in range(1, d + 1)])
     mat = QMatrix([[cols[j][k] for j in range(len(qs))] for k in range(d)])
     sol = mat.solve_columns(rhs)
@@ -292,8 +295,7 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     # verify: z (log result)' == num/den exactly
     check_num = QPoly()
     for q, e in result.factors:
-        qq = q.to_qpoly()
-        check_num = check_num + e * qq.derivative().shift_mul_x() * (den // qq)
-    if not (check_num * QPoly([1]) == num or (check_num - num).is_zero()):
+        check_num = check_num + e * basis[q]
+    if check_num != num:
         raise ReconstructionError("reconstructed product does not match the series")
     return result

@@ -1,11 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from infranil.catalog import catalog_lookup, holonomy
-from infranil.errors import InvalidCandidateError
-from infranil.matrices import QMatrix
-from infranil.selfmaps import MapCandidate, heis_endo_check, validate_selfmap
+from infranil.catalog import HEISENBERG, catalog_ids, catalog_lookup, holonomy
+from infranil.errors import ConstraintError, InvalidCandidateError
+from infranil.matrices import QMatrix, integer_form
+from infranil.selfmaps import (
+    MapCandidate,
+    PhiAssignment,
+    _lattice_witness,
+    default_corpus_path,
+    family_instantiate,
+    heis_endo_check,
+    load_corpus,
+    sample_params,
+    validate_selfmap,
+)
 
 F = Fraction
 
@@ -147,3 +158,135 @@ def test_klein_family2_constraint_named():
     with _pytest.raises(ConstraintError) as err:
         family_instantiate(spec, {"a": "3", "b": "5", "r": "0", "s": "1/4"})
     assert "b % 2 == 0" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The integer rotational filter against the Fraction algorithm it replaced
+# ---------------------------------------------------------------------------
+
+QUARTERS = [F(q, 4) for q in range(-16, 17)]
+
+
+def reference_validate(candidate, group):
+    """validate_selfmap as first written: the rotational filter and both
+    affine products in Fractions, recomputed for every generator and every
+    holonomy element."""
+    entry = candidate.entry
+    cand = candidate.embedded().matrix
+    dstar = candidate.dstar
+    found = []
+    for gi, gen in enumerate(entry.generators):
+        x = cand * gen.matrix
+        astar = gen.holonomy_part()
+        hit = None
+        for hi, (bstar, rep) in enumerate(zip(group.elements, group.representatives)):
+            if dstar * astar != bstar * dstar:
+                continue
+            w = _lattice_witness(entry, x, rep.matrix * cand)
+            if w is not None:
+                hit = (gi, hi, w)
+                break
+        if hit is None:
+            return None
+        found.append(hit)
+    return PhiAssignment(tuple(found))
+
+
+def smallest_entries():
+    """Every catalog entry, Heisenberg types at their smallest admissible k."""
+    out = []
+    for entry_id in catalog_ids():
+        if not entry_id.startswith("heis"):
+            out.append(catalog_lookup(entry_id))
+            continue
+        for k in range(1, 25):
+            try:
+                out.append(catalog_lookup(entry_id, {"k": k}))
+                break
+            except ConstraintError:
+                continue
+    return out
+
+
+def random_linear(rng, n, dense):
+    if dense:
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = rng.choice((-1, 1)) * rng.randint(1, 3)
+    return rows
+
+
+def random_candidate(rng, entry, dense):
+    """Half signed permutation times diagonal, half dense D; translations in
+    (1/4)Z."""
+    if entry.model == HEISENBERG:
+        (a, b), (c, d) = random_linear(rng, 2, dense)
+        top = [rng.randint(-3, 3) if dense else 0 for _ in range(2)]
+        rows = [[a * d - b * c] + top, [0, a, b], [0, c, d]]
+    else:
+        rows = random_linear(rng, entry.dim, dense)
+    translation = tuple(rng.choice(QUARTERS) for _ in range(entry.dim))
+    return MapCandidate(entry, translation, QMatrix(rows))
+
+
+def assert_same(candidate, group, pass_group):
+    expected = reference_validate(candidate, group)
+    got = validate_selfmap(candidate, group) if pass_group else validate_selfmap(candidate)
+    assert got == expected, (candidate.entry.id, candidate.dstar, candidate.translation)
+    return got
+
+
+def test_filter_matches_fraction_reference():
+    rng = random.Random(20261018)
+    accepted = []
+    count = 0
+    for entry in smallest_entries():
+        group = holonomy(entry)
+        for i in range(40):
+            cand = random_candidate(rng, entry, dense=i % 2 == 1)
+            if assert_same(cand, group, pass_group=i % 4 < 2) is not None:
+                accepted.append(cand)
+            count += 1
+    assert count == 24 * 40
+    # a fair share of both outcomes, on abelian and Heisenberg entries alike
+    assert 50 < len(accepted) < count - 50
+    assert {c.entry.model for c in accepted} == {"abelian", HEISENBERG}
+    for cand in accepted:
+        it = cand.iterate(2)
+        assert assert_same(it, holonomy(cand.entry), pass_group=True) is not None
+
+
+def test_filter_matches_fraction_reference_on_corpus():
+    for spec in load_corpus().families:
+        for params in sample_params(spec, 1, seed=1):
+            cand = family_instantiate(spec, params, corpus_check=False)
+            assert assert_same(cand, holonomy(cand.entry), pass_group=False) is not None
+
+
+def test_holonomy_integer_elements_match_generators():
+    # the filter reads generator gi's holonomy part as
+    # elements[generator_indices[gi]] and the elements in integer form
+    for entry in smallest_entries():
+        group = holonomy(entry)
+        for gi, gen in enumerate(entry.generators):
+            assert group.elements[group.generator_indices[gi]] == gen.holonomy_part()
+        assert group.integer_elements is group.integer_elements
+        assert group.integer_elements == integer_form(group.elements)
+        assert group.exterior_powers[1] == group.integer_elements
+
+
+def test_packaged_corpus_parsed_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("ZETA_CORPUS", raising=False)
+    default = load_corpus()
+    assert load_corpus() is default
+    path = tmp_path / "families.json"
+    path.write_text(default_corpus_path().read_text())
+    first = load_corpus(str(path))
+    assert first is not default and first == default
+    assert load_corpus(str(path)) is not first
+    monkeypatch.setenv("ZETA_CORPUS", str(path))
+    assert load_corpus() is not default
+    assert load_corpus() == default
