@@ -50,14 +50,7 @@ from .series import (
     rfp_equal,
     rfp_transform,
 )
-from .zeta import (
-    ZetaResult,
-    compute_zeta,
-    exterior_closed_form,
-    lefschetz_zeta,
-    nielsen_zeta_direct,
-    nielsen_zeta_structural,
-)
+from .zeta import ZetaResult, compute_zeta, exterior_closed_form
 
 __version__ = "0.1.0"
 
@@ -75,6 +68,5 @@ __all__ = [
     "heis_endo_check", "load_corpus", "sample_params", "validate_selfmap",
     "RatFuncProduct", "berlekamp_massey_q", "exponents_from_logderiv",
     "rfp_equal", "rfp_transform",
-    "ZetaResult", "compute_zeta", "exterior_closed_form", "lefschetz_zeta",
-    "nielsen_zeta_direct", "nielsen_zeta_structural",
+    "ZetaResult", "compute_zeta", "exterior_closed_form",
 ]

@@ -138,10 +138,6 @@ class CatalogEntry:
     def k(self):
         return self.params.get("k")
 
-    def ambient(self) -> int:
-        """Size of the embedded matrices."""
-        return self.dim + 1 if self.model == ABELIAN else 4
-
     def lattice(self, coords) -> AffineElement:
         return lattice_element(self.model, self.dim, coords, self.k)
 

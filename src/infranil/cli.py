@@ -111,10 +111,6 @@ def _pick_family(corpus, manifold: str, family_index, params):
     )
 
 
-def _zeta_json(rfp: RatFuncProduct):
-    return rfp.to_json()
-
-
 def cmd_compute(args) -> int:
     params = {}
     for item in args.param or []:
@@ -146,9 +142,9 @@ def cmd_compute(args) -> int:
         "anosov_relation": res.index == 1,
         "lefschetz_numbers": list(res.lefschetz_numbers),
         "nielsen_numbers": list(res.nielsen_numbers),
-        "lefschetz_zeta": _zeta_json(res.lefschetz),
-        "lefschetz_zeta_plus": _zeta_json(res.lefschetz_plus) if res.lefschetz_plus else None,
-        "nielsen_zeta": _zeta_json(res.nielsen),
+        "lefschetz_zeta": res.lefschetz.to_json(),
+        "lefschetz_zeta_plus": res.lefschetz_plus.to_json() if res.lefschetz_plus else None,
+        "nielsen_zeta": res.nielsen.to_json(),
         "nielsen_zeta_str": str(res.nielsen),
         "sign_relations_ok": sign.ok,
     }

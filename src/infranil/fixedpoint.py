@@ -13,10 +13,11 @@ Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
     det(I - A D^k) = sum_{j=0..n} (-1)^j tr(Lambda^j A . E_j^k),  E_j = Lambda^j D,
 
 and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
-of order C(n, j).  So the first C(n, j) powers of E_j are formed once per
-candidate and shared by every holonomy element, every later term costs
-C(n, j) multiplications per element, and Lambda^j A is formed once per
-holonomy group.  The traces run in integers (Lambda^j A and E_j scaled by
+of order C(n, j).  `exterior_data` forms each E_j, its charpoly and the
+factors of det(I - z E_j) once per candidate; the first C(n, j) powers of E_j
+are shared by every holonomy element, every later term costs C(n, j)
+multiplications per element, and Lambda^j A is formed once per holonomy
+group.  The traces run in integers (Lambda^j A and E_j scaled by
 their common denominators) and each table entry becomes one exact Fraction.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -207,12 +209,42 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
 # ---------------------------------------------------------------------------
 
 
-def _trace_sequences(blocks, e: QMatrix, kmax: int):
+@dataclass(frozen=True)
+class ExteriorData:
+    """E_j = Lambda^j D and charpoly(E_j) for j = 0..n, formed once per
+    candidate by `exterior_data`."""
+
+    powers: tuple
+    charpolys: tuple
+
+    @cached_property
+    def factors(self) -> tuple:
+        """factors[j]: the factors, as `factor_over_q` gives them, of
+        det(I - z E_j), the reversed charpoly.  Formed on first read, so a
+        caller that needs only the determinant table factors nothing."""
+        out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
+        for cp in self.charpolys[1:]:
+            det_poly = QPoly(cp.coeffs[::-1])
+            out.append(tuple(factor_over_q(det_poly)) if det_poly.degree > 0 else ())
+        return tuple(out)
+
+
+def exterior_data(dstar: QMatrix) -> ExteriorData:
+    """The exterior data of a candidate's linear part: `det_table`, the
+    factor hints and the closed-form check all read it."""
+    powers, charpolys = [QMatrix([[1]])], [QPoly([-1, 1])]  # Lambda^0 D = [1]
+    for j in range(1, dstar.nrows + 1):
+        powers.append(exterior_power(dstar, j))
+        charpolys.append(charpoly(powers[j]))
+    return ExteriorData(tuple(powers), tuple(charpolys))
+
+
+def _trace_sequences(blocks, e: QMatrix, cp: QPoly, kmax: int):
     """(r, q, seqs) with seqs[i][k] = r q^k tr(B_i . e^k), an integer, for
-    k = 0..kmax, where blocks = (r, flats) is the integer form of the B_i and
-    q clears the denominators of e.  The first m = dim(e) terms come from
-    explicit powers of e, the rest from the recurrence of charpoly(q e)
-    (Cayley-Hamilton: (qe)^k charpoly(qe) = 0 for every k >= 0)."""
+    k = 0..kmax, where blocks = (r, flats) is the integer form of the B_i, cp
+    is charpoly(e) and q clears the denominators of e.  The first m = dim(e)
+    terms come from explicit powers of e, the rest from the recurrence of
+    charpoly(q e) (Cayley-Hamilton: (qe)^k charpoly(qe) = 0 for every k >= 0)."""
     r, flats = blocks
     m = e.nrows
     q = lcm(*(v.denominator for row in e.rows for v in row))
@@ -222,7 +254,6 @@ def _trace_sequences(blocks, e: QMatrix, kmax: int):
     for p in range(min(m, kmax + 1)):
         powers_t.append([int(v * q ** p) for col in zip(*power.rows) for v in col])
         power = power * e
-    cp = charpoly(e).coeffs
     rec = [-int(cp[i] * q ** (m - i)) for i in range(m)]
     seqs = []
     for flat in flats:
@@ -233,13 +264,13 @@ def _trace_sequences(blocks, e: QMatrix, kmax: int):
     return r, q, seqs
 
 
-def det_table(candidate: MapCandidate, group: HolonomyGroup, kmax: int):
-    """table[k-1][i] = det(I - A_i D^k) for k = 1..kmax, by the exterior-power
-    trace recurrences of the module docstring, in integers over one common
-    denominator per row."""
+def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
+    """table[k-1][i] = det(I - A_i D^k) for k = 1..kmax, where ext is
+    `exterior_data(D)`, by the exterior-power trace recurrences of the module
+    docstring, in integers over one common denominator per row."""
     terms = [
-        _trace_sequences(group.exterior_powers[j], exterior_power(candidate.dstar, j), kmax)
-        for j in range(1, candidate.entry.dim + 1)
+        _trace_sequences(group.exterior_powers[j], ext.powers[j], ext.charpolys[j], kmax)
+        for j in range(1, len(ext.powers))
     ]
     out = []
     for k in range(1, kmax + 1):
@@ -253,12 +284,12 @@ def det_table(candidate: MapCandidate, group: HolonomyGroup, kmax: int):
     return out
 
 
-def _direct_row(candidate: MapCandidate, group: HolonomyGroup, k: int):
+def _direct_row(candidate: MapCandidate, k: int):
     """det(I - A_i D^k) for one k, from D^k by binary powering and direct
     determinants."""
     ident = QMatrix.identity(candidate.entry.dim)
     power = candidate.dstar.power(k)
-    return tuple((ident - a * power).det() for a in group.elements)
+    return tuple((ident - a * power).det() for a in holonomy(candidate.entry).elements)
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -278,13 +309,12 @@ def nielsen_from_row(row, indices=None) -> int:
     return _exact_int(total, "averaged Nielsen number")
 
 
-def lefschetz_number(candidate: MapCandidate, k: int, group: HolonomyGroup | None = None) -> int:
-    row = _direct_row(candidate, group or holonomy(candidate.entry), k)
-    return lefschetz_from_row(row)
+def lefschetz_number(candidate: MapCandidate, k: int) -> int:
+    return lefschetz_from_row(_direct_row(candidate, k))
 
 
-def nielsen_number(candidate: MapCandidate, k: int, group: HolonomyGroup | None = None) -> int:
-    row = _direct_row(candidate, group or holonomy(candidate.entry), k)
+def nielsen_number(candidate: MapCandidate, k: int) -> int:
+    row = _direct_row(candidate, k)
     value = nielsen_from_row(row)
     if value < abs(lefschetz_from_row(row)):
         raise InvalidCandidateError("Nielsen number below |Lefschetz number|")
@@ -359,12 +389,9 @@ def _nf_column(field: NumberField, dstar: QMatrix):
     raise InfranilError("zero adjugate: defective eigenvalue in mixed factor")
 
 
-def positive_part(
-    candidate: MapCandidate,
-    group: HolonomyGroup | None = None,
-    ec: EigenClass | None = None,
-) -> PositivePart:
-    """Split the holonomy by the sign of det on the modulus > 1 block.
+def positive_part(candidate: MapCandidate, ec: EigenClass) -> PositivePart:
+    """Split the holonomy by the sign of det on the modulus > 1 block, where
+    ec is `eigen_classify(candidate.dstar)`.
 
     The invariant subspace with modulus <= 1 is preserved by every holonomy
     element, so det on the quotient equals det(A) / det(A restricted).  When
@@ -373,8 +400,7 @@ def positive_part(
     Q(theta) and the resulting determinants still reduce to rational +-1.
     """
     global MIXED_CUBIC_COUNTER
-    group = group or holonomy(candidate.entry)
-    ec = ec or eigen_classify(candidate.dstar)
+    group = holonomy(candidate.entry)
     n = candidate.entry.dim
 
     if ec.dim_gt1 == 0:
@@ -493,11 +519,11 @@ def _mixed_signs(candidate, group, ec, mixed, dets):
 # ---------------------------------------------------------------------------
 
 
-def anosov_fastpath(candidate: MapCandidate, group: HolonomyGroup | None = None) -> str:
+def anosov_fastpath(candidate: MapCandidate) -> str:
     """Return "holds" when one of the sufficient criteria guarantees
     N(f) = |L(f)| for this candidate (and all its iterates); otherwise
     "unknown" (never "fails")."""
-    group = group or holonomy(candidate.entry)
+    group = holonomy(candidate.entry)
     if group.order == 1:
         return "holds"  # nilmanifold
     ec = eigen_classify(candidate.dstar)
@@ -529,30 +555,25 @@ class SignRelationReport:
     first_violation: tuple | None  # (k, nielsen, expected)
 
 
-def check_sign_relations(
-    candidate: MapCandidate,
-    kmax: int = 40,
-    group: HolonomyGroup | None = None,
-    table=None,
-    ec: EigenClass | None = None,
-    part: PositivePart | None = None,
-) -> SignRelationReport:
+def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelationReport:
     """Verify, for k = 1..kmax, the parity relations
 
         index 1:  N(f^k) = (-1)^p L(f^k)            (k odd)
                   N(f^k) = (-1)^(p+n) L(f^k)        (k even)
         index 2:  same signs applied to L(f_+^k) - L(f^k)
 
-    The group, determinant table (at least kmax rows), spectrum and positive
-    part may be passed in, as `compute_zeta` does with its own; whatever is
-    missing is computed here."""
-    group = group or holonomy(candidate.entry)
-    ec = ec or eigen_classify(candidate.dstar)
-    part = part or positive_part(candidate, group, ec)
-    table = table or det_table(candidate, group, kmax)
+    on a table, spectrum and positive part built here; `compute_zeta` runs
+    the same check on its own."""
+    ec = eigen_classify(candidate.dstar)
+    part = positive_part(candidate, ec)
+    return _sign_relations(det_table(exterior_data(candidate.dstar), part.group, kmax), ec, part)
+
+
+def _sign_relations(table, ec: EigenClass, part: PositivePart) -> SignRelationReport:
+    """The parity relations of `check_sign_relations` for k = 1..len(table)."""
+    kmax = len(table)
     p, n = ec.p, ec.n
-    for k in range(1, kmax + 1):
-        row = table[k - 1]
+    for k, row in enumerate(table, start=1):
         nielsen = nielsen_from_row(row)
         lef = lefschetz_from_row(row)
         sign = (-1) ** p if k % 2 == 1 else (-1) ** (p + n)

@@ -103,9 +103,6 @@ class QMatrix:
             k >>= 1
         return out
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.rows)))
-
     def trace(self) -> Fraction:
         if not self.is_square():
             raise InfranilError("trace of a non-square matrix")

@@ -234,9 +234,6 @@ class IntPoly:
             g = gcd(g, abs(c))
         return g
 
-    def is_primitive(self) -> bool:
-        return self.content() == 1
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])

@@ -38,7 +38,6 @@ from .catalog import (
     HEISENBERG,
     AffineElement,
     CatalogEntry,
-    HolonomyGroup,
     abelian_embed,
     catalog_lookup,
     holonomy,
@@ -148,15 +147,13 @@ def _flat_product(a, b, n: int) -> tuple:
     return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
 
 
-def validate_selfmap(candidate: MapCandidate, group: HolonomyGroup | None = None):
+def validate_selfmap(candidate: MapCandidate):
     """Decide whether (d, D) induces a self-map; returns a PhiAssignment or
     None.  For each generator every holonomy element is tried (the assignment
     need not be a homomorphism); matches follow catalog order, so the result
-    is deterministic.
-
-    A `group` passed in must be `holonomy(candidate.entry)`: the holonomy
-    part of generator gi is read from it as
-    `group.elements[group.generator_indices[gi]]`.
+    is deterministic.  Each generator's match is independent of the others',
+    so the generators with non-trivial holonomy are tried first: most
+    rejects fail there, before any lattice witness.
 
     The rotational filter D A_g == B_h D runs in integers: with q and r the
     common denominators of D and of the holonomy elements, it holds exactly
@@ -166,7 +163,7 @@ def validate_selfmap(candidate: MapCandidate, group: HolonomyGroup | None = None
     Y_h = rep_h * cand (once per h, shared across generators) formed, in
     Fractions, for the exact lattice witness."""
     entry = candidate.entry
-    group = group or holonomy(entry)
+    group = holonomy(entry)
     n = entry.dim
     _, (dflat,) = integer_form([candidate.dstar])
     _, aflats = group.integer_elements
@@ -174,7 +171,9 @@ def validate_selfmap(candidate: MapCandidate, group: HolonomyGroup | None = None
     cand = candidate.embedded().matrix
     ys = {}
     found = []
-    for gi, (gen, ai) in enumerate(zip(entry.generators, group.generator_indices)):
+    # holonomy index 0 is the identity
+    for gi in sorted(range(len(entry.generators)), key=lambda g: group.generator_indices[g] == 0):
+        gen, ai = entry.generators[gi], group.generator_indices[gi]
         d_a = _flat_product(dflat, aflats[ai], n)
         x = None
         hit = None
@@ -193,7 +192,7 @@ def validate_selfmap(candidate: MapCandidate, group: HolonomyGroup | None = None
         if hit is None:
             return None
         found.append(hit)
-    return PhiAssignment(tuple(found))
+    return PhiAssignment(tuple(sorted(found)))
 
 
 # ---------------------------------------------------------------------------

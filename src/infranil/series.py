@@ -91,7 +91,7 @@ def expand_ratfunc(num: QPoly, den: QPoly, nterms: int):
     return out
 
 
-def _normalize_factor(q: IntPoly) -> IntPoly:
+def normalize_factor(q: IntPoly) -> IntPoly:
     c0 = q.constant()
     if c0 == 1:
         return q
@@ -147,7 +147,7 @@ class RatFuncProduct:
             for q, mult in factor_over_q(poly.to_int()[0]):
                 if q.coeffs == (0, 1):
                     raise ReconstructionError("factor divisible by z cannot appear")
-                out.append((_normalize_factor(q), mult * int(e)))
+                out.append((normalize_factor(q), mult * int(e)))
         return RatFuncProduct.from_irreducibles(out)
 
     def is_one(self) -> bool:
@@ -269,7 +269,7 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     factors = _factor_with_hints(den_int, hints)
     if any(m > 1 for _, m in factors):
         raise ReconstructionError("denominator is not squarefree")
-    qs = [_normalize_factor(q) for q, _ in factors]
+    qs = [normalize_factor(q) for q, _ in factors]
     # solve sum_i e_i * z q_i' * (den / q_i) = num
     d = den.degree
     # basis[q] = z q' * (den // q), formed once per factor for the solve and

@@ -1,5 +1,6 @@
 """Nielsen and Lefschetz zeta functions as canonical rational-function
-products, computed by two independent routes and compared.
+products, computed by two independent routes and compared.  `compute_zeta`
+is the one entry point; it runs both routes.
 
 Direct route: the exact integer sequence N(f^k) (or L(f^k)) is fed through
 minimal-recurrence reconstruction and log-derivative inversion.
@@ -12,32 +13,32 @@ reciprocal transforms:
     index 1:   N_f =  L_f              1/L_f(-z)        1/L_f(z)        L_f(-z)
     index 2:   N_f =  L_f+/L_f         L_f(-z)/L_f+(-z) L_f(z)/L_f+(z)  L_f+(-z)/L_f(-z)
 
-Equality of the two routes is a hard postcondition.
+Equality of the two routes is a hard postcondition, and so is, for trivial
+holonomy, equality of the Lefschetz zeta with the exterior-power closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import HolonomyGroup, holonomy
 from .errors import RouteMismatchError
 from .fixedpoint import (
-    EigenClass,
-    PositivePart,
+    ExteriorData,
     SignRelationReport,
-    check_sign_relations,
+    _sign_relations,
     det_table,
     eigen_classify,
+    exterior_data,
     lefschetz_from_row,
     nielsen_from_row,
     positive_part,
 )
 from .matrices import QMatrix, det_one_minus_z, exterior_power
-from .polynomials import factor_over_q
 from .series import (
     RatFuncProduct,
     berlekamp_massey_q,
     exponents_from_logderiv,
+    normalize_factor,
     rfp_equal,
     rfp_transform,
 )
@@ -55,20 +56,11 @@ def sequence_length(dim: int) -> int:
     return 2 * recurrence_bound(dim) + 12
 
 
-def candidate_factor_hints(dstar: QMatrix):
+def candidate_factor_hints(ext: ExteriorData):
     """Irreducible factors of det(I - z Lambda^j D) for all j, and their
     z -> -z twists: every factor of any zeta of the candidate divides their
     product, so the reconstruction factors its denominators over them."""
-    hints = []
-    n = dstar.nrows
-    for j in range(n + 1):
-        poly = det_one_minus_z(exterior_power(dstar, j))
-        if poly.degree < 1:
-            continue
-        for q, _ in factor_over_q(poly.to_int()[0]):
-            hints.append(q)
-            hints.append(q.subs_neg_x())
-    return hints
+    return [h for factors in ext.factors for q, _ in factors for h in (q, q.subs_neg_x())]
 
 
 def zeta_from_sequence(seq, bound: int, hints=None) -> RatFuncProduct:
@@ -86,43 +78,12 @@ def exterior_closed_form(dstar: QMatrix) -> RatFuncProduct:
     )
 
 
-def lefschetz_zeta(
-    candidate: MapCandidate,
-    indices=None,
-    group: HolonomyGroup | None = None,
-    table=None,
-) -> RatFuncProduct:
-    """Lefschetz zeta of the candidate, averaging over the whole holonomy
-    group or the subset `indices` (used for the positive part).  For trivial
-    holonomy the result is cross-checked against the exterior-power closed
-    form."""
-    group = group or holonomy(candidate.entry)
-    dim = candidate.entry.dim
-    nterms = sequence_length(dim)
-    table = table or det_table(candidate, group, nterms)
-    seq = [lefschetz_from_row(row, indices) for row in table[:nterms]]
-    result = zeta_from_sequence(seq, recurrence_bound(dim), candidate_factor_hints(candidate.dstar))
-    if group.order == 1 and indices is None:
-        closed = exterior_closed_form(candidate.dstar)
-        if not rfp_equal(result, closed):
-            raise RouteMismatchError(
-                f"reconstructed {result} differs from closed form {closed}"
-            )
-    return result
-
-
-def nielsen_zeta_direct(
-    candidate: MapCandidate,
-    group: HolonomyGroup | None = None,
-    table=None,
-) -> RatFuncProduct:
-    """Nielsen zeta reconstructed from the exact sequence N(f^k)."""
-    group = group or holonomy(candidate.entry)
-    dim = candidate.entry.dim
-    nterms = sequence_length(dim)
-    table = table or det_table(candidate, group, nterms)
-    seq = [nielsen_from_row(row) for row in table[:nterms]]
-    return zeta_from_sequence(seq, recurrence_bound(dim), candidate_factor_hints(candidate.dstar))
+def _closed_form(ext: ExteriorData) -> RatFuncProduct:
+    """`exterior_closed_form` assembled from the factors in ext."""
+    return RatFuncProduct.from_irreducibles(
+        (normalize_factor(q), mult * (-1) ** (j + 1))
+        for j, factors in enumerate(ext.factors) for q, mult in factors
+    )
 
 
 def _structural(lef, lef_plus, index, p, n):
@@ -142,27 +103,6 @@ def _structural(lef, lef_plus, index, p, n):
     if ne:
         return lef / lef_plus
     return rfp_transform(lef_plus, "negate-z") / rfp_transform(lef, "negate-z")
-
-
-def nielsen_zeta_structural(
-    candidate: MapCandidate,
-    group: HolonomyGroup | None = None,
-    table=None,
-    ec: EigenClass | None = None,
-    part: PositivePart | None = None,
-) -> RatFuncProduct:
-    """Nielsen zeta assembled from L-type zetas through the case table."""
-    group = group or holonomy(candidate.entry)
-    ec = ec or eigen_classify(candidate.dstar)
-    part = part or positive_part(candidate, group, ec)
-    dim = candidate.entry.dim
-    nterms = sequence_length(dim)
-    table = table or det_table(candidate, group, nterms)
-    lef = lefschetz_zeta(candidate, None, group, table)
-    lef_plus = None
-    if part.index == 2:
-        lef_plus = lefschetz_zeta(candidate, part.plus_indices, group, table)
-    return _structural(lef, lef_plus, part.index, ec.p, ec.n)
 
 
 @dataclass(frozen=True)
@@ -195,20 +135,26 @@ def case_label(index: int, p: int, n: int) -> str:
 
 
 def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
-    """Run both routes; their agreement is asserted (RouteMismatchError).
-    The parity relations for k = 1..kmax are checked on the same group,
-    table, spectrum and positive part, and reported, not asserted."""
-    group = holonomy(candidate.entry)
+    """Run both routes; their agreement is asserted (RouteMismatchError), as
+    is, for trivial holonomy, the agreement of the Lefschetz zeta with the
+    exterior-power closed form.  The parity relations for k = 1..kmax are
+    checked on the same table, spectrum and positive part, and reported, not
+    asserted."""
     ec = eigen_classify(candidate.dstar)
-    part = positive_part(candidate, group, ec)
+    part = positive_part(candidate, ec)
+    ext = exterior_data(candidate.dstar)
     dim = candidate.entry.dim
     nterms = max(sequence_length(dim), kmax)
-    table = det_table(candidate, group, nterms)
+    table = det_table(ext, part.group, nterms)
     lef_seq = tuple(lefschetz_from_row(row) for row in table)
     nie_seq = tuple(nielsen_from_row(row) for row in table)
-    hints = candidate_factor_hints(candidate.dstar)
+    hints = candidate_factor_hints(ext)
     bound = recurrence_bound(dim)
     lef = zeta_from_sequence(lef_seq[: sequence_length(dim)], bound, hints)
+    if part.group.order == 1:
+        closed = _closed_form(ext)
+        if not rfp_equal(lef, closed):
+            raise RouteMismatchError(f"reconstructed {lef} differs from closed form {closed}")
     lef_plus = None
     if part.index == 2:
         plus_seq = [lefschetz_from_row(row, part.plus_indices) for row in table]
@@ -231,5 +177,5 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
         lefschetz_plus=lef_plus,
         nielsen_direct=direct,
         nielsen_structural=structural,
-        sign_relations=check_sign_relations(candidate, kmax, group, table[:kmax], ec, part),
+        sign_relations=_sign_relations(table[:kmax], ec, part),
     )

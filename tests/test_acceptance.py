@@ -26,6 +26,7 @@ from infranil.fixedpoint import (
     check_sign_relations,
     det_table,
     eigen_classify,
+    exterior_data,
     lefschetz_from_row,
     nielsen_from_row,
 )
@@ -33,7 +34,7 @@ from infranil.matrices import QMatrix, charpoly
 from infranil.polynomials import refine_root
 from infranil.selfmaps import MapCandidate, family_instantiate, load_corpus, sample_params
 from infranil.series import rfp_equal
-from infranil.zeta import compute_zeta, exterior_closed_form, lefschetz_zeta
+from infranil.zeta import compute_zeta, exterior_closed_form
 
 F = Fraction
 CORPUS = load_corpus()
@@ -64,10 +65,9 @@ def test_criterion_1_table_reproduction(capsys):
 def test_criterion_2_worked_example(capsys):
     entry = catalog_lookup("klein-bottle")
     cand = MapCandidate(entry, (0, 0), QMatrix([[3, 0], [0, 5]]))
-    group = holonomy(entry)
-    table = det_table(cand, group, 40)
+    table = det_table(exterior_data(cand.dstar), holonomy(entry), 40)
     ok = all(lefschetz_from_row(row) == 1 - 3 ** k for k, row in enumerate(table, start=1))
-    lf = lefschetz_zeta(cand, None, group)
+    lf = compute_zeta(cand).lefschetz
     ok = ok and str(lf) == "(1 - 3*z) / (1 - z)"
     with capsys.disabled():
         report(2, ok, "L(f^k) = 1 - 3^k for k = 1..40 and L_f = (1-3z)/(1-z)")
@@ -129,7 +129,7 @@ def test_criterion_5_integrality_and_inequality(capsys):
     for spec, params in corpus_instances(1):
         cand = family_instantiate(spec, params)
         group = holonomy(cand.entry)
-        for k, row in enumerate(det_table(cand, group, 40), start=1):
+        for k, row in enumerate(det_table(exterior_data(cand.dstar), group, 40), start=1):
             lef = lefschetz_from_row(row)   # raises unless integral
             nie = nielsen_from_row(row)
             assert nie >= abs(lef) >= 0, (spec.label, k)
@@ -137,7 +137,7 @@ def test_criterion_5_integrality_and_inequality(capsys):
     randomized = 0
     for cand in _random_valid_candidates(500):
         group = holonomy(cand.entry)
-        for k, row in enumerate(det_table(cand, group, 10), start=1):
+        for k, row in enumerate(det_table(exterior_data(cand.dstar), group, 10), start=1):
             lef = lefschetz_from_row(row)
             nie = nielsen_from_row(row)
             assert nie >= abs(lef) >= 0, k
@@ -155,8 +155,8 @@ def test_criterion_6_closed_form_oracle(capsys):
         n = rng.choice((1, 2, 3))
         m = QMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         cand = MapCandidate(entries[n], (0,) * n, m)
-        # lefschetz_zeta re-checks this internally; assert explicitly as well
-        assert rfp_equal(lefschetz_zeta(cand), exterior_closed_form(m))
+        # compute_zeta re-checks this internally; assert explicitly as well
+        assert compute_zeta(cand).lefschetz == exterior_closed_form(m)
         count += 1
     with capsys.disabled():
         report(6, count == 100, "closed form == reconstruction on 100 random matrices")

@@ -36,6 +36,10 @@ def build_unchecked(spec, raw_params):
     return MapCandidate(entry, translation, dstar)
 
 
+def part_of(cand):
+    return positive_part(cand, eigen_classify(cand.dstar))
+
+
 def test_every_catalog_entry_has_families():
     manifolds = set(CORPUS.manifolds())
     assert manifolds == set(catalog_ids())
@@ -115,13 +119,13 @@ def test_anosov_holds_implies_index_one_on_corpus():
             cand = family_instantiate(spec, params)
             group = holonomy(cand.entry)
             snapshot = fp.MIXED_CUBIC_COUNTER
-            part = positive_part(cand, group)
+            part = part_of(cand)
             if group.order > 1:
                 # nontrivial holonomy never needs the mixed-cubic machinery
                 assert fp.MIXED_CUBIC_COUNTER == snapshot, spec.label
-            if anosov_fastpath(cand, group) == "holds":
+            if anosov_fastpath(cand) == "holds":
                 assert part.index == 1, spec.label
-                rep = check_sign_relations(cand, kmax=12, group=group, part=part)
+                rep = check_sign_relations(cand, kmax=12)
                 assert rep.ok, spec.label
 
 
@@ -137,8 +141,8 @@ def test_positive_part_index_iterate_invariant_on_corpus():
     for spec in CORPUS.families[::7]:
         params = sample_params(spec, 1)[0]
         cand = family_instantiate(spec, params)
-        base = positive_part(cand)
-        it = positive_part(cand.iterate(2))
+        base = part_of(cand)
+        it = part_of(cand.iterate(2))
         assert it.index == base.index, spec.label
         assert it.det_signs == base.det_signs, spec.label
 
@@ -152,13 +156,13 @@ def test_mixed_cubic_counter_reachable_synthetically():
     ec = eigen_classify(cand.dstar)
     assert ec.dim_gt1 == 1 and ec.factors[0][0].degree == 3
     before = fp.MIXED_CUBIC_COUNTER
-    part = positive_part(cand)
+    part = positive_part(cand, ec)
     assert part.index == 1
     assert fp.MIXED_CUBIC_COUNTER == before + 1
     # reversed companion: real root inside, expanding complex pair
     cand = MapCandidate(entry, (0, 0, 0), QMatrix([[0, 0, -1], [1, 0, -1], [0, 1, 0]]).inverse())
     assert all(v.denominator == 1 for row in cand.dstar.rows for v in row)
-    part = positive_part(cand)
+    part = part_of(cand)
     assert part.index == 1
 
 

@@ -75,7 +75,7 @@ def test_identity_is_always_valid():
             entry, (0,) * entry.dim, QMatrix.identity(entry.dim)
         )
         group = holonomy(entry)
-        phi = validate_selfmap(cand, group)
+        phi = validate_selfmap(cand)
         assert phi is not None, entry_id
         # identity map: phi is the identity morphism, so every generator maps
         # to its own holonomy class
@@ -232,9 +232,9 @@ def random_candidate(rng, entry, dense):
     return MapCandidate(entry, translation, QMatrix(rows))
 
 
-def assert_same(candidate, group, pass_group):
+def assert_same(candidate, group):
     expected = reference_validate(candidate, group)
-    got = validate_selfmap(candidate, group) if pass_group else validate_selfmap(candidate)
+    got = validate_selfmap(candidate)
     assert got == expected, (candidate.entry.id, candidate.dstar, candidate.translation)
     return got
 
@@ -247,7 +247,7 @@ def test_filter_matches_fraction_reference():
         group = holonomy(entry)
         for i in range(40):
             cand = random_candidate(rng, entry, dense=i % 2 == 1)
-            if assert_same(cand, group, pass_group=i % 4 < 2) is not None:
+            if assert_same(cand, group) is not None:
                 accepted.append(cand)
             count += 1
     assert count == 24 * 40
@@ -256,14 +256,40 @@ def test_filter_matches_fraction_reference():
     assert {c.entry.model for c in accepted} == {"abelian", HEISENBERG}
     for cand in accepted:
         it = cand.iterate(2)
-        assert assert_same(it, holonomy(cand.entry), pass_group=True) is not None
+        assert assert_same(it, holonomy(cand.entry)) is not None
 
 
 def test_filter_matches_fraction_reference_on_corpus():
     for spec in load_corpus().families:
         for params in sample_params(spec, 1, seed=1):
             cand = family_instantiate(spec, params, corpus_check=False)
-            assert assert_same(cand, holonomy(cand.entry), pass_group=False) is not None
+            assert assert_same(cand, holonomy(cand.entry)) is not None
+
+
+def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
+    # heis-II: generators a, b, c with identity holonomy, then the rotation
+    # diag(1, -1, -1); the top row (1, 0) of D* breaks D A == B D for every
+    # holonomy element B, so the candidate is rejected at the rotation alone
+    import infranil.selfmaps as sm
+
+    entry = catalog_lookup("heis-II", {"k": 2})
+    group = holonomy(entry)
+    cand = MapCandidate(entry, (0, 0, 0), QMatrix([[1, 1, 0], [0, 2, 1], [0, 1, 1]]))
+    rotation = entry.generators[-1].holonomy_part()
+    assert not rotation.is_identity()
+    assert all(cand.dstar * rotation != b * cand.dstar for b in group.elements)
+    calls = []
+
+    def counting_witness(*args):
+        calls.append(args)
+        return _lattice_witness(*args)
+
+    monkeypatch.setattr(sm, "_lattice_witness", counting_witness)
+    assert validate_selfmap(cand) is None
+    assert calls == []
+    # an accepted candidate still runs one witness per generator
+    assert validate_selfmap(heis_nil_candidate(2, ((2, 1), (1, 1)), x=0, y=0)) is not None
+    assert len(calls) == 3
 
 
 def test_holonomy_integer_elements_match_generators():

@@ -1,18 +1,15 @@
 import random
 from fractions import Fraction
 
-from infranil.catalog import catalog_lookup
+import pytest
+
+from infranil.catalog import catalog_lookup, holonomy
+from infranil.fixedpoint import exterior_data
 from infranil.matrices import QMatrix
 from infranil.polynomials import QPoly
 from infranil.selfmaps import MapCandidate, validate_selfmap
 from infranil.series import RatFuncProduct, rfp_equal
-from infranil.zeta import (
-    compute_zeta,
-    exterior_closed_form,
-    lefschetz_zeta,
-    nielsen_zeta_direct,
-    nielsen_zeta_structural,
-)
+from infranil.zeta import compute_zeta, exterior_closed_form
 
 F = Fraction
 
@@ -28,14 +25,15 @@ def kb(a, b, r=0, s=0):
 
 def test_klein_lefschetz_zeta():
     # L(f^k) = 1 - 3^k  ->  (1 - 3z)/(1 - z)
-    assert rfp_equal(lefschetz_zeta(kb(3, 5, 0, F(1, 2))), rfp(([1, -3], 1), ([1, -1], -1)))
+    assert rfp_equal(compute_zeta(kb(3, 5, 0, F(1, 2))).lefschetz, rfp(([1, -3], 1), ([1, -1], -1)))
 
 
 def test_klein_nielsen_zeta_both_routes():
     cand = kb(3, 5, 0, F(1, 2))
     expected = rfp(([1, -5], 1), ([1, -15], -1))
-    assert rfp_equal(nielsen_zeta_direct(cand), expected)
-    assert rfp_equal(nielsen_zeta_structural(cand), expected)
+    res = compute_zeta(cand)
+    assert rfp_equal(res.nielsen_direct, expected)
+    assert rfp_equal(res.nielsen_structural, expected)
 
 
 def test_torus_lefschetz_closed_form():
@@ -43,17 +41,18 @@ def test_torus_lefschetz_closed_form():
     cand = MapCandidate(entry, (0, 0), QMatrix([[2, 1], [1, 1]]))
     # (1 - 3z + z^2) / (1 - z)^2
     expected = rfp(([1, -3, 1], 1), ([1, -1], -2))
-    assert rfp_equal(lefschetz_zeta(cand), expected)
+    res = compute_zeta(cand)
+    assert rfp_equal(res.lefschetz, expected)
     assert rfp_equal(exterior_closed_form(cand.dstar), expected)
     # p odd, n even: N_f = 1/L_f
     expected_n = rfp(([1, -3, 1], -1), ([1, -1], 2))
-    assert rfp_equal(nielsen_zeta_direct(cand), expected_n)
+    assert rfp_equal(res.nielsen_direct, expected_n)
 
 
 def test_zero_map_zeta():
-    cand = kb(0, 0, F(1, 5), F(3, 7))
-    assert rfp_equal(nielsen_zeta_direct(cand), rfp(([1, -1], -1)))
-    assert rfp_equal(lefschetz_zeta(cand), rfp(([1, -1], -1)))
+    res = compute_zeta(kb(0, 0, F(1, 5), F(3, 7)))
+    assert rfp_equal(res.nielsen_direct, rfp(([1, -1], -1)))
+    assert rfp_equal(res.lefschetz, rfp(([1, -1], -1)))
 
 
 def test_circle_degrees():
@@ -113,15 +112,13 @@ def test_exterior_closed_form_vs_reconstruction_random():
         for _ in range(6):
             m = QMatrix([[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)])
             cand = MapCandidate(entry, (0,) * dim, m)
-            assert rfp_equal(lefschetz_zeta(cand), exterior_closed_form(m))
+            assert rfp_equal(compute_zeta(cand).lefschetz, exterior_closed_form(m))
 
 
 def test_structural_route_uses_case_table():
     # Klein bottle with expanding pair: check the quotient identity
-    cand = kb(3, 5, 0, F(1, 2))
-    lef = lefschetz_zeta(cand)
-    res = compute_zeta(cand)
-    assert rfp_equal(res.nielsen_structural, res.lefschetz_plus / lef)
+    res = compute_zeta(kb(3, 5, 0, F(1, 2)))
+    assert rfp_equal(res.nielsen_structural, res.lefschetz_plus / res.lefschetz)
 
 
 def test_hantzsche_wendt_diag_zeta():
@@ -151,3 +148,71 @@ def test_sign_relations_field_matches_standalone_check():
             assert res.sign_relations.ok and res.sign_relations.kmax == kmax
         seen[res.index] += 1
     assert seen[1] >= 2 and seen[2] >= 2, seen
+
+
+def test_compute_zeta_checks_closed_form_on_trivial_holonomy(monkeypatch):
+    import infranil.zeta as zeta_module
+    from infranil.errors import RouteMismatchError
+
+    entry = catalog_lookup("torus-2")
+    cand = MapCandidate(entry, (0, 0), QMatrix([[2, 1], [1, 1]]))
+    closed = zeta_module._closed_form
+    assert rfp_equal(compute_zeta(cand).lefschetz, closed(exterior_data(cand.dstar)))
+    wrong = rfp(([1, -2], 1), ([1, -1], -2))
+    monkeypatch.setattr(zeta_module, "_closed_form", lambda ext: wrong)
+    with pytest.raises(RouteMismatchError):
+        compute_zeta(cand)
+    # non-trivial holonomy has no closed form to compare against
+    assert rfp_equal(compute_zeta(kb(3, 5, 0, F(1, 2))).lefschetz, rfp(([1, -3], 1), ([1, -1], -1)))
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each matrices/polynomials function in `names` at every module
+    binding of the package; returns {name: [argument tuples]}."""
+    import sys
+
+    calls = {name: [] for name in names}
+    modules = [m for n, m in list(sys.modules.items()) if n == "infranil" or n.startswith("infranil.")]
+    for name in names:
+        module_name, fn_name = name.split(".")
+        original = getattr(sys.modules[f"infranil.{module_name}"], fn_name)
+
+        def wrapper(*args, _original=original, _calls=calls[name]):
+            _calls.append(args)
+            return _original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("manifold", ["flat3-8", "heis-I"])
+def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
+    from infranil.matrices import charpoly, det_one_minus_z, exterior_power
+    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
+
+    spec = next(f for f in load_corpus().families if f.manifold == manifold)
+    cand = family_instantiate(spec, sample_params(spec, 1)[0])
+    dim = cand.entry.dim
+    det_polys = [det_one_minus_z(exterior_power(cand.dstar, j)).to_int()[0] for j in range(dim + 1)]
+    # Lambda^j A is formed once per holonomy group, not per candidate
+    holonomy(cand.entry).exterior_powers
+    calls = count_calls(
+        monkeypatch, ["matrices.charpoly", "matrices.exterior_power", "polynomials.factor_over_q"]
+    )
+    compute_zeta(cand)
+    assert len(calls["matrices.charpoly"]) <= dim + 1
+    powers = calls["matrices.exterior_power"]
+    assert len(powers) == len(set(j for _, j in powers)) <= dim + 1, powers
+    # each det(I - z Lambda^j D) is factored at most once per j; eigen_classify
+    # factors charpoly(D), which may coincide with one of them
+    factored = [
+        (poly if isinstance(poly, QPoly) else poly.to_qpoly()).to_int()[0]
+        for poly, in calls["polynomials.factor_over_q"]
+    ]
+    cp = charpoly(cand.dstar).to_int()[0]
+    for poly in set(det_polys):
+        assert factored.count(poly) <= det_polys.count(poly) + (poly == cp), (poly, factored)
+    assert len(factored) <= dim + 1
