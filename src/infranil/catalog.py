@@ -185,6 +185,24 @@ class HolonomyGroup:
             for j in range(n + 1)
         )
 
+    @cached_property
+    def _averages(self) -> dict:
+        return {}
+
+    def exterior_averages(self, indices=None) -> tuple:
+        """averages[j] = (den, flat) with P_j = flat / den (row-major ints),
+        P_j = (1/#S) sum_{i in S} Lambda^j elements[i], for j = 0..dim and S
+        the elements at `indices` (all of them by default).  Summed from the
+        integer forms in `exterior_powers`, once per group and index set."""
+        key = tuple(range(self.order)) if indices is None else tuple(indices)
+        averages = self._averages.get(key)
+        if averages is None:
+            averages = self._averages[key] = tuple(
+                (r * len(key), tuple(map(sum, zip(*(flats[i] for i in key)))))
+                for r, flats in self.exterior_powers
+            )
+        return averages
+
     def is_cyclic(self) -> bool:
         return any(self._order_of(i) == self.order for i in range(self.order))
 

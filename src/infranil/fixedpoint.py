@@ -13,8 +13,9 @@ Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
     det(I - A D^k) = sum_{j=0..n} (-1)^j tr(Lambda^j A . E_j^k),  E_j = Lambda^j D,
 
 and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
-of order C(n, j).  `exterior_data` forms each E_j, its charpoly and the
-factors of det(I - z E_j) once per candidate; the first C(n, j) powers of E_j
+of order C(n, j).  `exterior_data` forms the spectrum of D, each E_j, its
+charpoly and the factors of det(I - z E_j) once per candidate, factoring
+charpoly(D) only once; the first C(n, j) powers of E_j
 are shared by every holonomy element, every later term costs C(n, j)
 multiplications per element, and Lambda^j A is formed once per holonomy
 group.  The traces run in integers (Lambda^j A and E_j scaled by
@@ -211,32 +212,44 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
 
 @dataclass(frozen=True)
 class ExteriorData:
-    """E_j = Lambda^j D and charpoly(E_j) for j = 0..n, formed once per
-    candidate by `exterior_data`."""
+    """E_j = Lambda^j D and charpoly(E_j) for j = 0..n, with the exact
+    spectrum of D = E_1, formed once per candidate by `exterior_data`."""
 
     powers: tuple
     charpolys: tuple
+    spectrum: EigenClass
 
     @cached_property
     def factors(self) -> tuple:
         """factors[j]: the factors, as `factor_over_q` gives them, of
         det(I - z E_j), the reversed charpoly.  Formed on first read, so a
-        caller that needs only the determinant table factors nothing."""
+        caller that needs only the determinant table factors nothing.  For
+        j = 1 they are the spectrum's factors of charpoly(D) reversed, less
+        the factors x of its zero eigenvalues, so charpoly(D) is factored
+        once."""
         out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
-        for cp in self.charpolys[1:]:
+        reversed_d = []
+        for q, mult in self.spectrum.factors:
+            if q.constant():  # x, a zero eigenvalue, reverses to 1
+                sign = 1 if q.constant() > 0 else -1
+                reversed_d.append((IntPoly([sign * c for c in reversed(q.coeffs)]), mult))
+        out.append(tuple(sorted(reversed_d, key=lambda fm: fm[0].sort_key())))
+        for cp in self.charpolys[2:]:
             det_poly = QPoly(cp.coeffs[::-1])
             out.append(tuple(factor_over_q(det_poly)) if det_poly.degree > 0 else ())
         return tuple(out)
 
 
 def exterior_data(dstar: QMatrix) -> ExteriorData:
-    """The exterior data of a candidate's linear part: `det_table`, the
-    factor hints and the closed-form check all read it."""
-    powers, charpolys = [QMatrix([[1]])], [QPoly([-1, 1])]  # Lambda^0 D = [1]
-    for j in range(1, dstar.nrows + 1):
+    """The exterior data of a candidate's linear part: the spectrum,
+    `det_table`, the factor hints and the closed form all read it."""
+    spectrum = eigen_classify(dstar)
+    powers = [QMatrix([[1]]), dstar]  # Lambda^0 D = [1], Lambda^1 D = D
+    charpolys = [QPoly([-1, 1]), spectrum.charpoly]
+    for j in range(2, dstar.nrows + 1):
         powers.append(exterior_power(dstar, j))
         charpolys.append(charpoly(powers[j]))
-    return ExteriorData(tuple(powers), tuple(charpolys))
+    return ExteriorData(tuple(powers), tuple(charpolys), spectrum)
 
 
 def _trace_sequences(blocks, e: QMatrix, cp: QPoly, kmax: int):
@@ -564,9 +577,9 @@ def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelatio
 
     on a table, spectrum and positive part built here; `compute_zeta` runs
     the same check on its own."""
-    ec = eigen_classify(candidate.dstar)
-    part = positive_part(candidate, ec)
-    return _sign_relations(det_table(exterior_data(candidate.dstar), part.group, kmax), ec, part)
+    ext = exterior_data(candidate.dstar)
+    part = positive_part(candidate, ext.spectrum)
+    return _sign_relations(det_table(ext, part.group, kmax), ext.spectrum, part)
 
 
 def _sign_relations(table, ec: EigenClass, part: PositivePart) -> SignRelationReport:

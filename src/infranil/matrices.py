@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InfranilError
 from .polynomials import QPoly
@@ -250,6 +251,12 @@ def integer_form(mats) -> tuple:
     return r, tuple(
         tuple(v.numerator * (r // v.denominator) for row in m.rows for v in row) for m in mats
     )
+
+
+def flat_product(a, b, n: int) -> tuple:
+    """Row-major product of two n x n matrices given as flat int tuples."""
+    cols = [b[j::n] for j in range(n)]
+    return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
 
 
 def det_one_minus_z(M: QMatrix) -> QPoly:

@@ -508,9 +508,26 @@ def _rational_roots(p: IntPoly) -> list:
     return [Fraction(y, a) for y in _integer_roots(g)]
 
 
-def _exact_quotient(p: IntPoly, q: IntPoly) -> IntPoly:
-    """p / q for a primitive q dividing p; by Gauss's lemma it is integral."""
-    return IntPoly((p.to_qpoly() // q.to_qpoly()).coeffs)
+def exact_quotient(p: IntPoly, q: IntPoly):
+    """p / q for a primitive q, or None when q does not divide p.
+
+    Long division in integers: by Gauss's lemma the quotient by a primitive
+    divisor is integral, so every step's leading coefficient must divide by
+    lc(q), and one that does not shows that q does not divide p."""
+    d, lead = q.degree, q.leading()
+    rem = list(p.coeffs)
+    if len(rem) <= d:
+        return p if p.is_zero() else None
+    quo = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if c:
+            quo[i - d] = c
+            for j, b in enumerate(q.coeffs):
+                rem[i - d + j] -= c * b
+    return None if any(rem[:d]) else IntPoly(quo)
 
 
 def _factor_squarefree(p: IntPoly) -> list:
@@ -520,7 +537,7 @@ def _factor_squarefree(p: IntPoly) -> list:
     out = []
     for r in _rational_roots(p):
         lin = IntPoly([-r.numerator, r.denominator])
-        p = _exact_quotient(p, lin)
+        p = exact_quotient(p, lin)
         out.append(lin)
     if p.degree >= 2:
         # no rational roots left, so a quadratic or cubic is irreducible

@@ -31,7 +31,6 @@ import zlib
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from operator import mul
 
 from .catalog import (
     ABELIAN,
@@ -45,7 +44,7 @@ from .catalog import (
 )
 from .errors import ConstraintError, CorpusError, InvalidCandidateError
 from .exprs import eval_bool, eval_rational, parse_rational
-from .matrices import QMatrix, integer_form
+from .matrices import QMatrix, flat_product, integer_form
 
 
 def heis_endo_check(dstar: QMatrix) -> bool:
@@ -141,12 +140,6 @@ class PhiAssignment:
         raise KeyError(generator_index)
 
 
-def _flat_product(a, b, n: int) -> tuple:
-    """Row-major product of two n x n matrices given as flat int tuples."""
-    cols = [b[j::n] for j in range(n)]
-    return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
-
-
 def validate_selfmap(candidate: MapCandidate):
     """Decide whether (d, D) induces a self-map; returns a PhiAssignment or
     None.  For each generator every holonomy element is tried (the assignment
@@ -159,7 +152,8 @@ def validate_selfmap(candidate: MapCandidate):
     common denominators of D and of the holonomy elements, it holds exactly
     when (qD)(rA_g) == (rB_h)(qD).  Each B_h D is formed once per call and
     each D A_g once per generator.  Only where the filter passes are the
-    affine products X = cand * gen (once per generator) and
+    embedded candidate cand (once per call), the affine products
+    X = cand * gen (once per generator) and
     Y_h = rep_h * cand (once per h, shared across generators) formed, in
     Fractions, for the exact lattice witness."""
     entry = candidate.entry
@@ -167,20 +161,22 @@ def validate_selfmap(candidate: MapCandidate):
     n = entry.dim
     _, (dflat,) = integer_form([candidate.dstar])
     _, aflats = group.integer_elements
-    b_d = [_flat_product(b, dflat, n) for b in aflats]
-    cand = candidate.embedded().matrix
+    b_d = [flat_product(b, dflat, n) for b in aflats]
+    cand = None
     ys = {}
     found = []
     # holonomy index 0 is the identity
     for gi in sorted(range(len(entry.generators)), key=lambda g: group.generator_indices[g] == 0):
         gen, ai = entry.generators[gi], group.generator_indices[gi]
-        d_a = _flat_product(dflat, aflats[ai], n)
+        d_a = flat_product(dflat, aflats[ai], n)
         x = None
         hit = None
         for hi, bd in enumerate(b_d):
             if bd != d_a:
                 continue
             if x is None:
+                if cand is None:
+                    cand = candidate.embedded().matrix
                 x = cand * gen.matrix
             y = ys.get(hi)
             if y is None:

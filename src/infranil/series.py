@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ReconstructionError
 from .matrices import QMatrix
-from .polynomials import IntPoly, QPoly, factor_over_q
+from .polynomials import IntPoly, QPoly, exact_quotient, factor_over_q
 
 
 def berlekamp_massey_q(seq, bound: int):
@@ -180,13 +180,17 @@ class RatFuncProduct:
         return num, den
 
     def logderiv_series(self, nterms: int):
-        """Coefficients c_1..c_nterms of z * d/dz log(self)."""
-        out = [Fraction(0)] * nterms
+        """Coefficients c_1..c_nterms of z * d/dz log(self), as ints.  Each
+        factor has q(0) = 1, so the series s of z q'/q obeys the integer
+        recurrence s_k = k q_k - sum_{i=1..k-1} q_i s_{k-i}."""
+        out = [0] * nterms
         for q, e in self.factors:
-            qq = q.to_qpoly()
-            series = expand_ratfunc(qq.derivative().shift_mul_x(), qq, nterms)
-            for i, v in enumerate(series):
-                out[i] += e * v
+            c, d = q.coeffs, q.degree
+            s = []
+            for k in range(1, nterms + 1):
+                v = k * c[k] if k <= d else 0
+                s.append(v - sum(c[i] * s[k - 1 - i] for i in range(1, min(k - 1, d) + 1)))
+            out = [o + e * v for o, v in zip(out, s)]
         return out
 
     def to_json(self):
@@ -223,31 +227,29 @@ def rfp_transform(x: RatFuncProduct, op: str) -> RatFuncProduct:
     raise ValueError(f"unknown transform {op!r}")
 
 
-def _factor_with_hints(p: IntPoly, hints):
-    """Factor p over a list of known irreducible candidate divisors, or over
-    Q when `hints` is None.  A factor of p that no hint divides raises
-    ReconstructionError."""
+def factor_with_hints(p: IntPoly, hints):
+    """Factor p over a list of known primitive irreducible candidate
+    divisors, by exact trial division in integers, or over Q when `hints` is
+    None.  Returns [(hint, multiplicity), ...]; a factor of p that no hint
+    divides raises ReconstructionError."""
     if hints is None:
         return factor_over_q(p)
-    out = []
+    out = {}
     work = p
     seen = set()
     for h in hints:
-        if h.coeffs in seen or h.degree < 1:
+        if h in seen or h.degree < 1:
             continue
-        seen.add(h.coeffs)
-        while work.degree > 0:
-            quo, rem = divmod(work.to_qpoly(), h.to_qpoly())
-            if not rem.is_zero():
+        seen.add(h)
+        while h.degree <= work.degree:
+            quo = exact_quotient(work, h)
+            if quo is None:
                 break
-            out.append((h, 1))
-            work = quo.to_int()[0]
+            out[h] = out.get(h, 0) + 1
+            work = quo
     if work.degree > 0:
         raise ReconstructionError(f"factor {work} of the denominator is not among the hints")
-    merged = {}
-    for q, m in out:
-        merged[q] = merged.get(q, 0) + m
-    return list(merged.items())
+    return list(out.items())
 
 
 def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduct:
@@ -255,9 +257,9 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     Z with z (log Z)' = S.  Exponents are solved by exact linear algebra and
     must come out integral; the result is verified by cross-multiplication.
 
-    `hints` may carry irreducible integer polynomials known to divide den
-    (e.g. factors of det(I - z Lambda^j D)); den must then factor over them,
-    and no factorization over Q is done.
+    `hints` may carry primitive irreducible integer polynomials known to
+    divide den (e.g. factors of det(I - z Lambda^j D)); den must then factor
+    over them, and no factorization over Q is done.
     """
     if den.is_zero() or den[0] != 1:
         raise ReconstructionError("denominator must satisfy den(0) = 1")
@@ -266,7 +268,7 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     den_int, content = den.to_int()
     if content * Fraction(den_int.constant()) != 1:
         raise ReconstructionError("denominator is not an integer polynomial with den(0) = 1")
-    factors = _factor_with_hints(den_int, hints)
+    factors = factor_with_hints(den_int, hints)
     if any(m > 1 for _, m in factors):
         raise ReconstructionError("denominator is not squarefree")
     qs = [normalize_factor(q) for q, _ in factors]

@@ -2,19 +2,26 @@
 products, computed by two independent routes and compared.  `compute_zeta`
 is the one entry point; it runs both routes.
 
-Direct route: the exact integer sequence N(f^k) (or L(f^k)) is fed through
+Direct route: the exact integer sequence N(f^k) is fed through
 minimal-recurrence reconstruction and log-derivative inversion.
 
-Structural route: only L-type zetas are reconstructed; the Nielsen zeta is
-then assembled from the parity/index case table using the z -> -z and
-reciprocal transforms:
+Structural route: the L-type zetas come in closed form from the averaging
+formula.  With P_j = (1/#F) sum_{A in F} Lambda^j A, D A = phi(A) D gives
+P_j (Lambda^j D)^k = (P_j Lambda^j D)^k, so for every holonomy group
+
+    L_f(z) = prod_j det(I - z P_j Lambda^j D)^((-1)^(j+1)),
+
+and L_f+ is the same product averaged over F+.  The Nielsen zeta is then
+assembled from the parity/index case table using the z -> -z and reciprocal
+transforms:
 
                       p even, n even   p even, n odd    p odd, n even   p odd, n odd
     index 1:   N_f =  L_f              1/L_f(-z)        1/L_f(z)        L_f(-z)
     index 2:   N_f =  L_f+/L_f         L_f(-z)/L_f+(-z) L_f(z)/L_f+(z)  L_f+(-z)/L_f(-z)
 
-Equality of the two routes is a hard postcondition, and so is, for trivial
-holonomy, equality of the Lefschetz zeta with the exterior-power closed form.
+Hard postconditions (RouteMismatchError): the two routes agree, and the
+log-derivative of each closed form reproduces every L(f^k) (and L(f_+^k))
+of the determinant table.
 """
 
 from __future__ import annotations
@@ -27,17 +34,18 @@ from .fixedpoint import (
     SignRelationReport,
     _sign_relations,
     det_table,
-    eigen_classify,
     exterior_data,
     lefschetz_from_row,
     nielsen_from_row,
     positive_part,
 )
-from .matrices import QMatrix, det_one_minus_z, exterior_power
+from .matrices import QMatrix, det_one_minus_z, exterior_power, flat_product, integer_form
+from .polynomials import IntPoly
 from .series import (
     RatFuncProduct,
     berlekamp_massey_q,
     exponents_from_logderiv,
+    factor_with_hints,
     normalize_factor,
     rfp_equal,
     rfp_transform,
@@ -78,12 +86,50 @@ def exterior_closed_form(dstar: QMatrix) -> RatFuncProduct:
     )
 
 
-def _closed_form(ext: ExteriorData) -> RatFuncProduct:
-    """`exterior_closed_form` assembled from the factors in ext."""
-    return RatFuncProduct.from_irreducibles(
-        (normalize_factor(q), mult * (-1) ** (j + 1))
-        for j, factors in enumerate(ext.factors) for q, mult in factors
-    )
+def _reversed_charpoly(flat, m: int, scale: int) -> IntPoly:
+    """scale^m det(I - z B / scale) for the m x m integer matrix B, given
+    row-major as `flat`: Faddeev-LeVerrier in integers, where every division
+    is exact."""
+    ident = tuple(int(i == j) for i in range(m) for j in range(m))
+    coeffs, acc = [scale ** m], ident
+    for k in range(1, m + 1):
+        acc = flat_product(flat, acc, m)
+        c = -sum(acc[:: m + 1]) // k
+        coeffs.append(c * scale ** (m - k))
+        acc = tuple(a + c * i for a, i in zip(acc, ident))
+    return IntPoly(coeffs)
+
+
+def _averaged_closed_form(ext: ExteriorData, averages) -> RatFuncProduct:
+    """prod_j det(I - z P_j Lambda^j D)^((-1)^(j+1)), where averages[j] is the
+    integer form (den, flat) of P_j (`HolonomyGroup.exterior_averages`).
+
+    Every nonzero eigenvalue of P_j Lambda^j D is one of Lambda^j D (their
+    power sums tr(P_j (Lambda^j D)^k) are sums of its eigenvalues' powers),
+    so each determinant factors over ext.factors[j] by trial division."""
+    pairs = []
+    for j, ((den, avg), power, factors) in enumerate(zip(averages, ext.powers, ext.factors)):
+        m = power.nrows
+        q, (flat,) = integer_form([power])
+        det_poly = _reversed_charpoly(flat_product(avg, flat, m), m, den * q)
+        pairs += [
+            (normalize_factor(h), mult * (-1) ** (j + 1))
+            for h, mult in factor_with_hints(det_poly, [h for h, _ in factors])
+        ]
+    return RatFuncProduct.from_irreducibles(pairs)
+
+
+def _checked_closed_form(ext: ExteriorData, averages, seq, name: str) -> RatFuncProduct:
+    """The closed form, checked in integers against every term of seq."""
+    closed = _averaged_closed_form(ext, averages)
+    series = closed.logderiv_series(len(seq))
+    if series != list(seq):
+        k = next(k for k, (a, b) in enumerate(zip(series, seq), start=1) if a != b)
+        raise RouteMismatchError(
+            f"closed form {closed} gives {name}(f^{k}) = {series[k - 1]}, "
+            f"the determinant table {seq[k - 1]}"
+        )
+    return closed
 
 
 def _structural(lef, lef_plus, index, p, n):
@@ -135,31 +181,33 @@ def case_label(index: int, p: int, n: int) -> str:
 
 
 def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
-    """Run both routes; their agreement is asserted (RouteMismatchError), as
-    is, for trivial holonomy, the agreement of the Lefschetz zeta with the
-    exterior-power closed form.  The parity relations for k = 1..kmax are
-    checked on the same table, spectrum and positive part, and reported, not
+    """Run both routes: the Nielsen sequence is reconstructed (direct), and
+    the Lefschetz zetas come from the holonomy-averaged closed form, turned
+    into the Nielsen zeta by the case table (structural).  Asserted
+    (RouteMismatchError): the routes agree, and each closed form's
+    log-derivative reproduces its Lefschetz numbers on every term of the
+    determinant table.  The parity relations for k = 1..kmax are checked on
+    the same table, spectrum and positive part, and reported, not
     asserted."""
-    ec = eigen_classify(candidate.dstar)
-    part = positive_part(candidate, ec)
     ext = exterior_data(candidate.dstar)
+    ec = ext.spectrum
+    part = positive_part(candidate, ec)
+    group = part.group
     dim = candidate.entry.dim
     nterms = max(sequence_length(dim), kmax)
-    table = det_table(ext, part.group, nterms)
+    table = det_table(ext, group, nterms)
     lef_seq = tuple(lefschetz_from_row(row) for row in table)
     nie_seq = tuple(nielsen_from_row(row) for row in table)
-    hints = candidate_factor_hints(ext)
-    bound = recurrence_bound(dim)
-    lef = zeta_from_sequence(lef_seq[: sequence_length(dim)], bound, hints)
-    if part.group.order == 1:
-        closed = _closed_form(ext)
-        if not rfp_equal(lef, closed):
-            raise RouteMismatchError(f"reconstructed {lef} differs from closed form {closed}")
+    lef = _checked_closed_form(ext, group.exterior_averages(), lef_seq, "L")
     lef_plus = None
     if part.index == 2:
         plus_seq = [lefschetz_from_row(row, part.plus_indices) for row in table]
-        lef_plus = zeta_from_sequence(plus_seq[: sequence_length(dim)], bound, hints)
-    direct = zeta_from_sequence(nie_seq[: sequence_length(dim)], bound, hints)
+        lef_plus = _checked_closed_form(
+            ext, group.exterior_averages(part.plus_indices), plus_seq, "L_+"
+        )
+    direct = zeta_from_sequence(
+        nie_seq[: sequence_length(dim)], recurrence_bound(dim), candidate_factor_hints(ext)
+    )
     structural = _structural(lef, lef_plus, part.index, ec.p, ec.n)
     if not rfp_equal(direct, structural):
         raise RouteMismatchError(

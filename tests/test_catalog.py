@@ -163,14 +163,20 @@ def test_heis_conjugation_relators():
     assert alpha * a == b * alpha
 
 
-def test_holonomy_orders_match_catalog():
+def every_entry():
+    """Every catalog entry, Heisenberg types at an admissible k."""
     for entry_id in catalog_ids():
         params = {}
         if entry_id.startswith("heis"):
             k = {"heis-VIII": 4, "heis-X-c3": 4, "heis-XIII-c1": 3, "heis-XIII-c2": 3,
                  "heis-XIII-k3": 2, "heis-XVI-c1": 6, "heis-XVI-c5": 6}.get(entry_id, 2)
             params = {"k": k}
-        entry = catalog_lookup(entry_id, params)
+        yield catalog_lookup(entry_id, params)
+
+
+def test_holonomy_orders_match_catalog():
+    for entry in every_entry():
+        entry_id = entry.id
         group = holonomy(entry)
         assert group.order == entry.holonomy_order, entry_id
         # closed, contains identity, finite order elements
@@ -247,3 +253,32 @@ def test_exterior_powers_per_holonomy_element():
                 assert all(type(v) is int for v in flat)
                 scaled = exterior_power(a, j) * r
                 assert flat == tuple(v for row in scaled.rows for v in row)
+
+
+def averaged_matrix(average) -> QMatrix:
+    den, flat = average
+    m = round(len(flat) ** 0.5)
+    return QMatrix([[F(v, den) for v in flat[i * m:(i + 1) * m]] for i in range(m)])
+
+
+def test_exterior_averages_are_idempotent_on_every_group():
+    from infranil.matrices import exterior_power
+
+    seen = 0
+    for entry in every_entry():
+        group = holonomy(entry)
+        dets = group.dets()
+        subsets = [None, tuple(i for i, d in enumerate(dets) if d == 1)]
+        for indices in subsets:
+            averages = group.exterior_averages(indices)
+            assert group.exterior_averages(indices) is averages
+            members = range(group.order) if indices is None else indices
+            assert len(averages) == entry.dim + 1
+            for j, average in enumerate(averages):
+                p = averaged_matrix(average)
+                assert p * p == p, (entry.id, indices, j)
+                total = sum((exterior_power(group.elements[i], j) for i in members[1:]),
+                            exterior_power(group.elements[members[0]], j))
+                assert p * len(members) == total, (entry.id, indices, j)
+                seen += 1
+    assert seen >= 2 * 24 * 3

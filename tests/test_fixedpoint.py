@@ -290,3 +290,24 @@ def test_det_table_shorter_than_recurrence_order():
     for cand in cases:
         for kmax in (1, 2, 3):
             assert_table_matches(cand, kmax, (cand.entry.id, kmax))
+
+
+def test_exterior_factors_of_d_are_reversed_spectrum_factors():
+    """ExteriorData.factors[1] is derived from eigen_classify's factors of
+    charpoly(D); it must equal factor_over_q of det(I - z D), singular D
+    included."""
+    from infranil.matrices import det_one_minus_z
+    from infranil.polynomials import factor_over_q
+
+    singular = 0
+    cases = [QMatrix([[0, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]]), QMatrix([[2, 0], [0, 0]])]
+    for spec in load_corpus().families:
+        cases.append(family_instantiate(spec, sample_params(spec, 1, 1)[0]).dstar)
+    for m in cases:
+        ext = exterior_data(m)
+        assert ext.spectrum == eigen_classify(m)
+        det_poly = det_one_minus_z(m)
+        expected = tuple(factor_over_q(det_poly)) if det_poly.degree > 0 else ()
+        assert ext.factors[1] == expected, m
+        singular += m.det() == 0
+    assert singular >= 10

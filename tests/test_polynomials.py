@@ -249,3 +249,16 @@ def test_rational_roots_large_prime_constant():
 def test_factor_zero_rejected():
     with pytest.raises(InfranilError):
         factor_over_q(IntPoly([]))
+
+
+def test_exact_quotient_in_integers():
+    from infranil.polynomials import exact_quotient
+
+    q = IntPoly([1, -3, 2])  # (1 - z)(1 - 2z), primitive, lc 2
+    g = IntPoly([5, 0, -7, 4])
+    assert exact_quotient(q * g, q) == g
+    assert exact_quotient(q * g * 6, q) == g * 6
+    off_by_one = IntPoly([c + (i == 0) for i, c in enumerate((q * g).coeffs)])
+    assert exact_quotient(off_by_one, q) is None
+    assert exact_quotient(IntPoly([3]), q) is None
+    assert exact_quotient(IntPoly([3, 1]), IntPoly([1, 3])) is None

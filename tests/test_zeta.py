@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from infranil.catalog import catalog_lookup, holonomy
-from infranil.fixedpoint import exterior_data
+from infranil.fixedpoint import exterior_data, positive_part
 from infranil.matrices import QMatrix
 from infranil.polynomials import QPoly
 from infranil.selfmaps import MapCandidate, validate_selfmap
@@ -150,20 +150,171 @@ def test_sign_relations_field_matches_standalone_check():
     assert seen[1] >= 2 and seen[2] >= 2, seen
 
 
-def test_compute_zeta_checks_closed_form_on_trivial_holonomy(monkeypatch):
+def hw_diag():
+    """Hantzsche-Wendt with D = 3I: non-trivial holonomy, index 1."""
+    entry = catalog_lookup("hantzsche-wendt")
+    return MapCandidate(entry, (F(1, 2), 0, F(1, 2)), QMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
+
+
+def test_compute_zeta_checks_averaged_closed_form(monkeypatch):
     import infranil.zeta as zeta_module
     from infranil.errors import RouteMismatchError
 
-    entry = catalog_lookup("torus-2")
-    cand = MapCandidate(entry, (0, 0), QMatrix([[2, 1], [1, 1]]))
-    closed = zeta_module._closed_form
-    assert rfp_equal(compute_zeta(cand).lefschetz, closed(exterior_data(cand.dstar)))
+    torus = MapCandidate(catalog_lookup("torus-2"), (0, 0), QMatrix([[2, 1], [1, 1]]))
+    cases = [(torus, 1, 1), (hw_diag(), 4, 1), (kb(3, 5, 0, F(1, 2)), 2, 2)]
+    closed = zeta_module._averaged_closed_form
+    plus_averages = None
+    for cand, order, index in cases:
+        res = compute_zeta(cand)
+        group = holonomy(cand.entry)
+        assert (group.order, res.index) == (order, index)
+        ext = exterior_data(cand.dstar)
+        assert rfp_equal(res.lefschetz, closed(ext, group.exterior_averages()))
+        if index == 2:
+            plus = positive_part(cand, ext.spectrum).plus_indices
+            plus_averages = group.exterior_averages(plus)
+            assert rfp_equal(res.lefschetz_plus, closed(ext, plus_averages))
+    assert rfp_equal(compute_zeta(kb(3, 5, 0, F(1, 2))).lefschetz, rfp(([1, -3], 1), ([1, -1], -1)))
     wrong = rfp(([1, -2], 1), ([1, -1], -2))
-    monkeypatch.setattr(zeta_module, "_closed_form", lambda ext: wrong)
+    monkeypatch.setattr(zeta_module, "_averaged_closed_form", lambda ext, averages: wrong)
+    for cand, _, _ in cases:
+        with pytest.raises(RouteMismatchError):
+            compute_zeta(cand)
+    # a wrong L_f+ alone is caught as well
+    cand = cases[2][0]
+    monkeypatch.setattr(
+        zeta_module, "_averaged_closed_form",
+        lambda ext, averages: wrong if averages is plus_averages else closed(ext, averages),
+    )
     with pytest.raises(RouteMismatchError):
         compute_zeta(cand)
-    # non-trivial holonomy has no closed form to compare against
-    assert rfp_equal(compute_zeta(kb(3, 5, 0, F(1, 2))).lefschetz, rfp(([1, -3], 1), ([1, -1], -1)))
+
+
+@pytest.mark.parametrize("case", ["torus-2", "klein-bottle-off-plus", "klein-bottle-plus"])
+def test_corrupted_lefschetz_number_raises(monkeypatch, case):
+    """Flipping the sign of one det(I - A D^k) keeps N(f^k) and changes
+    L(f^k); at k = 35 it lies past the Nielsen fitting window (28 terms), so
+    only the closed-form check on the whole table can catch it."""
+    import infranil.zeta as zeta_module
+    from infranil.errors import RouteMismatchError
+
+    if case == "torus-2":
+        cand = MapCandidate(catalog_lookup("torus-2"), (0, 0), QMatrix([[2, 1], [1, 1]]))
+    else:
+        cand = kb(3, 5, 0, F(1, 2))
+    plus = positive_part(cand, exterior_data(cand.dstar).spectrum).plus_indices
+    column = 0 if case == "torus-2" else next(
+        i for i in range(2) if (i in plus) == (case == "klein-bottle-plus")
+    )
+    k = 35
+    original = zeta_module.det_table
+
+    def corrupted(ext, group, kmax):
+        table = original(ext, group, kmax)
+        row = list(table[k - 1])
+        assert row[column] != 0
+        row[column] = -row[column]
+        table[k - 1] = tuple(row)
+        return table
+
+    assert compute_zeta(cand).nielsen_numbers[k - 1] > 0
+    monkeypatch.setattr(zeta_module, "det_table", corrupted)
+    with pytest.raises(RouteMismatchError, match=r"f\^35"):
+        compute_zeta(cand)
+
+
+def averaged_matrix(average) -> QMatrix:
+    den, flat = average
+    m = round(len(flat) ** 0.5)
+    return QMatrix([[F(v, den) for v in flat[i * m:(i + 1) * m]] for i in range(m)])
+
+
+def test_averages_intertwine_exterior_powers_on_corpus():
+    """Lambda^j D . P_j = P_phi(F) . Lambda^j D, where phi(F) is the subgroup
+    generated by the holonomy images that validation assigns to the
+    generators."""
+    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
+
+    checked = 0
+    for spec in load_corpus().families:
+        for params in sample_params(spec, 1, 1):
+            cand = family_instantiate(spec, params)
+            group = holonomy(cand.entry)
+            phi = validate_selfmap(cand)
+            image = {0} | {phi.holonomy_image(g) for g in range(len(cand.entry.generators))}
+            while True:
+                grown = image | {group.table[a][b] for a in image for b in image}
+                if grown == image:
+                    break
+                image = grown
+            ext = exterior_data(cand.dstar)
+            full = group.exterior_averages()
+            sub = group.exterior_averages(sorted(image))
+            for j, power in enumerate(ext.powers):
+                p, p_image = averaged_matrix(full[j]), averaged_matrix(sub[j])
+                assert power * p == p_image * power, (spec.label, params, j)
+            checked += 1
+    assert checked == 264
+
+
+def lefschetz_reconstructions(cand):
+    """zeta_from_sequence on the L and L_+ sequences of the first
+    sequence_length(dim) rows of the determinant table."""
+    from infranil.fixedpoint import det_table, lefschetz_from_row
+    from infranil.zeta import (
+        candidate_factor_hints,
+        recurrence_bound,
+        sequence_length,
+        zeta_from_sequence,
+    )
+
+    dim = cand.entry.dim
+    ext = exterior_data(cand.dstar)
+    part = positive_part(cand, ext.spectrum)
+    table = det_table(ext, part.group, sequence_length(dim))
+    hints = candidate_factor_hints(ext)
+    lef = zeta_from_sequence([lefschetz_from_row(row) for row in table], recurrence_bound(dim), hints)
+    if part.index == 1:
+        return lef, None
+    plus = [lefschetz_from_row(row, part.plus_indices) for row in table]
+    return lef, zeta_from_sequence(plus, recurrence_bound(dim), hints)
+
+
+def assert_reconstruction_matches(cand, label):
+    res = compute_zeta(cand)
+    lef, lef_plus = lefschetz_reconstructions(cand)
+    assert rfp_equal(res.lefschetz, lef), label
+    if lef_plus is None:
+        assert res.lefschetz_plus is None, label
+    else:
+        assert rfp_equal(res.lefschetz_plus, lef_plus), label
+    return res.index
+
+
+def test_closed_form_matches_lefschetz_reconstruction_on_corpus():
+    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
+
+    indices = []
+    for spec in load_corpus().families:
+        for params in sample_params(spec, 1, 1):
+            indices.append(assert_reconstruction_matches(family_instantiate(spec, params), spec.label))
+    assert len(indices) == 264 and indices.count(2) > 0
+
+
+def test_closed_form_matches_lefschetz_reconstruction_on_random_maps(monkeypatch):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    instances = workloads.random_maps_instances(1)
+    for i, cand in enumerate(instances):
+        assert_reconstruction_matches(cand, i)
+    assert len(instances) == 300
 
 
 def count_calls(monkeypatch, names):
@@ -206,8 +357,8 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     assert len(calls["matrices.charpoly"]) <= dim + 1
     powers = calls["matrices.exterior_power"]
     assert len(powers) == len(set(j for _, j in powers)) <= dim + 1, powers
-    # each det(I - z Lambda^j D) is factored at most once per j; eigen_classify
-    # factors charpoly(D), which may coincide with one of them
+    # each det(I - z Lambda^j D) is factored at most once per j, and j = 1
+    # not at all: its factors are derived from eigen_classify's of charpoly(D)
     factored = [
         (poly if isinstance(poly, QPoly) else poly.to_qpoly()).to_int()[0]
         for poly, in calls["polynomials.factor_over_q"]
@@ -215,4 +366,4 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     cp = charpoly(cand.dstar).to_int()[0]
     for poly in set(det_polys):
         assert factored.count(poly) <= det_polys.count(poly) + (poly == cp), (poly, factored)
-    assert len(factored) <= dim + 1
+    assert len(factored) <= dim
