@@ -18,8 +18,9 @@ charpoly and the factors of det(I - z E_j) once per candidate, factoring
 charpoly(D) only once; the first C(n, j) powers of E_j
 are shared by every holonomy element, every later term costs C(n, j)
 multiplications per element, and Lambda^j A is formed once per holonomy
-group.  The traces run in integers (Lambda^j A and E_j scaled by
-their common denominators) and each table entry becomes one exact Fraction.
+group.  The traces run in integers (Lambda^j A and E_j scaled by their
+common denominators), and a table row is (den, nums): the entries' integer
+numerators over one positive denominator, so L and N are integer sums.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
 
@@ -41,7 +42,7 @@ from operator import mul
 
 from .catalog import HolonomyGroup, holonomy
 from .errors import InfranilError, InvalidCandidateError
-from .matrices import QMatrix, charpoly, exterior_power
+from .matrices import QMatrix, charpoly, exterior_power, flat_product, integer_form
 from .numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from .polynomials import (
     IntPoly,
@@ -260,13 +261,12 @@ def _trace_sequences(blocks, e: QMatrix, cp: QPoly, kmax: int):
     charpoly(q e) (Cayley-Hamilton: (qe)^k charpoly(qe) = 0 for every k >= 0)."""
     r, flats = blocks
     m = e.nrows
-    q = lcm(*(v.denominator for row in e.rows for v in row))
-    # powers of q e, transposed and flattened, so each trace is a dot product
-    powers_t = []
-    power = QMatrix.identity(m)
-    for p in range(min(m, kmax + 1)):
-        powers_t.append([int(v * q ** p) for col in zip(*power.rows) for v in col])
-        power = power * e
+    q, (qe,) = integer_form([e])
+    # (q e)^T and its powers, row-major: tr(B . (qe)^p) is a dot product
+    qe_t = tuple(qe[j * m + i] for i in range(m) for j in range(m))
+    powers_t = [tuple(int(i == j) for i in range(m) for j in range(m))]
+    for _ in range(1, min(m, kmax + 1)):
+        powers_t.append(flat_product(powers_t[-1], qe_t, m))
     rec = [-int(cp[i] * q ** (m - i)) for i in range(m)]
     seqs = []
     for flat in flats:
@@ -278,9 +278,9 @@ def _trace_sequences(blocks, e: QMatrix, cp: QPoly, kmax: int):
 
 
 def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
-    """table[k-1][i] = det(I - A_i D^k) for k = 1..kmax, where ext is
-    `exterior_data(D)`, by the exterior-power trace recurrences of the module
-    docstring, in integers over one common denominator per row."""
+    """table[k-1] = (den, nums) with det(I - A_i D^k) = nums[i] / den for
+    k = 1..kmax, den > 0 and nums ints, where ext is `exterior_data(D)`, by
+    the exterior-power trace recurrences of the module docstring."""
     terms = [
         _trace_sequences(group.exterior_powers[j], ext.powers[j], ext.charpolys[j], kmax)
         for j in range(1, len(ext.powers))
@@ -290,36 +290,40 @@ def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
         scales = [r * q ** k for r, q, _ in terms]
         den = lcm(*scales)
         weights = [(-1) ** j * (den // scale) for j, scale in enumerate(scales, start=1)]
-        out.append(tuple(
-            Fraction(den + sum(w * seqs[i][k] for w, (_, _, seqs) in zip(weights, terms)), den)
+        out.append((den, tuple(
+            den + sum(w * seqs[i][k] for w, (_, _, seqs) in zip(weights, terms))
             for i in range(group.order)
-        ))
+        )))
     return out
 
 
 def _direct_row(candidate: MapCandidate, k: int):
-    """det(I - A_i D^k) for one k, from D^k by binary powering and direct
+    """The `det_table` row for one k, from D^k by binary powering and direct
     determinants."""
     ident = QMatrix.identity(candidate.entry.dim)
     power = candidate.dstar.power(k)
-    return tuple((ident - a * power).det() for a in holonomy(candidate.entry).elements)
+    dets = [(ident - a * power).det() for a in holonomy(candidate.entry).elements]
+    den = lcm(*(v.denominator for v in dets))
+    return den, tuple(v.numerator * (den // v.denominator) for v in dets)
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise InvalidCandidateError(f"{what} is not an integer: {value}")
-    return int(value)
+def _average(total: int, count: int, what: str) -> int:
+    value, rem = divmod(total, count)
+    if rem:
+        raise InvalidCandidateError(f"{what} is not an integer: {Fraction(total, count)}")
+    return value
 
 
 def lefschetz_from_row(row, indices=None) -> int:
-    vals = row if indices is None else [row[i] for i in indices]
-    return _exact_int(Fraction(sum(vals), len(vals)), "averaged Lefschetz number")
+    den, nums = row
+    vals = nums if indices is None else [nums[i] for i in indices]
+    return _average(sum(vals), den * len(vals), "averaged Lefschetz number")
 
 
 def nielsen_from_row(row, indices=None) -> int:
-    vals = row if indices is None else [row[i] for i in indices]
-    total = Fraction(sum(abs(v) for v in vals), len(vals))
-    return _exact_int(total, "averaged Nielsen number")
+    den, nums = row
+    vals = nums if indices is None else [nums[i] for i in indices]
+    return _average(sum(map(abs, vals)), den * len(vals), "averaged Nielsen number")
 
 
 def lefschetz_number(candidate: MapCandidate, k: int) -> int:

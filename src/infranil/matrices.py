@@ -2,7 +2,7 @@
 determinants, characteristic polynomials, exterior powers, kernels.
 
 Sizes stay tiny (n <= 8), so plain Gaussian elimination over Fraction is
-both exact and fast enough.
+exact and fast enough; characteristic polynomials are formed in integers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InfranilError
-from .polynomials import QPoly
+from .polynomials import IntPoly, QPoly
 
 
 @dataclass(frozen=True)
@@ -209,22 +209,30 @@ class QMatrix:
 
 
 def charpoly(M: QMatrix) -> QPoly:
-    """Characteristic polynomial det(xI - M), monic, by Faddeev-LeVerrier."""
+    """det(xI - M), monic: `scaled_det_one_minus_z` of M's integer form, reversed."""
     if not M.is_square():
         raise InfranilError("charpoly of a non-square matrix")
     n = M.nrows
     if n > 8:
         raise InfranilError("charpoly supports n <= 8")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    acc = QMatrix.identity(n)
-    for k in range(1, n + 1):
-        acc = M * acc
-        c = -acc.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            acc = acc + QMatrix.identity(n) * c
-    return QPoly(coeffs)
+    q, (flat,) = integer_form([M])
+    rev = scaled_det_one_minus_z(flat, n, q).coeffs
+    rev += (0,) * (n + 1 - len(rev))  # a singular M strips trailing zeros
+    return QPoly([Fraction(c, q ** n) for c in reversed(rev)])
+
+
+def scaled_det_one_minus_z(flat, m: int, scale: int) -> IntPoly:
+    """scale^m det(I - z B / scale) for the m x m integer matrix B, given
+    row-major as `flat`: Faddeev-LeVerrier in integers, where every division
+    is exact (the coefficients of charpoly(B) are integers)."""
+    ident = tuple(int(i == j) for i in range(m) for j in range(m))
+    coeffs, acc = [scale ** m], ident
+    for k in range(1, m + 1):
+        acc = flat_product(flat, acc, m)
+        c = -sum(acc[:: m + 1]) // k
+        coeffs.append(c * scale ** (m - k))
+        acc = tuple(a + c * i for a, i in zip(acc, ident))
+    return IntPoly(coeffs)
 
 
 def exterior_power(M: QMatrix, j: int) -> QMatrix:

@@ -44,10 +44,6 @@ class QPoly:
     def const(c) -> "QPoly":
         return QPoly([Fraction(c)])
 
-    @staticmethod
-    def x() -> "QPoly":
-        return QPoly([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

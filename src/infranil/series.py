@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import mul
 
 from .errors import ReconstructionError
 from .matrices import QMatrix
@@ -22,56 +25,52 @@ from .polynomials import IntPoly, QPoly, exact_quotient, factor_over_q
 
 
 def berlekamp_massey_q(seq, bound: int):
-    """Minimal rational form of S(z) = sum_{k>=1} seq[k-1] z^k.
+    """Minimal rational form of S(z) = sum_{k>=1} seq[k-1] z^k, in integers.
 
     Returns (num, den) with den(0) = 1, deg num <= deg den <= bound, and the
     expansion of num/den reproducing every supplied term (terms beyond the
-    2*bound+2 fitting window act as held-out verification).  Raises
-    ReconstructionError if the minimal recurrence order exceeds `bound`.
+    2*bound+2 fitting window are held out).  The fit is fraction-free: an
+    update scales the connection polynomial by the old discrepancy instead of
+    dividing by it, then divides out its content.  A rational power series
+    with integer terms has an integral reduced denominator with den(0) = 1
+    (Fatou's lemma), so the final primitive polynomial must have constant
+    term +-1, and the check (S * den)_k = 0 for every supplied k > L = deg den
+    runs in integers.  Raises ReconstructionError on a non-integral term or
+    den, on an order above `bound`, and when the check fails.
     """
-    s = [Fraction(c) for c in seq]
+    s = [int(c) for c in seq]
+    if s != list(seq):
+        raise ReconstructionError("the sequence has a non-integral term")
     if len(s) < 2 * bound + 2:
         raise ReconstructionError(
             f"need at least {2 * bound + 2} terms for bound {bound}, got {len(s)}"
         )
-    fit = s[: 2 * bound + 2]
-    cur = [Fraction(1)]
-    prev = [Fraction(1)]
-    L = 0
-    m = 1
-    b = Fraction(1)
-    for n, sn in enumerate(fit):
-        d = sn + sum(cur[i] * fit[n - i] for i in range(1, L + 1))
+    cur, prev, L, m, b = [1], [1], 0, 1, 1
+    for n in range(2 * bound + 2):
+        d = sum(map(mul, cur[: L + 1], s[n::-1]))
         if d == 0:
             m += 1
             continue
+        new = [b * c for c in cur] + [0] * (m + len(prev) - len(cur))
+        for i, pv in enumerate(prev):
+            new[m + i] -= d * pv
+        g = reduce(gcd, new)
+        new = [c // g for c in new]
         if 2 * L <= n:
-            old = cur[:]
-            coef = d / b
-            cur = cur + [Fraction(0)] * (m + len(prev) - len(cur))
-            for i, pv in enumerate(prev):
-                cur[m + i] -= coef * pv
-            L = n + 1 - L
-            prev = old
-            b = d
-            m = 1
+            L, prev, b, m = n + 1 - L, cur, d, 1
         else:
-            coef = d / b
-            cur = cur + [Fraction(0)] * max(0, m + len(prev) - len(cur))
-            for i, pv in enumerate(prev):
-                cur[m + i] -= coef * pv
             m += 1
+        cur = new
     if L > bound:
         raise ReconstructionError(f"recurrence order {L} exceeds bound {bound}")
-    den = QPoly(cur[: L + 1])
-    # num = (S * den) truncated to degree L; S has no constant term
-    num_coeffs = [Fraction(0)] * (L + 1)
-    for k in range(1, L + 1):
-        num_coeffs[k] = s[k - 1] + sum(den[i] * s[k - i - 1] for i in range(1, k))
-    num = QPoly(num_coeffs)
-    if expand_ratfunc(num, den, len(s)) != s:
+    if abs(cur[0]) != 1:
+        raise ReconstructionError(f"recurrence of order {L} is not integral")
+    den = [c * cur[0] for c in cur[: L + 1]]
+    # (S * den)_k for k = 1..len(s); S has no constant term
+    conv = [sum(map(mul, den, s[k - 1 :: -1])) for k in range(1, len(s) + 1)]
+    if any(conv[L:]):
         raise ReconstructionError("reconstructed series does not reproduce the data")
-    return num, den
+    return QPoly([0] + conv[:L]), QPoly(den)
 
 
 def expand_ratfunc(num: QPoly, den: QPoly, nterms: int):

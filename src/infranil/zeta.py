@@ -39,8 +39,14 @@ from .fixedpoint import (
     nielsen_from_row,
     positive_part,
 )
-from .matrices import QMatrix, det_one_minus_z, exterior_power, flat_product, integer_form
-from .polynomials import IntPoly
+from .matrices import (
+    QMatrix,
+    det_one_minus_z,
+    exterior_power,
+    flat_product,
+    integer_form,
+    scaled_det_one_minus_z,
+)
 from .series import (
     RatFuncProduct,
     berlekamp_massey_q,
@@ -86,36 +92,22 @@ def exterior_closed_form(dstar: QMatrix) -> RatFuncProduct:
     )
 
 
-def _reversed_charpoly(flat, m: int, scale: int) -> IntPoly:
-    """scale^m det(I - z B / scale) for the m x m integer matrix B, given
-    row-major as `flat`: Faddeev-LeVerrier in integers, where every division
-    is exact."""
-    ident = tuple(int(i == j) for i in range(m) for j in range(m))
-    coeffs, acc = [scale ** m], ident
-    for k in range(1, m + 1):
-        acc = flat_product(flat, acc, m)
-        c = -sum(acc[:: m + 1]) // k
-        coeffs.append(c * scale ** (m - k))
-        acc = tuple(a + c * i for a, i in zip(acc, ident))
-    return IntPoly(coeffs)
-
-
 def _averaged_closed_form(ext: ExteriorData, averages) -> RatFuncProduct:
     """prod_j det(I - z P_j Lambda^j D)^((-1)^(j+1)), where averages[j] is the
     integer form (den, flat) of P_j (`HolonomyGroup.exterior_averages`).
 
     Every nonzero eigenvalue of P_j Lambda^j D is one of Lambda^j D (their
     power sums tr(P_j (Lambda^j D)^k) are sums of its eigenvalues' powers),
-    so each determinant factors over ext.factors[j] by trial division."""
+    so each determinant factors over ext.factors[j] by trial division; where
+    P_j = I (every j on trivial holonomy), ext.factors[j] is its factorization."""
     pairs = []
     for j, ((den, avg), power, factors) in enumerate(zip(averages, ext.powers, ext.factors)):
         m = power.nrows
-        q, (flat,) = integer_form([power])
-        det_poly = _reversed_charpoly(flat_product(avg, flat, m), m, den * q)
-        pairs += [
-            (normalize_factor(h), mult * (-1) ** (j + 1))
-            for h, mult in factor_with_hints(det_poly, [h for h, _ in factors])
-        ]
+        if avg != tuple(den * (r == c) for r in range(m) for c in range(m)):
+            q, (flat,) = integer_form([power])
+            det_poly = scaled_det_one_minus_z(flat_product(avg, flat, m), m, den * q)
+            factors = factor_with_hints(det_poly, [h for h, _ in factors])
+        pairs += [(normalize_factor(h), mult * (-1) ** (j + 1)) for h, mult in factors]
     return RatFuncProduct.from_irreducibles(pairs)
 
 

@@ -205,6 +205,25 @@ def test_nielsen_geq_abs_lefschetz_randomized():
             assert nielsen_number(cand, k) >= abs(lefschetz_number(cand, k))
 
 
+def test_row_averages_must_be_integral():
+    import pytest
+
+    from infranil.errors import InvalidCandidateError
+    from infranil.fixedpoint import lefschetz_from_row, nielsen_from_row
+
+    lef, nie = "averaged Lefschetz number", "averaged Nielsen number"
+    for row, indices, value in [((1, (1, 2)), None, "3/2"), ((2, (1, 5, 6)), [0, 2], "7/4"),
+                                ((1, (-1, 2)), None, "1/2")]:
+        with pytest.raises(InvalidCandidateError, match=f"^{lef} is not an integer: {value}$"):
+            lefschetz_from_row(row, indices)
+    with pytest.raises(InvalidCandidateError, match=f"^{nie} is not an integer: 3/2$"):
+        nielsen_from_row((1, (1, 2)))
+    with pytest.raises(InvalidCandidateError, match=f"^{nie} is not an integer: 2/3$"):
+        nielsen_from_row((3, (2, -2)))
+    assert (lefschetz_from_row((3, (2, -2))), nielsen_from_row((2, (3, -5)))) == (0, 2)
+    assert lefschetz_from_row((2, (1, 5, 7)), [1, 2]) == 3
+
+
 # ---------------------------------------------------------------------------
 # det_table (trace recurrences) against direct determinants
 # ---------------------------------------------------------------------------
@@ -226,8 +245,11 @@ def assert_table_matches(cand, kmax, label):
     group = holonomy(cand.entry)
     table = det_table(exterior_data(cand.dstar), group, kmax)
     assert len(table) == kmax, label
-    assert all(type(v) is F for row in table for v in row), label
-    assert table == direct_table(cand, group, kmax), label
+    assert all(
+        type(den) is int and den > 0 and all(type(v) is int for v in nums) for den, nums in table
+    ), label
+    exact = [tuple(F(v, den) for v in nums) for den, nums in table]
+    assert exact == direct_table(cand, group, kmax), label
 
 
 def test_det_table_matches_direct_determinants_on_corpus():

@@ -90,6 +90,37 @@ def test_power():
     assert m.power(3) == m * m * m
 
 
+def test_charpoly_matches_sympy():
+    """Integer Faddeev-LeVerrier against sympy, n = 1..8, on entries with
+    denominators 1, 2, 3 and 6, singular matrices, and Lambda^2 of
+    Heisenberg linear parts with half-integer entries."""
+    import sympy
+
+    rng = random.Random(2027)
+    dens = (1, 2, 3, 6)
+    cases = []
+    for n in range(1, 9):
+        for _ in range(4):
+            cases.append(QMatrix([[Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)]
+                                  for _ in range(n)]))
+        rows = [[Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+                for _ in range(n - 1)]
+        rows.append([sum(col) for col in zip(*rows)] if n > 1 else [0])  # rank < n
+        cases.append(QMatrix(rows))
+    for _ in range(6):
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        heis = QMatrix([[a * d - b * c, Fraction(rng.randint(-7, 7), 2),
+                         Fraction(rng.randint(-7, 7), 2)], [0, a, b], [0, c, d]])
+        cases.append(exterior_power(heis, 2))
+    assert any(m.det() == 0 for m in cases)
+    x = sympy.Symbol("x")
+    for m in cases:
+        coeffs = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                               for row in m.rows]).charpoly(x).all_coeffs()
+        want = tuple(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+        assert charpoly(m).coeffs == want, m
+
+
 def test_charpoly_rejects_non_square():
     with pytest.raises(InfranilError):
         charpoly(QMatrix([[1, 2, 3], [4, 5, 6]]))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -135,10 +136,23 @@ def test_rfp_json_roundtrip():
 
 
 def test_bm_heldout_terms_catch_corruption():
+    # the fitting window of bound 4 is 10 terms; every later one is held out
+    for k in (10, 11, 19):
+        seq = geometric_sum([(1, 3), (-1, 1)], 20)
+        seq[k] += 1  # corrupt a held-out term
+        with pytest.raises(ReconstructionError):
+            berlekamp_massey_q(seq, 4)
+
+
+def test_bm_rejects_non_integral_data():
     seq = geometric_sum([(1, 3), (-1, 1)], 20)
-    seq[-1] += 1  # corrupt a held-out tail term
-    with pytest.raises(ReconstructionError):
+    seq[3] += Fraction(1, 2)
+    with pytest.raises(ReconstructionError, match="non-integral term"):
         berlekamp_massey_q(seq, 4)
+    # every supplied term follows s_k = s_(k-1) / 2, but a rational series
+    # with integer terms has an integral denominator
+    with pytest.raises(ReconstructionError, match="not integral"):
+        berlekamp_massey_q([32, 16, 8, 4, 2, 1], 2)
 
 
 def test_rfp_canonicalization_idempotent():

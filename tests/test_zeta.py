@@ -211,10 +211,11 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
 
     def corrupted(ext, group, kmax):
         table = original(ext, group, kmax)
-        row = list(table[k - 1])
-        assert row[column] != 0
-        row[column] = -row[column]
-        table[k - 1] = tuple(row)
+        den, nums = table[k - 1]
+        nums = list(nums)
+        assert nums[column] != 0
+        nums[column] = -nums[column]
+        table[k - 1] = (den, tuple(nums))
         return table
 
     assert compute_zeta(cand).nielsen_numbers[k - 1] > 0
@@ -367,3 +368,29 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     for poly in set(det_polys):
         assert factored.count(poly) <= det_polys.count(poly) + (poly == cp), (poly, factored)
     assert len(factored) <= dim
+
+
+def test_identity_average_reads_the_exterior_factors(monkeypatch):
+    """Where P_j = I (every j on trivial holonomy, and F_+ = {I} on the Klein
+    bottle), the closed form takes ext.factors[j] as it stands: no trial
+    division, and still the exterior closed form."""
+    cases = [
+        MapCandidate(catalog_lookup("torus-3"), (0, 0, 0),
+                     QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, -4]])),
+        MapCandidate(catalog_lookup("heis-I", {"k": 1}), (0, 0, 0),
+                     QMatrix([[-7, F(1, 2), 3], [0, 1, 2], [0, 5, 3]])),
+        kb(3, 5, 0, F(1, 2)),
+    ]
+    assert all(validate_selfmap(cand) is not None for cand in cases)
+    for cand in cases:
+        calls = count_calls(monkeypatch, ["series.factor_with_hints"])
+        res = compute_zeta(cand)
+        group = holonomy(cand.entry)
+        plus = positive_part(cand, exterior_data(cand.dstar).spectrum).plus_indices
+        # the Nielsen reconstruction factors one denominator; on the Klein
+        # bottle the closed form of L_f divides once per j = 1, 2
+        assert len(calls["series.factor_with_hints"]) == 1 + 2 * (group.order > 1)
+        assert rfp_equal(res.lefschetz if group.order == 1 else res.lefschetz_plus,
+                         exterior_closed_form(cand.dstar))
+        assert group.order == 1 or len(plus) == 1
+        monkeypatch.undo()
