@@ -182,6 +182,8 @@ def _verify_instance(spec, params):
 
 
 def cmd_verify_tables(args) -> int:
+    if args.samples < 0:
+        raise ConstraintError(f"--samples must be >= 0, got {args.samples}")
     corpus = load_corpus(args.corpus)
     if args.samples == 0:
         print("warning: --samples 0 verifies nothing (vacuous pass)")

@@ -24,12 +24,12 @@ numerators over one positive denominator, so L and N are integer sums.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
 
-The spectrum of D* is classified exactly (counts p of real eigenvalues > 1
-and n of real eigenvalues < -1, and the modulus split against the unit
-circle), the index-two "positive part" subgroup is computed from
-determinants of the holonomy action on the modulus > 1 block, and the parity
-relations tying N(f^k) to L(f^k) and L(f_+^k) are checked for a range of
-iterates.
+The spectrum of D* is classified exactly, in integers: the counts p of real
+eigenvalues > 1 and n < -1 and the modulus split against the unit circle
+come from integer Sturm chains and each factor's signs at -1 and 1.  The
+index-two "positive part" subgroup is computed from determinants of the
+holonomy action on the modulus > 1 block, and the parity relations tying
+N(f^k) to L(f^k) and L(f_+^k) are checked for a range of iterates.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .polynomials import (
     QPoly,
     factor_over_q,
     isolate_real_roots,
+    sign_at,
     sturm_count,
 )
 from .selfmaps import MapCandidate
@@ -73,35 +74,19 @@ def _poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
     return acc
 
 
-def _classify_real_root(q: QPoly, lo: Fraction, hi: Fraction):
-    """Sign class of the single root of q inside the isolating interval,
-    refining until the interval clears the points -1 and 1."""
-    if lo == hi:
-        v = lo
-        if v == 1:
-            return ONE, (lo, hi)
-        if v == -1:
-            return MINUS_ONE, (lo, hi)
-        if v > 1:
-            return GT1, (lo, hi)
-        if v < -1:
-            return LTM1, (lo, hi)
-        return INSIDE, (lo, hi)
-    while True:
-        if hi <= -1:
-            return LTM1, (lo, hi)
-        if lo >= 1:
-            return GT1, (lo, hi)
-        if lo >= -1 and hi <= 1:
-            return INSIDE, (lo, hi)
-        mid = (lo + hi) / 2
-        if q(mid) == 0:
-            # rational root: only possible for linear factors, handled upstream
-            return _classify_real_root(q, mid, mid)
-        if q(lo) * q(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
+def _classify_real_root(q: IntPoly, lo: Fraction, hi: Fraction) -> str:
+    """Sign class of the single root r of q in [lo, hi]: lo == hi == r, or
+    q changes sign once, at r, inside the open interval.  r is placed
+    against -1 and 1 by the integer signs of q there."""
+
+    def side(t: int) -> int:  # the sign of r - t
+        if t < lo or t > hi:
+            return 1 if t < lo else -1
+        s = q(t)
+        return 0 if s == 0 else (-1 if (s > 0) == (sign_at(q, hi) > 0) else 1)
+
+    sides = {(-1, -1): LTM1, (0, -1): MINUS_ONE, (1, -1): INSIDE, (1, 0): ONE, (1, 1): GT1}
+    return sides[side(-1), side(1)]
 
 
 @dataclass(frozen=True)
@@ -143,34 +128,25 @@ class FactorRoots:
 
 
 def _analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
-    qq = q.to_qpoly()
-    deg = q.degree
+    """Root layout of an irreducible factor with positive leading
+    coefficient, in integers."""
+    c, deg = q.coeffs, q.degree
     if deg == 1:
-        root = -Fraction(q.coeffs[0], q.coeffs[1])
-        cls, ival = _classify_real_root(qq, root, root)
-        return FactorRoots(q, mult, (((root, root), cls),), None)
-    if deg == 2:
-        c0, c1, c2 = q.coeffs
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc < 0:
-            mod2 = Fraction(c0, c2)  # |lambda|^2 for the conjugate pair
-            pair = "eq" if mod2 == 1 else ("gt" if mod2 > 1 else "lt")
-            return FactorRoots(q, mult, (), pair)
-        real = tuple(
-            (iv, _classify_real_root(qq, *iv)[0]) for iv in isolate_real_roots(qq)
-        )
-        return FactorRoots(q, mult, real, None)
-    if deg == 3:
-        intervals = isolate_real_roots(qq)
-        real = tuple((iv, _classify_real_root(qq, *iv)[0]) for iv in intervals)
-        pair = None
-        if len(intervals) == 1:
-            # theta * |lambda|^2 = -c0/c3, so |lambda| > 1 iff |theta| < |c0/c3|
-            bound = abs(Fraction(q.coeffs[0], q.coeffs[3]))
-            inside = sturm_count(qq, -bound, bound)
-            pair = "gt" if inside == 1 else "lt"
-        return FactorRoots(q, mult, real, pair)
-    raise InfranilError(f"unexpected factor degree {deg} in spectrum analysis")
+        root = Fraction(-c[0], c[1])
+        return FactorRoots(q, mult, (((root, root), _classify_real_root(q, root, root)),), None)
+    if deg not in (2, 3):
+        raise InfranilError(f"unexpected factor degree {deg} in spectrum analysis")
+    if deg == 2 and c[1] * c[1] < 4 * c[0] * c[2]:
+        # |lambda|^2 = c0/c2 for the conjugate pair
+        return FactorRoots(q, mult, (), "eq" if c[0] == c[2] else ("gt" if c[0] > c[2] else "lt"))
+    intervals = isolate_real_roots(q)
+    real = tuple((iv, _classify_real_root(q, *iv)) for iv in intervals)
+    pair = None
+    if deg == 3 and len(intervals) == 1:
+        # theta * |lambda|^2 = -c0/c3, so |lambda| > 1 iff |theta| < |c0/c3|
+        bound = abs(Fraction(c[0], c[3]))
+        pair = "gt" if sturm_count(q, -bound, bound) == 1 else "lt"
+    return FactorRoots(q, mult, real, pair)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ class NumberField:
         self.minpoly = minpoly
         self.minpoly_q = minpoly.to_qpoly().monic()
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
-        if sturm_count(self.minpoly_q, lo, hi) != 1:
+        if sturm_count(minpoly, lo, hi) != 1:
             raise InfranilError("interval does not isolate exactly one root")
         self.interval = (lo, hi)
 
@@ -54,7 +54,7 @@ class NumberField:
         return self.elem(QPoly([0, 1]))
 
     def refine(self, width: Fraction):
-        self.interval = refine_root(self.minpoly_q, *self.interval, width)
+        self.interval = refine_root(self.minpoly, *self.interval, width)
 
     def __repr__(self):
         lo, hi = self.interval
@@ -97,7 +97,7 @@ class NFElem:
             raise ZeroDivisionError("inverse of zero in number field")
         # extended Euclid: a*rep + b*minpoly = gcd = const (minpoly irreducible)
         r0, r1 = self.field.minpoly_q, self.rep
-        s0, s1 = QPoly(), QPoly.const(1)
+        s0, s1 = QPoly(), QPoly([1])
         while not r1.is_zero():
             q, r = divmod(r0, r1)
             r0, r1 = r1, r

@@ -5,19 +5,26 @@ with trailing zeros stripped, so the zero polynomial has an empty
 coefficient tuple and degree -1.  Everything here is exact: QPoly uses
 `fractions.Fraction`, IntPoly uses Python ints.
 
-The module also provides the real-root machinery (Sturm chains, root
-isolation) and complete factorization over Q of degree <= 3, the most any
-det(I - z Lambda^j D) has for n <= 3.  Rational roots are found in integers
-only: y/lc for the integer roots y of a monic rescaling, located by integer
-bisection on each piece where that rescaling is monotone.  Whatever is left
-after the linear factors has no rational root, so it is irreducible.
+The real-root machinery runs in integers: gcds and Sturm chains are
+pseudo-remainder sequences on IntPoly, each remainder scaled by a positive
+constant and divided by its content (so it has the sign of the remainder
+over Q everywhere); p(a/b) has the sign of the integer b^d p(a/b); and root
+isolation and refinement bisect integer numerators over lc * 2^e.
+
+Complete factorization over Q covers degree <= 3, the most any
+det(I - z Lambda^j D) has for n <= 3: an integer Yun squarefree split, then
+rational roots y/lc for the integer roots y of a monic rescaling, located
+by integer bisection on each piece where that rescaling is monotone.
+Whatever is left after the linear factors has no rational root, so it is
+irreducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isinf, isqrt
+from itertools import zip_longest
+from math import gcd, isqrt
 
 from .errors import InfranilError
 
@@ -39,10 +46,6 @@ class QPoly:
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
-
-    @staticmethod
-    def const(c) -> "QPoly":
-        return QPoly([Fraction(c)])
 
     @property
     def degree(self) -> int:
@@ -137,28 +140,12 @@ class QPoly:
         lead = self.leading()
         return QPoly([c / lead for c in self.coeffs])
 
-    def subs_neg_x(self) -> "QPoly":
-        """The polynomial p(-x)."""
-        return QPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-    def shift_mul_x(self, m: int = 1) -> "QPoly":
-        """Multiply by x^m."""
-        if self.is_zero():
-            return self
-        return QPoly([Fraction(0)] * m + list(self.coeffs))
-
     def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic gcd over Q."""
-        a, b = self, _coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd over Q, from the primitive gcd in integers."""
+        return _gcd(self.to_int()[0], _coerce(other).to_int()[0]).to_qpoly().monic()
 
     def squarefree_part(self) -> "QPoly":
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        return (self // g).monic()
+        return _squarefree(self).to_qpoly().monic()
 
     def to_int(self) -> tuple["IntPoly", Fraction]:
         """Split into (primitive integer polynomial with positive leading
@@ -225,10 +212,20 @@ class IntPoly:
 
     def content(self) -> int:
         """gcd of the coefficients (non-negative; 0 only for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
+
+    def primitive(self) -> "IntPoly":
+        """self over its content, with positive leading coefficient."""
+        g = self.content()
+        if self.coeffs and self.coeffs[-1] < 0:
+            g = -g
+        return IntPoly([c // g for c in self.coeffs]) if g else self
+
+    def derivative(self) -> "IntPoly":
+        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
+        return IntPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -287,130 +284,164 @@ def _poly_str(coeffs, var: str = "z") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and real-root counting/isolation
+# Remainder sequences, Sturm chains and real roots, in integers
 # ---------------------------------------------------------------------------
 
 
-def _sturm_chain(p: QPoly):
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+def _neg_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """-(a mod b) times a positive constant, over its content: pseudo-division
+    that scales the remainder by |lc b| at each step lc b does not divide."""
+    rem = list(a.coeffs)
+    d, lead = b.degree, b.leading()
+    for i in range(len(rem) - 1, d - 1, -1):
+        top = rem.pop()
+        c, r = divmod(top, lead)
+        if r:
+            rem = [abs(lead) * v for v in rem]
+            c = top if lead > 0 else -top
+        for j in range(d):
+            rem[i - d + j] -= c * b.coeffs[j]
+    g = gcd(*rem)
+    return IntPoly([-v // g for v in rem]) if g else IntPoly(())
 
 
-def _sign_at(p: QPoly, x) -> int:
-    """Sign of p at a finite rational x or at +/- infinity (float inf)."""
-    if p.is_zero():
-        return 0
-    if isinstance(x, float) and isinf(x):
-        lead = p.leading()
-        if x > 0:
-            return 1 if lead > 0 else -1
-        s = 1 if lead > 0 else -1
-        return s if p.degree % 2 == 0 else -s
-    v = p(x)
-    return (v > 0) - (v < 0)
+def _remainder_sequence(a: IntPoly, b: IntPoly) -> list:
+    """a, b (nonzero), then `_neg_rem` of the last two until it vanishes:
+    the last member is a gcd of a and b."""
+    seq = [a, b]
+    while not (r := _neg_rem(seq[-2], seq[-1])).is_zero():
+        seq.append(r)
+    return seq
 
 
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient (zero for two zeros)."""
+    return (a if b.is_zero() else _remainder_sequence(a, b)[-1]).primitive()
 
 
-def sturm_count(poly: QPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of `poly` in the open interval (lo, hi).
+def _squarefree(poly) -> IntPoly:
+    """The primitive squarefree part of a QPoly or IntPoly, with positive
+    leading coefficient."""
+    p = (poly.to_int()[0] if isinstance(poly, QPoly) else poly).primitive()
+    g = _gcd(p, p.derivative())
+    return exact_quotient(p, g) if g.degree > 0 else p
 
-    `lo`/`hi` may be rationals, None, or +/-float('inf'); None means
-    unbounded on that side.  Multiplicities are ignored (the squarefree part
-    is used), matching the convention that callers account for them via
-    squarefree decomposition.
+
+def _sign(coeffs, num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0: of the integer den^d p(num/den), by
+    homogeneous Horner.  (num, 0) is +infinity for num = 1, -infinity for -1."""
+    acc, scale = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def sign_at(p: IntPoly, x) -> int:
+    """Sign of p at a rational x, in integers."""
+    return _sign(p.coeffs, *_point(x, 0))
+
+
+def _point(x, infinity: int):
+    """(num, den) of a rational endpoint; None is the infinite end."""
+    if x is None:
+        return infinity, 0
+    if isinstance(x, float):
+        raise InfranilError(f"float endpoint {x}: pass a rational, or None for unbounded")
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _sturm_chain(p) -> list:
+    """The Sturm chain g, g', -rem, ... of p's squarefree part g.  Each member
+    is a positive multiple of the Euclidean chain's member for the monic
+    squarefree part, so the two chains agree in sign at every point."""
+    g = _squarefree(p)
+    return _remainder_sequence(g, g.derivative().primitive())
+
+
+def _variations(chain, num: int, den: int) -> int:
+    signs = [s for s in (_sign(q.coeffs, num, den) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _count_open(chain, lo, hi) -> int:
+    """Distinct roots of chain[0] in the open interval between the points
+    lo and hi, given as (num, den): V(lo) - V(hi) counts (lo, hi]."""
+    return _variations(chain, *lo) - _variations(chain, *hi) - (_sign(chain[0].coeffs, *hi) == 0)
+
+
+def sturm_count(poly, lo=None, hi=None) -> int:
+    """Number of distinct real roots of `poly` (QPoly or IntPoly) in the open
+    interval (lo, hi).
+
+    `lo`/`hi` are rationals, or None for an unbounded side; a float raises
+    InfranilError.  Multiplicities are ignored: the squarefree part is used.
     """
     if poly.is_zero():
         raise InfranilError("sturm_count of the zero polynomial")
-    if poly.degree == 0:
-        return 0
-    lo = float("-inf") if lo is None else lo
-    hi = float("inf") if hi is None else hi
-    if not isinstance(lo, float):
-        lo = Fraction(lo)
-    if not isinstance(hi, float):
-        hi = Fraction(hi)
-    sf = poly.squarefree_part()
-    chain = _sturm_chain(sf)
-    count = _variations(chain, lo) - _variations(chain, hi)
-    # V(lo) - V(hi) counts roots in (lo, hi]; make the right end open.
-    if not (isinstance(hi, float) and isinf(hi)) and sf(hi) == 0:
-        count -= 1
-    return count
+    lo, hi = _point(lo, -1), _point(hi, 1)
+    return _count_open(_sturm_chain(poly), lo, hi) if poly.degree > 0 else 0
 
 
-def root_bound(poly: QPoly) -> Fraction:
-    """Cauchy bound: every real root lies in (-B, B)."""
-    lead = abs(poly.leading())
-    m = max((abs(c) for c in poly.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
-
-
-def isolate_real_roots(poly: QPoly) -> list:
+def isolate_real_roots(poly) -> list:
     """Disjoint open intervals (lo, hi), each containing exactly one distinct
     real root of `poly`, in increasing order.  Rational roots may be returned
-    as degenerate intervals (r, r)."""
-    sf = poly.squarefree_part()
-    if sf.degree <= 0:
+    as degenerate intervals (r, r).
+
+    Bisection in integers: every endpoint is a numerator over lc * 2^e, with
+    lc the leading coefficient of the primitive squarefree part g, starting
+    from the Cauchy bound 1 + max |g_i| / lc."""
+    if poly.degree <= 0:
         return []
-    chain = _sturm_chain(sf)
-
-    def count_open(a, b):
-        c = _variations(chain, a) - _variations(chain, b)
-        if sf(b) == 0:
-            c -= 1
-        return c
-
-    bound = root_bound(sf)
+    chain = _sturm_chain(poly)
+    g = chain[0].coeffs
+    bound = g[-1] + max(map(abs, g[:-1]))
     out = []
-    stack = [(-bound, bound, count_open(-bound, bound))]
+    stack = [(-bound, bound, g[-1])]
     while stack:
-        lo, hi, cnt = stack.pop()
+        lo, hi, den = stack.pop()
+        cnt = _count_open(chain, (lo, den), (hi, den))
         if cnt == 0:
             continue
-        if cnt == 1 and sf(lo) != 0 and sf(hi) != 0:
-            out.append((lo, hi))
+        if cnt == 1 and _sign(g, lo, den) and _sign(g, hi, den):
+            out.append((Fraction(lo, den), Fraction(hi, den)))
             continue
-        mid = (lo + hi) / 2
-        if sf(mid) == 0:
-            out.append((mid, mid))
-            eps = (hi - lo) / 4
-            while sturm_count(sf, mid - eps, mid + eps) > 1:
-                eps /= 2
-            stack.append((lo, mid - eps, count_open(lo, mid - eps)))
-            stack.append((mid + eps, hi, count_open(mid + eps, hi)))
-        else:
-            stack.append((lo, mid, count_open(lo, mid)))
-            stack.append((mid, hi, count_open(mid, hi)))
+        lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+        if _sign(g, mid, den):
+            stack += [(lo, mid, den), (mid, hi, den)]
+            continue
+        out.append((Fraction(mid, den),) * 2)
+        # step a quarter of the interval off the root mid, halved until
+        # (mid - eps, mid + eps) holds no other root and ends at none
+        lo, mid, hi, den = 2 * lo, 2 * mid, 2 * hi, 2 * den
+        eps = (hi - lo) // 4
+        while (_count_open(chain, (mid - eps, den), (mid + eps, den)) > 1
+               or not _sign(g, mid - eps, den) or not _sign(g, mid + eps, den)):
+            lo, mid, hi, den = 2 * lo, 2 * mid, 2 * hi, 2 * den
+        stack += [(lo, mid - eps, den), (mid + eps, hi, den)]
     return sorted(out)
 
 
-def refine_root(poly: QPoly, lo: Fraction, hi: Fraction, width: Fraction):
+def refine_root(poly, lo: Fraction, hi: Fraction, width: Fraction):
     """Shrink an isolating interval of a simple root by sign-change bisection
-    until hi - lo < width.  Degenerate (exact) intervals pass through."""
+    until hi - lo < width, on integer numerators over a common denominator.
+    Degenerate (exact) intervals pass through."""
     if lo == hi:
         return lo, hi
-    sf = poly.squarefree_part()
-    slo = _sign_at(sf, lo)
-    shi = _sign_at(sf, hi)
-    if slo == 0 or shi == 0 or slo == shi:
+    g = _squarefree(poly).coeffs
+    (a, da), (b, db), (w, dw) = _point(lo, 0), _point(hi, 0), _point(width, 0)
+    a, b, den = a * db, b * da, da * db
+    slo = _sign(g, a, den)
+    if slo * _sign(g, b, den) >= 0:
         raise InfranilError("interval endpoints do not bracket a simple root")
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        sm = _sign_at(sf, mid)
+    while (b - a) * dw >= w * den:
+        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
+        sm = _sign(g, mid, den)
         if sm == 0:
-            return mid, mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+            return Fraction(mid, den), Fraction(mid, den)
+        a, b = (mid, b) if sm == slo else (a, mid)
+    return Fraction(a, den), Fraction(b, den)
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +449,26 @@ def refine_root(poly: QPoly, lo: Fraction, hi: Fraction, width: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _yun_squarefree(p: QPoly) -> list:
-    """Yun's algorithm: [(g1, 1), (g2, 2), ...] with p = lc * prod gi^i,
-    each gi monic squarefree, pairwise coprime."""
-    p = p.monic()
+def _yun_squarefree(p: IntPoly) -> list:
+    """Yun's algorithm on a primitive p with positive leading coefficient:
+    [(g1, 1), (g2, 2), ...] with p = prod gi^i, each gi primitive squarefree
+    with positive leading coefficient, pairwise coprime.  Every gcd is
+    primitive, so every division is exact in integers."""
     dp = p.derivative()
-    g = p.gcd(dp)
-    out = []
+    g = _gcd(p, dp)
     if g.degree == 0:
         return [(p, 1)]
-    w = p // g
-    y = dp // g
+    w = exact_quotient(p, g)
+    y = exact_quotient(dp, g)
+    out = []
     i = 1
     while w.degree > 0:
         z = y - w.derivative()
-        h = w.gcd(z)
+        h = _gcd(w, z)
         if h.degree > 0:
-            out.append((h.monic(), i))
-        w = w // h
-        y = z // h
+            out.append((h, i))
+        w = exact_quotient(w, h)
+        y = exact_quotient(z, h)
         i += 1
     return out
 
@@ -558,11 +590,10 @@ def factor_over_q(poly: IntPoly) -> list:
         raise InfranilError("factor_over_q supports degree <= 3")
     if poly.degree == 0:
         return []
-    prim, _ = poly.to_qpoly().to_int()
+    prim = poly.primitive()
     out = []
-    for sf, mult in _yun_squarefree(prim.to_qpoly()):
-        sf_int, _ = sf.to_int()
-        for fac in _factor_squarefree(sf_int):
+    for sf, mult in _yun_squarefree(prim):
+        for fac in _factor_squarefree(sf):
             out.append((fac, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     check = IntPoly([1])

@@ -14,13 +14,11 @@ zeta function of the sequence, since z (log Z)'(z) = S(z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import mul
 
 from .errors import ReconstructionError
-from .matrices import QMatrix
 from .polynomials import IntPoly, QPoly, exact_quotient, factor_over_q
 
 
@@ -71,23 +69,6 @@ def berlekamp_massey_q(seq, bound: int):
     if any(conv[L:]):
         raise ReconstructionError("reconstructed series does not reproduce the data")
     return QPoly([0] + conv[:L]), QPoly(den)
-
-
-def expand_ratfunc(num: QPoly, den: QPoly, nterms: int):
-    """Coefficients c_1..c_nterms of num/den as a power series (den(0) != 0)."""
-    if den.is_zero() or den[0] == 0:
-        raise ReconstructionError("series expansion needs den(0) != 0")
-    inv0 = Fraction(1) / den[0]
-    out = []
-    prev = []  # c_0..c_{k-1}
-    c0 = num[0] * inv0
-    prev.append(c0)
-    for k in range(1, nterms + 1):
-        ck = num[k] - sum(den[i] * prev[k - i] for i in range(1, min(k, den.degree) + 1))
-        ck *= inv0
-        prev.append(ck)
-        out.append(ck)
-    return out
 
 
 def normalize_factor(q: IntPoly) -> IntPoly:
@@ -251,10 +232,35 @@ def factor_with_hints(p: IntPoly, hints):
     return list(out.items())
 
 
+def _exponent_at(num: IntPoly, term: IntPoly, q: IntPoly) -> int:
+    """The e with num = e * term mod q, read from one coefficient.
+
+    q(0) = 1, so division by q in increasing powers of z is exact in
+    integers: it takes a polynomial of degree <= d to z^s R mod q, with
+    s = d - deg q + 1 and deg R < deg q.  z is a unit mod q, so
+    R_num = e R_term."""
+    d = max(num.degree, term.degree)
+    s = d - q.degree + 1
+    rems = []
+    for p in (num, term):
+        a = list(p.coeffs) + [0] * (d + 1 - len(p.coeffs))
+        for k in range(s):
+            for j, c in enumerate(q.coeffs[1:], start=k + 1):
+                a[j] -= a[k] * c
+        rems.append(a[s:])
+    r_num, r_term = rems
+    i = next((k for k, c in enumerate(r_term) if c), 0)
+    if not r_term[i] or r_num[i] % r_term[i]:
+        raise ReconstructionError(f"no integer exponent for factor {q}")
+    return r_num[i] // r_term[i]
+
+
 def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduct:
-    """Invert S = num/den (den(0)=1, den squarefree) to the canonical product
-    Z with z (log Z)' = S.  Exponents are solved by exact linear algebra and
-    must come out integral; the result is verified by cross-multiplication.
+    """Invert S = num/den (den(0)=1, den squarefree, both integral) to the
+    canonical product Z with z (log Z)' = S, in integers.  Each factor q_i of
+    den has the term z q_i' (den / q_i); every other term is divisible by
+    q_i, so its exponent is read from num = e_i z q_i' (den / q_i) mod q_i.
+    The result is verified by cross-multiplication, the only arbiter.
 
     `hints` may carry primitive irreducible integer polynomials known to
     divide den (e.g. factors of det(I - z Lambda^j D)); den must then factor
@@ -264,39 +270,23 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
         raise ReconstructionError("denominator must satisfy den(0) = 1")
     if num.is_zero():
         return RatFuncProduct.one()
-    den_int, content = den.to_int()
-    if content * Fraction(den_int.constant()) != 1:
-        raise ReconstructionError("denominator is not an integer polynomial with den(0) = 1")
-    factors = factor_with_hints(den_int, hints)
+    if any(c.denominator != 1 for c in num.coeffs + den.coeffs):
+        raise ReconstructionError("the series is not a quotient of integer polynomials")
+    num, den = IntPoly(num.coeffs), IntPoly(den.coeffs)
+    factors = factor_with_hints(den, hints)
     if any(m > 1 for _, m in factors):
         raise ReconstructionError("denominator is not squarefree")
-    qs = [normalize_factor(q) for q, _ in factors]
-    # solve sum_i e_i * z q_i' * (den / q_i) = num
-    d = den.degree
-    # basis[q] = z q' * (den // q), formed once per factor for the solve and
-    # the verification
-    basis = {}
-    cols = []
-    for q in qs:
-        qq = q.to_qpoly()
-        col = basis[q] = qq.derivative().shift_mul_x() * (den // qq)
-        cols.append([col[k] for k in range(1, d + 1)])
-    rhs = QMatrix([[num[k]] for k in range(1, d + 1)])
-    mat = QMatrix([[cols[j][k] for j in range(len(qs))] for k in range(d)])
-    sol = mat.solve_columns(rhs)
-    if sol is None:
-        raise ReconstructionError("log-derivative system is inconsistent")
-    exps = []
-    for i in range(len(qs)):
-        e = sol[i, 0]
-        if e.denominator != 1:
-            raise ReconstructionError(f"non-integer exponent {e} for factor {qs[i]}")
-        exps.append(int(e))
-    result = RatFuncProduct.from_irreducibles(zip(qs, exps))
+    # z q' (den / q) per factor, for the read and the check
+    terms = {
+        q: IntPoly([i * c for i, c in enumerate(q.coeffs)]) * exact_quotient(den, q)
+        for q in (normalize_factor(q) for q, _ in factors)
+    }
+    result = RatFuncProduct.from_irreducibles((q, _exponent_at(num, t, q)) for q, t in terms.items())
     # verify: z (log result)' == num/den exactly
-    check_num = QPoly()
+    check = [0] * (den.degree + 1)
     for q, e in result.factors:
-        check_num = check_num + e * basis[q]
-    if check_num != num:
+        for k, c in enumerate(terms[q].coeffs):
+            check[k] += e * c
+    if IntPoly(check) != num:
         raise ReconstructionError("reconstructed product does not match the series")
     return result

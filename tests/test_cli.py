@@ -151,6 +151,12 @@ def test_verify_tables_zero_samples(capsys):
     assert "vacuous" in out
 
 
+def test_verify_tables_negative_samples(capsys):
+    code, out, err = run(capsys, "verify-tables", "--samples", "-1")
+    assert code == 3
+    assert out == "" and "--samples" in err
+
+
 def test_corpus_env_override(tmp_path, capsys, monkeypatch):
     import infranil.selfmaps as sm
 

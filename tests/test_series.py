@@ -8,11 +8,28 @@ from infranil.polynomials import IntPoly, QPoly
 from infranil.series import (
     RatFuncProduct,
     berlekamp_massey_q,
-    expand_ratfunc,
     exponents_from_logderiv,
     rfp_equal,
     rfp_transform,
 )
+
+
+def expand_ratfunc(num: QPoly, den: QPoly, nterms: int):
+    """Coefficients c_1..c_nterms of num/den as a power series (den(0) != 0):
+    the Fraction oracle for the integer check of `berlekamp_massey_q`."""
+    if den.is_zero() or den[0] == 0:
+        raise ReconstructionError("series expansion needs den(0) != 0")
+    inv0 = Fraction(1) / den[0]
+    out = []
+    prev = []  # c_0..c_{k-1}
+    c0 = num[0] * inv0
+    prev.append(c0)
+    for k in range(1, nterms + 1):
+        ck = num[k] - sum(den[i] * prev[k - i] for i in range(1, min(k, den.degree) + 1))
+        ck *= inv0
+        prev.append(ck)
+        out.append(ck)
+    return out
 
 
 def geometric_sum(terms, n):
