@@ -27,7 +27,7 @@ from importlib import resources
 
 from .errors import CatalogError, ConstraintError
 from .exprs import eval_rational, parse_rational
-from .matrices import QMatrix, exterior_power, integer_form
+from .matrices import QMatrix, exterior_integer_form, integer_form
 
 HOLONOMY_CAP = 48
 HOLONOMY_CACHE_SIZE = 256
@@ -175,15 +175,11 @@ class HolonomyGroup:
     @cached_property
     def exterior_powers(self) -> tuple:
         """exterior_powers[j] = integer_form of Lambda^j of every element, for
-        j = 0..dim: formed once per group and shared by every candidate on it
-        (ints take far less memory than Fractions in the holonomy cache).
-        Lambda^1 is the element itself, so j = 1 is `integer_elements`."""
+        j = 0..dim, from the integer minors of `integer_elements`: formed
+        once per group and shared by every candidate on it (ints take far
+        less memory than Fractions in the holonomy cache)."""
         n = self.elements[0].nrows
-        return tuple(
-            self.integer_elements if j == 1
-            else integer_form([exterior_power(a, j) for a in self.elements])
-            for j in range(n + 1)
-        )
+        return tuple(exterior_integer_form(self.integer_elements, j) for j in range(n + 1))
 
     @cached_property
     def _averages(self) -> dict:

@@ -13,14 +13,15 @@ Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
     det(I - A D^k) = sum_{j=0..n} (-1)^j tr(Lambda^j A . E_j^k),  E_j = Lambda^j D,
 
 and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
-of order C(n, j).  `exterior_data` forms the spectrum of D, each E_j, its
-charpoly and the factors of det(I - z E_j) once per candidate, factoring
-charpoly(D) only once; the first C(n, j) powers of E_j
-are shared by every holonomy element, every later term costs C(n, j)
-multiplications per element, and Lambda^j A is formed once per holonomy
-group.  The traces run in integers (Lambda^j A and E_j scaled by their
-common denominators), and a table row is (den, nums): the entries' integer
-numerators over one positive denominator, so L and N are integer sums.
+of order C(n, j).  `exterior_data` forms the spectrum of D and, once per
+candidate, each E_j in integer form (the integer minors of D's integer
+form), det(I - z q_j E_j) with q_j its common denominator, and on first
+read the factors of det(I - z E_j), factoring charpoly(D) only once; the
+first C(n, j) powers of E_j are shared by every holonomy element, every
+later term costs C(n, j) multiplications per element, and Lambda^j A is
+formed once per holonomy group.  The traces run in integers, and a table
+row is (den, nums): the entries' integer numerators over one positive
+denominator, so L and N are integer sums.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
 
@@ -37,12 +38,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import comb, isqrt, lcm
 from operator import mul
 
 from .catalog import HolonomyGroup, holonomy
 from .errors import InfranilError, InvalidCandidateError
-from .matrices import QMatrix, charpoly, exterior_power, flat_product, integer_form
+from .matrices import (
+    QMatrix,
+    charpoly,
+    exterior_integer_form,
+    flat_det,
+    flat_product,
+    integer_form,
+    scaled_det_one_minus_z,
+)
 from .numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from .polynomials import (
     IntPoly,
@@ -54,9 +63,11 @@ from .polynomials import (
 )
 from .selfmaps import MapCandidate
 
-# Exercised only if a mixed-modulus irreducible cubic ever shows up for a
-# candidate with nontrivial holonomy; none of the catalog families produce
-# one, so a nonzero count is worth investigating.
+# Counts the `positive_part` calls that run over Q(theta) because an
+# irreducible cubic factor of the spectrum has roots on both sides of the
+# unit circle.  Trivial holonomy counts too (random torus-3 maps hit it);
+# no catalog family with nontrivial holonomy produces one, so a count from
+# such a family is worth investigating.
 MIXED_CUBIC_COUNTER = 0
 
 INSIDE = "(-1,1)"
@@ -189,21 +200,23 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
 
 @dataclass(frozen=True)
 class ExteriorData:
-    """E_j = Lambda^j D and charpoly(E_j) for j = 0..n, with the exact
-    spectrum of D = E_1, formed once per candidate by `exterior_data`."""
+    """Lambda^j D for j = 0..n in integer form, with det(I - z q_j Lambda^j D)
+    and the exact spectrum of D, formed once per candidate by
+    `exterior_data`.  forms[j] = (q_j, flat_j): Lambda^j D = flat_j / q_j,
+    flat_j row-major ints; det_polys[j] = det(I - z flat_j), an IntPoly."""
 
-    powers: tuple
-    charpolys: tuple
+    forms: tuple
+    det_polys: tuple
     spectrum: EigenClass
 
     @cached_property
     def factors(self) -> tuple:
         """factors[j]: the factors, as `factor_over_q` gives them, of
-        det(I - z E_j), the reversed charpoly.  Formed on first read, so a
-        caller that needs only the determinant table factors nothing.  For
-        j = 1 they are the spectrum's factors of charpoly(D) reversed, less
-        the factors x of its zero eigenvalues, so charpoly(D) is factored
-        once."""
+        det(I - z Lambda^j D) = det_polys[j](z / q_j).  Formed on first read,
+        so a caller that needs only the determinant table factors nothing.
+        For j = 1 they are the spectrum's factors of charpoly(D) reversed,
+        less the factors x of its zero eigenvalues, so charpoly(D) is
+        factored once."""
         out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
         reversed_d = []
         for q, mult in self.spectrum.factors:
@@ -211,39 +224,50 @@ class ExteriorData:
                 sign = 1 if q.constant() > 0 else -1
                 reversed_d.append((IntPoly([sign * c for c in reversed(q.coeffs)]), mult))
         out.append(tuple(sorted(reversed_d, key=lambda fm: fm[0].sort_key())))
-        for cp in self.charpolys[2:]:
-            det_poly = QPoly(cp.coeffs[::-1])
-            out.append(tuple(factor_over_q(det_poly)) if det_poly.degree > 0 else ())
+        for (den, _), poly in zip(self.forms[2:], self.det_polys[2:]):
+            d = poly.degree  # den^d poly(z / den) is det(I - z Lambda^j D) up to a constant
+            scaled = IntPoly([c * den ** (d - t) for t, c in enumerate(poly.coeffs)])
+            out.append(tuple(factor_over_q(scaled)) if d > 0 else ())
         return tuple(out)
 
 
 def exterior_data(dstar: QMatrix) -> ExteriorData:
     """The exterior data of a candidate's linear part: the spectrum,
-    `det_table`, the factor hints and the closed form all read it."""
+    `det_table`, the factor hints and the closed form all read it.  Each
+    Lambda^j D is the integer minors of D's integer form; det_polys[1] is
+    read off the spectrum's charpoly(D), the others come from
+    Faddeev-LeVerrier."""
     spectrum = eigen_classify(dstar)
-    powers = [QMatrix([[1]]), dstar]  # Lambda^0 D = [1], Lambda^1 D = D
-    charpolys = [QPoly([-1, 1]), spectrum.charpoly]
-    for j in range(2, dstar.nrows + 1):
-        powers.append(exterior_power(dstar, j))
-        charpolys.append(charpoly(powers[j]))
-    return ExteriorData(tuple(powers), tuple(charpolys), spectrum)
+    n, cp = dstar.nrows, spectrum.charpoly
+    form = integer_form([dstar])
+    forms, det_polys = [], []
+    for j in range(n + 1):
+        q, (flat,) = exterior_integer_form(form, j)
+        forms.append((q, flat))
+        det_polys.append(
+            IntPoly([cp[n - t] * q ** t for t in range(n + 1)]) if j == 1
+            else scaled_det_one_minus_z(flat, comb(n, j), 1)
+        )
+    return ExteriorData(tuple(forms), tuple(det_polys), spectrum)
 
 
-def _trace_sequences(blocks, e: QMatrix, cp: QPoly, kmax: int):
+def _trace_sequences(blocks, form, det_poly: IntPoly, kmax: int):
     """(r, q, seqs) with seqs[i][k] = r q^k tr(B_i . e^k), an integer, for
-    k = 0..kmax, where blocks = (r, flats) is the integer form of the B_i, cp
-    is charpoly(e) and q clears the denominators of e.  The first m = dim(e)
-    terms come from explicit powers of e, the rest from the recurrence of
-    charpoly(q e) (Cayley-Hamilton: (qe)^k charpoly(qe) = 0 for every k >= 0)."""
+    k = 0..kmax, where blocks = (r, flats) is the integer form of the B_i,
+    form = (q, qe) that of e and det_poly = det(I - z qe).  The first
+    m = dim(e) terms come from explicit powers of qe, the rest from the
+    recurrence of charpoly(qe) (Cayley-Hamilton: (qe)^k charpoly(qe) = 0 for
+    every k >= 0)."""
     r, flats = blocks
-    m = e.nrows
-    q, (qe,) = integer_form([e])
+    q, qe = form
+    m = isqrt(len(qe))
     # (q e)^T and its powers, row-major: tr(B . (qe)^p) is a dot product
     qe_t = tuple(qe[j * m + i] for i in range(m) for j in range(m))
     powers_t = [tuple(int(i == j) for i in range(m) for j in range(m))]
     for _ in range(1, min(m, kmax + 1)):
         powers_t.append(flat_product(powers_t[-1], qe_t, m))
-    rec = [-int(cp[i] * q ** (m - i)) for i in range(m)]
+    coeffs = det_poly.coeffs + (0,) * (m + 1 - len(det_poly.coeffs))
+    rec = [-coeffs[m - i] for i in range(m)]
     seqs = []
     for flat in flats:
         s = [sum(map(mul, flat, pt)) for pt in powers_t]
@@ -258,8 +282,8 @@ def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
     k = 1..kmax, den > 0 and nums ints, where ext is `exterior_data(D)`, by
     the exterior-power trace recurrences of the module docstring."""
     terms = [
-        _trace_sequences(group.exterior_powers[j], ext.powers[j], ext.charpolys[j], kmax)
-        for j in range(1, len(ext.powers))
+        _trace_sequences(group.exterior_powers[j], ext.forms[j], ext.det_polys[j], kmax)
+        for j in range(1, len(ext.forms))
     ]
     out = []
     for k in range(1, kmax + 1):
@@ -275,12 +299,11 @@ def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
 
 def _direct_row(candidate: MapCandidate, k: int):
     """The `det_table` row for one k, from D^k by binary powering and direct
-    determinants."""
-    ident = QMatrix.identity(candidate.entry.dim)
-    power = candidate.dstar.power(k)
-    dets = [(ident - a * power).det() for a in holonomy(candidate.entry).elements]
-    den = lcm(*(v.denominator for v in dets))
-    return den, tuple(v.numerator * (den // v.denominator) for v in dets)
+    integer determinants."""
+    n = candidate.entry.dim
+    ident, power = QMatrix.identity(n), candidate.dstar.power(k)
+    q, flats = integer_form([ident - a * power for a in holonomy(candidate.entry).elements])
+    return q ** n, tuple(flat_det(flat, n) for flat in flats)
 
 
 def _average(total: int, count: int, what: str) -> int:

@@ -1,8 +1,12 @@
 """Dense exact rational matrices and the operations the engine needs:
 determinants, characteristic polynomials, exterior powers, kernels.
 
-Sizes stay tiny (n <= 8), so plain Gaussian elimination over Fraction is
-exact and fast enough; characteristic polynomials are formed in integers.
+Sizes stay tiny, so determinants, minors and characteristic polynomials
+are formed in integers, on a matrix's integer form (its entries over their
+least common denominator): a determinant by cofactor expansion, Lambda^j
+from the j x j minors, a characteristic polynomial by Faddeev-LeVerrier.
+Kernels, solves and inverses share one reduced row echelon routine, `rref`,
+which takes Fraction or number-field (NFElem) entries alike.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .errors import InfranilError
@@ -118,89 +122,28 @@ class QMatrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise InfranilError("determinant of a non-square matrix")
-        n = self.nrows
-        m = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    factor = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= factor * m[col][c]
-        return det
-
-    def rref(self):
-        """Reduced row echelon form; returns (matrix rows as lists, pivot cols)."""
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        row = 0
-        for col in range(nc):
-            if row == nr:
-                break
-            pivot = next((r for r in range(row, nr) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            inv = 1 / m[row][col]
-            m[row] = [v * inv for v in m[row]]
-            for r in range(nr):
-                if r != row and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-        return m, pivots
+        q, (flat,) = integer_form([self])
+        return Fraction(flat_det(flat, self.nrows), q ** self.nrows)
 
     def kernel(self) -> list:
         """Basis of the right null space, as a list of coordinate tuples."""
-        m, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                vec[p] = -m[r][f]
-            basis.append(tuple(vec))
-        return basis
+        return [tuple(v) for v in kernel_rows(self.rows, Fraction(0), Fraction(1))]
 
     def inverse(self) -> "QMatrix":
         if not self.is_square():
             raise InfranilError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = QMatrix([list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)])
-        m, pivots = aug.rref()
-        if pivots != list(range(n)):
+        inv = self.solve_columns(QMatrix.identity(self.nrows))
+        if inv is None:
             raise InfranilError("matrix is singular")
-        return QMatrix([row[n:] for row in m])
+        return inv
 
     def solve_columns(self, rhs: "QMatrix"):
         """Solve self @ X = rhs, returning X, or None when inconsistent.
         self need not be square; the solution must be exact."""
-        n, c = self.nrows, self.ncols
-        if rhs.nrows != n:
+        if rhs.nrows != self.nrows:
             raise InfranilError("shape mismatch in solve")
-        aug = QMatrix([list(self.rows[i]) + list(rhs.rows[i]) for i in range(n)])
-        m, pivots = aug.rref()
-        pivots = [p for p in pivots if p < c]
-        # inconsistent if a pivot lands in the rhs block
-        for row in m:
-            if all(v == 0 for v in row[:c]) and any(v != 0 for v in row[c:]):
-                return None
-        x = [[Fraction(0)] * rhs.ncols for _ in range(c)]
-        for r, p in enumerate(pivots):
-            for j in range(rhs.ncols):
-                x[p][j] = m[r][c + j]
-        return QMatrix(x)
+        x = solve_rows(self.rows, rhs.rows, Fraction(0))
+        return None if x is None else QMatrix(x)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows)
@@ -243,12 +186,45 @@ def exterior_power(M: QMatrix, j: int) -> QMatrix:
     n = M.nrows
     if j < 0 or j > n:
         raise InfranilError(f"exterior power index {j} out of range 0..{n}")
-    if j == 0:
-        return QMatrix([[1]])
-    subsets = list(itertools.combinations(range(n), j))
-    return QMatrix(
-        [[M.submatrix(ri, ci).det() for ci in subsets] for ri in subsets]
+    q, (flat,) = integer_form([M])
+    minors, m = exterior_form(flat, n, j), comb(n, j)
+    return QMatrix([[Fraction(v, q ** j) for v in minors[i * m:(i + 1) * m]] for i in range(m)])
+
+
+def flat_det(flat, n: int) -> int:
+    """Determinant of the n x n integer matrix given row-major as `flat`, by
+    cofactor expansion along the first row."""
+    if n == 2:
+        return flat[0] * flat[3] - flat[1] * flat[2]
+    if n == 0:
+        return 1
+    return sum(
+        (-1) ** c * flat[c]
+        * flat_det([flat[r * n + k] for r in range(1, n) for k in range(n) if k != c], n - 1)
+        for c in range(n) if flat[c]
     )
+
+
+def exterior_form(flat, n: int, j: int) -> tuple:
+    """Lambda^j of the n x n integer matrix given row-major as `flat`: its
+    j x j minors, row-major, rows and columns indexed by lexicographic
+    j-subsets."""
+    subsets = list(itertools.combinations(range(n), j))
+    return tuple(
+        flat_det([flat[r * n + c] for r in rows for c in cols], j)
+        for rows in subsets for cols in subsets
+    )
+
+
+def exterior_integer_form(form, j: int) -> tuple:
+    """integer_form of Lambda^j of the matrices whose integer form is
+    form = (r, flats): Lambda^j (flat / r) = exterior_form(flat) / r^j,
+    reduced to the least common denominator."""
+    r, flats = form
+    n = isqrt(len(flats[0]))
+    minors = [exterior_form(flat, n, j) for flat in flats]
+    g = gcd(r ** j, *(v for m in minors for v in m))
+    return r ** j // g, tuple(tuple(v // g for v in m) for m in minors)
 
 
 def integer_form(mats) -> tuple:
@@ -265,6 +241,57 @@ def flat_product(a, b, n: int) -> tuple:
     """Row-major product of two n x n matrices given as flat int tuples."""
     cols = [b[j::n] for j in range(n)]
     return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
+
+
+def rref(rows):
+    """Reduced row echelon form over a field: rows is a list of lists of
+    Fraction or NFElem entries.  Returns (reduced rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(m[0])):
+        row = len(pivots)
+        if row == len(m):
+            break
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
+def kernel_rows(a, zero, one) -> list:
+    """Right null space basis of a (lists of lists over a field), as a list
+    of coordinate lists."""
+    m, pivots = rref(a)
+    basis = []
+    for f in range(len(a[0])):
+        if f in pivots:
+            continue
+        vec = [zero] * len(a[0])
+        vec[f] = one
+        for r, p in enumerate(pivots):
+            vec[p] = -m[r][f]
+        basis.append(vec)
+    return basis
+
+
+def solve_rows(a, rhs, zero):
+    """Solve A @ X = RHS over a field, lists of lists; None if inconsistent."""
+    c, w = len(a[0]), len(rhs[0])
+    m, pivots = rref([list(row) + list(b) for row, b in zip(a, rhs)])
+    if pivots and pivots[-1] >= c:  # a pivot in the rhs block
+        return None
+    x = [[zero] * w for _ in range(c)]
+    for r, p in enumerate(pivots):
+        x[p] = m[r][c:]
+    return x
 
 
 def det_one_minus_z(M: QMatrix) -> QPoly:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfranilError
+from .matrices import kernel_rows, solve_rows
 from .polynomials import IntPoly, QPoly, refine_root, sturm_count
 
 
@@ -166,74 +167,19 @@ def nf_sign(x: NFElem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over an arbitrary exact field (Fraction or NFElem entries).
+# Linear algebra over Q(theta) (NFElem entries; Fraction entries work too).
+# Solves and kernels run `matrices.rref`, the row reduction QMatrix uses.
 # ---------------------------------------------------------------------------
 
 
 def field_solve_columns(a, rhs, zero):
     """Solve A @ X = RHS over a field, lists-of-lists; None if inconsistent."""
-    n = len(a)
-    c = len(a[0])
-    w = len(rhs[0])
-    m = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(c):
-        if row == n:
-            break
-        pivot = next((r for r in range(row, n) if m[r][col] != zero), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col].inverse() if hasattr(m[row][col], "inverse") else 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != zero:
-                f = m[r][col]
-                m[r] = [u - f * v for u, v in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(n):
-        if all(m[r][j] == zero for j in range(c)) and any(m[r][c + j] != zero for j in range(w)):
-            return None
-    x = [[zero] * w for _ in range(c)]
-    for r, p in enumerate(pivots):
-        for j in range(w):
-            x[p][j] = m[r][c + j]
-    return x
+    return solve_rows(a, rhs, zero)
 
 
 def field_kernel(a, zero, one):
     """Right null space basis over a field, as a list of coordinate lists."""
-    n, c = len(a), len(a[0])
-    m = [list(row) for row in a]
-    pivots = []
-    row = 0
-    for col in range(c):
-        if row == n:
-            break
-        pivot = next((r for r in range(row, n) if m[r][col] != zero), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col].inverse() if hasattr(m[row][col], "inverse") else 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != zero:
-                f = m[r][col]
-                m[r] = [u - f * v for u, v in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    basis = []
-    for f in range(c):
-        if f in pivots:
-            continue
-        vec = [zero] * c
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = zero - m[r][f]
-        basis.append(vec)
-    return basis
+    return kernel_rows(a, zero, one)
 
 
 def field_det(a, zero):
@@ -251,7 +197,7 @@ def field_det(a, zero):
             flip = not flip
         p = m[col][col]
         pivots.append(p)
-        inv = p.inverse() if hasattr(p, "inverse") else 1 / p
+        inv = 1 / p
         for r in range(col + 1, n):
             if m[r][col] != zero:
                 f = m[r][col] * inv

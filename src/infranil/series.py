@@ -19,15 +19,15 @@ from math import gcd
 from operator import mul
 
 from .errors import ReconstructionError
-from .polynomials import IntPoly, QPoly, exact_quotient, factor_over_q
+from .polynomials import IntPoly, exact_quotient, factor_over_q
 
 
 def berlekamp_massey_q(seq, bound: int):
     """Minimal rational form of S(z) = sum_{k>=1} seq[k-1] z^k, in integers.
 
-    Returns (num, den) with den(0) = 1, deg num <= deg den <= bound, and the
-    expansion of num/den reproducing every supplied term (terms beyond the
-    2*bound+2 fitting window are held out).  The fit is fraction-free: an
+    Returns IntPolys (num, den) with den(0) = 1, deg num <= deg den <=
+    bound, and the expansion of num/den reproducing every supplied term
+    (terms beyond the 2*bound+2 fitting window are held out).  The fit is fraction-free: an
     update scales the connection polynomial by the old discrepancy instead of
     dividing by it, then divides out its content.  A rational power series
     with integer terms has an integral reduced denominator with den(0) = 1
@@ -68,7 +68,7 @@ def berlekamp_massey_q(seq, bound: int):
     conv = [sum(map(mul, den, s[k - 1 :: -1])) for k in range(1, len(s) + 1)]
     if any(conv[L:]):
         raise ReconstructionError("reconstructed series does not reproduce the data")
-    return QPoly([0] + conv[:L]), QPoly(den)
+    return IntPoly([0] + conv[:L]), IntPoly(den)
 
 
 def normalize_factor(q: IntPoly) -> IntPoly:
@@ -255,8 +255,8 @@ def _exponent_at(num: IntPoly, term: IntPoly, q: IntPoly) -> int:
     return r_num[i] // r_term[i]
 
 
-def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduct:
-    """Invert S = num/den (den(0)=1, den squarefree, both integral) to the
+def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncProduct:
+    """Invert S = num/den (den(0)=1, den squarefree) to the
     canonical product Z with z (log Z)' = S, in integers.  Each factor q_i of
     den has the term z q_i' (den / q_i); every other term is divisible by
     q_i, so its exponent is read from num = e_i z q_i' (den / q_i) mod q_i.
@@ -266,13 +266,10 @@ def exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduc
     divide den (e.g. factors of det(I - z Lambda^j D)); den must then factor
     over them, and no factorization over Q is done.
     """
-    if den.is_zero() or den[0] != 1:
+    if den.constant() != 1:
         raise ReconstructionError("denominator must satisfy den(0) = 1")
     if num.is_zero():
         return RatFuncProduct.one()
-    if any(c.denominator != 1 for c in num.coeffs + den.coeffs):
-        raise ReconstructionError("the series is not a quotient of integer polynomials")
-    num, den = IntPoly(num.coeffs), IntPoly(den.coeffs)
     factors = factor_with_hints(den, hints)
     if any(m > 1 for _, m in factors):
         raise ReconstructionError("denominator is not squarefree")

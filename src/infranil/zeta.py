@@ -27,6 +27,7 @@ of the determinant table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import RouteMismatchError
 from .fixedpoint import (
@@ -44,7 +45,6 @@ from .matrices import (
     det_one_minus_z,
     exterior_power,
     flat_product,
-    integer_form,
     scaled_det_one_minus_z,
 )
 from .series import (
@@ -101,10 +101,9 @@ def _averaged_closed_form(ext: ExteriorData, averages) -> RatFuncProduct:
     so each determinant factors over ext.factors[j] by trial division; where
     P_j = I (every j on trivial holonomy), ext.factors[j] is its factorization."""
     pairs = []
-    for j, ((den, avg), power, factors) in enumerate(zip(averages, ext.powers, ext.factors)):
-        m = power.nrows
+    for j, ((den, avg), (q, flat), factors) in enumerate(zip(averages, ext.forms, ext.factors)):
+        m = isqrt(len(flat))
         if avg != tuple(den * (r == c) for r in range(m) for c in range(m)):
-            q, (flat,) = integer_form([power])
             det_poly = scaled_det_one_minus_z(flat_product(avg, flat, m), m, den * q)
             factors = factor_with_hints(det_poly, [h for h, _ in factors])
         pairs += [(normalize_factor(h), mult * (-1) ** (j + 1)) for h, mult in factors]

@@ -129,3 +129,96 @@ def test_charpoly_rejects_non_square():
 def test_exterior_power_range():
     with pytest.raises(InfranilError):
         exterior_power(QMatrix.identity(2), 3)
+
+
+def sympy_matrix(rows):
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+def to_fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+def rand_rational_rows(rng, nrows, ncols, shape):
+    """Random rows with denominators 1, 2, 3, 6; `shape` "singular" makes the
+    last row a combination of the others, "zero-row" zeroes one row."""
+    rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if shape == "singular" and nrows > 1:
+        a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[rng.randrange(nrows - 1)])]
+    elif shape == "zero-row" or shape == "singular":
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def test_det_and_exterior_power_match_sympy():
+    """QMatrix.det and every exterior_power(M, j) against sympy's
+    determinant and j x j minors, n = 1..4: random, singular and zero-row
+    rational matrices."""
+    import itertools
+
+    rng = random.Random(31)
+    singular = 0
+    for n in range(1, 5):
+        for shape in ("random", "singular", "zero-row") * 4:
+            rows = rand_rational_rows(rng, n, n, shape)
+            m, sm = QMatrix(rows), sympy_matrix(rows)
+            assert m.det() == to_fraction(sm.det()), rows
+            singular += m.det() == 0
+            for j in range(n + 1):
+                subsets = list(itertools.combinations(range(n), j))
+                want = [[to_fraction(sm.extract(list(r), list(c)).det()) if j else Fraction(1)
+                         for c in subsets] for r in subsets]
+                assert exterior_power(m, j) == QMatrix(want), (rows, j)
+    assert singular >= 24
+
+
+def test_row_reduction_matches_sympy():
+    """kernel, solve_columns and inverse (the shared row reduction) against
+    sympy's rank on random rational systems of every shape up to 4 x 5,
+    and the numberfield entry points against the QMatrix ones on the same
+    Fraction input."""
+    from infranil.numberfield import field_kernel, field_solve_columns
+
+    rng = random.Random(37)
+    zero, one = Fraction(0), Fraction(1)
+    inconsistent = consistent = singular = 0
+    for nrows in range(1, 5):
+        for ncols in range(1, 6):
+            for shape in ("random", "singular", "zero-row") * 3:
+                rows = rand_rational_rows(rng, nrows, ncols, shape)
+                m, sm = QMatrix(rows), sympy_matrix(rows)
+                rank = sm.rank()
+                basis = m.kernel()
+                assert len(basis) == ncols - rank, rows
+                assert all(v == zero for vec in basis for v in m.apply(vec)), rows
+                if basis:
+                    assert sympy_matrix(basis).rank() == len(basis), rows
+                assert field_kernel([list(r) for r in rows], zero, one) == [list(v) for v in basis]
+                width = rng.randint(1, 3)
+                rhs = QMatrix(rand_rational_rows(rng, nrows, width, "random"))
+                if rng.random() < 0.5:  # a right-hand side in the column space
+                    rhs = m * QMatrix(rand_rational_rows(rng, ncols, width, "random"))
+                sol = m.solve_columns(rhs)
+                solvable = sm.row_join(sympy_matrix(rhs.rows)).rank() == rank
+                assert (sol is not None) == solvable, (rows, rhs)
+                if sol is not None:
+                    assert m * sol == rhs
+                consistent += solvable
+                inconsistent += not solvable
+                field_sol = field_solve_columns(
+                    [list(r) for r in rows], [list(r) for r in rhs.rows], zero
+                )
+                assert field_sol == (None if sol is None else [list(r) for r in sol.rows])
+                if nrows == ncols:
+                    if rank < nrows:
+                        singular += 1
+                        with pytest.raises(InfranilError, match="singular"):
+                            m.inverse()
+                    else:
+                        assert m.inverse() == QMatrix([[to_fraction(v) for v in row]
+                                                       for row in sm.inv().tolist()])
+    assert min(inconsistent, consistent, singular) >= 10

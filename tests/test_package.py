@@ -12,3 +12,26 @@ def test_removed_zeta_entry_points_stay_gone():
     for name in ("lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural"):
         assert name not in infranil.__all__
         assert not hasattr(infranil, name) and not hasattr(infranil.zeta, name)
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    """Every (module, function) the benchmark's tracer wraps exists on the
+    package, and so does the counter it reads: moving library code must not
+    silently break `bench/run.py --trace 1`."""
+    import importlib
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    missing = [
+        (mod, fn) for mod, fn in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"infranil.{mod}"), fn, None))
+    ]
+    assert missing == []
+    assert set(spans.FIELD_OPS) <= {f"{mod}.{fn}" for mod, fn in spans.TARGETS}
+    assert isinstance(infranil.fixedpoint.MIXED_CUBIC_COUNTER, int)

@@ -201,11 +201,11 @@ def ref_eigen_classify(dstar: QMatrix) -> EigenClass:
 # ---------------------------------------------------------------------------
 
 
-def ref_exponents_from_logderiv(num: QPoly, den: QPoly, hints=None) -> RatFuncProduct:
+def ref_exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncProduct:
     if num.is_zero():
         return RatFuncProduct.one()
-    den_int, _ = den.to_int()
-    factors = factor_with_hints(den_int, hints)
+    factors = factor_with_hints(den, hints)
+    num, den = num.to_qpoly(), den.to_qpoly()
     assert all(m == 1 for _, m in factors)
     qs = [normalize_factor(q) for q, _ in factors]
     d = den.degree

@@ -224,8 +224,9 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
         compute_zeta(cand)
 
 
-def averaged_matrix(average) -> QMatrix:
-    den, flat = average
+def form_matrix(form) -> QMatrix:
+    """The matrix flat / den of an integer form (den, flat), flat row-major."""
+    den, flat = form
     m = round(len(flat) ** 0.5)
     return QMatrix([[F(v, den) for v in flat[i * m:(i + 1) * m]] for i in range(m)])
 
@@ -251,8 +252,9 @@ def test_averages_intertwine_exterior_powers_on_corpus():
             ext = exterior_data(cand.dstar)
             full = group.exterior_averages()
             sub = group.exterior_averages(sorted(image))
-            for j, power in enumerate(ext.powers):
-                p, p_image = averaged_matrix(full[j]), averaged_matrix(sub[j])
+            for j, form in enumerate(ext.forms):
+                power = form_matrix(form)
+                p, p_image = form_matrix(full[j]), form_matrix(sub[j])
                 assert power * p == p_image * power, (spec.label, params, j)
             checked += 1
     assert checked == 264
@@ -340,7 +342,7 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("manifold", ["flat3-8", "heis-I"])
+@pytest.mark.parametrize("manifold", ["flat3-8", "heis-I", "torus-3"])
 def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     from infranil.matrices import charpoly, det_one_minus_z, exterior_power
     from infranil.selfmaps import family_instantiate, load_corpus, sample_params
@@ -355,9 +357,10 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
         monkeypatch, ["matrices.charpoly", "matrices.exterior_power", "polynomials.factor_over_q"]
     )
     compute_zeta(cand)
-    assert len(calls["matrices.charpoly"]) <= dim + 1
-    powers = calls["matrices.exterior_power"]
-    assert len(powers) == len(set(j for _, j in powers)) <= dim + 1, powers
+    # charpoly(D) once, for the spectrum; every Lambda^j D is formed from the
+    # integer minors of D, never through the QMatrix exterior_power
+    assert len(calls["matrices.charpoly"]) == 1
+    assert calls["matrices.exterior_power"] == []
     # each det(I - z Lambda^j D) is factored at most once per j, and j = 1
     # not at all: its factors are derived from eigen_classify's of charpoly(D)
     factored = [
