@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import CatalogError, ConstraintError
 from .exprs import eval_rational, parse_rational
@@ -124,19 +125,27 @@ def lattice_member(elem: AffineElement) -> bool:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A group presentation: generators as embedded affine elements."""
+    """A group presentation: generators as embedded affine elements.  Every
+    field is read-only (`params` too), so one entry can serve every caller."""
 
     id: str
     dim: int
     model: str
     generators: tuple
     holonomy_order: int
-    params: dict
+    params: MappingProxyType
     notes: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @property
     def k(self):
         return self.params.get("k")
+
+    @cached_property
+    def holonomy_group(self) -> "HolonomyGroup":
+        return _close_holonomy(self.id, self.generators)
 
     def lattice(self, coords) -> AffineElement:
         return lattice_element(self.model, self.dim, coords, self.k)
@@ -242,15 +251,13 @@ def holonomy(entry: CatalogEntry) -> HolonomyGroup:
     """Closure of the generators' differentials, with coset representatives
     found by breadth-first products of the catalog generators.
 
-    The group depends only on the generators, so it is memoized on
-    (id, generators) in a bounded LRU cache (`CatalogEntry` itself is
-    unhashable: its params are a dict).  Every caller gets the same
-    immutable group object."""
-    return _holonomy(entry.id, entry.generators)
+    The group is computed once per entry, on first use, and carried by it.
+    `catalog_lookup` returns one shared, immutable entry per (id, parameter
+    values), so every caller of the same lookup gets the same group object."""
+    return entry.holonomy_group
 
 
-@lru_cache(maxsize=HOLONOMY_CACHE_SIZE)
-def _holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
+def _close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
     first = generators[0]
     ident = QMatrix.identity(first.dim)
     elements = [ident]
@@ -288,20 +295,10 @@ def _holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
 # ---------------------------------------------------------------------------
 
 
-def _load_raw_catalog() -> dict:
-    with resources.files("infranil.data").joinpath("catalog.json").open() as fh:
-        return json.load(fh)
-
-
-_RAW = None
-
-
+@cache
 def _raw_catalog() -> dict:
-    global _RAW
-    if _RAW is None:
-        data = _load_raw_catalog()
-        _RAW = {entry["id"]: entry for entry in data["entries"]}
-    return _RAW
+    with resources.files("infranil.data").joinpath("catalog.json").open() as fh:
+        return {entry["id"]: entry for entry in json.load(fh)["entries"]}
 
 
 def catalog_ids():
@@ -324,7 +321,9 @@ def _check_param_spec(spec: dict, value: Fraction, entry_id: str):
 
 def catalog_lookup(entry_id: str, params=None) -> CatalogEntry:
     """Instantiate a catalog entry; Heisenberg types need their lattice
-    parameter k, checked against the type's congruence constraint."""
+    parameter k, checked against the type's congruence constraint.  The
+    parameters are checked on every call; the entry is shared, one per (id,
+    parameter values) in a bounded LRU cache, and carries its holonomy group."""
     raw = _raw_catalog().get(entry_id)
     if raw is None:
         raise CatalogError(f"unknown catalog id {entry_id!r}")
@@ -339,6 +338,12 @@ def catalog_lookup(entry_id: str, params=None) -> CatalogEntry:
     extra = set(params) - set(resolved)
     if extra:
         raise ConstraintError(f"{entry_id}: unknown parameters {sorted(extra)}")
+    return _catalog_entry(entry_id, tuple(resolved.items()))
+
+
+@lru_cache(maxsize=HOLONOMY_CACHE_SIZE)
+def _catalog_entry(entry_id: str, resolved: tuple) -> CatalogEntry:
+    raw = _raw_catalog()[entry_id]
     env = dict(resolved)
     model = raw["model"]
     dim = raw["dim"]
@@ -360,6 +365,6 @@ def catalog_lookup(entry_id: str, params=None) -> CatalogEntry:
         model=model,
         generators=tuple(gens),
         holonomy_order=raw["holonomy_order"],
-        params=resolved,
+        params=env,
         notes=raw.get("notes", ""),
     )

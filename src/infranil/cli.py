@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .catalog import catalog_ids, catalog_lookup
 from .errors import (
@@ -230,7 +231,9 @@ def cmd_verify_tables(args) -> int:
     return EXIT_OK if not failures else EXIT_CORPUS
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; `parse_args` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="zeta",
         description="Exact Nielsen/Lefschetz numbers and zeta functions for "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .errors import ConstraintError
 
@@ -111,10 +112,15 @@ def _eval_node(node, env):
     raise ConstraintError(f"unsupported expression node {type(node).__name__}")
 
 
+# Syntax trees are parsed once per text (the data files hold a few hundred) and
+# never mutated; a SyntaxError is not cached, so every call raises it again.
+_parse = lru_cache(maxsize=1024)(partial(ast.parse, mode="eval"))
+
+
 def eval_expr(text: str, env: dict):
     """Evaluate an expression string to a Fraction or bool, exactly."""
     try:
-        tree = ast.parse(text, mode="eval")
+        tree = _parse(text)
     except SyntaxError as exc:
         raise ConstraintError(f"bad expression {text!r}: {exc}") from exc
     return _eval_node(tree, env)

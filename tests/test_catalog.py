@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from infranil.catalog import (
+    CatalogEntry,
     abelian_embed,
     catalog_ids,
     catalog_lookup,
@@ -238,8 +239,57 @@ def test_holonomy_memoized_per_id_and_params():
     assert [r.k for r in x2.representatives] == [2] * x2.order
     assert [r.k for r in x4.representatives] == [4] * x4.order
     assert x2.representatives != x4.representatives
-    maxsize = catalog._holonomy.cache_info().maxsize
+    maxsize = catalog._catalog_entry.cache_info().maxsize
     assert maxsize is not None and maxsize == catalog.HOLONOMY_CACHE_SIZE > 0
+
+
+def test_shared_entries_are_immutable():
+    entry = catalog_lookup("heis-I", {"k": 2})
+    with pytest.raises(TypeError):
+        entry.params["k"] = Fraction(4)
+    with pytest.raises(TypeError):
+        del entry.params["k"]
+    assert entry.k == 2 and dict(entry.params) == {"k": 2}
+    hand_built = CatalogEntry("x", 1, "abelian", (), 1, {"a": 1})
+    with pytest.raises(TypeError):
+        hand_built.params["a"] = 2
+
+
+def test_lookup_shares_one_entry_per_parsed_params():
+    entry = catalog_lookup("heis-I", {"k": "2"})
+    assert catalog_lookup("heis-I", {"k": 2}) is entry
+    assert catalog_lookup("heis-I", {"k": Fraction(2)}) is entry
+    assert catalog_lookup("heis-I", {"k": " 4/2 "}) is entry
+    assert catalog_lookup("heis-I", {"k": 3}) is not entry
+    assert catalog_lookup("torus-3") is catalog_lookup("torus-3", {})
+    assert holonomy(entry) is holonomy(catalog_lookup("heis-I", {"k": "2"}))
+
+
+def test_lookup_errors_raise_on_every_call():
+    bad = [
+        ("heis-I", {"k": "1/2"}, ConstraintError, "must be an integer"),
+        ("heis-I", {"k": 0}, ConstraintError, "must be >= 1"),
+        ("heis-I-bogus", {"k": 2}, CatalogError, "unknown catalog id"),
+        ("heis-I", {"k": 2, "q": 1}, ConstraintError, "unknown parameters"),
+    ]
+    for _ in range(2):
+        for entry_id, params, error, message in bad:
+            with pytest.raises(error, match=message):
+                catalog_lookup(entry_id, params)
+        assert catalog_lookup("heis-I", {"k": 2}).k == 2
+
+
+def test_holonomy_of_hand_built_entry_matches_cached():
+    for entry_id, params in (("hantzsche-wendt", {}), ("heis-X-c1", {"k": 2})):
+        cached = catalog_lookup(entry_id, params)
+        hand_built = CatalogEntry(cached.id, cached.dim, cached.model, cached.generators,
+                                  cached.holonomy_order, dict(cached.params), cached.notes)
+        assert hand_built == cached and hand_built is not cached
+        group = holonomy(hand_built)
+        assert group is not holonomy(cached)
+        assert group.elements == holonomy(cached).elements
+        assert group.table == holonomy(cached).table
+        assert holonomy(hand_built) is group
 
 
 def test_exterior_powers_per_holonomy_element():

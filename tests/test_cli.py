@@ -1,6 +1,12 @@
 import json
+import random
+import time
 
-from infranil.cli import main
+import pytest
+
+from infranil.catalog import catalog_ids
+from infranil.cli import build_parser, main
+from infranil.selfmaps import load_corpus, sample_params
 
 
 def run(capsys, *argv):
@@ -263,3 +269,94 @@ def test_compute_large_entries(capsys):
     assert data["sign_relations_ok"] is True
     closed = exterior_closed_form(QMatrix([[m11, 0, 0], [0, m22, 0], [0, 0, 1]]))
     assert rfp_equal(RatFuncProduct.from_json(data["lefschetz_zeta"]), closed)
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    first = ("compute", "--manifold", "klein-bottle", "--param", "a=3", "--param", "b=5",
+             "--json")
+    code1, out1, err1 = run(capsys, *first)
+    code2, out2, _ = run(capsys, "compute", "--manifold", "torus-2", "--json")
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--param", "a=3"])  # --manifold is required
+    assert exc.value.code == 2
+    assert "--manifold" in capsys.readouterr().err
+    code4, out4, err4 = run(capsys, *first)
+    assert (code1, code2, code4) == (0, 0, 0)
+    assert out4 == out1 and err4 == err1
+    params = json.loads(out1)["params"]
+    assert (params["a"], params["b"]) == ("3", "5") and set(params) - {"a", "b"} <= {"r", "s"}
+    assert json.loads(out2)["manifold"] == "torus-2"
+    parser = build_parser()
+    assert parser is build_parser()
+    assert parser.parse_args(["compute", "--manifold", "circle", "--param", "d=2"]).param == ["d=2"]
+    assert parser.parse_args(["compute", "--manifold", "circle"]).param is None
+
+
+FUZZ_CASES = 200
+FUZZ_SECONDS_PER_CALL = 10.0
+GOOD_RATIONALS = ["0", "1", "-1", "2", "-3", "1/2", "-3/4", "5/3", "12", "0.5"]
+BAD_RATIONALS = ["1/0", "x", "", "nan", "inf", "1//2", "--1"]
+KMAX_VALUES = ["1", "2", "7", "40", "200", "0", "-3", "201", "1000", "ten"]  # 5 in range
+
+
+def fuzz_argv(rng, corpus, ids):
+    """One `zeta` argv drawn from catalog ids, family indices, good and bad
+    rationals and --kmax values inside and outside [1, 200]."""
+    if rng.random() < 0.05:
+        return ["catalog", "--filter", rng.choice(ids)[:4]] + (["--json"] * rng.randint(0, 1))
+    manifold = rng.choice(ids + ["moebius", "heis-I ", ""])
+    argv = ["compute"]
+    if rng.random() < 0.97:
+        argv += ["--manifold", manifold]
+    families = corpus.for_manifold(manifold)
+    params = {}
+    if families and rng.random() < 0.8:
+        spec = rng.choice(families)
+        argv += ["--family", str(spec.index)]
+        params = sample_params(spec, 1, rng.randrange(100))[0]
+    elif rng.random() < 0.5:
+        argv += ["--family", rng.choice(["0", "99", "-1", "one"])]
+    if rng.random() < 0.1:
+        params["q"] = "1"
+    for name, value in params.items():
+        if rng.random() < 0.1:
+            continue
+        if rng.random() < 0.2:
+            value = rng.choice(GOOD_RATIONALS if rng.random() < 0.7 else BAD_RATIONALS)
+        argv += ["--param", f"{name}={value}" if rng.random() < 0.98 else name + value]
+    if rng.random() < 0.5:
+        argv += ["--kmax", rng.choice(KMAX_VALUES if rng.random() < 0.3 else KMAX_VALUES[:5])]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def run_fuzz_call(capsys, argv):
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, elapsed
+
+
+def test_cli_fuzz_exit_codes_and_replay(capsys):
+    rng = random.Random(20131)
+    ids = catalog_ids()
+    cases = [fuzz_argv(rng, load_corpus(), ids) for _ in range(FUZZ_CASES)]
+    results = []
+    for argv in cases:
+        code, out, err, elapsed = run_fuzz_call(capsys, argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        assert elapsed < FUZZ_SECONDS_PER_CALL, (argv, elapsed)
+        results.append((code, out, err))
+    codes = {c for c, _, _ in results}
+    assert {0, 2, 3} <= codes
+    order = list(range(FUZZ_CASES))
+    rng.shuffle(order)
+    for i in order:
+        code, out, err, _ = run_fuzz_call(capsys, cases[i])
+        assert (code, out, err) == results[i], cases[i]
