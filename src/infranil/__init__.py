@@ -23,7 +23,6 @@ from .errors import (
 from .fixedpoint import (
     EigenClass,
     PositivePart,
-    anosov_fastpath,
     check_sign_relations,
     eigen_classify,
     lefschetz_number,
@@ -59,7 +58,7 @@ __all__ = [
     "catalog_lookup", "holonomy", "lattice_member", "psi_embed",
     "CatalogError", "ConstraintError", "CorpusError", "InfranilError",
     "InvalidCandidateError", "ReconstructionError", "RouteMismatchError",
-    "EigenClass", "PositivePart", "anosov_fastpath", "check_sign_relations",
+    "EigenClass", "PositivePart", "check_sign_relations",
     "eigen_classify", "lefschetz_number", "nielsen_number", "positive_part",
     "QMatrix", "charpoly", "exterior_power",
     "NFElem", "NumberField", "nf_sign",

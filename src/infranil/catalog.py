@@ -165,15 +165,6 @@ class HolonomyGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, mat: QMatrix) -> int:
-        for i, e in enumerate(self.elements):
-            if e == mat:
-                return i
-        raise CatalogError("matrix is not a holonomy element")
-
-    def dets(self):
-        return tuple(e.det() for e in self.elements)
-
     @cached_property
     def integer_elements(self) -> tuple:
         """integer_form of the elements: (r, flats), flats[i] = r * elements[i]
@@ -207,44 +198,6 @@ class HolonomyGroup:
                 for r, flats in self.exterior_powers
             )
         return averages
-
-    def is_cyclic(self) -> bool:
-        return any(self._order_of(i) == self.order for i in range(self.order))
-
-    def _order_of(self, i: int) -> int:
-        j = i
-        n = 1
-        while self.elements[j] != QMatrix.identity(self.elements[0].nrows):
-            j = self.table[j][i]
-            n += 1
-        return n
-
-    def cyclic_generators(self):
-        return [i for i in range(self.order) if self._order_of(i) == self.order]
-
-    def has_index_two_subgroup(self) -> bool:
-        """True iff the group admits a surjection onto Z/2, i.e. the subgroup
-        generated by all squares and commutators is proper (the quotient by it
-        is the maximal elementary abelian 2-quotient)."""
-        gens = {0}
-        for i in range(self.order):
-            gens.add(self.table[i][i])
-            for j in range(self.order):
-                ij = self.table[i][j]
-                ji = self.table[j][i]
-                inv_ji = next(m for m in range(self.order) if self.table[ji][m] == 0)
-                gens.add(self.table[ij][inv_ji])
-        closure = set(gens)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(closure):
-                for b in list(closure):
-                    c = self.table[a][b]
-                    if c not in closure:
-                        closure.add(c)
-                        changed = True
-        return len(closure) < self.order
 
 
 def holonomy(entry: CatalogEntry) -> HolonomyGroup:

@@ -28,9 +28,18 @@ by binary powering, one determinant per element).
 The spectrum of D* is classified exactly, in integers: the counts p of real
 eigenvalues > 1 and n < -1 and the modulus split against the unit circle
 come from integer Sturm chains and each factor's signs at -1 and 1.  The
-index-two "positive part" subgroup is computed from determinants of the
-holonomy action on the modulus > 1 block, and the parity relations tying
-N(f^k) to L(f^k) and L(f_+^k) are checked for a range of iterates.
+positive part F_+, of index 1 or 2, holds the holonomy elements A with
+eps_A = det(A on V/W) = +1, W the modulus <= 1 subspace.  With m = dim V/W,
+
+    eps_A = tr(Lambda^m A . p(Lambda^m D)) / tr(p(Lambda^m D)),
+    p = x^j charpoly(Lambda^m D) / h,
+
+where h is the minimal polynomial of mu, the product of the expanding
+eigenvalues, read off the spectrum's factors, and j < deg h the least that
+makes the denominator nonzero (`positive_part`): two integer dot products
+with the first C(n, m) terms of the j = m trace sequences.
+The parity relations tying N(f^k) to L(f^k) and L(f_+^k) are checked for a
+range of iterates.
 """
 
 from __future__ import annotations
@@ -45,17 +54,15 @@ from .catalog import HolonomyGroup, holonomy
 from .errors import InfranilError, InvalidCandidateError
 from .matrices import (
     QMatrix,
-    charpoly,
     exterior_integer_form,
     flat_det,
     flat_product,
     integer_form,
     scaled_det_one_minus_z,
 )
-from .numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from .polynomials import (
     IntPoly,
-    QPoly,
+    exact_quotient,
     factor_over_q,
     isolate_real_roots,
     sign_at,
@@ -63,11 +70,10 @@ from .polynomials import (
 )
 from .selfmaps import MapCandidate
 
-# Counts the `positive_part` calls that run over Q(theta) because an
-# irreducible cubic factor of the spectrum has roots on both sides of the
-# unit circle.  Trivial holonomy counts too (random torus-3 maps hit it);
-# no catalog family with nontrivial holonomy produces one, so a count from
-# such a family is worth investigating.
+# Counts the `positive_part` calls on a spectrum with an irreducible cubic
+# factor that has roots on both sides of the unit circle.  Trivial holonomy
+# counts too (random torus-3 maps hit it); no catalog family with nontrivial
+# holonomy produces one, so a count from such a family is worth investigating.
 MIXED_CUBIC_COUNTER = 0
 
 INSIDE = "(-1,1)"
@@ -75,14 +81,6 @@ GT1 = ">1"
 LTM1 = "<-1"
 ONE = "1"
 MINUS_ONE = "-1"
-
-
-def _poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
-    n = m.nrows
-    acc = QMatrix.zero(n)
-    for c in reversed(p.coeffs):
-        acc = acc * m + QMatrix.identity(n) * c
-    return acc
 
 
 def _classify_real_root(q: IntPoly, lo: Fraction, hi: Fraction) -> str:
@@ -164,7 +162,7 @@ def _analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
 class EigenClass:
     """Exact spectrum classification of a linear part."""
 
-    charpoly: QPoly
+    charpoly: IntPoly    # primitive, positive leading coefficient
     factors: tuple        # (IntPoly, multiplicity) of the nonconstant part
     root_data: tuple      # FactorRoots per factor
     classes: tuple        # per factor: (lt, eq, gt) counts including multiplicity
@@ -174,8 +172,11 @@ class EigenClass:
 
 
 def eigen_classify(dstar: QMatrix) -> EigenClass:
-    cp = charpoly(dstar)
-    factors = factor_over_q(cp.to_int()[0])
+    dim = dstar.nrows
+    q, (flat,) = integer_form([dstar])
+    rev = scaled_det_one_minus_z(flat, dim, q).coeffs  # q^dim det(I - z D)
+    cp = IntPoly(reversed(rev + (0,) * (dim + 1 - len(rev)))).primitive()
+    factors = factor_over_q(cp)
     data = []
     classes = []
     p = n = gt_total = 0
@@ -238,14 +239,14 @@ def exterior_data(dstar: QMatrix) -> ExteriorData:
     read off the spectrum's charpoly(D), the others come from
     Faddeev-LeVerrier."""
     spectrum = eigen_classify(dstar)
-    n, cp = dstar.nrows, spectrum.charpoly
+    n, cp = dstar.nrows, spectrum.charpoly.coeffs
     form = integer_form([dstar])
     forms, det_polys = [], []
     for j in range(n + 1):
         q, (flat,) = exterior_integer_form(form, j)
         forms.append((q, flat))
         det_polys.append(
-            IntPoly([cp[n - t] * q ** t for t in range(n + 1)]) if j == 1
+            IntPoly([cp[n - t] * q ** t // cp[n] for t in range(n + 1)]) if j == 1
             else scaled_det_one_minus_z(flat, comb(n, j), 1)
         )
     return ExteriorData(tuple(forms), tuple(det_polys), spectrum)
@@ -344,8 +345,9 @@ def nielsen_number(candidate: MapCandidate, k: int) -> int:
 
 @dataclass(frozen=True)
 class PositivePart:
-    """The subgroup of holonomy elements acting with determinant +1 on the
-    modulus > 1 block, together with all the determinant signs."""
+    """The subgroup F_+ of holonomy elements A whose sign
+    eps_A = det(A on V/W) is +1, W the modulus <= 1 subspace of D, together
+    with every element's sign (`positive_part` computes them)."""
 
     index: int
     det_signs: tuple      # +1/-1 per holonomy element
@@ -357,103 +359,83 @@ class PositivePart:
         return all(self.group.table[i][j] in idx for i in idx for j in idx)
 
 
-def _rational_le_block(ec: EigenClass):
-    """Product of the pure modulus <= 1 factors with multiplicity (the
-    rational part of the <= 1 invariant subspace)."""
-    g = QPoly([1])
-    for fr in ec.root_data:
-        if fr.side() == "le":
-            for _ in range(fr.multiplicity):
-                g = g * fr.factor.to_qpoly()
-    return g
+def _root_product(f) -> tuple:
+    """(num, den): num / den is the product of the roots of the polynomial
+    with coefficients f."""
+    return (-1) ** (len(f) - 1) * f[0], f[-1]
 
 
-def _mixed_factor(ec: EigenClass):
-    mixed = [fr for fr in ec.root_data if fr.side() == "mixed"]
-    if not mixed:
-        return None
-    if len(mixed) > 1 or mixed[0].multiplicity != 1:
-        raise InfranilError("unexpected repeated or multiple mixed-modulus factors")
-    return mixed[0]
+def positive_part(candidate: MapCandidate, ext: ExteriorData) -> PositivePart:
+    """The sign eps_A = det(A on V/W) of every holonomy element, where ext is
+    `exterior_data(candidate.dstar)`, and the subgroup F_+ where it is +1.
 
+    Let m = dim V/W, mu the product of the expanding eigenvalues and h its
+    minimal polynomial.  W is preserved by every holonomy element, and its
+    annihilator's Pluecker line is the mu-eigenline of Lambda^m D^T, on which
+    Lambda^m A^T acts by eps_A.  |mu| is strictly the largest modulus in the
+    spectrum of Lambda^m D, so mu and its conjugates are simple eigenvalues
+    there.  Hence, for p = x^j charpoly(Lambda^m D) / h,
 
-def _nf_column(field: NumberField, dstar: QMatrix):
-    """A nonzero column of adj(D - theta I): an eigenvector for theta."""
-    n = dstar.nrows
-    theta = field.theta
-    m = [[field.elem(dstar[i, j]) - (theta if i == j else field.zero) for j in range(n)]
-         for i in range(n)]
+        eps_A = tr(Lambda^m A . p(Lambda^m D)) / tr(p(Lambda^m D)),
 
-    def minor_det(rows, cols):
-        sub = [[m[i][j] for j in cols] for i in rows]
-        return field_det(sub, field.zero)
+    with the least j < deg h that makes the denominator nonzero (p(mu) != 0,
+    and the trace form of Q(mu) is nondegenerate).  Both traces are dot
+    products with the first C(n, m) terms of `det_table`'s integer trace
+    sequences for j = m; the denominator is the identity's (element 0).
 
-    for col in range(n):
-        vec = []
-        nonzero = False
-        for row in range(n):
-            rows = [i for i in range(n) if i != col]
-            cols = [j for j in range(n) if j != row]
-            cof = minor_det(rows, cols)
-            if (row + col) % 2 == 1:
-                cof = -cof
-            vec.append(cof)
-            if cof != field.zero:
-                nonzero = True
-        if nonzero:
-            return vec
-    raise InfranilError("zero adjugate: defective eigenvalue in mixed factor")
-
-
-def positive_part(candidate: MapCandidate, ec: EigenClass) -> PositivePart:
-    """Split the holonomy by the sign of det on the modulus > 1 block, where
-    ec is `eigen_classify(candidate.dstar)`.
-
-    The invariant subspace with modulus <= 1 is preserved by every holonomy
-    element, so det on the quotient equals det(A) / det(A restricted).  When
-    an irreducible factor straddles the unit circle the restriction involves
-    a designated real algebraic number theta; the arithmetic then runs over
-    Q(theta) and the resulting determinants still reduce to rational +-1.
+    h comes from the spectrum's factors with no comparison of roots, up to a
+    constant factor.  With c the product of the roots of the purely
+    expanding factors (with multiplicity), h = x - c when no factor
+    straddles the unit circle.  A straddling factor f, of degree d, is
+    unique and simple for n <= 3; with one expanding root h = c^d f(x / c),
+    and with one non-expanding root h = x^d f(c P / x), P the product of
+    f's roots.
     """
     global MIXED_CUBIC_COUNTER
     group = holonomy(candidate.entry)
-    n = candidate.entry.dim
+    m = ext.spectrum.dim_gt1
+    if m == 0:
+        return PositivePart(1, (1,) * group.order, tuple(range(group.order)), group)
 
-    if ec.dim_gt1 == 0:
-        signs = tuple(1 for _ in group.elements)
-        return PositivePart(1, signs, tuple(range(group.order)), group)
-
-    mixed = _mixed_factor(ec)
-    dets = group.dets()
-
-    if mixed is None:
-        g = _rational_le_block(ec)
-        if g.degree == 0:
-            signs_raw = dets
-        else:
-            basis = _poly_at_matrix(g, candidate.dstar).kernel()
-            if len(basis) != n - ec.dim_gt1:
-                raise InfranilError("kernel dimension mismatch in modulus split")
-            vmat = QMatrix(list(zip(*basis)))
-            signs_raw = []
-            for a, da in zip(group.elements, dets):
-                m = vmat.solve_columns(a * vmat)
-                if m is None:
-                    raise InfranilError("holonomy does not preserve the <= 1 block")
-                signs_raw.append(da / m.det())
-    else:
-        if mixed.degree == 3:
+    # the traces are of E = q Lambda^m D, whose eigenvalue q mu is a / b
+    # times a root of f (f = x - 1 unless a factor straddles the circle), so
+    # b^d (a / b)^d f(b x / a) is a multiple of h for E
+    q, flat = ext.forms[m]
+    a, b, f, straddling = q, 1, (-1, 1), None
+    for fr in ext.spectrum.root_data:
+        side = fr.side()
+        if side == "gt":
+            num, den = _root_product(fr.factor.coeffs)
+            a, b = a * num ** fr.multiplicity, b * den ** fr.multiplicity
+        elif side == "mixed":
+            straddling = fr
+    if straddling is not None:
+        f = straddling.factor.coeffs
+        if straddling.degree == 3:
             MIXED_CUBIC_COUNTER += 1
-        signs_raw = _mixed_signs(candidate, group, ec, mixed, dets)
+        if straddling.modulus_counts()[2] != 1:
+            # one non-expanding root beta: mu = c P / beta, where 1 / beta
+            # is a root of f reversed
+            num, den = _root_product(f)
+            a, b, f = a * num, b * den, f[::-1]
+    d = len(f) - 1
+    h = IntPoly([v * a ** (d - k) * b ** k for k, v in enumerate(f)]).primitive()
+    det_poly, size = ext.det_polys[m].coeffs, isqrt(len(flat))
+    g = exact_quotient(IntPoly(reversed(det_poly + (0,) * (size + 1 - len(det_poly)))), h).coeffs
+    _, _, seqs = _trace_sequences(group.exterior_powers[m], ext.forms[m], ext.det_polys[m], size - 1)
+    for j in range(d):
+        total = sum(map(mul, g, seqs[0][j:]))
+        if total:
+            break
+    else:
+        raise InfranilError("the expanding eigenvalue product is not simple in Lambda^m D")
 
     signs = []
-    for s in signs_raw:
-        if s == 1:
-            signs.append(1)
-        elif s == -1:
-            signs.append(-1)
-        else:
-            raise InfranilError(f"determinant sign {s} is not +-1")
+    for seq in seqs:
+        num = sum(map(mul, g, seq[j:]))
+        if num not in (total, -total):
+            raise InfranilError(f"determinant sign {Fraction(num, total)} is not +-1")
+        signs.append(1 if num == total else -1)
     plus = tuple(i for i, s in enumerate(signs) if s == 1)
     index = group.order // len(plus)
     if index not in (1, 2) or group.order % len(plus):
@@ -464,101 +446,9 @@ def positive_part(candidate: MapCandidate, ec: EigenClass) -> PositivePart:
     return part
 
 
-def _mixed_signs(candidate, group, ec, mixed, dets):
-    """Determinant signs when one irreducible factor straddles the circle."""
-    dstar = candidate.dstar
-    n = candidate.entry.dim
-    le_reals = [(iv, c) for iv, c in mixed.real if c in (INSIDE, ONE, MINUS_ONE)]
-    gt_reals = [(iv, c) for iv, c in mixed.real if c in (GT1, LTM1)]
-    lt, eq, gt = mixed.modulus_counts()
-    le_side, gt_side = lt + eq, gt
-
-    field = None
-    mixed_basis = []  # columns over Q(theta) spanning the <= 1 part of the factor block
-    if le_side == 1:
-        (iv, _cls) = le_reals[0]
-        field = NumberField(mixed.factor, iv)
-        mixed_basis = [_nf_column(field, dstar)]
-    elif gt_side == 1:
-        (iv, _cls) = gt_reals[0]
-        field = NumberField(mixed.factor, iv)
-        # <= 1 part of the block: kernel of (D^2 - (e1 - theta) D + e3/theta)
-        # where e1, e3 are the sum and product of the factor's roots
-        cf = mixed.factor.to_qpoly().monic()
-        e1 = -cf[2]
-        e3 = -cf[0]
-        theta = field.theta
-        s23 = field.elem(e1) - theta
-        p23 = field.elem(e3) / theta
-        d2 = dstar * dstar
-        mat = [
-            [
-                field.elem(d2[i, j]) - s23 * dstar[i, j] + (p23 if i == j else field.zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        mixed_basis = field_kernel(mat, field.zero, field.one)
-        if len(mixed_basis) != 2:
-            raise InfranilError("mixed cubic block kernel has wrong dimension")
-    else:
-        raise InfranilError("mixed factor without a one-dimensional side")
-
-    g = _rational_le_block(ec)
-    rational_basis = []
-    if g.degree > 0:
-        rational_basis = _poly_at_matrix(g, dstar).kernel()
-
-    cols = [[field.elem(v) for v in vec] for vec in mixed_basis]
-    cols += [[field.elem(v) for v in vec] for vec in rational_basis]
-    d = len(cols)
-    bmat = [[cols[j][i] for j in range(d)] for i in range(n)]
-
-    signs = []
-    for a, da in zip(group.elements, dets):
-        image = [
-            [sum(field.elem(a[i, t]) * bmat[t][j] for t in range(n)) for j in range(d)]
-            for i in range(n)
-        ]
-        m = field_solve_columns(bmat, image, field.zero)
-        if m is None:
-            raise InfranilError("holonomy does not preserve the <= 1 subspace")
-        det = field_det(m, field.zero)
-        if not det.is_rational():
-            raise InfranilError("restricted determinant fails to be rational")
-        signs.append(da / det.as_fraction())
-    return signs
-
-
 # ---------------------------------------------------------------------------
-# Anosov-relation fast paths and parity relations
+# Parity relations
 # ---------------------------------------------------------------------------
-
-
-def anosov_fastpath(candidate: MapCandidate) -> str:
-    """Return "holds" when one of the sufficient criteria guarantees
-    N(f) = |L(f)| for this candidate (and all its iterates); otherwise
-    "unknown" (never "fails")."""
-    group = holonomy(candidate.entry)
-    if group.order == 1:
-        return "holds"  # nilmanifold
-    ec = eigen_classify(candidate.dstar)
-    if ec.dim_gt1 == 0:
-        return "holds"  # no expanding block at all
-    # expanding block carries the identity representation: every holonomy
-    # element moves vectors only inside the <= 1 block
-    g = _rational_le_block(ec)
-    gd = _poly_at_matrix(g, candidate.dstar)
-    ident = QMatrix.identity(candidate.entry.dim)
-    if all(gd * (a - ident) == QMatrix.zero(candidate.entry.dim) for a in group.elements):
-        return "holds"
-    if group.is_cyclic():
-        for i in group.cyclic_generators():
-            if charpoly(group.elements[i])(Fraction(-1)) != 0:
-                return "holds"  # cyclic holonomy, generator without eigenvalue -1
-    if not group.has_index_two_subgroup():
-        return "holds"
-    return "unknown"
 
 
 @dataclass(frozen=True)
@@ -581,7 +471,7 @@ def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelatio
     on a table, spectrum and positive part built here; `compute_zeta` runs
     the same check on its own."""
     ext = exterior_data(candidate.dstar)
-    part = positive_part(candidate, ext.spectrum)
+    part = positive_part(candidate, ext)
     return _sign_relations(det_table(ext, part.group, kmax), ext.spectrum, part)
 
 

@@ -6,6 +6,9 @@ inversion are symbolic (extended Euclid), so exact zero detection never
 depends on numerics.  Signs are decided by interval refinement, which
 terminates because a nonzero residue cannot vanish at a root of an
 irreducible minimal polynomial.
+
+No engine module imports this one: `fixedpoint.positive_part` needs no
+number field.  It stays because the benchmark's tracer wraps `field_*`.
 """
 
 from __future__ import annotations

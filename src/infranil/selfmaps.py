@@ -315,12 +315,16 @@ def resolve_params(spec: FamilySpec, params: dict) -> dict:
 
 def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True) -> MapCandidate:
     """Build the candidate for a parameter assignment, checking every
-    constraint, and validating the result eagerly.  A validation failure
-    means the corpus row itself is wrong, which is a hard error."""
+    constraint, then every parameter's domain, and validating the result
+    eagerly.  A validation failure means the corpus row itself is wrong,
+    which is a hard error."""
     env = resolve_params(spec, params)
     for cond in spec.constraints:
         if not eval_bool(cond, env):
             raise ConstraintError(f"{spec.label}: constraint violated: {cond}")
+    for name, domain in spec.params:
+        if not _in_domain(domain, env[name]):
+            raise ConstraintError(f"{spec.label}: parameter {name} = {env[name]} is not in {domain}")
     entry_param_names = [n for n, _ in spec.params if n == "k"]
     entry = catalog_lookup(spec.manifold, {n: env[n] for n in entry_param_names})
     dstar = QMatrix([[eval_rational(e, env) for e in row] for row in spec.dstar])
@@ -353,6 +357,43 @@ _HALF_INTS = ["-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2"]
 _HALF_ODD = ["-3/2", "-1/2", "1/2", "3/2"]
 _QUARTER_ODD = ["-3/4", "-1/4", "1/4", "3/4"]
 _RATIONALS = ["0", "1", "-1", "1/2", "-2/3", "5/4", "2"]
+
+
+def _is_int(v) -> bool:
+    return v.denominator == 1
+
+
+def _residue_in(v, arg: str) -> bool:
+    m, residues = arg.split(":")
+    return v % int(m) in {int(r) for r in residues.split(",")}
+
+
+# Membership test per domain kind: (value, text after the first ':') -> bool.
+_DOMAINS = {
+    "int": lambda v, arg: _is_int(v),
+    "int_nonzero": lambda v, arg: _is_int(v) and v != 0,
+    "int_odd": lambda v, arg: _is_int(v) and v % 2 == 1,
+    "int_even": lambda v, arg: _is_int(v) and v % 2 == 0,
+    "int_mod": lambda v, arg: _is_int(v) and _residue_in(v, arg),
+    "int_pos_mod": lambda v, arg: _is_int(v) and v > 0 and _residue_in(v, arg),
+    "int_multiple": lambda v, arg: _is_int(v) and v % int(arg) == 0,
+    "rational": lambda v, arg: True,
+    "half_int": lambda v, arg: _is_int(2 * v),
+    "half_odd": lambda v, arg: _is_int(2 * v) and 2 * v % 2 == 1,
+    "quarter_odd": lambda v, arg: _is_int(4 * v) and 4 * v % 2 == 1,
+    "third_int": lambda v, arg: _is_int(3 * v),
+    "shift": lambda v, arg: _is_int(v - parse_rational(arg)),
+}
+
+
+def _in_domain(domain: str, value) -> bool:
+    """Whether a Fraction lies in a family parameter's domain, e.g.
+    "int_odd", "int_mod:4:1,3" or "shift:1/3" (`_domain_values` samples
+    them)."""
+    kind, _, arg = domain.partition(":")
+    if kind not in _DOMAINS:
+        raise CorpusError(f"unknown parameter domain {domain!r}")
+    return _DOMAINS[kind](value, arg)
 
 
 def _domain_values(domain: str, large: bool = False):

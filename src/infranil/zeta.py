@@ -182,7 +182,7 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
     asserted."""
     ext = exterior_data(candidate.dstar)
     ec = ext.spectrum
-    part = positive_part(candidate, ec)
+    part = positive_part(candidate, ext)
     group = part.group
     dim = candidate.entry.dim
     nterms = max(sequence_length(dim), kmax)

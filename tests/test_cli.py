@@ -91,6 +91,18 @@ def test_compute_constraint_violation_exit_code(capsys):
     assert code == 3
 
 
+def test_compute_parameter_outside_domain_exit_code(capsys):
+    # iy is an int; the family's constraints check only a..d
+    code, _, err = run(
+        capsys, "compute", "--manifold", "heis-I", "--family", "1", "--param", "k=6",
+        "--param", "a=2", "--param", "b=-2", "--param", "c=5", "--param", "d=-1",
+        "--param", "ix=3", "--param", "iy=0.5", "--param", "r=0", "--param", "s=-3/4",
+        "--param", "t=2",
+    )
+    assert code == 3
+    assert err == "error: heis-I#1: parameter iy = 1/2 is not in int\n"
+
+
 def test_compute_unknown_manifold(capsys):
     code, _, err = run(capsys, "compute", "--manifold", "sphere", "--param", "d=1")
     assert code == 3
@@ -191,7 +203,9 @@ def test_compute_invalid_map_exit_code(tmp_path, capsys):
     small = {"schema": full["schema"],
              "manifolds": [m for m in full["manifolds"] if m["manifold"] == "klein-bottle"]}
     fam = small["manifolds"][0]["families"][0]
-    fam["constraints"] = []  # drop the parity conditions
+    fam["constraints"] = []  # drop the parity conditions, in the domains too
+    for param in fam["params"]:
+        param["domain"] = "rational"
     path = tmp_path / "families.json"
     path.write_text(json.dumps(small))
     code, _, err = run(capsys, "compute", "--manifold", "klein-bottle",

@@ -8,9 +8,9 @@ from infranil.catalog import catalog_ids, catalog_lookup, holonomy
 from infranil.errors import ConstraintError
 from infranil.exprs import eval_rational, parse_rational
 from infranil.fixedpoint import (
-    anosov_fastpath,
     check_sign_relations,
     eigen_classify,
+    exterior_data,
     positive_part,
 )
 from infranil.matrices import QMatrix
@@ -22,6 +22,7 @@ from infranil.selfmaps import (
     sample_params,
     validate_selfmap,
 )
+from modulus_split import anosov_fastpath
 
 CORPUS = load_corpus()
 
@@ -37,7 +38,7 @@ def build_unchecked(spec, raw_params):
 
 
 def part_of(cand):
-    return positive_part(cand, eigen_classify(cand.dstar))
+    return positive_part(cand, exterior_data(cand.dstar))
 
 
 def test_every_catalog_entry_has_families():
@@ -156,7 +157,7 @@ def test_mixed_cubic_counter_reachable_synthetically():
     ec = eigen_classify(cand.dstar)
     assert ec.dim_gt1 == 1 and ec.factors[0][0].degree == 3
     before = fp.MIXED_CUBIC_COUNTER
-    part = positive_part(cand, ec)
+    part = part_of(cand)
     assert part.index == 1
     assert fp.MIXED_CUBIC_COUNTER == before + 1
     # reversed companion: real root inside, expanding complex pair

@@ -4,7 +4,6 @@ from infranil.catalog import catalog_ids, catalog_lookup, holonomy
 from infranil.fixedpoint import (
     GT1,
     INSIDE,
-    anosov_fastpath,
     check_sign_relations,
     det_table,
     eigen_classify,
@@ -21,12 +20,13 @@ from infranil.selfmaps import (
     sample_params,
     validate_selfmap,
 )
+from modulus_split import anosov_fastpath
 
 F = Fraction
 
 
 def part_of(cand):
-    return positive_part(cand, eigen_classify(cand.dstar))
+    return positive_part(cand, exterior_data(cand.dstar))
 
 
 def kb(a, b, r=0, s=0):
@@ -139,7 +139,7 @@ def test_positive_part_irrational_split():
     assert part.index == 2
     # the rotation diag(-1,-1,1) acts by -1 on the contracting line
     group = holonomy(entry)
-    sigma = group.index_of(QMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+    sigma = group.elements.index(QMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
     assert part.det_signs[sigma] == -1
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from infranil.catalog import HEISENBERG, catalog_ids, catalog_lookup, holonomy
-from infranil.errors import ConstraintError, InvalidCandidateError
+from infranil.errors import ConstraintError, CorpusError, InvalidCandidateError
 from infranil.matrices import QMatrix, integer_form
 from infranil.selfmaps import (
     MapCandidate,
@@ -12,6 +12,8 @@ from infranil.selfmaps import (
     _lattice_witness,
     default_corpus_path,
     family_instantiate,
+    _domain_values,
+    _in_domain,
     heis_endo_check,
     load_corpus,
     sample_params,
@@ -158,6 +160,33 @@ def test_klein_family2_constraint_named():
     with _pytest.raises(ConstraintError) as err:
         family_instantiate(spec, {"a": "3", "b": "5", "r": "0", "s": "1/4"})
     assert "b % 2 == 0" in str(err.value)
+
+
+def test_every_sampled_value_is_in_its_domain():
+    from infranil.exprs import parse_rational
+
+    domains = {d for spec in load_corpus().families for _, d in spec.params}
+    assert len(domains) == 29
+    for domain in domains:
+        for large in (False, True):
+            for value in _domain_values(domain, large):
+                assert _in_domain(domain, parse_rational(value)), (domain, value)
+
+
+@pytest.mark.parametrize("domain, value", [
+    ("int", F(1, 2)), ("int_nonzero", F(0)), ("int_odd", F(2)), ("int_even", F(-3)),
+    ("int_mod:3:1", F(2)), ("int_mod:6:2,4", F(3)), ("int_pos_mod:2:0", F(0)),
+    ("int_pos_mod:3:1,2", F(-1)), ("int_multiple:4", F(6)), ("half_int", F(1, 3)),
+    ("half_odd", F(1)), ("quarter_odd", F(1, 2)), ("third_int", F(1, 2)),
+    ("shift:1/3", F(2, 3)),
+])
+def test_values_outside_their_domain_are_rejected(domain, value):
+    assert not _in_domain(domain, value)
+
+
+def test_unknown_domain_is_a_corpus_error():
+    with pytest.raises(CorpusError, match="unknown parameter domain 'odd'"):
+        _in_domain("odd", F(1))
 
 
 # ---------------------------------------------------------------------------

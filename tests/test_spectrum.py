@@ -181,8 +181,8 @@ def ref_analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
 
 
 def ref_eigen_classify(dstar: QMatrix) -> EigenClass:
-    cp = charpoly(dstar)
-    factors = factor_over_q(cp.to_int()[0])
+    cp = charpoly(dstar).to_int()[0]
+    factors = factor_over_q(cp)
     data, classes = [], []
     p = n = gt_total = 0
     for q, mult in factors:
@@ -423,7 +423,7 @@ def reconstruction_inputs(cand):
     Lefschetz oracle run for the candidate: N, L, and L_+ on index 2."""
     dim = cand.entry.dim
     ext = exterior_data(cand.dstar)
-    part = positive_part(cand, ext.spectrum)
+    part = positive_part(cand, ext)
     table = det_table(ext, part.group, sequence_length(dim))
     seqs = [[nielsen_from_row(row) for row in table], [lefschetz_from_row(row) for row in table]]
     if part.index == 2:

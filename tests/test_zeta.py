@@ -171,7 +171,7 @@ def test_compute_zeta_checks_averaged_closed_form(monkeypatch):
         ext = exterior_data(cand.dstar)
         assert rfp_equal(res.lefschetz, closed(ext, group.exterior_averages()))
         if index == 2:
-            plus = positive_part(cand, ext.spectrum).plus_indices
+            plus = positive_part(cand, ext).plus_indices
             plus_averages = group.exterior_averages(plus)
             assert rfp_equal(res.lefschetz_plus, closed(ext, plus_averages))
     assert rfp_equal(compute_zeta(kb(3, 5, 0, F(1, 2))).lefschetz, rfp(([1, -3], 1), ([1, -1], -1)))
@@ -202,7 +202,7 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
         cand = MapCandidate(catalog_lookup("torus-2"), (0, 0), QMatrix([[2, 1], [1, 1]]))
     else:
         cand = kb(3, 5, 0, F(1, 2))
-    plus = positive_part(cand, exterior_data(cand.dstar).spectrum).plus_indices
+    plus = positive_part(cand, exterior_data(cand.dstar)).plus_indices
     column = 0 if case == "torus-2" else next(
         i for i in range(2) if (i in plus) == (case == "klein-bottle-plus")
     )
@@ -273,7 +273,7 @@ def lefschetz_reconstructions(cand):
 
     dim = cand.entry.dim
     ext = exterior_data(cand.dstar)
-    part = positive_part(cand, ext.spectrum)
+    part = positive_part(cand, ext)
     table = det_table(ext, part.group, sequence_length(dim))
     hints = candidate_factor_hints(ext)
     lef = zeta_from_sequence([lefschetz_from_row(row) for row in table], recurrence_bound(dim), hints)
@@ -344,7 +344,7 @@ def count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("manifold", ["flat3-8", "heis-I", "torus-3"])
 def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
-    from infranil.matrices import charpoly, det_one_minus_z, exterior_power
+    from infranil.matrices import charpoly, det_one_minus_z, exterior_power, integer_form
     from infranil.selfmaps import family_instantiate, load_corpus, sample_params
 
     spec = next(f for f in load_corpus().families if f.manifold == manifold)
@@ -354,12 +354,17 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     # Lambda^j A is formed once per holonomy group, not per candidate
     holonomy(cand.entry).exterior_powers
     calls = count_calls(
-        monkeypatch, ["matrices.charpoly", "matrices.exterior_power", "polynomials.factor_over_q"]
+        monkeypatch, ["matrices.charpoly", "matrices.exterior_power", "polynomials.factor_over_q",
+                      "matrices.scaled_det_one_minus_z"]
     )
     compute_zeta(cand)
-    # charpoly(D) once, for the spectrum; every Lambda^j D is formed from the
-    # integer minors of D, never through the QMatrix exterior_power
-    assert len(calls["matrices.charpoly"]) == 1
+    # charpoly(D) once, for the spectrum, by the integer Faddeev-LeVerrier on
+    # D's integer form, never through the QPoly charpoly; every Lambda^j D is
+    # formed from the integer minors of D, never through the QMatrix
+    # exterior_power
+    q, (flat,) = integer_form([cand.dstar])
+    assert calls["matrices.scaled_det_one_minus_z"].count((flat, dim, q)) == 1
+    assert calls["matrices.charpoly"] == []
     assert calls["matrices.exterior_power"] == []
     # each det(I - z Lambda^j D) is factored at most once per j, and j = 1
     # not at all: its factors are derived from eigen_classify's of charpoly(D)
@@ -389,7 +394,7 @@ def test_identity_average_reads_the_exterior_factors(monkeypatch):
         calls = count_calls(monkeypatch, ["series.factor_with_hints"])
         res = compute_zeta(cand)
         group = holonomy(cand.entry)
-        plus = positive_part(cand, exterior_data(cand.dstar).spectrum).plus_indices
+        plus = positive_part(cand, exterior_data(cand.dstar)).plus_indices
         # the Nielsen reconstruction factors one denominator; on the Klein
         # bottle the closed form of L_f divides once per j = 1, 2
         assert len(calls["series.factor_with_hints"]) == 1 + 2 * (group.order > 1)
