@@ -15,13 +15,15 @@ Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
 and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
 of order C(n, j).  `exterior_data` forms the spectrum of D and, once per
 candidate, each E_j in integer form (the integer minors of D's integer
-form), det(I - z q_j E_j) with q_j its common denominator, and on first
-read the factors of det(I - z E_j), factoring charpoly(D) only once; the
-first C(n, j) powers of E_j are shared by every holonomy element, every
-later term costs C(n, j) multiplications per element, and Lambda^j A is
-formed once per holonomy group.  The traces run in integers, and a table
-row is (den, nums): the entries' integer numerators over one positive
-denominator, so L and N are integer sums.
+form).  For n <= 3 the eigenvalues of E_j are the j-fold products of those
+of D, so det(I - z q_j E_j), q_j the common denominator of E_j, and on
+first read the factors of det(I - z E_j) are read off charpoly(D) and its
+factors: charpoly(D) is the one polynomial formed by Faddeev-LeVerrier and
+the one factored.  The first C(n, j) powers of E_j are shared by every
+holonomy element, every later term costs C(n, j) multiplications per
+element, and Lambda^j A is formed once per holonomy group.  The traces run
+in integers, and a table row is (den, nums): the entries' integer
+numerators over one positive denominator, so L and N are integer sums.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .catalog import HolonomyGroup, holonomy
@@ -188,10 +190,9 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
         gt_total += gt * mult
         p += mult * sum(1 for _, c in fr.real if c == GT1)
         n += mult * sum(1 for _, c in fr.real if c == LTM1)
-    ec = EigenClass(cp, tuple(factors), tuple(data), tuple(classes), p, n, gt_total)
-    total = sum(lt + eq + gt for lt, eq, gt in classes)
-    assert total == cp.degree, "modulus classes must partition the spectrum"
-    return ec
+    if sum(lt + eq + gt for lt, eq, gt in classes) != cp.degree:
+        raise InfranilError("modulus classes must partition the spectrum")
+    return EigenClass(cp, tuple(factors), tuple(data), tuple(classes), p, n, gt_total)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,8 @@ class ExteriorData:
     """Lambda^j D for j = 0..n in integer form, with det(I - z q_j Lambda^j D)
     and the exact spectrum of D, formed once per candidate by
     `exterior_data`.  forms[j] = (q_j, flat_j): Lambda^j D = flat_j / q_j,
-    flat_j row-major ints; det_polys[j] = det(I - z flat_j), an IntPoly."""
+    flat_j row-major ints; det_polys[j] = det(I - z flat_j), an IntPoly read
+    off charpoly(D)."""
 
     forms: tuple
     det_polys: tuple
@@ -213,11 +215,16 @@ class ExteriorData:
     @cached_property
     def factors(self) -> tuple:
         """factors[j]: the factors, as `factor_over_q` gives them, of
-        det(I - z Lambda^j D) = det_polys[j](z / q_j).  Formed on first read,
-        so a caller that needs only the determinant table factors nothing.
-        For j = 1 they are the spectrum's factors of charpoly(D) reversed,
-        less the factors x of its zero eigenvalues, so charpoly(D) is
-        factored once."""
+        det(I - z Lambda^j D) = det_polys[j](z / q_j), all read off the
+        spectrum's factors of charpoly(D), so charpoly(D) is the one
+        polynomial factored.  Formed on first read, so a caller that needs
+        only the determinant table factors nothing.
+
+        j = 1: the factors of charpoly(D) reversed, less the factors x of its
+        zero eigenvalues.  A det_polys[j] of degree <= 1 is its own factor.
+        n = 3, j = 2, det D != 0: Lambda^2 D has eigenvalues det D / lambda,
+        so each factor f of charpoly(D) gives the factor f(det D z), with
+        the same multiplicity."""
         out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
         reversed_d = []
         for q, mult in self.spectrum.factors:
@@ -225,19 +232,33 @@ class ExteriorData:
                 sign = 1 if q.constant() > 0 else -1
                 reversed_d.append((IntPoly([sign * c for c in reversed(q.coeffs)]), mult))
         out.append(tuple(sorted(reversed_d, key=lambda fm: fm[0].sort_key())))
+        cp = self.spectrum.charpoly.coeffs
+        a, b = -cp[0], cp[-1]  # det D = a / b when n = 3
         for (den, _), poly in zip(self.forms[2:], self.det_polys[2:]):
-            d = poly.degree  # den^d poly(z / den) is det(I - z Lambda^j D) up to a constant
-            scaled = IntPoly([c * den ** (d - t) for t, c in enumerate(poly.coeffs)])
-            out.append(tuple(factor_over_q(scaled)) if d > 0 else ())
+            if poly.degree > 1:  # b^d f(a z / b) is f(det D z) cleared of denominators
+                factors = sorted(
+                    ((IntPoly([c * a ** t * b ** (f.degree - t) for t, c in enumerate(f.coeffs)])
+                      .primitive(), mult) for f, mult in self.spectrum.factors),
+                    key=lambda fm: fm[0].sort_key(),
+                )
+            else:  # den poly(z / den), up to its content
+                factors = [(IntPoly([den, poly.coeffs[1]]).primitive(), 1)] if poly.degree else []
+            out.append(tuple(factors))
         return tuple(out)
 
 
 def exterior_data(dstar: QMatrix) -> ExteriorData:
     """The exterior data of a candidate's linear part: the spectrum,
     `det_table`, the factor hints and the closed form all read it.  Each
-    Lambda^j D is the integer minors of D's integer form; det_polys[1] is
-    read off the spectrum's charpoly(D), the others come from
-    Faddeev-LeVerrier."""
+    Lambda^j D is the integer minors of D's integer form.  Every det_polys[j]
+    is read off the primitive cp = charpoly(D), of degree n <= 3, in
+    integers, since the eigenvalues of Lambda^j D are the j-fold products of
+    those of D.  With q = q_j:
+
+        j = 1:               (q z)^n cp(1 / (q z)) / cp[n];
+        j = n:               1 + (-1)^(n+1) q cp[0] / cp[n] z   (det D = (-1)^n cp[0] / cp[n]);
+        n = 3, j = 2:        cp(q det D z) / cp[0]              when det D != 0,
+                             1 - q cp[1] / cp[3] z              when det D = 0."""
     spectrum = eigen_classify(dstar)
     n, cp = dstar.nrows, spectrum.charpoly.coeffs
     form = integer_form([dstar])
@@ -245,10 +266,17 @@ def exterior_data(dstar: QMatrix) -> ExteriorData:
     for j in range(n + 1):
         q, (flat,) = exterior_integer_form(form, j)
         forms.append((q, flat))
-        det_polys.append(
-            IntPoly([cp[n - t] * q ** t // cp[n] for t in range(n + 1)]) if j == 1
-            else scaled_det_one_minus_z(flat, comb(n, j), 1)
-        )
+        if j == 0:
+            coeffs = [1, -1]
+        elif j == 1:
+            coeffs = [cp[n - t] * q ** t // cp[n] for t in range(n + 1)]
+        elif j == n:
+            coeffs = [1, (-1) ** (n + 1) * q * cp[0] // cp[n]]
+        elif cp[0]:  # n = 3, j = 2, det D = -cp[0] / cp[3] != 0
+            coeffs = [c * (-q * cp[0]) ** t // (cp[3] ** t * cp[0]) for t, c in enumerate(cp)]
+        else:
+            coeffs = [1, -q * cp[1] // cp[3]]
+        det_polys.append(IntPoly(coeffs))
     return ExteriorData(tuple(forms), tuple(det_polys), spectrum)
 
 
@@ -286,16 +314,19 @@ def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
         _trace_sequences(group.exterior_powers[j], ext.forms[j], ext.det_polys[j], kmax)
         for j in range(1, len(ext.forms))
     ]
-    out = []
+    dens, weights = [], []
     for k in range(1, kmax + 1):
         scales = [r * q ** k for r, q, _ in terms]
         den = lcm(*scales)
-        weights = [(-1) ** j * (den // scale) for j, scale in enumerate(scales, start=1)]
-        out.append((den, tuple(
-            den + sum(w * seqs[i][k] for w, (_, _, seqs) in zip(weights, terms))
-            for i in range(group.order)
-        )))
-    return out
+        dens.append(den)
+        weights.append([(-1) ** j * (den // scale) for j, scale in enumerate(scales, start=1)])
+    columns = []
+    for i in range(group.order):
+        col = dens
+        for w, (_, _, seqs) in zip(zip(*weights), terms):
+            col = [c + wk * t for c, wk, t in zip(col, w, seqs[i][1:])]
+        columns.append(col)
+    return list(zip(dens, zip(*columns)))
 
 
 def _direct_row(candidate: MapCandidate, k: int):
@@ -472,22 +503,30 @@ def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelatio
     the same check on its own."""
     ext = exterior_data(candidate.dstar)
     part = positive_part(candidate, ext)
-    return _sign_relations(det_table(ext, part.group, kmax), ext.spectrum, part)
+    seqs = _number_sequences(det_table(ext, part.group, kmax), part)
+    return _sign_relations(seqs, kmax, ext.spectrum, part.index)
 
 
-def _sign_relations(table, ec: EigenClass, part: PositivePart) -> SignRelationReport:
-    """The parity relations of `check_sign_relations` for k = 1..len(table)."""
-    kmax = len(table)
+def _number_sequences(table, part: PositivePart):
+    """(L, N, L_+) for k = 1..len(table): the tuples L(f^k), N(f^k) and, for
+    index 2, L(f_+^k) (None for index 1)."""
+    lef = tuple(lefschetz_from_row(row) for row in table)
+    nie = tuple(nielsen_from_row(row) for row in table)
+    plus = None
+    if part.index == 2:
+        plus = tuple(lefschetz_from_row(row, part.plus_indices) for row in table)
+    return lef, nie, plus
+
+
+def _sign_relations(seqs, kmax: int, ec: EigenClass, index: int) -> SignRelationReport:
+    """The parity relations of `check_sign_relations` for k = 1..kmax, on
+    the `_number_sequences` seqs."""
+    lef, nie, plus = seqs
     p, n = ec.p, ec.n
-    for k, row in enumerate(table, start=1):
-        nielsen = nielsen_from_row(row)
-        lef = lefschetz_from_row(row)
-        sign = (-1) ** p if k % 2 == 1 else (-1) ** (p + n)
-        if part.index == 1:
-            expected = sign * lef
-        else:
-            lef_plus = lefschetz_from_row(row, part.plus_indices)
-            expected = sign * (lef_plus - lef)
+    odd, even = (-1) ** p, (-1) ** (p + n)
+    for k in range(1, kmax + 1):
+        lef_k, nielsen = lef[k - 1], nie[k - 1]
+        expected = (odd if k % 2 else even) * (lef_k if index == 1 else plus[k - 1] - lef_k)
         if nielsen != expected:
-            return SignRelationReport(False, kmax, p, n, part.index, (k, nielsen, expected))
-    return SignRelationReport(True, kmax, p, n, part.index, None)
+            return SignRelationReport(False, kmax, p, n, index, (k, nielsen, expected))
+    return SignRelationReport(True, kmax, p, n, index, None)

@@ -186,13 +186,14 @@ class IntPoly:
     coeffs: tuple
 
     def __init__(self, coeffs=()):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise InfranilError(f"non-integer coefficient {c} in IntPoly")
-                c = c.numerator
-            vals.append(int(c))
+        vals = list(coeffs)
+        if not all(type(c) is int for c in vals):
+            for i, c in enumerate(vals):
+                if isinstance(c, Fraction):
+                    if c.denominator != 1:
+                        raise InfranilError(f"non-integer coefficient {c} in IntPoly")
+                    c = c.numerator
+                vals[i] = int(c)
         object.__setattr__(self, "coeffs", _strip(vals))
 
     @property
@@ -580,7 +581,7 @@ def factor_over_q(poly: IntPoly) -> list:
 
     Returns [(factor, multiplicity), ...].  The product of the factors with
     multiplicity, times the signed content of the input, reproduces the input
-    exactly (asserted here).
+    exactly (checked here; InfranilError otherwise).
     """
     if isinstance(poly, QPoly):
         poly = poly.to_int()[0]
@@ -601,7 +602,6 @@ def factor_over_q(poly: IntPoly) -> list:
         for _ in range(mult):
             check = check * fac
     sign = -1 if poly.leading() < 0 else 1
-    assert check == prim and IntPoly([c * sign * poly.content() for c in prim.coeffs]) == poly, (
-        "factorization does not reproduce the input"
-    )
+    if check != prim or IntPoly([c * sign * poly.content() for c in prim.coeffs]) != poly:
+        raise InfranilError("factorization does not reproduce the input")
     return out

@@ -166,10 +166,10 @@ class RatFuncProduct:
         out = [0] * nterms
         for q, e in self.factors:
             c, d = q.coeffs, q.degree
-            s = []
+            tail, s = c[1:], []
             for k in range(1, nterms + 1):
-                v = k * c[k] if k <= d else 0
-                s.append(v - sum(c[i] * s[k - 1 - i] for i in range(1, min(k - 1, d) + 1)))
+                # sum_{i=1..min(k-1, d)} q_i s_{k-i}: s[-1:-d-1:-1] is s_{k-1}, s_{k-2}, ...
+                s.append((k * c[k] if k <= d else 0) - sum(map(mul, tail, s[-1:-d - 1:-1])))
             out = [o + e * v for o, v in zip(out, s)]
         return out
 

@@ -33,11 +33,10 @@ from .errors import RouteMismatchError
 from .fixedpoint import (
     ExteriorData,
     SignRelationReport,
+    _number_sequences,
     _sign_relations,
     det_table,
     exterior_data,
-    lefschetz_from_row,
-    nielsen_from_row,
     positive_part,
 )
 from .matrices import (
@@ -187,12 +186,11 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
     dim = candidate.entry.dim
     nterms = max(sequence_length(dim), kmax)
     table = det_table(ext, group, nterms)
-    lef_seq = tuple(lefschetz_from_row(row) for row in table)
-    nie_seq = tuple(nielsen_from_row(row) for row in table)
+    seqs = _number_sequences(table, part)
+    lef_seq, nie_seq, plus_seq = seqs
     lef = _checked_closed_form(ext, group.exterior_averages(), lef_seq, "L")
     lef_plus = None
     if part.index == 2:
-        plus_seq = [lefschetz_from_row(row, part.plus_indices) for row in table]
         lef_plus = _checked_closed_form(
             ext, group.exterior_averages(part.plus_indices), plus_seq, "L_+"
         )
@@ -216,5 +214,5 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
         lefschetz_plus=lef_plus,
         nielsen_direct=direct,
         nielsen_structural=structural,
-        sign_relations=_sign_relations(table[:kmax], ec, part),
+        sign_relations=_sign_relations(seqs, kmax, ec, part.index),
     )

@@ -374,3 +374,32 @@ def test_cli_fuzz_exit_codes_and_replay(capsys):
     for i in order:
         code, out, err, _ = run_fuzz_call(capsys, cases[i])
         assert (code, out, err) == results[i], cases[i]
+
+
+@pytest.mark.parametrize("check", ["spectrum-partition", "factorization"])
+def test_failed_internal_check_raises_and_exits_4(monkeypatch, capsys, check):
+    """The spectrum's modulus classes must partition it, and a factorization
+    must reproduce its input.  Both are raises, not asserts, so they hold
+    under `python -O`; forced to fail, each raises InfranilError from the
+    library and exits 4 through the CLI, with no traceback."""
+    from fractions import Fraction
+
+    from infranil import fixedpoint, polynomials
+    from infranil.errors import InfranilError
+    from infranil.matrices import QMatrix
+
+    if check == "spectrum-partition":
+        message = "modulus classes must partition the spectrum"
+        monkeypatch.setattr(
+            fixedpoint, "_analyze_factor", lambda q, mult: fixedpoint.FactorRoots(q, mult, (), None)
+        )
+    else:
+        message = "factorization does not reproduce the input"
+        monkeypatch.setattr(polynomials, "_factor_squarefree", lambda p: [polynomials.IntPoly([1, 1])])
+    with pytest.raises(InfranilError, match=f"^{message}$"):
+        fixedpoint.eigen_classify(QMatrix([[3, 0], [0, Fraction(5)]]))
+    code, out, err = run(
+        capsys, "compute", "--manifold", "klein-bottle",
+        "--param", "a=3", "--param", "b=5", "--param", "s=1/2", "--json",
+    )
+    assert (code, out, err) == (4, "", f"internal error: {message}\n")

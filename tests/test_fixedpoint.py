@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, lcm
 
 from infranil.catalog import catalog_ids, catalog_lookup, holonomy
 from infranil.fixedpoint import (
@@ -229,15 +230,46 @@ def test_row_averages_must_be_integral():
 # ---------------------------------------------------------------------------
 
 
+def int_product(a, b, n):
+    """Row-major product of two n x n integer matrices given as flat lists."""
+    return [sum(a[i * n + t] * b[t * n + j] for t in range(n)) for i in range(n) for j in range(n)]
+
+
+def int_det(m, n):
+    """Determinant of the n x n integer matrix m (flat, row-major), by
+    cofactor expansion along the first row."""
+    if n == 1:
+        return m[0]
+    return sum(
+        (-1) ** c * m[c] * int_det([m[r * n + k] for r in range(1, n) for k in range(n) if k != c], n - 1)
+        for c in range(n)
+    )
+
+
+def int_form(mats):
+    """(r, flats): r is the least common denominator of the matrices'
+    entries, flats[i] the entries of r * mats[i], row-major, as ints."""
+    r = lcm(*(v.denominator for m in mats for row in m.rows for v in row))
+    return r, [[int(v * r) for row in m.rows for v in row] for m in mats]
+
+
 def direct_table(cand, group, kmax):
-    """det(I - A D^k) from an explicit matrix power and a Gaussian-elimination
-    determinant per entry: the oracle for the recurrence table."""
-    ident = QMatrix.identity(cand.entry.dim)
-    rows = []
-    power = ident
-    for _ in range(kmax):
-        power = power * cand.dstar
-        rows.append(tuple((ident - a * power).det() for a in group.elements))
+    """Rows (den, dets) with det(I - A_i D^k) = dets[i] / den: with D = D'/q
+    and A_i = A_i'/r in integer form, det(I - A_i D^k) is
+    det(r q^k I - A_i' D'^k) / (r q^k)^n, from an explicit power of D' and
+    one integer determinant per entry.  The oracle for the recurrence table."""
+    n = cand.entry.dim
+    q, (dq,) = int_form([cand.dstar])
+    r, elements = int_form(group.elements)
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    rows, power = [], ident
+    for k in range(1, kmax + 1):
+        power = int_product(power, dq, n)
+        scale = r * q ** k
+        rows.append((scale ** n, tuple(
+            int_det([scale * e - v for e, v in zip(ident, int_product(a, power, n))], n)
+            for a in elements
+        )))
     return rows
 
 
@@ -248,8 +280,13 @@ def assert_table_matches(cand, kmax, label):
     assert all(
         type(den) is int and den > 0 and all(type(v) is int for v in nums) for den, nums in table
     ), label
-    exact = [tuple(F(v, den) for v in nums) for den, nums in table]
-    assert exact == direct_table(cand, group, kmax), label
+    for k, ((den, nums), (oracle_den, dets)) in enumerate(
+        zip(table, direct_table(cand, group, kmax)), start=1
+    ):
+        # nums[i] / den == dets[i] / oracle_den, both denominators positive
+        assert len(nums) == len(dets) and all(
+            v * oracle_den == d * den for v, d in zip(nums, dets)
+        ), (label, k)
 
 
 def test_det_table_matches_direct_determinants_on_corpus():
@@ -314,22 +351,99 @@ def test_det_table_shorter_than_recurrence_order():
             assert_table_matches(cand, kmax, (cand.entry.id, kmax))
 
 
-def test_exterior_factors_of_d_are_reversed_spectrum_factors():
-    """ExteriorData.factors[1] is derived from eigen_classify's factors of
-    charpoly(D); it must equal factor_over_q of det(I - z D), singular D
-    included."""
-    from infranil.matrices import det_one_minus_z
-    from infranil.polynomials import factor_over_q
+def reference_exterior(ext, n):
+    """(det_polys, factors) by the route that reads nothing off
+    charpoly(D): Faddeev-LeVerrier on each integer form flat_j of
+    Lambda^j D, and factor_over_q of q_j^d det(I - z flat_j)(z / q_j)."""
+    from infranil.matrices import scaled_det_one_minus_z
+    from infranil.polynomials import IntPoly, factor_over_q
 
+    det_polys, factors = [], []
+    for j, (q, flat) in enumerate(ext.forms):
+        poly = scaled_det_one_minus_z(flat, comb(n, j), 1)
+        d = poly.degree
+        scaled = IntPoly([c * q ** (d - t) for t, c in enumerate(poly.coeffs)])
+        det_polys.append(poly)
+        factors.append(tuple(factor_over_q(scaled)) if d > 0 else ())
+    return tuple(det_polys), tuple(factors)
+
+
+def sympy_exterior(m, j):
+    """(q_j, ascending coefficients of det(I - z q_j Lambda^j D), sorted
+    factor_list of det(I - z Lambda^j D) with primitive positive-leading
+    integer factors), all from sympy's minors of D."""
+    from itertools import combinations
+
+    import sympy
+
+    z = sympy.Symbol("z")
+    dm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows])
+    subsets = list(combinations(range(m.nrows), j))
+    ext = sympy.Matrix(len(subsets), len(subsets),
+                       lambda a, b: dm.extract(list(subsets[a]), list(subsets[b])).det())
+    q = sympy.ilcm(1, *(v.q for v in ext))
+    det = sympy.expand((sympy.eye(len(subsets)) - z * ext).det())
+    scaled = sympy.Poly(det.subs(z, q * z), z).all_coeffs()[::-1]
+    _, pairs = sympy.factor_list(det, z)
+    factors = []
+    for f, mult in pairs:
+        fc = [int(c) for c in reversed(sympy.Poly(f, z).all_coeffs())]
+        factors.append((tuple(-c for c in fc) if fc[-1] < 0 else tuple(fc), mult))
+    return int(q), [int(c) for c in scaled], sorted(factors)
+
+
+def special_matrices():
+    """Rank 0, 1 and 2, nilpotent and repeated-eigenvalue linear parts, and
+    half-integer Heisenberg D*."""
+    import random
+
+    out = [
+        QMatrix([[0]]), QMatrix([[0, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]]), QMatrix([[2, 0], [0, 0]]),
+        QMatrix([[0] * 3] * 3),
+        QMatrix([[1, 2, 3], [2, 4, 6], [F(-1, 2), -1, F(-3, 2)]]),           # rank 1
+        QMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),                          # nilpotent, rank 2
+        QMatrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]]),                          # rank 2
+        QMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]]), QMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]]),
+        QMatrix([[2, 0, 0], [0, 2, 0], [0, 0, -1]]), QMatrix([[-1, 1, 0], [0, -1, 1], [0, 0, -1]]),
+        QMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]), QMatrix([[2, 1], [0, 2]]),
+    ]
+    out += [cand.dstar for cand in random_heisenberg_half_integer_maps(random.Random(11), 6)]
+    return out
+
+
+def random_rational_matrices(rng, per_size):
+    """1 x 1 to 3 x 3 matrices with entries over denominators 1, 2, 3 and 6."""
+    return [
+        QMatrix([[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(n)] for _ in range(n)])
+        for n in (1, 2, 3) for _ in range(per_size)
+    ]
+
+
+def test_exterior_factors_of_d_are_reversed_spectrum_factors(monkeypatch):
+    """Every det_polys[j] and factors[j] of `exterior_data` is read off
+    charpoly(D) and eigen_classify's factors of it.  They must equal the
+    Faddeev-LeVerrier route with a factorization per j on random rational
+    matrices, singular, nilpotent and repeated-eigenvalue ones, half-integer
+    Heisenberg D*, and every corpus seed-1 and random-maps seed-1 candidate;
+    on all but the catalog runs, also sympy's minors and factor_list."""
+    import random
+
+    from test_spectrum import corpus_candidates, random_maps_candidates
+
+    with_sympy = special_matrices() + random_rational_matrices(random.Random(31), 15)
+    cases = with_sympy + [cand.dstar for cand in corpus_candidates()]
+    cases += [cand.dstar for cand in random_maps_candidates(monkeypatch, [1])]
+    assert len(cases) == len(with_sympy) + 264 + 300
     singular = 0
-    cases = [QMatrix([[0, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]]), QMatrix([[2, 0], [0, 0]])]
-    for spec in load_corpus().families:
-        cases.append(family_instantiate(spec, sample_params(spec, 1, 1)[0]).dstar)
-    for m in cases:
+    for i, m in enumerate(cases):
+        n = m.nrows
         ext = exterior_data(m)
         assert ext.spectrum == eigen_classify(m)
-        det_poly = det_one_minus_z(m)
-        expected = tuple(factor_over_q(det_poly)) if det_poly.degree > 0 else ()
-        assert ext.factors[1] == expected, m
+        assert (ext.det_polys, ext.factors) == reference_exterior(ext, n), m
+        if i < len(with_sympy):
+            for j in range(n + 1):
+                q, scaled, factors = sympy_exterior(m, j)
+                assert ext.forms[j][0] == q and list(ext.det_polys[j].coeffs) == scaled, (m, j)
+                assert sorted((f.coeffs, mult) for f, mult in ext.factors[j]) == factors, (m, j)
         singular += m.det() == 0
-    assert singular >= 10
+    assert singular >= 20

@@ -42,6 +42,22 @@ def test_engine_does_not_import_numberfield():
     assert offenders == []
 
 
+def test_library_has_no_assert_statements():
+    """Library checks raise InfranilError: an `assert` vanishes under
+    `python -O`, and when it fails the CLI shows a traceback instead of
+    exiting 4."""
+    import ast
+    from pathlib import Path
+
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(Path(infranil.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
 def test_bench_trace_targets_resolve(monkeypatch):
     """Every (module, function) the benchmark's tracer wraps exists on the
     package, and so does the counter it reads: moving library code must not

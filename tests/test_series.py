@@ -117,6 +117,42 @@ def test_logderiv_series_roundtrip():
     assert rfp.logderiv_series(6) == geometric_sum([(1, 15), (-1, 5)], 6)
 
 
+def generator_logderiv_series(rfp, nterms):
+    """The log-derivative series by the per-term generator sum
+    s_k = k q_k - sum_{i=1..min(k-1, d)} q_i s_{k-i}: the oracle for the
+    dot-product form in `RatFuncProduct.logderiv_series`."""
+    out = [0] * nterms
+    for q, e in rfp.factors:
+        c, d = q.coeffs, q.degree
+        s = []
+        for k in range(1, nterms + 1):
+            v = k * c[k] if k <= d else 0
+            s.append(v - sum(c[i] * s[k - 1 - i] for i in range(1, min(k - 1, d) + 1)))
+        out = [o + e * v for o, v in zip(out, s)]
+    return out
+
+
+def test_logderiv_series_matches_generator_sum():
+    """Seeded random products of degree 1-3 factors with q(0) = 1 and
+    exponents of both signs, for nterms 0, 1, below the largest degree and
+    well past it."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(60):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randint(1, 3)
+            coeffs = [1] + [rng.randint(-9, 9) for _ in range(d - 1)] + [rng.choice([-1, 1]) * rng.randint(1, 9)]
+            pairs.append((IntPoly(coeffs), rng.choice([-3, -2, -1, 1, 2, 3])))
+        rfp = RatFuncProduct.from_irreducibles(pairs)
+        seen |= {(q.degree, e < 0) for q, e in rfp.factors}
+        top = max((q.degree for q, _ in rfp.factors), default=0)
+        for nterms in sorted({0, 1, max(top - 1, 0), top, 25}):
+            assert rfp.logderiv_series(nterms) == generator_logderiv_series(rfp, nterms), (rfp, nterms)
+    assert seen == {(d, neg) for d in (1, 2, 3) for neg in (False, True)}
+    assert RatFuncProduct.one().logderiv_series(3) == [0, 0, 0]
+
+
 def test_rfp_canonical_and_transforms():
     a = RatFuncProduct.from_factors([(QPoly([1, -4, 3]), 1), (QPoly([1, -1]), -1)])
     # (1-z)(1-3z)/(1-z) = (1-3z)

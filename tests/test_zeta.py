@@ -344,13 +344,13 @@ def count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("manifold", ["flat3-8", "heis-I", "torus-3"])
 def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
-    from infranil.matrices import charpoly, det_one_minus_z, exterior_power, integer_form
+    from infranil.matrices import charpoly, integer_form
     from infranil.selfmaps import family_instantiate, load_corpus, sample_params
 
     spec = next(f for f in load_corpus().families if f.manifold == manifold)
     cand = family_instantiate(spec, sample_params(spec, 1)[0])
     dim = cand.entry.dim
-    det_polys = [det_one_minus_z(exterior_power(cand.dstar, j)).to_int()[0] for j in range(dim + 1)]
+    cp = charpoly(cand.dstar).to_int()[0]
     # Lambda^j A is formed once per holonomy group, not per candidate
     holonomy(cand.entry).exterior_powers
     calls = count_calls(
@@ -366,16 +366,9 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     assert calls["matrices.scaled_det_one_minus_z"].count((flat, dim, q)) == 1
     assert calls["matrices.charpoly"] == []
     assert calls["matrices.exterior_power"] == []
-    # each det(I - z Lambda^j D) is factored at most once per j, and j = 1
-    # not at all: its factors are derived from eigen_classify's of charpoly(D)
-    factored = [
-        (poly if isinstance(poly, QPoly) else poly.to_qpoly()).to_int()[0]
-        for poly, in calls["polynomials.factor_over_q"]
-    ]
-    cp = charpoly(cand.dstar).to_int()[0]
-    for poly in set(det_polys):
-        assert factored.count(poly) <= det_polys.count(poly) + (poly == cp), (poly, factored)
-    assert len(factored) <= dim
+    # exactly one factorization, of charpoly(D): every det(I - z Lambda^j D)
+    # and its factors are read off it
+    assert calls["polynomials.factor_over_q"] == [(cp,)]
 
 
 def test_identity_average_reads_the_exterior_factors(monkeypatch):
