@@ -147,9 +147,6 @@ class CatalogEntry:
     def holonomy_group(self) -> "HolonomyGroup":
         return _close_holonomy(self.id, self.generators)
 
-    def lattice(self, coords) -> AffineElement:
-        return lattice_element(self.model, self.dim, coords, self.k)
-
 
 @dataclass(frozen=True)
 class HolonomyGroup:

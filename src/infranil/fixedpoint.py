@@ -53,7 +53,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .catalog import HolonomyGroup, holonomy
-from .errors import InfranilError, InvalidCandidateError
+from .errors import ConstraintError, InfranilError, InvalidCandidateError
 from .matrices import (
     QMatrix,
     exterior_integer_form,
@@ -306,14 +306,28 @@ def _trace_sequences(blocks, form, det_poly: IntPoly, kmax: int):
     return r, q, seqs
 
 
-def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int):
+def exterior_traces(ext: ExteriorData, group: HolonomyGroup, kmax: int) -> list:
+    """traces[j - 1] = `_trace_sequences` of the Lambda^j A_i against
+    Lambda^j D, for j = 1..n: seqs[i][k] = r q^k tr(Lambda^j A_i .
+    (Lambda^j D)^k) for k = 0..max(kmax, C(n, j) - 1).  Formed once per
+    candidate: `det_table` reads k = 1..kmax of every j, and `positive_part`
+    the first C(n, m) terms of j = m."""
+    return [
+        _trace_sequences(
+            group.exterior_powers[j], form, poly, max(kmax, isqrt(len(form[1])) - 1)
+        )
+        for j, (form, poly) in enumerate(zip(ext.forms, ext.det_polys))
+        if j
+    ]
+
+
+def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int, traces=None):
     """table[k-1] = (den, nums) with det(I - A_i D^k) = nums[i] / den for
     k = 1..kmax, den > 0 and nums ints, where ext is `exterior_data(D)`, by
-    the exterior-power trace recurrences of the module docstring."""
-    terms = [
-        _trace_sequences(group.exterior_powers[j], ext.forms[j], ext.det_polys[j], kmax)
-        for j in range(1, len(ext.forms))
-    ]
+    the exterior-power trace recurrences of the module docstring.  traces,
+    when given, is `exterior_traces(ext, group, kmax)`, formed by the
+    caller so that `positive_part` reads the same sequences."""
+    terms = exterior_traces(ext, group, kmax) if traces is None else traces
     dens, weights = [], []
     for k in range(1, kmax + 1):
         scales = [r * q ** k for r, q, _ in terms]
@@ -396,9 +410,11 @@ def _root_product(f) -> tuple:
     return (-1) ** (len(f) - 1) * f[0], f[-1]
 
 
-def positive_part(candidate: MapCandidate, ext: ExteriorData) -> PositivePart:
+def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> PositivePart:
     """The sign eps_A = det(A on V/W) of every holonomy element, where ext is
     `exterior_data(candidate.dstar)`, and the subgroup F_+ where it is +1.
+    traces is the candidate's `exterior_traces`, formed here when not
+    given.
 
     Let m = dim V/W, mu the product of the expanding eigenvalues and h its
     minimal polynomial.  W is preserved by every holonomy element, and its
@@ -411,8 +427,8 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData) -> PositivePart:
 
     with the least j < deg h that makes the denominator nonzero (p(mu) != 0,
     and the trace form of Q(mu) is nondegenerate).  Both traces are dot
-    products with the first C(n, m) terms of `det_table`'s integer trace
-    sequences for j = m; the denominator is the identity's (element 0).
+    products with the first C(n, m) terms of the integer trace sequences
+    for j = m; the denominator is the identity's (element 0).
 
     h comes from the spectrum's factors with no comparison of roots, up to a
     constant factor.  With c the product of the roots of the purely
@@ -453,7 +469,9 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData) -> PositivePart:
     h = IntPoly([v * a ** (d - k) * b ** k for k, v in enumerate(f)]).primitive()
     det_poly, size = ext.det_polys[m].coeffs, isqrt(len(flat))
     g = exact_quotient(IntPoly(reversed(det_poly + (0,) * (size + 1 - len(det_poly)))), h).coeffs
-    _, _, seqs = _trace_sequences(group.exterior_powers[m], ext.forms[m], ext.det_polys[m], size - 1)
+    if traces is None:
+        traces = exterior_traces(ext, group, 1)
+    seqs = traces[m - 1][2]
     for j in range(d):
         total = sum(map(mul, g, seqs[0][j:]))
         if total:
@@ -499,12 +517,22 @@ def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelatio
                   N(f^k) = (-1)^(p+n) L(f^k)        (k even)
         index 2:  same signs applied to L(f_+^k) - L(f^k)
 
-    on a table, spectrum and positive part built here; `compute_zeta` runs
-    the same check on its own."""
+    on a table, spectrum and positive part built here, from one set of
+    `exterior_traces`; `compute_zeta` runs the same check on its own.
+    Raises ConstraintError for kmax < 1."""
+    check_kmax(kmax)
     ext = exterior_data(candidate.dstar)
-    part = positive_part(candidate, ext)
-    seqs = _number_sequences(det_table(ext, part.group, kmax), part)
+    group = candidate.entry.holonomy_group
+    traces = exterior_traces(ext, group, kmax)
+    part = positive_part(candidate, ext, traces)
+    seqs = _number_sequences(det_table(ext, group, kmax, traces), part)
     return _sign_relations(seqs, kmax, ext.spectrum, part.index)
+
+
+def check_kmax(kmax: int):
+    """Every number sequence runs over k = 1..kmax, so kmax must be >= 1."""
+    if kmax < 1:
+        raise ConstraintError(f"kmax must be >= 1, got {kmax}")
 
 
 def _number_sequences(table, part: PositivePart):

@@ -21,6 +21,12 @@ from .errors import InfranilError
 from .polynomials import IntPoly, QPoly
 
 
+# One shared Fraction per small integer: a matrix built from int entries (a
+# candidate's linear part, catalog data, identities) holds no Fraction of its
+# own, so a search that keeps thousands of candidates keeps less memory.
+_SMALL_INTS = {v: Fraction(v) for v in range(-128, 129)}
+
+
 @dataclass(frozen=True)
 class QMatrix:
     """Immutable dense matrix of Fractions, row-major."""
@@ -28,7 +34,11 @@ class QMatrix:
     rows: tuple
 
     def __init__(self, rows):
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        small = _SMALL_INTS
+        data = tuple(
+            tuple(small[v] if type(v) is int and v in small else Fraction(v) for v in row)
+            for row in rows
+        )
         if not data or not data[0]:
             raise InfranilError("matrices must have at least one row and column")
         width = len(data[0])

@@ -9,9 +9,10 @@ every generator (alpha, A) of the group there is some group element
 
 Writing X and Y for the embedded sides with (beta, B) split into a lattice
 part times a coset representative, the condition becomes "X equals
-(lattice element) * Y", which is decided exactly: solve for the unique
-lattice coordinates from the translation columns, check integrality, and
-confirm the full matrix identity.  The assignment need not be a
+(lattice element) * Y", which is decided exactly: once the linear parts
+agree, the identity holds exactly when the translation columns do, so the
+unique lattice coordinates are solved from those columns and checked for
+integrality (`_lattice_witness`).  The assignment need not be a
 homomorphism, so each generator is tested against every holonomy element
 independently.
 
@@ -103,25 +104,33 @@ class MapCandidate:
 
 
 def _lattice_witness(entry: CatalogEntry, x: QMatrix, y: QMatrix):
-    """Solve X = (lattice element) * Y for integral lattice coordinates;
-    returns the coordinates or None.  Works for singular linear parts because
-    the candidate coordinates are read off the translation columns."""
+    """The integral lattice coordinates c with X = L(c) * Y, or None, where
+    L(c) is the embedded lattice element, X = cand * gen and Y = rep_h * cand
+    for a pair (generator, holonomy element h) that passed the rotational
+    filter D A_g == B_h D.
+
+    The filter makes the matrix identity a question about translation
+    columns alone.  Abelian: X and L(c) Y = (B_h D | c + t_Y) share the
+    linear part B_h D, so X = L(c) Y exactly when c = t_X - t_Y.
+    Heisenberg: an embedded element psi(h, phi) is determined by its
+    automorphism part phi and its nilpotent part h, and h by the translation
+    column t(h) = (-k x y / 2 + z, x, y), which does not depend on phi and is
+    injective in h.  X and L(c) Y have the same automorphism part D A_g =
+    B_h D, so they are equal exactly when their translation columns are,
+    U(c) t_Y + t(c) = t_X with U(c) the unipotent block of L(c).  Its
+    unique solution is the (z1, z2, z3) below.  Either way no lattice
+    element is formed and no product confirms the solve.  Works for singular
+    linear parts too."""
     n = entry.dim
     if entry.model == ABELIAN:
         coords = tuple(x[i, n] - y[i, n] for i in range(n))
-        if any(c.denominator != 1 for c in coords):
-            return None
-        if entry.lattice(coords).matrix * y != x:
-            return None
-        return coords
-    k = entry.k
-    z1 = x[1, 3] - y[1, 3]
-    z2 = x[2, 3] - y[2, 3]
-    z3 = x[0, 3] - y[0, 3] - k * z2 / 2 * y[1, 3] + k * z1 / 2 * y[2, 3] + k * z1 * z2 / 2
-    coords = (z1, z2, z3)
+    else:
+        k = entry.k
+        z1 = x[1, 3] - y[1, 3]
+        z2 = x[2, 3] - y[2, 3]
+        z3 = x[0, 3] - y[0, 3] - k * z2 / 2 * y[1, 3] + k * z1 / 2 * y[2, 3] + k * z1 * z2 / 2
+        coords = (z1, z2, z3)
     if any(c.denominator != 1 for c in coords):
-        return None
-    if entry.lattice(coords).matrix * y != x:
         return None
     return coords
 
@@ -155,7 +164,9 @@ def validate_selfmap(candidate: MapCandidate):
     embedded candidate cand (once per call), the affine products
     X = cand * gen (once per generator) and
     Y_h = rep_h * cand (once per h, shared across generators) formed, in
-    Fractions, for the exact lattice witness."""
+    Fractions, for the lattice witness, which reads their translation
+    columns.  Holonomy index 0 is the identity, whose representative is the
+    identity matrix, so Y_0 is cand itself and costs no product."""
     entry = candidate.entry
     group = holonomy(entry)
     n = entry.dim
@@ -176,7 +187,7 @@ def validate_selfmap(candidate: MapCandidate):
                 continue
             if x is None:
                 if cand is None:
-                    cand = candidate.embedded().matrix
+                    cand = ys[0] = candidate.embedded().matrix
                 x = cand * gen.matrix
             y = ys.get(hi)
             if y is None:

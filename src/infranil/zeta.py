@@ -35,8 +35,10 @@ from .fixedpoint import (
     SignRelationReport,
     _number_sequences,
     _sign_relations,
+    check_kmax,
     det_table,
     exterior_data,
+    exterior_traces,
     positive_part,
 )
 from .matrices import (
@@ -178,14 +180,17 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
     log-derivative reproduces its Lefschetz numbers on every term of the
     determinant table.  The parity relations for k = 1..kmax are checked on
     the same table, spectrum and positive part, and reported, not
-    asserted."""
+    asserted.  The table and the positive part read one set of
+    `exterior_traces`.  Raises ConstraintError for kmax < 1."""
+    check_kmax(kmax)
     ext = exterior_data(candidate.dstar)
     ec = ext.spectrum
-    part = positive_part(candidate, ext)
-    group = part.group
+    group = candidate.entry.holonomy_group
     dim = candidate.entry.dim
     nterms = max(sequence_length(dim), kmax)
-    table = det_table(ext, group, nterms)
+    traces = exterior_traces(ext, group, nterms)
+    part = positive_part(candidate, ext, traces)
+    table = det_table(ext, group, nterms, traces)
     seqs = _number_sequences(table, part)
     lef_seq, nie_seq, plus_seq = seqs
     lef = _checked_closed_form(ext, group.exterior_averages(), lef_seq, "L")

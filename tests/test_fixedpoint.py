@@ -1,7 +1,10 @@
 from fractions import Fraction
 from math import comb, lcm
 
+import pytest
+
 from infranil.catalog import catalog_ids, catalog_lookup, holonomy
+from infranil.errors import ConstraintError
 from infranil.fixedpoint import (
     GT1,
     INSIDE,
@@ -9,6 +12,7 @@ from infranil.fixedpoint import (
     det_table,
     eigen_classify,
     exterior_data,
+    exterior_traces,
     lefschetz_number,
     nielsen_number,
     positive_part,
@@ -349,6 +353,73 @@ def test_det_table_shorter_than_recurrence_order():
     for cand in cases:
         for kmax in (1, 2, 3):
             assert_table_matches(cand, kmax, (cand.entry.id, kmax))
+
+
+def trace_cases():
+    """Candidates with an expanding block, so that `positive_part` reads the
+    j = m sequences: m = 1 and 2 of n = 2, and m = 1, 2 and 3 of n = 3."""
+    torus = catalog_lookup("torus-3")
+    return [
+        MapCandidate(catalog_lookup("torus-2"), (0, 0), QMatrix([[2, 1], [1, 1]])),
+        kb(3, 5, 0, F(1, 2)),
+        MapCandidate(torus, (0, 0, 0), QMatrix([[3, 1, 0], [1, 1, 0], [0, 0, 2]])),
+        MapCandidate(torus, (0, 0, 0), QMatrix([[2, 0, 0], [0, 1, 1], [0, 0, 1]])),
+        MapCandidate(catalog_lookup("hantzsche-wendt"), (F(1, 2), 0, F(1, 2)),
+                     QMatrix([[3, 0, 0], [0, -5, 0], [0, 0, 7]])),
+    ]
+
+
+def test_trace_sequences_formed_once_per_exterior_power(monkeypatch):
+    """compute_zeta and check_sign_relations each form one trace sequence
+    per j = 1..n, which the determinant table and the positive part share."""
+    import infranil.fixedpoint as fixedpoint
+    from infranil.zeta import compute_zeta
+
+    calls = []
+    original = fixedpoint._trace_sequences
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(fixedpoint, "_trace_sequences", counting)
+    cases = trace_cases()
+    assert [exterior_data(c.dstar).spectrum.dim_gt1 for c in cases] == [1, 2, 2, 1, 3]
+    for cand in cases:
+        for run in (lambda c: compute_zeta(c, kmax=12), lambda c: check_sign_relations(c, kmax=1)):
+            calls.clear()
+            run(cand)
+            assert len(calls) == cand.entry.dim, cand.dstar
+
+
+def test_positive_part_reads_the_shared_traces():
+    """The signs read off `exterior_traces` equal those read off the j = m
+    sequence alone, even when kmax is shorter than C(n, m) terms."""
+    corpus = [
+        family_instantiate(spec, params)
+        for spec in load_corpus().families
+        for params in sample_params(spec, 1, seed=1)
+    ]
+    for cand in trace_cases() + corpus:
+        ext = exterior_data(cand.dstar)
+        expected = positive_part(cand, ext)
+        for kmax in (1, 40):
+            traces = exterior_traces(ext, holonomy(cand.entry), kmax)
+            assert positive_part(cand, ext, traces) == expected, cand.dstar
+    for cand in trace_cases():
+        assert check_sign_relations(cand, kmax=1).ok
+
+
+@pytest.mark.parametrize("kmax", [0, -5])
+def test_kmax_below_one_is_a_constraint_error(kmax):
+    from infranil.zeta import compute_zeta
+
+    cand = MapCandidate(catalog_lookup("torus-2"), (0, 0), QMatrix([[2, 1], [1, 1]]))
+    with pytest.raises(ConstraintError, match="kmax must be >= 1"):
+        compute_zeta(cand, kmax=kmax)
+    with pytest.raises(ConstraintError, match="kmax must be >= 1"):
+        check_sign_relations(cand, kmax=kmax)
+    assert compute_zeta(cand, kmax=1).lefschetz_numbers == (-1,)
 
 
 def reference_exterior(ext, n):

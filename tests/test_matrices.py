@@ -12,6 +12,14 @@ def rand_matrix(rng, n, lo=-5, hi=5):
     return QMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
+def test_small_integer_entries_share_one_fraction():
+    a, b = QMatrix([[2, -128], [0, 129]]), QMatrix([[2, 5], [Fraction(2), True]])
+    assert a.rows[0][0] is b.rows[0][0] and a.rows[0][0] == Fraction(2)
+    assert a.rows[0][1] == -128 and a.rows[1][1] == 129 and b.rows[1] == (2, 1)
+    assert all(type(v) is Fraction for m in (a, b) for row in m.rows for v in row)
+    assert a * QMatrix.identity(2) == a and -a.rows[0][0] == -2
+
+
 def test_charpoly_examples():
     assert charpoly(QMatrix([[3, 0], [0, 5]])) == QPoly([15, -8, 1])
     assert charpoly(QMatrix([[2, 1], [1, 1]])) == QPoly([1, -3, 1])

@@ -1,11 +1,14 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from infranil.catalog import HEISENBERG, catalog_ids, catalog_lookup, holonomy
+from infranil.catalog import HEISENBERG, catalog_ids, catalog_lookup, holonomy, lattice_element
 from infranil.errors import ConstraintError, CorpusError, InvalidCandidateError
-from infranil.matrices import QMatrix, integer_form
+from infranil.matrices import QMatrix, flat_product, integer_form
 from infranil.selfmaps import (
     MapCandidate,
     PhiAssignment,
@@ -190,35 +193,65 @@ def test_unknown_domain_is_a_corpus_error():
 
 
 # ---------------------------------------------------------------------------
-# The integer rotational filter against the Fraction algorithm it replaced
+# validate_selfmap against the Fraction algorithm it replaced
 # ---------------------------------------------------------------------------
 
 QUARTERS = [F(q, 4) for q in range(-16, 17)]
 
 
+def reference_witness(entry, x, y):
+    """The lattice witness as first written: solve the translation columns
+    for c, then confirm X = L(c) * Y with the embedded lattice element."""
+    n = entry.dim
+    if entry.model == HEISENBERG:
+        k = entry.k
+        z1 = x[1, 3] - y[1, 3]
+        z2 = x[2, 3] - y[2, 3]
+        z3 = x[0, 3] - y[0, 3] - k * z2 / 2 * y[1, 3] + k * z1 / 2 * y[2, 3] + k * z1 * z2 / 2
+        coords = (z1, z2, z3)
+    else:
+        coords = tuple(x[i, n] - y[i, n] for i in range(n))
+    if any(c.denominator != 1 for c in coords):
+        return None
+    if lattice_element(entry.model, entry.dim, coords, entry.k).matrix * y != x:
+        return None
+    return coords
+
+
 def reference_validate(candidate, group):
-    """validate_selfmap as first written: the rotational filter and both
-    affine products in Fractions, recomputed for every generator and every
-    holonomy element."""
+    """validate_selfmap as first written, on its own code path: the
+    rotational filter and both affine products in Fractions, with
+    Y_h = rep_h * cand formed for the identity too, and each witness
+    confirmed by a lattice product.  Each product is formed on first need
+    and kept for the candidate, and the generators with non-trivial
+    holonomy go first, where most candidates are rejected."""
     entry = candidate.entry
     cand = candidate.embedded().matrix
     dstar = candidate.dstar
+    b_d, ys = {}, {}
     found = []
-    for gi, gen in enumerate(entry.generators):
-        x = cand * gen.matrix
-        astar = gen.holonomy_part()
-        hit = None
+    order = sorted(range(len(entry.generators)), key=lambda g: group.generator_indices[g] == 0)
+    for gi in order:
+        gen = entry.generators[gi]
+        d_a = dstar * group.elements[group.generator_indices[gi]]
+        x = hit = None
         for hi, (bstar, rep) in enumerate(zip(group.elements, group.representatives)):
-            if dstar * astar != bstar * dstar:
+            if hi not in b_d:
+                b_d[hi] = bstar * dstar
+            if b_d[hi] != d_a:
                 continue
-            w = _lattice_witness(entry, x, rep.matrix * cand)
+            if x is None:
+                x = cand * gen.matrix
+            if hi not in ys:
+                ys[hi] = rep.matrix * cand
+            w = reference_witness(entry, x, ys[hi])
             if w is not None:
                 hit = (gi, hi, w)
                 break
         if hit is None:
             return None
         found.append(hit)
-    return PhiAssignment(tuple(found))
+    return PhiAssignment(tuple(sorted(found)))
 
 
 def smallest_entries():
@@ -289,10 +322,97 @@ def test_filter_matches_fraction_reference():
 
 
 def test_filter_matches_fraction_reference_on_corpus():
-    for spec in load_corpus().families:
-        for params in sample_params(spec, 1, seed=1):
-            cand = family_instantiate(spec, params, corpus_check=False)
-            assert assert_same(cand, holonomy(cand.entry)) is not None
+    count = 0
+    for seed in (1, 2):
+        for spec in load_corpus().families:
+            for params in sample_params(spec, 1, seed=seed):
+                cand = family_instantiate(spec, params, corpus_check=False)
+                assert assert_same(cand, holonomy(cand.entry)) is not None
+                count += 1
+    assert count == 2 * 264
+
+
+def bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_validate_matches_reference_on_benchmark_inputs(monkeypatch):
+    """Every screen candidate of seeds 1-2, mostly rejects, and every
+    random-maps candidate of seed 1, all accepts."""
+    workloads = bench_workloads(monkeypatch)
+    screen = [c for seed in (1, 2) for c in workloads.screen_instances(seed)]
+    accepted = sum(assert_same(c, holonomy(c.entry)) is not None for c in screen)
+    assert len(screen) == 6000 and 0 < accepted < len(screen)
+    for cand in workloads.random_maps_instances(1):
+        assert assert_same(cand, holonomy(cand.entry)) is not None
+
+
+def test_witness_returns_the_lattice_coordinates_it_was_built_from():
+    """X = L(c) * rep_h * cand for every holonomy index h of every entry:
+    the witness returns exactly c, and None once c is shifted off the
+    lattice.  cand's linear part is the identity (an odd multiple of it on
+    abelian entries), which commutes with every holonomy element, so each
+    pair (X, Y_h) passes the rotational filter."""
+    rng = random.Random(13)
+    count = 0
+    for entry in smallest_entries():
+        group = holonomy(entry)
+        n = entry.dim
+        scale = 1 if entry.model == HEISENBERG else rng.choice((1, 3, -1))
+        candidate = MapCandidate(
+            entry, tuple(rng.choice(QUARTERS) for _ in range(n)), QMatrix.identity(n) * scale
+        )
+        cand = candidate.embedded().matrix
+        _, (dflat,) = integer_form([candidate.dstar])
+        r, aflats = group.integer_elements
+        for hi, rep in enumerate(group.representatives):
+            assert flat_product(dflat, aflats[hi], n) == flat_product(aflats[hi], dflat, n)
+            y = rep.matrix * cand
+            c = tuple(rng.randint(-5, 5) for _ in range(n))
+            x = lattice_element(entry.model, n, c, entry.k).matrix * y
+            assert _lattice_witness(entry, x, y) == c, (entry.id, hi)
+            i = rng.randrange(n)
+            off = tuple(v + F(1, rng.choice((2, 3, 4))) * (j == i) for j, v in enumerate(c))
+            x = lattice_element(entry.model, n, off, entry.k).matrix * y
+            assert _lattice_witness(entry, x, y) is None, (entry.id, hi, off)
+            count += 1
+    assert count == sum(holonomy(e).order for e in smallest_entries())
+
+
+def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
+    """An accepted candidate with trivial holonomy costs one QMatrix product
+    per generator, for X = cand * gen: Y_0 is cand itself, and no lattice
+    element is built.  heis-I adds the product inside psi_embed that embeds
+    the candidate."""
+    import infranil.catalog as catalog
+
+    torus = MapCandidate(catalog_lookup("torus-3"), (F(1, 3), 0, F(-1, 4)),
+                         QMatrix([[2, 1, 0], [1, 1, 3], [0, -1, 5]]))
+    heis = heis_nil_candidate(2, ((2, 1), (1, 1)), x=0, y=0)
+    for cand in (torus, heis):
+        holonomy(cand.entry)  # built before counting
+
+    def no_lattice_element(*args):
+        raise AssertionError("validation built a lattice element")
+
+    calls = []
+    original = QMatrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(catalog, "lattice_element", no_lattice_element)
+    monkeypatch.setattr(QMatrix, "__mul__", counting_mul)
+    for cand, extra in ((torus, 0), (heis, 1)):
+        calls.clear()
+        assert validate_selfmap(cand) is not None
+        assert len(calls) == len(cand.entry.generators) + extra, cand.entry.id
 
 
 def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):

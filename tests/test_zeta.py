@@ -209,8 +209,8 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
     k = 35
     original = zeta_module.det_table
 
-    def corrupted(ext, group, kmax):
-        table = original(ext, group, kmax)
+    def corrupted(ext, group, kmax, traces=None):
+        table = original(ext, group, kmax, traces)
         den, nums = table[k - 1]
         nums = list(nums)
         assert nums[column] != 0
