@@ -27,11 +27,12 @@ numerators over one positive denominator, so L and N are integer sums.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
 
-The spectrum of D* is classified exactly, in integers: the counts p of real
-eigenvalues > 1 and n < -1 and the modulus split against the unit circle
-come from integer Sturm chains and each factor's signs at -1 and 1.  The
-positive part F_+, of index 1 or 2, holds the holonomy elements A with
-eps_A = det(A on V/W) = +1, W the modulus <= 1 subspace.  With m = dim V/W,
+The spectrum of D* is classified exactly, in integers and with no root
+isolated (`_analyze_factor`): the counts p of real eigenvalues > 1 and
+n < -1 and the modulus split against the unit circle come from one Sturm
+chain per factor and its signs at -1, 1 and +-|c0/c3|.  The positive
+part F_+, of index 1 or 2, holds the holonomy elements A with eps_A =
+det(A on V/W) = +1, W the modulus <= 1 subspace.  With m = dim V/W,
 
     eps_A = tr(Lambda^m A . p(Lambda^m D)) / tr(p(Lambda^m D)),
     p = x^j charpoly(Lambda^m D) / h,
@@ -66,11 +67,11 @@ from .polynomials import (
     IntPoly,
     exact_quotient,
     factor_over_q,
-    isolate_real_roots,
     sign_at,
-    sturm_count,
+    unit_split,
 )
 from .selfmaps import MapCandidate
+from .series import extend_recurrence
 
 # Counts the `positive_part` calls on a spectrum with an irreducible cubic
 # factor that has roots on both sides of the unit circle.  Trivial holonomy
@@ -85,30 +86,15 @@ ONE = "1"
 MINUS_ONE = "-1"
 
 
-def _classify_real_root(q: IntPoly, lo: Fraction, hi: Fraction) -> str:
-    """Sign class of the single root r of q in [lo, hi]: lo == hi == r, or
-    q changes sign once, at r, inside the open interval.  r is placed
-    against -1 and 1 by the integer signs of q there."""
-
-    def side(t: int) -> int:  # the sign of r - t
-        if t < lo or t > hi:
-            return 1 if t < lo else -1
-        s = q(t)
-        return 0 if s == 0 else (-1 if (s > 0) == (sign_at(q, hi) > 0) else 1)
-
-    sides = {(-1, -1): LTM1, (0, -1): MINUS_ONE, (1, -1): INSIDE, (1, 0): ONE, (1, 1): GT1}
-    return sides[side(-1), side(1)]
-
-
 @dataclass(frozen=True)
 class FactorRoots:
     """Exact root layout of one irreducible factor of the characteristic
-    polynomial: real roots with isolating intervals and sign classes, plus
-    the modulus class ('lt', 'eq', 'gt') of the complex pair if present."""
+    polynomial: the sign classes of its real roots, in ascending root order,
+    plus the modulus class ('lt', 'eq', 'gt') of the complex pair if present."""
 
     factor: IntPoly
     multiplicity: int
-    real: tuple          # ((lo, hi), sign_class) pairs
+    real: tuple          # sign class per real root, ascending
     pair_class: str | None
 
     @property
@@ -117,9 +103,9 @@ class FactorRoots:
 
     def modulus_counts(self):
         """(lt, eq, gt) root counts of one copy of the factor."""
-        lt = sum(1 for _, c in self.real if c == INSIDE)
-        eq = sum(1 for _, c in self.real if c in (ONE, MINUS_ONE))
-        gt = sum(1 for _, c in self.real if c in (GT1, LTM1))
+        lt = self.real.count(INSIDE)
+        eq = self.real.count(ONE) + self.real.count(MINUS_ONE)
+        gt = self.real.count(GT1) + self.real.count(LTM1)
         if self.pair_class == "lt":
             lt += 2
         elif self.pair_class == "eq":
@@ -140,23 +126,31 @@ class FactorRoots:
 
 def _analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
     """Root layout of an irreducible factor with positive leading
-    coefficient, in integers."""
+    coefficient, in integers.  A linear factor's root -c0/c1 is compared
+    with -1 and 1; a quadratic or cubic has no rational root, so
+    `unit_split` counts its real roots against them, and a sign 0 at -1, 1
+    or +-|c0/c3| shows a reducible factor (InfranilError)."""
     c, deg = q.coeffs, q.degree
     if deg == 1:
-        root = Fraction(-c[0], c[1])
-        return FactorRoots(q, mult, (((root, root), _classify_real_root(q, root, root)),), None)
+        r, one = -c[0], c[1]
+        cls = (GT1 if r > one else ONE if r == one else INSIDE if r > -one
+               else MINUS_ONE if r == -one else LTM1)
+        return FactorRoots(q, mult, (cls,), None)
     if deg not in (2, 3):
         raise InfranilError(f"unexpected factor degree {deg} in spectrum analysis")
     if deg == 2 and c[1] * c[1] < 4 * c[0] * c[2]:
         # |lambda|^2 = c0/c2 for the conjugate pair
         return FactorRoots(q, mult, (), "eq" if c[0] == c[2] else ("gt" if c[0] > c[2] else "lt"))
-    intervals = isolate_real_roots(q)
-    real = tuple((iv, _classify_real_root(q, *iv)) for iv in intervals)
+    below, inside, above = unit_split(q)
+    real = (LTM1,) * below + (INSIDE,) * inside + (GT1,) * above
     pair = None
-    if deg == 3 and len(intervals) == 1:
-        # theta * |lambda|^2 = -c0/c3, so |lambda| > 1 iff |theta| < |c0/c3|
-        bound = abs(Fraction(c[0], c[3]))
-        pair = "gt" if sturm_count(q, -bound, bound) == 1 else "lt"
+    if deg == 3 and len(real) == 1:
+        # theta * |lambda|^2 = -c0/c3, so |lambda| > 1 iff |theta| < B =
+        # |c0/c3|, that is iff q changes sign on (-B, B)
+        lo, hi = sign_at(q, -abs(c[0]), c[3]), sign_at(q, abs(c[0]), c[3])
+        if not lo * hi:
+            raise InfranilError(f"factor {q} has a rational root, so it is not irreducible")
+        pair = "gt" if lo != hi else "lt"
     return FactorRoots(q, mult, real, pair)
 
 
@@ -188,8 +182,8 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
         lt, eq, gt = fr.modulus_counts()
         classes.append((lt * mult, eq * mult, gt * mult))
         gt_total += gt * mult
-        p += mult * sum(1 for _, c in fr.real if c == GT1)
-        n += mult * sum(1 for _, c in fr.real if c == LTM1)
+        p += mult * fr.real.count(GT1)
+        n += mult * fr.real.count(LTM1)
     if sum(lt + eq + gt for lt, eq, gt in classes) != cp.degree:
         raise InfranilError("modulus classes must partition the spectrum")
     return EigenClass(cp, tuple(factors), tuple(data), tuple(classes), p, n, gt_total)
@@ -297,12 +291,8 @@ def _trace_sequences(blocks, form, det_poly: IntPoly, kmax: int):
         powers_t.append(flat_product(powers_t[-1], qe_t, m))
     coeffs = det_poly.coeffs + (0,) * (m + 1 - len(det_poly.coeffs))
     rec = [-coeffs[m - i] for i in range(m)]
-    seqs = []
-    for flat in flats:
-        s = [sum(map(mul, flat, pt)) for pt in powers_t]
-        for k in range(m, kmax + 1):
-            s.append(sum(map(mul, rec, s[k - m:])))
-        seqs.append(s)
+    seqs = [extend_recurrence([sum(map(mul, flat, pt)) for pt in powers_t], rec, kmax + 1)
+            for flat in flats]
     return r, q, seqs
 
 

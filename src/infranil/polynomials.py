@@ -9,7 +9,7 @@ The real-root machinery runs in integers: gcds and Sturm chains are
 pseudo-remainder sequences on IntPoly, each remainder scaled by a positive
 constant and divided by its content (so it has the sign of the remainder
 over Q everywhere); p(a/b) has the sign of the integer b^d p(a/b); and root
-isolation and refinement bisect integer numerators over lc * 2^e.
+refinement bisects integer numerators over a common denominator.
 
 Complete factorization over Q covers degree <= 3, the most any
 det(I - z Lambda^j D) has for n <= 3: an integer Yun squarefree split, then
@@ -338,9 +338,9 @@ def _sign(coeffs, num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_at(p: IntPoly, x) -> int:
-    """Sign of p at a rational x, in integers."""
-    return _sign(p.coeffs, *_point(x, 0))
+def sign_at(p: IntPoly, num: int, den: int = 1) -> int:
+    """Sign of p at num / den, den > 0, in integers."""
+    return _sign(p.coeffs, num, den)
 
 
 def _point(x, infinity: int):
@@ -385,43 +385,16 @@ def sturm_count(poly, lo=None, hi=None) -> int:
     return _count_open(_sturm_chain(poly), lo, hi) if poly.degree > 0 else 0
 
 
-def isolate_real_roots(poly) -> list:
-    """Disjoint open intervals (lo, hi), each containing exactly one distinct
-    real root of `poly`, in increasing order.  Rational roots may be returned
-    as degenerate intervals (r, r).
-
-    Bisection in integers: every endpoint is a numerator over lc * 2^e, with
-    lc the leading coefficient of the primitive squarefree part g, starting
-    from the Cauchy bound 1 + max |g_i| / lc."""
-    if poly.degree <= 0:
-        return []
-    chain = _sturm_chain(poly)
-    g = chain[0].coeffs
-    bound = g[-1] + max(map(abs, g[:-1]))
-    out = []
-    stack = [(-bound, bound, g[-1])]
-    while stack:
-        lo, hi, den = stack.pop()
-        cnt = _count_open(chain, (lo, den), (hi, den))
-        if cnt == 0:
-            continue
-        if cnt == 1 and _sign(g, lo, den) and _sign(g, hi, den):
-            out.append((Fraction(lo, den), Fraction(hi, den)))
-            continue
-        lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
-        if _sign(g, mid, den):
-            stack += [(lo, mid, den), (mid, hi, den)]
-            continue
-        out.append((Fraction(mid, den),) * 2)
-        # step a quarter of the interval off the root mid, halved until
-        # (mid - eps, mid + eps) holds no other root and ends at none
-        lo, mid, hi, den = 2 * lo, 2 * mid, 2 * hi, 2 * den
-        eps = (hi - lo) // 4
-        while (_count_open(chain, (mid - eps, den), (mid + eps, den)) > 1
-               or not _sign(g, mid - eps, den) or not _sign(g, mid + eps, den)):
-            lo, mid, hi, den = 2 * lo, 2 * mid, 2 * hi, 2 * den
-        stack += [(lo, mid - eps, den), (mid + eps, hi, den)]
-    return sorted(out)
+def unit_split(q: IntPoly) -> tuple:
+    """(below, inside, above): the real roots of a squarefree q below -1, in
+    (-1, 1) and above 1, from the sign variations of one Sturm chain
+    (q, q', ...) at -infinity, -1, 1 and infinity.  A root at -1 or 1
+    raises InfranilError."""
+    if not (q(1) and q(-1)):
+        raise InfranilError(f"{q} has the root 1 or -1")
+    chain = _remainder_sequence(q, q.derivative().primitive())
+    v = [_variations(chain, num, den) for num, den in ((-1, 0), (-1, 1), (1, 1), (1, 0))]
+    return v[0] - v[1], v[1] - v[2], v[2] - v[3]
 
 
 def refine_root(poly, lo: Fraction, hi: Fraction, width: Fraction):

@@ -14,12 +14,43 @@ zeta function of the sequence, since z (log Z)'(z) = S(z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from operator import mul
 
 from .errors import ReconstructionError
 from .polynomials import IntPoly, exact_quotient, factor_over_q
+
+
+def extend_recurrence(s: list, rec, total: int) -> list:
+    """Extend s in place to `total` terms by s_k = rec[0] s_(k-m) + ... +
+    rec[m-1] s_(k-1), m = len(rec), and return it; s needs m terms unless
+    it is long enough already.  Orders 1-3, every order that n <= 3 gives
+    the trace sequences and Newton sums, roll the last m terms in locals;
+    a longer recurrence takes a dot product per term."""
+    m, count = len(rec), total - len(s)
+    if count <= 0:
+        return s
+    if m == 3:
+        a, b, c = rec
+        x, y, z = s[-3:]
+        for _ in range(count):
+            x, y, z = y, z, a * x + b * y + c * z
+            s.append(z)
+    elif m == 2:
+        b, c = rec
+        y, z = s[-2:]
+        for _ in range(count):
+            y, z = z, b * y + c * z
+            s.append(z)
+    elif m == 1:
+        (c,), z = rec, s[-1]
+        for _ in range(count):
+            z *= c
+            s.append(z)
+    else:
+        for k in range(len(s), total):
+            s.append(sum(map(mul, rec, s[k - m:])))
+    return s
 
 
 def berlekamp_massey_q(seq, bound: int):
@@ -43,16 +74,19 @@ def berlekamp_massey_q(seq, bound: int):
         raise ReconstructionError(
             f"need at least {2 * bound + 2} terms for bound {bound}, got {len(s)}"
         )
+    # r[t] = s[last - t], so the window r[last - n:last - n + L + 1] is
+    # s_n, s_(n-1), ..., s_(n-L), against cur (of degree <= L)
+    r, last = s[::-1], len(s) - 1
     cur, prev, L, m, b = [1], [1], 0, 1, 1
     for n in range(2 * bound + 2):
-        d = sum(map(mul, cur[: L + 1], s[n::-1]))
+        d = sum(map(mul, cur, r[last - n:last - n + L + 1]))
         if d == 0:
             m += 1
             continue
         new = [b * c for c in cur] + [0] * (m + len(prev) - len(cur))
         for i, pv in enumerate(prev):
             new[m + i] -= d * pv
-        g = reduce(gcd, new)
+        g = gcd(*new)
         new = [c // g for c in new]
         if 2 * L <= n:
             L, prev, b, m = n + 1 - L, cur, d, 1
@@ -65,7 +99,7 @@ def berlekamp_massey_q(seq, bound: int):
         raise ReconstructionError(f"recurrence of order {L} is not integral")
     den = [c * cur[0] for c in cur[: L + 1]]
     # (S * den)_k for k = 1..len(s); S has no constant term
-    conv = [sum(map(mul, den, s[k - 1 :: -1])) for k in range(1, len(s) + 1)]
+    conv = [sum(map(mul, den, r[t:t + L + 1])) for t in range(last, -1, -1)]
     if any(conv[L:]):
         raise ReconstructionError("reconstructed series does not reproduce the data")
     return IntPoly([0] + conv[:L]), IntPoly(den)
@@ -162,14 +196,15 @@ class RatFuncProduct:
     def logderiv_series(self, nterms: int):
         """Coefficients c_1..c_nterms of z * d/dz log(self), as ints.  Each
         factor has q(0) = 1, so the series s of z q'/q obeys the integer
-        recurrence s_k = k q_k - sum_{i=1..k-1} q_i s_{k-i}."""
+        recurrence s_k = k q_k - sum_{i=1..k-1} q_i s_{k-i}: for k > deg q,
+        the order deg q recurrence of `extend_recurrence`."""
         out = [0] * nterms
         for q, e in self.factors:
             c, d = q.coeffs, q.degree
-            tail, s = c[1:], []
-            for k in range(1, nterms + 1):
-                # sum_{i=1..min(k-1, d)} q_i s_{k-i}: s[-1:-d-1:-1] is s_{k-1}, s_{k-2}, ...
-                s.append((k * c[k] if k <= d else 0) - sum(map(mul, tail, s[-1:-d - 1:-1])))
+            s = []
+            for k in range(1, min(d, nterms) + 1):
+                s.append(k * c[k] - sum(c[i] * s[k - 1 - i] for i in range(1, k)))
+            extend_recurrence(s, [-c[d - t] for t in range(d)], nterms)
             out = [o + e * v for o, v in zip(out, s)]
         return out
 

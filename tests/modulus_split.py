@@ -16,6 +16,7 @@ from infranil.fixedpoint import GT1, INSIDE, LTM1, MINUS_ONE, ONE, PositivePart,
 from infranil.matrices import QMatrix, charpoly
 from infranil.numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from infranil.polynomials import QPoly
+from real_roots import isolate_real_roots
 
 
 def _poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
@@ -66,8 +67,10 @@ def _nf_column(field: NumberField, dstar: QMatrix):
 def _mixed_signs(dstar, group, ec, mixed, dets):
     """Determinant signs when one irreducible factor straddles the circle."""
     n = dstar.nrows
-    le_reals = [iv for iv, c in mixed.real if c in (INSIDE, ONE, MINUS_ONE)]
-    gt_reals = [iv for iv, c in mixed.real if c in (GT1, LTM1)]
+    # the spectrum keeps only the real roots' classes, in ascending order
+    reals = list(zip(isolate_real_roots(mixed.factor), mixed.real))
+    le_reals = [iv for iv, c in reals if c in (INSIDE, ONE, MINUS_ONE)]
+    gt_reals = [iv for iv, c in reals if c in (GT1, LTM1)]
     lt, eq, gt = mixed.modulus_counts()
     if lt + eq == 1:
         field = NumberField(mixed.factor, le_reals[0])

@@ -35,6 +35,7 @@ from infranil.polynomials import refine_root
 from infranil.selfmaps import MapCandidate, family_instantiate, load_corpus, sample_params
 from infranil.series import rfp_equal
 from infranil.zeta import compute_zeta, exterior_closed_form
+from real_roots import isolate_real_roots
 
 F = Fraction
 CORPUS = load_corpus()
@@ -170,7 +171,7 @@ def _approx_roots(ec):
         qq = q.to_qpoly()
         deg = q.degree
         reals = []
-        for (lo, hi), cls in fr.real:
+        for (lo, hi), cls in zip(isolate_real_roots(q), fr.real):
             lo2, hi2 = refine_root(qq, lo, hi, F(1, 10 ** 13))
             reals.append((float((lo2 + hi2) / 2), cls))
         for root, cls in reals:

@@ -1,12 +1,14 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from infranil.catalog import catalog_ids
 from infranil.cli import build_parser, main
-from infranil.selfmaps import load_corpus, sample_params
+from infranil.exprs import eval_bool, parse_rational
+from infranil.selfmaps import load_corpus, resolve_params, sample_params
 
 
 def run(capsys, *argv):
@@ -374,6 +376,70 @@ def test_cli_fuzz_exit_codes_and_replay(capsys):
     for i in order:
         code, out, err, _ = run_fuzz_call(capsys, cases[i])
         assert (code, out, err) == results[i], cases[i]
+
+
+OUTSIDE = {
+    "int": ["1/2", "-3/2", "0.5"],
+    "int_nonzero": ["0", "1/2"],
+    "int_odd": ["2", "0", "-4", "1/2"],
+    "int_even": ["1", "-3", "3/2"],
+    "half_int": ["1/3", "-1/4"],
+    "half_odd": ["1", "0", "-2", "1/4"],
+    "quarter_odd": ["1/2", "1", "3/8"],
+    "third_int": ["1/2", "1/4"],
+}
+
+
+def outside_values(domain):
+    """Values just outside a family parameter's domain, as the CLI reads
+    them; none for `rational`, which holds every value."""
+    kind, _, arg = domain.partition(":")
+    if kind == "rational":
+        return []
+    if kind == "shift":
+        return [str(Fraction(arg) + d) for d in (Fraction(1, 2), Fraction(-1, 3))]
+    if kind == "int_multiple":
+        return [str(int(arg) + 1), "-1", "1/2"]
+    if kind in ("int_mod", "int_pos_mod"):
+        m, residues = arg.split(":")
+        m, residues = int(m), {int(r) for r in residues.split(",")}
+        values = [str(v) for v in range(1, m + 1) if v % m not in residues] + ["1/2"]
+        return values + (["0", str(-m)] if kind == "int_pos_mod" else [])
+    return OUTSIDE[kind]
+
+
+def test_cli_fuzz_outside_domains(capsys):
+    """Every family parameter set, one at a time, to each of its
+    `outside_values` (a half-integer for `int`, an even value for `int_odd`,
+    ...), the other parameters a seeded valid sample: each run exits 3 with
+    one stderr line.  The line names the domain, or, where one of the
+    family's constraints restates the domain and so is checked first, that
+    constraint."""
+    rng = random.Random(1431)
+    named = {}
+    runs = 0
+    for spec in load_corpus().families:
+        for name, domain in spec.params:
+            for value in outside_values(domain):
+                params = dict(sample_params(spec, 1, rng.randrange(100))[0], **{name: value})
+                argv = ["compute", "--manifold", spec.manifold, "--family", str(spec.index)]
+                for key, val in params.items():
+                    argv += ["--param", f"{key}={val}"]
+                code, out, err, elapsed = run_fuzz_call(capsys, argv)
+                env = resolve_params(spec, params)
+                failed = next((c for c in spec.constraints if not eval_bool(c, env)), None)
+                if failed is None:
+                    kind = domain.partition(":")[0]
+                    named[kind] = named.get(kind, 0) + 1
+                    expected = (f"error: {spec.label}: parameter {name} = "
+                                f"{parse_rational(value)} is not in {domain}\n")
+                else:
+                    expected = f"error: {spec.label}: constraint violated: {failed}\n"
+                assert (code, out, err) == (3, "", expected), argv
+                assert elapsed < FUZZ_SECONDS_PER_CALL, (argv, elapsed)
+                runs += 1
+    assert runs > 1000
+    assert named.get("int_pos_mod", 0) > 100 and named.get("int", 0) > 0, named
 
 
 @pytest.mark.parametrize("check", ["spectrum-partition", "factorization"])

@@ -107,8 +107,7 @@ def test_eigen_classify_mixed_quadratic():
     ec = eigen_classify(QMatrix([[2, 1], [1, 1]]))
     fr = ec.root_data[0]
     assert fr.side() == "mixed"
-    classes = sorted(c for _, c in fr.real)
-    assert classes == sorted([INSIDE, GT1])
+    assert fr.real == (INSIDE, GT1)
 
 
 def test_eigen_classify_cubic_complex_pair():
@@ -390,6 +389,35 @@ def test_trace_sequences_formed_once_per_exterior_power(monkeypatch):
             calls.clear()
             run(cand)
             assert len(calls) == cand.entry.dim, cand.dstar
+
+
+def test_trace_sequences_against_explicit_powers():
+    """Each sequence of `_trace_sequences` against tr(B_i' (q E)^k) from
+    explicit integer powers, for every j and for kmax below, at and past
+    the recurrence order C(n, j), orders 1-3 (nontrivial holonomy and
+    rational D included)."""
+    from infranil.fixedpoint import _trace_sequences
+
+    rational = MapCandidate(catalog_lookup("torus-3"), (0, 0, 0),
+                            QMatrix([[F(1, 2), 1, 0], [0, F(-3, 2), 1], [1, F(2, 3), 2]]))
+    for cand in trace_cases() + [rational]:
+        n, ext = cand.entry.dim, exterior_data(cand.dstar)
+        group = holonomy(cand.entry)
+        for j in range(1, n + 1):
+            (q, qe), order = ext.forms[j], comb(n, j)
+            r, flats = group.exterior_powers[j]
+            for kmax in sorted({0, order - 1, order, order + 1, 12}):
+                got = _trace_sequences(group.exterior_powers[j], ext.forms[j],
+                                       ext.det_polys[j], kmax)
+                assert got[:2] == (r, q)
+                power = [int(a == b) for a in range(order) for b in range(order)]
+                expected = [[] for _ in flats]
+                for _ in range(kmax + 1):
+                    for seq, flat in zip(expected, flats):
+                        seq.append(sum(int_product(flat, power, order)[t * order + t]
+                                       for t in range(order)))
+                    power = int_product(power, qe, order)
+                assert got[2] == expected, (cand.dstar, j, kmax)
 
 
 def test_positive_part_reads_the_shared_traces():

@@ -9,11 +9,11 @@ from infranil.polynomials import (
     QPoly,
     _rational_roots,
     factor_over_q,
-    isolate_real_roots,
     refine_root,
     sturm_count,
 )
 from infranil.errors import InfranilError
+from real_roots import isolate_real_roots
 
 
 def P(*coeffs):

@@ -9,6 +9,7 @@ from infranil.series import (
     RatFuncProduct,
     berlekamp_massey_q,
     exponents_from_logderiv,
+    extend_recurrence,
     rfp_equal,
     rfp_transform,
 )
@@ -151,6 +152,45 @@ def test_logderiv_series_matches_generator_sum():
             assert rfp.logderiv_series(nterms) == generator_logderiv_series(rfp, nterms), (rfp, nterms)
     assert seen == {(d, neg) for d in (1, 2, 3) for neg in (False, True)}
     assert RatFuncProduct.one().logderiv_series(3) == [0, 0, 0]
+
+
+def slice_recurrence(start, rec, total):
+    """s_k = rec[0] s_(k-m) + ... + rec[m-1] s_(k-1) by one slice per term:
+    the oracle for `extend_recurrence`."""
+    s, m = list(start), len(rec)
+    for k in range(len(s), total):
+        s.append(sum(r * v for r, v in zip(rec, s[k - m:k])))
+    return s
+
+
+def test_extend_recurrence_matches_slices():
+    """Orders 1-3 (rolled in locals) and 4 (the dot-product fallback), with
+    totals below, at and past the supplied terms."""
+    rng = random.Random(14)
+    for m in (1, 2, 3, 4):
+        for _ in range(25):
+            rec = [rng.randint(-9, 9) for _ in range(m)]
+            start = [rng.randint(-99, 99) for _ in range(m + rng.randint(0, 2))]
+            for total in (0, m - 1, len(start), len(start) + 1, 30):
+                s = list(start)
+                assert extend_recurrence(s, rec, total) is s
+                assert s == slice_recurrence(start, rec, total), (rec, start, total)
+        # fewer than m terms is fine while nothing is added
+        assert extend_recurrence([5], [1] * m, 1) == [5]
+
+
+def test_logderiv_series_order_four_fallback():
+    """A degree-4 factor takes the fallback of `extend_recurrence`; nterms
+    runs from 0, below every factor's degree, to well past it."""
+    rfp = RatFuncProduct.from_irreducibles([
+        (IntPoly([1, -3, 0, 2, -5]), 2),
+        (IntPoly([1, 0, 0, 0, 7]), -1),
+        (IntPoly([1, 4, -2, 1]), 1),
+        (IntPoly([1, -7]), -3),
+    ])
+    assert max(q.degree for q, _ in rfp.factors) == 4
+    for nterms in list(range(7)) + [25]:
+        assert rfp.logderiv_series(nterms) == generator_logderiv_series(rfp, nterms), nterms
 
 
 def test_rfp_canonical_and_transforms():

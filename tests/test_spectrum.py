@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from infranil import series
 from infranil.errors import InfranilError, ReconstructionError
@@ -25,6 +27,7 @@ from infranil.fixedpoint import (
     ONE,
     EigenClass,
     FactorRoots,
+    _analyze_factor,
     det_table,
     eigen_classify,
     exterior_data,
@@ -33,7 +36,7 @@ from infranil.fixedpoint import (
     positive_part,
 )
 from infranil.matrices import QMatrix, charpoly
-from infranil.polynomials import IntPoly, QPoly, factor_over_q, isolate_real_roots, sturm_count
+from infranil.polynomials import IntPoly, QPoly, factor_over_q, sturm_count
 from infranil.selfmaps import family_instantiate, load_corpus, sample_params
 from infranil.series import (
     RatFuncProduct,
@@ -43,6 +46,7 @@ from infranil.series import (
     normalize_factor,
 )
 from infranil.zeta import candidate_factor_hints, recurrence_bound, sequence_length
+from real_roots import isolate_real_roots
 
 F = Fraction
 X = sympy.Symbol("x")
@@ -159,20 +163,22 @@ def ref_classify_real_root(q: QPoly, lo, hi):
 
 
 def ref_analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
+    """The layout by Fraction isolation and bisection against -1 and 1; the
+    spectrum keeps only the classes, in the intervals' ascending order."""
     qq = q.to_qpoly()
     deg = q.degree
     if deg == 1:
         root = -F(q.coeffs[0], q.coeffs[1])
-        return FactorRoots(q, mult, (((root, root), ref_classify_real_root(qq, root, root)),), None)
+        return FactorRoots(q, mult, (ref_classify_real_root(qq, root, root),), None)
     if deg == 2:
         c0, c1, c2 = q.coeffs
         if c1 * c1 - 4 * c0 * c2 < 0:
             mod2 = F(c0, c2)
             return FactorRoots(q, mult, (), "eq" if mod2 == 1 else ("gt" if mod2 > 1 else "lt"))
-        real = tuple((iv, ref_classify_real_root(qq, *iv)) for iv in ref_isolate_real_roots(qq))
+        real = tuple(ref_classify_real_root(qq, *iv) for iv in ref_isolate_real_roots(qq))
         return FactorRoots(q, mult, real, None)
     intervals = ref_isolate_real_roots(qq)
-    real = tuple((iv, ref_classify_real_root(qq, *iv)) for iv in intervals)
+    real = tuple(ref_classify_real_root(qq, *iv) for iv in intervals)
     pair = None
     if len(intervals) == 1:
         bound = abs(F(q.coeffs[0], q.coeffs[3]))
@@ -191,8 +197,8 @@ def ref_eigen_classify(dstar: QMatrix) -> EigenClass:
         lt, eq, gt = fr.modulus_counts()
         classes.append((lt * mult, eq * mult, gt * mult))
         gt_total += gt * mult
-        p += mult * sum(1 for _, c in fr.real if c == GT1)
-        n += mult * sum(1 for _, c in fr.real if c == LTM1)
+        p += mult * fr.real.count(GT1)
+        n += mult * fr.real.count(LTM1)
     return EigenClass(cp, tuple(factors), tuple(data), tuple(classes), p, n, gt_total)
 
 
@@ -399,10 +405,59 @@ def test_factor_root_classes_against_sympy():
     for m in mats:
         for fr in eigen_classify(m).root_data:
             sp = sympy.Poly(list(reversed(fr.factor.coeffs)), X)
-            counts = [sum(1 for _, c in fr.real if c == cls) for cls in (LTM1, INSIDE, GT1)]
+            counts = [fr.real.count(cls) for cls in (LTM1, INSIDE, GT1)]
             expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
                         sympy_open_count(sp, F(1), None)]
             assert counts == expected, (m, fr)
+
+
+def companion(*coeffs):
+    """The companion matrix of the monic polynomial with the given
+    coefficients, constant term first (leading 1 left out)."""
+    n = len(coeffs)
+    return [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """2x2 and 3x3 integer matrices, entries up to 2^b for b drawn per
+    matrix from 3, 8, 16, 32 and 63: small entries give rational and
+    repeated roots, large ones test the integer chains at 64 bits."""
+    n = draw(st.sampled_from((2, 3)))
+    bound = 2 ** draw(st.sampled_from((3, 8, 16, 32, 63)))
+    return [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(integer_matrices())
+@example(companion(1, -3))        # x^2 - 3x + 1: roots 0.38 and 2.62
+@example(companion(1, -3, 0))     # x^3 - 3x + 1: roots -1.88, 0.35 and 1.53
+@example(companion(-1, -1, 0))    # x^3 - x - 1: the plastic number, a pair inside
+@example(companion(-1, 0, 1))     # x^3 + x^2 - 1, its reverse: a pair outside
+def test_classification_property(rows):
+    """Every factor's layout against the Fraction reference, and its real
+    roots below -1, inside (-1, 1) and above 1 against sympy, on integer
+    matrices with entries up to 2^63."""
+    ec = eigen_classify(QMatrix(rows))
+    for (q, mult), fr in zip(ec.factors, ec.root_data):
+        assert fr == ref_analyze_factor(q, mult), (rows, q)
+        sp = sympy.Poly(list(reversed(q.coeffs)), X)
+        expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
+                    sympy_open_count(sp, F(1), None)]
+        assert [fr.real.count(c) for c in (LTM1, INSIDE, GT1)] == expected, (rows, q)
+
+
+def test_classification_guard_refuses_reducible_factors():
+    """A quadratic or cubic with a root at -1 or 1, or a cubic with a root
+    at +-|c0/c3|, is reducible; passed in as a factor, it raises instead of
+    being miscounted."""
+    for coeffs in ([2, -3, 1],         # (x - 1)(x - 2)
+                   [1, 2, 1],          # (x + 1)^2
+                   [-6, 1, 4, 1],      # (x - 1)(x + 2)(x + 3)
+                   [-2, -1, -1, 1]):   # (x - 2)(x^2 + x + 1): its root is c0/c3
+        with pytest.raises(InfranilError):
+            _analyze_factor(IntPoly(coeffs), 1)
 
 
 def test_sturm_count_rejects_float_endpoints():

@@ -1,0 +1,73 @@
+"""One SHA-256 per user-visible output of the engine, so that two checkouts
+can be compared for identical outputs with one command each.
+
+    python3 tools/outputs_digest.py
+
+Run from the repository root (or anywhere: `src/` and `bench/` are found
+next to this file).  It prints three lines, `<sha256>  <what>`:
+
+  compute   `zeta compute --json` stdout and exit code on every `corpus`
+            benchmark instance of seeds 1 and 2 (528 runs);
+  verify    `zeta verify-tables --samples 1 --json` stdout and exit code;
+  random    the `repr` of `compute_zeta` and `check_sign_relations`
+            (kmax 40) on every `random-maps` benchmark instance of seeds 1
+            and 2 (600 candidates).
+
+The instance lists come from `bench/workloads.py`, imported unchanged.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from infranil import cli, fixedpoint, zeta  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def run_cli(argv) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{code}\n{out.getvalue()}".encode()
+
+
+def compute_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        for spec, params in workloads.corpus_instances(seed):
+            h.update(run_cli(workloads.corpus_argv(spec, params)))
+    return h.hexdigest()
+
+
+def verify_digest() -> str:
+    return hashlib.sha256(run_cli(["verify-tables", "--samples", "1", "--json"])).hexdigest()
+
+
+def random_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        for cand in workloads.random_maps_instances(seed):
+            res = zeta.compute_zeta(cand, kmax=workloads.KMAX)
+            sign = fixedpoint.check_sign_relations(cand, kmax=workloads.KMAX)
+            h.update(f"{res!r}\n{sign!r}\n".encode())
+    return h.hexdigest()
+
+
+def main() -> int:
+    for name, digest in (("compute", compute_digest), ("verify", verify_digest),
+                         ("random", random_digest)):
+        print(f"{digest()}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
