@@ -82,9 +82,16 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _with_defaults(spec, params) -> dict:
+    """The supplied parameters, with each of the family's parameters that is
+    missing set to 0."""
+    return {**params, **{n: "0" for n, _ in spec.params if n not in params}}
+
+
 def _pick_family(corpus, manifold: str, family_index, params):
     """The requested family, or the first whose parameter names cover the
-    supplied ones (missing free parameters default to 0)."""
+    supplied ones and whose constraints accept them (missing free parameters
+    default to 0, `_with_defaults`)."""
     families = corpus.for_manifold(manifold)
     if not families:
         raise CatalogError(f"no families for manifold {manifold!r}")
@@ -97,12 +104,8 @@ def _pick_family(corpus, manifold: str, family_index, params):
     for f in families:
         names = {n for n, _ in f.params}
         if supplied <= names:
-            full = dict(params)
-            for n, dom in f.params:
-                if n not in full:
-                    full[n] = "0"
             try:
-                resolved = resolve_params(f, full)
+                resolved = resolve_params(f, _with_defaults(f, params))
                 if all(eval_bool(c, resolved) for c in f.constraints):
                     return f
             except (ConstraintError, ZeroDivisionError):
@@ -121,10 +124,7 @@ def cmd_compute(args) -> int:
         params[name.strip()] = parse_rational(value)
     corpus = load_corpus(args.corpus)
     spec = _pick_family(corpus, args.manifold, args.family, params)
-    full = dict(params)
-    for n, _dom in spec.params:
-        if n not in full:
-            full[n] = "0"
+    full = _with_defaults(spec, params)
     try:
         candidate = family_instantiate(spec, full)
     except CorpusError as exc:

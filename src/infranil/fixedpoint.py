@@ -507,16 +507,23 @@ def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelatio
                   N(f^k) = (-1)^(p+n) L(f^k)        (k even)
         index 2:  same signs applied to L(f_+^k) - L(f^k)
 
-    on a table, spectrum and positive part built here, from one set of
-    `exterior_traces`; `compute_zeta` runs the same check on its own.
-    Raises ConstraintError for kmax < 1."""
+    on the `_candidate_sequences` to kmax; `compute_zeta` runs the same
+    check on its own.  Raises ConstraintError for kmax < 1."""
+    ext, part, seqs = _candidate_sequences(candidate, kmax, kmax)
+    return _sign_relations(seqs, kmax, ext.spectrum, part.index)
+
+
+def _candidate_sequences(candidate: MapCandidate, kmax: int, nterms: int):
+    """(ext, part, seqs) of a candidate: its `exterior_data`, its
+    `positive_part` and the `_number_sequences` for k = 1..nterms, the
+    determinant table and the positive part reading one set of
+    `exterior_traces`.  Raises ConstraintError for kmax < 1 first."""
     check_kmax(kmax)
     ext = exterior_data(candidate.dstar)
     group = candidate.entry.holonomy_group
-    traces = exterior_traces(ext, group, kmax)
+    traces = exterior_traces(ext, group, nterms)
     part = positive_part(candidate, ext, traces)
-    seqs = _number_sequences(det_table(ext, group, kmax, traces), part)
-    return _sign_relations(seqs, kmax, ext.spectrum, part.index)
+    return ext, part, _number_sequences(det_table(ext, group, nterms, traces), part)
 
 
 def check_kmax(kmax: int):

@@ -30,6 +30,7 @@ import os
 import random
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from importlib import resources
 
@@ -324,18 +325,26 @@ def resolve_params(spec: FamilySpec, params: dict) -> dict:
     return env
 
 
-def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True) -> MapCandidate:
-    """Build the candidate for a parameter assignment, checking every
-    constraint, then every parameter's domain, and validating the result
-    eagerly.  A validation failure means the corpus row itself is wrong,
-    which is a hard error."""
+def _admit_params(spec: FamilySpec, params: dict) -> dict:
+    """The resolved parameters (`resolve_params`) of a tuple the family
+    admits: every parameter lies in its domain, then every constraint holds.
+    Raises ConstraintError naming the first failure."""
     env = resolve_params(spec, params)
-    for cond in spec.constraints:
-        if not eval_bool(cond, env):
-            raise ConstraintError(f"{spec.label}: constraint violated: {cond}")
     for name, domain in spec.params:
         if not _in_domain(domain, env[name]):
             raise ConstraintError(f"{spec.label}: parameter {name} = {env[name]} is not in {domain}")
+    for cond in spec.constraints:
+        if not eval_bool(cond, env):
+            raise ConstraintError(f"{spec.label}: constraint violated: {cond}")
+    return env
+
+
+def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True) -> MapCandidate:
+    """Build the candidate for a parameter assignment the family admits
+    (`_admit_params`: every parameter's domain, then every constraint), and
+    validate it eagerly.  A validation failure means the corpus row itself
+    is wrong, which is a hard error."""
+    env = _admit_params(spec, params)
     entry_param_names = [n for n, _ in spec.params if n == "k"]
     entry = catalog_lookup(spec.manifold, {n: env[n] for n in entry_param_names})
     dstar = QMatrix([[eval_rational(e, env) for e in row] for row in spec.dstar])
@@ -361,13 +370,8 @@ def expected_zeta_cell(spec: FamilySpec, env: dict, index: int, p: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic parameter sampling
+# Parameter domains and deterministic sampling
 # ---------------------------------------------------------------------------
-
-_HALF_INTS = ["-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2"]
-_HALF_ODD = ["-3/2", "-1/2", "1/2", "3/2"]
-_QUARTER_ODD = ["-3/4", "-1/4", "1/4", "3/4"]
-_RATIONALS = ["0", "1", "-1", "1/2", "-2/3", "5/4", "2"]
 
 
 def _is_int(v) -> bool:
@@ -379,82 +383,75 @@ def _residue_in(v, arg: str) -> bool:
     return v % int(m) in {int(r) for r in residues.split(",")}
 
 
-# Membership test per domain kind: (value, text after the first ':') -> bool.
+def _fractions(text: str) -> tuple:
+    return tuple(parse_rational(v) for v in text.split())
+
+
+def _grids(small, large):
+    """(small, large) sample grids that do not depend on the domain's
+    argument."""
+    return lambda arg: (small, large)
+
+
+def _shift_grids(arg: str):
+    base = parse_rational(arg)
+    return [base - 1, base, base + 1], [base + 7, base - 8]
+
+
+_INTS = _grids(range(-5, 6), range(7, 24))
+_HALVES = [Fraction(v, 2) for v in range(-3, 4)]
+
+# The domain language, e.g. "int_odd", "int_mod:4:1,3" or "shift:1/3".  Per
+# kind (the text before the first ':'): its membership test, (value, text
+# after the ':') -> bool, and its sample grids, text after the ':' ->
+# (small, large).  A domain's samples are the members of its grid, in grid
+# order.
 _DOMAINS = {
-    "int": lambda v, arg: _is_int(v),
-    "int_nonzero": lambda v, arg: _is_int(v) and v != 0,
-    "int_odd": lambda v, arg: _is_int(v) and v % 2 == 1,
-    "int_even": lambda v, arg: _is_int(v) and v % 2 == 0,
-    "int_mod": lambda v, arg: _is_int(v) and _residue_in(v, arg),
-    "int_pos_mod": lambda v, arg: _is_int(v) and v > 0 and _residue_in(v, arg),
-    "int_multiple": lambda v, arg: _is_int(v) and v % int(arg) == 0,
-    "rational": lambda v, arg: True,
-    "half_int": lambda v, arg: _is_int(2 * v),
-    "half_odd": lambda v, arg: _is_int(2 * v) and 2 * v % 2 == 1,
-    "quarter_odd": lambda v, arg: _is_int(4 * v) and 4 * v % 2 == 1,
-    "third_int": lambda v, arg: _is_int(3 * v),
-    "shift": lambda v, arg: _is_int(v - parse_rational(arg)),
+    "int": (lambda v, arg: _is_int(v), _INTS),
+    "int_nonzero": (lambda v, arg: _is_int(v) and v != 0, _INTS),
+    "int_odd": (lambda v, arg: _is_int(v) and v % 2 == 1, _INTS),
+    "int_even": (lambda v, arg: _is_int(v) and v % 2 == 0, _INTS),
+    "int_mod": (lambda v, arg: _is_int(v) and _residue_in(v, arg), _INTS),
+    "int_pos_mod": (lambda v, arg: _is_int(v) and v > 0 and _residue_in(v, arg),
+                    _grids(range(1, 13), range(7, 36))),
+    "int_multiple": (lambda v, arg: _is_int(v) and v % int(arg) == 0, _INTS),
+    "rational": (lambda v, arg: True,
+                 _grids(_fractions("0 1 -1 1/2 -2/3 5/4 2"), _fractions("17/3 -23/4"))),
+    "half_int": (lambda v, arg: _is_int(2 * v), _grids(_HALVES, _fractions("15/2 -9"))),
+    "half_odd": (lambda v, arg: _is_int(2 * v) and 2 * v % 2 == 1,
+                 _grids(_HALVES, _fractions("17/2 -15/2"))),
+    "quarter_odd": (lambda v, arg: _is_int(4 * v) and 4 * v % 2 == 1,
+                    _grids([Fraction(v, 4) for v in range(-3, 4)], _fractions("29/4 -19/4"))),
+    "third_int": (lambda v, arg: _is_int(3 * v),
+                  _grids([Fraction(v, 3) for v in range(-4, 5)], _fractions("22/3 -26/3"))),
+    "shift": (lambda v, arg: _is_int(v - parse_rational(arg)), _shift_grids),
 }
 
 
-def _in_domain(domain: str, value) -> bool:
-    """Whether a Fraction lies in a family parameter's domain, e.g.
-    "int_odd", "int_mod:4:1,3" or "shift:1/3" (`_domain_values` samples
-    them)."""
+def _domain(domain: str):
+    """(membership test, sample grids, argument) of a domain string."""
     kind, _, arg = domain.partition(":")
     if kind not in _DOMAINS:
         raise CorpusError(f"unknown parameter domain {domain!r}")
-    return _DOMAINS[kind](value, arg)
+    return *_DOMAINS[kind], arg
+
+
+def _in_domain(domain: str, value) -> bool:
+    """Whether a Fraction lies in a family parameter's domain."""
+    member, _, arg = _domain(domain)
+    return member(value, arg)
 
 
 def _domain_values(domain: str, large: bool = False):
-    lo, hi = (-5, 5) if not large else (7, 23)
-    ints = list(range(lo, hi + 1))
-    if domain == "int":
-        return [str(v) for v in ints]
-    if domain == "int_nonzero":
-        return [str(v) for v in ints if v != 0]
-    if domain == "int_odd":
-        return [str(v) for v in ints if v % 2 == 1]
-    if domain == "int_even":
-        return [str(v) for v in ints if v % 2 == 0]
-    if domain.startswith("int_mod:"):
-        _, m, rs = domain.split(":")
-        m = int(m)
-        residues = {int(r) for r in rs.split(",")}
-        return [str(v) for v in ints if v % m in residues]
-    if domain.startswith("int_pos_mod:"):
-        _, m, rs = domain.split(":")
-        m = int(m)
-        residues = {int(r) for r in rs.split(",")}
-        base = range(1, 13) if not large else range(max(lo, 1), hi + 13)
-        return [str(v) for v in base if v > 0 and v % m in residues]
-    if domain.startswith("int_multiple:"):
-        m = int(domain.split(":")[1])
-        return [str(v) for v in ints if v % m == 0]
-    if domain == "rational":
-        return list(_RATIONALS) if not large else ["17/3", "-23/4"]
-    if domain == "half_int":
-        return list(_HALF_INTS) if not large else ["15/2", "-9"]
-    if domain == "half_odd":
-        return list(_HALF_ODD) if not large else ["17/2", "-15/2"]
-    if domain == "quarter_odd":
-        return list(_QUARTER_ODD) if not large else ["29/4", "-19/4"]
-    if domain == "third_int":
-        if large:
-            return ["22/3", "-26/3"]
-        return ["-4/3", "-1", "-2/3", "-1/3", "0", "1/3", "2/3", "1", "4/3"]
-    if domain.startswith("shift:"):
-        base = parse_rational(domain.split(":")[1])
-        offsets = (-1, 0, 1) if not large else (7, -8)
-        return [str(base + o) for o in offsets]
-    raise CorpusError(f"unknown sampling domain {domain!r}")
+    """The members of a domain's small or large sample grid, as strings."""
+    member, grids, arg = _domain(domain)
+    return [str(v) for v in grids(arg)[large] if member(v, arg)]
 
 
 def sample_params(spec: FamilySpec, count: int, seed: int = 0):
-    """Deterministic parameter tuples satisfying all constraints: a seeded
-    shuffle of a small grid, plus larger values mixed in.  Raises if the grid
-    cannot produce `count` samples."""
+    """Deterministic parameter tuples the family admits (`_admit_params`): a
+    seeded shuffle of the domains' small grids, plus larger values mixed in.
+    Raises if the grids cannot produce `count` samples."""
     rng = random.Random(zlib.crc32(spec.label.encode()) ^ seed)
     names = [n for n, _ in spec.params]
     domains = [d for _, d in spec.params]
@@ -468,10 +465,8 @@ def sample_params(spec: FamilySpec, count: int, seed: int = 0):
         seen.add(key)
         raw = dict(zip(names, values))
         try:
-            env = resolve_params(spec, raw)
+            _admit_params(spec, raw)
         except ConstraintError:
-            return False
-        if not all(eval_bool(c, env) for c in spec.constraints):
             return False
         out.append(raw)
         return True

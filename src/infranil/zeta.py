@@ -33,13 +33,8 @@ from .errors import RouteMismatchError
 from .fixedpoint import (
     ExteriorData,
     SignRelationReport,
-    _number_sequences,
+    _candidate_sequences,
     _sign_relations,
-    check_kmax,
-    det_table,
-    exterior_data,
-    exterior_traces,
-    positive_part,
 )
 from .matrices import (
     QMatrix,
@@ -182,16 +177,9 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
     the same table, spectrum and positive part, and reported, not
     asserted.  The table and the positive part read one set of
     `exterior_traces`.  Raises ConstraintError for kmax < 1."""
-    check_kmax(kmax)
-    ext = exterior_data(candidate.dstar)
-    ec = ext.spectrum
-    group = candidate.entry.holonomy_group
     dim = candidate.entry.dim
-    nterms = max(sequence_length(dim), kmax)
-    traces = exterior_traces(ext, group, nterms)
-    part = positive_part(candidate, ext, traces)
-    table = det_table(ext, group, nterms, traces)
-    seqs = _number_sequences(table, part)
+    ext, part, seqs = _candidate_sequences(candidate, kmax, max(sequence_length(dim), kmax))
+    ec, group = ext.spectrum, part.group
     lef_seq, nie_seq, plus_seq = seqs
     lef = _checked_closed_form(ext, group.exterior_averages(), lef_seq, "L")
     lef_plus = None

@@ -55,10 +55,18 @@ def test_sampled_families_instantiate_and_validate():
 
 
 def test_constraint_violation_reported_with_condition():
-    spec = next(f for f in CORPUS.families if f.label == "klein-bottle#1")
+    """Domains are checked before constraints: an even `a` in klein-bottle#1
+    breaks both its domain `int_odd` and the constraint restating it, and
+    the domain is named.  heis-II#1 with every parameter in its domain names
+    the constraint that fails."""
+    by_label = {f.label: f for f in CORPUS.families}
     with pytest.raises(ConstraintError) as err:
-        family_instantiate(spec, {"a": "2", "b": "5", "r": "0", "s": "1/2"})
-    assert "a % 2 == 1" in str(err.value)
+        family_instantiate(by_label["klein-bottle#1"], {"a": "2", "b": "5", "r": "0", "s": "1/2"})
+    assert str(err.value) == "klein-bottle#1: parameter a = 2 is not in int_odd"
+    params = {"k": "2", "a": "2", "b": "0", "c": "0", "d": "2", "r": "0", "s": "0", "t": "0"}
+    with pytest.raises(ConstraintError) as err:
+        family_instantiate(by_label["heis-II#1"], params)
+    assert str(err.value) == "heis-II#1: constraint violated: (a*d - b*c) % 2 == 1"
 
 
 # Per-family spot checks: perturbing this parameter by this amount breaks the

@@ -195,7 +195,7 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
     """Flipping the sign of one det(I - A D^k) keeps N(f^k) and changes
     L(f^k); at k = 35 it lies past the Nielsen fitting window (28 terms), so
     only the closed-form check on the whole table can catch it."""
-    import infranil.zeta as zeta_module
+    import infranil.fixedpoint as fixedpoint_module
     from infranil.errors import RouteMismatchError
 
     if case == "torus-2":
@@ -207,7 +207,7 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
         i for i in range(2) if (i in plus) == (case == "klein-bottle-plus")
     )
     k = 35
-    original = zeta_module.det_table
+    original = fixedpoint_module.det_table
 
     def corrupted(ext, group, kmax, traces=None):
         table = original(ext, group, kmax, traces)
@@ -219,7 +219,7 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
         return table
 
     assert compute_zeta(cand).nielsen_numbers[k - 1] > 0
-    monkeypatch.setattr(zeta_module, "det_table", corrupted)
+    monkeypatch.setattr(fixedpoint_module, "det_table", corrupted)
     with pytest.raises(RouteMismatchError, match=r"f\^35"):
         compute_zeta(cand)
 

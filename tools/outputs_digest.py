@@ -4,14 +4,17 @@ can be compared for identical outputs with one command each.
     python3 tools/outputs_digest.py
 
 Run from the repository root (or anywhere: `src/` and `bench/` are found
-next to this file).  It prints three lines, `<sha256>  <what>`:
+next to this file).  It prints four lines, `<sha256>  <what>`:
 
   compute   `zeta compute --json` stdout and exit code on every `corpus`
             benchmark instance of seeds 1 and 2 (528 runs);
   verify    `zeta verify-tables --samples 1 --json` stdout and exit code;
   random    the `repr` of `compute_zeta` and `check_sign_relations`
             (kmax 40) on every `random-maps` benchmark instance of seeds 1
-            and 2 (600 candidates).
+            and 2 (600 candidates);
+  samples   the `repr` of `sample_params(spec, n, seed)` for every family,
+            n in {1, 3} and seeds 0-2: the parameter tuples that the
+            `corpus` benchmark, `verify-tables` and most tests draw.
 
 The instance lists come from `bench/workloads.py`, imported unchanged.
 """
@@ -27,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from infranil import cli, fixedpoint, zeta  # noqa: E402
+from infranil import cli, fixedpoint, selfmaps, zeta  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2)
@@ -62,9 +65,18 @@ def random_digest() -> str:
     return h.hexdigest()
 
 
+def samples_digest() -> str:
+    h = hashlib.sha256()
+    for spec in selfmaps.load_corpus().families:
+        for n in (1, 3):
+            for seed in range(3):
+                h.update(f"{selfmaps.sample_params(spec, n, seed)!r}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, digest in (("compute", compute_digest), ("verify", verify_digest),
-                         ("random", random_digest)):
+                         ("random", random_digest), ("samples", samples_digest)):
         print(f"{digest()}  {name}", flush=True)
     return 0
 
