@@ -30,7 +30,7 @@ from .exprs import eval_bool, eval_rational, format_rational, parse_rational
 from .polynomials import QPoly
 from .selfmaps import (
     expected_zeta_cell,
-    family_instantiate,
+    family_instance,
     load_corpus,
     resolve_params,
     sample_params,
@@ -126,7 +126,7 @@ def cmd_compute(args) -> int:
     spec = _pick_family(corpus, args.manifold, args.family, params)
     full = _with_defaults(spec, params)
     try:
-        candidate = family_instantiate(spec, full)
+        env, candidate = family_instance(spec, full)
     except CorpusError as exc:
         raise InvalidCandidateError(str(exc)) from exc
     res = compute_zeta(candidate, kmax=args.kmax)
@@ -134,7 +134,7 @@ def cmd_compute(args) -> int:
     data = {
         "manifold": args.manifold,
         "family": spec.index,
-        "params": {n: format_rational(v) for n, v in resolve_params(spec, full).items()},
+        "params": {n: format_rational(v) for n, v in env.items()},
         "kmax": args.kmax,
         "p": res.p,
         "n": res.n,
@@ -165,9 +165,8 @@ def cmd_compute(args) -> int:
 
 
 def _verify_instance(spec, params):
-    candidate = family_instantiate(spec, params)
+    env, candidate = family_instance(spec, params)
     res = compute_zeta(candidate)
-    env = resolve_params(spec, params)
     cell = expected_zeta_cell(spec, env, res.index, res.p, res.n)
     if cell is None:
         return False, f"no expected cell for (index={res.index}, p={res.p}, n={res.n})"

@@ -15,15 +15,17 @@ Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
 and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
 of order C(n, j).  `exterior_data` forms the spectrum of D and, once per
 candidate, each E_j in integer form (the integer minors of D's integer
-form).  For n <= 3 the eigenvalues of E_j are the j-fold products of those
-of D, so det(I - z q_j E_j), q_j the common denominator of E_j, and on
-first read the factors of det(I - z E_j) are read off charpoly(D) and its
-factors: charpoly(D) is the one polynomial formed by Faddeev-LeVerrier and
-the one factored.  The first C(n, j) powers of E_j are shared by every
+form, D's own for j = 1).  For n <= 3 the eigenvalues of E_j are the
+j-fold products of those of D, so det(I - z q_j E_j), q_j the common
+denominator of E_j, and on first read the factors of det(I - z E_j) are
+read off charpoly(D) and its factors: charpoly(D) is the one polynomial
+formed by Faddeev-LeVerrier and the one factored.  The first C(n, j) powers of E_j are shared by every
 holonomy element, every later term costs C(n, j) multiplications per
 element, and Lambda^j A is formed once per holonomy group.  The traces run
 in integers, and a table row is (den, nums): the entries' integer
-numerators over one positive denominator, so L and N are integer sums.
+numerators over the common denominator den = R Q^k, R and Q the lcms of
+the sequences' scales r_j and q_j (positive, not always the least), so L
+and N are integer sums.
 `lefschetz_number` and `nielsen_number` take the direct route instead (D^k
 by binary powering, one determinant per element).
 
@@ -244,10 +246,11 @@ class ExteriorData:
 def exterior_data(dstar: QMatrix) -> ExteriorData:
     """The exterior data of a candidate's linear part: the spectrum,
     `det_table`, the factor hints and the closed form all read it.  Each
-    Lambda^j D is the integer minors of D's integer form.  Every det_polys[j]
-    is read off the primitive cp = charpoly(D), of degree n <= 3, in
-    integers, since the eigenvalues of Lambda^j D are the j-fold products of
-    those of D.  With q = q_j:
+    Lambda^j D is the integer minors of D's integer form, and Lambda^1 D
+    that form itself: its denominator is already the least.  Every
+    det_polys[j] is read off the primitive cp = charpoly(D), of degree
+    n <= 3, in integers, since the eigenvalues of Lambda^j D are the j-fold
+    products of those of D.  With q = q_j:
 
         j = 1:               (q z)^n cp(1 / (q z)) / cp[n];
         j = n:               1 + (-1)^(n+1) q cp[0] / cp[n] z   (det D = (-1)^n cp[0] / cp[n]);
@@ -258,7 +261,7 @@ def exterior_data(dstar: QMatrix) -> ExteriorData:
     form = integer_form([dstar])
     forms, det_polys = [], []
     for j in range(n + 1):
-        q, (flat,) = exterior_integer_form(form, j)
+        q, (flat,) = form if j == 1 else exterior_integer_form(form, j)
         forms.append((q, flat))
         if j == 0:
             coeffs = [1, -1]
@@ -313,22 +316,33 @@ def exterior_traces(ext: ExteriorData, group: HolonomyGroup, kmax: int) -> list:
 
 def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int, traces=None):
     """table[k-1] = (den, nums) with det(I - A_i D^k) = nums[i] / den for
-    k = 1..kmax, den > 0 and nums ints, where ext is `exterior_data(D)`, by
-    the exterior-power trace recurrences of the module docstring.  traces,
-    when given, is `exterior_traces(ext, group, kmax)`, formed by the
-    caller so that `positive_part` reads the same sequences."""
+    k = 1..kmax and nums ints, where ext is `exterior_data(D)`, by the
+    exterior-power trace recurrences of the module docstring.  traces, when
+    given, is `exterior_traces(ext, group, kmax)`, formed by the caller so
+    that `positive_part` reads the same sequences.
+
+    den = R Q^k, R and Q the lcms of the r_j and q_j of the trace sequences:
+    a positive common denominator, not always the least.  The j-th sequence
+    then weighs (-1)^j (R / r_j) (Q / q_j)^k, one int when q_j = Q."""
     terms = exterior_traces(ext, group, kmax) if traces is None else traces
-    dens, weights = [], []
-    for k in range(1, kmax + 1):
-        scales = [r * q ** k for r, q, _ in terms]
-        den = lcm(*scales)
+    big_r, big_q = lcm(*(r for r, _, _ in terms)), lcm(*(q for _, q, _ in terms))
+    dens, den = [], big_r
+    for _ in range(kmax):
+        den *= big_q
         dens.append(den)
-        weights.append([(-1) ** j * (den // scale) for j, scale in enumerate(scales, start=1)])
+    weights = []
+    for j, (r, q, _) in enumerate(terms, start=1):
+        w, ratio = (-1) ** j * (big_r // r), big_q // q
+        weights.append(w if ratio == 1 else [w * ratio ** k for k in range(1, kmax + 1)])
     columns = []
     for i in range(group.order):
         col = dens
-        for w, (_, _, seqs) in zip(zip(*weights), terms):
-            col = [c + wk * t for c, wk, t in zip(col, w, seqs[i][1:])]
+        for w, (_, _, seqs) in zip(weights, terms):
+            seq = seqs[i][1:]
+            if type(w) is int:
+                col = [c + w * t for c, t in zip(col, seq)]
+            else:
+                col = [c + wk * t for c, wk, t in zip(col, w, seq)]
         columns.append(col)
     return list(zip(dens, zip(*columns)))
 
@@ -534,12 +548,17 @@ def check_kmax(kmax: int):
 
 def _number_sequences(table, part: PositivePart):
     """(L, N, L_+) for k = 1..len(table): the tuples L(f^k), N(f^k) and, for
-    index 2, L(f_+^k) (None for index 1)."""
-    lef = tuple(lefschetz_from_row(row) for row in table)
-    nie = tuple(nielsen_from_row(row) for row in table)
+    index 2, L(f_+^k) (None for index 1), each row averaged by one
+    `_average` per number."""
+    lef = tuple([_average(sum(nums), den * len(nums), "averaged Lefschetz number")
+                 for den, nums in table])
+    nie = tuple([_average(sum(map(abs, nums)), den * len(nums), "averaged Nielsen number")
+                 for den, nums in table])
     plus = None
     if part.index == 2:
-        plus = tuple(lefschetz_from_row(row, part.plus_indices) for row in table)
+        indices = part.plus_indices
+        plus = tuple([_average(sum([nums[i] for i in indices]), den * len(indices),
+                               "averaged Lefschetz number") for den, nums in table])
     return lef, nie, plus
 
 

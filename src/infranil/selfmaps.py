@@ -340,10 +340,16 @@ def _admit_params(spec: FamilySpec, params: dict) -> dict:
 
 
 def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True) -> MapCandidate:
-    """Build the candidate for a parameter assignment the family admits
-    (`_admit_params`: every parameter's domain, then every constraint), and
-    validate it eagerly.  A validation failure means the corpus row itself
-    is wrong, which is a hard error."""
+    """The candidate of `family_instance`."""
+    return family_instance(spec, params, corpus_check)[1]
+
+
+def family_instance(spec: FamilySpec, params: dict, corpus_check: bool = True) -> tuple:
+    """(env, candidate) for a parameter assignment the family admits: env
+    the resolved parameters (`_admit_params`: every parameter's domain, then
+    every constraint) and the candidate built from them, validated eagerly.
+    A validation failure means the corpus row itself is wrong, which is a
+    hard error."""
     env = _admit_params(spec, params)
     entry_param_names = [n for n, _ in spec.params if n == "k"]
     entry = catalog_lookup(spec.manifold, {n: env[n] for n in entry_param_names})
@@ -355,7 +361,7 @@ def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True
             f"{spec.label}: instantiation with {params} fails self-map validation "
             "(corpus encoding bug)"
         )
-    return candidate
+    return env, candidate
 
 
 def expected_zeta_cell(spec: FamilySpec, env: dict, index: int, p: int, n: int):

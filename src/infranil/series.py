@@ -66,19 +66,26 @@ def berlekamp_massey_q(seq, bound: int):
     term +-1, and the check (S * den)_k = 0 for every supplied k > L = deg den
     runs in integers.  Raises ReconstructionError on a non-integral term or
     den, on an order above `bound`, and when the check fails.
+
+    The check recomputes (S * den)_k only for k up to the step of the last
+    update (the numerator, k <= L, among them) and for the held-out terms.
+    Every step after the last update computed its discrepancy, which is
+    +-(S * den)_k, with the final connection polynomial and found it 0, so
+    those terms are already proved zero.
     """
     s = [int(c) for c in seq]
     if s != list(seq):
         raise ReconstructionError("the sequence has a non-integral term")
-    if len(s) < 2 * bound + 2:
+    window = 2 * bound + 2
+    if len(s) < window:
         raise ReconstructionError(
-            f"need at least {2 * bound + 2} terms for bound {bound}, got {len(s)}"
+            f"need at least {window} terms for bound {bound}, got {len(s)}"
         )
     # r[t] = s[last - t], so the window r[last - n:last - n + L + 1] is
     # s_n, s_(n-1), ..., s_(n-L), against cur (of degree <= L)
     r, last = s[::-1], len(s) - 1
-    cur, prev, L, m, b = [1], [1], 0, 1, 1
-    for n in range(2 * bound + 2):
+    cur, prev, L, m, b, updated = [1], [1], 0, 1, 1, -1
+    for n in range(window):
         d = sum(map(mul, cur, r[last - n:last - n + L + 1]))
         if d == 0:
             m += 1
@@ -92,17 +99,20 @@ def berlekamp_massey_q(seq, bound: int):
             L, prev, b, m = n + 1 - L, cur, d, 1
         else:
             m += 1
-        cur = new
+        cur, updated = new, n
     if L > bound:
         raise ReconstructionError(f"recurrence order {L} exceeds bound {bound}")
     if abs(cur[0]) != 1:
         raise ReconstructionError(f"recurrence of order {L} is not integral")
     den = [c * cur[0] for c in cur[: L + 1]]
-    # (S * den)_k for k = 1..len(s); S has no constant term
-    conv = [sum(map(mul, den, r[t:t + L + 1])) for t in range(last, -1, -1)]
-    if any(conv[L:]):
+    # (S * den)_(k+1) for k = 0..updated and k = window..last; S has no
+    # constant term, and an update at step n leaves L <= n + 1
+    head = [sum(map(mul, den, r[last - k:last - k + L + 1])) for k in range(updated + 1)]
+    if any(head[L:]) or any(
+        sum(map(mul, den, r[t:t + L + 1])) for t in range(last - window, -1, -1)
+    ):
         raise ReconstructionError("reconstructed series does not reproduce the data")
-    return IntPoly([0] + conv[:L]), IntPoly(den)
+    return IntPoly([0] + head[:L]), IntPoly(den)
 
 
 def normalize_factor(q: IntPoly) -> IntPoly:

@@ -338,6 +338,88 @@ def test_det_table_matches_direct_determinants_on_random_valid_maps():
         assert_table_matches(cand, 20, label)
 
 
+def mixed_scale_corpus():
+    """(label, candidate, scales) for the seed-1 corpus instances whose
+    trace sequences do not all share R and Q, the lcms of their r_j and q_j:
+    there `det_table` weighs a sequence by R / r_j > 1 or by a list of
+    (Q / q_j)^k."""
+    out = []
+    for spec in load_corpus().families:
+        for params in sample_params(spec, 1, seed=1):
+            cand = family_instantiate(spec, params)
+            traces = exterior_traces(exterior_data(cand.dstar), holonomy(cand.entry), 1)
+            scales = tuple((r, q) for r, q, _ in traces)
+            big_r, big_q = lcm(*(r for r, _ in scales)), lcm(*(q for _, q in scales))
+            if any(r < big_r or q < big_q for r, q in scales):
+                out.append((spec.label, cand, scales))
+    return out
+
+
+def test_det_table_matches_direct_determinants_on_mixed_scales():
+    """Both weight branches of `det_table` against direct determinants, and
+    D's own integer form as Lambda^1 D."""
+    from infranil.matrices import exterior_integer_form, integer_form
+
+    cases = mixed_scale_corpus()
+    scales = {s for _, _, s in cases}
+    assert {((1, 2), (1, 1), (1, 1)), ((2, 1), (2, 1), (1, 1)),
+            ((1, 3), (1, 3), (1, 1))} <= scales
+    for label, cand, _ in cases:
+        form = integer_form([cand.dstar])
+        assert exterior_integer_form(form, 1) == form, label
+        assert_table_matches(cand, 44, label)
+
+
+def reference_number_sequences(table, part):
+    """`_number_sequences` row by row, through the public row averages."""
+    from infranil.fixedpoint import lefschetz_from_row, nielsen_from_row
+
+    plus = None
+    if part.index == 2:
+        plus = tuple(lefschetz_from_row(row, part.plus_indices) for row in table)
+    return (tuple(lefschetz_from_row(row) for row in table),
+            tuple(nielsen_from_row(row) for row in table), plus)
+
+
+def test_number_sequences_match_row_averages_on_benchmark_inputs(monkeypatch):
+    """Every seed-1 corpus and random-maps candidate, index 2 included."""
+    from infranil.fixedpoint import _number_sequences
+    from test_selfmaps import bench_workloads
+
+    candidates = [
+        family_instantiate(spec, params)
+        for spec in load_corpus().families
+        for params in sample_params(spec, 1, seed=1)
+    ] + bench_workloads(monkeypatch).random_maps_instances(1)
+    indices = set()
+    for cand in candidates:
+        ext, group = exterior_data(cand.dstar), holonomy(cand.entry)
+        traces = exterior_traces(ext, group, 40)
+        part = positive_part(cand, ext, traces)
+        table = det_table(ext, group, 40, traces)
+        assert _number_sequences(table, part) == reference_number_sequences(table, part)
+        indices.add(part.index)
+    assert len(candidates) == 564 and indices == {1, 2}
+
+
+def test_number_sequences_must_be_integral():
+    """The exact messages of `_number_sequences` on hand-built tables over
+    the Klein bottle's holonomy, F_+ = {element 0}: L, N and L_+ each the
+    first to fail."""
+    from infranil.errors import InvalidCandidateError
+    from infranil.fixedpoint import PositivePart, _number_sequences
+
+    part = PositivePart(2, (1, -1), (0,), holonomy(catalog_lookup("klein-bottle")))
+    lef, nie = "averaged Lefschetz number", "averaged Nielsen number"
+    for table, message in [([(1, (2, 0)), (1, (1, 2))], f"{lef} is not an integer: 3/2"),
+                           ([(2, (5, -1))], f"{nie} is not an integer: 3/2"),
+                           ([(2, (4, 0)), (2, (3, 1))], f"{lef} is not an integer: 3/2")]:
+        with pytest.raises(InvalidCandidateError) as exc:
+            _number_sequences(table, part)
+        assert str(exc.value) == message
+    assert _number_sequences([(2, (4, 0)), (2, (2, 2))], part) == ((1, 1), (1, 1), (2, 1))
+
+
 def test_det_table_shorter_than_recurrence_order():
     import random
 

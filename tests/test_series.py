@@ -75,6 +75,39 @@ def test_bm_roundtrip_random():
         assert expand_ratfunc(num, den, len(seq)) == seq
 
 
+def test_bm_single_corrupted_term_is_caught_or_reproduced():
+    """Seeded integer recurrences of orders 1-8 and the zero sequence, bound
+    8, with one supplied term changed: in the fitting window up to step
+    2L - 1 (where every update happens), in the rest of the window (the
+    terms whose check the discrepancies already made), and in the held-out
+    tail, its first and last terms included.  Each call raises or returns a
+    form that reproduces every supplied term; a held-out change leaves the
+    window's fit alone, so it must raise.  A change to the zero sequence
+    touches one term of S * den, so a check that skips any held-out term
+    fails here."""
+    rng = random.Random(31)
+    bound, held = 8, 6
+    window = 2 * bound + 2
+    for order in range(9):
+        for _ in range(6):
+            rec = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-3, 3) for _ in range(order - 1)]
+            rec = rec if order else []
+            seq = extend_recurrence([rng.randint(-5, 5) for _ in range(order)], rec, window + held)
+            _, den = berlekamp_massey_q(seq, bound)
+            fit = 2 * den.degree
+            positions = [rng.randrange(fit) if fit else 0, rng.randrange(fit, window),
+                         window, rng.randrange(window, len(seq)), len(seq) - 1]
+            for pos in positions:
+                bad = list(seq)
+                bad[pos] += rng.choice([-3, -1, 1, 2])
+                try:
+                    num, den = berlekamp_massey_q(bad, bound)
+                except ReconstructionError:
+                    continue
+                assert pos < window, (order, rec, pos)
+                assert expand_ratfunc(num, den, len(bad)) == bad, (order, rec, pos)
+
+
 def test_exponents_klein_bottle_shape():
     # c_k = 3^k - 1 -> (1-z)/(1-3z)
     seq = geometric_sum([(1, 3), (-1, 1)], 20)

@@ -4,7 +4,7 @@ can be compared for identical outputs with one command each.
     python3 tools/outputs_digest.py
 
 Run from the repository root (or anywhere: `src/` and `bench/` are found
-next to this file).  It prints four lines, `<sha256>  <what>`:
+next to this file).  It prints five lines, `<sha256>  <what>`:
 
   compute   `zeta compute --json` stdout and exit code on every `corpus`
             benchmark instance of seeds 1 and 2 (528 runs);
@@ -74,9 +74,18 @@ def samples_digest() -> str:
     return h.hexdigest()
 
 
+def screen_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        for cand in workloads.screen_instances(seed):
+            h.update(f"{selfmaps.validate_selfmap(cand)!r}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, digest in (("compute", compute_digest), ("verify", verify_digest),
-                         ("random", random_digest), ("samples", samples_digest)):
+                         ("random", random_digest), ("samples", samples_digest),
+                         ("screen", screen_digest)):
         print(f"{digest()}  {name}", flush=True)
     return 0
 
