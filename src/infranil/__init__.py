@@ -1,5 +1,13 @@
 """Exact Lefschetz/Nielsen numbers and zeta functions for affine self-maps
-on flat manifolds and Heisenberg infra-nilmanifolds of dimension <= 3."""
+on flat manifolds and Heisenberg infra-nilmanifolds of dimension <= 3.
+
+`NFElem`, `NumberField` and `nf_sign` are re-exported lazily: no engine
+module needs `numberfield` (real algebraic number fields, kept for the test
+oracles), so `import infranil` does not load it.  The first read of one of
+these names, or of `infranil.numberfield`, imports the module.
+"""
+
+import importlib
 
 from .catalog import (
     AffineElement,
@@ -30,7 +38,6 @@ from .fixedpoint import (
     positive_part,
 )
 from .matrices import QMatrix, charpoly, exterior_power
-from .numberfield import NFElem, NumberField, nf_sign
 from .polynomials import IntPoly, QPoly, Rational, factor_over_q, sturm_count
 from .selfmaps import (
     FamilySpec,
@@ -52,6 +59,15 @@ from .series import (
 from .zeta import ZetaResult, compute_zeta, exterior_closed_form
 
 __version__ = "0.1.0"
+
+_NUMBERFIELD_NAMES = ("NFElem", "NumberField", "nf_sign")
+
+
+def __getattr__(name):
+    if name == "numberfield" or name in _NUMBERFIELD_NAMES:
+        module = importlib.import_module(".numberfield", __name__)
+        return module if name == "numberfield" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineElement", "CatalogEntry", "HolonomyGroup", "catalog_ids",

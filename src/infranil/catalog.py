@@ -20,15 +20,16 @@ matrix algebra over Q.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import CatalogError, ConstraintError
 from .exprs import eval_rational, parse_rational
 from .matrices import QMatrix, exterior_integer_form, integer_form
+from .records import Record
 
 HOLONOMY_CAP = 48
 HOLONOMY_CACHE_SIZE = 256
@@ -60,8 +61,7 @@ def psi_embed(x, y, z, phi_star: QMatrix, k) -> QMatrix:
     return QMatrix(rows)
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(NamedTuple):
     """An element of (an embedding of) aff(G), tagged with its model."""
 
     model: str
@@ -123,21 +123,17 @@ def lattice_member(elem: AffineElement) -> bool:
     return all(v.denominator == 1 for v in elem.h_coords())
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A group presentation: generators as embedded affine elements.  Every
-    field is read-only (`params` too), so one entry can serve every caller."""
+    field is read-only (`params` too, a MappingProxyType), so one entry can
+    serve every caller."""
 
-    id: str
-    dim: int
-    model: str
-    generators: tuple
-    holonomy_order: int
-    params: MappingProxyType
-    notes: str = ""
+    _fields = ("id", "dim", "model", "generators", "holonomy_order", "params", "notes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+    def __init__(self, id: str, dim: int, model: str, generators: tuple,
+                 holonomy_order: int, params, notes: str = ""):
+        self._set_fields(id, dim, model, generators, holonomy_order,
+                         MappingProxyType(dict(params)), notes)
 
     @property
     def k(self):
@@ -148,15 +144,18 @@ class CatalogEntry:
         return _close_holonomy(self.id, self.generators)
 
 
-@dataclass(frozen=True)
-class HolonomyGroup:
-    """The finite holonomy group: differentials, a multiplication table, and
-    one embedded coset representative per element (index 0 = identity)."""
+class HolonomyGroup(Record):
+    """The finite holonomy group: the QMatrix differentials `elements`
+    (index 0 = identity), the multiplication table (table[i][j] = index of
+    elements[i] * elements[j]), the generators' element indices, and one
+    embedded coset representative per element (an AffineElement with
+    holonomy_part == elements[i])."""
 
-    elements: tuple          # QMatrix differentials
-    table: tuple             # table[i][j] = index of elements[i] * elements[j]
-    generator_indices: tuple
-    representatives: tuple   # AffineElement with holonomy_part == elements[i]
+    _fields = ("elements", "table", "generator_indices", "representatives")
+
+    def __init__(self, elements: tuple, table: tuple, generator_indices: tuple,
+                 representatives: tuple):
+        self._set_fields(elements, table, generator_indices, representatives)
 
     @property
     def order(self) -> int:

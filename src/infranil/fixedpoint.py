@@ -54,6 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .catalog import HolonomyGroup, holonomy
 from .errors import ConstraintError, InfranilError, InvalidCandidateError
@@ -72,6 +73,7 @@ from .polynomials import (
     sign_at,
     unit_split,
 )
+from .records import Record
 from .selfmaps import MapCandidate
 from .series import extend_recurrence
 
@@ -88,8 +90,7 @@ ONE = "1"
 MINUS_ONE = "-1"
 
 
-@dataclass(frozen=True)
-class FactorRoots:
+class FactorRoots(NamedTuple):
     """Exact root layout of one irreducible factor of the characteristic
     polynomial: the sign classes of its real roots, in ascending root order,
     plus the modulus class ('lt', 'eq', 'gt') of the complex pair if present."""
@@ -156,8 +157,7 @@ def _analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
     return FactorRoots(q, mult, real, pair)
 
 
-@dataclass(frozen=True)
-class EigenClass:
+class EigenClass(NamedTuple):
     """Exact spectrum classification of a linear part."""
 
     charpoly: IntPoly    # primitive, positive leading coefficient
@@ -173,7 +173,7 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
     dim = dstar.nrows
     q, (flat,) = integer_form([dstar])
     rev = scaled_det_one_minus_z(flat, dim, q).coeffs  # q^dim det(I - z D)
-    cp = IntPoly(reversed(rev + (0,) * (dim + 1 - len(rev)))).primitive()
+    cp = IntPoly.from_ints((rev + (0,) * (dim + 1 - len(rev)))[::-1]).primitive()
     factors = factor_over_q(cp)
     data = []
     classes = []
@@ -196,17 +196,17 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExteriorData:
+class ExteriorData(Record):
     """Lambda^j D for j = 0..n in integer form, with det(I - z q_j Lambda^j D)
     and the exact spectrum of D, formed once per candidate by
     `exterior_data`.  forms[j] = (q_j, flat_j): Lambda^j D = flat_j / q_j,
     flat_j row-major ints; det_polys[j] = det(I - z flat_j), an IntPoly read
     off charpoly(D)."""
 
-    forms: tuple
-    det_polys: tuple
-    spectrum: EigenClass
+    _fields = ("forms", "det_polys", "spectrum")
+
+    def __init__(self, forms: tuple, det_polys: tuple, spectrum: EigenClass):
+        self._set_fields(forms, det_polys, spectrum)
 
     @cached_property
     def factors(self) -> tuple:
@@ -221,24 +221,27 @@ class ExteriorData:
         n = 3, j = 2, det D != 0: Lambda^2 D has eigenvalues det D / lambda,
         so each factor f of charpoly(D) gives the factor f(det D z), with
         the same multiplicity."""
-        out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
+        out = [((IntPoly.from_ints([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
         reversed_d = []
         for q, mult in self.spectrum.factors:
             if q.constant():  # x, a zero eigenvalue, reverses to 1
                 sign = 1 if q.constant() > 0 else -1
-                reversed_d.append((IntPoly([sign * c for c in reversed(q.coeffs)]), mult))
+                rev = IntPoly.from_ints([sign * c for c in reversed(q.coeffs)])
+                reversed_d.append((rev, mult))
         out.append(tuple(sorted(reversed_d, key=lambda fm: fm[0].sort_key())))
         cp = self.spectrum.charpoly.coeffs
         a, b = -cp[0], cp[-1]  # det D = a / b when n = 3
         for (den, _), poly in zip(self.forms[2:], self.det_polys[2:]):
             if poly.degree > 1:  # b^d f(a z / b) is f(det D z) cleared of denominators
                 factors = sorted(
-                    ((IntPoly([c * a ** t * b ** (f.degree - t) for t, c in enumerate(f.coeffs)])
+                    ((IntPoly.from_ints([c * a ** t * b ** (f.degree - t)
+                                         for t, c in enumerate(f.coeffs)])
                       .primitive(), mult) for f, mult in self.spectrum.factors),
                     key=lambda fm: fm[0].sort_key(),
                 )
             else:  # den poly(z / den), up to its content
-                factors = [(IntPoly([den, poly.coeffs[1]]).primitive(), 1)] if poly.degree else []
+                factors = ([(IntPoly.from_ints([den, poly.coeffs[1]]).primitive(), 1)]
+                           if poly.degree else [])
             out.append(tuple(factors))
         return tuple(out)
 
@@ -273,7 +276,7 @@ def exterior_data(dstar: QMatrix) -> ExteriorData:
             coeffs = [c * (-q * cp[0]) ** t // (cp[3] ** t * cp[0]) for t, c in enumerate(cp)]
         else:
             coeffs = [1, -q * cp[1] // cp[3]]
-        det_polys.append(IntPoly(coeffs))
+        det_polys.append(IntPoly.from_ints(coeffs))
     return ExteriorData(tuple(forms), tuple(det_polys), spectrum)
 
 
@@ -392,8 +395,7 @@ def nielsen_number(candidate: MapCandidate, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivePart:
+class PositivePart(NamedTuple):
     """The subgroup F_+ of holonomy elements A whose sign
     eps_A = det(A on V/W) is +1, W the modulus <= 1 subspace of D, together
     with every element's sign (`positive_part` computes them)."""
@@ -470,9 +472,10 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> Po
             num, den = _root_product(f)
             a, b, f = a * num, b * den, f[::-1]
     d = len(f) - 1
-    h = IntPoly([v * a ** (d - k) * b ** k for k, v in enumerate(f)]).primitive()
+    h = IntPoly.from_ints([v * a ** (d - k) * b ** k for k, v in enumerate(f)]).primitive()
     det_poly, size = ext.det_polys[m].coeffs, isqrt(len(flat))
-    g = exact_quotient(IntPoly(reversed(det_poly + (0,) * (size + 1 - len(det_poly)))), h).coeffs
+    cp_m = IntPoly.from_ints((det_poly + (0,) * (size + 1 - len(det_poly)))[::-1])
+    g = exact_quotient(cp_m, h).coeffs
     if traces is None:
         traces = exterior_traces(ext, group, 1)
     seqs = traces[m - 1][2]

@@ -12,13 +12,13 @@ which takes Fraction or number-field (NFElem) entries alike.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .errors import InfranilError
 from .polynomials import IntPoly, QPoly
+from .records import Record
 
 
 # One shared Fraction per small integer: a matrix built from int entries (a
@@ -27,11 +27,11 @@ from .polynomials import IntPoly, QPoly
 _SMALL_INTS = {v: Fraction(v) for v in range(-128, 129)}
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(Record):
     """Immutable dense matrix of Fractions, row-major."""
 
-    rows: tuple
+    __slots__ = ("rows",)
+    _fields = __slots__
 
     def __init__(self, rows):
         small = _SMALL_INTS
@@ -45,6 +45,14 @@ class QMatrix:
         if any(len(r) != width for r in data):
             raise InfranilError("ragged rows in matrix")
         object.__setattr__(self, "rows", data)
+
+    def __eq__(self, other):
+        if other.__class__ is QMatrix:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
@@ -185,7 +193,7 @@ def scaled_det_one_minus_z(flat, m: int, scale: int) -> IntPoly:
         c = -sum(acc[:: m + 1]) // k
         coeffs.append(c * scale ** (m - k))
         acc = tuple(a + c * i for a, i in zip(acc, ident))
-    return IntPoly(coeffs)
+    return IntPoly.from_ints(coeffs)
 
 
 def exterior_power(M: QMatrix, j: int) -> QMatrix:

@@ -29,10 +29,10 @@ import json
 import os
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .catalog import (
     ABELIAN,
@@ -47,6 +47,7 @@ from .catalog import (
 from .errors import ConstraintError, CorpusError, InvalidCandidateError
 from .exprs import eval_bool, eval_rational, parse_rational
 from .matrices import QMatrix, flat_product, integer_form
+from .records import Record
 
 
 def heis_endo_check(dstar: QMatrix) -> bool:
@@ -59,8 +60,7 @@ def heis_endo_check(dstar: QMatrix) -> bool:
     return dstar[0, 0] == det and dstar[1, 0] == 0 and dstar[2, 0] == 0
 
 
-@dataclass(frozen=True)
-class MapCandidate:
+class MapCandidate(Record):
     """An affine pair (d, D) on the universal cover of a catalog manifold.
 
     Abelian model: `translation` is the vector d, `dstar` the linear part.
@@ -69,20 +69,20 @@ class MapCandidate:
     algebra in the basis {log c, log a, log b}.
     """
 
-    entry: CatalogEntry
-    translation: tuple
-    dstar: QMatrix
+    __slots__ = ("entry", "translation", "dstar")
+    _fields = __slots__
 
-    def __post_init__(self):
-        n = self.entry.dim
-        if self.dstar.nrows != n or self.dstar.ncols != n:
+    def __init__(self, entry: CatalogEntry, translation: tuple, dstar: QMatrix):
+        n = entry.dim
+        if dstar.nrows != n or dstar.ncols != n:
             raise InvalidCandidateError(f"linear part must be {n}x{n}")
-        if len(self.translation) != n:
+        if len(translation) != n:
             raise InvalidCandidateError(f"translation must have length {n}")
-        if self.entry.model == HEISENBERG and not heis_endo_check(self.dstar):
+        if entry.model == HEISENBERG and not heis_endo_check(dstar):
             raise InvalidCandidateError(
                 "linear part is not a Heisenberg Lie algebra endomorphism"
             )
+        self._set_fields(entry, translation, dstar)
 
     def embedded(self) -> AffineElement:
         if self.entry.model == ABELIAN:
@@ -136,8 +136,7 @@ def _lattice_witness(entry: CatalogEntry, x: QMatrix, y: QMatrix):
     return coords
 
 
-@dataclass(frozen=True)
-class PhiAssignment:
+class PhiAssignment(NamedTuple):
     """For each generator, the holonomy index and lattice correction of the
     group element matched on the right-hand side of the self-map equation."""
 
@@ -208,8 +207,7 @@ def validate_selfmap(candidate: MapCandidate):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaTemplate:
+class ZetaTemplate(NamedTuple):
     """One guarded table of expected zeta products.  `cells` maps
     "<index>|<pe><ne>" (e.g. "1|eo" for index one, p even, n odd) to a list
     of (coefficient-expression list, exponent) factors."""
@@ -218,8 +216,7 @@ class ZetaTemplate:
     cells: dict
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     manifold: str
     index: int
     desc: str
@@ -235,8 +232,7 @@ class FamilySpec:
         return f"{self.manifold}#{self.index}"
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     families: tuple
 
     def for_manifold(self, manifold: str):

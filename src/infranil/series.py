@@ -13,12 +13,12 @@ zeta function of the sequence, since z (log Z)'(z) = S(z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import ReconstructionError
+from .errors import InfranilError, ReconstructionError
 from .polynomials import IntPoly, exact_quotient, factor_over_q
+from .records import Record
 
 
 def extend_recurrence(s: list, rec, total: int) -> list:
@@ -112,7 +112,7 @@ def berlekamp_massey_q(seq, bound: int):
         sum(map(mul, den, r[t:t + L + 1])) for t in range(last - window, -1, -1)
     ):
         raise ReconstructionError("reconstructed series does not reproduce the data")
-    return IntPoly([0] + head[:L]), IntPoly(den)
+    return IntPoly.from_ints([0] + head[:L]), IntPoly.from_ints(den)
 
 
 def normalize_factor(q: IntPoly) -> IntPoly:
@@ -120,17 +120,20 @@ def normalize_factor(q: IntPoly) -> IntPoly:
     if c0 == 1:
         return q
     if c0 == -1:
-        return IntPoly([-c for c in q.coeffs])
+        return IntPoly.from_ints([-c for c in q.coeffs])
     raise ReconstructionError(f"factor {q} cannot be normalized to q(0) = 1")
 
 
-@dataclass(frozen=True)
-class RatFuncProduct:
+class RatFuncProduct(Record):
     """Canonical product prod q_i(z)^{e_i}: q_i irreducible primitive integer
     polynomials with q_i(0) = 1, e_i nonzero integers, factors sorted by
     (degree, coefficients).  The empty product is the constant 1."""
 
-    factors: tuple
+    __slots__ = ("factors",)
+    _fields = __slots__
+
+    def __init__(self, factors: tuple):
+        self._set_fields(factors)
 
     @staticmethod
     def one() -> "RatFuncProduct":
@@ -223,8 +226,11 @@ class RatFuncProduct:
 
     @staticmethod
     def from_json(data) -> "RatFuncProduct":
+        """The product `to_json` wrote.  A coefficient or an exponent that
+        is not an integer raises InfranilError naming it, so a corrupted
+        product is never truncated or parsed into another one."""
         return RatFuncProduct.from_irreducibles(
-            (IntPoly(item["poly"]), item["exp"]) for item in data
+            (IntPoly(item["poly"]), _json_exponent(item["exp"])) for item in data
         )
 
     def __str__(self):
@@ -236,6 +242,12 @@ class RatFuncProduct:
         return f"({num}) / ({den})"
 
     __repr__ = __str__
+
+
+def _json_exponent(e) -> int:
+    if type(e) is not int:
+        raise InfranilError(f"exponent {e!r} is not an integer")
+    return e
 
 
 def rfp_equal(a: RatFuncProduct, b: RatFuncProduct) -> bool:
@@ -320,7 +332,7 @@ def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncPr
         raise ReconstructionError("denominator is not squarefree")
     # z q' (den / q) per factor, for the read and the check
     terms = {
-        q: IntPoly([i * c for i, c in enumerate(q.coeffs)]) * exact_quotient(den, q)
+        q: IntPoly.from_ints([i * c for i, c in enumerate(q.coeffs)]) * exact_quotient(den, q)
         for q in (normalize_factor(q) for q, _ in factors)
     }
     result = RatFuncProduct.from_irreducibles((q, _exponent_at(num, t, q)) for q, t in terms.items())
@@ -329,6 +341,6 @@ def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncPr
     for q, e in result.factors:
         for k, c in enumerate(terms[q].coeffs):
             check[k] += e * c
-    if IntPoly(check) != num:
+    if IntPoly.from_ints(check) != num:
         raise ReconstructionError("reconstructed product does not match the series")
     return result

@@ -130,7 +130,12 @@ def test_anosov_holds_implies_index_one_on_corpus():
             snapshot = fp.MIXED_CUBIC_COUNTER
             part = part_of(cand)
             if group.order > 1:
-                # nontrivial holonomy never needs the mixed-cubic machinery
+                # nontrivial holonomy never yields an irreducible cubic that
+                # straddles the unit circle: on the spectrum itself, and so
+                # never in the counter the benchmark reads
+                mixed_cubics = [fr for fr in fp.eigen_classify(cand.dstar).root_data
+                                if fr.degree == 3 and fr.side() == "mixed"]
+                assert mixed_cubics == [], spec.label
                 assert fp.MIXED_CUBIC_COUNTER == snapshot, spec.label
             if anosov_fastpath(cand) == "holds":
                 assert part.index == 1, spec.label

@@ -20,6 +20,32 @@ def test_removed_fixedpoint_entry_points_stay_gone():
         assert not hasattr(infranil, name) and not hasattr(infranil.fixedpoint, name)
 
 
+def test_numberfield_loads_on_first_use():
+    """`import infranil` leaves `numberfield` unloaded (no engine module
+    needs it); the package's lazy re-export loads it on the first read."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        "import sys, infranil",
+        "assert 'infranil.numberfield' not in sys.modules",
+        "assert {'NFElem', 'NumberField', 'nf_sign'} <= set(infranil.__all__)",
+        "cls = infranil.NFElem",
+        "assert 'infranil.numberfield' in sys.modules",
+        "from infranil.numberfield import NFElem, NumberField, nf_sign",
+        "assert cls is NFElem and infranil.NumberField is NumberField",
+        "assert infranil.nf_sign is nf_sign and infranil.numberfield.NFElem is NFElem",
+        "assert not hasattr(infranil, 'no_such_name')",
+    ])
+    src = str(Path(infranil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_engine_does_not_import_numberfield():
     """Only the package namespace re-exports `numberfield`; no engine module
     imports it, so the zeta computation never runs over Q(theta)."""

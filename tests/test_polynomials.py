@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,22 @@ from real_roots import isolate_real_roots
 
 def P(*coeffs):
     return QPoly(coeffs)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "7", Fraction(1, 2), None, sympy.Rational(1, 3)])
+def test_intpoly_rejects_non_integer_coefficients(bad):
+    """A float, a string or a non-integral rational is neither truncated
+    nor parsed: the public constructor names it."""
+    with pytest.raises(InfranilError, match=re.escape(repr(bad))):
+        IntPoly([1, bad, 3])
+
+
+def test_intpoly_accepts_integers_of_any_integer_type():
+    import numpy as np
+
+    p = IntPoly([Fraction(4, 2), np.int64(-3), sympy.Integer(5), 0])
+    assert p.coeffs == (2, -3, 5) and all(type(c) is int for c in p.coeffs)
+    assert p == IntPoly.from_ints([2, -3, 5]) and p.degree == 2
 
 
 def test_basic_arithmetic():

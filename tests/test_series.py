@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from infranil.errors import ReconstructionError
+from infranil.errors import InfranilError, ReconstructionError
 from infranil.polynomials import IntPoly, QPoly
 from infranil.series import (
     RatFuncProduct,
@@ -260,6 +261,17 @@ def test_rfp_rejects_bad_constant():
 def test_rfp_json_roundtrip():
     a = RatFuncProduct.from_factors([(QPoly([1, -5]), 1), (QPoly([1, -15]), -1)])
     assert RatFuncProduct.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("poly, exp, bad", [
+    ([1, -2.7], 1, "-2.7"), ([1, "7"], 1, "'7'"), ([1, -2.0], 1, "-2.0"),
+    ([1, -2], 1.5, "1.5"), ([1, -2], "2", "'2'"),
+])
+def test_rfp_from_json_rejects_non_integers(poly, exp, bad):
+    """A corrupted `--json` product raises, naming the coefficient or the
+    exponent, instead of reading [1, -2.7] as 1 - 2*z or 1.5 as 1."""
+    with pytest.raises(InfranilError, match=re.escape(bad)):
+        RatFuncProduct.from_json([{"poly": poly, "exp": exp}])
 
 
 def test_bm_heldout_terms_catch_corruption():

@@ -4,7 +4,7 @@ can be compared for identical outputs with one command each.
     python3 tools/outputs_digest.py
 
 Run from the repository root (or anywhere: `src/` and `bench/` are found
-next to this file).  It prints five lines, `<sha256>  <what>`:
+next to this file).  It prints six lines, `<sha256>  <what>`:
 
   compute   `zeta compute --json` stdout and exit code on every `corpus`
             benchmark instance of seeds 1 and 2 (528 runs);
@@ -14,7 +14,14 @@ next to this file).  It prints five lines, `<sha256>  <what>`:
             and 2 (600 candidates);
   samples   the `repr` of `sample_params(spec, n, seed)` for every family,
             n in {1, 3} and seeds 0-2: the parameter tuples that the
-            `corpus` benchmark, `verify-tables` and most tests draw.
+            `corpus` benchmark, `verify-tables` and most tests draw;
+  screen    the `repr` of `validate_selfmap` on every `screen` benchmark
+            instance of seeds 1 and 2;
+  records   the `repr` of `eigen_classify(D)` and of
+            `positive_part(candidate, exterior_data(D))` on every `corpus`
+            and `random-maps` benchmark candidate of seeds 1 and 2: the
+            package's records as they print, nested ones (FactorRoots,
+            HolonomyGroup, AffineElement, QMatrix) included.
 
 The instance lists come from `bench/workloads.py`, imported unchanged.
 """
@@ -82,10 +89,22 @@ def screen_digest() -> str:
     return h.hexdigest()
 
 
+def records_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        candidates = [selfmaps.family_instantiate(spec, params)
+                      for spec, params in workloads.corpus_instances(seed)]
+        for cand in candidates + workloads.random_maps_instances(seed):
+            spectrum = fixedpoint.eigen_classify(cand.dstar)
+            part = fixedpoint.positive_part(cand, fixedpoint.exterior_data(cand.dstar))
+            h.update(f"{spectrum!r}\n{part!r}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, digest in (("compute", compute_digest), ("verify", verify_digest),
                          ("random", random_digest), ("samples", samples_digest),
-                         ("screen", screen_digest)):
+                         ("screen", screen_digest), ("records", records_digest)):
         print(f"{digest()}  {name}", flush=True)
     return 0
 
