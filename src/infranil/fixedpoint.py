@@ -173,7 +173,7 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
     dim = dstar.nrows
     q, (flat,) = integer_form([dstar])
     rev = scaled_det_one_minus_z(flat, dim, q).coeffs  # q^dim det(I - z D)
-    cp = IntPoly.from_ints((rev + (0,) * (dim + 1 - len(rev)))[::-1]).primitive()
+    cp = IntPoly((rev + (0,) * (dim + 1 - len(rev)))[::-1]).primitive()
     factors = factor_over_q(cp)
     data = []
     classes = []
@@ -221,12 +221,12 @@ class ExteriorData(Record):
         n = 3, j = 2, det D != 0: Lambda^2 D has eigenvalues det D / lambda,
         so each factor f of charpoly(D) gives the factor f(det D z), with
         the same multiplicity."""
-        out = [((IntPoly.from_ints([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
+        out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
         reversed_d = []
         for q, mult in self.spectrum.factors:
             if q.constant():  # x, a zero eigenvalue, reverses to 1
                 sign = 1 if q.constant() > 0 else -1
-                rev = IntPoly.from_ints([sign * c for c in reversed(q.coeffs)])
+                rev = IntPoly([sign * c for c in reversed(q.coeffs)])
                 reversed_d.append((rev, mult))
         out.append(tuple(sorted(reversed_d, key=lambda fm: fm[0].sort_key())))
         cp = self.spectrum.charpoly.coeffs
@@ -234,13 +234,13 @@ class ExteriorData(Record):
         for (den, _), poly in zip(self.forms[2:], self.det_polys[2:]):
             if poly.degree > 1:  # b^d f(a z / b) is f(det D z) cleared of denominators
                 factors = sorted(
-                    ((IntPoly.from_ints([c * a ** t * b ** (f.degree - t)
+                    ((IntPoly([c * a ** t * b ** (f.degree - t)
                                          for t, c in enumerate(f.coeffs)])
                       .primitive(), mult) for f, mult in self.spectrum.factors),
                     key=lambda fm: fm[0].sort_key(),
                 )
             else:  # den poly(z / den), up to its content
-                factors = ([(IntPoly.from_ints([den, poly.coeffs[1]]).primitive(), 1)]
+                factors = ([(IntPoly([den, poly.coeffs[1]]).primitive(), 1)]
                            if poly.degree else [])
             out.append(tuple(factors))
         return tuple(out)
@@ -276,7 +276,7 @@ def exterior_data(dstar: QMatrix) -> ExteriorData:
             coeffs = [c * (-q * cp[0]) ** t // (cp[3] ** t * cp[0]) for t, c in enumerate(cp)]
         else:
             coeffs = [1, -q * cp[1] // cp[3]]
-        det_polys.append(IntPoly.from_ints(coeffs))
+        det_polys.append(IntPoly(coeffs))
     return ExteriorData(tuple(forms), tuple(det_polys), spectrum)
 
 
@@ -472,9 +472,9 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> Po
             num, den = _root_product(f)
             a, b, f = a * num, b * den, f[::-1]
     d = len(f) - 1
-    h = IntPoly.from_ints([v * a ** (d - k) * b ** k for k, v in enumerate(f)]).primitive()
+    h = IntPoly([v * a ** (d - k) * b ** k for k, v in enumerate(f)]).primitive()
     det_poly, size = ext.det_polys[m].coeffs, isqrt(len(flat))
-    cp_m = IntPoly.from_ints((det_poly + (0,) * (size + 1 - len(det_poly)))[::-1])
+    cp_m = IntPoly((det_poly + (0,) * (size + 1 - len(det_poly)))[::-1])
     g = exact_quotient(cp_m, h).coeffs
     if traces is None:
         traces = exterior_traces(ext, group, 1)

@@ -46,14 +46,6 @@ class QMatrix(Record):
             raise InfranilError("ragged rows in matrix")
         object.__setattr__(self, "rows", data)
 
-    def __eq__(self, other):
-        if other.__class__ is QMatrix:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows,))
-
     @staticmethod
     def identity(n: int) -> "QMatrix":
         return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -193,7 +185,7 @@ def scaled_det_one_minus_z(flat, m: int, scale: int) -> IntPoly:
         c = -sum(acc[:: m + 1]) // k
         coeffs.append(c * scale ** (m - k))
         acc = tuple(a + c * i for a, i in zip(acc, ident))
-    return IntPoly.from_ints(coeffs)
+    return IntPoly(coeffs)
 
 
 def exterior_power(M: QMatrix, j: int) -> QMatrix:

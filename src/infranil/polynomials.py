@@ -5,14 +5,12 @@ with trailing zeros stripped, so the zero polynomial has an empty
 coefficient tuple and degree -1.  Everything here is exact: QPoly uses
 `fractions.Fraction`, IntPoly uses Python ints.
 
-IntPoly has two constructors.  The public one, `IntPoly(coeffs)`, is the
-boundary where coefficients arrive from outside the kernels (JSON, oracles,
-callers): it accepts ints, integral Fractions and other integers that
+`IntPoly(coeffs)` accepts ints, integral Fractions and other integers that
 `operator.index` accepts, and raises InfranilError naming any other
-coefficient, so a float or a string is never truncated or parsed.  The
-trusted one, `IntPoly.from_ints(coeffs)`, takes a list or tuple of Python
-ints that a kernel computed and only strips trailing zeros: every result
-formed here and in `series`, `matrices` and `fixedpoint` goes through it.
+coefficient, so a float or a string from JSON, an oracle or a caller is
+never truncated or parsed.  A Python int passes on a type check alone, so
+the kernels' own int results cost little more than the strip of trailing
+zeros.
 
 The real-root machinery runs in integers: gcds and Sturm chains are
 pseudo-remainder sequences on IntPoly, each remainder scaled by a positive
@@ -41,14 +39,11 @@ from .records import Record
 Rational = Fraction  # arbitrary-precision rational scalar used across the package
 
 
-def _strip(coeffs) -> tuple:
-    """A list or tuple of coefficients as a tuple, less trailing zeros."""
-    if coeffs and not coeffs[-1]:
-        n = len(coeffs) - 1
-        while n and not coeffs[n - 1]:
-            n -= 1
-        coeffs = coeffs[:n]
-    return tuple(coeffs)
+def _strip(coeffs):
+    n = len(coeffs)
+    while n > 0 and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
 
 
 class QPoly(Record):
@@ -164,7 +159,7 @@ class QPoly(Record):
         """Split into (primitive integer polynomial with positive leading
         coefficient, rational content) so that content * primitive == self."""
         if self.is_zero():
-            return IntPoly.from_ints(()), Fraction(0)
+            return IntPoly(), Fraction(0)
         den = 1
         for c in self.coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
@@ -173,7 +168,7 @@ class QPoly(Record):
         for v in ints:
             g = gcd(g, abs(v))
         sign = -1 if ints[-1] < 0 else 1
-        prim = IntPoly.from_ints([v // (sign * g) for v in ints])
+        prim = IntPoly([v // (sign * g) for v in ints])
         return prim, Fraction(sign * g, den)
 
     def __str__(self):
@@ -212,18 +207,15 @@ class IntPoly(Record):
 
     `IntPoly(coeffs)` validates every coefficient and raises InfranilError
     naming one that is not an integer (a float, a string, a non-integral
-    Fraction); `IntPoly.from_ints(coeffs)` trusts a list or tuple of Python
-    ints and only strips trailing zeros (module docstring)."""
+    Fraction)."""
 
     __slots__ = ("coeffs", "degree", "_hash")
     _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        _fill(self, [c if type(c) is int else _coefficient(c) for c in coeffs])
-
-    @staticmethod
-    def from_ints(coeffs) -> "IntPoly":
-        return _fill(_new(IntPoly), coeffs)
+        coeffs = _strip([c if type(c) is int else _coefficient(c) for c in coeffs])
+        _set_coeffs(self, coeffs)
+        _set_degree(self, len(coeffs) - 1)
 
     def __eq__(self, other):
         if other.__class__ is IntPoly:
@@ -258,28 +250,28 @@ class IntPoly(Record):
         g = self.content()
         if self.coeffs and self.coeffs[-1] < 0:
             g = -g
-        return IntPoly.from_ints([c // g for c in self.coeffs]) if g else self
+        return IntPoly([c // g for c in self.coeffs]) if g else self
 
     def derivative(self) -> "IntPoly":
-        return IntPoly.from_ints([i * c for i, c in enumerate(self.coeffs)][1:])
+        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         diff = [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        return IntPoly.from_ints(diff)
+        return IntPoly(diff)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly.from_ints([c * other for c in self.coeffs])
+            return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return IntPoly.from_ints(())
+            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly.from_ints(out)
+        return IntPoly(out)
 
     __rmul__ = __mul__
 
@@ -290,7 +282,7 @@ class IntPoly(Record):
         return acc
 
     def subs_neg_x(self) -> "IntPoly":
-        return IntPoly.from_ints([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
+        return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
 
     def to_qpoly(self) -> QPoly:
         return QPoly(self.coeffs)
@@ -304,19 +296,9 @@ class IntPoly(Record):
     __repr__ = __str__
 
 
-_new = object.__new__
 _set_coeffs = IntPoly.coeffs.__set__
 _set_degree = IntPoly.degree.__set__
 _set_hash = IntPoly._hash.__set__
-
-
-def _fill(poly: IntPoly, vals) -> IntPoly:
-    """Set poly's coefficients and degree from a list or tuple of ints;
-    `_hash` stays unset until `__hash__` first runs."""
-    coeffs = _strip(vals)
-    _set_coeffs(poly, coeffs)
-    _set_degree(poly, len(coeffs) - 1)
-    return poly
 
 
 def _poly_str(coeffs, var: str = "z") -> str:
@@ -357,7 +339,7 @@ def _neg_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         for j in range(d):
             rem[i - d + j] -= c * b.coeffs[j]
     g = gcd(*rem)
-    return IntPoly.from_ints([-v // g for v in rem]) if g else IntPoly.from_ints(())
+    return IntPoly([-v // g for v in rem]) if g else IntPoly()
 
 
 def _remainder_sequence(a: IntPoly, b: IntPoly) -> list:
@@ -560,7 +542,7 @@ def _rational_roots(p: IntPoly) -> list:
     coefficients, so the rational roots of p are y/a for the integer roots y
     of g."""
     a, d = p.leading(), p.degree
-    g = IntPoly.from_ints([c * a ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])] + [1])
+    g = IntPoly([c * a ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])] + [1])
     return [Fraction(y, a) for y in _integer_roots(g)]
 
 
@@ -583,7 +565,7 @@ def exact_quotient(p: IntPoly, q: IntPoly):
             quo[i - d] = c
             for j, b in enumerate(q.coeffs):
                 rem[i - d + j] -= c * b
-    return None if any(rem[:d]) else IntPoly.from_ints(quo)
+    return None if any(rem[:d]) else IntPoly(quo)
 
 
 def _factor_squarefree(p: IntPoly) -> list:
@@ -592,7 +574,7 @@ def _factor_squarefree(p: IntPoly) -> list:
     are 1)."""
     out = []
     for r in _rational_roots(p):
-        lin = IntPoly.from_ints([-r.numerator, r.denominator])
+        lin = IntPoly([-r.numerator, r.denominator])
         p = exact_quotient(p, lin)
         out.append(lin)
     if p.degree >= 2:
@@ -624,11 +606,11 @@ def factor_over_q(poly: IntPoly) -> list:
         for fac in _factor_squarefree(sf):
             out.append((fac, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
-    check = IntPoly.from_ints([1])
+    check = IntPoly([1])
     for fac, mult in out:
         for _ in range(mult):
             check = check * fac
     sign = -1 if poly.leading() < 0 else 1
-    if check != prim or IntPoly.from_ints([c * sign * poly.content() for c in prim.coeffs]) != poly:
+    if check != prim or IntPoly([c * sign * poly.content() for c in prim.coeffs]) != poly:
         raise InfranilError("factorization does not reproduce the input")
     return out

@@ -10,7 +10,11 @@ with no code generated at import time:
   * assigning or deleting an attribute raises AttributeError;
   * equality compares the fields, and only between instances of one class;
   * the hash is the hash of the tuple of the fields;
-  * the repr is `Name(field=value, ...)`.
+  * the repr is `Name(field=value, ...)`;
+  * `copy`, `deepcopy` and `pickle` rebuild an instance by calling the
+    class on its fields (`__reduce__`), so every subclass constructor takes
+    exactly `_fields`, in order.  Their default of restoring slot state by
+    `setattr` would hit the refusal above.
 
 A subclass may write faster versions of these for its own fields; one that
 writes `__eq__` must write `__hash__` too.  `functools.cached_property`
@@ -46,6 +50,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -112,7 +112,7 @@ def berlekamp_massey_q(seq, bound: int):
         sum(map(mul, den, r[t:t + L + 1])) for t in range(last - window, -1, -1)
     ):
         raise ReconstructionError("reconstructed series does not reproduce the data")
-    return IntPoly.from_ints([0] + head[:L]), IntPoly.from_ints(den)
+    return IntPoly([0] + head[:L]), IntPoly(den)
 
 
 def normalize_factor(q: IntPoly) -> IntPoly:
@@ -120,7 +120,7 @@ def normalize_factor(q: IntPoly) -> IntPoly:
     if c0 == 1:
         return q
     if c0 == -1:
-        return IntPoly.from_ints([-c for c in q.coeffs])
+        return IntPoly([-c for c in q.coeffs])
     raise ReconstructionError(f"factor {q} cannot be normalized to q(0) = 1")
 
 
@@ -332,7 +332,7 @@ def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncPr
         raise ReconstructionError("denominator is not squarefree")
     # z q' (den / q) per factor, for the read and the check
     terms = {
-        q: IntPoly.from_ints([i * c for i, c in enumerate(q.coeffs)]) * exact_quotient(den, q)
+        q: IntPoly([i * c for i, c in enumerate(q.coeffs)]) * exact_quotient(den, q)
         for q in (normalize_factor(q) for q, _ in factors)
     }
     result = RatFuncProduct.from_irreducibles((q, _exponent_at(num, t, q)) for q, t in terms.items())
@@ -341,6 +341,6 @@ def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncPr
     for q, e in result.factors:
         for k, c in enumerate(terms[q].coeffs):
             check[k] += e * c
-    if IntPoly.from_ints(check) != num:
+    if IntPoly(check) != num:
         raise ReconstructionError("reconstructed product does not match the series")
     return result

@@ -34,7 +34,7 @@ def test_intpoly_accepts_integers_of_any_integer_type():
 
     p = IntPoly([Fraction(4, 2), np.int64(-3), sympy.Integer(5), 0])
     assert p.coeffs == (2, -3, 5) and all(type(c) is int for c in p.coeffs)
-    assert p == IntPoly.from_ints([2, -3, 5]) and p.degree == 2
+    assert p == IntPoly([2, -3, 5]) and p.degree == 2
 
 
 def test_basic_arithmetic():
