@@ -19,8 +19,12 @@ independently.
 Most pairs (generator, holonomy element) fail already at the differential
 level, D A == B D.  That filter runs in integers on the cached integer form
 of the holonomy group (`HolonomyGroup.integer_elements`), with each product
-formed once per call; the embedded affine products, and the lattice witness
-in Fractions, are formed only for the pairs that pass it.
+formed once per call.  Only for the pairs that pass it are the translation
+columns of the two sides formed, in Fractions, and the lattice witness run
+on them.  On Heisenberg entries each column is a matrix-vector product with
+the other side's translation column, so the witness path forms no 4x4
+product beyond the one in `psi_embed`; on abelian entries the columns are
+still sliced from full affine products.
 """
 
 from __future__ import annotations
@@ -104,11 +108,12 @@ class MapCandidate(Record):
         return MapCandidate(self.entry, elem.h_coords(), elem.holonomy_part())
 
 
-def _lattice_witness(entry: CatalogEntry, x: QMatrix, y: QMatrix):
+def _lattice_witness(entry: CatalogEntry, tx: tuple, ty: tuple):
     """The integral lattice coordinates c with X = L(c) * Y, or None, where
     L(c) is the embedded lattice element, X = cand * gen and Y = rep_h * cand
     for a pair (generator, holonomy element h) that passed the rotational
-    filter D A_g == B_h D.
+    filter D A_g == B_h D, given only the translation columns tx of X and ty
+    of Y (their first n entries).
 
     The filter makes the matrix identity a question about translation
     columns alone.  Abelian: X and L(c) Y = (B_h D | c + t_Y) share the
@@ -122,18 +127,32 @@ def _lattice_witness(entry: CatalogEntry, x: QMatrix, y: QMatrix):
     unique solution is the (z1, z2, z3) below.  Either way no lattice
     element is formed and no product confirms the solve.  Works for singular
     linear parts too."""
-    n = entry.dim
     if entry.model == ABELIAN:
-        coords = tuple(x[i, n] - y[i, n] for i in range(n))
+        coords = tuple(a - b for a, b in zip(tx, ty))
     else:
         k = entry.k
-        z1 = x[1, 3] - y[1, 3]
-        z2 = x[2, 3] - y[2, 3]
-        z3 = x[0, 3] - y[0, 3] - k * z2 / 2 * y[1, 3] + k * z1 / 2 * y[2, 3] + k * z1 * z2 / 2
+        z1 = tx[1] - ty[1]
+        z2 = tx[2] - ty[2]
+        z3 = tx[0] - ty[0] - k * z2 / 2 * ty[1] + k * z1 / 2 * ty[2] + k * z1 * z2 / 2
         coords = (z1, z2, z3)
     if any(c.denominator != 1 for c in coords):
         return None
     return coords
+
+
+def _column(mat: QMatrix) -> tuple:
+    """The translation column of an affine matrix: its last column without
+    the final 1."""
+    return tuple(row[-1] for row in mat.rows[:-1])
+
+
+def _product_column(mat: QMatrix, t: tuple) -> tuple:
+    """The translation column of mat * M for an affine matrix M with
+    translation column t: mat's linear block times t, plus mat's own
+    translation column.  Zero terms are skipped; every entry stays a
+    Fraction, as it starts from mat's own."""
+    return tuple(sum((a * b for a, b in zip(row, t) if a and b), row[-1])
+                 for row in mat.rows[:-1])
 
 
 class PhiAssignment(NamedTuple):
@@ -161,18 +180,21 @@ def validate_selfmap(candidate: MapCandidate):
     common denominators of D and of the holonomy elements, it holds exactly
     when (qD)(rA_g) == (rB_h)(qD).  Each B_h D is formed once per call and
     each D A_g once per generator.  Only where the filter passes are the
-    embedded candidate cand (once per call), the affine products
-    X = cand * gen (once per generator) and
-    Y_h = rep_h * cand (once per h, shared across generators) formed, in
-    Fractions, for the lattice witness, which reads their translation
-    columns.  Holonomy index 0 is the identity, whose representative is the
-    identity matrix, so Y_0 is cand itself and costs no product."""
+    embedded candidate cand (once per call) and the translation columns of
+    X = cand * gen (once per generator) and Y_h = rep_h * cand (once per h,
+    shared across generators) formed, in Fractions, for the lattice witness,
+    which reads nothing else.  Heisenberg: X's column is cand times gen's
+    translation column, and Y_h's is rep_h times cand's, both matrix-vector
+    products.  Abelian: the columns are sliced from the full products.
+    Holonomy index 0 is the identity, whose representative is the identity
+    matrix, so Y_0's column is cand's own and costs no product."""
     entry = candidate.entry
     group = holonomy(entry)
     n = entry.dim
     _, (dflat,) = integer_form([candidate.dstar])
     _, aflats = group.integer_elements
     b_d = [flat_product(b, dflat, n) for b in aflats]
+    heis = entry.model == HEISENBERG
     cand = None
     ys = {}
     found = []
@@ -187,11 +209,16 @@ def validate_selfmap(candidate: MapCandidate):
                 continue
             if x is None:
                 if cand is None:
-                    cand = ys[0] = candidate.embedded().matrix
-                x = cand * gen.matrix
+                    cand = candidate.embedded().matrix
+                    ys[0] = _column(cand)
+                if heis:
+                    x = _product_column(cand, _column(gen.matrix))
+                else:
+                    x = _column(cand * gen.matrix)
             y = ys.get(hi)
             if y is None:
-                y = ys[hi] = group.representatives[hi].matrix * cand
+                rep = group.representatives[hi].matrix
+                y = ys[hi] = _product_column(rep, ys[0]) if heis else _column(rep * cand)
             w = _lattice_witness(entry, x, y)
             if w is not None:
                 hit = (gi, hi, w)

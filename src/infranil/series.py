@@ -142,16 +142,18 @@ class RatFuncProduct(Record):
     @staticmethod
     def from_irreducibles(pairs) -> "RatFuncProduct":
         """Build from (irreducible IntPoly with q(0)=1, exponent) pairs,
-        merging duplicates and dropping zero exponents."""
+        merging duplicates and dropping zero exponents.  An exponent that is
+        not an int raises InfranilError naming it."""
         merged = {}
         for q, e in pairs:
+            e = _int_exponent(e)
             if q.constant() != 1:
                 raise ReconstructionError(f"factor {q} does not satisfy q(0) = 1")
             if q.degree < 1:
                 if q.coeffs == (1,):
                     continue
                 raise ReconstructionError(f"constant factor {q} is not 1")
-            merged[q] = merged.get(q, 0) + int(e)
+            merged[q] = merged.get(q, 0) + e
         items = [(q, e) for q, e in merged.items() if e != 0]
         items.sort(key=lambda fe: fe[0].sort_key())
         return RatFuncProduct(tuple(items))
@@ -160,9 +162,11 @@ class RatFuncProduct(Record):
     def from_factors(pairs) -> "RatFuncProduct":
         """Build from arbitrary (polynomial, exponent) pairs.  Every
         polynomial must have constant term 1; each is factored over Q and the
-        irreducible pieces are normalized to q(0) = 1."""
+        irreducible pieces are normalized to q(0) = 1.  An exponent that is
+        not an int raises InfranilError naming it."""
         out = []
         for poly, e in pairs:
+            e = _int_exponent(e)
             if isinstance(poly, IntPoly):
                 poly = poly.to_qpoly()
             if poly.is_zero():
@@ -174,7 +178,7 @@ class RatFuncProduct(Record):
             for q, mult in factor_over_q(poly.to_int()[0]):
                 if q.coeffs == (0, 1):
                     raise ReconstructionError("factor divisible by z cannot appear")
-                out.append((normalize_factor(q), mult * int(e)))
+                out.append((normalize_factor(q), mult * e))
         return RatFuncProduct.from_irreducibles(out)
 
     def is_one(self) -> bool:
@@ -230,7 +234,7 @@ class RatFuncProduct(Record):
         is not an integer raises InfranilError naming it, so a corrupted
         product is never truncated or parsed into another one."""
         return RatFuncProduct.from_irreducibles(
-            (IntPoly(item["poly"]), _json_exponent(item["exp"])) for item in data
+            (IntPoly(item["poly"]), item["exp"]) for item in data
         )
 
     def __str__(self):
@@ -244,7 +248,7 @@ class RatFuncProduct(Record):
     __repr__ = __str__
 
 
-def _json_exponent(e) -> int:
+def _int_exponent(e) -> int:
     if type(e) is not int:
         raise InfranilError(f"exponent {e!r} is not an integer")
     return e

@@ -354,12 +354,18 @@ def test_validate_matches_reference_on_benchmark_inputs(monkeypatch):
         assert assert_same(cand, holonomy(cand.entry)) is not None
 
 
+def column(mat):
+    """The translation column of an affine matrix."""
+    return tuple(mat[i, mat.ncols - 1] for i in range(mat.nrows - 1))
+
+
 def test_witness_returns_the_lattice_coordinates_it_was_built_from():
     """X = L(c) * rep_h * cand for every holonomy index h of every entry:
-    the witness returns exactly c, and None once c is shifted off the
-    lattice.  cand's linear part is the identity (an odd multiple of it on
-    abelian entries), which commutes with every holonomy element, so each
-    pair (X, Y_h) passes the rotational filter."""
+    the witness, given the translation columns of X and Y_h, returns exactly
+    c, and None once c is shifted off the lattice.  cand's linear part is
+    the identity (an odd multiple of it on abelian entries), which commutes
+    with every holonomy element, so each pair (X, Y_h) passes the rotational
+    filter."""
     rng = random.Random(13)
     count = 0
     for entry in smallest_entries():
@@ -377,20 +383,58 @@ def test_witness_returns_the_lattice_coordinates_it_was_built_from():
             y = rep.matrix * cand
             c = tuple(rng.randint(-5, 5) for _ in range(n))
             x = lattice_element(entry.model, n, c, entry.k).matrix * y
-            assert _lattice_witness(entry, x, y) == c, (entry.id, hi)
+            assert _lattice_witness(entry, column(x), column(y)) == c, (entry.id, hi)
             i = rng.randrange(n)
             off = tuple(v + F(1, rng.choice((2, 3, 4))) * (j == i) for j, v in enumerate(c))
             x = lattice_element(entry.model, n, off, entry.k).matrix * y
-            assert _lattice_witness(entry, x, y) is None, (entry.id, hi, off)
+            assert _lattice_witness(entry, column(x), column(y)) is None, (entry.id, hi, off)
             count += 1
     assert count == sum(holonomy(e).order for e in smallest_entries())
 
 
+def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
+    """On every Heisenberg entry with non-trivial holonomy, for every
+    non-identity h, accepted candidates are perturbed so that X = L(z1, z2,
+    z3 + s) * Y_h with z1, z2 integral and s in (0, 1): only the central
+    coordinate leaves the lattice.  The witness rejects each, and accepts
+    s = 0, also where the cross terms -k z2 y1 / 2 + k z1 y2 / 2 + k z1 z2 / 2
+    are not integral by themselves, so the difference of the top entries of
+    the columns would decide wrongly."""
+    rng = random.Random(29)
+    entries = [e for e in smallest_entries() if e.model == HEISENBERG and holonomy(e).order > 1]
+    assert len(entries) >= 10
+    cross_off_lattice = 0
+    for entry in entries:
+        group = holonomy(entry)
+        k = entry.k
+        candidate = MapCandidate(entry, tuple(rng.choice(QUARTERS) for _ in range(3)),
+                                 QMatrix.identity(3))
+        cand = candidate.embedded().matrix
+        for hi in range(1, group.order):
+            y = group.representatives[hi].matrix * cand
+            ty = column(y)
+            z1, z2, z3 = (rng.randint(-5, 5) for _ in range(3))
+            tx = column(lattice_element(entry.model, 3, (z1, z2, z3), k).matrix * y)
+            assert _lattice_witness(entry, tx, ty) == (z1, z2, z3)
+            assert reference_witness(entry, lattice_element(entry.model, 3, (z1, z2, z3), k)
+                                     .matrix * y, y) == (z1, z2, z3)
+            cross = -k * z2 / 2 * ty[1] + k * z1 / 2 * ty[2] + k * z1 * z2 / 2
+            cross_off_lattice += cross.denominator != 1
+            for s in (F(1, 2), F(1, 3), F(3, 4)):
+                x = lattice_element(entry.model, 3, (z1, z2, z3 + s), k).matrix * y
+                tx = column(x)
+                assert (tx[1] - ty[1], tx[2] - ty[2]) == (z1, z2)
+                assert _lattice_witness(entry, tx, ty) is None, (entry.id, hi, s)
+                assert reference_witness(entry, x, y) is None
+    assert cross_off_lattice > 0
+
+
 def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
-    """An accepted candidate with trivial holonomy costs one QMatrix product
-    per generator, for X = cand * gen: Y_0 is cand itself, and no lattice
-    element is built.  heis-I adds the product inside psi_embed that embeds
-    the candidate."""
+    """An accepted abelian candidate with trivial holonomy costs one QMatrix
+    product per generator, for X = cand * gen: Y_0 is cand itself, and no
+    lattice element is built.  An accepted heis-I candidate forms only the
+    product inside psi_embed that embeds the candidate: its witnesses read
+    translation columns formed as matrix-vector products."""
     import infranil.catalog as catalog
 
     torus = MapCandidate(catalog_lookup("torus-3"), (F(1, 3), 0, F(-1, 4)),
@@ -411,10 +455,10 @@ def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
 
     monkeypatch.setattr(catalog, "lattice_element", no_lattice_element)
     monkeypatch.setattr(QMatrix, "__mul__", counting_mul)
-    for cand, extra in ((torus, 0), (heis, 1)):
+    for cand, products in ((torus, len(torus.entry.generators)), (heis, 1)):
         calls.clear()
         assert validate_selfmap(cand) is not None
-        assert len(calls) == len(cand.entry.generators) + extra, cand.entry.id
+        assert len(calls) == products, cand.entry.id
 
 
 def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):

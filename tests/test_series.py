@@ -274,6 +274,19 @@ def test_rfp_from_json_rejects_non_integers(poly, exp, bad):
         RatFuncProduct.from_json([{"poly": poly, "exp": exp}])
 
 
+@pytest.mark.parametrize("build, pairs, bad", [
+    (RatFuncProduct.from_factors, [(QPoly([1, -2]), 2.9)], "2.9"),
+    (RatFuncProduct.from_irreducibles, [(IntPoly([1, -2]), 1.5)], "1.5"),
+    (RatFuncProduct.from_factors, [(QPoly([1, -2]), Fraction(2))], "Fraction(2, 1)"),
+    (RatFuncProduct.from_irreducibles, [(IntPoly([1]), 0.5)], "0.5"),
+])
+def test_rfp_constructors_reject_non_integer_exponents(build, pairs, bad):
+    """A non-int exponent raises the from_json error, naming it, instead of
+    being truncated: 2.9 is not read as 2, nor 1.5 as 1."""
+    with pytest.raises(InfranilError, match=re.escape(f"exponent {bad} is not an integer")):
+        build(pairs)
+
+
 def test_bm_heldout_terms_catch_corruption():
     # the fitting window of bound 4 is 10 terms; every later one is held out
     for k in (10, 11, 19):

@@ -4,7 +4,7 @@ can be compared for identical outputs with one command each.
     python3 tools/outputs_digest.py
 
 Run from the repository root (or anywhere: `src/` and `bench/` are found
-next to this file).  It prints six lines, `<sha256>  <what>`:
+next to this file).  It prints seven lines, `<sha256>  <what>`:
 
   compute   `zeta compute --json` stdout and exit code on every `corpus`
             benchmark instance of seeds 1 and 2 (528 runs);
@@ -21,7 +21,11 @@ next to this file).  It prints six lines, `<sha256>  <what>`:
             `positive_part(candidate, exterior_data(D))` on every `corpus`
             and `random-maps` benchmark candidate of seeds 1 and 2: the
             package's records as they print, nested ones (FactorRoots,
-            HolonomyGroup, AffineElement, QMatrix) included.
+            HolonomyGroup, AffineElement, QMatrix) included;
+  validate  the `repr` of `validate_selfmap` on every `corpus` and
+            `random-maps` benchmark candidate of seeds 1 and 2, all of them
+            accepts: their lattice coordinates, which `screen`, mostly
+            rejects, seldom reaches.
 
 The instance lists come from `bench/workloads.py`, imported unchanged.
 """
@@ -101,10 +105,21 @@ def records_digest() -> str:
     return h.hexdigest()
 
 
+def validate_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        candidates = [selfmaps.family_instantiate(spec, params, corpus_check=False)
+                      for spec, params in workloads.corpus_instances(seed)]
+        for cand in candidates + workloads.random_maps_instances(seed):
+            h.update(f"{selfmaps.validate_selfmap(cand)!r}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, digest in (("compute", compute_digest), ("verify", verify_digest),
                          ("random", random_digest), ("samples", samples_digest),
-                         ("screen", screen_digest), ("records", records_digest)):
+                         ("screen", screen_digest), ("records", records_digest),
+                         ("validate", validate_digest)):
         print(f"{digest()}  {name}", flush=True)
     return 0
 
