@@ -140,12 +140,6 @@ def _lattice_witness(entry: CatalogEntry, tx: tuple, ty: tuple):
     return coords
 
 
-def _column(mat: QMatrix) -> tuple:
-    """The translation column of an affine matrix: its last column without
-    the final 1."""
-    return tuple(row[-1] for row in mat.rows[:-1])
-
-
 def _product_column(mat: QMatrix, t: tuple) -> tuple:
     """The translation column of mat * M for an affine matrix M with
     translation column t: mat's linear block times t, plus mat's own
@@ -209,16 +203,16 @@ def validate_selfmap(candidate: MapCandidate):
                 continue
             if x is None:
                 if cand is None:
-                    cand = candidate.embedded().matrix
-                    ys[0] = _column(cand)
+                    cand = candidate.embedded()
+                    ys[0] = cand.translation()
                 if heis:
-                    x = _product_column(cand, _column(gen.matrix))
+                    x = _product_column(cand.matrix, gen.translation())
                 else:
-                    x = _column(cand * gen.matrix)
+                    x = (cand * gen).translation()
             y = ys.get(hi)
             if y is None:
-                rep = group.representatives[hi].matrix
-                y = ys[hi] = _product_column(rep, ys[0]) if heis else _column(rep * cand)
+                rep = group.representatives[hi]
+                y = ys[hi] = _product_column(rep.matrix, ys[0]) if heis else (rep * cand).translation()
             w = _lattice_witness(entry, x, y)
             if w is not None:
                 hit = (gi, hi, w)

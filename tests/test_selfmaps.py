@@ -354,11 +354,6 @@ def test_validate_matches_reference_on_benchmark_inputs(monkeypatch):
         assert assert_same(cand, holonomy(cand.entry)) is not None
 
 
-def column(mat):
-    """The translation column of an affine matrix."""
-    return tuple(mat[i, mat.ncols - 1] for i in range(mat.nrows - 1))
-
-
 def test_witness_returns_the_lattice_coordinates_it_was_built_from():
     """X = L(c) * rep_h * cand for every holonomy index h of every entry:
     the witness, given the translation columns of X and Y_h, returns exactly
@@ -375,31 +370,32 @@ def test_witness_returns_the_lattice_coordinates_it_was_built_from():
         candidate = MapCandidate(
             entry, tuple(rng.choice(QUARTERS) for _ in range(n)), QMatrix.identity(n) * scale
         )
-        cand = candidate.embedded().matrix
+        cand = candidate.embedded()
         _, (dflat,) = integer_form([candidate.dstar])
         r, aflats = group.integer_elements
         for hi, rep in enumerate(group.representatives):
             assert flat_product(dflat, aflats[hi], n) == flat_product(aflats[hi], dflat, n)
-            y = rep.matrix * cand
+            y = rep * cand
             c = tuple(rng.randint(-5, 5) for _ in range(n))
-            x = lattice_element(entry.model, n, c, entry.k).matrix * y
-            assert _lattice_witness(entry, column(x), column(y)) == c, (entry.id, hi)
+            x = lattice_element(entry.model, n, c, entry.k) * y
+            assert _lattice_witness(entry, x.translation(), y.translation()) == c, (entry.id, hi)
             i = rng.randrange(n)
             off = tuple(v + F(1, rng.choice((2, 3, 4))) * (j == i) for j, v in enumerate(c))
-            x = lattice_element(entry.model, n, off, entry.k).matrix * y
-            assert _lattice_witness(entry, column(x), column(y)) is None, (entry.id, hi, off)
+            x = lattice_element(entry.model, n, off, entry.k) * y
+            assert _lattice_witness(entry, x.translation(), y.translation()) is None, (entry.id, hi, off)
             count += 1
     assert count == sum(holonomy(e).order for e in smallest_entries())
 
 
 def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
-    """On every Heisenberg entry with non-trivial holonomy, for every
-    non-identity h, accepted candidates are perturbed so that X = L(z1, z2,
-    z3 + s) * Y_h with z1, z2 integral and s in (0, 1): only the central
-    coordinate leaves the lattice.  The witness rejects each, and accepts
-    s = 0, also where the cross terms -k z2 y1 / 2 + k z1 y2 / 2 + k z1 z2 / 2
-    are not integral by themselves, so the difference of the top entries of
-    the columns would decide wrongly."""
+    """On every Heisenberg entry with non-trivial holonomy and for every
+    non-identity h, X = L(z1, z2, z3 + s) * Y_h with integral z1, z2, z3 and
+    s in (0, 1): only the central coordinate is off the lattice, so the
+    first two entries of the columns differ by integers.  The witness
+    rejects every s != 0 and returns (z1, z2, z3) for s = 0, as the matrix
+    reference does, also where the cross terms
+    -k z2 y1 / 2 + k z1 y2 / 2 + k z1 z2 / 2 are not integral by themselves
+    and the difference of the top entries alone would decide wrongly."""
     rng = random.Random(29)
     entries = [e for e in smallest_entries() if e.model == HEISENBERG and holonomy(e).order > 1]
     assert len(entries) >= 10
@@ -407,25 +403,21 @@ def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
     for entry in entries:
         group = holonomy(entry)
         k = entry.k
-        candidate = MapCandidate(entry, tuple(rng.choice(QUARTERS) for _ in range(3)),
-                                 QMatrix.identity(3))
-        cand = candidate.embedded().matrix
+        cand = MapCandidate(entry, tuple(rng.choice(QUARTERS) for _ in range(3)),
+                            QMatrix.identity(3)).embedded()
         for hi in range(1, group.order):
-            y = group.representatives[hi].matrix * cand
-            ty = column(y)
+            y = group.representatives[hi] * cand
+            ty = y.translation()
             z1, z2, z3 = (rng.randint(-5, 5) for _ in range(3))
-            tx = column(lattice_element(entry.model, 3, (z1, z2, z3), k).matrix * y)
-            assert _lattice_witness(entry, tx, ty) == (z1, z2, z3)
-            assert reference_witness(entry, lattice_element(entry.model, 3, (z1, z2, z3), k)
-                                     .matrix * y, y) == (z1, z2, z3)
             cross = -k * z2 / 2 * ty[1] + k * z1 / 2 * ty[2] + k * z1 * z2 / 2
             cross_off_lattice += cross.denominator != 1
-            for s in (F(1, 2), F(1, 3), F(3, 4)):
-                x = lattice_element(entry.model, 3, (z1, z2, z3 + s), k).matrix * y
-                tx = column(x)
+            for s in (0, F(1, 2), F(1, 3), F(3, 4)):
+                x = lattice_element(entry.model, 3, (z1, z2, z3 + s), k) * y
+                tx = x.translation()
                 assert (tx[1] - ty[1], tx[2] - ty[2]) == (z1, z2)
-                assert _lattice_witness(entry, tx, ty) is None, (entry.id, hi, s)
-                assert reference_witness(entry, x, y) is None
+                expected = (z1, z2, z3) if s == 0 else None
+                assert _lattice_witness(entry, tx, ty) == expected, (entry.id, hi, s)
+                assert reference_witness(entry, x.matrix, y.matrix) == expected
     assert cross_off_lattice > 0
 
 
