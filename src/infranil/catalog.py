@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import CatalogError, ConstraintError
-from .exprs import eval_rational, parse_rational
+from .exprs import eval_rational, in_domain, parse_rational
 from .matrices import QMatrix, exterior_integer_form, integer_form
 from .records import Record
 
@@ -254,35 +254,30 @@ def catalog_ids():
     return list(_raw_catalog().keys())
 
 
-def _check_param_spec(spec: dict, value: Fraction, entry_id: str):
-    name = spec["name"]
-    if value.denominator != 1:
-        raise ConstraintError(f"{entry_id}: parameter {name} must be an integer")
-    v = int(value)
-    if "min" in spec and v < spec["min"]:
-        raise ConstraintError(f"{entry_id}: parameter {name} must be >= {spec['min']}")
-    if "mod" in spec and v % spec["mod"] not in spec["residues"]:
-        allowed = " or ".join(str(r) for r in spec["residues"])
-        raise ConstraintError(
-            f"{entry_id}: {name} = {v} violates {name} congruent to {allowed} mod {spec['mod']}"
-        )
+def catalog_params(entry_id: str) -> tuple:
+    """The entry's (name, domain) parameter pairs, in the corpus's domain
+    language: the lattice parameter k of a Heisenberg type, none otherwise."""
+    raw = _raw_catalog().get(entry_id)
+    if raw is None:
+        raise CatalogError(f"unknown catalog id {entry_id!r}")
+    return tuple((p["name"], p["domain"]) for p in raw.get("params", []))
 
 
 def catalog_lookup(entry_id: str, params=None) -> CatalogEntry:
     """Instantiate a catalog entry; Heisenberg types need their lattice
-    parameter k, checked against the type's congruence constraint.  The
-    parameters are checked on every call; the entry is shared, one per (id,
-    parameter values) in a bounded LRU cache, and carries its holonomy group."""
-    raw = _raw_catalog().get(entry_id)
-    if raw is None:
-        raise CatalogError(f"unknown catalog id {entry_id!r}")
+    parameter k, which must lie in its domain (`in_domain`, as for a family
+    parameter).  The parameters are checked on every call; the entry is
+    shared, one per (id, parameter values) in a bounded LRU cache, and
+    carries its holonomy group."""
+    domains = catalog_params(entry_id)
     params = {name: parse_rational(v) for name, v in (params or {}).items()}
     resolved = {}
-    for spec in raw.get("params", []):
-        name = spec["name"]
+    for name, domain in domains:
         if name not in params:
             raise ConstraintError(f"{entry_id}: missing required parameter {name!r}")
-        _check_param_spec(spec, params[name], entry_id)
+        if not in_domain(domain, params[name]):
+            raise ConstraintError(
+                f"{entry_id}: parameter {name} = {params[name]} is not in {domain}")
         resolved[name] = params[name]
     extra = set(params) - set(resolved)
     if extra:

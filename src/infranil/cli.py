@@ -26,13 +26,13 @@ from .errors import (
     ReconstructionError,
     RouteMismatchError,
 )
-from .exprs import eval_bool, eval_rational, format_rational, parse_rational
+from .exprs import eval_rational, format_rational, parse_rational
 from .polynomials import QPoly
 from .selfmaps import (
+    admit_params,
     expected_zeta_cell,
     family_instance,
     load_corpus,
-    resolve_params,
     sample_params,
 )
 from .series import RatFuncProduct, rfp_equal
@@ -89,9 +89,9 @@ def _with_defaults(spec, params) -> dict:
 
 
 def _pick_family(corpus, manifold: str, family_index, params):
-    """The requested family, or the first whose parameter names cover the
-    supplied ones and whose constraints accept them (missing free parameters
-    default to 0, `_with_defaults`)."""
+    """The requested family, or the first that admits the supplied
+    parameters (`admit_params`: domains first, then constraints), each of
+    its parameters that is missing set to 0 (`_with_defaults`)."""
     families = corpus.for_manifold(manifold)
     if not families:
         raise CatalogError(f"no families for manifold {manifold!r}")
@@ -100,19 +100,13 @@ def _pick_family(corpus, manifold: str, family_index, params):
             if f.index == family_index:
                 return f
         raise ConstraintError(f"{manifold} has no family {family_index}")
-    supplied = set(params)
     for f in families:
-        names = {n for n, _ in f.params}
-        if supplied <= names:
-            try:
-                resolved = resolve_params(f, _with_defaults(f, params))
-                if all(eval_bool(c, resolved) for c in f.constraints):
-                    return f
-            except (ConstraintError, ZeroDivisionError):
-                continue
-    raise ConstraintError(
-        f"no family of {manifold} accepts parameters {sorted(supplied)}"
-    )
+        try:
+            admit_params(f, _with_defaults(f, params))
+        except ConstraintError:
+            continue
+        return f
+    raise ConstraintError(f"no family of {manifold} accepts parameters {sorted(params)}")
 
 
 def cmd_compute(args) -> int:
@@ -186,8 +180,8 @@ def cmd_verify_tables(args) -> int:
         raise ConstraintError(f"--samples must be >= 0, got {args.samples}")
     corpus = load_corpus(args.corpus)
     if args.samples == 0:
-        print("warning: --samples 0 verifies nothing (vacuous pass)")
-        _emit({"families": 0, "instances": 0, "failures": 0}, args.json, [])
+        print("warning: --samples 0 verifies nothing (vacuous pass)", file=sys.stderr)
+        _emit({"families": 0, "instances": 0, "failures": 0, "failing": []}, args.json, [])
         return EXIT_OK
     failures = []
     instances = 0

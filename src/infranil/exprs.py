@@ -1,5 +1,6 @@
 """Safe evaluation of the small arithmetic/boolean expressions that appear in
-the catalog and family-corpus data files.
+the catalog and family-corpus data files, and the parameter domains that
+both files use.
 
 Expressions are Python syntax restricted to: rational arithmetic
 (+ - * / ** and unary -), integer literals, parameter names, comparisons,
@@ -13,7 +14,7 @@ import ast
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .errors import ConstraintError
+from .errors import ConstraintError, CorpusError
 
 
 def parse_rational(text) -> Fraction:
@@ -32,7 +33,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def _is_int(x) -> bool:
-    return Fraction(x).denominator == 1
+    return x.denominator == 1
 
 
 _HELPERS = {"abs": abs, "min": min, "max": max, "is_int": _is_int}
@@ -138,3 +139,77 @@ def eval_bool(text, env) -> bool:
     if not isinstance(value, bool):
         raise ConstraintError(f"expected a condition from {text!r}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Parameter domains
+# ---------------------------------------------------------------------------
+
+
+def _residue_in(v, arg: str) -> bool:
+    m, residues = arg.split(":")
+    return v % int(m) in {int(r) for r in residues.split(",")}
+
+
+def _fractions(text: str) -> tuple:
+    return tuple(parse_rational(v) for v in text.split())
+
+
+def _grids(small, large):
+    """(small, large) sample grids that do not depend on the domain's
+    argument."""
+    return lambda arg: (small, large)
+
+
+def _shift_grids(arg: str):
+    base = parse_rational(arg)
+    return [base - 1, base, base + 1], [base + 7, base - 8]
+
+
+_INTS = _grids(range(-5, 6), range(7, 24))
+_HALVES = [Fraction(v, 2) for v in range(-3, 4)]
+
+# The domain language, e.g. "int_odd", "int_mod:4:1,3" or "shift:1/3".  Per
+# kind (the text before the first ':'): its membership test, (value, text
+# after the ':') -> bool, and its sample grids, text after the ':' ->
+# (small, large).  A domain's samples are the members of its grid, in grid
+# order.
+_DOMAINS = {
+    "int": (lambda v, arg: _is_int(v), _INTS),
+    "int_odd": (lambda v, arg: _is_int(v) and v % 2 == 1, _INTS),
+    "int_even": (lambda v, arg: _is_int(v) and v % 2 == 0, _INTS),
+    "int_mod": (lambda v, arg: _is_int(v) and _residue_in(v, arg), _INTS),
+    "int_pos_mod": (lambda v, arg: _is_int(v) and v > 0 and _residue_in(v, arg),
+                    _grids(range(1, 13), range(7, 36))),
+    "int_multiple": (lambda v, arg: _is_int(v) and v % int(arg) == 0, _INTS),
+    "rational": (lambda v, arg: True,
+                 _grids(_fractions("0 1 -1 1/2 -2/3 5/4 2"), _fractions("17/3 -23/4"))),
+    "half_int": (lambda v, arg: _is_int(2 * v), _grids(_HALVES, _fractions("15/2 -9"))),
+    "half_odd": (lambda v, arg: _is_int(2 * v) and 2 * v % 2 == 1,
+                 _grids(_HALVES, _fractions("17/2 -15/2"))),
+    "quarter_odd": (lambda v, arg: _is_int(4 * v) and 4 * v % 2 == 1,
+                    _grids([Fraction(v, 4) for v in range(-3, 4)], _fractions("29/4 -19/4"))),
+    "third_int": (lambda v, arg: _is_int(3 * v),
+                  _grids([Fraction(v, 3) for v in range(-4, 5)], _fractions("22/3 -26/3"))),
+    "shift": (lambda v, arg: _is_int(v - parse_rational(arg)), _shift_grids),
+}
+
+
+def _domain(domain: str):
+    """(membership test, sample grids, argument) of a domain string."""
+    kind, _, arg = domain.partition(":")
+    if kind not in _DOMAINS:
+        raise CorpusError(f"unknown parameter domain {domain!r}")
+    return *_DOMAINS[kind], arg
+
+
+def in_domain(domain: str, value) -> bool:
+    """Whether a Fraction lies in a parameter's domain."""
+    member, _, arg = _domain(domain)
+    return member(value, arg)
+
+
+def domain_values(domain: str, large: bool = False):
+    """The members of a domain's small or large sample grid, as strings."""
+    member, grids, arg = _domain(domain)
+    return [str(v) for v in grids(arg)[large] if member(v, arg)]

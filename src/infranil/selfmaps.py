@@ -33,7 +33,6 @@ import json
 import os
 import random
 import zlib
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 from typing import NamedTuple
@@ -45,11 +44,12 @@ from .catalog import (
     CatalogEntry,
     abelian_embed,
     catalog_lookup,
+    catalog_params,
     holonomy,
     psi_embed,
 )
-from .errors import ConstraintError, CorpusError, InvalidCandidateError
-from .exprs import eval_bool, eval_rational, parse_rational
+from .errors import CatalogError, ConstraintError, CorpusError, InvalidCandidateError
+from .exprs import domain_values, eval_bool, eval_rational, in_domain, parse_rational
 from .matrices import QMatrix, flat_product, integer_form
 from .records import Record
 
@@ -241,7 +241,7 @@ class FamilySpec(NamedTuple):
     manifold: str
     index: int
     desc: str
-    params: tuple          # (name, domain) pairs, entry params (k) included
+    params: tuple          # (name, domain) pairs, the catalog entry's (k) first
     derived: tuple         # (name, expression) pairs, evaluated in order
     constraints: tuple     # boolean expression strings
     dstar: tuple           # rows of coefficient expressions
@@ -303,28 +303,36 @@ def _parse_corpus(src) -> Corpus:
                 data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorpusError(f"cannot load corpus: {exc}") from exc
-    families = []
-    for block in data["manifolds"]:
-        manifold = block["manifold"]
-        entry_params = [(p["name"], p["domain"]) for p in block.get("entry_params", [])]
-        for fam in block["families"]:
-            params = entry_params + [(p["name"], p["domain"]) for p in fam["params"]]
-            families.append(
-                FamilySpec(
-                    manifold=manifold,
-                    index=fam["index"],
-                    desc=fam.get("desc", ""),
-                    params=tuple(params),
-                    derived=tuple((d["name"], d["expr"]) for d in fam.get("derived", [])),
-                    constraints=tuple(fam.get("constraints", [])),
-                    dstar=tuple(tuple(row) for row in fam["dstar"]),
-                    translation=tuple(fam["translation"]),
-                    zeta=tuple(
-                        ZetaTemplate(v.get("guard"), v["cells"]) for v in fam["zeta"]
-                    ),
-                )
-            )
-    return Corpus(tuple(families))
+    try:
+        return Corpus(tuple(spec for block in data["manifolds"] for spec in _block_specs(block)))
+    except KeyError as exc:
+        raise CorpusError(f"malformed corpus: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise CorpusError(f"malformed corpus: wrong shape ({exc})") from exc
+
+
+def _block_specs(block: dict) -> list:
+    """The FamilySpecs of one manifold's corpus block; each one's parameters
+    start with the catalog entry's (k)."""
+    manifold = block["manifold"]
+    try:
+        entry_params = catalog_params(manifold)
+    except CatalogError as exc:
+        raise CorpusError(f"corpus manifold {manifold!r} is not in the catalog") from exc
+    return [
+        FamilySpec(
+            manifold=manifold,
+            index=fam["index"],
+            desc=fam.get("desc", ""),
+            params=entry_params + tuple((p["name"], p["domain"]) for p in fam["params"]),
+            derived=tuple((d["name"], d["expr"]) for d in fam.get("derived", [])),
+            constraints=tuple(fam.get("constraints", [])),
+            dstar=tuple(tuple(row) for row in fam["dstar"]),
+            translation=tuple(fam["translation"]),
+            zeta=tuple(ZetaTemplate(v.get("guard"), v["cells"]) for v in fam["zeta"]),
+        )
+        for fam in block["families"]
+    ]
 
 
 def resolve_params(spec: FamilySpec, params: dict) -> dict:
@@ -342,13 +350,15 @@ def resolve_params(spec: FamilySpec, params: dict) -> dict:
     return env
 
 
-def _admit_params(spec: FamilySpec, params: dict) -> dict:
+def admit_params(spec: FamilySpec, params: dict) -> dict:
     """The resolved parameters (`resolve_params`) of a tuple the family
     admits: every parameter lies in its domain, then every constraint holds.
-    Raises ConstraintError naming the first failure."""
+    Raises ConstraintError naming the first failure.  This is the one rule
+    for which tuples a family admits: instantiation, sampling and the CLI's
+    family choice all apply it."""
     env = resolve_params(spec, params)
     for name, domain in spec.params:
-        if not _in_domain(domain, env[name]):
+        if not in_domain(domain, env[name]):
             raise ConstraintError(f"{spec.label}: parameter {name} = {env[name]} is not in {domain}")
     for cond in spec.constraints:
         if not eval_bool(cond, env):
@@ -363,13 +373,12 @@ def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True
 
 def family_instance(spec: FamilySpec, params: dict, corpus_check: bool = True) -> tuple:
     """(env, candidate) for a parameter assignment the family admits: env
-    the resolved parameters (`_admit_params`: every parameter's domain, then
+    the resolved parameters (`admit_params`: every parameter's domain, then
     every constraint) and the candidate built from them, validated eagerly.
     A validation failure means the corpus row itself is wrong, which is a
     hard error."""
-    env = _admit_params(spec, params)
-    entry_param_names = [n for n, _ in spec.params if n == "k"]
-    entry = catalog_lookup(spec.manifold, {n: env[n] for n in entry_param_names})
+    env = admit_params(spec, params)
+    entry = catalog_lookup(spec.manifold, {n: env[n] for n, _ in catalog_params(spec.manifold)})
     dstar = QMatrix([[eval_rational(e, env) for e in row] for row in spec.dstar])
     translation = tuple(eval_rational(e, env) for e in spec.translation)
     candidate = MapCandidate(entry, translation, dstar)
@@ -393,86 +402,12 @@ def expected_zeta_cell(spec: FamilySpec, env: dict, index: int, p: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Parameter domains and deterministic sampling
+# Deterministic sampling
 # ---------------------------------------------------------------------------
 
 
-def _is_int(v) -> bool:
-    return v.denominator == 1
-
-
-def _residue_in(v, arg: str) -> bool:
-    m, residues = arg.split(":")
-    return v % int(m) in {int(r) for r in residues.split(",")}
-
-
-def _fractions(text: str) -> tuple:
-    return tuple(parse_rational(v) for v in text.split())
-
-
-def _grids(small, large):
-    """(small, large) sample grids that do not depend on the domain's
-    argument."""
-    return lambda arg: (small, large)
-
-
-def _shift_grids(arg: str):
-    base = parse_rational(arg)
-    return [base - 1, base, base + 1], [base + 7, base - 8]
-
-
-_INTS = _grids(range(-5, 6), range(7, 24))
-_HALVES = [Fraction(v, 2) for v in range(-3, 4)]
-
-# The domain language, e.g. "int_odd", "int_mod:4:1,3" or "shift:1/3".  Per
-# kind (the text before the first ':'): its membership test, (value, text
-# after the ':') -> bool, and its sample grids, text after the ':' ->
-# (small, large).  A domain's samples are the members of its grid, in grid
-# order.
-_DOMAINS = {
-    "int": (lambda v, arg: _is_int(v), _INTS),
-    "int_nonzero": (lambda v, arg: _is_int(v) and v != 0, _INTS),
-    "int_odd": (lambda v, arg: _is_int(v) and v % 2 == 1, _INTS),
-    "int_even": (lambda v, arg: _is_int(v) and v % 2 == 0, _INTS),
-    "int_mod": (lambda v, arg: _is_int(v) and _residue_in(v, arg), _INTS),
-    "int_pos_mod": (lambda v, arg: _is_int(v) and v > 0 and _residue_in(v, arg),
-                    _grids(range(1, 13), range(7, 36))),
-    "int_multiple": (lambda v, arg: _is_int(v) and v % int(arg) == 0, _INTS),
-    "rational": (lambda v, arg: True,
-                 _grids(_fractions("0 1 -1 1/2 -2/3 5/4 2"), _fractions("17/3 -23/4"))),
-    "half_int": (lambda v, arg: _is_int(2 * v), _grids(_HALVES, _fractions("15/2 -9"))),
-    "half_odd": (lambda v, arg: _is_int(2 * v) and 2 * v % 2 == 1,
-                 _grids(_HALVES, _fractions("17/2 -15/2"))),
-    "quarter_odd": (lambda v, arg: _is_int(4 * v) and 4 * v % 2 == 1,
-                    _grids([Fraction(v, 4) for v in range(-3, 4)], _fractions("29/4 -19/4"))),
-    "third_int": (lambda v, arg: _is_int(3 * v),
-                  _grids([Fraction(v, 3) for v in range(-4, 5)], _fractions("22/3 -26/3"))),
-    "shift": (lambda v, arg: _is_int(v - parse_rational(arg)), _shift_grids),
-}
-
-
-def _domain(domain: str):
-    """(membership test, sample grids, argument) of a domain string."""
-    kind, _, arg = domain.partition(":")
-    if kind not in _DOMAINS:
-        raise CorpusError(f"unknown parameter domain {domain!r}")
-    return *_DOMAINS[kind], arg
-
-
-def _in_domain(domain: str, value) -> bool:
-    """Whether a Fraction lies in a family parameter's domain."""
-    member, _, arg = _domain(domain)
-    return member(value, arg)
-
-
-def _domain_values(domain: str, large: bool = False):
-    """The members of a domain's small or large sample grid, as strings."""
-    member, grids, arg = _domain(domain)
-    return [str(v) for v in grids(arg)[large] if member(v, arg)]
-
-
 def sample_params(spec: FamilySpec, count: int, seed: int = 0):
-    """Deterministic parameter tuples the family admits (`_admit_params`): a
+    """Deterministic parameter tuples the family admits (`admit_params`): a
     seeded shuffle of the domains' small grids, plus larger values mixed in.
     Raises if the grids cannot produce `count` samples."""
     rng = random.Random(zlib.crc32(spec.label.encode()) ^ seed)
@@ -488,13 +423,13 @@ def sample_params(spec: FamilySpec, count: int, seed: int = 0):
         seen.add(key)
         raw = dict(zip(names, values))
         try:
-            _admit_params(spec, raw)
+            admit_params(spec, raw)
         except ConstraintError:
             return False
         out.append(raw)
         return True
 
-    small = [_domain_values(d) for d in domains]
+    small = [domain_values(d) for d in domains]
     budget = 4000
     while len(out) < count and budget > 0:
         budget -= 1
@@ -502,7 +437,7 @@ def sample_params(spec: FamilySpec, count: int, seed: int = 0):
     if len(out) < count:
         raise CorpusError(f"{spec.label}: could not sample {count} parameter tuples")
     # a couple of larger values from the same seed, when available
-    large = [_domain_values(d, large=True) for d in domains]
+    large = [domain_values(d, large=True) for d in domains]
     extra = 0
     budget = 400
     while extra < 2 and budget > 0:

@@ -268,8 +268,8 @@ def test_lookup_shares_one_entry_per_parsed_params():
 
 def test_lookup_errors_raise_on_every_call():
     bad = [
-        ("heis-I", {"k": "1/2"}, ConstraintError, "must be an integer"),
-        ("heis-I", {"k": 0}, ConstraintError, "must be >= 1"),
+        ("heis-I", {"k": "1/2"}, ConstraintError, "parameter k = 1/2 is not in int_pos_mod:1:0"),
+        ("heis-I", {"k": 0}, ConstraintError, "parameter k = 0 is not in int_pos_mod:1:0"),
         ("heis-I-bogus", {"k": 2}, CatalogError, "unknown catalog id"),
         ("heis-I", {"k": 2, "q": 1}, ConstraintError, "unknown parameters"),
     ]

@@ -166,9 +166,12 @@ def test_verify_tables_detects_corruption(tmp_path, capsys):
 
 
 def test_verify_tables_zero_samples(capsys):
-    code, out, _ = run(capsys, "verify-tables", "--samples", "0")
+    code, out, err = run(capsys, "verify-tables", "--samples", "0")
     assert code == 0
-    assert "vacuous" in out
+    assert "vacuous" in err and out == ""
+    code, out, err = run(capsys, "verify-tables", "--samples", "0", "--json")
+    assert code == 0 and "vacuous" in err
+    assert json.loads(out) == {"families": 0, "instances": 0, "failures": 0, "failing": []}
 
 
 def test_verify_tables_negative_samples(capsys):
@@ -189,6 +192,33 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-tables", "--samples", "1", "--json")
     assert code == 0
     assert json.loads(out)["families"] == 1
+
+
+def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
+    """A corpus file of the wrong shape is a corpus error for every command
+    that reads it: exit 4 and one `error:` line naming what is wrong."""
+    import infranil.selfmaps as sm
+
+    full = json.load(open(sm.default_corpus_path()))
+    circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
+    no_params = json.loads(json.dumps(circle))
+    del no_params["families"][0]["params"]
+    corpora = {
+        "empty object": ({}, "missing key 'manifolds'"),
+        "family without params": ({"manifolds": [no_params]}, "missing key 'params'"),
+        "top-level list": ([circle], "wrong shape"),
+        "unknown manifold": ({"manifolds": [dict(circle, manifold="circle-9")]},
+                             "'circle-9' is not in the catalog"),
+    }
+    path = tmp_path / "families.json"
+    for what, (data, message) in corpora.items():
+        path.write_text(json.dumps(data))
+        for argv in (["catalog"], ["compute", "--manifold", "circle", "--param", "d=2"],
+                     ["verify-tables", "--samples", "1"]):
+            code, out, err = run(capsys, *argv, "--corpus", str(path))
+            assert (code, out) == (4, ""), (what, argv, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (what, argv, err)
+            assert message in err, (what, argv, err)
 
 
 def test_bad_param_syntax(capsys):
@@ -380,7 +410,6 @@ def test_cli_fuzz_exit_codes_and_replay(capsys):
 
 OUTSIDE = {
     "int": ["1/2", "-3/2", "0.5"],
-    "int_nonzero": ["0", "1/2"],
     "int_odd": ["2", "0", "-4", "1/2"],
     "int_even": ["1", "-3", "3/2"],
     "half_int": ["1/3", "-1/4"],

@@ -2,11 +2,17 @@
 perturbation soundness of the constraints, and engine consistency checks
 driven by corpus instances."""
 
+import ast
+import itertools
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from infranil.catalog import catalog_ids, catalog_lookup, holonomy
 from infranil.errors import ConstraintError
-from infranil.exprs import eval_rational, parse_rational
+from infranil.exprs import domain_values, eval_bool, eval_rational, parse_rational
 from infranil.fixedpoint import (
     check_sign_relations,
     eigen_classify,
@@ -16,6 +22,7 @@ from infranil.fixedpoint import (
 from infranil.matrices import QMatrix
 from infranil.selfmaps import (
     MapCandidate,
+    default_corpus_path,
     family_instantiate,
     load_corpus,
     resolve_params,
@@ -56,9 +63,8 @@ def test_sampled_families_instantiate_and_validate():
 
 def test_constraint_violation_reported_with_condition():
     """Domains are checked before constraints: an even `a` in klein-bottle#1
-    breaks both its domain `int_odd` and the constraint restating it, and
-    the domain is named.  heis-II#1 with every parameter in its domain names
-    the constraint that fails."""
+    lies outside its domain `int_odd`, which is named.  heis-II#1 with every
+    parameter in its domain names the constraint that fails."""
     by_label = {f.label: f for f in CORPUS.families}
     with pytest.raises(ConstraintError) as err:
         family_instantiate(by_label["klein-bottle#1"], {"a": "2", "b": "5", "r": "0", "s": "1/2"})
@@ -67,6 +73,37 @@ def test_constraint_violation_reported_with_condition():
     with pytest.raises(ConstraintError) as err:
         family_instantiate(by_label["heis-II#1"], params)
     assert str(err.value) == "heis-II#1: constraint violated: (a*d - b*c) % 2 == 1"
+
+
+def test_generator_reproduces_the_packaged_corpus(tmp_path):
+    """families.json is the output of tools/gen_corpus.py, byte for byte, so
+    every edit to the corpus is made in the generator."""
+    out = tmp_path / "families.json"
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_corpus.py"
+    subprocess.run([sys.executable, str(tool), str(out)], check=True, capture_output=True)
+    assert out.read_bytes() == Path(default_corpus_path()).read_bytes()
+
+
+def test_no_constraint_restates_a_domain():
+    """A constraint that names one or two plain parameters (no derived
+    names) must fail for some combination of members of their small and
+    large sample grids; one that holds on all of them only restates the
+    domains, which `admit_params` checks already."""
+    restated = []
+    for spec in CORPUS.families:
+        domains = dict(spec.params)
+        for cond in spec.constraints:
+            tree = ast.parse(cond, mode="eval")
+            names = sorted({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                           - {"abs", "min", "max", "is_int"})
+            if not 0 < len(names) <= 2 or not set(names) <= set(domains):
+                continue
+            grids = [[parse_rational(v) for v in domain_values(domains[n])
+                      + domain_values(domains[n], large=True)] for n in names]
+            if all(eval_bool(cond, dict(zip(names, values)))
+                   for values in itertools.product(*grids)):
+                restated.append((spec.label, cond))
+    assert restated == []
 
 
 # Per-family spot checks: perturbing this parameter by this amount breaks the
