@@ -53,8 +53,8 @@ from .series import (
     RatFuncProduct,
     berlekamp_massey_q,
     exponents_from_logderiv,
+    parity_signs,
     rfp_equal,
-    rfp_transform,
 )
 from .zeta import ZetaResult, compute_zeta, exterior_closed_form
 
@@ -82,6 +82,6 @@ __all__ = [
     "FamilySpec", "MapCandidate", "PhiAssignment", "family_instantiate",
     "heis_endo_check", "load_corpus", "sample_params", "validate_selfmap",
     "RatFuncProduct", "berlekamp_massey_q", "exponents_from_logderiv",
-    "rfp_equal", "rfp_transform",
+    "parity_signs", "rfp_equal",
     "ZetaResult", "compute_zeta", "exterior_closed_form",
 ]

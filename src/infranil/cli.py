@@ -16,7 +16,7 @@ import json
 import sys
 from functools import cache
 
-from .catalog import catalog_ids, catalog_lookup
+from .catalog import catalog_ids, catalog_lookup, catalog_params
 from .errors import (
     CatalogError,
     ConstraintError,
@@ -26,7 +26,7 @@ from .errors import (
     ReconstructionError,
     RouteMismatchError,
 )
-from .exprs import eval_rational, format_rational, parse_rational
+from .exprs import domain_values, eval_rational, format_rational, parse_rational
 from .polynomials import QPoly
 from .selfmaps import (
     admit_params,
@@ -58,14 +58,7 @@ def cmd_catalog(args) -> int:
     for entry_id in catalog_ids():
         if args.filter and args.filter not in entry_id:
             continue
-        for k in (2, 3, 4, 6):
-            try:
-                entry = catalog_lookup(entry_id, {"k": k} if entry_id.startswith("heis") else {})
-                break
-            except ConstraintError:
-                continue
-        else:  # pragma: no cover - catalog ids always instantiate above
-            raise CatalogError(f"cannot instantiate {entry_id}")
+        entry = catalog_lookup(entry_id, {n: domain_values(d)[0] for n, d in catalog_params(entry_id)})
         rows.append(
             {
                 "id": entry_id,
@@ -91,7 +84,8 @@ def _with_defaults(spec, params) -> dict:
 def _pick_family(corpus, manifold: str, family_index, params):
     """The requested family, or the first that admits the supplied
     parameters (`admit_params`: domains first, then constraints), each of
-    its parameters that is missing set to 0 (`_with_defaults`)."""
+    its parameters that is missing set to 0 (`_with_defaults`).  When none
+    admits them, the error names why the first family does not."""
     families = corpus.for_manifold(manifold)
     if not families:
         raise CatalogError(f"no families for manifold {manifold!r}")
@@ -100,13 +94,15 @@ def _pick_family(corpus, manifold: str, family_index, params):
             if f.index == family_index:
                 return f
         raise ConstraintError(f"{manifold} has no family {family_index}")
+    first = None
     for f in families:
         try:
             admit_params(f, _with_defaults(f, params))
-        except ConstraintError:
+        except ConstraintError as exc:
+            first = first or exc
             continue
         return f
-    raise ConstraintError(f"no family of {manifold} accepts parameters {sorted(params)}")
+    raise ConstraintError(f"no family of {manifold} accepts parameters {sorted(params)}; {first}")
 
 
 def cmd_compute(args) -> int:

@@ -75,7 +75,7 @@ from .polynomials import (
 )
 from .records import Record
 from .selfmaps import MapCandidate
-from .series import extend_recurrence
+from .series import extend_recurrence, parity_signs
 
 # Counts the `positive_part` calls on a spectrum with an irreducible cubic
 # factor that has roots on both sides of the unit circle.  Trivial holonomy
@@ -520,11 +520,11 @@ class SignRelationReport:
 def check_sign_relations(candidate: MapCandidate, kmax: int = 40) -> SignRelationReport:
     """Verify, for k = 1..kmax, the parity relations
 
-        index 1:  N(f^k) = (-1)^p L(f^k)            (k odd)
-                  N(f^k) = (-1)^(p+n) L(f^k)        (k even)
-        index 2:  same signs applied to L(f_+^k) - L(f^k)
+        index 1:  N(f^k) = eps sigma^k L(f^k)
+        index 2:  N(f^k) = eps sigma^k (L(f_+^k) - L(f^k))
 
-    on the `_candidate_sequences` to kmax; `compute_zeta` runs the same
+    with (sigma, eps) = `series.parity_signs(p, n)`, on the
+    `_candidate_sequences` to kmax; `compute_zeta` runs the same
     check on its own.  Raises ConstraintError for kmax < 1."""
     ext, part, seqs = _candidate_sequences(candidate, kmax, kmax)
     return _sign_relations(seqs, kmax, ext.spectrum, part.index)
@@ -570,10 +570,10 @@ def _sign_relations(seqs, kmax: int, ec: EigenClass, index: int) -> SignRelation
     the `_number_sequences` seqs."""
     lef, nie, plus = seqs
     p, n = ec.p, ec.n
-    odd, even = (-1) ** p, (-1) ** (p + n)
+    sigma, eps = parity_signs(p, n)
     for k in range(1, kmax + 1):
         lef_k, nielsen = lef[k - 1], nie[k - 1]
-        expected = (odd if k % 2 else even) * (lef_k if index == 1 else plus[k - 1] - lef_k)
+        expected = eps * sigma ** k * (lef_k if index == 1 else plus[k - 1] - lef_k)
         if nielsen != expected:
             return SignRelationReport(False, kmax, p, n, index, (k, nielsen, expected))
     return SignRelationReport(True, kmax, p, n, index, None)

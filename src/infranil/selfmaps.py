@@ -52,6 +52,7 @@ from .errors import CatalogError, ConstraintError, CorpusError, InvalidCandidate
 from .exprs import domain_values, eval_bool, eval_rational, in_domain, parse_rational
 from .matrices import QMatrix, flat_product, integer_form
 from .records import Record
+from .series import parity_signs
 
 
 def heis_endo_check(dstar: QMatrix) -> bool:
@@ -229,12 +230,13 @@ def validate_selfmap(candidate: MapCandidate):
 
 
 class ZetaTemplate(NamedTuple):
-    """One guarded table of expected zeta products.  `cells` maps
-    "<index>|<pe><ne>" (e.g. "1|eo" for index one, p even, n odd) to a list
-    of (coefficient-expression list, exponent) factors."""
+    """One guarded table of expected zeta products.  `products` maps the
+    index ("1" or "2") to the Nielsen zeta for p and n even, a list of
+    {"coeffs": coefficient-expression list, "exp": exponent} factors;
+    `expected_zeta_cell` derives the other parities from it."""
 
     guard: str | None
-    cells: dict
+    products: dict
 
 
 class FamilySpec(NamedTuple):
@@ -329,10 +331,18 @@ def _block_specs(block: dict) -> list:
             constraints=tuple(fam.get("constraints", [])),
             dstar=tuple(tuple(row) for row in fam["dstar"]),
             translation=tuple(fam["translation"]),
-            zeta=tuple(ZetaTemplate(v.get("guard"), v["cells"]) for v in fam["zeta"]),
+            zeta=tuple(_zeta_template(manifold, v) for v in fam["zeta"]),
         )
         for fam in block["families"]
     ]
+
+
+def _zeta_template(manifold: str, variant: dict) -> ZetaTemplate:
+    products = variant["products"]
+    for key in products:
+        if key not in ("1", "2"):
+            raise CorpusError(f"malformed corpus: {manifold} has a product of index {key!r}, not 1 or 2")
+    return ZetaTemplate(variant.get("guard"), products)
 
 
 def resolve_params(spec: FamilySpec, params: dict) -> dict:
@@ -392,12 +402,21 @@ def family_instance(spec: FamilySpec, params: dict, corpus_check: bool = True) -
 
 def expected_zeta_cell(spec: FamilySpec, env: dict, index: int, p: int, n: int):
     """Factor-expression list for the computed (index, p, n) data, from the
-    first template whose guard holds; None when the table has no such cell."""
-    key = f"{index}|{'e' if p % 2 == 0 else 'o'}{'e' if n % 2 == 0 else 'o'}"
+    first template whose guard holds: its product B of that index, as
+    B(sigma z)^eps (`series.parity_signs`), the odd coefficients negated
+    when sigma < 0; None when that template has no product of this index."""
     for template in spec.zeta:
         if template.guard is not None and not eval_bool(template.guard, env):
             continue
-        return template.cells.get(key)
+        product = template.products.get(str(index))
+        if product is None:
+            return None
+        sigma, eps = parity_signs(p, n)
+        return [
+            {"coeffs": [f"-({c})" if sigma < 0 and j % 2 else c for j, c in enumerate(f["coeffs"])],
+             "exp": eps * f["exp"]}
+            for f in product
+        ]
     return None
 
 

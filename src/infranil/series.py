@@ -259,13 +259,13 @@ def rfp_equal(a: RatFuncProduct, b: RatFuncProduct) -> bool:
     return a.factors == b.factors
 
 
-def rfp_transform(x: RatFuncProduct, op: str) -> RatFuncProduct:
-    """Apply `negate-z` (z -> -z) or `reciprocal` to a canonical product."""
-    if op == "negate-z":
-        return x.subs_neg_z()
-    if op == "reciprocal":
-        return x.reciprocal()
-    raise ValueError(f"unknown transform {op!r}")
+def parity_signs(p: int, n: int):
+    """(sigma, eps) = ((-1)^n, (-1)^(p+n)): the parity case table of the
+    Nielsen zeta in one rule, N_f(z) = B(sigma z)^eps, with B = L_f on
+    index 1 and L_f+/L_f on index 2.  Term by term it reads
+    N(f^k) = eps sigma^k (L(f^k), or L(f_+^k) - L(f^k) on index 2)."""
+    sigma = -1 if n % 2 else 1
+    return sigma, sigma if p % 2 == 0 else -sigma
 
 
 def factor_with_hints(p: IntPoly, hints):

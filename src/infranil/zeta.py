@@ -11,13 +11,12 @@ P_j (Lambda^j D)^k = (P_j Lambda^j D)^k, so for every holonomy group
 
     L_f(z) = prod_j det(I - z P_j Lambda^j D)^((-1)^(j+1)),
 
-and L_f+ is the same product averaged over F+.  The Nielsen zeta is then
-assembled from the parity/index case table using the z -> -z and reciprocal
-transforms:
+and L_f+ is the same product averaged over F+.  The Nielsen zeta then
+follows from one rule (`series.parity_signs`), the parity/index case table
+of the averaging formula in closed form:
 
-                      p even, n even   p even, n odd    p odd, n even   p odd, n odd
-    index 1:   N_f =  L_f              1/L_f(-z)        1/L_f(z)        L_f(-z)
-    index 2:   N_f =  L_f+/L_f         L_f(-z)/L_f+(-z) L_f(z)/L_f+(z)  L_f+(-z)/L_f(-z)
+    N_f(z) = B(sigma z)^eps,   B = L_f (index 1) or L_f+/L_f (index 2),
+                               sigma = (-1)^n,  eps = (-1)^(p+n).
 
 Hard postconditions (RouteMismatchError): the two routes agree, and the
 log-derivative of each closed form reproduces every L(f^k) (and L(f_+^k))
@@ -49,8 +48,8 @@ from .series import (
     exponents_from_logderiv,
     factor_with_hints,
     normalize_factor,
+    parity_signs,
     rfp_equal,
-    rfp_transform,
 )
 from .selfmaps import MapCandidate
 
@@ -120,22 +119,12 @@ def _checked_closed_form(ext: ExteriorData, averages, seq, name: str) -> RatFunc
 
 
 def _structural(lef, lef_plus, index, p, n):
-    pe, ne = p % 2 == 0, n % 2 == 0
-    if index == 1:
-        if pe and ne:
-            return lef
-        if pe:
-            return rfp_transform(rfp_transform(lef, "negate-z"), "reciprocal")
-        if ne:
-            return rfp_transform(lef, "reciprocal")
-        return rfp_transform(lef, "negate-z")
-    if pe and ne:
-        return lef_plus / lef
-    if pe:
-        return rfp_transform(lef, "negate-z") / rfp_transform(lef_plus, "negate-z")
-    if ne:
-        return lef / lef_plus
-    return rfp_transform(lef_plus, "negate-z") / rfp_transform(lef, "negate-z")
+    """N_f(z) = B(sigma z)^eps (`parity_signs`), B = L_f or L_f+/L_f."""
+    sigma, eps = parity_signs(p, n)
+    base = lef if index == 1 else lef_plus / lef
+    if sigma < 0:
+        base = base.subs_neg_z()
+    return base if eps > 0 else base.reciprocal()
 
 
 @dataclass(frozen=True)

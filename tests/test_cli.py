@@ -105,6 +105,21 @@ def test_compute_parameter_outside_domain_exit_code(capsys):
     assert err == "error: heis-I#1: parameter iy = 1/2 is not in int\n"
 
 
+def test_compute_no_family_admits_names_why(capsys):
+    """Without --family and --param k, every missing parameter defaults to
+    0, and k = 0 lies in no Heisenberg domain: the error keeps its prefix
+    and names the first family's failure."""
+    code, out, err = run(capsys, "compute", "--manifold", "heis-I")
+    assert (code, out) == (3, "")
+    assert err == ("error: no family of heis-I accepts parameters []; "
+                   "heis-I#1: parameter k = 0 is not in int_pos_mod:1:0\n")
+    code, _, err = run(capsys, "compute", "--manifold", "heis-I", "--param", "k=2",
+                       "--param", "ix=1/2")
+    assert code == 3
+    assert err == ("error: no family of heis-I accepts parameters ['ix', 'k']; "
+                   "heis-I#1: parameter ix = 1/2 is not in int\n")
+
+
 def test_compute_unknown_manifold(capsys):
     code, _, err = run(capsys, "compute", "--manifold", "sphere", "--param", "d=1")
     assert code == 3
@@ -155,7 +170,7 @@ def test_verify_tables_detects_corruption(tmp_path, capsys):
     }
     # corrupt one expected cell of family 1
     fam = small["manifolds"][0]["families"][0]
-    fam["zeta"][0]["cells"]["2|ee"][0]["coeffs"] = ["1", "-(b + 2)"]
+    fam["zeta"][0]["products"]["2"][0]["coeffs"] = ["1", "-(b + 2)"]
     path = tmp_path / "families.json"
     path.write_text(json.dumps(small))
     code, out, _ = run(capsys, "verify-tables", "--corpus", str(path), "--samples", "2", "--json")
@@ -203,12 +218,22 @@ def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
     circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
     no_params = json.loads(json.dumps(circle))
     del no_params["families"][0]["params"]
+    no_products = json.loads(json.dumps(circle))
+    del no_products["families"][0]["zeta"][0]["products"]
+    index_3 = json.loads(json.dumps(circle))
+    index_3["families"][0]["zeta"][0]["products"]["3"] = []
+    v1 = json.loads(json.dumps(circle))
+    v1["families"][0]["zeta"] = [{"cells": {"1|ee": v1["families"][0]["zeta"][0]["products"]["1"]}}]
     corpora = {
         "empty object": ({}, "missing key 'manifolds'"),
         "family without params": ({"manifolds": [no_params]}, "missing key 'params'"),
         "top-level list": ([circle], "wrong shape"),
         "unknown manifold": ({"manifolds": [dict(circle, manifold="circle-9")]},
                              "'circle-9' is not in the catalog"),
+        "variant without products": ({"manifolds": [no_products]}, "missing key 'products'"),
+        "product of index 3": ({"manifolds": [index_3]}, "product of index '3'"),
+        "v1 cells": ({"schema": "infranil-families-v1", "manifolds": [v1]},
+                     "missing key 'products'"),
     }
     path = tmp_path / "families.json"
     for what, (data, message) in corpora.items():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from infranil.catalog import catalog_ids, catalog_lookup, holonomy
+from infranil.cli import _verify_instance
 from infranil.errors import ConstraintError
 from infranil.exprs import domain_values, eval_bool, eval_rational, parse_rational
 from infranil.fixedpoint import (
@@ -23,6 +24,7 @@ from infranil.matrices import QMatrix
 from infranil.selfmaps import (
     MapCandidate,
     default_corpus_path,
+    family_instance,
     family_instantiate,
     load_corpus,
     resolve_params,
@@ -82,6 +84,57 @@ def test_generator_reproduces_the_packaged_corpus(tmp_path):
     tool = Path(__file__).resolve().parents[1] / "tools" / "gen_corpus.py"
     subprocess.run([sys.executable, str(tool), str(out)], check=True, capture_output=True)
     assert out.read_bytes() == Path(default_corpus_path()).read_bytes()
+
+
+# Products that sample_params(spec, 5) misses, each with a parameter tuple
+# that reaches it, found among sample_params(spec, 40): (label, guard
+# variant, index) -> parameters.
+_REACH_WITNESSES = {
+    ("flat3-1#1", 0, 2): {"a": "4", "b": "4", "c": "2", "d": "2", "e": "1",
+                          "r": "1", "s": "-1", "t": "2"},
+    ("flat3-4#2", 0, 1): {"a": "-1", "c": "3", "r": "-3/4", "s": "3/2", "t": "0"},
+    ("flat3-5#1", 0, 1): {"a": "-1", "b": "1", "c": "-5", "r": "3/2", "s": "0", "t": "-1"},
+    ("flat3-5#1", 2, 2): {"a": "3", "b": "-1", "c": "5", "r": "0", "s": "0", "t": "1"},
+    ("hantzsche-wendt#4", 0, 2): {"a": "-1", "b": "3", "c": "-1",
+                                  "r": "3/4", "s": "-1/4", "t": "3/4"},
+    ("heis-IV#1", 0, 2): {"k": "2", "a": "-3", "b": "1", "iy": "-5", "it2": "3",
+                          "r": "0", "s": "1"},
+}
+
+# Products that even sample_params(spec, 40) never reaches.
+_UNREACHED = {
+    ("hantzsche-wendt#1", 0, 1), ("hantzsche-wendt#1", 1, 1), ("hantzsche-wendt#1", 2, 1),
+    ("heis-VIII#2", 0, 1), ("heis-VIII#2", 1, 1),
+}
+
+
+def _reached_product(spec, params):
+    """(label, guard variant, index): the stored product that the family's
+    instance at params reads, the first variant whose guard holds."""
+    env, cand = family_instance(spec, params)
+    variant = next(i for i, t in enumerate(spec.zeta)
+                   if t.guard is None or eval_bool(t.guard, env))
+    return spec.label, variant, part_of(cand).index
+
+
+def test_every_product_is_reached_or_listed():
+    """One stored product stands for four parity cells, so a typo in it
+    hides four cells.  Every (family, guard variant, index) product must be
+    reached by sample_params(spec, 5) or by a pinned witness that the
+    verify-tables check accepts, or be listed as unreached; a listed product
+    that becomes reached must leave the lists."""
+    products = {(spec.label, v, int(i)) for spec in CORPUS.families
+                for v, template in enumerate(spec.zeta) for i in template.products}
+    reached = {_reached_product(spec, params)
+               for spec in CORPUS.families for params in sample_params(spec, 5)}
+    assert reached <= products
+    by_label = {spec.label: spec for spec in CORPUS.families}
+    for key, params in _REACH_WITNESSES.items():
+        assert _reached_product(by_label[key[0]], params) == key
+        assert _verify_instance(by_label[key[0]], params) == (True, ""), key
+    assert reached.isdisjoint(_REACH_WITNESSES)
+    assert products - reached - set(_REACH_WITNESSES) == _UNREACHED
+    assert len(products) == 120
 
 
 def test_no_constraint_restates_a_domain():

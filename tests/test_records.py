@@ -40,7 +40,7 @@ def _group():
 
 def _spec():
     return FamilySpec("circle", 1, "toy", (("a", "int"),), (("b", "2*a"),), ("a != 0",),
-                      (("a",),), ("1/2",), (ZetaTemplate(None, {"1|ee": [[["1", "-a"], 1]]}),))
+                      (("a",),), ("1/2",), (ZetaTemplate(None, {"1": [[["1", "-a"], 1]]}),))
 
 
 _AFFINE_0 = "AffineElement(model='abelian', dim=1, matrix=[1, 0]\n[0, 1], k=None)"
@@ -53,7 +53,7 @@ _GROUP = ("HolonomyGroup(elements=([1], [-1]), table=((0, 1), (1, 0)), generator
 _SPEC = ("FamilySpec(manifold='circle', index=1, desc='toy', params=(('a', 'int'),), "
          "derived=(('b', '2*a'),), constraints=('a != 0',), dstar=(('a',),), "
          "translation=('1/2',), "
-         "zeta=(ZetaTemplate(guard=None, cells={'1|ee': [[['1', '-a'], 1]]}),))")
+         "zeta=(ZetaTemplate(guard=None, products={'1': [[['1', '-a'], 1]]}),))")
 _SPECTRUM = ("EigenClass(charpoly=1 - 3*z + z^2, factors=((1 - 3*z + z^2, 1),), "
              "root_data=(FactorRoots(factor=1 - 3*z + z^2, multiplicity=1, "
              "real=('(-1,1)', '>1'), pair_class=None),), classes=((1, 0, 1),), "
@@ -74,8 +74,8 @@ CASES = {
                      f"MapCandidate(entry={_ENTRY}, translation=(Fraction(1, 3),), dstar=[-2])"),
     "PhiAssignment": (lambda: PhiAssignment(((0, 0, (Fraction(1),)),)), True,
                       "PhiAssignment(entries=((0, 0, (Fraction(1, 1),)),))"),
-    "ZetaTemplate": (lambda: ZetaTemplate("a > 0", {"1|eo": [[["1", "-a"], -1]]}), False,
-                     "ZetaTemplate(guard='a > 0', cells={'1|eo': [[['1', '-a'], -1]]})"),
+    "ZetaTemplate": (lambda: ZetaTemplate("a > 0", {"2": [[["1", "-a"], -1]]}), False,
+                     "ZetaTemplate(guard='a > 0', products={'2': [[['1', '-a'], -1]]})"),
     "FamilySpec": (_spec, False, _SPEC),
     "Corpus": (lambda: Corpus((_spec(),)), False, f"Corpus(families=({_SPEC},))"),
     "FactorRoots": (lambda: FactorRoots(IntPoly([-3, 1]), 1, (">1",), None), True,

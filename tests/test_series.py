@@ -12,7 +12,6 @@ from infranil.series import (
     exponents_from_logderiv,
     extend_recurrence,
     rfp_equal,
-    rfp_transform,
 )
 
 
@@ -231,13 +230,13 @@ def test_rfp_canonical_and_transforms():
     a = RatFuncProduct.from_factors([(QPoly([1, -4, 3]), 1), (QPoly([1, -1]), -1)])
     # (1-z)(1-3z)/(1-z) = (1-3z)
     assert a.factors == ((IntPoly([1, -3]), 1),)
-    neg = rfp_transform(a, "negate-z")
+    neg = a.subs_neg_z()
     assert neg.factors == ((IntPoly([1, 3]), 1),)
-    assert rfp_equal(rfp_transform(neg, "negate-z"), a)
-    rec = rfp_transform(a, "reciprocal")
+    assert rfp_equal(neg.subs_neg_z(), a)
+    rec = a.reciprocal()
     assert rec.factors == ((IntPoly([1, -3]), -1),)
-    assert rfp_equal(rfp_transform(rec, "reciprocal"), a)
-    assert rfp_equal(rfp_transform(RatFuncProduct.one(), "negate-z"), RatFuncProduct.one())
+    assert rfp_equal(rec.reciprocal(), a)
+    assert rfp_equal(RatFuncProduct.one().subs_neg_z(), RatFuncProduct.one())
 
 
 def test_rfp_mul_div():
@@ -249,7 +248,7 @@ def test_rfp_mul_div():
 
 def test_rfp_inequality_example():
     a = RatFuncProduct.from_factors([(QPoly([1, -1]), 2), (QPoly([1, -3, 1]), -1)])
-    b = rfp_transform(a, "reciprocal")
+    b = a.reciprocal()
     assert not rfp_equal(a, b)
 
 

@@ -9,7 +9,7 @@ from infranil.matrices import QMatrix
 from infranil.polynomials import QPoly
 from infranil.selfmaps import MapCandidate, validate_selfmap
 from infranil.series import RatFuncProduct, rfp_equal
-from infranil.zeta import compute_zeta, exterior_closed_form
+from infranil.zeta import _structural, compute_zeta, exterior_closed_form
 
 F = Fraction
 
@@ -115,10 +115,43 @@ def test_exterior_closed_form_vs_reconstruction_random():
             assert rfp_equal(compute_zeta(cand).lefschetz, exterior_closed_form(m))
 
 
+def written_out_case_table(lef, lef_plus, index, p, n):
+    """The parity/index case table as the averaging formula's source writes
+    it out, the oracle of the one rule N_f(z) = B(sigma z)^eps:
+
+                      p even, n even   p even, n odd    p odd, n even   p odd, n odd
+        index 1: N_f = L_f             1/L_f(-z)        1/L_f(z)        L_f(-z)
+        index 2: N_f = L_f+/L_f        L_f(-z)/L_f+(-z) L_f(z)/L_f+(z)  L_f+(-z)/L_f(-z)
+    """
+    neg_lef, neg_plus = lef.subs_neg_z(), lef_plus.subs_neg_z()
+    return {
+        (1, 0, 0): lef,
+        (1, 0, 1): neg_lef.reciprocal(),
+        (1, 1, 0): lef.reciprocal(),
+        (1, 1, 1): neg_lef,
+        (2, 0, 0): lef_plus / lef,
+        (2, 0, 1): neg_lef / neg_plus,
+        (2, 1, 0): lef / lef_plus,
+        (2, 1, 1): neg_plus / neg_lef,
+    }[index, p % 2, n % 2]
+
+
 def test_structural_route_uses_case_table():
     # Klein bottle with expanding pair: check the quotient identity
     res = compute_zeta(kb(3, 5, 0, F(1, 2)))
     assert rfp_equal(res.nielsen_structural, res.lefschetz_plus / res.lefschetz)
+    # every (index, p parity, n parity) cell of the written-out table against
+    # the rule, on fixed products with odd and even powers of z in each
+    lef = rfp(([1, -3], 1), ([1, 1, 2], -1), ([1, -1], -2))
+    lef_plus = rfp(([1, -5, 1], 1), ([1, 2], 1), ([1, -1], -1))
+    cells = set()
+    for index in (1, 2):
+        for p in range(4):
+            for n in range(4):
+                want = written_out_case_table(lef, lef_plus, index, p, n)
+                assert rfp_equal(_structural(lef, lef_plus, index, p, n), want), (index, p, n)
+                cells.add(str(want))
+    assert len(cells) == 8
 
 
 def test_hantzsche_wendt_diag_zeta():

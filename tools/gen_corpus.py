@@ -4,13 +4,16 @@
 Each family row records: parameter domains (what instantiation admits and
 the sampler draws), derived parameters, the constraints that the domains do
 not imply, the linear-part template, the translation template, and the
-expected Nielsen zeta table as guarded (index | p-parity | n-parity) cells
-of symbolic factor lists.  A Heisenberg manifold's lattice parameter k and
-its domain come from the catalog, not from this file.
+expected Nielsen zeta table as guarded variants.  A variant holds one
+product of symbolic factors per holonomy index, the Nielsen zeta for p and
+n even; the other three parities follow from it by N_f(z) = B(sigma z)^eps
+(`infranil.series.parity_signs`), so they are not written.  A Heisenberg
+manifold's lattice parameter k and its domain come from the catalog, not
+from this file.
 
-The helpers below cover the table shapes that repeat across manifolds; every
-deviation from a shared shape is written out explicitly.  Run from the repo
-root:  python3 tools/gen_corpus.py [OUTPUT]  (default: the packaged file)
+The helpers below cover the product shapes that repeat across manifolds;
+every deviation from a shared shape is written out explicitly.  Run from the
+repo root:  python3 tools/gen_corpus.py [OUTPUT]  (default: the packaged file)
 """
 
 import json
@@ -39,86 +42,32 @@ def qm(tr, det):
     return ["1", f"-({tr})", f"({det})"]
 
 
-def qp(tr, det):
-    """(1 + l1 z)(1 + l2 z) = 1 + tr z + det z^2"""
-    return ["1", f"({tr})", f"({det})"]
+def ratio(top, bottom=1):
+    """(1 - top z)/(1 - bottom z)"""
+    return [fac(lm(top)), fac(lm(bottom), -1)]
 
 
-def std_cells(u, index=1):
-    """The single-expression table: (1-uz)/(1-z) and its three companions."""
-    return {
-        f"{index}|ee": [fac(lm(u)), fac(lm(1), -1)],
-        f"{index}|eo": [fac(lp(1)), fac(lp(u), -1)],
-        f"{index}|oe": [fac(lm(1)), fac(lm(u), -1)],
-        f"{index}|oo": [fac(lp(u)), fac(lp(1), -1)],
-    }
+def pair(tr, det):
+    """(1-l1 z)(1-l2 z) / ((1-z)(1-l1 l2 z))"""
+    return [fac(qm(tr, det)), fac(lm(1), -1), fac(lm(det), -1)]
 
 
-def ratio_cells(top, bottom, index=2):
-    """(1 - top z)/(1 - bottom z) and companions, on the given index row."""
-    return {
-        f"{index}|ee": [fac(lm(top)), fac(lm(bottom), -1)],
-        f"{index}|eo": [fac(lp(bottom)), fac(lp(top), -1)],
-        f"{index}|oe": [fac(lm(bottom)), fac(lm(top), -1)],
-        f"{index}|oo": [fac(lp(top)), fac(lp(bottom), -1)],
-    }
+def scaled_pair(e, tr, det):
+    """(1-e z)(1-e*det z) / ((1-e l1 z)(1-e l2 z))"""
+    return [fac(lm(e)), fac(lm(f"({e})*({det})")),
+            fac(qm(f"({e})*({tr})", f"({e})*({e})*({det})"), -1)]
 
 
-def pair_cells(tr, det, index=1):
-    """(1-l1 z)(1-l2 z) / ((1-z)(1-l1 l2 z)) and companions."""
-    return {
-        f"{index}|ee": [fac(qm(tr, det)), fac(lm(1), -1), fac(lm(det), -1)],
-        f"{index}|eo": [fac(lp(1)), fac(lp(det)), fac(qp(tr, det), -1)],
-        f"{index}|oe": [fac(lm(1)), fac(lm(det)), fac(qm(tr, det), -1)],
-        f"{index}|oo": [fac(qp(tr, det)), fac(lp(1), -1), fac(lp(det), -1)],
-    }
+def quad_ratio(tr, det, scale):
+    """(1-l1 z)(1-l2 z) / ((1-s l1 z)(1-s l2 z))"""
+    return [fac(qm(tr, det)), fac(qm(f"({scale})*({tr})", f"({scale})*({scale})*({det})"), -1)]
 
 
-def scaled_pair_cells(e, tr, det, index=2):
-    """(1-e z)(1-e*det z) / ((1-e l1 z)(1-e l2 z)) and companions."""
-    sq_m = qm(f"({e})*({tr})", f"({e})*({e})*({det})")
-    sq_p = qp(f"({e})*({tr})", f"({e})*({e})*({det})")
-    return {
-        f"{index}|ee": [fac(lm(e)), fac(lm(f"({e})*({det})")), fac(sq_m, -1)],
-        f"{index}|eo": [fac(sq_p), fac(lp(e), -1), fac(lp(f"({e})*({det})"), -1)],
-        f"{index}|oe": [fac(sq_m), fac(lm(e), -1), fac(lm(f"({e})*({det})"), -1)],
-        f"{index}|oo": [fac(lp(e)), fac(lp(f"({e})*({det})")), fac(sq_p, -1)],
-    }
-
-
-def quad_ratio_cells(tr, det, scale, index=2):
-    """(1-l1 z)(1-l2 z) / ((1-s l1 z)(1-s l2 z)) and companions."""
-    top_m, top_p = qm(tr, det), qp(tr, det)
-    bot_m = qm(f"({scale})*({tr})", f"({scale})*({scale})*({det})")
-    bot_p = qp(f"({scale})*({tr})", f"({scale})*({scale})*({det})")
-    return {
-        f"{index}|ee": [fac(top_m), fac(bot_m, -1)],
-        f"{index}|eo": [fac(bot_p), fac(top_p, -1)],
-        f"{index}|oe": [fac(bot_m), fac(top_m, -1)],
-        f"{index}|oo": [fac(top_p), fac(bot_p, -1)],
-    }
-
-
-def rotation_cells(u, v, sign, index=1):
+def rotation(u, v, sign):
     """(1-uz)(1 -+ u v z) / ((1-z)(1 -+ v z)) with the inner sign flipped when
     sign == -1 (the quarter/third-turn tables with negated block)."""
-    if sign == 1:
-        return {
-            f"{index}|ee": [fac(lm(u)), fac(lm(f"({u})*({v})")), fac(lm(1), -1), fac(lm(v), -1)],
-            f"{index}|eo": [fac(lp(1)), fac(lp(v)), fac(lp(u), -1), fac(lp(f"({u})*({v})"), -1)],
-            f"{index}|oe": [fac(lm(1)), fac(lm(v)), fac(lm(u), -1), fac(lm(f"({u})*({v})"), -1)],
-            f"{index}|oo": [fac(lp(u)), fac(lp(f"({u})*({v})")), fac(lp(1), -1), fac(lp(v), -1)],
-        }
-    return {
-        f"{index}|ee": [fac(lm(u)), fac(lp(f"({u})*({v})")), fac(lm(1), -1), fac(lp(v), -1)],
-        f"{index}|eo": [fac(lp(1)), fac(lm(v)), fac(lp(u), -1), fac(lm(f"({u})*({v})"), -1)],
-        f"{index}|oe": [fac(lm(1)), fac(lp(v)), fac(lm(u), -1), fac(lp(f"({u})*({v})"), -1)],
-        f"{index}|oo": [fac(lp(u)), fac(lm(f"({u})*({v})")), fac(lp(1), -1), fac(lm(v), -1)],
-    }
-
-
-def one_over_one_minus_z():
-    return {"1|ee": [fac(lm(1), -1)]}
+    inner = lm if sign == 1 else lp
+    return [fac(lm(u)), fac(inner(f"({u})*({v})")), fac(lm(1), -1), fac(inner(v), -1)]
 
 
 def params(*pairs):
@@ -142,21 +91,16 @@ def family(index, desc, pars, dstar, translation, zeta, constraints=(), der=()):
     }
 
 
-def variant(cells, guard=None):
-    v = {"cells": cells}
+def variant(one=None, two=None, guard=None):
+    """One guarded table: the Nielsen zeta for p and n even on index 1
+    (`one`) and on index 2 (`two`), each where the family reaches it."""
+    v = {"products": {str(i): p for i, p in ((1, one), (2, two)) if p is not None}}
     if guard is not None:
         v["guard"] = guard
     return v
 
 
-def merge(*tables):
-    out = {}
-    for t in tables:
-        out.update(t)
-    return out
-
-
-INT3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+CONSTANT = variant([fac(lm(1), -1)])  # 1/(1 - z), the constant map class
 
 manifolds = []
 
@@ -169,7 +113,7 @@ manifolds.append({
             1, "degree-d map",
             params(("d", "int"), ("r", "rational")),
             [["d"]], ["r"],
-            [variant(std_cells("d"))],
+            [variant(ratio("d"))],
         )
     ],
 })
@@ -184,7 +128,7 @@ manifolds.append({
             params(("m11", "int"), ("m12", "int"), ("m21", "int"), ("m22", "int"),
                    ("r", "rational"), ("s", "rational")),
             [["m11", "m12"], ["m21", "m22"]], ["r", "s"],
-            [variant(pair_cells("tr", "q"))],
+            [variant(pair("tr", "q"))],
             der=derived(("tr", "m11 + m22"), ("q", "m11*m22 - m12*m21")),
         )
     ],
@@ -192,16 +136,8 @@ manifolds.append({
 
 # --- torus-3 ---------------------------------------------------------------
 
-_t3_num_m = ["1", "-(e1)", "(e2)", "-(e3)"]
-_t3_num_p = ["1", "(e1)", "(e2)", "(e3)"]
-_t3_den_m = ["1", "-(e2)", "(e1*e3)", "-(e3*e3)"]
-_t3_den_p = ["1", "(e2)", "(e1*e3)", "(e3*e3)"]
-_t3_cells = {
-    "1|ee": [fac(_t3_num_m), fac(lm("e3")), fac(lm(1), -1), fac(_t3_den_m, -1)],
-    "1|oe": [fac(lm(1)), fac(_t3_den_m), fac(_t3_num_m, -1), fac(lm("e3"), -1)],
-    "1|eo": [fac(lp(1)), fac(_t3_den_p), fac(_t3_num_p, -1), fac(lp("e3"), -1)],
-    "1|oo": [fac(_t3_num_p), fac(lp("e3")), fac(lp(1), -1), fac(_t3_den_p, -1)],
-}
+_t3_product = [fac(["1", "-(e1)", "(e2)", "-(e3)"]), fac(lm("e3")), fac(lm(1), -1),
+               fac(["1", "-(e2)", "(e1*e3)", "-(e3*e3)"], -1)]
 manifolds.append({
     "manifold": "torus-3",
     "families": [
@@ -211,7 +147,7 @@ manifolds.append({
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["m11", "m12", "m13"], ["m21", "m22", "m23"], ["m31", "m32", "m33"]],
             ["r", "s", "t"],
-            [variant(_t3_cells)],
+            [variant(_t3_product)],
             der=derived(
                 ("e1", "m11 + m22 + m33"),
                 ("e2", "m11*m22 - m12*m21 + m11*m33 - m13*m31 + m22*m33 - m23*m32"),
@@ -224,7 +160,7 @@ manifolds.append({
 
 # --- klein-bottle ----------------------------------------------------------
 
-_kb_cells = merge(std_cells("a"), ratio_cells("b", "a*b", index=2))
+_kb_zeta = [variant(ratio("a"), ratio("b", "a*b"))]
 manifolds.append({
     "manifold": "klein-bottle",
     "families": [
@@ -232,19 +168,19 @@ manifolds.append({
             1, "diagonal, both entries odd",
             params(("a", "int_odd"), ("b", "int_odd"), ("r", "rational"), ("s", "half_int")),
             [["a", "0"], ["0", "b"]], ["r", "s"],
-            [variant(_kb_cells)],
+            _kb_zeta,
         ),
         family(
             2, "diagonal, second entry even",
             params(("a", "int_odd"), ("b", "int_even"), ("r", "rational"), ("s", "quarter_odd")),
             [["a", "0"], ["0", "b"]], ["r", "s"],
-            [variant(_kb_cells)],
+            _kb_zeta,
         ),
         family(
             3, "rank-one, both entries even",
             params(("a", "int_even"), ("b", "int_even"), ("r", "rational"), ("s", "rational")),
             [["a", "0"], ["b", "0"]], ["r", "s"],
-            [variant(std_cells("a"))],
+            [variant(ratio("a"))],
         ),
     ],
 })
@@ -257,23 +193,14 @@ def _hw_alone(x, yz):
 
 
 _hw_diag_zeta = [
-    variant(merge(std_cells("a*b*c"), ratio_cells("a", "b*c", index=2)), _hw_alone("a", ("b", "c"))),
-    variant(merge(std_cells("a*b*c"), ratio_cells("b", "a*c", index=2)), _hw_alone("b", ("a", "c"))),
-    variant(merge(std_cells("a*b*c"), ratio_cells("c", "a*b", index=2)), _hw_alone("c", ("a", "b"))),
-    variant(std_cells("a*b*c")),
+    variant(ratio("a*b*c"), ratio("a", "b*c"), guard=_hw_alone("a", ("b", "c"))),
+    variant(ratio("a*b*c"), ratio("b", "a*c"), guard=_hw_alone("b", ("a", "c"))),
+    variant(ratio("a*b*c"), ratio("c", "a*b"), guard=_hw_alone("c", ("a", "b"))),
+    variant(ratio("a*b*c")),
 ]
 
 # eigenvalues a and +-sqrt(bc): the swap families share this table
-_hw_swap_cells = {
-    "1|ee": [fac(lp("a*b*c")), fac(lm(1), -1)],
-    "1|eo": [fac(lp(1)), fac(lm("a*b*c"), -1)],
-    "1|oe": [fac(lm(1)), fac(lp("a*b*c"), -1)],
-    "1|oo": [fac(lm("a*b*c")), fac(lp(1), -1)],
-    "2|ee": [fac(lm("a")), fac(lp("b*c"), -1)],
-    "2|eo": [fac(lm("b*c")), fac(lp("a"), -1)],
-    "2|oe": [fac(lp("b*c")), fac(lm("a"), -1)],
-    "2|oo": [fac(lp("a")), fac(lm("b*c"), -1)],
-}
+_hw_swap_zeta = [variant([fac(lp("a*b*c")), fac(lm(1), -1)], [fac(lm("a")), fac(lp("b*c"), -1)])]
 
 manifolds.append({
     "manifold": "hantzsche-wendt",
@@ -290,41 +217,41 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "int_odd"), ("c", "int_odd"),
                    ("r", "quarter_odd"), ("s", "half_int"), ("t", "half_int")),
             [["a", "0", "0"], ["0", "0", "b"], ["0", "c", "0"]], ["r", "s", "t"],
-            [variant(_hw_swap_cells)],
+            _hw_swap_zeta,
         ),
         family(
             3, "swap of the first two axes",
             params(("a", "int_odd"), ("b", "int_odd"), ("c", "int_odd"),
                    ("r", "half_int"), ("s", "half_int"), ("t", "quarter_odd")),
             [["0", "b", "0"], ["c", "0", "0"], ["0", "0", "a"]], ["r", "s", "t"],
-            [variant(_hw_swap_cells)],
+            _hw_swap_zeta,
         ),
         family(
             4, "swap of the outer axes",
             params(("a", "int_odd"), ("b", "int_odd"), ("c", "int_odd"),
                    ("r", "quarter_odd"), ("s", "quarter_odd"), ("t", "quarter_odd")),
             [["0", "0", "b"], ["0", "a", "0"], ["c", "0", "0"]], ["r", "s", "t"],
-            [variant(_hw_swap_cells)],
+            _hw_swap_zeta,
         ),
         family(
             5, "three-cycle of the axes",
             params(("a", "int_odd"), ("b", "int_odd"), ("c", "int_odd"),
                    ("r", "quarter_odd"), ("s", "quarter_odd"), ("t", "half_int")),
             [["0", "a", "0"], ["0", "0", "b"], ["c", "0", "0"]], ["r", "s", "t"],
-            [variant(std_cells("a*b*c"))],
+            [variant(ratio("a*b*c"))],
         ),
         family(
             6, "opposite three-cycle of the axes",
             params(("a", "int_odd"), ("b", "int_odd"), ("c", "int_odd"),
                    ("r", "half_int"), ("s", "quarter_odd"), ("t", "quarter_odd")),
             [["0", "0", "a"], ["b", "0", "0"], ["0", "c", "0"]], ["r", "s", "t"],
-            [variant(std_cells("a*b*c"))],
+            [variant(ratio("a*b*c"))],
         ),
         family(
             7, "constant map class",
             params(("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-            [variant(one_over_one_minus_z())],
+            [CONSTANT],
         ),
     ],
 })
@@ -339,18 +266,13 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("c", "int"), ("d", "int"), ("e", "int_odd"),
                    ("r", "half_int"), ("s", "half_int"), ("t", "rational")),
             [["a", "b", "0"], ["c", "d", "0"], ["0", "0", "e"]], ["r", "s", "t"],
-            [variant(merge(
+            [variant(
                 # the q / e*q placement is pinned by the averaging formula,
                 # L(f^k) = 1 + q^k - e^k - (e q)^k: the other placement gives
                 # negative "Nielsen numbers" on complex-pair blocks
-                {
-                    "1|ee": [fac(lm("e")), fac(lm("e*q")), fac(lm(1), -1), fac(lm("q"), -1)],
-                    "1|eo": [fac(lp(1)), fac(lp("q")), fac(lp("e"), -1), fac(lp("e*q"), -1)],
-                    "1|oe": [fac(lm(1)), fac(lm("q")), fac(lm("e"), -1), fac(lm("e*q"), -1)],
-                    "1|oo": [fac(lp("e")), fac(lp("e*q")), fac(lp(1), -1), fac(lp("q"), -1)],
-                },
-                quad_ratio_cells("tr", "q", "e", index=2),
-            ))],
+                [fac(lm("e")), fac(lm("e*q")), fac(lm(1), -1), fac(lm("q"), -1)],
+                quad_ratio("tr", "q", "e"),
+            )],
             der=derived(("tr", "a + d"), ("q", "a*d - b*c")),
         ),
         family(
@@ -358,7 +280,7 @@ manifolds.append({
             params(("a", "int_even"), ("b", "int_even"), ("c", "int_even"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "a"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
     ],
 })
@@ -373,7 +295,7 @@ manifolds.append({
             params(("a", "int"), ("b", "half_odd"), ("c", "int_even"), ("d", "int"),
                    ("r", "rational"), ("s", "rational"), ("t", "half_int")),
             [["a", "b", "0"], ["c", "d", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-            [variant(pair_cells("tr", "q"))],
+            [variant(pair("tr", "q"))],
             der=derived(("tr", "a + d"), ("q", "a*d - b*c")),
         ),
         family(
@@ -382,7 +304,7 @@ manifolds.append({
                    ("e", "int_even"), ("f", "int"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["a", "b", "0"], ["c", "d", "0"], ["e", "f", "0"]], ["r", "s", "t"],
-            [variant(pair_cells("tr", "q"))],
+            [variant(pair("tr", "q"))],
             der=derived(("tr", "a + d"), ("q", "a*d - b*c")),
         ),
         family(
@@ -390,7 +312,7 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "int"), ("c", "int_even"), ("d", "int"),
                    ("e", "int"), ("r", "rational"), ("s", "rational"), ("t", "half_int")),
             [["a", "b", "0"], ["c", "d", "0"], ["0", "0", "e"]], ["r", "s", "t"],
-            [variant(merge(pair_cells("tr", "q"), scaled_pair_cells("e", "tr", "q", index=2)))],
+            [variant(pair("tr", "q"), scaled_pair("e", "tr", "q"))],
             der=derived(("tr", "a + d"), ("q", "a*d - b*c")),
         ),
     ],
@@ -406,7 +328,7 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "half_odd"), ("c", "int_odd"), ("d", "half_odd"),
                    ("r", "rational"), ("s", "rational"), ("it", "int")),
             [["a", "b", "b"], ["c", "d", "d"], ["c", "d", "d"]], ["r", "s", "t"],
-            [variant(pair_cells("tr", "q"))],
+            [variant(pair("tr", "q"))],
             constraints=["is_int(s - t - d)"],
             der=derived(("t", "s - d + it"), ("tr", "a + 2*d"), ("q", "2*(a*d - b*c)")),
         ),
@@ -415,7 +337,7 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "half_odd"), ("c", "int_even"), ("d", "int"),
                    ("r", "rational"), ("s", "rational"), ("it", "int")),
             [["a", "b", "b"], ["c", "d", "d"], ["c", "d", "d"]], ["r", "s", "t"],
-            [variant(pair_cells("tr", "q"))],
+            [variant(pair("tr", "q"))],
             constraints=["is_int(s - t)"],
             der=derived(("t", "s - it"), ("tr", "a + 2*d"), ("q", "2*(a*d - b*c)")),
         ),
@@ -425,7 +347,7 @@ manifolds.append({
                    ("e", "int_even"), ("f", "int"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["a", "b", "b"], ["c", "d", "d"], ["e", "f", "f"]], ["r", "s", "t"],
-            [variant(pair_cells("tr", "q"))],
+            [variant(pair("tr", "q"))],
             der=derived(("tr", "a + d + f"), ("q", "a*d - b*c + a*f - b*e")),
         ),
         family(
@@ -433,7 +355,7 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "int"), ("c", "int_odd"), ("d", "int"), ("e", "int"),
                    ("r", "rational"), ("s", "rational"), ("it", "int")),
             [["a", "b", "b"], ["c", "d", "e"], ["c", "e", "d"]], ["r", "s", "t"],
-            [variant(merge(pair_cells("tr", "q"), scaled_pair_cells("g", "tr", "q", index=2)))],
+            [variant(pair("tr", "q"), scaled_pair("g", "tr", "q"))],
             constraints=["is_int(2*(s - t)) and not is_int(s - t)"],
             der=derived(("t", "s - it - 1/2"), ("tr", "a + d + e"),
                         ("q", "a*(d + e) - 2*b*c"), ("g", "d - e")),
@@ -443,7 +365,7 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "int"), ("c", "int_even"), ("d", "int"), ("e", "int"),
                    ("r", "rational"), ("s", "rational"), ("it", "int")),
             [["a", "b", "b"], ["c", "d", "e"], ["c", "e", "d"]], ["r", "s", "t"],
-            [variant(merge(pair_cells("tr", "q"), scaled_pair_cells("g", "tr", "q", index=2)))],
+            [variant(pair("tr", "q"), scaled_pair("g", "tr", "q"))],
             constraints=["is_int(s - t)"],
             der=derived(("t", "s - it"), ("tr", "a + d + e"),
                         ("q", "a*(d + e) - 2*b*c"), ("g", "d - e")),
@@ -457,10 +379,10 @@ def _diag_guard_variants(third):
     """Variants for diag(a, b, c)-type families on the Z2+Z2 manifolds:
     one table per case of how many of a, b expand."""
     return [
-        variant(std_cells(third), "abs(a) <= 1 and abs(b) <= 1"),
-        variant(ratio_cells("a*b*c", "a*b", index=2), "abs(a) > 1 and abs(b) > 1"),
-        variant(ratio_cells("a", f"a*({third})", index=2), "abs(a) > 1 and abs(b) <= 1"),
-        variant(ratio_cells("b", f"b*({third})", index=2), "abs(b) > 1 and abs(a) <= 1"),
+        variant(ratio(third), guard="abs(a) <= 1 and abs(b) <= 1"),
+        variant(two=ratio("a*b*c", "a*b"), guard="abs(a) > 1 and abs(b) > 1"),
+        variant(two=ratio("a", f"a*({third})"), guard="abs(a) > 1 and abs(b) <= 1"),
+        variant(two=ratio("b", f"b*({third})"), guard="abs(b) > 1 and abs(a) <= 1"),
     ]
 
 
@@ -479,35 +401,35 @@ manifolds.append({
             params(("a", "int_odd"), ("c", "int_odd"),
                    ("r", "quarter_odd"), ("s", "half_int"), ("t", "rational")),
             [["a", "0", "0"], ["0", "0", "0"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(merge(std_cells("c"), ratio_cells("a", "a*c", index=2)))],
+            [variant(ratio("c"), ratio("a", "a*c"))],
         ),
         family(
             3, "even shear into the middle axis",
             params(("a", "int_even"), ("b", "int_even"), ("c", "int_odd"),
                    ("r", "half_int"), ("s", "rational"), ("t", "rational")),
             [["a", "0", "0"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(merge(std_cells("c"), ratio_cells("a", "a*c", index=2)))],
+            [variant(ratio("c"), ratio("a", "a*c"))],
         ),
         family(
             4, "even shear into the first axes",
             params(("a", "int_even"), ("b", "int_even"), ("c", "int_odd"),
                    ("r", "quarter_odd"), ("s", "half_int"), ("t", "rational")),
             [["a", "0", "0"], ["b", "0", "0"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(merge(std_cells("c"), ratio_cells("a", "a*c", index=2)))],
+            [variant(ratio("c"), ratio("a", "a*c"))],
         ),
         family(
             5, "odd cross shear",
             params(("a", "int_odd"), ("b", "int_even"), ("c", "int_even"),
                    ("r", "rational"), ("s", "half_int"), ("t", "rational")),
             [["0", "0", "a"], ["b", "0", "0"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             6, "rank-one, all even",
             params(("a", "int_even"), ("b", "int_even"), ("c", "int_even"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "a"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
     ],
 })
@@ -529,28 +451,28 @@ manifolds.append({
             params(("a", "int_even"), ("b", "int_odd"), ("c", "int_odd"),
                    ("r", "half_int"), ("s", "rational"), ("t", "rational")),
             [["a", "0", "0"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(merge(std_cells("c"), ratio_cells("a", "a*c", index=2)))],
+            [variant(ratio("c"), ratio("a", "a*c"))],
         ),
         family(
             3, "even shear into the first axes",
             params(("a", "int_even"), ("b", "int_even"), ("c", "int_odd"),
                    ("r", "quarter_odd"), ("s", "quarter_odd"), ("t", "rational")),
             [["a", "0", "0"], ["b", "0", "0"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(merge(std_cells("c"), ratio_cells("a", "a*c", index=2)))],
+            [variant(ratio("c"), ratio("a", "a*c"))],
         ),
         family(
             4, "odd cross shear",
             params(("a", "int_odd"), ("b", "int_even"), ("c", "int_even"),
                    ("r", "rational"), ("s", "half_int"), ("t", "rational")),
             [["0", "0", "a"], ["b", "0", "0"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             5, "rank-one, all even",
             params(("a", "int_even"), ("b", "int_even"), ("c", "int_even"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "a"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
     ],
 })
@@ -568,7 +490,7 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("c", "int_mod:4:1"),
                    ("r", "int"), ("s", "int"), ("t", "rational")),
             _rot_plus, ["r", "s", "t"],
-            [variant(rotation_cells("c", "qq", 1))],
+            [variant(rotation("c", "qq", 1))],
             der=derived(("qq", "a*a + b*b")),
         ),
         family(
@@ -576,7 +498,7 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("c", "int_mod:4:1"),
                    ("r", "half_odd"), ("s", "half_odd"), ("t", "rational")),
             _rot_plus, ["r", "s", "t"],
-            [variant(rotation_cells("c", "qq", 1))],
+            [variant(rotation("c", "qq", 1))],
             der=derived(("qq", "a*a + b*b")),
         ),
         family(
@@ -584,7 +506,7 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("c", "int_mod:4:3"),
                    ("r", "int"), ("s", "int"), ("t", "rational")),
             _rot_minus, ["r", "s", "t"],
-            [variant(rotation_cells("c", "qq", -1))],
+            [variant(rotation("c", "qq", -1))],
             der=derived(("qq", "a*a + b*b")),
         ),
         family(
@@ -592,21 +514,21 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("c", "int_mod:4:3"),
                    ("r", "half_odd"), ("s", "half_odd"), ("t", "rational")),
             _rot_minus, ["r", "s", "t"],
-            [variant(rotation_cells("c", "qq", -1))],
+            [variant(rotation("c", "qq", -1))],
             der=derived(("qq", "a*a + b*b")),
         ),
         family(
             5, "collapsed block",
             params(("c", "int_mod:4:2"), ("r", "half_int"), ("s", "half_int"), ("t", "rational")),
             [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             6, "rank-one in multiples of four",
             params(("a", "int_multiple:4"), ("b", "int_multiple:4"), ("c", "int_multiple:4"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "a"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
     ],
 })
@@ -623,7 +545,7 @@ def _flat37_family(index, desc, block, cmod, rdom, sdom, sign):
         params(("a", "int"), ("b", "int"), ("c", f"int_mod:3:{cmod}"),
                ("r", rdom), ("s", sdom), ("t", "rational")),
         block, ["r", "s", "t"],
-        [variant(rotation_cells("c", "qq", sign))],
+        [variant(rotation("c", "qq", sign))],
         der=derived(("qq", "a*a + b*b + a*b")),
     )
 
@@ -648,7 +570,7 @@ manifolds.append({
             params(("a", "int_multiple:3"), ("b", "int_multiple:3"), ("c", "int_multiple:3"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "a"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
     ],
 })
@@ -665,7 +587,7 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("c", "int_mod:6:1"),
                    ("r", "int"), ("s", "int"), ("t", "rational")),
             _hex_plus, ["r", "s", "t"],
-            [variant(rotation_cells("c", "qq", 1))],
+            [variant(rotation("c", "qq", 1))],
             der=derived(("qq", "a*a + b*b + a*b")),
         ),
         family(
@@ -675,55 +597,47 @@ manifolds.append({
             _hex_minus, ["r", "s", "t"],
             # the +-sqrt(a^2+ab+b^2) eigenvalue pair contributes here, so the
             # full reversing-block table applies, not the bare c-table
-            [variant(rotation_cells("c", "qq", -1))],
+            [variant(rotation("c", "qq", -1))],
             der=derived(("qq", "a*a + b*b + a*b")),
         ),
         family(
             3, "collapsed block, integral translation",
             params(("c", "int_mod:6:2,4"), ("r", "int"), ("s", "int"), ("t", "rational")),
             _zero_block_c, ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             4, "collapsed block, (1/3, 2/3) shift",
             params(("c", "int_mod:6:2,4"), ("r", "shift:1/3"), ("s", "shift:2/3"), ("t", "rational")),
             _zero_block_c, ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             5, "collapsed block, (2/3, 1/3) shift",
             params(("c", "int_mod:6:2,4"), ("r", "shift:2/3"), ("s", "shift:1/3"), ("t", "rational")),
             _zero_block_c, ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             6, "collapsed block, half-integral translation",
             params(("c", "int_mod:6:3"), ("r", "half_int"), ("s", "half_int"), ("t", "rational")),
             _zero_block_c, ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
         family(
             7, "rank-one in multiples of six",
             params(("a", "int_multiple:6"), ("b", "int_multiple:6"), ("c", "int_multiple:6"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "a"], ["0", "0", "b"], ["0", "0", "c"]], ["r", "s", "t"],
-            [variant(std_cells("c"))],
+            [variant(ratio("c"))],
         ),
     ],
 })
 
 # --- heis-I ------------------------------------------------------------------
 
-_heis_I_cells = {
-    "1|ee": [fac(qm("tr", "dt")), fac(lm("dt*dt")), fac(lm(1), -1),
-             fac(["1", "-(dt*tr)", "(dt*dt*dt)"], -1)],
-    "1|oe": [fac(lm(1)), fac(["1", "-(dt*tr)", "(dt*dt*dt)"]),
-             fac(qm("tr", "dt"), -1), fac(lm("dt*dt"), -1)],
-    "1|eo": [fac(lp(1)), fac(["1", "(dt*tr)", "(dt*dt*dt)"]),
-             fac(qp("tr", "dt"), -1), fac(lp("dt*dt"), -1)],
-    "1|oo": [fac(qp("tr", "dt")), fac(lp("dt*dt")), fac(lp(1), -1),
-             fac(["1", "(dt*tr)", "(dt*dt*dt)"], -1)],
-}
+_heis_I_product = [fac(qm("tr", "dt")), fac(lm("dt*dt")), fac(lm(1), -1),
+                   fac(["1", "-(dt*tr)", "(dt*dt*dt)"], -1)]
 
 manifolds.append({
     "manifold": "heis-I",
@@ -735,7 +649,7 @@ manifolds.append({
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["a*d - b*c", "x", "y"], ["0", "a", "b"], ["0", "c", "d"]],
             ["r", "s", "t"],
-            [variant(_heis_I_cells)],
+            [variant(_heis_I_product)],
             der=derived(
                 ("x", "ix - k*(a*s - c*r + a*c/2)"),
                 ("y", "iy - k*(b*s - d*r + b*d/2)"),
@@ -747,13 +661,6 @@ manifolds.append({
 
 # --- heis-II -----------------------------------------------------------------
 
-_heis_II_plus = {
-    "2|ee": [fac(qm("tr", "dt")), fac(["1", "-(dt*tr)", "(dt*dt*dt)"], -1)],
-    "2|eo": [fac(["1", "(dt*tr)", "(dt*dt*dt)"]), fac(qp("tr", "dt"), -1)],
-    "2|oe": [fac(["1", "-(dt*tr)", "(dt*dt*dt)"]), fac(qm("tr", "dt"), -1)],
-    "2|oo": [fac(qp("tr", "dt")), fac(["1", "(dt*tr)", "(dt*dt*dt)"], -1)],
-}
-
 manifolds.append({
     "manifold": "heis-II",
     "families": [
@@ -763,7 +670,8 @@ manifolds.append({
                    ("r", "half_int"), ("s", "half_int"), ("t", "rational")),
             [["a*d - b*c", "0", "0"], ["0", "a", "b"], ["0", "c", "d"]],
             ["r", "s", "t"],
-            [variant(merge(std_cells("dt*dt"), _heis_II_plus))],
+            [variant(ratio("dt*dt"),
+                     [fac(qm("tr", "dt")), fac(["1", "-(dt*tr)", "(dt*dt*dt)"], -1)])],
             constraints=["(a*d - b*c) % 2 == 1"],
             der=derived(("tr", "a + d"), ("dt", "a*d - b*c")),
         ),
@@ -771,19 +679,12 @@ manifolds.append({
             2, "constant map class",
             params(("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-            [variant(one_over_one_minus_z())],
+            [CONSTANT],
         ),
     ],
 })
 
 # --- heis-IV -----------------------------------------------------------------
-
-_heis_IV_1 = {
-    "1|ee": [fac(lm("a")), fac(lm("a*a*b*b")), fac(lm(1), -1), fac(lm("a*b*b"), -1)],
-    "1|eo": [fac(lp(1)), fac(lp("a*b*b")), fac(lp("a"), -1), fac(lp("a*a*b*b"), -1)],
-    "1|oe": [fac(lm(1)), fac(lm("a*b*b")), fac(lm("a"), -1), fac(lm("a*a*b*b"), -1)],
-    "1|oo": [fac(lp("a")), fac(lp("a*a*b*b")), fac(lp(1), -1), fac(lp("a*b*b"), -1)],
-}
 
 manifolds.append({
     "manifold": "heis-IV",
@@ -796,7 +697,8 @@ manifolds.append({
             params(("a", "int_odd"), ("b", "int"), ("iy", "int"), ("it2", "int"),
                    ("r", "rational"), ("s", "half_int")),
             [["a*b", "0", "y"], ["0", "a", "0"], ["0", "0", "b"]], ["r", "s", "t"],
-            [variant(merge(_heis_IV_1, ratio_cells("b", "a*a*b", index=2)))],
+            [variant([fac(lm("a")), fac(lm("a*a*b*b")), fac(lm(1), -1), fac(lm("a*b*b"), -1)],
+                     ratio("b", "a*a*b"))],
             constraints=["is_int(y - k*b*r)", "is_int(a*k*s)",
                          "is_int(a*k*s/2 - 2*k*r*s - k*s + 2*t)"],
             der=derived(("y", "iy + k*b*r"),
@@ -807,7 +709,7 @@ manifolds.append({
             params(("a", "int_even"), ("b", "int_even"), ("ix", "int"),
                    ("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "x", "0"], ["0", "a", "0"], ["0", "b", "0"]], ["r", "s", "t"],
-            [variant(std_cells("a"))],
+            [variant(ratio("a"))],
             constraints=["is_int(x + k*a*b/2 + k*(a*s - b*r))",
                          "is_int((x + k*a*b/4 + k*(a*s - b*r) - k*b)/2)"],
             der=derived(("x", "2*ix + k*b*r - k*a*s - k*a*b/4 + k*b")),
@@ -827,7 +729,7 @@ manifolds.append({
             [["-(a*b)", "k/4*b*(1 - a)", "k/4*a*(b - 1)"],
              ["0", "0", "a"], ["0", "b", "0"]],
             ["r", "s", "t"],
-            [variant(std_cells("a*a*b*b"))],
+            [variant(ratio("a*a*b*b"))],
         ),
         family(
             2, "diagonal block",
@@ -837,18 +739,18 @@ manifolds.append({
              ["0", "a", "0"], ["0", "0", "b"]],
             ["r", "s", "t"],
             [
-                variant(merge(std_cells("a*a*b*b"), ratio_cells("a", "a*b*b", index=2)),
-                        "abs(a) == 1 and abs(b) > 1"),
-                variant(merge(std_cells("a*a*b*b"), ratio_cells("b", "a*a*b", index=2)),
-                        "abs(b) == 1 and abs(a) > 1"),
-                variant(std_cells("a*a*b*b")),
+                variant(ratio("a*a*b*b"), ratio("a", "a*b*b"),
+                        guard="abs(a) == 1 and abs(b) > 1"),
+                variant(ratio("a*a*b*b"), ratio("b", "a*a*b"),
+                        guard="abs(b) == 1 and abs(a) > 1"),
+                variant(ratio("a*a*b*b")),
             ],
         ),
         family(
             3, "constant map class",
             params(("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-            [variant(one_over_one_minus_z())],
+            [CONSTANT],
         ),
     ],
 })
@@ -873,7 +775,7 @@ def _heis_x_manifold(name, extra_half_constraint):
                 idx, f"{desc}, {shift}",
                 params(("a", "int"), ("b", "int"), ("r", rdom), ("s", rdom), ("t", "rational")),
                 shape, ["r", "s", "t"],
-                [variant(std_cells("qq*qq"))],
+                [variant(ratio("qq*qq"))],
                 constraints=cons,
                 der=derived(("qq", "a*a + b*b")),
             ))
@@ -882,7 +784,7 @@ def _heis_x_manifold(name, extra_half_constraint):
         idx, "constant map class",
         params(("r", "rational"), ("s", "rational"), ("t", "rational")),
         [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-        [variant(one_over_one_minus_z())],
+        [CONSTANT],
     ))
     return {"manifold": name, "families": fams}
 
@@ -909,7 +811,7 @@ def _heis_xiii_div3(name):
                 params(("a", "int"), ("b", "int"), ("s", "third_int"), ("ir", "int"),
                        ("t", "rational")),
                 _x13_pos, ["r", "s", "t"],
-                [variant(std_cells("qq*qq"))],
+                [variant(ratio("qq*qq"))],
                 constraints=["(a - b) % 3 != 0", "is_int(r + s)", "is_int(2*s - r)"],
                 der=derived(("r", "ir - s"), ("qq", "a*a + b*b + a*b")),
             ),
@@ -918,7 +820,7 @@ def _heis_xiii_div3(name):
                 params(("a", "int"), ("b", "int"), ("r", "third_int"), ("is2", "int"),
                        ("t", "rational")),
                 _x13_neg, ["r", "s", "t"],
-                [variant(std_cells("qq*qq"))],
+                [variant(ratio("qq*qq"))],
                 constraints=["(a - b) % 3 != 0", "is_int(r + s)", "is_int(2*r - s)"],
                 der=derived(("s", "is2 - r"), ("qq", "a*a + b*b + a*b")),
             ),
@@ -926,7 +828,7 @@ def _heis_xiii_div3(name):
                 3, "constant map class",
                 params(("r", "rational"), ("s", "rational"), ("t", "rational")),
                 [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-                [variant(one_over_one_minus_z())],
+                [CONSTANT],
             ),
         ],
     }
@@ -945,7 +847,7 @@ manifolds.append({
             1, "order-3 twisted block, integral translation",
             params(("a", "int"), ("b", "int"), ("r", "int"), ("s", "int"), ("t", "rational")),
             _x13k_pos, ["r", "s", "t"],
-            [variant(std_cells("qq*qq"))],
+            [variant(ratio("qq*qq"))],
             constraints=["(a - b) % 3 != 0", "is_int(x - k*a*b/2)"],
             der=derived(
                 ("qq", "a*a + b*b + a*b"),
@@ -958,7 +860,7 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("r", "shift:2/3"), ("s", "shift:1/3"),
                    ("t", "rational")),
             _x13k_pos, ["r", "s", "t"],
-            [variant(std_cells("qq*qq"))],
+            [variant(ratio("qq*qq"))],
             constraints=["(b - a) % 3 == 1", "k % 6 == 2"],
             der=derived(
                 ("qq", "a*a + b*b + a*b"),
@@ -973,7 +875,7 @@ manifolds.append({
             params(("a", "int"), ("b", "int"), ("r", "third_int"), ("s", "third_int"),
                    ("t", "rational")),
             _x13k_neg, ["r", "s", "t"],
-            [variant(std_cells("qq*qq"))],
+            [variant(ratio("qq*qq"))],
             constraints=[
                 "(a - b) % 3 != 0", "is_int(r + s)", "is_int(2*r - s)",
                 "is_int((3*k*r*r + 6*k*r*s + 3*k*r - 6*k*s*s - 6*r + 6*s - 2*qq - 4)/6)",
@@ -992,7 +894,7 @@ manifolds.append({
             4, "constant map class",
             params(("r", "rational"), ("s", "rational"), ("t", "rational")),
             [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-            [variant(one_over_one_minus_z())],
+            [CONSTANT],
         ),
     ],
 })
@@ -1013,7 +915,7 @@ def _heis_xvi(name):
                 1, "order-6 twisted block",
                 params(("a", "int"), ("b", "int"), ("r", "int"), ("s", "int"), ("t", "rational")),
                 _x16_pos, ["r", "s", "t"],
-                [variant(std_cells("qq*qq"))],
+                [variant(ratio("qq*qq"))],
                 constraints=["qq % 6 == 1"],
                 der=derived(("qq", "a*a + b*b + a*b")),
             ),
@@ -1021,7 +923,7 @@ def _heis_xvi(name):
                 2, "reversing twisted block",
                 params(("a", "int"), ("b", "int"), ("r", "int"), ("s", "int"), ("t", "rational")),
                 _x16_neg, ["r", "s", "t"],
-                [variant(std_cells("qq*qq"))],
+                [variant(ratio("qq*qq"))],
                 constraints=["qq % 6 == 1"],
                 der=derived(("qq", "a*a + b*b + a*b")),
             ),
@@ -1029,7 +931,7 @@ def _heis_xvi(name):
                 3, "constant map class",
                 params(("r", "rational"), ("s", "rational"), ("t", "rational")),
                 [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], ["r", "s", "t"],
-                [variant(one_over_one_minus_z())],
+                [CONSTANT],
             ),
         ],
     }
@@ -1041,10 +943,12 @@ manifolds.append(_heis_xvi("heis-XVI-c5"))
 
 def main(out=OUT):
     data = {
-        "schema": "infranil-families-v1",
+        "schema": "infranil-families-v2",
         "comment": "Parametrized self-map families with expected Nielsen zeta tables. "
-                   "Cells are keyed '<index>|<p parity><n parity>' with e/o for even/odd; "
-                   "factors are polynomial coefficient expressions in the parameters "
+                   "Each variant holds one product per holonomy index ('1' or '2'): "
+                   "the Nielsen zeta B for p and n even.  The other parities are "
+                   "B(sigma z)^eps with sigma = (-1)^n and eps = (-1)^(p+n).  "
+                   "Factors are polynomial coefficient expressions in the parameters "
                    "(ascending powers of z) with integer exponents.",
         "manifolds": manifolds,
     }
