@@ -16,7 +16,6 @@ from .catalog import (
     catalog_ids,
     catalog_lookup,
     holonomy,
-    lattice_member,
     psi_embed,
 )
 from .errors import (
@@ -33,8 +32,6 @@ from .fixedpoint import (
     PositivePart,
     check_sign_relations,
     eigen_classify,
-    lefschetz_number,
-    nielsen_number,
     positive_part,
 )
 from .matrices import QMatrix, charpoly, exterior_power
@@ -56,7 +53,7 @@ from .series import (
     parity_signs,
     rfp_equal,
 )
-from .zeta import ZetaResult, compute_zeta, exterior_closed_form
+from .zeta import ZetaResult, compute_zeta
 
 __version__ = "0.1.0"
 
@@ -71,11 +68,11 @@ def __getattr__(name):
 
 __all__ = [
     "AffineElement", "CatalogEntry", "HolonomyGroup", "catalog_ids",
-    "catalog_lookup", "holonomy", "lattice_member", "psi_embed",
+    "catalog_lookup", "holonomy", "psi_embed",
     "CatalogError", "ConstraintError", "CorpusError", "InfranilError",
     "InvalidCandidateError", "ReconstructionError", "RouteMismatchError",
     "EigenClass", "PositivePart", "check_sign_relations",
-    "eigen_classify", "lefschetz_number", "nielsen_number", "positive_part",
+    "eigen_classify", "positive_part",
     "QMatrix", "charpoly", "exterior_power",
     "NFElem", "NumberField", "nf_sign",
     "IntPoly", "QPoly", "Rational", "factor_over_q", "sturm_count",
@@ -83,5 +80,5 @@ __all__ = [
     "heis_endo_check", "load_corpus", "sample_params", "validate_selfmap",
     "RatFuncProduct", "berlekamp_massey_q", "exponents_from_logderiv",
     "parity_signs", "rfp_equal",
-    "ZetaResult", "compute_zeta", "exterior_closed_form",
+    "ZetaResult", "compute_zeta",
 ]

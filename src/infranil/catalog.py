@@ -110,19 +110,6 @@ def lattice_element(model: str, dim: int, coords, k=None) -> AffineElement:
     return AffineElement(model, dim, psi_embed(x, y, z, QMatrix.identity(3), k), Fraction(k))
 
 
-def lattice_member(elem: AffineElement) -> bool:
-    """Is this element a pure translation by a lattice element?  Abelian:
-    identity rotation and integral translation.  Heisenberg: identity
-    automorphism part and integral h-coordinates."""
-    if elem.model == ABELIAN:
-        if not elem.rotation_block().is_identity():
-            return False
-        return all(v.denominator == 1 for v in elem.translation())
-    if not elem.holonomy_part().is_identity():
-        return False
-    return all(v.denominator == 1 for v in elem.h_coords())
-
-
 class CatalogEntry(Record):
     """A group presentation: generators as embedded affine elements.  Every
     field is read-only (`params` too, a MappingProxyType), so one entry can

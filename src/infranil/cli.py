@@ -257,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact numbers print and parse at any size
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "kmax", 1) < 1 or getattr(args, "kmax", 1) > 200:

@@ -25,9 +25,8 @@ element, and Lambda^j A is formed once per holonomy group.  The traces run
 in integers, and a table row is (den, nums): the entries' integer
 numerators over the common denominator den = R Q^k, R and Q the lcms of
 the sequences' scales r_j and q_j (positive, not always the least), so L
-and N are integer sums.
-`lefschetz_number` and `nielsen_number` take the direct route instead (D^k
-by binary powering, one determinant per element).
+and N are integer sums.  The test oracles form the same determinants
+directly, from D^k by binary powering (`tests/oracles.py`).
 
 The spectrum of D* is classified exactly, in integers and with no root
 isolated (`_analyze_factor`): the counts p of real eigenvalues > 1 and
@@ -61,7 +60,6 @@ from .errors import ConstraintError, InfranilError, InvalidCandidateError
 from .matrices import (
     QMatrix,
     exterior_integer_form,
-    flat_det,
     flat_product,
     integer_form,
     scaled_det_one_minus_z,
@@ -350,43 +348,10 @@ def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int, traces=None):
     return list(zip(dens, zip(*columns)))
 
 
-def _direct_row(candidate: MapCandidate, k: int):
-    """The `det_table` row for one k, from D^k by binary powering and direct
-    integer determinants."""
-    n = candidate.entry.dim
-    ident, power = QMatrix.identity(n), candidate.dstar.power(k)
-    q, flats = integer_form([ident - a * power for a in holonomy(candidate.entry).elements])
-    return q ** n, tuple(flat_det(flat, n) for flat in flats)
-
-
 def _average(total: int, count: int, what: str) -> int:
     value, rem = divmod(total, count)
     if rem:
         raise InvalidCandidateError(f"{what} is not an integer: {Fraction(total, count)}")
-    return value
-
-
-def lefschetz_from_row(row, indices=None) -> int:
-    den, nums = row
-    vals = nums if indices is None else [nums[i] for i in indices]
-    return _average(sum(vals), den * len(vals), "averaged Lefschetz number")
-
-
-def nielsen_from_row(row, indices=None) -> int:
-    den, nums = row
-    vals = nums if indices is None else [nums[i] for i in indices]
-    return _average(sum(map(abs, vals)), den * len(vals), "averaged Nielsen number")
-
-
-def lefschetz_number(candidate: MapCandidate, k: int) -> int:
-    return lefschetz_from_row(_direct_row(candidate, k))
-
-
-def nielsen_number(candidate: MapCandidate, k: int) -> int:
-    row = _direct_row(candidate, k)
-    value = nielsen_from_row(row)
-    if value < abs(lefschetz_from_row(row)):
-        raise InvalidCandidateError("Nielsen number below |Lefschetz number|")
     return value
 
 

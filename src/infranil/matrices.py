@@ -1,12 +1,13 @@
 """Dense exact rational matrices and the operations the engine needs:
-determinants, characteristic polynomials, exterior powers, kernels.
+determinants, characteristic polynomials, exterior powers.
 
 Sizes stay tiny, so determinants, minors and characteristic polynomials
 are formed in integers, on a matrix's integer form (its entries over their
 least common denominator): a determinant by cofactor expansion, Lambda^j
 from the j x j minors, a characteristic polynomial by Faddeev-LeVerrier.
-Kernels, solves and inverses share one reduced row echelon routine, `rref`,
-which takes Fraction or number-field (NFElem) entries alike.
+`numberfield`'s kernels and solves (`kernel_rows`, `solve_rows`) share one
+reduced row echelon routine, `rref`, which takes Fraction or number-field
+(NFElem) entries alike.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class QMatrix(Record):
     @staticmethod
     def identity(n: int) -> "QMatrix":
         return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(n: int, m: int | None = None) -> "QMatrix":
-        m = n if m is None else m
-        return QMatrix([[0] * m for _ in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -100,12 +96,6 @@ class QMatrix(Record):
             return self * other
         return NotImplemented
 
-    def apply(self, vec):
-        """Matrix times column vector (tuple)."""
-        if len(vec) != self.ncols:
-            raise InfranilError("shape mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
     def power(self, k: int) -> "QMatrix":
         if not self.is_square() or k < 0:
             raise InfranilError("power requires a square matrix and k >= 0")
@@ -118,14 +108,6 @@ class QMatrix(Record):
             k >>= 1
         return out
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise InfranilError("trace of a non-square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def is_identity(self) -> bool:
-        return self.is_square() and self == QMatrix.identity(self.nrows)
-
     def submatrix(self, row_idx, col_idx) -> "QMatrix":
         return QMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
@@ -134,26 +116,6 @@ class QMatrix(Record):
             raise InfranilError("determinant of a non-square matrix")
         q, (flat,) = integer_form([self])
         return Fraction(flat_det(flat, self.nrows), q ** self.nrows)
-
-    def kernel(self) -> list:
-        """Basis of the right null space, as a list of coordinate tuples."""
-        return [tuple(v) for v in kernel_rows(self.rows, Fraction(0), Fraction(1))]
-
-    def inverse(self) -> "QMatrix":
-        if not self.is_square():
-            raise InfranilError("inverse of a non-square matrix")
-        inv = self.solve_columns(QMatrix.identity(self.nrows))
-        if inv is None:
-            raise InfranilError("matrix is singular")
-        return inv
-
-    def solve_columns(self, rhs: "QMatrix"):
-        """Solve self @ X = rhs, returning X, or None when inconsistent.
-        self need not be square; the solution must be exact."""
-        if rhs.nrows != self.nrows:
-            raise InfranilError("shape mismatch in solve")
-        x = solve_rows(self.rows, rhs.rows, Fraction(0))
-        return None if x is None else QMatrix(x)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows)

@@ -171,7 +171,7 @@ def nf_sign(x: NFElem) -> int:
 
 # ---------------------------------------------------------------------------
 # Linear algebra over Q(theta) (NFElem entries; Fraction entries work too).
-# Solves and kernels run `matrices.rref`, the row reduction QMatrix uses.
+# Solves and kernels run `matrices.rref`.
 # ---------------------------------------------------------------------------
 
 

@@ -148,13 +148,6 @@ class QPoly(Record):
         lead = self.leading()
         return QPoly([c / lead for c in self.coeffs])
 
-    def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic gcd over Q, from the primitive gcd in integers."""
-        return _gcd(self.to_int()[0], _coerce(other).to_int()[0]).to_qpoly().monic()
-
-    def squarefree_part(self) -> "QPoly":
-        return _squarefree(self).to_qpoly().monic()
-
     def to_int(self) -> tuple["IntPoly", Fraction]:
         """Split into (primitive integer polynomial with positive leading
         coefficient, rational content) so that content * primitive == self."""

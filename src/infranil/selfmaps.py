@@ -156,12 +156,6 @@ class PhiAssignment(NamedTuple):
 
     entries: tuple  # ((generator_index, holonomy_index, lattice_coords), ...)
 
-    def holonomy_image(self, generator_index: int) -> int:
-        for g, h, _ in self.entries:
-            if g == generator_index:
-                return h
-        raise KeyError(generator_index)
-
 
 def validate_selfmap(candidate: MapCandidate):
     """Decide whether (d, D) induces a self-map; returns a PhiAssignment or
@@ -260,13 +254,6 @@ class Corpus(NamedTuple):
 
     def for_manifold(self, manifold: str):
         return [f for f in self.families if f.manifold == manifold]
-
-    def manifolds(self):
-        seen = []
-        for f in self.families:
-            if f.manifold not in seen:
-                seen.append(f.manifold)
-        return seen
 
 
 def _packaged_corpus_path():

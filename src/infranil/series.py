@@ -181,9 +181,6 @@ class RatFuncProduct(Record):
                 out.append((normalize_factor(q), mult * e))
         return RatFuncProduct.from_irreducibles(out)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
     def __mul__(self, other: "RatFuncProduct") -> "RatFuncProduct":
         return RatFuncProduct.from_irreducibles(list(self.factors) + list(other.factors))
 

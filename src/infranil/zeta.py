@@ -35,13 +35,7 @@ from .fixedpoint import (
     _candidate_sequences,
     _sign_relations,
 )
-from .matrices import (
-    QMatrix,
-    det_one_minus_z,
-    exterior_power,
-    flat_product,
-    scaled_det_one_minus_z,
-)
+from .matrices import flat_product, scaled_det_one_minus_z
 from .series import (
     RatFuncProduct,
     berlekamp_massey_q,
@@ -76,15 +70,6 @@ def zeta_from_sequence(seq, bound: int, hints=None) -> RatFuncProduct:
     """Canonical product with z (log Z)' = sum seq[k-1] z^k."""
     num, den = berlekamp_massey_q(seq, bound)
     return exponents_from_logderiv(num, den, hints)
-
-
-def exterior_closed_form(dstar: QMatrix) -> RatFuncProduct:
-    """prod_j det(I - z Lambda^j D)^((-1)^(j+1)): the trivial-holonomy
-    Lefschetz zeta in closed form."""
-    n = dstar.nrows
-    return RatFuncProduct.from_factors(
-        (det_one_minus_z(exterior_power(dstar, j)), (-1) ** (j + 1)) for j in range(n + 1)
-    )
 
 
 def _averaged_closed_form(ext: ExteriorData, averages) -> RatFuncProduct:

@@ -16,12 +16,13 @@ from infranil.fixedpoint import GT1, INSIDE, LTM1, MINUS_ONE, ONE, PositivePart,
 from infranil.matrices import QMatrix, charpoly
 from infranil.numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from infranil.polynomials import QPoly
+from oracles import kernel, solve_columns
 from real_roots import isolate_real_roots
 
 
 def _poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
     n = m.nrows
-    acc = QMatrix.zero(n)
+    acc = QMatrix([[0] * n] * n)
     for c in reversed(p.coeffs):
         acc = acc * m + QMatrix.identity(n) * c
     return acc
@@ -97,7 +98,7 @@ def _mixed_signs(dstar, group, ec, mixed, dets):
         raise InfranilError("mixed factor without a one-dimensional side")
 
     g = _rational_le_block(ec)
-    rational_basis = _poly_at_matrix(g, dstar).kernel() if g.degree > 0 else []
+    rational_basis = kernel(_poly_at_matrix(g, dstar)) if g.degree > 0 else []
     cols = [[field.elem(v) for v in vec] for vec in mixed_basis + rational_basis]
     d = len(cols)
     bmat = [[cols[j][i] for j in range(d)] for i in range(n)]
@@ -135,13 +136,13 @@ def ref_positive_part(candidate, ec) -> PositivePart:
         if g.degree == 0:
             signs_raw = dets
         else:
-            basis = _poly_at_matrix(g, candidate.dstar).kernel()
+            basis = kernel(_poly_at_matrix(g, candidate.dstar))
             if len(basis) != n - ec.dim_gt1:
                 raise InfranilError("kernel dimension mismatch in modulus split")
             vmat = QMatrix(list(zip(*basis)))
             signs_raw = []
             for a, da in zip(group.elements, dets):
-                m = vmat.solve_columns(a * vmat)
+                m = solve_columns(vmat, a * vmat)
                 if m is None:
                     raise InfranilError("holonomy does not preserve the <= 1 block")
                 signs_raw.append(da / m.det())
@@ -154,7 +155,7 @@ def ref_positive_part(candidate, ec) -> PositivePart:
 
 def _order_of(group, i: int) -> int:
     j, n = i, 1
-    while not group.elements[j].is_identity():
+    while group.elements[j] != group.elements[0]:
         j = group.table[j][i]
         n += 1
     return n
@@ -204,8 +205,7 @@ def anosov_fastpath(candidate) -> str:
     # expanding block carries the identity representation: every holonomy
     # element moves vectors only inside the <= 1 block
     gd = _poly_at_matrix(_rational_le_block(ec), candidate.dstar)
-    ident = QMatrix.identity(candidate.entry.dim)
-    if all(gd * (a - ident) == QMatrix.zero(candidate.entry.dim) for a in group.elements):
+    if all(gd * a == gd for a in group.elements):
         return "holds"
     if is_cyclic(group):
         for i in cyclic_generators(group):

@@ -20,21 +20,19 @@ from fractions import Fraction
 
 import pytest
 
-from infranil.catalog import catalog_lookup, holonomy
+from infranil.catalog import catalog_lookup
 from infranil.cli import main as cli_main
 from infranil.fixedpoint import (
+    _candidate_sequences,
     check_sign_relations,
-    det_table,
     eigen_classify,
-    exterior_data,
-    lefschetz_from_row,
-    nielsen_from_row,
 )
 from infranil.matrices import QMatrix, charpoly
 from infranil.polynomials import refine_root
 from infranil.selfmaps import MapCandidate, family_instantiate, load_corpus, sample_params
 from infranil.series import rfp_equal
-from infranil.zeta import compute_zeta, exterior_closed_form
+from infranil.zeta import compute_zeta
+from oracles import exterior_closed_form
 from real_roots import isolate_real_roots
 
 F = Fraction
@@ -66,8 +64,8 @@ def test_criterion_1_table_reproduction(capsys):
 def test_criterion_2_worked_example(capsys):
     entry = catalog_lookup("klein-bottle")
     cand = MapCandidate(entry, (0, 0), QMatrix([[3, 0], [0, 5]]))
-    table = det_table(exterior_data(cand.dstar), holonomy(entry), 40)
-    ok = all(lefschetz_from_row(row) == 1 - 3 ** k for k, row in enumerate(table, start=1))
+    _, _, (lef, _, _) = _candidate_sequences(cand, 40, 40)
+    ok = lef == tuple(1 - 3 ** k for k in range(1, 41))
     lf = compute_zeta(cand).lefschetz
     ok = ok and str(lf) == "(1 - 3*z) / (1 - z)"
     with capsys.disabled():
@@ -129,18 +127,14 @@ def test_criterion_5_integrality_and_inequality(capsys):
     checked = 0
     for spec, params in corpus_instances(1):
         cand = family_instantiate(spec, params)
-        group = holonomy(cand.entry)
-        for k, row in enumerate(det_table(exterior_data(cand.dstar), group, 40), start=1):
-            lef = lefschetz_from_row(row)   # raises unless integral
-            nie = nielsen_from_row(row)
+        _, _, (lefs, nies, _) = _candidate_sequences(cand, 40, 40)  # raises unless integral
+        for k, (lef, nie) in enumerate(zip(lefs, nies), start=1):
             assert nie >= abs(lef) >= 0, (spec.label, k)
         checked += 1
     randomized = 0
     for cand in _random_valid_candidates(500):
-        group = holonomy(cand.entry)
-        for k, row in enumerate(det_table(exterior_data(cand.dstar), group, 10), start=1):
-            lef = lefschetz_from_row(row)
-            nie = nielsen_from_row(row)
+        _, _, (lefs, nies, _) = _candidate_sequences(cand, 10, 10)
+        for k, (lef, nie) in enumerate(zip(lefs, nies), start=1):
             assert nie >= abs(lef) >= 0, k
         randomized += 1
     with capsys.disabled():

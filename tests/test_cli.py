@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -309,7 +310,7 @@ def test_compute_large_entries(capsys):
     from infranil.polynomials import QPoly
     from infranil.selfmaps import expected_zeta_cell, load_corpus, resolve_params
     from infranil.series import RatFuncProduct, rfp_equal
-    from infranil.zeta import exterior_closed_form
+    from oracles import exterior_closed_form
 
     params = {"c": "7", "a": "3000", "b": "2999"}
     argv = ["compute", "--manifold", "flat3-8", "--family", "1", "--json"]
@@ -340,6 +341,26 @@ def test_compute_large_entries(capsys):
     assert data["sign_relations_ok"] is True
     closed = exterior_closed_form(QMatrix([[m11, 0, 0], [0, m22, 0], [0, 0, 1]]))
     assert rfp_equal(RatFuncProduct.from_json(data["lefschetz_zeta"]), closed)
+
+
+
+def test_compute_numbers_past_the_int_str_digit_limit(capsys):
+    """Numbers of more than 4,300 digits, past Python's default int <-> str
+    conversion limit, print and parse: a dense torus-3 map whose Nielsen
+    numbers reach 5,073 digits at k = 100, and a 4,400-digit parameter."""
+    argv = ["compute", "--manifold", "torus-3", "--kmax", "100", "--json"]
+    for i, (r, c) in enumerate(itertools.product((1, 2, 3), repeat=2), start=1):
+        argv += ["--param", f"m{r}{c}={2 ** 62 // (i + 2) + 7919 * i}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["sign_relations_ok"] is True
+    assert len(str(abs(data["nielsen_numbers"][-1]))) == 5073
+    sevens = "7" * 4400
+    code, out, err = run(capsys, "compute", "--manifold", "torus-2", "--param",
+                         f"m11={sevens}", "--kmax", "2", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"]["m11"] == sevens
 
 
 def test_reused_parser_leaks_no_state(capsys):

@@ -32,6 +32,7 @@ from infranil.selfmaps import (
     validate_selfmap,
 )
 from modulus_split import anosov_fastpath
+from oracles import inverse
 
 CORPUS = load_corpus()
 
@@ -51,7 +52,7 @@ def part_of(cand):
 
 
 def test_every_catalog_entry_has_families():
-    manifolds = set(CORPUS.manifolds())
+    manifolds = {f.manifold for f in CORPUS.families}
     assert manifolds == set(catalog_ids())
     assert len(CORPUS.families) == 88
 
@@ -264,7 +265,7 @@ def test_mixed_cubic_counter_reachable_synthetically():
     assert part.index == 1
     assert fp.MIXED_CUBIC_COUNTER == before + 1
     # reversed companion: real root inside, expanding complex pair
-    cand = MapCandidate(entry, (0, 0, 0), QMatrix([[0, 0, -1], [1, 0, -1], [0, 1, 0]]).inverse())
+    cand = MapCandidate(entry, (0, 0, 0), inverse(QMatrix([[0, 0, -1], [1, 0, -1], [0, 1, 0]])))
     assert all(v.denominator == 1 for row in cand.dstar.rows for v in row)
     part = part_of(cand)
     assert part.index == 1

@@ -13,8 +13,6 @@ from infranil.fixedpoint import (
     eigen_classify,
     exterior_data,
     exterior_traces,
-    lefschetz_number,
-    nielsen_number,
     positive_part,
 )
 from infranil.matrices import QMatrix
@@ -26,6 +24,7 @@ from infranil.selfmaps import (
     validate_selfmap,
 )
 from modulus_split import anosov_fastpath
+from oracles import lefschetz_number, nielsen_number
 
 F = Fraction
 
@@ -210,22 +209,29 @@ def test_nielsen_geq_abs_lefschetz_randomized():
 
 
 def test_row_averages_must_be_integral():
-    import pytest
-
+    """`_number_sequences` averages each row (den, nums): L and N over every
+    element, L_+ over the positive part's.  A non-integral L, N or L_+ raises,
+    naming the average."""
     from infranil.errors import InvalidCandidateError
-    from infranil.fixedpoint import lefschetz_from_row, nielsen_from_row
+    from infranil.fixedpoint import PositivePart, _number_sequences
+
+    def part(plus=None):
+        return PositivePart(1 if plus is None else 2, (), tuple(plus or ()), None)
 
     lef, nie = "averaged Lefschetz number", "averaged Nielsen number"
-    for row, indices, value in [((1, (1, 2)), None, "3/2"), ((2, (1, 5, 6)), [0, 2], "7/4"),
-                                ((1, (-1, 2)), None, "1/2")]:
-        with pytest.raises(InvalidCandidateError, match=f"^{lef} is not an integer: {value}$"):
-            lefschetz_from_row(row, indices)
-    with pytest.raises(InvalidCandidateError, match=f"^{nie} is not an integer: 3/2$"):
-        nielsen_from_row((1, (1, 2)))
-    with pytest.raises(InvalidCandidateError, match=f"^{nie} is not an integer: 2/3$"):
-        nielsen_from_row((3, (2, -2)))
-    assert (lefschetz_from_row((3, (2, -2))), nielsen_from_row((2, (3, -5)))) == (0, 2)
-    assert lefschetz_from_row((2, (1, 5, 7)), [1, 2]) == 3
+    for row, plus, what, value in [
+        ((1, (1, 2)), None, lef, "3/2"),
+        ((1, (-1, 2)), None, lef, "1/2"),
+        ((2, (-1, 5)), None, nie, "3/2"),
+        ((3, (2, -2)), None, nie, "2/3"),
+        ((2, (1, 5, 6)), [0, 2], lef, "7/4"),
+    ]:
+        with pytest.raises(InvalidCandidateError, match=f"^{what} is not an integer: {value}$"):
+            _number_sequences([row], part(plus))
+    table = [(1, (3, -3, 3)), (2, (0, 3, -3)), (1, (-1, -2, 0))]
+    assert _number_sequences(table, part()) == ((1, 0, -1), (3, 1, 1), None)
+    assert _number_sequences(table, part([1, 2])) == ((1, 0, -1), (3, 1, 1), (0, 0, -1))
+    assert _number_sequences([(3, (3, -3)), (2, (6, -2))], part()) == ((0, 1), (1, 2), None)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +377,8 @@ def test_det_table_matches_direct_determinants_on_mixed_scales():
 
 
 def reference_number_sequences(table, part):
-    """`_number_sequences` row by row, through the public row averages."""
-    from infranil.fixedpoint import lefschetz_from_row, nielsen_from_row
+    """`_number_sequences` row by row, through the oracle's row averages."""
+    from oracles import lefschetz_from_row, nielsen_from_row
 
     plus = None
     if part.index == 2:

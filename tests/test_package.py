@@ -9,15 +9,26 @@ def test_all_names_resolve_once():
 
 
 def test_removed_zeta_entry_points_stay_gone():
-    for name in ("lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural"):
+    for name in ("lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
+                 "exterior_closed_form"):
         assert name not in infranil.__all__
         assert not hasattr(infranil, name) and not hasattr(infranil.zeta, name)
 
 
 def test_removed_fixedpoint_entry_points_stay_gone():
-    for name in ("anosov_fastpath",):
+    """The direct route and lattice membership are test oracles
+    (`tests/oracles.py`), not library code."""
+    for module, name in [
+        (infranil.fixedpoint, "anosov_fastpath"),
+        (infranil.fixedpoint, "lefschetz_number"),
+        (infranil.fixedpoint, "nielsen_number"),
+        (infranil.fixedpoint, "lefschetz_from_row"),
+        (infranil.fixedpoint, "nielsen_from_row"),
+        (infranil.fixedpoint, "_direct_row"),
+        (infranil.catalog, "lattice_member"),
+    ]:
         assert name not in infranil.__all__
-        assert not hasattr(infranil, name) and not hasattr(infranil.fixedpoint, name)
+        assert not hasattr(infranil, name) and not hasattr(module, name)
 
 
 def test_numberfield_loads_on_first_use():

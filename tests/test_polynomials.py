@@ -55,12 +55,6 @@ def test_divmod_remainder():
     assert rem.degree < q.degree
 
 
-def test_gcd_and_squarefree():
-    p = P(1, 1) * P(1, 1) * P(-3, 1)
-    assert p.gcd(p.derivative()) == P(1, 1)
-    assert p.squarefree_part() == (P(1, 1) * P(-3, 1)).monic()
-
-
 def test_to_int_primitive():
     p = P(Fraction(1, 2), Fraction(3, 4))
     prim, content = p.to_int()

@@ -17,6 +17,7 @@ from infranil.selfmaps import (
     validate_selfmap,
 )
 from modulus_split import ref_positive_part
+from oracles import inverse
 
 QUARTERS = [Fraction(i, 4) for i in range(-16, 17)]
 HALVES = [Fraction(i, 2) for i in range(-8, 9)]
@@ -82,7 +83,7 @@ def test_positive_part_matches_modulus_split_on_straddling_factors():
     cands = [
         # x^3 - x - 1: one expanding root, then its inverse: one non-expanding root
         MapCandidate(torus, (0, 0, 0), plastic),
-        MapCandidate(torus, (0, 0, 0), plastic.inverse()),
+        MapCandidate(torus, (0, 0, 0), inverse(plastic)),
         # x^2 - 3x + 1 under the rotation diag(-1, -1, 1)
         MapCandidate(catalog_lookup("flat3-1"), (0, 0, 0),
                      QMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 3]])),

@@ -119,7 +119,7 @@ def test_exponents_klein_bottle_shape():
 
 def test_exponents_zero_series():
     rfp = exponents_from_logderiv(IntPoly(), IntPoly([1]))
-    assert rfp.is_one()
+    assert rfp == RatFuncProduct.one()
 
 
 def test_exponents_two_term_difference():

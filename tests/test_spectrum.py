@@ -2,7 +2,7 @@
 
 The `Fraction` implementations that the integer code replaced are kept here
 as references: the Sturm chain, root isolation, root classification and
-factor analysis over QPoly, and the exponent solve by `QMatrix.solve_columns`.
+factor analysis over QPoly, and the exponent solve by `oracles.solve_columns`.
 sympy gives an independent count of real roots and isolating intervals.
 """
 
@@ -28,11 +28,10 @@ from infranil.fixedpoint import (
     EigenClass,
     FactorRoots,
     _analyze_factor,
+    _number_sequences,
     det_table,
     eigen_classify,
     exterior_data,
-    lefschetz_from_row,
-    nielsen_from_row,
     positive_part,
 )
 from infranil.matrices import QMatrix, charpoly
@@ -46,6 +45,7 @@ from infranil.series import (
     normalize_factor,
 )
 from infranil.zeta import candidate_factor_hints, recurrence_bound, sequence_length
+from oracles import solve_columns
 from real_roots import isolate_real_roots
 
 F = Fraction
@@ -223,7 +223,7 @@ def ref_exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFu
         cols.append([col[k] for k in range(1, d + 1)])
     rhs = QMatrix([[num[k]] for k in range(1, d + 1)])
     mat = QMatrix([[cols[j][k] for j in range(len(qs))] for k in range(d)])
-    sol = mat.solve_columns(rhs)
+    sol = solve_columns(mat, rhs)
     assert sol is not None
     exps = [sol[i, 0] for i in range(len(qs))]
     assert all(e.denominator == 1 for e in exps)
@@ -480,9 +480,8 @@ def reconstruction_inputs(cand):
     ext = exterior_data(cand.dstar)
     part = positive_part(cand, ext)
     table = det_table(ext, part.group, sequence_length(dim))
-    seqs = [[nielsen_from_row(row) for row in table], [lefschetz_from_row(row) for row in table]]
-    if part.index == 2:
-        seqs.append([lefschetz_from_row(row, part.plus_indices) for row in table])
+    lef, nie, plus = _number_sequences(table, part)
+    seqs = [nie, lef] + ([plus] if part.index == 2 else [])
     hints = candidate_factor_hints(ext)
     return [berlekamp_massey_q(seq, recurrence_bound(dim)) + (hints,) for seq in seqs]
 
@@ -493,7 +492,7 @@ def assert_exponents_match(cands, label):
         for num, den, hints in reconstruction_inputs(cand):
             got = exponents_from_logderiv(num, den, hints)
             assert got.factors == ref_exponents_from_logderiv(num, den, hints).factors, (label, i)
-            count += not got.is_one()
+            count += bool(got.factors)
     return count
 
 

@@ -9,7 +9,8 @@ from infranil.matrices import QMatrix
 from infranil.polynomials import QPoly
 from infranil.selfmaps import MapCandidate, validate_selfmap
 from infranil.series import RatFuncProduct, rfp_equal
-from infranil.zeta import _structural, compute_zeta, exterior_closed_form
+from infranil.zeta import _structural, compute_zeta
+from oracles import exterior_closed_form
 
 F = Fraction
 
@@ -276,7 +277,7 @@ def test_averages_intertwine_exterior_powers_on_corpus():
             cand = family_instantiate(spec, params)
             group = holonomy(cand.entry)
             phi = validate_selfmap(cand)
-            image = {0} | {phi.holonomy_image(g) for g in range(len(cand.entry.generators))}
+            image = {0} | {h for _, h, _ in phi.entries}
             while True:
                 grown = image | {group.table[a][b] for a in image for b in image}
                 if grown == image:
@@ -296,7 +297,7 @@ def test_averages_intertwine_exterior_powers_on_corpus():
 def lefschetz_reconstructions(cand):
     """zeta_from_sequence on the L and L_+ sequences of the first
     sequence_length(dim) rows of the determinant table."""
-    from infranil.fixedpoint import det_table, lefschetz_from_row
+    from infranil.fixedpoint import _number_sequences, det_table
     from infranil.zeta import (
         candidate_factor_hints,
         recurrence_bound,
@@ -309,10 +310,10 @@ def lefschetz_reconstructions(cand):
     part = positive_part(cand, ext)
     table = det_table(ext, part.group, sequence_length(dim))
     hints = candidate_factor_hints(ext)
-    lef = zeta_from_sequence([lefschetz_from_row(row) for row in table], recurrence_bound(dim), hints)
+    lef_seq, _, plus = _number_sequences(table, part)
+    lef = zeta_from_sequence(lef_seq, recurrence_bound(dim), hints)
     if part.index == 1:
         return lef, None
-    plus = [lefschetz_from_row(row, part.plus_indices) for row in table]
     return lef, zeta_from_sequence(plus, recurrence_bound(dim), hints)
 
 
