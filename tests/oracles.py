@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from infranil.catalog import ABELIAN, holonomy
 from infranil.errors import InfranilError, InvalidCandidateError
+from infranil.fixedpoint import _average
 from infranil.matrices import (
     QMatrix,
     det_one_minus_z,
@@ -33,13 +34,6 @@ def direct_row(candidate, k: int):
     ident, power = QMatrix.identity(n), candidate.dstar.power(k)
     q, flats = integer_form([ident - a * power for a in holonomy(candidate.entry).elements])
     return q ** n, tuple(flat_det(flat, n) for flat in flats)
-
-
-def _average(total: int, count: int, what: str) -> int:
-    value, rem = divmod(total, count)
-    if rem:
-        raise InvalidCandidateError(f"{what} is not an integer: {Fraction(total, count)}")
-    return value
 
 
 def lefschetz_from_row(row, indices=None) -> int:

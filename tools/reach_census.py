@@ -3,18 +3,21 @@ program's entry points call: the `zeta` CLI, the three benchmark workloads
 (run and check, `--trace 0` and `--trace 1`), `tools/outputs_digest.py` and
 `bench/smoke.py`.
 
-    python3 tools/reach_census.py [--seconds 3]
+    python3 tools/reach_census.py
 
 Every entry point runs in a child process (and its own children) with a
 `sys.setprofile` hook, loaded through a temporary `sitecustomize`, that
 records each function of `src/infranil` it calls.  A function is listed
-when no run called it, as `module.qualname  (line N)`.  --seconds is the
-length of each benchmark run.  Takes a few minutes.
+when no run called it, as `module.qualname  (line N)`.  Each benchmark run
+lasts SECONDS = 3 seconds.  Every run must end with its expected exit
+status (0, or 3 for the four CLI error exits); if one does not, nothing is
+listed and the census exits 1 naming that run, since a run that failed
+early would make everything it reaches look unreached.  Takes a few
+minutes.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import subprocess
@@ -24,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "infranil"
+SECONDS = 3
 
 HOOK = """
 import atexit, os, sys, threading
@@ -41,25 +45,27 @@ def _dump():
 """
 
 
-def commands(seconds: float) -> list:
+def commands() -> list:
+    """(command, expected exit status) of every run."""
     zeta = [sys.executable, "-m", "infranil.cli"]
     runs = [zeta + ["catalog"], zeta + ["catalog", "--json"], zeta + ["catalog", "--filter", "heis"]]
     for manifold in ("circle", "torus-2", "torus-3", "klein-bottle"):
         runs += [zeta + ["compute", "--manifold", manifold, "--json"],
                  zeta + ["compute", "--manifold", manifold]]
-    runs += [
-        zeta + ["compute", "--manifold", "torus-2", "--param", "m11=x"],
-        zeta + ["compute", "--manifold", "no-such-manifold"],
-        zeta + ["compute", "--manifold", "torus-2", "--kmax", "0"],
-        zeta + ["verify-tables", "--samples", "1"],
-        zeta + ["verify-tables", "--samples", "1", "--json"],
-        zeta + ["verify-tables", "--samples", "-1"],
-    ]
+    runs += [zeta + ["verify-tables", "--samples", "1"],
+             zeta + ["verify-tables", "--samples", "1", "--json"]]
     for workload in ("corpus", "random-maps", "screen"):
         for trace in ("0", "1"):
             runs.append([sys.executable, "bench/run.py", "--workload", workload,
-                         "--seconds", str(seconds), "--trace", trace])
-    return runs + [[sys.executable, "tools/outputs_digest.py"], [sys.executable, "bench/smoke.py"]]
+                         "--seconds", str(SECONDS), "--trace", trace])
+    runs += [[sys.executable, "tools/outputs_digest.py"], [sys.executable, "bench/smoke.py"]]
+    errors = [  # constraint violations: exit 3
+        zeta + ["compute", "--manifold", "torus-2", "--param", "m11=x"],
+        zeta + ["compute", "--manifold", "no-such-manifold"],
+        zeta + ["compute", "--manifold", "torus-2", "--kmax", "0"],
+        zeta + ["verify-tables", "--samples", "-1"],
+    ]
+    return [(cmd, 0) for cmd in runs] + [(cmd, 3) for cmd in errors]
 
 
 def defined() -> list:
@@ -80,17 +86,18 @@ def defined() -> list:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seconds", type=float, default=3.0)
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as hook, tempfile.TemporaryDirectory() as out:
         Path(hook, "sitecustomize.py").write_text(HOOK)
         env = dict(os.environ, REACH_SRC=str(SRC) + os.sep, REACH_OUT=out,
                    PYTHONPATH=os.pathsep.join([hook, str(ROOT / "src")]))
-        for cmd in commands(args.seconds):
-            subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL)
+        for cmd, expected in commands():
+            code = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL).returncode
+            if code != expected:
+                run = " ".join(cmd[1:])
+                print(f"reach_census: `{run}` exited {code}, not {expected}", file=sys.stderr)
+                return 1
         reached = {line for p in Path(out).iterdir() for line in p.read_text().split("\n")}
     for name, first, qualname, line in defined():
         if f"{name}:{first}" not in reached:
