@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import CatalogError, ConstraintError
 from .exprs import eval_rational, in_domain, parse_rational
-from .matrices import QMatrix, exterior_integer_form, integer_form
+from .matrices import QMatrix, exterior_integer_form, flat_product, integer_form
 from .records import Record
 
 HOLONOMY_CAP = 48
@@ -194,36 +194,44 @@ def holonomy(entry: CatalogEntry) -> HolonomyGroup:
 
 
 def _close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
+    """Breadth-first closure on integer forms: with r the common denominator
+    of the generators' holonomy parts, every element is kept as r times
+    itself, row-major, and found by a dict lookup.  r * (a b) is
+    flat_product(r a, r b) / r, exact because every element's denominator
+    divides r (the closure checks it)."""
     first = generators[0]
-    ident = QMatrix.identity(first.dim)
-    elements = [ident]
-    reps = [lattice_element(first.model, first.dim, (0,) * first.dim, first.k)]
-    gen_parts = [g.holonomy_part() for g in generators]
+    n = first.dim
+    r, gen_flats = integer_form([g.holonomy_part() for g in generators])
 
-    def find(mat):
-        for i, e in enumerate(elements):
-            if e == mat:
-                return i
-        return None
+    def product(a, b):
+        p = flat_product(a, b, n)
+        if any(v % r for v in p):
+            raise CatalogError(f"holonomy of {entry_id} has an element off denominator {r}")
+        return tuple(v // r for v in p)
 
+    flats = [tuple(r * (i == j) for i in range(n) for j in range(n))]
+    index = {flats[0]: 0}
+    reps = [lattice_element(first.model, n, (0,) * n, first.k)]
     frontier = [0]
     while frontier:
         i = frontier.pop(0)
-        for g, gpart in zip(generators, gen_parts):
-            prod = gpart * elements[i]
-            if find(prod) is None:
-                if len(elements) >= HOLONOMY_CAP:
+        for g, gflat in zip(generators, gen_flats):
+            prod = product(gflat, flats[i])
+            if prod not in index:
+                if len(flats) >= HOLONOMY_CAP:
                     raise CatalogError(f"holonomy closure of {entry_id} exceeds cap {HOLONOMY_CAP}")
-                elements.append(prod)
+                index[prod] = len(flats)
+                flats.append(prod)
                 reps.append(g * reps[i])
-                frontier.append(len(elements) - 1)
-    table = tuple(
-        tuple(find(a * b) for b in elements) for a in elements
-    )
+                frontier.append(len(flats) - 1)
+    table = tuple(tuple(index.get(product(a, b)) for b in flats) for a in flats)
     if any(x is None for row in table for x in row):
         raise CatalogError(f"holonomy of {entry_id} is not closed")
-    gen_idx = tuple(find(p) for p in gen_parts)
-    return HolonomyGroup(tuple(elements), table, gen_idx, tuple(reps))
+    elements = tuple(
+        QMatrix([[Fraction(v, r) for v in flat[i * n:(i + 1) * n]] for i in range(n)])
+        for flat in flats
+    )
+    return HolonomyGroup(elements, table, tuple(index[f] for f in gen_flats), tuple(reps))
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact numbers print and parse at any size
+    # exact numbers print and parse at any size; the caller's limit comes back on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "kmax", 1) < 1 or getattr(args, "kmax", 1) > 200:

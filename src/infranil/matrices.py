@@ -164,10 +164,16 @@ def exterior_power(M: QMatrix, j: int) -> QMatrix:
 
 
 def flat_det(flat, n: int) -> int:
-    """Determinant of the n x n integer matrix given row-major as `flat`, by
-    cofactor expansion along the first row."""
+    """Determinant of the n x n integer matrix given row-major as `flat`:
+    written out for n <= 3, by cofactor expansion along the first row for
+    n > 3."""
+    if n == 3:
+        a, b, c, d, e, f, g, h, i = flat
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if n == 2:
         return flat[0] * flat[3] - flat[1] * flat[2]
+    if n == 1:
+        return flat[0]
     if n == 0:
         return 1
     return sum(
@@ -180,7 +186,19 @@ def flat_det(flat, n: int) -> int:
 def exterior_form(flat, n: int, j: int) -> tuple:
     """Lambda^j of the n x n integer matrix given row-major as `flat`: its
     j x j minors, row-major, rows and columns indexed by lexicographic
-    j-subsets."""
+    j-subsets.  Lambda^0, Lambda^1, Lambda^n and the nine 2 x 2 minors of a
+    3 x 3 are written out; only n > 3 takes the minors one by one."""
+    if j == 0:
+        return (1,)
+    if j == 1:
+        return tuple(flat)
+    if j == n:
+        return (flat_det(flat, n),)
+    if n == 3:  # j = 2: rows and columns {0, 1}, {0, 2}, {1, 2}
+        a, b, c, d, e, f, g, h, i = flat
+        return (a * e - b * d, a * f - c * d, b * f - c * e,
+                a * h - b * g, a * i - c * g, b * i - c * h,
+                d * h - e * g, d * i - f * g, e * i - f * h)
     subsets = list(itertools.combinations(range(n), j))
     return tuple(
         flat_det([flat[r * n + c] for r in rows for c in cols], j)
@@ -210,7 +228,24 @@ def integer_form(mats) -> tuple:
 
 
 def flat_product(a, b, n: int) -> tuple:
-    """Row-major product of two n x n matrices given as flat int tuples."""
+    """Row-major product of two n x n matrices given as flat int sequences:
+    written out for n <= 3, row by column for n > 3."""
+    if n == 3:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (
+            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+        )
+    if n == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+    if n == 1:
+        return (a[0] * b[0],)
+    if n == 0:
+        return ()
     cols = [b[j::n] for j in range(n)]
     return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
 

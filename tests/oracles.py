@@ -8,23 +8,84 @@ trivial-holonomy Lefschetz zeta from the exterior powers of D.
 `lattice_member` reads lattice membership off the embedded matrix.
 `kernel`, `solve_columns` and `inverse` are plain row reduction
 (`matrices.kernel_rows` and `matrices.solve_rows`) on a QMatrix.
+`flat_product`, `flat_det` and `exterior_form` are the integer kernels in
+their generic form, for any n, with none of the library's closed forms;
+`close_holonomy` closes a holonomy group by QMatrix products and a linear
+scan with Fraction equality.
 """
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
-from infranil.catalog import ABELIAN, holonomy
-from infranil.errors import InfranilError, InvalidCandidateError
+from infranil.catalog import ABELIAN, HolonomyGroup, holonomy, lattice_element
+from infranil.errors import CatalogError, InfranilError, InvalidCandidateError
 from infranil.fixedpoint import _average
 from infranil.matrices import (
     QMatrix,
     det_one_minus_z,
     exterior_power,
-    flat_det,
     integer_form,
     kernel_rows,
     solve_rows,
 )
 from infranil.series import RatFuncProduct
+
+
+def flat_product(a, b, n: int) -> tuple:
+    """Row-major product of two n x n matrices given as flat int tuples."""
+    cols = [b[j::n] for j in range(n)]
+    return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
+
+
+def flat_det(flat, n: int) -> int:
+    """Determinant of the n x n integer matrix given row-major as `flat`, by
+    cofactor expansion along the first row."""
+    if n == 0:
+        return 1
+    return sum(
+        (-1) ** c * flat[c]
+        * flat_det([flat[r * n + k] for r in range(1, n) for k in range(n) if k != c], n - 1)
+        for c in range(n) if flat[c]
+    )
+
+
+def exterior_form(flat, n: int, j: int) -> tuple:
+    """Lambda^j of the n x n integer matrix given row-major as `flat`: its
+    j x j minors, row-major, rows and columns indexed by lexicographic
+    j-subsets."""
+    subsets = list(itertools.combinations(range(n), j))
+    return tuple(
+        flat_det([flat[r * n + c] for r in rows for c in cols], j)
+        for rows in subsets for cols in subsets
+    )
+
+
+def close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
+    """The holonomy group of the generators, in the library's element order:
+    breadth first from the identity, left-multiplying by each generator's
+    holonomy part."""
+    first = generators[0]
+    elements = [QMatrix.identity(first.dim)]
+    reps = [lattice_element(first.model, first.dim, (0,) * first.dim, first.k)]
+    gen_parts = [g.holonomy_part() for g in generators]
+
+    def find(mat):
+        return next((i for i, e in enumerate(elements) if e == mat), None)
+
+    frontier = [0]
+    while frontier:
+        i = frontier.pop(0)
+        for g, gpart in zip(generators, gen_parts):
+            prod = gpart * elements[i]
+            if find(prod) is None:
+                elements.append(prod)
+                reps.append(g * reps[i])
+                frontier.append(len(elements) - 1)
+    table = tuple(tuple(find(a * b) for b in elements) for a in elements)
+    if any(x is None for row in table for x in row):
+        raise CatalogError(f"holonomy of {entry_id} is not closed")
+    return HolonomyGroup(tuple(elements), table, tuple(find(p) for p in gen_parts), tuple(reps))
 
 
 def direct_row(candidate, k: int):

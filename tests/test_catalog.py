@@ -4,18 +4,21 @@ from fractions import Fraction
 import pytest
 
 from infranil.catalog import (
+    AffineElement,
     CatalogEntry,
     abelian_embed,
     catalog_ids,
     catalog_lookup,
+    catalog_params,
     holonomy,
     lattice_element,
     psi_embed,
 )
 from infranil.errors import CatalogError, ConstraintError
+from infranil.exprs import in_domain
 from infranil.matrices import QMatrix
 from modulus_split import has_index_two_subgroup, is_cyclic
-from oracles import inverse, lattice_member
+from oracles import close_holonomy, inverse, lattice_member
 
 F = Fraction
 
@@ -187,6 +190,35 @@ def test_holonomy_orders_match_catalog():
         assert all(0 <= group.table[i][j] < n for i in range(n) for j in range(n))
 
 
+def test_integer_closure_matches_fraction_closure():
+    """Every catalog entry, Heisenberg types at their first three admissible
+    k: the same elements in the same order, table, generator indices and
+    coset representatives as the closure by QMatrix products."""
+    count = 0
+    for entry_id in catalog_ids():
+        domains = dict(catalog_params(entry_id))
+        if domains:
+            ks = [k for k in range(1, 25) if in_domain(domains["k"], Fraction(k))][:3]
+            entries = [catalog_lookup(entry_id, {"k": k}) for k in ks]
+        else:
+            entries = [catalog_lookup(entry_id)]
+        for entry in entries:
+            assert holonomy(entry) == close_holonomy(entry.id, entry.generators), entry
+            count += 1
+    assert count == 13 + 3 * 11
+
+
+def test_closure_of_an_infinite_group_raises():
+    """A unipotent part closes past the cap; diag(1/2, 2) leaves the
+    generators' denominator at its square."""
+    for rotation, message in (([[1, 1], [0, 1]], "exceeds cap"),
+                              ([[F(1, 2), 0], [0, 2]], "off denominator 2")):
+        gen = AffineElement("abelian", 2, abelian_embed(QMatrix(rotation), (0, 0)))
+        entry = CatalogEntry("hand-built", 2, "abelian", (gen,), 1, {})
+        with pytest.raises(CatalogError, match=message):
+            holonomy(entry)
+
+
 def test_holonomy_structure():
     kb = holonomy(catalog_lookup("klein-bottle"))
     assert kb.order == 2
@@ -211,8 +243,6 @@ def test_lattice_member_examples():
     t = lattice_element("abelian", 2, (1, 0))
     assert lattice_member(t)
     frac = abelian_embed(QMatrix.identity(2), (F(1, 2), 0))
-    from infranil.catalog import AffineElement
-
     assert not lattice_member(AffineElement("abelian", 2, frac))
     h = lattice_element("heisenberg", 3, (1, 1, 1), 2)
     assert lattice_member(h)

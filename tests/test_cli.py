@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -344,6 +346,18 @@ def test_compute_large_entries(capsys):
 
 
 
+@contextlib.contextmanager
+def no_int_str_digit_limit():
+    """Lift the int <-> str digit limit while the test reads the CLI's
+    output: cli.main lifts it only while it runs."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_compute_numbers_past_the_int_str_digit_limit(capsys):
     """Numbers of more than 4,300 digits, past Python's default int <-> str
     conversion limit, print and parse: a dense torus-3 map whose Nielsen
@@ -353,14 +367,32 @@ def test_compute_numbers_past_the_int_str_digit_limit(capsys):
         argv += ["--param", f"m{r}{c}={2 ** 62 // (i + 2) + 7919 * i}"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    data = json.loads(out)
-    assert data["sign_relations_ok"] is True
-    assert len(str(abs(data["nielsen_numbers"][-1]))) == 5073
+    with no_int_str_digit_limit():
+        data = json.loads(out)
+        assert data["sign_relations_ok"] is True
+        assert len(str(abs(data["nielsen_numbers"][-1]))) == 5073
     sevens = "7" * 4400
     code, out, err = run(capsys, "compute", "--manifold", "torus-2", "--param",
                          f"m11={sevens}", "--kmax", "2", "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out)["params"]["m11"] == sevens
+    with no_int_str_digit_limit():
+        assert json.loads(out)["params"]["m11"] == sevens
+
+
+def test_main_restores_the_int_str_digit_limit(capsys):
+    """cli.main lifts the limit for its own run only: after a call that
+    succeeds, one that fails, and one that argparse ends, the process has
+    the limit it had before."""
+    limit = sys.get_int_max_str_digits()
+    assert limit != 0
+    assert run(capsys, "compute", "--manifold", "torus-2", "--json")[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert run(capsys, "compute", "--manifold", "no-such-manifold")[0] == 3
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit):
+        main(["compute"])
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_reused_parser_leaks_no_state(capsys):

@@ -387,16 +387,15 @@ def reference_number_sequences(table, part):
             tuple(nielsen_from_row(row) for row in table), plus)
 
 
-def test_number_sequences_match_row_averages_on_benchmark_inputs(monkeypatch):
+def test_number_sequences_match_row_averages_on_benchmark_inputs(bench_workloads):
     """Every seed-1 corpus and random-maps candidate, index 2 included."""
     from infranil.fixedpoint import _number_sequences
-    from test_selfmaps import bench_workloads
 
     candidates = [
         family_instantiate(spec, params)
         for spec in load_corpus().families
         for params in sample_params(spec, 1, seed=1)
-    ] + bench_workloads(monkeypatch).random_maps_instances(1)
+    ] + bench_workloads.random_maps_instances(1)
     indices = set()
     for cand in candidates:
         ext, group = exterior_data(cand.dstar), holonomy(cand.entry)
@@ -606,7 +605,7 @@ def random_rational_matrices(rng, per_size):
     ]
 
 
-def test_exterior_factors_of_d_are_reversed_spectrum_factors(monkeypatch):
+def test_exterior_factors_of_d_are_reversed_spectrum_factors(bench_workloads):
     """Every det_polys[j] and factors[j] of `exterior_data` is read off
     charpoly(D) and eigen_classify's factors of it.  They must equal the
     Faddeev-LeVerrier route with a factorization per j on random rational
@@ -615,11 +614,11 @@ def test_exterior_factors_of_d_are_reversed_spectrum_factors(monkeypatch):
     on all but the catalog runs, also sympy's minors and factor_list."""
     import random
 
-    from test_spectrum import corpus_candidates, random_maps_candidates
+    from test_spectrum import corpus_candidates
 
     with_sympy = special_matrices() + random_rational_matrices(random.Random(31), 15)
     cases = with_sympy + [cand.dstar for cand in corpus_candidates()]
-    cases += [cand.dstar for cand in random_maps_candidates(monkeypatch, [1])]
+    cases += [cand.dstar for cand in bench_workloads.random_maps_instances(1)]
     assert len(cases) == len(with_sympy) + 264 + 300
     singular = 0
     for i, m in enumerate(cases):

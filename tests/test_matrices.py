@@ -8,11 +8,15 @@ from infranil.matrices import (
     QMatrix,
     charpoly,
     det_one_minus_z,
+    exterior_form,
     exterior_power,
+    flat_det,
+    flat_product,
     kernel_rows,
     solve_rows,
 )
 from infranil.polynomials import QPoly
+import oracles
 from oracles import inverse
 
 
@@ -102,6 +106,31 @@ def test_inverse():
     assert m * inverse(m) == QMatrix.identity(2)
     with pytest.raises(InfranilError):
         inverse(QMatrix([[1, 1], [1, 1]]))
+
+
+def test_integer_kernels_match_generic_reference():
+    """flat_product, flat_det and exterior_form at every j against the
+    generic forms in tests/oracles.py, n = 0..4 (n = 4 takes the library's
+    own generic branch): entries in [-3, 3] and up to +-2^64, and singular
+    matrices whose last row is a multiple of the first (zero when n = 1)."""
+    rng = random.Random(2022)
+    singular = 0
+    for n in range(5):
+        for bound in (3, 2 ** 64):
+            for shape in ("random", "singular") * 8:
+                rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                if shape == "singular" and n:
+                    c = rng.randint(-3, 3)
+                    rows[-1] = [c * v for v in rows[0]] if n > 1 else [0]
+                a = tuple(v for row in rows for v in row)
+                b = tuple(rng.randint(-bound, bound) for _ in range(n * n))
+                assert flat_product(a, b, n) == oracles.flat_product(a, b, n), (a, b)
+                det = flat_det(a, n)
+                assert det == oracles.flat_det(a, n), a
+                singular += shape == "singular" and n > 0 and det == 0
+                for j in range(n + 1):
+                    assert exterior_form(a, n, j) == oracles.exterior_form(a, n, j), (a, j)
+    assert singular == 4 * 2 * 8
 
 
 def test_power():

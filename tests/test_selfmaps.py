@@ -1,8 +1,5 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -334,23 +331,13 @@ def test_filter_matches_fraction_reference_on_corpus():
     assert count == 2 * 264
 
 
-def bench_workloads(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def test_validate_matches_reference_on_benchmark_inputs(monkeypatch):
+def test_validate_matches_reference_on_benchmark_inputs(bench_workloads):
     """Every screen candidate of seeds 1-2, mostly rejects, and every
     random-maps candidate of seed 1, all accepts."""
-    workloads = bench_workloads(monkeypatch)
-    screen = [c for seed in (1, 2) for c in workloads.screen_instances(seed)]
+    screen = [c for seed in (1, 2) for c in bench_workloads.screen_instances(seed)]
     accepted = sum(assert_same(c, holonomy(c.entry)) is not None for c in screen)
     assert len(screen) == 6000 and 0 < accepted < len(screen)
-    for cand in workloads.random_maps_instances(1):
+    for cand in bench_workloads.random_maps_instances(1):
         assert assert_same(cand, holonomy(cand.entry)) is not None
 
 

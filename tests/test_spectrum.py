@@ -6,11 +6,8 @@ factor analysis over QPoly, and the exponent solve by `oracles.solve_columns`.
 sympy gives an independent count of real roots and isolating intervals.
 """
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -248,15 +245,6 @@ def corpus_candidates():
     ]
 
 
-def random_maps_candidates(monkeypatch, seeds):
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return [cand for seed in seeds for cand in workloads.random_maps_instances(seed)]
-
-
 def random_matrices(rng, count):
     """Integer 2x2 and 3x3 matrices with entries in [-9, 9], and upper
     triangular Heisenberg D* with half-integer top row."""
@@ -288,8 +276,8 @@ def test_spectrum_matches_fraction_reference_on_corpus():
     assert_spectra_match([c.dstar for c in cands], "corpus")
 
 
-def test_spectrum_matches_fraction_reference_on_random_maps(monkeypatch):
-    cands = random_maps_candidates(monkeypatch, (1, 2))
+def test_spectrum_matches_fraction_reference_on_random_maps(bench_workloads):
+    cands = [cand for seed in (1, 2) for cand in bench_workloads.random_maps_instances(seed)]
     assert len(cands) == 600
     assert_spectra_match([c.dstar for c in cands], "random-maps")
 
@@ -500,8 +488,8 @@ def test_exponents_match_linear_solve_on_corpus():
     assert assert_exponents_match(corpus_candidates(), "corpus") > 500
 
 
-def test_exponents_match_linear_solve_on_random_maps(monkeypatch):
-    assert assert_exponents_match(random_maps_candidates(monkeypatch, (1,)), "random-maps") > 500
+def test_exponents_match_linear_solve_on_random_maps(bench_workloads):
+    assert assert_exponents_match(bench_workloads.random_maps_instances(1), "random-maps") > 500
 
 
 def test_exponent_off_by_one_is_caught(monkeypatch):

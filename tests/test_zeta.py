@@ -338,17 +338,8 @@ def test_closed_form_matches_lefschetz_reconstruction_on_corpus():
     assert len(indices) == 264 and indices.count(2) > 0
 
 
-def test_closed_form_matches_lefschetz_reconstruction_on_random_maps(monkeypatch):
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    instances = workloads.random_maps_instances(1)
+def test_closed_form_matches_lefschetz_reconstruction_on_random_maps(bench_workloads):
+    instances = bench_workloads.random_maps_instances(1)
     for i, cand in enumerate(instances):
         assert_reconstruction_matches(cand, i)
     assert len(instances) == 300
