@@ -229,7 +229,7 @@ def integer_form(mats) -> tuple:
 
 def flat_product(a, b, n: int) -> tuple:
     """Row-major product of two n x n matrices given as flat int sequences:
-    written out for n <= 3, row by column for n > 3."""
+    written out for n = 1, 2, 3, row by column otherwise."""
     if n == 3:
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
         b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -244,8 +244,6 @@ def flat_product(a, b, n: int) -> tuple:
         return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
     if n == 1:
         return (a[0] * b[0],)
-    if n == 0:
-        return ()
     cols = [b[j::n] for j in range(n)]
     return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
 
