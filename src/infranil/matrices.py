@@ -3,8 +3,14 @@ determinants, characteristic polynomials, exterior powers.
 
 Sizes stay tiny, so determinants, minors and characteristic polynomials
 are formed in integers, on a matrix's integer form (its entries over their
-least common denominator): a determinant by cofactor expansion, Lambda^j
-from the j x j minors, a characteristic polynomial by Faddeev-LeVerrier.
+least common denominator): a determinant, Lambda^j from the j x j minors,
+a characteristic polynomial by Faddeev-LeVerrier.  Every matrix the engine
+multiplies is at most 3 x 3 (D, the holonomy elements and their Lambda^j,
+of size C(3, j) <= 3), so the three integer kernels are written out in
+closed form up to n = 3: `flat_product` unrolled, `flat_det` expanded, and
+`exterior_form` as Lambda^0, Lambda^1, Lambda^n and the nine 2 x 2 minors
+of a 3 x 3.  Their generic forms (row by column, cofactor expansion, minor
+by minor) run only for larger n, which only `charpoly`'s n <= 8 reaches.
 `numberfield`'s kernels and solves (`kernel_rows`, `solve_rows`) share one
 reduced row echelon routine, `rref`, which takes Fraction or number-field
 (NFElem) entries alike.
