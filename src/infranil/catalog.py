@@ -15,6 +15,11 @@ by a = h(1,0,0), b = h(0,1,0), c = h(0,0,1) (so [b,a] = c^k), and phi* is the
 differential of the automorphism part in the basis {log c, log a, log b}.
 Both embeddings turn the self-map equation into exact 4x4 (resp. (n+1)x(n+1))
 matrix algebra over Q.
+
+`holonomy` returns an entry's `HolonomyGroup`, closed once per entry on
+integer forms and kept in that form: the averaging formula reads the
+group only through its matrices, and its readers (the self-map filter, the
+exterior powers) read those as ints.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from importlib import resources
+from math import isqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -132,37 +138,31 @@ class CatalogEntry(Record):
 
 
 class HolonomyGroup(Record):
-    """The finite holonomy group: the QMatrix differentials `elements`
-    (index 0 = identity), the multiplication table (table[i][j] = index of
-    elements[i] * elements[j]), the generators' element indices, and one
-    embedded coset representative per element (an AffineElement with
-    holonomy_part == elements[i])."""
+    """The finite holonomy group in the integer form its readers use:
+    form = (r, flats), flats[i] = r * A_i row-major as ints (index 0 = the
+    identity, r the least common denominator), the multiplication table
+    (table[i][j] = index of A_i A_j), the generators' element indices, and
+    one embedded coset representative per element (an AffineElement with
+    holonomy_part == A_i)."""
 
-    _fields = ("elements", "table", "generator_indices", "representatives")
+    _fields = ("form", "table", "generator_indices", "representatives")
 
-    def __init__(self, elements: tuple, table: tuple, generator_indices: tuple,
+    def __init__(self, form: tuple, table: tuple, generator_indices: tuple,
                  representatives: tuple):
-        self._set_fields(elements, table, generator_indices, representatives)
+        self._set_fields(form, table, generator_indices, representatives)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def integer_elements(self) -> tuple:
-        """integer_form of the elements: (r, flats), flats[i] = r * elements[i]
-        row-major as ints.  Formed once per group; the self-map filter reads
-        it without building the higher exterior powers."""
-        return integer_form(self.elements)
+        return len(self.table)
 
     @cached_property
     def exterior_powers(self) -> tuple:
         """exterior_powers[j] = integer_form of Lambda^j of every element, for
-        j = 0..dim, from the integer minors of `integer_elements`: formed
-        once per group and shared by every candidate on it (ints take far
-        less memory than Fractions in the holonomy cache)."""
-        n = self.elements[0].nrows
-        return tuple(exterior_integer_form(self.integer_elements, j) for j in range(n + 1))
+        j = 0..dim, from the integer minors of `form` (form itself for
+        j = 1): formed once per group and shared by every candidate on it."""
+        n = isqrt(len(self.form[1][0]))
+        return tuple(self.form if j == 1 else exterior_integer_form(self.form, j)
+                     for j in range(n + 1))
 
     @cached_property
     def _averages(self) -> dict:
@@ -170,7 +170,7 @@ class HolonomyGroup(Record):
 
     def exterior_averages(self, indices=None) -> tuple:
         """averages[j] = (den, flat) with P_j = flat / den (row-major ints),
-        P_j = (1/#S) sum_{i in S} Lambda^j elements[i], for j = 0..dim and S
+        P_j = (1/#S) sum_{i in S} Lambda^j A_i, for j = 0..dim and S
         the elements at `indices` (all of them by default).  Summed from the
         integer forms in `exterior_powers`, once per group and index set."""
         key = tuple(range(self.order)) if indices is None else tuple(indices)
@@ -184,8 +184,9 @@ class HolonomyGroup(Record):
 
 
 def holonomy(entry: CatalogEntry) -> HolonomyGroup:
-    """Closure of the generators' differentials, with coset representatives
-    found by breadth-first products of the catalog generators.
+    """The closure of the generators' differentials, in integer form, with
+    coset representatives found by breadth-first products of the catalog
+    generators.
 
     The group is computed once per entry, on first use, and carried by it.
     `catalog_lookup` returns one shared, immutable entry per (id, parameter
@@ -227,11 +228,7 @@ def _close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
     table = tuple(tuple(index.get(product(a, b)) for b in flats) for a in flats)
     if any(x is None for row in table for x in row):
         raise CatalogError(f"holonomy of {entry_id} is not closed")
-    elements = tuple(
-        QMatrix([[Fraction(v, r) for v in flat[i * n:(i + 1) * n]] for i in range(n)])
-        for flat in flats
-    )
-    return HolonomyGroup(elements, table, tuple(index[f] for f in gen_flats), tuple(reps))
+    return HolonomyGroup((r, tuple(flats)), table, tuple(index[f] for f in gen_flats), tuple(reps))
 
 
 # ---------------------------------------------------------------------------

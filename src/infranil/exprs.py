@@ -44,7 +44,7 @@ _BINOPS = {
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
     ast.Mod: lambda a, b: a % b,
-    ast.Pow: None,  # handled separately (integer exponents only)
+    ast.Pow: lambda a, b: a ** int(b),  # integer exponents only, checked first
 }
 
 _CMPOPS = {
@@ -81,11 +81,9 @@ def _eval_node(node, env):
         op = type(node.op)
         a = _eval_node(node.left, env)
         b = _eval_node(node.right, env)
-        if op is ast.Pow:
-            if not (isinstance(b, Fraction) and b.denominator == 1):
-                raise ConstraintError("exponents must be integers")
-            return a ** int(b)
-        if op in _BINOPS and _BINOPS[op] is not None:
+        if op is ast.Pow and not (isinstance(b, Fraction) and b.denominator == 1):
+            raise ConstraintError("exponents must be integers")
+        if op in _BINOPS:
             try:
                 return _BINOPS[op](a, b)
             except ZeroDivisionError as exc:

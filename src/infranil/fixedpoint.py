@@ -41,7 +41,10 @@ det(A on V/W) = +1, W the modulus <= 1 subspace.  With m = dim V/W,
 where h is the minimal polynomial of mu, the product of the expanding
 eigenvalues, read off the spectrum's factors, and j < deg h the least that
 makes the denominator nonzero (`positive_part`): two integer dot products
-with the first C(n, m) terms of the j = m trace sequences.
+with the first C(n, m) terms of the j = m trace sequences.  A `PositivePart`
+holds the index, the signs and the indices of F_+ into the entry's holonomy
+group, which it does not carry; `positive_part` checks on that group's table
+that F_+ is closed.
 The parity relations tying N(f^k) to L(f^k) and L(f_+^k) are checked for a
 range of iterates.
 """
@@ -363,16 +366,13 @@ def _average(total: int, count: int, what: str) -> int:
 class PositivePart(NamedTuple):
     """The subgroup F_+ of holonomy elements A whose sign
     eps_A = det(A on V/W) is +1, W the modulus <= 1 subspace of D, together
-    with every element's sign (`positive_part` computes them)."""
+    with every element's sign (`positive_part` computes them).  Indices are
+    into the candidate's `entry.holonomy_group`, which the part does not
+    carry."""
 
     index: int
     det_signs: tuple      # +1/-1 per holonomy element
     plus_indices: tuple   # indices of the kernel F_+
-    group: HolonomyGroup
-
-    def plus_subgroup_closed(self) -> bool:
-        idx = set(self.plus_indices)
-        return all(self.group.table[i][j] in idx for i in idx for j in idx)
 
 
 def _root_product(f) -> tuple:
@@ -413,7 +413,7 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> Po
     group = holonomy(candidate.entry)
     m = ext.spectrum.dim_gt1
     if m == 0:
-        return PositivePart(1, (1,) * group.order, tuple(range(group.order)), group)
+        return PositivePart(1, (1,) * group.order, tuple(range(group.order)))
 
     # the traces are of E = q Lambda^m D, whose eigenvalue q mu is a / b
     # times a root of f (f = x - 1 unless a factor straddles the circle), so
@@ -461,10 +461,10 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> Po
     index = group.order // len(plus)
     if index not in (1, 2) or group.order % len(plus):
         raise InfranilError(f"positive part has index {group.order / len(plus)}")
-    part = PositivePart(index, tuple(signs), plus, group)
-    if not part.plus_subgroup_closed():
+    idx = set(plus)
+    if not all(group.table[i][j] in idx for i in plus for j in plus):
         raise InfranilError("positive part is not closed under multiplication")
-    return part
+    return PositivePart(index, tuple(signs), plus)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ homomorphism, so each generator is tested against every holonomy element
 independently.
 
 Most pairs (generator, holonomy element) fail already at the differential
-level, D A == B D.  That filter runs in integers on the cached integer form
-of the holonomy group (`HolonomyGroup.integer_elements`), with each product
-formed once per call.  Only for the pairs that pass it are the translation
-columns of the two sides formed, in Fractions, and the lattice witness run
-on them.  On Heisenberg entries each column is a matrix-vector product with
-the other side's translation column, so the witness path forms no 4x4
-product beyond the one in `psi_embed`; on abelian entries the columns are
-still sliced from full affine products.
+level, D A == B D.  That filter runs in integers on the holonomy group as
+the closure keeps it (`HolonomyGroup.form`), with each product formed once
+per call.  Only for the pairs that pass it are the translation columns of
+the two sides formed, in Fractions, and the lattice witness run on them.
+On Heisenberg entries each column is a matrix-vector product with the other
+side's translation column, so the witness path forms no 4x4 product beyond
+the one in `psi_embed`; on abelian entries the columns are still sliced from
+full affine products.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def validate_selfmap(candidate: MapCandidate):
     group = holonomy(entry)
     n = entry.dim
     _, (dflat,) = integer_form([candidate.dstar])
-    _, aflats = group.integer_elements
+    _, aflats = group.form
     b_d = [flat_product(b, dflat, n) for b in aflats]
     heis = entry.model == HEISENBERG
     cand = None
@@ -256,30 +256,18 @@ class Corpus(NamedTuple):
         return [f for f in self.families if f.manifold == manifold]
 
 
-def _packaged_corpus_path():
-    return resources.files("infranil.data").joinpath("families.json")
-
-
-def default_corpus_path():
-    override = os.environ.get("ZETA_CORPUS")
-    if override:
-        return override
-    return _packaged_corpus_path()
-
-
 def load_corpus(path=None) -> Corpus:
     """The family corpus at `path`, else at ZETA_CORPUS, else the packaged
     one.  The packaged corpus is parsed once per process and the same Corpus
     is returned on every call; an explicit path or ZETA_CORPUS is read anew
     each time."""
-    if not path and not os.environ.get("ZETA_CORPUS"):
-        return _packaged_corpus()
-    return _parse_corpus(path or default_corpus_path())
+    path = path or os.environ.get("ZETA_CORPUS")
+    return _parse_corpus(path) if path else _packaged_corpus()
 
 
 @cache
 def _packaged_corpus() -> Corpus:
-    return _parse_corpus(_packaged_corpus_path())
+    return _parse_corpus(resources.files("infranil.data").joinpath("families.json"))
 
 
 def _parse_corpus(src) -> Corpus:

@@ -153,7 +153,7 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
     `exterior_traces`.  Raises ConstraintError for kmax < 1."""
     dim = candidate.entry.dim
     ext, part, seqs = _candidate_sequences(candidate, kmax, max(sequence_length(dim), kmax))
-    ec, group = ext.spectrum, part.group
+    ec, group = ext.spectrum, candidate.entry.holonomy_group
     lef_seq, nie_seq, plus_seq = seqs
     lef = _checked_closed_form(ext, group.exterior_averages(), lef_seq, "L")
     lef_plus = None

@@ -16,7 +16,7 @@ from infranil.fixedpoint import GT1, INSIDE, LTM1, MINUS_ONE, ONE, PositivePart,
 from infranil.matrices import QMatrix, charpoly
 from infranil.numberfield import NumberField, field_det, field_kernel, field_solve_columns
 from infranil.polynomials import QPoly
-from oracles import kernel, solve_columns
+from oracles import group_elements, kernel, solve_columns
 from real_roots import isolate_real_roots
 
 
@@ -65,7 +65,7 @@ def _nf_column(field: NumberField, dstar: QMatrix):
     raise InfranilError("zero adjugate: defective eigenvalue in mixed factor")
 
 
-def _mixed_signs(dstar, group, ec, mixed, dets):
+def _mixed_signs(dstar, elements, ec, mixed, dets):
     """Determinant signs when one irreducible factor straddles the circle."""
     n = dstar.nrows
     # the spectrum keeps only the real roots' classes, in ascending order
@@ -103,7 +103,7 @@ def _mixed_signs(dstar, group, ec, mixed, dets):
     d = len(cols)
     bmat = [[cols[j][i] for j in range(d)] for i in range(n)]
     signs = []
-    for a, da in zip(group.elements, dets):
+    for a, da in zip(elements, dets):
         image = [
             [sum(field.elem(a[i, t]) * bmat[t][j] for t in range(n)) for j in range(d)]
             for i in range(n)
@@ -126,11 +126,12 @@ def ref_positive_part(candidate, ec) -> PositivePart:
     group = holonomy(candidate.entry)
     n = candidate.entry.dim
     if ec.dim_gt1 == 0:
-        return PositivePart(1, (1,) * group.order, tuple(range(group.order)), group)
+        return PositivePart(1, (1,) * group.order, tuple(range(group.order)))
     mixed = _mixed_factor(ec)
-    dets = [a.det() for a in group.elements]
+    elements = group_elements(group)
+    dets = [a.det() for a in elements]
     if mixed is not None:
-        signs_raw = _mixed_signs(candidate.dstar, group, ec, mixed, dets)
+        signs_raw = _mixed_signs(candidate.dstar, elements, ec, mixed, dets)
     else:
         g = _rational_le_block(ec)
         if g.degree == 0:
@@ -141,7 +142,7 @@ def ref_positive_part(candidate, ec) -> PositivePart:
                 raise InfranilError("kernel dimension mismatch in modulus split")
             vmat = QMatrix(list(zip(*basis)))
             signs_raw = []
-            for a, da in zip(group.elements, dets):
+            for a, da in zip(elements, dets):
                 m = solve_columns(vmat, a * vmat)
                 if m is None:
                     raise InfranilError("holonomy does not preserve the <= 1 block")
@@ -150,12 +151,12 @@ def ref_positive_part(candidate, ec) -> PositivePart:
         raise InfranilError(f"determinant signs {signs_raw} are not all +-1")
     signs = tuple(int(s) for s in signs_raw)
     plus = tuple(i for i, s in enumerate(signs) if s == 1)
-    return PositivePart(group.order // len(plus), signs, plus, group)
+    return PositivePart(group.order // len(plus), signs, plus)
 
 
 def _order_of(group, i: int) -> int:
     j, n = i, 1
-    while group.elements[j] != group.elements[0]:
+    while j != 0:  # index 0 is the identity
         j = group.table[j][i]
         n += 1
     return n
@@ -205,11 +206,12 @@ def anosov_fastpath(candidate) -> str:
     # expanding block carries the identity representation: every holonomy
     # element moves vectors only inside the <= 1 block
     gd = _poly_at_matrix(_rational_le_block(ec), candidate.dstar)
-    if all(gd * a == gd for a in group.elements):
+    elements = group_elements(group)
+    if all(gd * a == gd for a in elements):
         return "holds"
     if is_cyclic(group):
         for i in cyclic_generators(group):
-            if charpoly(group.elements[i])(Fraction(-1)) != 0:
+            if charpoly(elements[i])(Fraction(-1)) != 0:
                 return "holds"  # cyclic holonomy, generator without eigenvalue -1
     if not has_index_two_subgroup(group):
         return "holds"

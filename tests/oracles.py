@@ -11,14 +11,16 @@ trivial-holonomy Lefschetz zeta from the exterior powers of D.
 `flat_product`, `flat_det` and `exterior_form` are the integer kernels in
 their generic form, for any n, with none of the library's closed forms;
 `close_holonomy` closes a holonomy group by QMatrix products and a linear
-scan with Fraction equality.
+scan with Fraction equality.  `group_elements` reads a `HolonomyGroup`'s
+elements back as QMatrix, from its integer form.
 """
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 
-from infranil.catalog import ABELIAN, HolonomyGroup, holonomy, lattice_element
+from infranil.catalog import ABELIAN, holonomy, lattice_element
 from infranil.errors import CatalogError, InfranilError, InvalidCandidateError
 from infranil.fixedpoint import _average
 from infranil.matrices import (
@@ -61,10 +63,20 @@ def exterior_form(flat, n: int, j: int) -> tuple:
     )
 
 
-def close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
-    """The holonomy group of the generators, in the library's element order:
-    breadth first from the identity, left-multiplying by each generator's
-    holonomy part."""
+def group_elements(group) -> tuple:
+    """The elements of a HolonomyGroup as QMatrix: form = (r, flats) gives
+    A_i = flats[i] / r, row-major."""
+    r, flats = group.form
+    n = isqrt(len(flats[0]))
+    return tuple(QMatrix([[Fraction(v, r) for v in flat[i * n:(i + 1) * n]] for i in range(n)])
+                 for flat in flats)
+
+
+def close_holonomy(entry_id: str, generators: tuple) -> tuple:
+    """(elements, table, generator_indices, representatives) of the holonomy
+    group of the generators, the elements as QMatrix, in the library's
+    element order: breadth first from the identity, left-multiplying by each
+    generator's holonomy part."""
     first = generators[0]
     elements = [QMatrix.identity(first.dim)]
     reps = [lattice_element(first.model, first.dim, (0,) * first.dim, first.k)]
@@ -85,7 +97,7 @@ def close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
     table = tuple(tuple(find(a * b) for b in elements) for a in elements)
     if any(x is None for row in table for x in row):
         raise CatalogError(f"holonomy of {entry_id} is not closed")
-    return HolonomyGroup(tuple(elements), table, tuple(find(p) for p in gen_parts), tuple(reps))
+    return tuple(elements), table, tuple(find(p) for p in gen_parts), tuple(reps)
 
 
 def direct_row(candidate, k: int):
@@ -93,7 +105,8 @@ def direct_row(candidate, k: int):
     integer determinants."""
     n = candidate.entry.dim
     ident, power = QMatrix.identity(n), candidate.dstar.power(k)
-    q, flats = integer_form([ident - a * power for a in holonomy(candidate.entry).elements])
+    elements = group_elements(holonomy(candidate.entry))
+    q, flats = integer_form([ident - a * power for a in elements])
     return q ** n, tuple(flat_det(flat, n) for flat in flats)
 
 

@@ -16,9 +16,9 @@ from infranil.catalog import (
 )
 from infranil.errors import CatalogError, ConstraintError
 from infranil.exprs import in_domain
-from infranil.matrices import QMatrix
+from infranil.matrices import QMatrix, integer_form
 from modulus_split import has_index_two_subgroup, is_cyclic
-from oracles import close_holonomy, inverse, lattice_member
+from oracles import close_holonomy, group_elements, inverse, lattice_member
 
 F = Fraction
 
@@ -185,15 +185,16 @@ def test_holonomy_orders_match_catalog():
         group = holonomy(entry)
         assert group.order == entry.holonomy_order, entry_id
         # closed, contains identity, finite order elements
-        assert group.elements[0] == QMatrix.identity(entry.dim)
+        assert group_elements(group)[0] == QMatrix.identity(entry.dim)
         n = group.order
         assert all(0 <= group.table[i][j] < n for i in range(n) for j in range(n))
 
 
 def test_integer_closure_matches_fraction_closure():
     """Every catalog entry, Heisenberg types at their first three admissible
-    k: the same elements in the same order, table, generator indices and
-    coset representatives as the closure by QMatrix products."""
+    k: the integer form of the same elements in the same order, and the same
+    table, generator indices and coset representatives, as the closure by
+    QMatrix products."""
     count = 0
     for entry_id in catalog_ids():
         domains = dict(catalog_params(entry_id))
@@ -203,7 +204,11 @@ def test_integer_closure_matches_fraction_closure():
         else:
             entries = [catalog_lookup(entry_id)]
         for entry in entries:
-            assert holonomy(entry) == close_holonomy(entry.id, entry.generators), entry
+            elements, table, generator_indices, reps = close_holonomy(entry.id, entry.generators)
+            group = holonomy(entry)
+            assert group.form == integer_form(elements), entry
+            assert (group.table, group.generator_indices, group.representatives) == (
+                table, generator_indices, reps), entry
             count += 1
     assert count == 13 + 3 * 11
 
@@ -222,7 +227,7 @@ def test_closure_of_an_infinite_group_raises():
 def test_holonomy_structure():
     kb = holonomy(catalog_lookup("klein-bottle"))
     assert kb.order == 2
-    assert QMatrix([[1, 0], [0, -1]]) in kb.elements
+    assert QMatrix([[1, 0], [0, -1]]) in group_elements(kb)
     hw = holonomy(catalog_lookup("hantzsche-wendt"))
     assert hw.order == 4
     assert not is_cyclic(hw)  # Z2 + Z2
@@ -254,7 +259,7 @@ def test_lattice_member_examples():
 def test_coset_representatives():
     entry = catalog_lookup("hantzsche-wendt")
     group = holonomy(entry)
-    for elem, rep in zip(group.elements, group.representatives):
+    for elem, rep in zip(group_elements(group), group.representatives):
         assert rep.holonomy_part() == elem
 
 
@@ -318,7 +323,7 @@ def test_holonomy_of_hand_built_entry_matches_cached():
         assert hand_built == cached and hand_built is not cached
         group = holonomy(hand_built)
         assert group is not holonomy(cached)
-        assert group.elements == holonomy(cached).elements
+        assert group.form == holonomy(cached).form
         assert group.table == holonomy(cached).table
         assert holonomy(hand_built) is group
 
@@ -330,7 +335,7 @@ def test_exterior_powers_per_holonomy_element():
         group = holonomy(entry)
         assert group.exterior_powers is group.exterior_powers
         for j, (r, flats) in enumerate(group.exterior_powers):
-            for a, flat in zip(group.elements, flats):
+            for a, flat in zip(group_elements(group), flats):
                 assert all(type(v) is int for v in flat)
                 scaled = exterior_power(a, j) * r
                 assert flat == tuple(v for row in scaled.rows for v in row)
@@ -348,7 +353,8 @@ def test_exterior_averages_are_idempotent_on_every_group():
     seen = 0
     for entry in every_entry():
         group = holonomy(entry)
-        dets = [a.det() for a in group.elements]
+        elements = group_elements(group)
+        dets = [a.det() for a in elements]
         subsets = [None, tuple(i for i, d in enumerate(dets) if d == 1)]
         for indices in subsets:
             averages = group.exterior_averages(indices)
@@ -358,8 +364,8 @@ def test_exterior_averages_are_idempotent_on_every_group():
             for j, average in enumerate(averages):
                 p = averaged_matrix(average)
                 assert p * p == p, (entry.id, indices, j)
-                total = sum((exterior_power(group.elements[i], j) for i in members[1:]),
-                            exterior_power(group.elements[members[0]], j))
+                total = sum((exterior_power(elements[i], j) for i in members[1:]),
+                            exterior_power(elements[members[0]], j))
                 assert p * len(members) == total, (entry.id, indices, j)
                 seen += 1
     assert seen >= 2 * 24 * 3

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -12,6 +13,10 @@ from infranil.catalog import catalog_ids
 from infranil.cli import build_parser, main
 from infranil.exprs import parse_rational
 from infranil.selfmaps import load_corpus, sample_params
+
+
+def packaged_corpus():
+    return json.loads(resources.files("infranil.data").joinpath("families.json").read_text())
 
 
 def run(capsys, *argv):
@@ -147,9 +152,7 @@ def test_compute_kmax_bounds(capsys):
 
 def test_verify_tables_subset(tmp_path, capsys):
     # restrict the corpus to two manifolds to keep this test quick
-    import infranil.selfmaps as sm
-
-    full = json.load(open(sm.default_corpus_path()))
+    full = packaged_corpus()
     small = {
         "schema": full["schema"],
         "manifolds": [m for m in full["manifolds"] if m["manifold"] in ("circle", "klein-bottle")],
@@ -164,9 +167,7 @@ def test_verify_tables_subset(tmp_path, capsys):
 
 
 def test_verify_tables_detects_corruption(tmp_path, capsys):
-    import infranil.selfmaps as sm
-
-    full = json.load(open(sm.default_corpus_path()))
+    full = packaged_corpus()
     small = {
         "schema": full["schema"],
         "manifolds": [m for m in full["manifolds"] if m["manifold"] == "klein-bottle"],
@@ -199,9 +200,7 @@ def test_verify_tables_negative_samples(capsys):
 
 
 def test_corpus_env_override(tmp_path, capsys, monkeypatch):
-    import infranil.selfmaps as sm
-
-    full = json.load(open(sm.default_corpus_path()))
+    full = packaged_corpus()
     small = {"schema": full["schema"],
              "manifolds": [m for m in full["manifolds"] if m["manifold"] == "circle"]}
     path = tmp_path / "families.json"
@@ -215,9 +214,7 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
 def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
     """A corpus file of the wrong shape is a corpus error for every command
     that reads it: exit 4 and one `error:` line naming what is wrong."""
-    import infranil.selfmaps as sm
-
-    full = json.load(open(sm.default_corpus_path()))
+    full = packaged_corpus()
     circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
     no_params = json.loads(json.dumps(circle))
     del no_params["families"][0]["params"]
@@ -249,6 +246,25 @@ def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
             assert message in err, (what, argv, err)
 
 
+def test_zero_to_a_negative_power_in_a_constraint_exits_3(tmp_path, capsys):
+    """A corpus constraint that raises 0 to a negative power rejects the
+    parameters like a division by zero: exit 3 and one `error:` line, no
+    traceback."""
+    full = packaged_corpus()
+    circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
+    circle["families"][0]["constraints"] = ["d**-1 != 7"]
+    path = tmp_path / "families.json"
+    path.write_text(json.dumps({"schema": full["schema"], "manifolds": [circle]}))
+    code, out, err = run(capsys, "compute", "--corpus", str(path), "--manifold", "circle",
+                         "--family", "1", "--param", "d=0", "--param", "r=0")
+    assert (code, out) == (3, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "division by zero in expression" in err and "Traceback" not in err
+    code, _, err = run(capsys, "compute", "--corpus", str(path), "--manifold", "circle",
+                       "--family", "1", "--param", "d=2", "--param", "r=0")
+    assert code == 0, err
+
+
 def test_bad_param_syntax(capsys):
     code, _, err = run(capsys, "compute", "--manifold", "circle", "--param", "d:2")
     assert code == 3
@@ -257,9 +273,7 @@ def test_bad_param_syntax(capsys):
 def test_compute_invalid_map_exit_code(tmp_path, capsys):
     # a corpus whose constraints are too loose produces candidates that fail
     # the self-map equation: compute reports exit code 2
-    import infranil.selfmaps as sm
-
-    full = json.load(open(sm.default_corpus_path()))
+    full = packaged_corpus()
     small = {"schema": full["schema"],
              "manifolds": [m for m in full["manifolds"] if m["manifold"] == "klein-bottle"]}
     fam = small["manifolds"][0]["families"][0]

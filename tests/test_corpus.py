@@ -6,6 +6,7 @@ import ast
 import itertools
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ from infranil.fixedpoint import (
 from infranil.matrices import QMatrix
 from infranil.selfmaps import (
     MapCandidate,
-    default_corpus_path,
     family_instance,
     family_instantiate,
     load_corpus,
@@ -84,7 +84,8 @@ def test_generator_reproduces_the_packaged_corpus(tmp_path):
     out = tmp_path / "families.json"
     tool = Path(__file__).resolve().parents[1] / "tools" / "gen_corpus.py"
     subprocess.run([sys.executable, str(tool), str(out)], check=True, capture_output=True)
-    assert out.read_bytes() == Path(default_corpus_path()).read_bytes()
+    packaged = resources.files("infranil.data").joinpath("families.json")
+    assert out.read_bytes() == packaged.read_bytes()
 
 
 # Products that sample_params(spec, 5) misses, each with a parameter tuple

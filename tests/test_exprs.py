@@ -25,3 +25,16 @@ def test_cached_expression_reads_each_environment():
     with pytest.raises(ConstraintError, match="unknown name"):
         eval_rational(text, {"a": Fraction(1)})
     assert eval_rational(text, {"a": Fraction(1), "b": Fraction(1)}) == Fraction(1, 2)
+
+
+def test_zero_to_a_negative_power_is_a_division_by_zero():
+    """`/`, `%` and a negative power of zero all divide by zero: each is a
+    ConstraintError, not a ZeroDivisionError."""
+    env = {"d": Fraction(0)}
+    for text in ("1 / d", "1 % d", "d ** -1", "(d - 0) ** (-2) + 1"):
+        with pytest.raises(ConstraintError, match="^division by zero in expression$"):
+            eval_rational(text, env)
+        with pytest.raises(ConstraintError, match="^division by zero in expression$"):
+            eval_bool(f"{text} != 7", env)
+    assert eval_rational("d ** -1", {"d": Fraction(2, 3)}) == Fraction(3, 2)
+    assert eval_rational("d ** 0", env) == 1

@@ -31,6 +31,36 @@ def test_removed_fixedpoint_entry_points_stay_gone():
         assert not hasattr(infranil, name) and not hasattr(module, name)
 
 
+def test_removed_holonomy_copies_stay_gone():
+    """The holonomy group is held once, in the integer form its readers use,
+    by its catalog entry: no QMatrix copy of its elements, no integer form
+    recomputed from them, and no copy inside the positive part.  The corpus
+    path is resolved by `load_corpus` alone.  No src/ module defines the
+    removed names."""
+    import ast
+    from pathlib import Path
+
+    from infranil.catalog import HolonomyGroup, catalog_lookup
+    from infranil.fixedpoint import PositivePart
+
+    group = catalog_lookup("klein-bottle").holonomy_group
+    assert HolonomyGroup._fields == ("form", "table", "generator_indices", "representatives")
+    assert PositivePart._fields == ("index", "det_signs", "plus_indices")
+    for owner, name in [(group, "elements"), (group, "integer_elements"),
+                        (PositivePart, "group"), (PositivePart, "plus_subgroup_closed"),
+                        (infranil.selfmaps, "default_corpus_path")]:
+        assert not hasattr(owner, name), name
+        assert name not in infranil.__all__
+    removed = {"elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path"}
+    defined = [
+        (path.name, node.name)
+        for path in sorted(Path(infranil.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in removed
+    ]
+    assert defined == []
+
+
 def test_numberfield_loads_on_first_use():
     """`import infranil` leaves `numberfield` unloaded (no engine module
     needs it); the package's lazy re-export loads it on the first read."""

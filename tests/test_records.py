@@ -2,8 +2,10 @@
 dataclasses.  Each keeps the dataclass behaviour that callers see: its
 fields are read-only, equal values compare and hash equal, and its repr is
 the dataclass-era text (the expected strings below were printed by the
-dataclass versions).  `copy`, `deepcopy` and `pickle` round-trip them, as
-they did the dataclasses."""
+dataclass versions), except for HolonomyGroup and PositivePart, whose
+fields changed since: the group holds its elements in integer form, and the
+positive part no longer holds the group.  `copy`, `deepcopy` and `pickle`
+round-trip them, as they did the dataclasses."""
 
 import copy
 import pickle
@@ -34,8 +36,7 @@ def _entry():
 
 def _group():
     flip = AffineElement("abelian", 1, QMatrix([[-1, Fraction(1, 2)], [0, 1]]))
-    return HolonomyGroup((QMatrix([[1]]), QMatrix([[-1]])), ((0, 1), (1, 0)), (1,),
-                         (_affine(0), flip))
+    return HolonomyGroup((1, ((1,), (-1,))), ((0, 1), (1, 0)), (1,), (_affine(0), flip))
 
 
 def _spec():
@@ -47,7 +48,7 @@ _AFFINE_0 = "AffineElement(model='abelian', dim=1, matrix=[1, 0]\n[0, 1], k=None
 _AFFINE_1 = "AffineElement(model='abelian', dim=1, matrix=[1, 1]\n[0, 1], k=None)"
 _ENTRY = (f"CatalogEntry(id='toy', dim=1, model='abelian', generators=({_AFFINE_1},), "
           "holonomy_order=1, params=mappingproxy({'k': Fraction(2, 1)}), notes='')")
-_GROUP = ("HolonomyGroup(elements=([1], [-1]), table=((0, 1), (1, 0)), generator_indices=(1,), "
+_GROUP = ("HolonomyGroup(form=(1, ((1,), (-1,))), table=((0, 1), (1, 0)), generator_indices=(1,), "
           f"representatives=({_AFFINE_0}, AffineElement(model='abelian', dim=1, "
           "matrix=[-1, 1/2]\n[0, 1], k=None)))")
 _SPEC = ("FamilySpec(manifold='circle', index=1, desc='toy', params=(('a', 'int'),), "
@@ -84,9 +85,8 @@ CASES = {
     "ExteriorData": (lambda: exterior_data(QMatrix([[2, 1], [1, 1]])), True,
                      "ExteriorData(forms=((1, (1,)), (1, (2, 1, 1, 1)), (1, (1,))), "
                      f"det_polys=(1 - z, 1 - 3*z + z^2, 1 - z), spectrum={_SPECTRUM})"),
-    "PositivePart": (lambda: PositivePart(2, (1, -1), (0,), _group()), True,
-                     "PositivePart(index=2, det_signs=(1, -1), plus_indices=(0,), "
-                     f"group={_GROUP})"),
+    "PositivePart": (lambda: PositivePart(2, (1, -1), (0,)), True,
+                     "PositivePart(index=2, det_signs=(1, -1), plus_indices=(0,))"),
 }
 
 # A CatalogEntry's `params` is a read-only mappingproxy, which deepcopy and

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -11,13 +12,13 @@ from infranil.selfmaps import (
     MapCandidate,
     PhiAssignment,
     _lattice_witness,
-    default_corpus_path,
     family_instantiate,
     heis_endo_check,
     load_corpus,
     sample_params,
     validate_selfmap,
 )
+from oracles import close_holonomy, group_elements
 
 F = Fraction
 
@@ -82,7 +83,7 @@ def test_identity_is_always_valid():
         # identity map: phi is the identity morphism, so every generator maps
         # to its own holonomy class
         for gi, hi, _ in phi.entries:
-            assert group.elements[hi] == entry.generators[gi].holonomy_part()
+            assert group_elements(group)[hi] == entry.generators[gi].holonomy_part()
 
 
 def test_heis_endo_check():
@@ -227,14 +228,15 @@ def reference_validate(candidate, group):
     entry = candidate.entry
     cand = candidate.embedded().matrix
     dstar = candidate.dstar
+    elements = group_elements(group)
     b_d, ys = {}, {}
     found = []
     order = sorted(range(len(entry.generators)), key=lambda g: group.generator_indices[g] == 0)
     for gi in order:
         gen = entry.generators[gi]
-        d_a = dstar * group.elements[group.generator_indices[gi]]
+        d_a = dstar * elements[group.generator_indices[gi]]
         x = hit = None
-        for hi, (bstar, rep) in enumerate(zip(group.elements, group.representatives)):
+        for hi, (bstar, rep) in enumerate(zip(elements, group.representatives)):
             if hi not in b_d:
                 b_d[hi] = bstar * dstar
             if b_d[hi] != d_a:
@@ -359,7 +361,7 @@ def test_witness_returns_the_lattice_coordinates_it_was_built_from():
         )
         cand = candidate.embedded()
         _, (dflat,) = integer_form([candidate.dstar])
-        r, aflats = group.integer_elements
+        r, aflats = group.form
         for hi, rep in enumerate(group.representatives):
             assert flat_product(dflat, aflats[hi], n) == flat_product(aflats[hi], dflat, n)
             y = rep * cand
@@ -451,7 +453,7 @@ def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
     cand = MapCandidate(entry, (0, 0, 0), QMatrix([[1, 1, 0], [0, 2, 1], [0, 1, 1]]))
     rotation = entry.generators[-1].holonomy_part()
     assert rotation != QMatrix.identity(3)
-    assert all(cand.dstar * rotation != b * cand.dstar for b in group.elements)
+    assert all(cand.dstar * rotation != b * cand.dstar for b in group_elements(group))
     calls = []
 
     def counting_witness(*args):
@@ -466,16 +468,16 @@ def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
     assert len(calls) == 3
 
 
-def test_holonomy_integer_elements_match_generators():
-    # the filter reads generator gi's holonomy part as
-    # elements[generator_indices[gi]] and the elements in integer form
+def test_holonomy_form_matches_reference_closure():
+    # the filter reads the elements as the closure keeps them, group.form,
+    # and generator gi's holonomy part at generator_indices[gi]
     for entry in smallest_entries():
         group = holonomy(entry)
+        elements = close_holonomy(entry.id, entry.generators)[0]
+        assert group.form == integer_form(elements), entry.id
         for gi, gen in enumerate(entry.generators):
-            assert group.elements[group.generator_indices[gi]] == gen.holonomy_part()
-        assert group.integer_elements is group.integer_elements
-        assert group.integer_elements == integer_form(group.elements)
-        assert group.exterior_powers[1] == group.integer_elements
+            assert elements[group.generator_indices[gi]] == gen.holonomy_part()
+        assert group.exterior_powers[1] is group.form
 
 
 def test_packaged_corpus_parsed_once(tmp_path, monkeypatch):
@@ -483,7 +485,7 @@ def test_packaged_corpus_parsed_once(tmp_path, monkeypatch):
     default = load_corpus()
     assert load_corpus() is default
     path = tmp_path / "families.json"
-    path.write_text(default_corpus_path().read_text())
+    path.write_text(resources.files("infranil.data").joinpath("families.json").read_text())
     first = load_corpus(str(path))
     assert first is not default and first == default
     assert load_corpus(str(path)) is not first

@@ -467,7 +467,7 @@ def reconstruction_inputs(cand):
     dim = cand.entry.dim
     ext = exterior_data(cand.dstar)
     part = positive_part(cand, ext)
-    table = det_table(ext, part.group, sequence_length(dim))
+    table = det_table(ext, cand.entry.holonomy_group, sequence_length(dim))
     lef, nie, plus = _number_sequences(table, part)
     seqs = [nie, lef] + ([plus] if part.index == 2 else [])
     hints = candidate_factor_hints(ext)

@@ -308,7 +308,7 @@ def lefschetz_reconstructions(cand):
     dim = cand.entry.dim
     ext = exterior_data(cand.dstar)
     part = positive_part(cand, ext)
-    table = det_table(ext, part.group, sequence_length(dim))
+    table = det_table(ext, cand.entry.holonomy_group, sequence_length(dim))
     hints = candidate_factor_hints(ext)
     lef_seq, _, plus = _number_sequences(table, part)
     lef = zeta_from_sequence(lef_seq, recurrence_bound(dim), hints)

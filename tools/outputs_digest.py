@@ -17,11 +17,13 @@ next to this file).  It prints seven lines, `<sha256>  <what>`:
             `corpus` benchmark, `verify-tables` and most tests draw;
   screen    the `repr` of `validate_selfmap` on every `screen` benchmark
             instance of seeds 1 and 2;
-  records   the `repr` of `eigen_classify(D)` and of
-            `positive_part(candidate, exterior_data(D))` on every `corpus`
-            and `random-maps` benchmark candidate of seeds 1 and 2: the
-            package's records as they print, nested ones (FactorRoots,
-            HolonomyGroup, AffineElement, QMatrix) included;
+  records   the `repr` of `eigen_classify(D)`, of
+            `positive_part(candidate, exterior_data(D))` and of the
+            candidate's `entry.holonomy_group`, whose indices the positive
+            part reads, on every `corpus` and `random-maps` benchmark
+            candidate of seeds 1 and 2: the package's records as they
+            print, nested ones (FactorRoots, AffineElement, QMatrix)
+            included;
   validate  the `repr` of `validate_selfmap` on every `corpus` and
             `random-maps` benchmark candidate of seeds 1 and 2, all of them
             accepts: their lattice coordinates, which `screen`, mostly
@@ -101,7 +103,7 @@ def records_digest() -> str:
         for cand in candidates + workloads.random_maps_instances(seed):
             spectrum = fixedpoint.eigen_classify(cand.dstar)
             part = fixedpoint.positive_part(cand, fixedpoint.exterior_data(cand.dstar))
-            h.update(f"{spectrum!r}\n{part!r}\n".encode())
+            h.update(f"{spectrum!r}\n{part!r}\n{cand.entry.holonomy_group!r}\n".encode())
     return h.hexdigest()
 
 
