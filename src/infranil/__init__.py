@@ -10,7 +10,6 @@ these names, or of `infranil.numberfield`, imports the module.
 import importlib
 
 from .catalog import (
-    AffineElement,
     CatalogEntry,
     HolonomyGroup,
     catalog_ids,
@@ -67,7 +66,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AffineElement", "CatalogEntry", "HolonomyGroup", "catalog_ids",
+    "CatalogEntry", "HolonomyGroup", "catalog_ids",
     "catalog_lookup", "holonomy", "psi_embed",
     "CatalogError", "ConstraintError", "CorpusError", "InfranilError",
     "InvalidCandidateError", "ReconstructionError", "RouteMismatchError",

@@ -14,7 +14,11 @@ where h(x,y,z) are exponential coordinates of the integer lattice generated
 by a = h(1,0,0), b = h(0,1,0), c = h(0,0,1) (so [b,a] = c^k), and phi* is the
 differential of the automorphism part in the basis {log c, log a, log b}.
 Both embeddings turn the self-map equation into exact 4x4 (resp. (n+1)x(n+1))
-matrix algebra over Q.
+matrix algebra over Q, so a group element is its embedded `QMatrix`: an
+entry's `generators` are those matrices, and everything model-specific
+(`model`, `dim`, `k`) is read from the entry.  The entry also keeps each
+generator's linear part as the catalog states it (`rotation`, resp. phi*),
+which is all the holonomy closure reads.
 
 `holonomy` returns an entry's `HolonomyGroup`, closed once per entry on
 integer forms and kept in that form: the averaging formula reads the
@@ -30,7 +34,6 @@ from fractions import Fraction
 from importlib import resources
 from math import isqrt
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import CatalogError, ConstraintError
 from .exprs import eval_rational, in_domain, parse_rational
@@ -67,65 +70,19 @@ def psi_embed(x, y, z, phi_star: QMatrix, k) -> QMatrix:
     return QMatrix(rows)
 
 
-class AffineElement(NamedTuple):
-    """An element of (an embedding of) aff(G), tagged with its model."""
-
-    model: str
-    dim: int
-    matrix: QMatrix
-    k: Fraction | None = None
-
-    def __mul__(self, other: "AffineElement") -> "AffineElement":
-        if self.model != other.model or self.dim != other.dim or self.k != other.k:
-            raise CatalogError("cannot multiply elements of different models")
-        return AffineElement(self.model, self.dim, self.matrix * other.matrix, self.k)
-
-    def rotation_block(self) -> QMatrix:
-        """Upper-left block of the affine matrix (not the holonomy part in the
-        Heisenberg model, where a unipotent twist sits in front)."""
-        n = self.matrix.nrows - 1
-        return self.matrix.submatrix(range(n), range(n))
-
-    def translation(self):
-        n = self.matrix.nrows - 1
-        return tuple(self.matrix[i, n] for i in range(n))
-
-    def holonomy_part(self) -> QMatrix:
-        """Differential of the automorphism part: the rotation block in the
-        abelian model; the unipotent-corrected block in the Heisenberg one."""
-        if self.model == ABELIAN:
-            return self.rotation_block()
-        x, y = self.matrix[1, 3], self.matrix[2, 3]
-        return _unipotent(-x, -y, self.k) * self.rotation_block()
-
-    def h_coords(self):
-        """Exponential coordinates (x, y, z) of the translation part in the
-        Heisenberg model."""
-        if self.model != HEISENBERG:
-            raise CatalogError("h_coords only applies to the Heisenberg model")
-        x, y = self.matrix[1, 3], self.matrix[2, 3]
-        z = self.matrix[0, 3] + self.k * x * y / 2
-        return (x, y, z)
-
-
-def lattice_element(model: str, dim: int, coords, k=None) -> AffineElement:
-    """The embedded pure-lattice element with the given integer coordinates."""
-    if model == ABELIAN:
-        return AffineElement(model, dim, abelian_embed(QMatrix.identity(dim), coords))
-    x, y, z = coords
-    return AffineElement(model, dim, psi_embed(x, y, z, QMatrix.identity(3), k), Fraction(k))
-
-
 class CatalogEntry(Record):
-    """A group presentation: generators as embedded affine elements.  Every
-    field is read-only (`params` too, a MappingProxyType), so one entry can
-    serve every caller."""
+    """A group presentation: `generators` are the embedded (n+1)x(n+1)
+    matrices, and `linear_parts` the generators' linear parts as the catalog
+    states them (`rotation`, resp. `phi*`), in the same order.  Every field
+    is read-only (`params` too, a MappingProxyType), so one entry can serve
+    every caller."""
 
-    _fields = ("id", "dim", "model", "generators", "holonomy_order", "params", "notes")
+    _fields = ("id", "dim", "model", "generators", "linear_parts", "holonomy_order",
+               "params", "notes")
 
-    def __init__(self, id: str, dim: int, model: str, generators: tuple,
+    def __init__(self, id: str, dim: int, model: str, generators: tuple, linear_parts: tuple,
                  holonomy_order: int, params, notes: str = ""):
-        self._set_fields(id, dim, model, generators, holonomy_order,
+        self._set_fields(id, dim, model, generators, linear_parts, holonomy_order,
                          MappingProxyType(dict(params)), notes)
 
     @property
@@ -134,7 +91,7 @@ class CatalogEntry(Record):
 
     @cached_property
     def holonomy_group(self) -> "HolonomyGroup":
-        return _close_holonomy(self.id, self.generators)
+        return _close_holonomy(self.id, self.generators, self.linear_parts)
 
 
 class HolonomyGroup(Record):
@@ -142,8 +99,8 @@ class HolonomyGroup(Record):
     form = (r, flats), flats[i] = r * A_i row-major as ints (index 0 = the
     identity, r the least common denominator), the multiplication table
     (table[i][j] = index of A_i A_j), the generators' element indices, and
-    one embedded coset representative per element (an AffineElement with
-    holonomy_part == A_i)."""
+    one embedded coset representative per element (a product of generators
+    whose linear part is A_i, as a QMatrix)."""
 
     _fields = ("form", "table", "generator_indices", "representatives")
 
@@ -194,15 +151,14 @@ def holonomy(entry: CatalogEntry) -> HolonomyGroup:
     return entry.holonomy_group
 
 
-def _close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
+def _close_holonomy(entry_id: str, generators: tuple, linear_parts: tuple) -> HolonomyGroup:
     """Breadth-first closure on integer forms: with r the common denominator
-    of the generators' holonomy parts, every element is kept as r times
+    of the generators' linear parts, every element is kept as r times
     itself, row-major, and found by a dict lookup.  r * (a b) is
     flat_product(r a, r b) / r, exact because every element's denominator
     divides r (the closure checks it)."""
-    first = generators[0]
-    n = first.dim
-    r, gen_flats = integer_form([g.holonomy_part() for g in generators])
+    n = linear_parts[0].nrows
+    r, gen_flats = integer_form(linear_parts)
 
     def product(a, b):
         p = flat_product(a, b, n)
@@ -212,7 +168,7 @@ def _close_holonomy(entry_id: str, generators: tuple) -> HolonomyGroup:
 
     flats = [tuple(r * (i == j) for i in range(n) for j in range(n))]
     index = {flats[0]: 0}
-    reps = [lattice_element(first.model, n, (0,) * n, first.k)]
+    reps = [QMatrix.identity(n + 1)]
     frontier = [0]
     while frontier:
         i = frontier.pop(0)
@@ -283,23 +239,24 @@ def _catalog_entry(entry_id: str, resolved: tuple) -> CatalogEntry:
     env = dict(resolved)
     model = raw["model"]
     dim = raw["dim"]
-    gens = []
+    gens, parts = [], []
     for g in raw["generators"]:
         if model == ABELIAN:
             rot = QMatrix([[eval_rational(v, env) for v in row] for row in g["rotation"]])
             trans = [eval_rational(v, env) for v in g["translation"]]
-            gens.append(AffineElement(model, dim, abelian_embed(rot, trans)))
+            gens.append(abelian_embed(rot, trans))
+            parts.append(rot)
         else:
             phi = QMatrix([[eval_rational(v, env) for v in row] for row in g["phi"]])
             x, y, z = (eval_rational(v, env) for v in g["h"])
-            gens.append(
-                AffineElement(model, dim, psi_embed(x, y, z, phi, env["k"]), env["k"])
-            )
+            gens.append(psi_embed(x, y, z, phi, env["k"]))
+            parts.append(phi)
     return CatalogEntry(
         id=entry_id,
         dim=dim,
         model=model,
         generators=tuple(gens),
+        linear_parts=tuple(parts),
         holonomy_order=raw["holonomy_order"],
         params=env,
         notes=raw.get("notes", ""),

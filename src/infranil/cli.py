@@ -111,7 +111,10 @@ def cmd_compute(args) -> int:
         if "=" not in item:
             raise ConstraintError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
-        params[name.strip()] = parse_rational(value)
+        name = name.strip()
+        if name in params:
+            raise ConstraintError(f"--param {name} given more than once")
+        params[name] = parse_rational(value)
     corpus = load_corpus(args.corpus)
     spec = _pick_family(corpus, args.manifold, args.family, params)
     full = _with_defaults(spec, params)

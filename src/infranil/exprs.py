@@ -17,11 +17,23 @@ from functools import lru_cache, partial
 from .errors import ConstraintError, CorpusError
 
 
+# A few characters must not build an arbitrarily large number: `a ** b`
+# takes |b| up to MAX_EXPONENT, and a result of at most MAX_POWER_BITS bits
+# in numerator and denominator, which also stops nested powers such as
+# (((2 ** 64) ** 64) ** 64) ** 64.
+MAX_EXPONENT = 64
+MAX_POWER_BITS = 1 << 20
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "3", "-7/4", "1/2" (or pass through ints/Fractions) exactly."""
+    """Parse "3", "-7/4", "1/2", "0.5" (or pass through ints/Fractions)
+    exactly.  Exponent notation is refused: "1e999999999" would build a
+    number of a billion digits."""
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     text = text.strip()
+    if "e" in text or "E" in text:
+        raise ConstraintError(f"not an exact rational (no exponent notation): {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -44,7 +56,7 @@ _BINOPS = {
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
     ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** int(b),  # integer exponents only, checked first
+    ast.Pow: lambda a, b: a ** int(b),  # integer exponents in bounds, checked first
 }
 
 _CMPOPS = {
@@ -81,8 +93,13 @@ def _eval_node(node, env):
         op = type(node.op)
         a = _eval_node(node.left, env)
         b = _eval_node(node.right, env)
-        if op is ast.Pow and not (isinstance(b, Fraction) and b.denominator == 1):
-            raise ConstraintError("exponents must be integers")
+        if op is ast.Pow:
+            if not (isinstance(b, Fraction) and b.denominator == 1):
+                raise ConstraintError("exponents must be integers")
+            if abs(b) > MAX_EXPONENT:
+                raise ConstraintError(f"exponent {b} exceeds {MAX_EXPONENT} in absolute value")
+            if abs(b) * max(a.numerator.bit_length(), a.denominator.bit_length()) > MAX_POWER_BITS:
+                raise ConstraintError(f"power exceeds {MAX_POWER_BITS} bits")
         if op in _BINOPS:
             try:
                 return _BINOPS[op](a, b)

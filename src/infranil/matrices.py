@@ -114,9 +114,6 @@ class QMatrix(Record):
             k >>= 1
         return out
 
-    def submatrix(self, row_idx, col_idx) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
     def det(self) -> Fraction:
         if not self.is_square():
             raise InfranilError("determinant of a non-square matrix")

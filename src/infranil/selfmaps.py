@@ -7,14 +7,16 @@ every generator (alpha, A) of the group there is some group element
 
     (d, D)(alpha, A) = (beta, B)(d, D).
 
-Writing X and Y for the embedded sides with (beta, B) split into a lattice
-part times a coset representative, the condition becomes "X equals
-(lattice element) * Y", which is decided exactly: once the linear parts
-agree, the identity holds exactly when the translation columns do, so the
-unique lattice coordinates are solved from those columns and checked for
-integrality (`_lattice_witness`).  The assignment need not be a
-homomorphism, so each generator is tested against every holonomy element
-independently.
+Every group element, the candidate's own included (`MapCandidate.embedded`),
+is its embedded QMatrix (`catalog`), and every translation column is read
+from one by `_translation_column`.  Writing X and Y for the embedded sides
+with (beta, B) split into a lattice part times a coset representative, the
+condition becomes "X equals (lattice element) * Y", which is decided
+exactly: once the linear parts agree, the identity holds exactly when the
+translation columns do, so the unique lattice coordinates are solved from
+those columns and checked for integrality (`_lattice_witness`).  The
+assignment need not be a homomorphism, so each generator is tested against
+every holonomy element independently.
 
 Most pairs (generator, holonomy element) fail already at the differential
 level, D A == B D.  That filter runs in integers on the holonomy group as
@@ -40,7 +42,6 @@ from typing import NamedTuple
 from .catalog import (
     ABELIAN,
     HEISENBERG,
-    AffineElement,
     CatalogEntry,
     abelian_embed,
     catalog_lookup,
@@ -89,24 +90,30 @@ class MapCandidate(Record):
             )
         self._set_fields(entry, translation, dstar)
 
-    def embedded(self) -> AffineElement:
+    def embedded(self) -> QMatrix:
         if self.entry.model == ABELIAN:
-            mat = abelian_embed(self.dstar, self.translation)
-        else:
-            r, s, t = self.translation
-            mat = psi_embed(r, s, t, self.dstar, self.entry.k)
-        return AffineElement(self.entry.model, self.entry.dim, mat, self.entry.k)
+            return abelian_embed(self.dstar, self.translation)
+        r, s, t = self.translation
+        return psi_embed(r, s, t, self.dstar, self.entry.k)
 
     def iterate(self, k: int) -> "MapCandidate":
-        """The candidate for the k-th iterate (embedded power decomposed back
-        into translation and linear data)."""
+        """The candidate for the k-th iterate: linear part D^k, translation
+        decoded from the embedded power's translation column t (abelian: t
+        itself; Heisenberg: the h-coordinates (x, y, t0 + k' x y / 2) with
+        (x, y) = (t1, t2) and k' the entry's lattice parameter)."""
         if k < 1:
             raise InvalidCandidateError("iterate needs k >= 1")
-        power = self.embedded().matrix.power(k)
-        elem = AffineElement(self.entry.model, self.entry.dim, power, self.entry.k)
-        if self.entry.model == ABELIAN:
-            return MapCandidate(self.entry, elem.translation(), elem.rotation_block())
-        return MapCandidate(self.entry, elem.h_coords(), elem.holonomy_part())
+        t = _translation_column(self.embedded().power(k))
+        if self.entry.model == HEISENBERG:
+            x, y = t[1], t[2]
+            t = (x, y, t[0] + self.entry.k * x * y / 2)
+        return MapCandidate(self.entry, t, self.dstar.power(k))
+
+
+def _translation_column(mat: QMatrix) -> tuple:
+    """The first n entries of the last column of an (n+1)x(n+1) embedded
+    matrix."""
+    return tuple(row[-1] for row in mat.rows[:-1])
 
 
 def _lattice_witness(entry: CatalogEntry, tx: tuple, ty: tuple):
@@ -199,15 +206,15 @@ def validate_selfmap(candidate: MapCandidate):
             if x is None:
                 if cand is None:
                     cand = candidate.embedded()
-                    ys[0] = cand.translation()
+                    ys[0] = _translation_column(cand)
                 if heis:
-                    x = _product_column(cand.matrix, gen.translation())
+                    x = _product_column(cand, _translation_column(gen))
                 else:
-                    x = (cand * gen).translation()
+                    x = _translation_column(cand * gen)
             y = ys.get(hi)
             if y is None:
                 rep = group.representatives[hi]
-                y = ys[hi] = _product_column(rep.matrix, ys[0]) if heis else (rep * cand).translation()
+                y = ys[hi] = _product_column(rep, ys[0]) if heis else _translation_column(rep * cand)
             w = _lattice_witness(entry, x, y)
             if w is not None:
                 hit = (gi, hi, w)

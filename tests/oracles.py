@@ -5,13 +5,16 @@ direct routes the engine does not take.
 binary powering and one determinant per element; `lefschetz_number` and
 `nielsen_number` average its row.  `exterior_closed_form` is the
 trivial-holonomy Lefschetz zeta from the exterior powers of D.
-`lattice_member` reads lattice membership off the embedded matrix.
+`holonomy_part`, `h_coords`, `lattice_element` and `lattice_member` decode
+an entry's embedded matrices by model, as group elements once did
+themselves; `decoded_iterate` decodes a candidate's embedded power that way.
 `kernel`, `solve_columns` and `inverse` are plain row reduction
 (`matrices.kernel_rows` and `matrices.solve_rows`) on a QMatrix.
 `flat_product`, `flat_det` and `exterior_form` are the integer kernels in
 their generic form, for any n, with none of the library's closed forms;
 `close_holonomy` closes a holonomy group by QMatrix products and a linear
-scan with Fraction equality.  `group_elements` reads a `HolonomyGroup`'s
+scan with Fraction equality, reading each generator's linear part back
+from its embedded matrix.  `group_elements` reads a `HolonomyGroup`'s
 elements back as QMatrix, from its integer form.
 """
 
@@ -20,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from infranil.catalog import ABELIAN, holonomy, lattice_element
+from infranil.catalog import ABELIAN, abelian_embed, holonomy, psi_embed
 from infranil.errors import CatalogError, InfranilError, InvalidCandidateError
 from infranil.fixedpoint import _average
 from infranil.matrices import (
@@ -31,6 +34,7 @@ from infranil.matrices import (
     kernel_rows,
     solve_rows,
 )
+from infranil.selfmaps import MapCandidate, _translation_column
 from infranil.series import RatFuncProduct
 
 
@@ -72,15 +76,64 @@ def group_elements(group) -> tuple:
                  for flat in flats)
 
 
-def close_holonomy(entry_id: str, generators: tuple) -> tuple:
+def holonomy_part(entry, matrix) -> QMatrix:
+    """The linear part of an element of the entry's group, from its embedded
+    matrix: the rotation block in the abelian model; in the Heisenberg one,
+    the block with the unipotent twist that psi puts in front of phi*
+    undone."""
+    n = entry.dim
+    block = QMatrix([row[:n] for row in matrix.rows[:n]])
+    if entry.model == ABELIAN:
+        return block
+    x, y, k = matrix[1, 3], matrix[2, 3], entry.k
+    return QMatrix([[1, -k * y / 2, k * x / 2], [0, 1, 0], [0, 0, 1]]) * block
+
+
+def h_coords(entry, matrix) -> tuple:
+    """Exponential coordinates (x, y, z) of the nilpotent part of an embedded
+    element of a Heisenberg entry."""
+    x, y = matrix[1, 3], matrix[2, 3]
+    return (x, y, matrix[0, 3] + entry.k * x * y / 2)
+
+
+def lattice_element(entry, coords) -> QMatrix:
+    """The embedded pure-lattice element of the entry with the given
+    coordinates."""
+    if entry.model == ABELIAN:
+        return abelian_embed(QMatrix.identity(entry.dim), coords)
+    x, y, z = coords
+    return psi_embed(x, y, z, QMatrix.identity(3), entry.k)
+
+
+def lattice_member(entry, matrix) -> bool:
+    """Is this embedded element a pure translation by a lattice element?
+    Abelian: identity rotation and integral translation.  Heisenberg:
+    identity automorphism part and integral h-coordinates."""
+    if holonomy_part(entry, matrix) != QMatrix.identity(entry.dim):
+        return False
+    abelian = entry.model == ABELIAN
+    coords = _translation_column(matrix) if abelian else h_coords(entry, matrix)
+    return all(v.denominator == 1 for v in coords)
+
+
+def decoded_iterate(candidate, k: int) -> MapCandidate:
+    """The candidate of the k-th iterate, decoded from the embedded power
+    alone: translation column (abelian) or h-coordinates (Heisenberg), and
+    the holonomy part."""
+    entry = candidate.entry
+    power = candidate.embedded().power(k)
+    coords = _translation_column(power) if entry.model == ABELIAN else h_coords(entry, power)
+    return MapCandidate(entry, coords, holonomy_part(entry, power))
+
+
+def close_holonomy(entry) -> tuple:
     """(elements, table, generator_indices, representatives) of the holonomy
-    group of the generators, the elements as QMatrix, in the library's
-    element order: breadth first from the identity, left-multiplying by each
-    generator's holonomy part."""
-    first = generators[0]
-    elements = [QMatrix.identity(first.dim)]
-    reps = [lattice_element(first.model, first.dim, (0,) * first.dim, first.k)]
-    gen_parts = [g.holonomy_part() for g in generators]
+    group of the entry's generators, the elements as QMatrix, in the
+    library's element order: breadth first from the identity,
+    left-multiplying by each generator's holonomy part."""
+    elements = [QMatrix.identity(entry.dim)]
+    reps = [QMatrix.identity(entry.dim + 1)]
+    gen_parts = [holonomy_part(entry, g) for g in entry.generators]
 
     def find(mat):
         return next((i for i, e in enumerate(elements) if e == mat), None)
@@ -88,7 +141,7 @@ def close_holonomy(entry_id: str, generators: tuple) -> tuple:
     frontier = [0]
     while frontier:
         i = frontier.pop(0)
-        for g, gpart in zip(generators, gen_parts):
+        for g, gpart in zip(entry.generators, gen_parts):
             prod = gpart * elements[i]
             if find(prod) is None:
                 elements.append(prod)
@@ -96,7 +149,7 @@ def close_holonomy(entry_id: str, generators: tuple) -> tuple:
                 frontier.append(len(elements) - 1)
     table = tuple(tuple(find(a * b) for b in elements) for a in elements)
     if any(x is None for row in table for x in row):
-        raise CatalogError(f"holonomy of {entry_id} is not closed")
+        raise CatalogError(f"holonomy of {entry.id} is not closed")
     return tuple(elements), table, tuple(find(p) for p in gen_parts), tuple(reps)
 
 
@@ -141,17 +194,6 @@ def exterior_closed_form(dstar: QMatrix) -> RatFuncProduct:
     return RatFuncProduct.from_factors(
         (det_one_minus_z(exterior_power(dstar, j)), (-1) ** (j + 1)) for j in range(n + 1)
     )
-
-
-def lattice_member(elem) -> bool:
-    """Is this element a pure translation by a lattice element?  Abelian:
-    identity rotation and integral translation.  Heisenberg: identity
-    automorphism part and integral h-coordinates."""
-    abelian = elem.model == ABELIAN
-    block = elem.rotation_block() if abelian else elem.holonomy_part()
-    if block != QMatrix.identity(block.nrows):
-        return False
-    return all(v.denominator == 1 for v in (elem.translation() if abelian else elem.h_coords()))
 
 
 def kernel(m: QMatrix) -> list:

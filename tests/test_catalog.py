@@ -4,21 +4,28 @@ from fractions import Fraction
 import pytest
 
 from infranil.catalog import (
-    AffineElement,
     CatalogEntry,
     abelian_embed,
     catalog_ids,
     catalog_lookup,
     catalog_params,
     holonomy,
-    lattice_element,
     psi_embed,
 )
 from infranil.errors import CatalogError, ConstraintError
 from infranil.exprs import in_domain
 from infranil.matrices import QMatrix, integer_form
+from infranil.selfmaps import _translation_column as translation
 from modulus_split import has_index_two_subgroup, is_cyclic
-from oracles import close_holonomy, group_elements, inverse, lattice_member
+from oracles import (
+    close_holonomy,
+    group_elements,
+    h_coords,
+    holonomy_part,
+    inverse,
+    lattice_element,
+    lattice_member,
+)
 
 F = Fraction
 
@@ -53,41 +60,41 @@ def test_param_constraints():
 def test_klein_bottle_generators():
     entry = catalog_lookup("klein-bottle")
     g1, g2 = entry.generators
-    assert g1.rotation_block() == QMatrix([[1, 0], [0, -1]])
-    assert g1.translation() == (F(1, 2), F(1, 2))
+    assert holonomy_part(entry, g1) == QMatrix([[1, 0], [0, -1]])
+    assert translation(g1) == (F(1, 2), F(1, 2))
     # alpha^2 is the pure translation by (1, 0)
     sq = g1 * g1
-    assert lattice_member(sq)
-    assert sq.translation() == (1, 0)
-    assert not lattice_member(g1)
-    assert lattice_member(g2)
+    assert lattice_member(entry, sq)
+    assert translation(sq) == (1, 0)
+    assert not lattice_member(entry, g1)
+    assert lattice_member(entry, g2)
 
 
 def test_heis_embedded_matrices():
     # type I generators for k = 2, written out as 4x4 matrices
     entry = catalog_lookup("heis-I", {"k": 2})
     a, b, c = entry.generators
-    assert a.matrix == QMatrix([[1, 0, -1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert b.matrix == QMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
-    assert c.matrix == QMatrix([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert a == QMatrix([[1, 0, -1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert b == QMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    assert c == QMatrix([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
     alpha = catalog_lookup("heis-II", {"k": 2}).generators[3]
-    assert alpha.matrix == QMatrix([[1, 0, 0, F(1, 2)], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+    assert alpha == QMatrix([[1, 0, 0, F(1, 2)], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
 
     alpha = catalog_lookup("heis-IV", {"k": 4}).generators[3]
-    assert alpha.matrix == QMatrix([[-1, 0, 1, 0], [0, 1, 0, F(1, 2)], [0, 0, -1, 0], [0, 0, 0, 1]])
+    assert alpha == QMatrix([[-1, 0, 1, 0], [0, 1, 0, F(1, 2)], [0, 0, -1, 0], [0, 0, 0, 1]])
 
     entry = catalog_lookup("heis-VIII", {"k": 4})
     alpha, beta = entry.generators[3], entry.generators[4]
-    assert alpha.matrix == QMatrix(
+    assert alpha == QMatrix(
         [[1, 2, -2, F(1, 2)], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
     )
-    assert beta.matrix == QMatrix(
+    assert beta == QMatrix(
         [[-1, -1, 1, 0], [0, 1, 0, F(1, 2)], [0, 0, -1, F(1, 2)], [0, 0, 0, 1]]
     )
 
     alpha = catalog_lookup("heis-XVI-c1", {"k": 6}).generators[3]
-    assert alpha.matrix == QMatrix(
+    assert alpha == QMatrix(
         [[1, -3, 0, F(1, 6)], [0, 1, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     )
 
@@ -121,7 +128,7 @@ def test_heisenberg_commutator_relator():
     # [b, a] = c^k through the embedding
     for k in (1, 2, 4, 6):
         entry = catalog_lookup("heis-I", {"k": k})
-        a, b, c = (g.matrix for g in entry.generators)
+        a, b, c = entry.generators
         comm = b * a * inverse(b) * inverse(a)
         assert comm == c.power(k)
 
@@ -144,27 +151,27 @@ def test_heis_torsion_relators():
         acc = g
         for _ in range(power - 1):
             acc = acc * g
-        assert lattice_member(acc), entry_id
-        assert acc.h_coords() == coords, entry_id
+        assert lattice_member(entry, acc), entry_id
+        assert h_coords(entry, acc) == coords, entry_id
 
 
 def test_heis_viii_beta_squares_to_a():
     entry = catalog_lookup("heis-VIII", {"k": 4})
     beta = entry.generators[4]
     sq = beta * beta
-    assert lattice_member(sq)
-    assert sq.h_coords() == (1, 0, 0)
+    assert lattice_member(entry, sq)
+    assert h_coords(entry, sq) == (1, 0, 0)
 
 
 def test_heis_conjugation_relators():
     # alpha a = a^-1 alpha and alpha b = b^-1 alpha for type II
     entry = catalog_lookup("heis-II", {"k": 2})
-    a, b, _, alpha = (g.matrix for g in entry.generators)
+    a, b, _, alpha = entry.generators
     assert alpha * a == inverse(a) * alpha
     assert alpha * b == inverse(b) * alpha
     # alpha a = b alpha for type X
     entry = catalog_lookup("heis-X-c1", {"k": 2})
-    a, b, _, alpha = (g.matrix for g in entry.generators)
+    a, b, _, alpha = entry.generators
     assert alpha * a == b * alpha
 
 
@@ -190,26 +197,44 @@ def test_holonomy_orders_match_catalog():
         assert all(0 <= group.table[i][j] < n for i in range(n) for j in range(n))
 
 
+def admissible_entries():
+    """Every catalog entry, Heisenberg types at their first three admissible
+    k."""
+    for entry_id in catalog_ids():
+        domains = dict(catalog_params(entry_id))
+        if domains:
+            ks = [k for k in range(1, 25) if in_domain(domains["k"], Fraction(k))][:3]
+            yield from (catalog_lookup(entry_id, {"k": k}) for k in ks)
+        else:
+            yield catalog_lookup(entry_id)
+
+
 def test_integer_closure_matches_fraction_closure():
     """Every catalog entry, Heisenberg types at their first three admissible
     k: the integer form of the same elements in the same order, and the same
     table, generator indices and coset representatives, as the closure by
     QMatrix products."""
     count = 0
-    for entry_id in catalog_ids():
-        domains = dict(catalog_params(entry_id))
-        if domains:
-            ks = [k for k in range(1, 25) if in_domain(domains["k"], Fraction(k))][:3]
-            entries = [catalog_lookup(entry_id, {"k": k}) for k in ks]
-        else:
-            entries = [catalog_lookup(entry_id)]
-        for entry in entries:
-            elements, table, generator_indices, reps = close_holonomy(entry.id, entry.generators)
-            group = holonomy(entry)
-            assert group.form == integer_form(elements), entry
-            assert (group.table, group.generator_indices, group.representatives) == (
-                table, generator_indices, reps), entry
-            count += 1
+    for entry in admissible_entries():
+        elements, table, generator_indices, reps = close_holonomy(entry)
+        group = holonomy(entry)
+        assert group.form == integer_form(elements), entry
+        assert (group.table, group.generator_indices, group.representatives) == (
+            table, generator_indices, reps), entry
+        count += 1
+    assert count == 13 + 3 * 11
+
+
+def test_linear_parts_are_the_holonomy_parts_of_the_generators():
+    """Every catalog entry, Heisenberg types at their first three admissible
+    k: the linear parts the entry stores, which the closure reads, are
+    those decoded from its embedded generators."""
+    count = 0
+    for entry in admissible_entries():
+        assert len(entry.linear_parts) == len(entry.generators), entry.id
+        decoded = tuple(holonomy_part(entry, g) for g in entry.generators)
+        assert entry.linear_parts == decoded, (entry.id, entry.k)
+        count += 1
     assert count == 13 + 3 * 11
 
 
@@ -218,8 +243,8 @@ def test_closure_of_an_infinite_group_raises():
     generators' denominator at its square."""
     for rotation, message in (([[1, 1], [0, 1]], "exceeds cap"),
                               ([[F(1, 2), 0], [0, 2]], "off denominator 2")):
-        gen = AffineElement("abelian", 2, abelian_embed(QMatrix(rotation), (0, 0)))
-        entry = CatalogEntry("hand-built", 2, "abelian", (gen,), 1, {})
+        gen = abelian_embed(QMatrix(rotation), (0, 0))
+        entry = CatalogEntry("hand-built", 2, "abelian", (gen,), (QMatrix(rotation),), 1, {})
         with pytest.raises(CatalogError, match=message):
             holonomy(entry)
 
@@ -245,22 +270,24 @@ def test_index_two_subgroups():
 
 
 def test_lattice_member_examples():
-    t = lattice_element("abelian", 2, (1, 0))
-    assert lattice_member(t)
+    torus = catalog_lookup("torus-2")
+    t = lattice_element(torus, (1, 0))
+    assert lattice_member(torus, t)
     frac = abelian_embed(QMatrix.identity(2), (F(1, 2), 0))
-    assert not lattice_member(AffineElement("abelian", 2, frac))
-    h = lattice_element("heisenberg", 3, (1, 1, 1), 2)
-    assert lattice_member(h)
-    assert h.h_coords() == (1, 1, 1)
-    h2 = lattice_element("heisenberg", 3, (F(1, 2), 0, 0), 2)
-    assert not lattice_member(h2)
+    assert not lattice_member(torus, frac)
+    heis = catalog_lookup("heis-I", {"k": 2})
+    h = lattice_element(heis, (1, 1, 1))
+    assert lattice_member(heis, h)
+    assert h_coords(heis, h) == (1, 1, 1)
+    h2 = lattice_element(heis, (F(1, 2), 0, 0))
+    assert not lattice_member(heis, h2)
 
 
 def test_coset_representatives():
     entry = catalog_lookup("hantzsche-wendt")
     group = holonomy(entry)
     for elem, rep in zip(group_elements(group), group.representatives):
-        assert rep.holonomy_part() == elem
+        assert holonomy_part(entry, rep) == elem
 
 
 def test_holonomy_memoized_per_id_and_params():
@@ -272,9 +299,11 @@ def test_holonomy_memoized_per_id_and_params():
     assert holonomy(catalog_lookup("heis-X-c1", {"k": 2})) is x2
     x4 = holonomy(catalog_lookup("heis-X-c1", {"k": 4}))
     assert x4 is not x2
-    assert [r.k for r in x2.representatives] == [2] * x2.order
-    assert [r.k for r in x4.representatives] == [4] * x4.order
-    assert x2.representatives != x4.representatives
+    # heis-X-c1's representatives are the same matrices at every k; heis-VIII's
+    # depend on k, and each group holds those of its own entry
+    v4 = holonomy(catalog_lookup("heis-VIII", {"k": 4}))
+    v8 = holonomy(catalog_lookup("heis-VIII", {"k": 8}))
+    assert v4.representatives != v8.representatives
     maxsize = catalog._catalog_entry.cache_info().maxsize
     assert maxsize is not None and maxsize == catalog.HOLONOMY_CACHE_SIZE > 0
 
@@ -286,7 +315,7 @@ def test_shared_entries_are_immutable():
     with pytest.raises(TypeError):
         del entry.params["k"]
     assert entry.k == 2 and dict(entry.params) == {"k": 2}
-    hand_built = CatalogEntry("x", 1, "abelian", (), 1, {"a": 1})
+    hand_built = CatalogEntry("x", 1, "abelian", (), (), 1, {"a": 1})
     with pytest.raises(TypeError):
         hand_built.params["a"] = 2
 
@@ -319,7 +348,8 @@ def test_holonomy_of_hand_built_entry_matches_cached():
     for entry_id, params in (("hantzsche-wendt", {}), ("heis-X-c1", {"k": 2})):
         cached = catalog_lookup(entry_id, params)
         hand_built = CatalogEntry(cached.id, cached.dim, cached.model, cached.generators,
-                                  cached.holonomy_order, dict(cached.params), cached.notes)
+                                  cached.linear_parts, cached.holonomy_order,
+                                  dict(cached.params), cached.notes)
         assert hand_built == cached and hand_built is not cached
         group = holonomy(hand_built)
         assert group is not holonomy(cached)

@@ -270,6 +270,26 @@ def test_bad_param_syntax(capsys):
     assert code == 3
 
 
+def test_param_in_exponent_notation_exits_3_at_once(capsys):
+    """`1e999999999` would be a number of a billion digits: it is refused
+    before any arithmetic, with one `error:` line."""
+    for value in ("1e3", "1e999999999"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--manifold", "circle", "--param", f"d={value}")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "exponent notation" in err
+
+
+def test_repeated_param_exits_3_naming_it(capsys):
+    code, out, err = run(capsys, "compute", "--manifold", "heis-I", "--param", "k=2",
+                         "--param", "k=3")
+    assert (code, out) == (3, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--param k given more than once" in err
+
+
 def test_compute_invalid_map_exit_code(tmp_path, capsys):
     # a corpus whose constraints are too loose produces candidates that fail
     # the self-map equation: compute reports exit code 2

@@ -38,3 +38,36 @@ def test_zero_to_a_negative_power_is_a_division_by_zero():
             eval_bool(f"{text} != 7", env)
     assert eval_rational("d ** -1", {"d": Fraction(2, 3)}) == Fraction(3, 2)
     assert eval_rational("d ** 0", env) == 1
+
+
+def test_exponent_notation_is_not_a_rational():
+    """A few characters of exponent notation would build an arbitrarily large
+    number; integers, p/q and decimals still parse."""
+    for text in ("1e3", "1E3", " 2.5e-1 ", "1e999999999"):
+        with pytest.raises(ConstraintError, match="exponent notation"):
+            exprs.parse_rational(text)
+    assert exprs.parse_rational("12") == 12
+    assert exprs.parse_rational("-7/4") == Fraction(-7, 4)
+    assert exprs.parse_rational("0.5") == Fraction(1, 2)
+
+
+def test_power_exponent_is_bounded():
+    """`a ** b` takes |b| up to MAX_EXPONENT; past it, a ConstraintError
+    rather than a number too large to hold."""
+    for text in ("2 ** 65", "2 ** -65", "3 ** 10 ** 10"):
+        with pytest.raises(ConstraintError, match="exceeds 64"):
+            eval_rational(text, {})
+    assert exprs.MAX_EXPONENT == 64
+    assert eval_rational("2 ** 64", {}) == 2 ** 64
+    assert eval_rational("2 ** -64", {}) == Fraction(1, 2 ** 64)
+
+
+def test_nested_powers_are_bounded_by_their_size():
+    """Each `**` below takes an exponent of 64, but the fourth level would
+    hold 2 ** (64 ** 4) = 2 ** 16,777,216: past MAX_POWER_BITS, so it is
+    refused before it is formed."""
+    assert eval_rational("((2 ** 64) ** 64) ** 64", {}) == 2 ** (64 ** 3)
+    assert eval_rational("(a ** 64) ** -2", {"a": Fraction(3, 2)}) == Fraction(2, 3) ** 128
+    for text in ("(((2 ** 64) ** 64) ** 64) ** 64", "(((1/2 ** 64) ** 64) ** 64) ** 64"):
+        with pytest.raises(ConstraintError, match="power exceeds 1048576 bits"):
+            eval_rational(text, {})

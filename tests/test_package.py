@@ -35,7 +35,9 @@ def test_removed_holonomy_copies_stay_gone():
     """The holonomy group is held once, in the integer form its readers use,
     by its catalog entry: no QMatrix copy of its elements, no integer form
     recomputed from them, and no copy inside the positive part.  The corpus
-    path is resolved by `load_corpus` alone.  No src/ module defines the
+    path is resolved by `load_corpus` alone.  A group element is its
+    embedded QMatrix: the `AffineElement` wrapper and its decoding are gone
+    (`tests/oracles.py` keeps the decoding).  No src/ module defines the
     removed names."""
     import ast
     from pathlib import Path
@@ -48,10 +50,13 @@ def test_removed_holonomy_copies_stay_gone():
     assert PositivePart._fields == ("index", "det_signs", "plus_indices")
     for owner, name in [(group, "elements"), (group, "integer_elements"),
                         (PositivePart, "group"), (PositivePart, "plus_subgroup_closed"),
-                        (infranil.selfmaps, "default_corpus_path")]:
+                        (infranil.selfmaps, "default_corpus_path"),
+                        (infranil, "AffineElement"), (infranil.catalog, "AffineElement")]:
         assert not hasattr(owner, name), name
         assert name not in infranil.__all__
-    removed = {"elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path"}
+    removed = {"elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path",
+               "AffineElement", "lattice_element", "holonomy_part", "h_coords",
+               "rotation_block", "submatrix"}
     defined = [
         (path.name, node.name)
         for path in sorted(Path(infranil.__file__).parent.glob("*.py"))

@@ -2,9 +2,11 @@
 dataclasses.  Each keeps the dataclass behaviour that callers see: its
 fields are read-only, equal values compare and hash equal, and its repr is
 the dataclass-era text (the expected strings below were printed by the
-dataclass versions), except for HolonomyGroup and PositivePart, whose
-fields changed since: the group holds its elements in integer form, and the
-positive part no longer holds the group.  `copy`, `deepcopy` and `pickle`
+dataclass versions), except for CatalogEntry, HolonomyGroup and
+PositivePart, whose fields changed since: a group element is its embedded
+QMatrix, the entry also holds its generators' linear parts, the group holds
+its elements in integer form, and the positive part no longer holds the
+group.  `copy`, `deepcopy` and `pickle`
 round-trip them, as they did the dataclasses."""
 
 import copy
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from infranil.catalog import AffineElement, CatalogEntry, HolonomyGroup
+from infranil.catalog import CatalogEntry, HolonomyGroup
 from infranil.fixedpoint import (
     FactorRoots,
     PositivePart,
@@ -27,15 +29,16 @@ from infranil.series import RatFuncProduct
 
 
 def _affine(t):
-    return AffineElement("abelian", 1, QMatrix([[1, t], [0, 1]]))
+    return QMatrix([[1, t], [0, 1]])
 
 
 def _entry():
-    return CatalogEntry("toy", 1, "abelian", (_affine(1),), 1, {"k": Fraction(2)})
+    return CatalogEntry("toy", 1, "abelian", (_affine(1),), (QMatrix([[1]]),), 1,
+                        {"k": Fraction(2)})
 
 
 def _group():
-    flip = AffineElement("abelian", 1, QMatrix([[-1, Fraction(1, 2)], [0, 1]]))
+    flip = QMatrix([[-1, Fraction(1, 2)], [0, 1]])
     return HolonomyGroup((1, ((1,), (-1,))), ((0, 1), (1, 0)), (1,), (_affine(0), flip))
 
 
@@ -44,13 +47,11 @@ def _spec():
                       (("a",),), ("1/2",), (ZetaTemplate(None, {"1": [[["1", "-a"], 1]]}),))
 
 
-_AFFINE_0 = "AffineElement(model='abelian', dim=1, matrix=[1, 0]\n[0, 1], k=None)"
-_AFFINE_1 = "AffineElement(model='abelian', dim=1, matrix=[1, 1]\n[0, 1], k=None)"
-_ENTRY = (f"CatalogEntry(id='toy', dim=1, model='abelian', generators=({_AFFINE_1},), "
-          "holonomy_order=1, params=mappingproxy({'k': Fraction(2, 1)}), notes='')")
+_ENTRY = ("CatalogEntry(id='toy', dim=1, model='abelian', generators=([1, 1]\n[0, 1],), "
+          "linear_parts=([1],), holonomy_order=1, params=mappingproxy({'k': Fraction(2, 1)}), "
+          "notes='')")
 _GROUP = ("HolonomyGroup(form=(1, ((1,), (-1,))), table=((0, 1), (1, 0)), generator_indices=(1,), "
-          f"representatives=({_AFFINE_0}, AffineElement(model='abelian', dim=1, "
-          "matrix=[-1, 1/2]\n[0, 1], k=None)))")
+          "representatives=([1, 0]\n[0, 1], [-1, 1/2]\n[0, 1]))")
 _SPEC = ("FamilySpec(manifold='circle', index=1, desc='toy', params=(('a', 'int'),), "
          "derived=(('b', '2*a'),), constraints=('a != 0',), dstar=(('a',),), "
          "translation=('1/2',), "
@@ -67,8 +68,6 @@ CASES = {
     "QMatrix": (lambda: QMatrix([[1, Fraction(1, 2)], [0, -1]]), True, "[1, 1/2]\n[0, -1]"),
     "RatFuncProduct": (lambda: RatFuncProduct(((IntPoly([1, -3]), 1), (IntPoly([1, -1]), -1))),
                        True, "(1 - 3*z) / (1 - z)"),
-    "AffineElement": (lambda: _affine(Fraction(1, 3)), True,
-                      "AffineElement(model='abelian', dim=1, matrix=[1, 1/3]\n[0, 1], k=None)"),
     "CatalogEntry": (_entry, False, _ENTRY),
     "HolonomyGroup": (_group, True, _GROUP),
     "MapCandidate": (lambda: MapCandidate(_entry(), (Fraction(1, 3),), QMatrix([[-2]])), False,

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from infranil.catalog import HEISENBERG, catalog_ids, catalog_lookup, holonomy, lattice_element
+from infranil.catalog import HEISENBERG, catalog_ids, catalog_lookup, holonomy
 from infranil.errors import ConstraintError, CorpusError, InvalidCandidateError
 from infranil.exprs import domain_values, in_domain
 from infranil.matrices import QMatrix, flat_product, integer_form
@@ -12,13 +12,14 @@ from infranil.selfmaps import (
     MapCandidate,
     PhiAssignment,
     _lattice_witness,
+    _translation_column,
     family_instantiate,
     heis_endo_check,
     load_corpus,
     sample_params,
     validate_selfmap,
 )
-from oracles import close_holonomy, group_elements
+from oracles import close_holonomy, decoded_iterate, group_elements, holonomy_part, lattice_element
 
 F = Fraction
 
@@ -83,7 +84,7 @@ def test_identity_is_always_valid():
         # identity map: phi is the identity morphism, so every generator maps
         # to its own holonomy class
         for gi, hi, _ in phi.entries:
-            assert group_elements(group)[hi] == entry.generators[gi].holonomy_part()
+            assert group_elements(group)[hi] == holonomy_part(entry, entry.generators[gi])
 
 
 def test_heis_endo_check():
@@ -213,7 +214,7 @@ def reference_witness(entry, x, y):
         coords = tuple(x[i, n] - y[i, n] for i in range(n))
     if any(c.denominator != 1 for c in coords):
         return None
-    if lattice_element(entry.model, entry.dim, coords, entry.k).matrix * y != x:
+    if lattice_element(entry, coords) * y != x:
         return None
     return coords
 
@@ -226,7 +227,7 @@ def reference_validate(candidate, group):
     and kept for the candidate, and the generators with non-trivial
     holonomy go first, where most candidates are rejected."""
     entry = candidate.entry
-    cand = candidate.embedded().matrix
+    cand = candidate.embedded()
     dstar = candidate.dstar
     elements = group_elements(group)
     b_d, ys = {}, {}
@@ -242,9 +243,9 @@ def reference_validate(candidate, group):
             if b_d[hi] != d_a:
                 continue
             if x is None:
-                x = cand * gen.matrix
+                x = cand * gen
             if hi not in ys:
-                ys[hi] = rep.matrix * cand
+                ys[hi] = rep * cand
             w = reference_witness(entry, x, ys[hi])
             if w is not None:
                 hit = (gi, hi, w)
@@ -343,6 +344,18 @@ def test_validate_matches_reference_on_benchmark_inputs(bench_workloads):
         assert assert_same(cand, holonomy(cand.entry)) is not None
 
 
+def test_iterate_matches_decoded_embedded_power(bench_workloads):
+    """Every accepted screen candidate of seed 1: `iterate(k)`, which takes
+    D^k and decodes only the translation, equals the candidate decoded
+    from the embedded power alone, for k = 2 and 3."""
+    accepted = [c for c in bench_workloads.screen_instances(1) if validate_selfmap(c) is not None]
+    assert len(accepted) > 100
+    assert {c.entry.model for c in accepted} == {"abelian", HEISENBERG}
+    for cand in accepted:
+        for k in (2, 3):
+            assert cand.iterate(k) == decoded_iterate(cand, k), (cand.entry.id, cand.dstar, k)
+
+
 def test_witness_returns_the_lattice_coordinates_it_was_built_from():
     """X = L(c) * rep_h * cand for every holonomy index h of every entry:
     the witness, given the translation columns of X and Y_h, returns exactly
@@ -366,12 +379,14 @@ def test_witness_returns_the_lattice_coordinates_it_was_built_from():
             assert flat_product(dflat, aflats[hi], n) == flat_product(aflats[hi], dflat, n)
             y = rep * cand
             c = tuple(rng.randint(-5, 5) for _ in range(n))
-            x = lattice_element(entry.model, n, c, entry.k) * y
-            assert _lattice_witness(entry, x.translation(), y.translation()) == c, (entry.id, hi)
+            x = lattice_element(entry, c) * y
+            assert _lattice_witness(entry, _translation_column(x), _translation_column(y)) == c, (
+                entry.id, hi)
             i = rng.randrange(n)
             off = tuple(v + F(1, rng.choice((2, 3, 4))) * (j == i) for j, v in enumerate(c))
-            x = lattice_element(entry.model, n, off, entry.k) * y
-            assert _lattice_witness(entry, x.translation(), y.translation()) is None, (entry.id, hi, off)
+            x = lattice_element(entry, off) * y
+            assert _lattice_witness(entry, _translation_column(x), _translation_column(y)) is None, (
+                entry.id, hi, off)
             count += 1
     assert count == sum(holonomy(e).order for e in smallest_entries())
 
@@ -396,17 +411,17 @@ def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
                             QMatrix.identity(3)).embedded()
         for hi in range(1, group.order):
             y = group.representatives[hi] * cand
-            ty = y.translation()
+            ty = _translation_column(y)
             z1, z2, z3 = (rng.randint(-5, 5) for _ in range(3))
             cross = -k * z2 / 2 * ty[1] + k * z1 / 2 * ty[2] + k * z1 * z2 / 2
             cross_off_lattice += cross.denominator != 1
             for s in (0, F(1, 2), F(1, 3), F(3, 4)):
-                x = lattice_element(entry.model, 3, (z1, z2, z3 + s), k) * y
-                tx = x.translation()
+                x = lattice_element(entry, (z1, z2, z3 + s)) * y
+                tx = _translation_column(x)
                 assert (tx[1] - ty[1], tx[2] - ty[2]) == (z1, z2)
                 expected = (z1, z2, z3) if s == 0 else None
                 assert _lattice_witness(entry, tx, ty) == expected, (entry.id, hi, s)
-                assert reference_witness(entry, x.matrix, y.matrix) == expected
+                assert reference_witness(entry, x, y) == expected
     assert cross_off_lattice > 0
 
 
@@ -415,8 +430,9 @@ def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
     product per generator, for X = cand * gen: Y_0 is cand itself, and no
     lattice element is built.  An accepted heis-I candidate forms only the
     product inside psi_embed that embeds the candidate: its witnesses read
-    translation columns formed as matrix-vector products."""
-    import infranil.catalog as catalog
+    translation columns formed as matrix-vector products.  Either way the
+    candidate is the one element embedded."""
+    import infranil.selfmaps as sm
 
     torus = MapCandidate(catalog_lookup("torus-3"), (F(1, 3), 0, F(-1, 4)),
                          QMatrix([[2, 1, 0], [1, 1, 3], [0, -1, 5]]))
@@ -424,22 +440,28 @@ def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
     for cand in (torus, heis):
         holonomy(cand.entry)  # built before counting
 
-    def no_lattice_element(*args):
-        raise AssertionError("validation built a lattice element")
-
-    calls = []
+    calls, embeds = [], []
     original = QMatrix.__mul__
 
     def counting_mul(self, other):
         calls.append(other)
         return original(self, other)
 
-    monkeypatch.setattr(catalog, "lattice_element", no_lattice_element)
+    def counting(embed):
+        def wrapper(*args):
+            embeds.append(args)
+            return embed(*args)
+        return wrapper
+
+    monkeypatch.setattr(sm, "abelian_embed", counting(sm.abelian_embed))
+    monkeypatch.setattr(sm, "psi_embed", counting(sm.psi_embed))
     monkeypatch.setattr(QMatrix, "__mul__", counting_mul)
     for cand, products in ((torus, len(torus.entry.generators)), (heis, 1)):
         calls.clear()
+        embeds.clear()
         assert validate_selfmap(cand) is not None
         assert len(calls) == products, cand.entry.id
+        assert len(embeds) == 1, cand.entry.id
 
 
 def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
@@ -451,7 +473,7 @@ def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
     entry = catalog_lookup("heis-II", {"k": 2})
     group = holonomy(entry)
     cand = MapCandidate(entry, (0, 0, 0), QMatrix([[1, 1, 0], [0, 2, 1], [0, 1, 1]]))
-    rotation = entry.generators[-1].holonomy_part()
+    rotation = holonomy_part(entry, entry.generators[-1])
     assert rotation != QMatrix.identity(3)
     assert all(cand.dstar * rotation != b * cand.dstar for b in group_elements(group))
     calls = []
@@ -473,10 +495,10 @@ def test_holonomy_form_matches_reference_closure():
     # and generator gi's holonomy part at generator_indices[gi]
     for entry in smallest_entries():
         group = holonomy(entry)
-        elements = close_holonomy(entry.id, entry.generators)[0]
+        elements = close_holonomy(entry)[0]
         assert group.form == integer_form(elements), entry.id
         for gi, gen in enumerate(entry.generators):
-            assert elements[group.generator_indices[gi]] == gen.holonomy_part()
+            assert elements[group.generator_indices[gi]] == holonomy_part(entry, gen)
         assert group.exterior_powers[1] is group.form
 
 

@@ -22,8 +22,8 @@ next to this file).  It prints seven lines, `<sha256>  <what>`:
             candidate's `entry.holonomy_group`, whose indices the positive
             part reads, on every `corpus` and `random-maps` benchmark
             candidate of seeds 1 and 2: the package's records as they
-            print, nested ones (FactorRoots, AffineElement, QMatrix)
-            included;
+            print, nested ones (FactorRoots, and the QMatrix coset
+            representatives) included;
   validate  the `repr` of `validate_selfmap` on every `corpus` and
             `random-maps` benchmark candidate of seeds 1 and 2, all of them
             accepts: their lattice coordinates, which `screen`, mostly
