@@ -55,19 +55,17 @@ def abelian_embed(rotation: QMatrix, translation) -> QMatrix:
     return QMatrix(rows)
 
 
-def _unipotent(x, y, k) -> QMatrix:
-    return QMatrix([[1, k * y / 2, -k * x / 2], [0, 1, 0], [0, 0, 1]])
-
-
 def psi_embed(x, y, z, phi_star: QMatrix, k) -> QMatrix:
-    """The 4x4 image of (h(x,y,z), phi) under the faithful representation."""
+    """The 4x4 image of (h(x,y,z), phi) under the faithful representation,
+    with no matrix product: the unipotent factor adds (k y/2) phi*_1 -
+    (k x/2) phi*_2 to row 0 of phi*, and leaves rows 1 and 2 as they are."""
     x, y, z, k = Fraction(x), Fraction(y), Fraction(z), Fraction(k)
     if phi_star.nrows != 3 or phi_star.ncols != 3:
         raise CatalogError("phi* must be 3x3")
-    block = _unipotent(x, y, k) * phi_star
-    rows = [list(block.rows[i]) + [v] for i, v in zip(range(3), (-k * x * y / 2 + z, x, y))]
-    rows.append([0, 0, 0, 1])
-    return QMatrix(rows)
+    p0, p1, p2 = phi_star.rows
+    u, v = k * y / 2, -k * x / 2
+    return QMatrix([[a + u * b + v * c for a, b, c in zip(p0, p1, p2)] + [-k * x * y / 2 + z],
+                    [*p1, x], [*p2, y], [0, 0, 0, 1]])
 
 
 class CatalogEntry(Record):

@@ -76,15 +76,17 @@ def cmd_catalog(args) -> int:
 
 
 def _with_defaults(spec, params) -> dict:
-    """The supplied parameters, with each of the family's parameters that is
-    missing set to 0."""
-    return {**params, **{n: "0" for n, _ in spec.params if n not in params}}
+    """The supplied parameters, each of the family's that is missing
+    defaulted: a catalog parameter (k) to its domain's least member, as
+    `cmd_catalog` has it, any other to 0."""
+    least = {n: domain_values(d)[0] for n, d in catalog_params(spec.manifold)}
+    return {**params, **{n: least.get(n, "0") for n, _ in spec.params if n not in params}}
 
 
 def _pick_family(corpus, manifold: str, family_index, params):
     """The requested family, or the first that admits the supplied
     parameters (`admit_params`: domains first, then constraints), each of
-    its parameters that is missing set to 0 (`_with_defaults`).  When none
+    its parameters that is missing defaulted (`_with_defaults`).  When none
     admits them, the error names why the first family does not."""
     families = corpus.for_manifold(manifold)
     if not families:
@@ -142,6 +144,9 @@ def cmd_compute(args) -> int:
         "nielsen_zeta_str": str(res.nielsen),
         "sign_relations_ok": sign.ok,
     }
+    if args.json:
+        print(json.dumps(data, indent=1))
+        return EXIT_OK
     text = [
         f"manifold:        {args.manifold} (family {spec.index}: {spec.desc})",
         f"case:            {res.case_label}   (p = {res.p}, n = {res.n}, index = {res.index})",
@@ -151,7 +156,7 @@ def cmd_compute(args) -> int:
     ]
     if res.lefschetz_plus is not None:
         text.append(f"positive-part:   {res.lefschetz_plus}")
-    text.append(f"Nielsen zeta:    {res.nielsen}")
+    text.append(f"Nielsen zeta:    {data['nielsen_zeta_str']}")
     text.append(f"sign relations:  {'ok' if sign.ok else 'VIOLATED'}")
     _emit(data, args.json, text)
     return EXIT_OK

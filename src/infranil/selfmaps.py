@@ -23,10 +23,10 @@ level, D A == B D.  That filter runs in integers on the holonomy group as
 the closure keeps it (`HolonomyGroup.form`), with each product formed once
 per call.  Only for the pairs that pass it are the translation columns of
 the two sides formed, in Fractions, and the lattice witness run on them.
-On Heisenberg entries each column is a matrix-vector product with the other
-side's translation column, so the witness path forms no 4x4 product beyond
-the one in `psi_embed`; on abelian entries the columns are still sliced from
-full affine products.
+Each coset-side column is a matrix-vector product with the candidate's
+translation column, as is X's on Heisenberg entries, and `psi_embed` is
+written out in closed form; so a Heisenberg accept forms no matrix product,
+and an abelian one forms only X = cand * gen, once per generator.
 """
 
 from __future__ import annotations
@@ -179,11 +179,12 @@ def validate_selfmap(candidate: MapCandidate):
     embedded candidate cand (once per call) and the translation columns of
     X = cand * gen (once per generator) and Y_h = rep_h * cand (once per h,
     shared across generators) formed, in Fractions, for the lattice witness,
-    which reads nothing else.  Heisenberg: X's column is cand times gen's
-    translation column, and Y_h's is rep_h times cand's, both matrix-vector
-    products.  Abelian: the columns are sliced from the full products.
-    Holonomy index 0 is the identity, whose representative is the identity
-    matrix, so Y_0's column is cand's own and costs no product."""
+    which reads nothing else.  Y_h's column is rep_h times cand's
+    translation column, a matrix-vector product, on both models; so is X's
+    on Heisenberg entries (cand times gen's column), while abelian entries
+    form the product cand * gen and slice its column.  Holonomy index 0 is
+    the identity, whose representative is the identity matrix, so Y_0's
+    column is cand's own and costs no product."""
     entry = candidate.entry
     group = holonomy(entry)
     n = entry.dim
@@ -207,14 +208,10 @@ def validate_selfmap(candidate: MapCandidate):
                 if cand is None:
                     cand = candidate.embedded()
                     ys[0] = _translation_column(cand)
-                if heis:
-                    x = _product_column(cand, _translation_column(gen))
-                else:
-                    x = _translation_column(cand * gen)
+                x = _product_column(cand, _translation_column(gen)) if heis else _translation_column(cand * gen)
             y = ys.get(hi)
             if y is None:
-                rep = group.representatives[hi]
-                y = ys[hi] = _product_column(rep, ys[0]) if heis else _translation_column(rep * cand)
+                y = ys[hi] = _product_column(group.representatives[hi], ys[0])
             w = _lattice_witness(entry, x, y)
             if w is not None:
                 hit = (gi, hi, w)

@@ -5,6 +5,8 @@ direct routes the engine does not take.
 binary powering and one determinant per element; `lefschetz_number` and
 `nielsen_number` average its row.  `exterior_closed_form` is the
 trivial-holonomy Lefschetz zeta from the exterior powers of D.
+`unipotent_psi_embed` is the Heisenberg embedding as the product that
+defines it, the unipotent block times phi*.
 `holonomy_part`, `h_coords`, `lattice_element` and `lattice_member` decode
 an entry's embedded matrices by model, as group elements once did
 themselves; `decoded_iterate` decodes a candidate's embedded power that way.
@@ -74,6 +76,15 @@ def group_elements(group) -> tuple:
     n = isqrt(len(flats[0]))
     return tuple(QMatrix([[Fraction(v, r) for v in flat[i * n:(i + 1) * n]] for i in range(n)])
                  for flat in flats)
+
+
+def unipotent_psi_embed(x, y, z, phi_star, k) -> QMatrix:
+    """psi(h(x,y,z), phi): the block [[1, k y/2, -k x/2], [0, 1, 0],
+    [0, 0, 1]] * phi*, with translation column (-k x y/2 + z, x, y)."""
+    x, y, z, k = Fraction(x), Fraction(y), Fraction(z), Fraction(k)
+    block = QMatrix([[1, k * y / 2, -k * x / 2], [0, 1, 0], [0, 0, 1]]) * phi_star
+    column = (-k * x * y / 2 + z, x, y)
+    return QMatrix([list(row) + [v] for row, v in zip(block.rows, column)] + [[0, 0, 0, 1]])
 
 
 def holonomy_part(entry, matrix) -> QMatrix:

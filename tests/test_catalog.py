@@ -5,6 +5,7 @@ import pytest
 
 from infranil.catalog import (
     CatalogEntry,
+    _raw_catalog,
     abelian_embed,
     catalog_ids,
     catalog_lookup,
@@ -13,7 +14,7 @@ from infranil.catalog import (
     psi_embed,
 )
 from infranil.errors import CatalogError, ConstraintError
-from infranil.exprs import in_domain
+from infranil.exprs import domain_values, eval_rational, in_domain
 from infranil.matrices import QMatrix, integer_form
 from infranil.selfmaps import _translation_column as translation
 from modulus_split import has_index_two_subgroup, is_cyclic
@@ -25,6 +26,7 @@ from oracles import (
     inverse,
     lattice_element,
     lattice_member,
+    unipotent_psi_embed,
 )
 
 F = Fraction
@@ -109,6 +111,41 @@ def test_psi_embed_examples():
     assert psi_embed(1, 0, 0, ident, 6) == QMatrix(
         [[1, 0, -3, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
+
+
+def test_psi_embed_matches_the_unipotent_product():
+    """psi_embed writes the block out in closed form; it equals the product
+    U(x, y, k) phi* that defines it (`oracles.unipotent_psi_embed`) on every
+    generator of every Heisenberg entry, at each k of the entry's sample
+    grid, read from the catalog data itself, and on seeded rational
+    (x, y, z), half-integers among them, with rational phi*, for
+    k in {1, 2, 3, 4, 6}."""
+    raw = _raw_catalog()
+    generators = 0
+    for entry_id in catalog_ids():
+        if raw[entry_id]["model"] != "heisenberg":
+            continue
+        ((name, domain),) = catalog_params(entry_id)
+        for k in domain_values(domain):
+            entry = catalog_lookup(entry_id, {name: k})
+            env = dict(entry.params)
+            for gen, spec in zip(entry.generators, raw[entry_id]["generators"], strict=True):
+                phi = QMatrix([[eval_rational(v, env) for v in row] for row in spec["phi"]])
+                x, y, z = (eval_rational(v, env) for v in spec["h"])
+                assert gen == unipotent_psi_embed(x, y, z, phi, entry.k), (entry_id, k)
+                generators += 1
+    assert generators > 100
+    rng = random.Random(26)
+    values = [F(p, q) for p in range(-5, 6) for q in (1, 2, 3, 4)]
+    for k in (1, 2, 3, 4, 6):
+        for x, y in ((F(1, 2), F(-3, 2)), (F(-1, 2), 0), (0, F(5, 2))):
+            z = rng.choice(values)
+            phi = QMatrix([[rng.choice(values) for _ in range(3)] for _ in range(3)])
+            assert psi_embed(x, y, z, phi, k) == unipotent_psi_embed(x, y, z, phi, k)
+        for _ in range(40):
+            x, y, z = (rng.choice(values) for _ in range(3))
+            phi = QMatrix([[rng.choice(values) for _ in range(3)] for _ in range(3)])
+            assert psi_embed(x, y, z, phi, k) == unipotent_psi_embed(x, y, z, phi, k)
 
 
 def test_psi_lattice_homomorphism():

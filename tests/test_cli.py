@@ -114,13 +114,17 @@ def test_compute_parameter_outside_domain_exit_code(capsys):
 
 
 def test_compute_no_family_admits_names_why(capsys):
-    """Without --family and --param k, every missing parameter defaults to
-    0, and k = 0 lies in no Heisenberg domain: the error keeps its prefix
-    and names the first family's failure."""
-    code, out, err = run(capsys, "compute", "--manifold", "heis-I")
-    assert (code, out) == (3, "")
-    assert err == ("error: no family of heis-I accepts parameters []; "
-                   "heis-I#1: parameter k = 0 is not in int_pos_mod:1:0\n")
+    """Without --family and --param k, a missing catalog parameter defaults
+    to the least member of its domain (k = 1 on heis-I, 2 on heis-II), as
+    `zeta catalog` lists the entry, and any other missing parameter to 0.
+    When no family admits the parameters, the error keeps its prefix and
+    names the first family's failure."""
+    for manifold, k in (("heis-I", "1"), ("heis-II", "2")):
+        code, out, err = run(capsys, "compute", "--manifold", manifold, "--json")
+        assert (code, err) == (0, ""), manifold
+        data = json.loads(out)
+        assert data["params"]["k"] == k
+        assert all(v == "0" for n, v in data["params"].items() if n != "k"), data["params"]
     code, _, err = run(capsys, "compute", "--manifold", "heis-I", "--param", "k=2",
                        "--param", "ix=1/2")
     assert code == 3

@@ -151,3 +151,17 @@ def test_bench_trace_targets_resolve(monkeypatch):
     assert missing == []
     assert set(spans.FIELD_OPS) <= {f"{mod}.{fn}" for mod, fn in spans.TARGETS}
     assert isinstance(infranil.fixedpoint.MIXED_CUBIC_COUNTER, int)
+
+
+def test_each_test_runs_under_a_time_limit():
+    # conftest's autouse fixture arms SIGALRM for every test on POSIX, so a
+    # test that loops fails instead of hanging the suite
+    import signal
+
+    import pytest
+    from conftest import TEST_TIME_LIMIT_S
+
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("no SIGALRM on this platform")
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= TEST_TIME_LIMIT_S

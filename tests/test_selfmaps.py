@@ -426,25 +426,30 @@ def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
 
 
 def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
-    """An accepted abelian candidate with trivial holonomy costs one QMatrix
-    product per generator, for X = cand * gen: Y_0 is cand itself, and no
-    lattice element is built.  An accepted heis-I candidate forms only the
-    product inside psi_embed that embeds the candidate: its witnesses read
-    translation columns formed as matrix-vector products.  Either way the
-    candidate is the one element embedded."""
+    """An accepted abelian candidate costs exactly one QMatrix product per
+    generator, X = cand * gen, with trivial holonomy (Y_0 is cand itself)
+    and with non-trivial holonomy alike: Y_h's column is rep_h times cand's
+    translation column, so no rep_h * cand is formed, and no lattice element
+    is built.  An accepted heis-I candidate forms no product at all: its
+    columns are matrix-vector products and psi_embed is a closed form.
+    Either way the candidate is the one element embedded."""
     import infranil.selfmaps as sm
 
     torus = MapCandidate(catalog_lookup("torus-3"), (F(1, 3), 0, F(-1, 4)),
                          QMatrix([[2, 1, 0], [1, 1, 3], [0, -1, 5]]))
+    hw = MapCandidate(catalog_lookup("hantzsche-wendt"), (0, 0, 0),
+                      QMatrix([[3, 0, 0], [0, 5, 0], [0, 0, -7]]))
     heis = heis_nil_candidate(2, ((2, 1), (1, 1)), x=0, y=0)
-    for cand in (torus, heis):
+    for cand in (torus, hw, heis):
         holonomy(cand.entry)  # built before counting
+    assert holonomy(hw.entry).order > 1
+    assert all(h != 0 for _, h, _ in validate_selfmap(hw).entries)
 
     calls, embeds = [], []
     original = QMatrix.__mul__
 
     def counting_mul(self, other):
-        calls.append(other)
+        calls.append((self, other))
         return original(self, other)
 
     def counting(embed):
@@ -456,12 +461,14 @@ def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
     monkeypatch.setattr(sm, "abelian_embed", counting(sm.abelian_embed))
     monkeypatch.setattr(sm, "psi_embed", counting(sm.psi_embed))
     monkeypatch.setattr(QMatrix, "__mul__", counting_mul)
-    for cand, products in ((torus, len(torus.entry.generators)), (heis, 1)):
+    for cand, gens in ((torus, torus.entry.generators), (hw, hw.entry.generators), (heis, ())):
         calls.clear()
         embeds.clear()
         assert validate_selfmap(cand) is not None
-        assert len(calls) == products, cand.entry.id
         assert len(embeds) == 1, cand.entry.id
+        embedded = cand.embedded()
+        assert sorted(gens.index(g) for _, g in calls) == list(range(len(gens))), cand.entry.id
+        assert all(c == embedded for c, _ in calls), cand.entry.id
 
 
 def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
