@@ -76,9 +76,8 @@ def cmd_catalog(args) -> int:
 
 
 def _with_defaults(spec, params) -> dict:
-    """The supplied parameters, each of the family's that is missing
-    defaulted: a catalog parameter (k) to its domain's least member, as
-    `cmd_catalog` has it, any other to 0."""
+    """The supplied parameters, each missing one defaulted: a catalog
+    parameter (k) to its domain's least member, any other to 0."""
     least = {n: domain_values(d)[0] for n, d in catalog_params(spec.manifold)}
     return {**params, **{n: least.get(n, "0") for n, _ in spec.params if n not in params}}
 

@@ -466,6 +466,7 @@ def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
         embeds.clear()
         assert validate_selfmap(cand) is not None
         assert len(embeds) == 1, cand.entry.id
+        assert len(calls) == len(gens), cand.entry.id
         embedded = cand.embedded()
         assert sorted(gens.index(g) for _, g in calls) == list(range(len(gens))), cand.entry.id
         assert all(c == embedded for c, _ in calls), cand.entry.id
