@@ -7,21 +7,20 @@ least common denominator): a determinant, Lambda^j from the j x j minors,
 a characteristic polynomial by Faddeev-LeVerrier.  Every matrix the engine
 multiplies is at most 3 x 3 (D, the holonomy elements and their Lambda^j,
 of size C(3, j) <= 3), so the three integer kernels are written out in
-closed form up to n = 3: `flat_product` unrolled, `flat_det` expanded, and
-`exterior_form` as Lambda^0, Lambda^1, Lambda^n and the nine 2 x 2 minors
-of a 3 x 3.  Their generic forms (row by column, cofactor expansion, minor
-by minor) run only for larger n, which only `charpoly`'s n <= 8 reaches.
+closed form for n = 1, 2, 3 only: `flat_product` unrolled, `flat_det`
+expanded, and `exterior_form` as Lambda^0, Lambda^1, Lambda^n and the nine
+2 x 2 minors of a 3 x 3.  Any other n raises InfranilError, and so do
+`charpoly`, `exterior_power` and `QMatrix.det`, which run on them; the
+generic forms are the test oracles'.
 `numberfield`'s kernels and solves (`kernel_rows`, `solve_rows`) share one
-reduced row echelon routine, `rref`, which takes Fraction or number-field
-(NFElem) entries alike.
+reduced row echelon routine, `rref`, which takes Fraction entries or any
+other field's alike.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
-from operator import mul
 
 from .errors import InfranilError
 from .polynomials import IntPoly, QPoly
@@ -131,8 +130,8 @@ def charpoly(M: QMatrix) -> QPoly:
     if not M.is_square():
         raise InfranilError("charpoly of a non-square matrix")
     n = M.nrows
-    if n > 8:
-        raise InfranilError("charpoly supports n <= 8")
+    if n > 3:
+        raise InfranilError("charpoly supports n <= 3")
     q, (flat,) = integer_form([M])
     rev = scaled_det_one_minus_z(flat, n, q).coeffs
     rev += (0,) * (n + 1 - len(rev))  # a singular M strips trailing zeros
@@ -159,17 +158,14 @@ def exterior_power(M: QMatrix, j: int) -> QMatrix:
     if not M.is_square():
         raise InfranilError("exterior_power of a non-square matrix")
     n = M.nrows
-    if j < 0 or j > n:
-        raise InfranilError(f"exterior power index {j} out of range 0..{n}")
     q, (flat,) = integer_form([M])
     minors, m = exterior_form(flat, n, j), comb(n, j)
     return QMatrix([[Fraction(v, q ** j) for v in minors[i * m:(i + 1) * m]] for i in range(m)])
 
 
 def flat_det(flat, n: int) -> int:
-    """Determinant of the n x n integer matrix given row-major as `flat`:
-    written out for n <= 3, by cofactor expansion along the first row for
-    n > 3."""
+    """Determinant of the n x n integer matrix given row-major as `flat`,
+    written out for n = 1, 2, 3."""
     if n == 3:
         a, b, c, d, e, f, g, h, i = flat
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -177,36 +173,28 @@ def flat_det(flat, n: int) -> int:
         return flat[0] * flat[3] - flat[1] * flat[2]
     if n == 1:
         return flat[0]
-    if n == 0:
-        return 1
-    return sum(
-        (-1) ** c * flat[c]
-        * flat_det([flat[r * n + k] for r in range(1, n) for k in range(n) if k != c], n - 1)
-        for c in range(n) if flat[c]
-    )
+    raise InfranilError(f"flat_det supports n = 1..3, not {n}")
 
 
 def exterior_form(flat, n: int, j: int) -> tuple:
     """Lambda^j of the n x n integer matrix given row-major as `flat`: its
     j x j minors, row-major, rows and columns indexed by lexicographic
-    j-subsets.  Lambda^0, Lambda^1, Lambda^n and the nine 2 x 2 minors of a
-    3 x 3 are written out; only n > 3 takes the minors one by one."""
+    j-subsets, 0 <= j <= n <= 3.  Lambda^0, Lambda^1, Lambda^n and the nine
+    2 x 2 minors of a 3 x 3 are written out."""
+    if not 1 <= n <= 3:
+        raise InfranilError(f"exterior_form supports n = 1..3, not {n}")
     if j == 0:
         return (1,)
     if j == 1:
         return tuple(flat)
     if j == n:
         return (flat_det(flat, n),)
-    if n == 3:  # j = 2: rows and columns {0, 1}, {0, 2}, {1, 2}
+    if n == 3 and j == 2:  # rows and columns {0, 1}, {0, 2}, {1, 2}
         a, b, c, d, e, f, g, h, i = flat
         return (a * e - b * d, a * f - c * d, b * f - c * e,
                 a * h - b * g, a * i - c * g, b * i - c * h,
                 d * h - e * g, d * i - f * g, e * i - f * h)
-    subsets = list(itertools.combinations(range(n), j))
-    return tuple(
-        flat_det([flat[r * n + c] for r in rows for c in cols], j)
-        for rows in subsets for cols in subsets
-    )
+    raise InfranilError(f"exterior power index {j} out of range 0..{n}")
 
 
 def exterior_integer_form(form, j: int) -> tuple:
@@ -231,8 +219,8 @@ def integer_form(mats) -> tuple:
 
 
 def flat_product(a, b, n: int) -> tuple:
-    """Row-major product of two n x n matrices given as flat int sequences:
-    written out for n = 1, 2, 3, row by column otherwise."""
+    """Row-major product of two n x n matrices given as flat int sequences,
+    written out for n = 1, 2, 3."""
     if n == 3:
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
         b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -247,13 +235,13 @@ def flat_product(a, b, n: int) -> tuple:
         return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
     if n == 1:
         return (a[0] * b[0],)
-    cols = [b[j::n] for j in range(n)]
-    return tuple(sum(map(mul, a[i * n:(i + 1) * n], col)) for i in range(n) for col in cols)
+    raise InfranilError(f"flat_product supports n = 1..3, not {n}")
 
 
 def rref(rows):
     """Reduced row echelon form over a field: rows is a list of lists of
-    Fraction or NFElem entries.  Returns (reduced rows, pivot columns)."""
+    field elements (Fractions, or the tests' Q(theta) elements).  Returns
+    (reduced rows, pivot columns)."""
     m = [list(r) for r in rows]
     pivots = []
     for col in range(len(m[0])):

@@ -12,11 +12,13 @@ never truncated or parsed.  A Python int passes on a type check alone, so
 the kernels' own int results cost little more than the strip of trailing
 zeros.
 
-The real-root machinery runs in integers: gcds and Sturm chains are
+Gcds and real-root counts run in integers: remainder sequences are
 pseudo-remainder sequences on IntPoly, each remainder scaled by a positive
 constant and divided by its content (so it has the sign of the remainder
-over Q everywhere); p(a/b) has the sign of the integer b^d p(a/b); and root
-refinement bisects integer numerators over a common denominator.
+over Q everywhere), and p(a/b) has the sign of the integer b^d p(a/b).
+`unit_split` counts a squarefree factor's real roots below -1, inside
+(-1, 1) and above 1 from the sign variations of one such sequence; the
+engine isolates no root.
 
 Complete factorization over Q covers degree <= 3, the most any
 det(I - z Lambda^j D) has for n <= 3: an integer Yun squarefree split, then
@@ -35,8 +37,6 @@ from operator import index
 
 from .errors import InfranilError
 from .records import Record
-
-Rational = Fraction  # arbitrary-precision rational scalar used across the package
 
 
 def _strip(coeffs):
@@ -314,7 +314,7 @@ def _poly_str(coeffs, var: str = "z") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Remainder sequences, Sturm chains and real roots, in integers
+# Remainder sequences and sign variations, in integers
 # ---------------------------------------------------------------------------
 
 
@@ -349,14 +349,6 @@ def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return (a if b.is_zero() else _remainder_sequence(a, b)[-1]).primitive()
 
 
-def _squarefree(poly) -> IntPoly:
-    """The primitive squarefree part of a QPoly or IntPoly, with positive
-    leading coefficient."""
-    p = (poly.to_int()[0] if isinstance(poly, QPoly) else poly).primitive()
-    g = _gcd(p, p.derivative())
-    return exact_quotient(p, g) if g.degree > 0 else p
-
-
 def _sign(coeffs, num: int, den: int) -> int:
     """Sign of p(num/den) for den > 0: of the integer den^d p(num/den), by
     homogeneous Horner.  (num, 0) is +infinity for num = 1, -infinity for -1."""
@@ -372,46 +364,9 @@ def sign_at(p: IntPoly, num: int, den: int = 1) -> int:
     return _sign(p.coeffs, num, den)
 
 
-def _point(x, infinity: int):
-    """(num, den) of a rational endpoint; None is the infinite end."""
-    if x is None:
-        return infinity, 0
-    if isinstance(x, float):
-        raise InfranilError(f"float endpoint {x}: pass a rational, or None for unbounded")
-    x = Fraction(x)
-    return x.numerator, x.denominator
-
-
-def _sturm_chain(p) -> list:
-    """The Sturm chain g, g', -rem, ... of p's squarefree part g.  Each member
-    is a positive multiple of the Euclidean chain's member for the monic
-    squarefree part, so the two chains agree in sign at every point."""
-    g = _squarefree(p)
-    return _remainder_sequence(g, g.derivative().primitive())
-
-
 def _variations(chain, num: int, den: int) -> int:
     signs = [s for s in (_sign(q.coeffs, num, den) for q in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _count_open(chain, lo, hi) -> int:
-    """Distinct roots of chain[0] in the open interval between the points
-    lo and hi, given as (num, den): V(lo) - V(hi) counts (lo, hi]."""
-    return _variations(chain, *lo) - _variations(chain, *hi) - (_sign(chain[0].coeffs, *hi) == 0)
-
-
-def sturm_count(poly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of `poly` (QPoly or IntPoly) in the open
-    interval (lo, hi).
-
-    `lo`/`hi` are rationals, or None for an unbounded side; a float raises
-    InfranilError.  Multiplicities are ignored: the squarefree part is used.
-    """
-    if poly.is_zero():
-        raise InfranilError("sturm_count of the zero polynomial")
-    lo, hi = _point(lo, -1), _point(hi, 1)
-    return _count_open(_sturm_chain(poly), lo, hi) if poly.degree > 0 else 0
 
 
 def unit_split(q: IntPoly) -> tuple:
@@ -424,27 +379,6 @@ def unit_split(q: IntPoly) -> tuple:
     chain = _remainder_sequence(q, q.derivative().primitive())
     v = [_variations(chain, num, den) for num, den in ((-1, 0), (-1, 1), (1, 1), (1, 0))]
     return v[0] - v[1], v[1] - v[2], v[2] - v[3]
-
-
-def refine_root(poly, lo: Fraction, hi: Fraction, width: Fraction):
-    """Shrink an isolating interval of a simple root by sign-change bisection
-    until hi - lo < width, on integer numerators over a common denominator.
-    Degenerate (exact) intervals pass through."""
-    if lo == hi:
-        return lo, hi
-    g = _squarefree(poly).coeffs
-    (a, da), (b, db), (w, dw) = _point(lo, 0), _point(hi, 0), _point(width, 0)
-    a, b, den = a * db, b * da, da * db
-    slo = _sign(g, a, den)
-    if slo * _sign(g, b, den) >= 0:
-        raise InfranilError("interval endpoints do not bracket a simple root")
-    while (b - a) * dw >= w * den:
-        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
-        sm = _sign(g, mid, den)
-        if sm == 0:
-            return Fraction(mid, den), Fraction(mid, den)
-        a, b = (mid, b) if sm == slo else (a, mid)
-    return Fraction(a, den), Fraction(b, den)
 
 
 # ---------------------------------------------------------------------------

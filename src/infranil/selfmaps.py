@@ -37,6 +37,7 @@ import random
 import zlib
 from functools import cache
 from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from .catalog import (
@@ -266,7 +267,7 @@ def load_corpus(path=None) -> Corpus:
     is returned on every call; an explicit path or ZETA_CORPUS is read anew
     each time."""
     path = path or os.environ.get("ZETA_CORPUS")
-    return _parse_corpus(path) if path else _packaged_corpus()
+    return _parse_corpus(Path(path)) if path else _packaged_corpus()
 
 
 @cache
@@ -275,13 +276,10 @@ def _packaged_corpus() -> Corpus:
 
 
 def _parse_corpus(src) -> Corpus:
+    """The Corpus in `src`, a Path or a package resource."""
     try:
-        if hasattr(src, "open"):
-            with src.open() as fh:
-                data = json.load(fh)
-        else:
-            with open(src) as fh:
-                data = json.load(fh)
+        with src.open() as fh:
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorpusError(f"cannot load corpus: {exc}") from exc
     try:
@@ -317,11 +315,21 @@ def _block_specs(block: dict) -> list:
 
 
 def _zeta_template(manifold: str, variant: dict) -> ZetaTemplate:
-    products = variant["products"]
-    for key in products:
+    """One variant, checked when the corpus loads: `guard` is a string or
+    absent, and `products` maps "1" and "2" to lists of {"coeffs": list,
+    "exp": int} factors (a bool is not an int)."""
+    guard, products = variant.get("guard"), variant["products"]
+    if not (guard is None or isinstance(guard, str)):
+        raise CorpusError(f"malformed corpus: {manifold} has a guard {guard!r}, not a string")
+    for key, product in products.items():
         if key not in ("1", "2"):
             raise CorpusError(f"malformed corpus: {manifold} has a product of index {key!r}, not 1 or 2")
-    return ZetaTemplate(variant.get("guard"), products)
+        if not (isinstance(product, list) and all(
+                isinstance(f, dict) and isinstance(f.get("coeffs"), list)
+                and type(f.get("exp")) is int for f in product)):
+            raise CorpusError(f"malformed corpus: {manifold} has a product of index {key} that is "
+                              'not a list of {"coeffs": list, "exp": int} factors')
+    return ZetaTemplate(guard, products)
 
 
 def resolve_params(spec: FamilySpec, params: dict) -> dict:

@@ -14,8 +14,9 @@ from infranil.catalog import holonomy
 from infranil.errors import InfranilError
 from infranil.fixedpoint import GT1, INSIDE, LTM1, MINUS_ONE, ONE, PositivePart, eigen_classify
 from infranil.matrices import QMatrix, charpoly
-from infranil.numberfield import NumberField, field_det, field_kernel, field_solve_columns
+from infranil.numberfield import field_det, field_kernel, field_solve_columns
 from infranil.polynomials import QPoly
+from number_field import NumberField
 from oracles import group_elements, kernel, solve_columns
 from real_roots import isolate_real_roots
 

@@ -28,12 +28,11 @@ from infranil.fixedpoint import (
     eigen_classify,
 )
 from infranil.matrices import QMatrix, charpoly
-from infranil.polynomials import refine_root
 from infranil.selfmaps import MapCandidate, family_instantiate, load_corpus, sample_params
 from infranil.series import rfp_equal
 from infranil.zeta import compute_zeta
 from oracles import exterior_closed_form
-from real_roots import isolate_real_roots
+from real_roots import isolate_real_roots, refine_root
 
 F = Fraction
 CORPUS = load_corpus()

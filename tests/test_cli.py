@@ -217,9 +217,19 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
 
 def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
     """A corpus file of the wrong shape is a corpus error for every command
-    that reads it: exit 4 and one `error:` line naming what is wrong."""
+    that reads it: exit 4 and one `error:` line naming what is wrong.  A
+    zeta variant is checked when the corpus loads, so a bad product or guard
+    never reaches `expected_zeta_cell`."""
     full = packaged_corpus()
     circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
+    factor = circle["families"][0]["zeta"][0]["products"]["1"][0]
+
+    def variant(key, value):
+        block = json.loads(json.dumps(circle))
+        block["families"][0]["zeta"][0][key] = value
+        return {"manifolds": [block]}
+
+    bad_factor = 'not a list of {"coeffs": list, "exp": int} factors'
     no_params = json.loads(json.dumps(circle))
     del no_params["families"][0]["params"]
     no_products = json.loads(json.dumps(circle))
@@ -238,6 +248,15 @@ def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
         "product of index 3": ({"manifolds": [index_3]}, "product of index '3'"),
         "v1 cells": ({"schema": "infranil-families-v1", "manifolds": [v1]},
                      "missing key 'products'"),
+        "factor without coeffs": (variant("products", {"1": [{"exp": 1}]}), bad_factor),
+        "coeffs not a list": (variant("products", {"1": [dict(factor, coeffs="1 - d")]}),
+                              bad_factor),
+        "product not a list": (variant("products", {"1": factor}), bad_factor),
+        "factor not an object": (variant("products", {"1": ["1 - d"]}), bad_factor),
+        "string exponent": (variant("products", {"1": [dict(factor, exp="1")]}), bad_factor),
+        "bool exponent": (variant("products", {"1": [dict(factor, exp=True)]}), bad_factor),
+        "float exponent": (variant("products", {"1": [dict(factor, exp=1.0)]}), bad_factor),
+        "guard not a string": (variant("guard", 1), "guard 1, not a string"),
     }
     path = tmp_path / "families.json"
     for what, (data, message) in corpora.items():
@@ -247,7 +266,7 @@ def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
             code, out, err = run(capsys, *argv, "--corpus", str(path))
             assert (code, out) == (4, ""), (what, argv, err)
             assert err.startswith("error: ") and err.count("\n") == 1, (what, argv, err)
-            assert message in err, (what, argv, err)
+            assert message in err and "Traceback" not in err, (what, argv, err)
 
 
 def test_zero_to_a_negative_power_in_a_constraint_exits_3(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_charpoly_examples():
 def test_charpoly_matches_det_shift():
     rng = random.Random(11)
     for _ in range(20):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 3)
         m = rand_matrix(rng, n)
         cp = charpoly(m)
         for x in (Fraction(0), Fraction(2), Fraction(-1, 2)):
@@ -61,7 +61,7 @@ def test_exterior_power_examples():
 def test_exterior_power_multiplicative():
     rng = random.Random(5)
     for _ in range(15):
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 3)
         a = rand_matrix(rng, n, -3, 3)
         b = rand_matrix(rng, n, -3, 3)
         for j in range(n + 1):
@@ -76,7 +76,7 @@ def test_det_via_exterior_traces():
     # det(I - M) = sum_j (-1)^j trace(Lambda^j M)
     rng = random.Random(13)
     for _ in range(15):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 3)
         m = rand_matrix(rng, n, -4, 4)
         lhs = (QMatrix.identity(n) - m).det()
         rhs = sum((-1) ** j * trace(exterior_power(m, j)) for j in range(n + 1))
@@ -110,16 +110,16 @@ def test_inverse():
 
 def test_integer_kernels_match_generic_reference():
     """flat_product, flat_det and exterior_form at every j against the
-    generic forms in tests/oracles.py, n = 0..4 (n = 4 takes the library's
-    own generic branch): entries in [-3, 3] and up to +-2^64, and singular
-    matrices whose last row is a multiple of the first (zero when n = 1)."""
+    generic forms in tests/oracles.py, n = 1..3: entries in [-3, 3] and up
+    to +-2^64, and singular matrices whose last row is a multiple of the
+    first (zero when n = 1)."""
     rng = random.Random(2022)
     singular = 0
-    for n in range(5):
+    for n in range(1, 4):
         for bound in (3, 2 ** 64):
             for shape in ("random", "singular") * 8:
                 rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-                if shape == "singular" and n:
+                if shape == "singular":
                     c = rng.randint(-3, 3)
                     rows[-1] = [c * v for v in rows[0]] if n > 1 else [0]
                 a = tuple(v for row in rows for v in row)
@@ -127,10 +127,30 @@ def test_integer_kernels_match_generic_reference():
                 assert flat_product(a, b, n) == oracles.flat_product(a, b, n), (a, b)
                 det = flat_det(a, n)
                 assert det == oracles.flat_det(a, n), a
-                singular += shape == "singular" and n > 0 and det == 0
+                singular += shape == "singular" and det == 0
                 for j in range(n + 1):
                     assert exterior_form(a, n, j) == oracles.exterior_form(a, n, j), (a, j)
-    assert singular == 4 * 2 * 8
+    assert singular == 3 * 2 * 8
+
+
+def test_kernels_reject_n_outside_1_to_3():
+    """The integer kernels are written out for n = 1, 2, 3 only: n = 0 and
+    n = 4 raise, from the kernels and from what runs on them, at every j.
+    A 0 x 0 QMatrix cannot be formed at all."""
+    for n in (0, 4):
+        flat = tuple(range(1, n * n + 1))
+        calls = [lambda: flat_det(flat, n), lambda: flat_product(flat, flat, n)]
+        calls += [lambda j=j: exterior_form(flat, n, j) for j in range(n + 1)]
+        for call in calls:
+            with pytest.raises(InfranilError, match="n = 1..3"):
+                call()
+    with pytest.raises(InfranilError):
+        QMatrix([])
+    m = QMatrix([[i + 4 * j for i in range(4)] for j in range(4)])
+    calls = [lambda: charpoly(m), m.det] + [lambda j=j: exterior_power(m, j) for j in range(5)]
+    for call in calls:
+        with pytest.raises(InfranilError):
+            call()
 
 
 def test_power():
@@ -140,7 +160,7 @@ def test_power():
 
 
 def test_charpoly_matches_sympy():
-    """Integer Faddeev-LeVerrier against sympy, n = 1..8, on entries with
+    """Integer Faddeev-LeVerrier against sympy, n = 1..3, on entries with
     denominators 1, 2, 3 and 6, singular matrices, and Lambda^2 of
     Heisenberg linear parts with half-integer entries."""
     import sympy
@@ -148,7 +168,7 @@ def test_charpoly_matches_sympy():
     rng = random.Random(2027)
     dens = (1, 2, 3, 6)
     cases = []
-    for n in range(1, 9):
+    for n in range(1, 4):
         for _ in range(4):
             cases.append(QMatrix([[Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)]
                                   for _ in range(n)]))
@@ -205,13 +225,13 @@ def rand_rational_rows(rng, nrows, ncols, shape):
 
 def test_det_and_exterior_power_match_sympy():
     """QMatrix.det and every exterior_power(M, j) against sympy's
-    determinant and j x j minors, n = 1..4: random, singular and zero-row
+    determinant and j x j minors, n = 1..3: random, singular and zero-row
     rational matrices."""
     import itertools
 
     rng = random.Random(31)
     singular = 0
-    for n in range(1, 5):
+    for n in range(1, 4):
         for shape in ("random", "singular", "zero-row") * 4:
             rows = rand_rational_rows(rng, n, n, shape)
             m, sm = QMatrix(rows), sympy_matrix(rows)

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from infranil.errors import InfranilError
-from infranil.numberfield import NumberField, field_det, field_kernel, field_solve_columns, nf_sign
+from infranil.numberfield import field_det, field_kernel, field_solve_columns
+from number_field import NumberField, nf_sign
 from infranil.polynomials import IntPoly
 
 

@@ -1,4 +1,29 @@
+import ast
+from pathlib import Path
+
 import infranil
+
+
+def src_trees():
+    """(file name, AST) of every module of the package."""
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(Path(infranil.__file__).parent.glob("*.py"))]
+
+
+def src_definitions(names) -> list:
+    """(file name, name) of every class, function or assigned name in the
+    package's modules that is one of `names`."""
+    found = []
+    for file, tree in src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(file, name) for name in defined if name in names]
+    return found
 
 
 def test_all_names_resolve_once():
@@ -39,9 +64,6 @@ def test_removed_holonomy_copies_stay_gone():
     embedded QMatrix: the `AffineElement` wrapper and its decoding are gone
     (`tests/oracles.py` keeps the decoding).  No src/ module defines the
     removed names."""
-    import ast
-    from pathlib import Path
-
     from infranil.catalog import HolonomyGroup, catalog_lookup
     from infranil.fixedpoint import PositivePart
 
@@ -57,39 +79,49 @@ def test_removed_holonomy_copies_stay_gone():
     removed = {"elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path",
                "AffineElement", "lattice_element", "holonomy_part", "h_coords",
                "rotation_block", "submatrix"}
-    defined = [
-        (path.name, node.name)
-        for path in sorted(Path(infranil.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in removed
-    ]
-    assert defined == []
+    assert src_definitions(removed) == []
 
 
-def test_numberfield_loads_on_first_use():
-    """`import infranil` leaves `numberfield` unloaded (no engine module
-    needs it); the package's lazy re-export loads it on the first read."""
+def test_import_leaves_numberfield_unloaded_and_exports_no_oracle():
+    """`import infranil` loads no `numberfield` (no engine module needs it),
+    and the package exports none of the test oracles' number field or Sturm
+    root counting: those live in tests/number_field.py and
+    tests/real_roots.py.  `infranil.numberfield` imports on its own and
+    keeps only the field-generic linear algebra."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     code = "\n".join([
         "import sys, infranil",
         "assert 'infranil.numberfield' not in sys.modules",
-        "assert {'NFElem', 'NumberField', 'nf_sign'} <= set(infranil.__all__)",
-        "cls = infranil.NFElem",
-        "assert 'infranil.numberfield' in sys.modules",
-        "from infranil.numberfield import NFElem, NumberField, nf_sign",
-        "assert cls is NFElem and infranil.NumberField is NumberField",
-        "assert infranil.nf_sign is nf_sign and infranil.numberfield.NFElem is NFElem",
-        "assert not hasattr(infranil, 'no_such_name')",
+        "for name in ('NFElem', 'NumberField', 'nf_sign', 'sturm_count', 'refine_root',",
+        "             'Rational'):",
+        "    assert not hasattr(infranil, name) and name not in infranil.__all__, name",
+        "assert 'infranil.numberfield' not in sys.modules",
+        "import infranil.numberfield as nf",
+        "assert {n for n in vars(nf) if not n.startswith('__')} == {",
+        "    'kernel_rows', 'solve_rows', 'field_solve_columns', 'field_kernel', 'field_det'}",
     ])
     src = str(Path(infranil.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_test_oracles_stay_out_of_the_library():
+    """No src/ module defines the number field or the Sturm root counting
+    the oracles use (they live in tests/number_field.py and
+    tests/real_roots.py), nor the package's lazy re-export of them: the
+    package has no module-level `__getattr__`."""
+    moved = {"NumberField", "NFElem", "nf_sign", "_interval_eval", "sturm_count",
+             "refine_root", "_squarefree", "_point", "_sturm_chain", "_count_open",
+             "Rational", "_NUMBERFIELD_NAMES"}
+    assert src_definitions(moved) == []
+    init = dict(src_trees())["__init__.py"]
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+                   for node in init.body)
 
 
 def test_engine_does_not_import_numberfield():

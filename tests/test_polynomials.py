@@ -10,11 +10,9 @@ from infranil.polynomials import (
     QPoly,
     _rational_roots,
     factor_over_q,
-    refine_root,
-    sturm_count,
 )
 from infranil.errors import InfranilError
-from real_roots import isolate_real_roots
+from real_roots import isolate_real_roots, refine_root, sturm_count
 
 
 def P(*coeffs):

@@ -32,7 +32,7 @@ from infranil.fixedpoint import (
     positive_part,
 )
 from infranil.matrices import QMatrix, charpoly
-from infranil.polynomials import IntPoly, QPoly, factor_over_q, sturm_count
+from infranil.polynomials import IntPoly, QPoly, factor_over_q
 from infranil.selfmaps import family_instantiate, load_corpus, sample_params
 from infranil.series import (
     RatFuncProduct,
@@ -43,7 +43,7 @@ from infranil.series import (
 )
 from infranil.zeta import candidate_factor_hints, recurrence_bound, sequence_length
 from oracles import solve_columns
-from real_roots import isolate_real_roots
+from real_roots import isolate_real_roots, sturm_count
 
 F = Fraction
 X = sympy.Symbol("x")
