@@ -19,19 +19,20 @@ form, D's own for j = 1).  For n <= 3 the eigenvalues of E_j are the
 j-fold products of those of D, so det(I - z q_j E_j), q_j the common
 denominator of E_j, and on first read the factors of det(I - z E_j) are
 read off charpoly(D) and its factors: charpoly(D) is the one polynomial
-formed by Faddeev-LeVerrier and the one factored.  The first C(n, j) powers of E_j are shared by every
-holonomy element, every later term costs C(n, j) multiplications per
-element, and Lambda^j A is formed once per holonomy group.  The traces run
-in integers, and a table row is (den, nums): the entries' integer
-numerators over the common denominator den = R Q^k, R and Q the lcms of
-the sequences' scales r_j and q_j (positive, not always the least), so L
-and N are integer sums.  The test oracles form the same determinants
+formed, in closed form, and the one factored.  The first C(n, j) powers
+of E_j are shared by every holonomy element, every later term costs
+C(n, j) multiplications per element, and Lambda^j A is formed once per
+holonomy group.  The traces run in integers, and a table row is
+(den, nums): the entries' integer numerators over the common denominator
+den = R Q^k, R and Q the lcms of the sequences' scales r_j and q_j
+(positive, not always the least), so L and N are integer sums.  The test oracles form the same determinants
 directly, from D^k by binary powering (`tests/oracles.py`).
 
-The spectrum of D* is classified exactly, in integers and with no root
-isolated (`_analyze_factor`): the counts p of real eigenvalues > 1 and
-n < -1 and the modulus split against the unit circle come from one Sturm
-chain per factor and its signs at -1, 1 and +-|c0/c3|.  The positive
+The spectrum of D* is classified exactly, in integers, in closed form and
+with no root isolated (`_analyze_factor`): the counts p of real
+eigenvalues > 1 and n < -1 and the modulus split against the unit circle
+come from each factor's discriminant, Descartes' rule on its Taylor shifts
+to 1 and -1, and its signs at -1, 1 and +-|c0/c3|.  The positive
 part F_+, of index 1 or 2, holds the holonomy elements A with eps_A =
 det(A on V/W) = +1, W the modulus <= 1 subspace.  With m = dim V/W,
 
@@ -67,13 +68,7 @@ from .matrices import (
     integer_form,
     scaled_det_one_minus_z,
 )
-from .polynomials import (
-    IntPoly,
-    exact_quotient,
-    factor_over_q,
-    sign_at,
-    unit_split,
-)
+from .polynomials import IntPoly, exact_quotient, factor_over_q, sign_at
 from .records import Record
 from .selfmaps import MapCandidate
 from .series import extend_recurrence, parity_signs
@@ -128,12 +123,22 @@ class FactorRoots(NamedTuple):
         return "mixed"
 
 
+def _sign_changes(coeffs) -> int:
+    """Sign changes along a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
     """Root layout of an irreducible factor with positive leading
-    coefficient, in integers.  A linear factor's root -c0/c1 is compared
-    with -1 and 1; a quadratic or cubic has no rational root, so
-    `unit_split` counts its real roots against them, and a sign 0 at -1, 1
-    or +-|c0/c3| shows a reducible factor (InfranilError)."""
+    coefficient, in integers and in closed form.  A linear factor's root
+    -c0/c1 is compared with -1 and 1.  A quadratic or cubic with positive
+    discriminant has only real roots, so Descartes' rule on the Taylor
+    shifts q(1 + y) and q(-1 - y) counts its roots above 1 and below -1
+    exactly.  A cubic with negative discriminant has one real root theta,
+    placed by the signs of q(1) and q(-1); its complex pair by the signs of
+    q at +-|c0/c3|.  A zero at -1, 1 or +-|c0/c3|, or a zero discriminant,
+    shows a reducible factor (InfranilError)."""
     c, deg = q.coeffs, q.degree
     if deg == 1:
         r, one = -c[0], c[1]
@@ -142,20 +147,32 @@ def _analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
         return FactorRoots(q, mult, (cls,), None)
     if deg not in (2, 3):
         raise InfranilError(f"unexpected factor degree {deg} in spectrum analysis")
-    if deg == 2 and c[1] * c[1] < 4 * c[0] * c[2]:
-        # |lambda|^2 = c0/c2 for the conjugate pair
-        return FactorRoots(q, mult, (), "eq" if c[0] == c[2] else ("gt" if c[0] > c[2] else "lt"))
-    below, inside, above = unit_split(q)
-    real = (LTM1,) * below + (INSIDE,) * inside + (GT1,) * above
-    pair = None
-    if deg == 3 and len(real) == 1:
-        # theta * |lambda|^2 = -c0/c3, so |lambda| > 1 iff |theta| < B =
-        # |c0/c3|, that is iff q changes sign on (-B, B)
-        lo, hi = sign_at(q, -abs(c[0]), c[3]), sign_at(q, abs(c[0]), c[3])
-        if not lo * hi:
-            raise InfranilError(f"factor {q} has a rational root, so it is not irreducible")
-        pair = "gt" if lo != hi else "lt"
-    return FactorRoots(q, mult, real, pair)
+    c0, c1, c2, c3 = c + (0,) * (3 - deg)
+    if deg == 2:
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc < 0:
+            # |lambda|^2 = c0/c2 for the conjugate pair
+            return FactorRoots(q, mult, (), "eq" if c0 == c2 else ("gt" if c0 > c2 else "lt"))
+    else:
+        disc = (18 * c0 * c1 * c2 * c3 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
+                - 4 * c3 * c1 ** 3 - 27 * c3 * c3 * c0 * c0)
+    at_one, at_minus_one = c0 + c1 + c2 + c3, c0 - c1 + c2 - c3
+    if not (at_one and at_minus_one):
+        raise InfranilError(f"{q} has the root 1 or -1")
+    if not disc:
+        raise InfranilError(f"factor {q} has a repeated root, so it is not irreducible")
+    if disc > 0:  # the coefficients of q(1 + y) and of q(-1 - y)
+        above = _sign_changes((at_one, c1 + 2 * c2 + 3 * c3, c2 + 3 * c3, c3))
+        below = _sign_changes((at_minus_one, -c1 + 2 * c2 - 3 * c3, c2 - 3 * c3, -c3))
+        real = (LTM1,) * below + (INSIDE,) * (deg - below - above) + (GT1,) * above
+        return FactorRoots(q, mult, real, None)
+    # q > 0 above theta and q < 0 below it.  theta * |lambda|^2 = -c0/c3,
+    # so |lambda| > 1 iff |theta| < B = |c0/c3|, iff q changes sign on (-B, B)
+    real = GT1 if at_one < 0 else LTM1 if at_minus_one > 0 else INSIDE
+    lo, hi = sign_at(q, -abs(c0), c3), sign_at(q, abs(c0), c3)
+    if not lo * hi:
+        raise InfranilError(f"factor {q} has a rational root, so it is not irreducible")
+    return FactorRoots(q, mult, (real,), "gt" if lo != hi else "lt")
 
 
 class EigenClass(NamedTuple):

@@ -3,15 +3,15 @@ determinants, characteristic polynomials, exterior powers.
 
 Sizes stay tiny, so determinants, minors and characteristic polynomials
 are formed in integers, on a matrix's integer form (its entries over their
-least common denominator): a determinant, Lambda^j from the j x j minors,
-a characteristic polynomial by Faddeev-LeVerrier.  Every matrix the engine
-multiplies is at most 3 x 3 (D, the holonomy elements and their Lambda^j,
-of size C(3, j) <= 3), so the three integer kernels are written out in
-closed form for n = 1, 2, 3 only: `flat_product` unrolled, `flat_det`
-expanded, and `exterior_form` as Lambda^0, Lambda^1, Lambda^n and the nine
-2 x 2 minors of a 3 x 3.  Any other n raises InfranilError, and so do
-`charpoly`, `exterior_power` and `QMatrix.det`, which run on them; the
-generic forms are the test oracles'.
+least common denominator).  Every matrix the engine multiplies is at most
+3 x 3 (D, the holonomy elements and their Lambda^j, of size C(3, j) <= 3),
+so the four integer kernels are written out in closed form for n = 1, 2, 3
+only: `flat_product` unrolled, `flat_det` expanded, `exterior_form` as
+Lambda^0, Lambda^1, Lambda^n and the nine 2 x 2 minors of a 3 x 3, and
+the characteristic polynomial `scaled_det_one_minus_z` from the trace, the
+principal 2 x 2 minors and the determinant.  Any other n raises
+InfranilError, and so do `charpoly`, `exterior_power` and `QMatrix.det`,
+which run on them; the generic forms are the test oracles'.
 `numberfield`'s kernels and solves (`kernel_rows`, `solve_rows`) share one
 reduced row echelon routine, `rref`, which takes Fraction entries or any
 other field's alike.
@@ -140,16 +140,19 @@ def charpoly(M: QMatrix) -> QPoly:
 
 def scaled_det_one_minus_z(flat, m: int, scale: int) -> IntPoly:
     """scale^m det(I - z B / scale) for the m x m integer matrix B, given
-    row-major as `flat`: Faddeev-LeVerrier in integers, where every division
-    is exact (the coefficients of charpoly(B) are integers)."""
-    ident = tuple(int(i == j) for i in range(m) for j in range(m))
-    coeffs, acc = [scale ** m], ident
-    for k in range(1, m + 1):
-        acc = flat_product(flat, acc, m)
-        c = -sum(acc[:: m + 1]) // k
-        coeffs.append(c * scale ** (m - k))
-        acc = tuple(a + c * i for a, i in zip(acc, ident))
-    return IntPoly(coeffs)
+    row-major as `flat`, m = 1..3, in closed form: the coefficient of z^k
+    is (-1)^k e_k scale^(m - k), e_1 the trace, e_2 the sum of the
+    principal 2 x 2 minors and e_m the determinant."""
+    if m == 3:
+        a, b, c, d, e, f, g, h, i = flat
+        m01, m02, m12 = a * e - b * d, a * i - c * g, e * i - f * h
+        det = a * m12 - b * (d * i - f * g) + c * (d * h - e * g)
+        return IntPoly([scale ** 3, -(a + e + i) * scale * scale, (m01 + m02 + m12) * scale, -det])
+    if m == 2:
+        return IntPoly([scale * scale, -(flat[0] + flat[3]) * scale, flat_det(flat, 2)])
+    if m == 1:
+        return IntPoly([scale, -flat[0]])
+    raise InfranilError(f"scaled_det_one_minus_z supports m = 1..3, not {m}")
 
 
 def exterior_power(M: QMatrix, j: int) -> QMatrix:

@@ -12,26 +12,20 @@ never truncated or parsed.  A Python int passes on a type check alone, so
 the kernels' own int results cost little more than the strip of trailing
 zeros.
 
-Gcds and real-root counts run in integers: remainder sequences are
-pseudo-remainder sequences on IntPoly, each remainder scaled by a positive
-constant and divided by its content (so it has the sign of the remainder
-over Q everywhere), and p(a/b) has the sign of the integer b^d p(a/b).
-`unit_split` counts a squarefree factor's real roots below -1, inside
-(-1, 1) and above 1 from the sign variations of one such sequence; the
-engine isolates no root.
+Signs run in integers: p(a/b) has the sign of the integer b^d p(a/b).
 
 Complete factorization over Q covers degree <= 3, the most any
-det(I - z Lambda^j D) has for n <= 3: an integer Yun squarefree split, then
-rational roots y/lc for the integer roots y of a monic rescaling, located
-by integer bisection on each piece where that rescaling is monotone.
-Whatever is left after the linear factors has no rational root, so it is
-irreducible.
+det(I - z Lambda^j D) has for n <= 3.  Each rational root y/lc is pulled
+out with its multiplicity by repeated exact division, y an integer root of
+a monic rescaling, located by integer bisection within the Fujiwara bound
+on each piece where that rescaling is monotone.  Whatever is left, of
+degree 2 or 3, has no rational root, so it is irreducible, and simple,
+since a repeated irrational root needs degree >= 4.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, isqrt
 from operator import index
 
@@ -245,13 +239,6 @@ class IntPoly(Record):
             g = -g
         return IntPoly([c // g for c in self.coeffs]) if g else self
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        diff = [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        return IntPoly(diff)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
@@ -314,39 +301,8 @@ def _poly_str(coeffs, var: str = "z") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Remainder sequences and sign variations, in integers
+# Signs and factorization over Q
 # ---------------------------------------------------------------------------
-
-
-def _neg_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """-(a mod b) times a positive constant, over its content: pseudo-division
-    that scales the remainder by |lc b| at each step lc b does not divide."""
-    rem = list(a.coeffs)
-    d, lead = b.degree, b.leading()
-    for i in range(len(rem) - 1, d - 1, -1):
-        top = rem.pop()
-        c, r = divmod(top, lead)
-        if r:
-            rem = [abs(lead) * v for v in rem]
-            c = top if lead > 0 else -top
-        for j in range(d):
-            rem[i - d + j] -= c * b.coeffs[j]
-    g = gcd(*rem)
-    return IntPoly([-v // g for v in rem]) if g else IntPoly()
-
-
-def _remainder_sequence(a: IntPoly, b: IntPoly) -> list:
-    """a, b (nonzero), then `_neg_rem` of the last two until it vanishes:
-    the last member is a gcd of a and b."""
-    seq = [a, b]
-    while not (r := _neg_rem(seq[-2], seq[-1])).is_zero():
-        seq.append(r)
-    return seq
-
-
-def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient (zero for two zeros)."""
-    return (a if b.is_zero() else _remainder_sequence(a, b)[-1]).primitive()
 
 
 def _sign(coeffs, num: int, den: int) -> int:
@@ -362,52 +318,6 @@ def _sign(coeffs, num: int, den: int) -> int:
 def sign_at(p: IntPoly, num: int, den: int = 1) -> int:
     """Sign of p at num / den, den > 0, in integers."""
     return _sign(p.coeffs, num, den)
-
-
-def _variations(chain, num: int, den: int) -> int:
-    signs = [s for s in (_sign(q.coeffs, num, den) for q in chain) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def unit_split(q: IntPoly) -> tuple:
-    """(below, inside, above): the real roots of a squarefree q below -1, in
-    (-1, 1) and above 1, from the sign variations of one Sturm chain
-    (q, q', ...) at -infinity, -1, 1 and infinity.  A root at -1 or 1
-    raises InfranilError."""
-    if not (q(1) and q(-1)):
-        raise InfranilError(f"{q} has the root 1 or -1")
-    chain = _remainder_sequence(q, q.derivative().primitive())
-    v = [_variations(chain, num, den) for num, den in ((-1, 0), (-1, 1), (1, 1), (1, 0))]
-    return v[0] - v[1], v[1] - v[2], v[2] - v[3]
-
-
-# ---------------------------------------------------------------------------
-# Factorization over Q
-# ---------------------------------------------------------------------------
-
-
-def _yun_squarefree(p: IntPoly) -> list:
-    """Yun's algorithm on a primitive p with positive leading coefficient:
-    [(g1, 1), (g2, 2), ...] with p = prod gi^i, each gi primitive squarefree
-    with positive leading coefficient, pairwise coprime.  Every gcd is
-    primitive, so every division is exact in integers."""
-    dp = p.derivative()
-    g = _gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    w = exact_quotient(p, g)
-    y = exact_quotient(dp, g)
-    out = []
-    i = 1
-    while w.degree > 0:
-        z = y - w.derivative()
-        h = _gcd(w, z)
-        if h.degree > 0:
-            out.append((h, i))
-        w = exact_quotient(w, h)
-        y = exact_quotient(z, h)
-        i += 1
-    return out
 
 
 def _bisect_root(g: IntPoly, lo: int, hi: int):
@@ -431,18 +341,34 @@ def _bisect_root(g: IntPoly, lo: int, hi: int):
     return None
 
 
+def _root_ceil(v: int, k: int) -> int:
+    """ceil(v^(1/k)) for an int v >= 0 and k = 1..3, in integers: `isqrt`
+    for k = 2, and for k = 3 integer Newton from a power of two above the
+    root, which decreases to the floor of the root."""
+    if k == 1 or v == 0:
+        return v
+    if k == 2:
+        r = isqrt(v)
+    else:
+        r = 1 << -(-v.bit_length() // 3)
+        while (s := (2 * r + v // (r * r)) // 3) < r:
+            r = s
+    return r + (r ** k < v)
+
+
 def _integer_roots(g: IntPoly) -> list:
     """Integer roots of a monic integer polynomial of degree 1..3, ascending.
 
     The integers are cut at the floors of the real critical points, so g is
-    monotone on each piece and holds at most one root there; the Cauchy
-    bound closes the outer pieces."""
-    coeffs = g.coeffs
-    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    monotone on each piece and holds at most one root there; the Fujiwara
+    bound 2 max_i |c_(d-i)|^(1/i) closes the outer pieces, so bisection
+    takes about as many steps as the coefficients have bits over d."""
+    coeffs, d = g.coeffs, g.degree
+    bound = 2 * max(_root_ceil(abs(coeffs[d - i]), i) for i in range(1, d + 1))
     cuts = []
-    if g.degree == 2:
+    if d == 2:
         cuts = [-coeffs[1] // 2]
-    elif g.degree == 3:
+    elif d == 3:
         # g' = 3y^2 + 2by + c has roots (-2b -/+ sqrt(disc)) / 6
         b, c = coeffs[2], coeffs[1]
         disc = 4 * b * b - 12 * c
@@ -495,21 +421,6 @@ def exact_quotient(p: IntPoly, q: IntPoly):
     return None if any(rem[:d]) else IntPoly(quo)
 
 
-def _factor_squarefree(p: IntPoly) -> list:
-    """Irreducible factors of a squarefree primitive integer polynomial of
-    degree <= 3 with positive leading coefficient; no multiplicities (all
-    are 1)."""
-    out = []
-    for r in _rational_roots(p):
-        lin = IntPoly([-r.numerator, r.denominator])
-        p = exact_quotient(p, lin)
-        out.append(lin)
-    if p.degree >= 2:
-        # no rational roots left, so a quadratic or cubic is irreducible
-        out.append(p)
-    return out
-
-
 def factor_over_q(poly: IntPoly) -> list:
     """Complete factorization over Q of a polynomial of degree <= 3 into
     primitive irreducible integer polynomials with positive leading
@@ -527,11 +438,17 @@ def factor_over_q(poly: IntPoly) -> list:
         raise InfranilError("factor_over_q supports degree <= 3")
     if poly.degree == 0:
         return []
-    prim = poly.primitive()
+    prim = rest = poly.primitive()
     out = []
-    for sf, mult in _yun_squarefree(prim):
-        for fac in _factor_squarefree(sf):
-            out.append((fac, mult))
+    for r in _rational_roots(prim):
+        lin, mult = IntPoly([-r.numerator, r.denominator]), 0
+        while (quo := exact_quotient(rest, lin)) is not None:
+            rest, mult = quo, mult + 1
+        out.append((lin, mult))
+    if rest.degree >= 2:
+        # no rational root is left, so the quadratic or cubic is irreducible,
+        # and simple: a repeated irrational root needs degree >= 4
+        out.append((rest, 1))
     out.sort(key=lambda fm: fm[0].sort_key())
     check = IntPoly([1])
     for fac, mult in out:

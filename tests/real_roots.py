@@ -1,35 +1,70 @@
 """Real-root counting and isolation by Sturm chains in integers, kept as a
 test oracle.
 
-The engine classifies a factor's real roots against -1 and 1 from sign
-variations alone (`polynomials.unit_split`), so it counts no roots in an
+The engine classifies a factor's real roots against -1 and 1 in closed
+form (`fixedpoint._analyze_factor`: the discriminant, Descartes' rule on
+the Taylor shifts to 1 and -1, and signs), so it counts no roots in an
 arbitrary interval and forms no isolating interval.  The oracles that do —
 the number field of `number_field`, the modulus split in `modulus_split`,
 the float comparison of the acceptance criteria, the references of
 `test_spectrum` — take them from `sturm_count`, `isolate_real_roots` and
-`refine_root` here.  The chains are the library's integer remainder
-sequences, so p(a/b) is decided by the sign of the integer b^d p(a/b).
+`refine_root` here.  The chains are integer pseudo-remainder sequences,
+each member a positive multiple of the Euclidean one over Q, so p(a/b) is
+decided by the sign of the integer b^d p(a/b) (`polynomials._sign`).
 """
 
 from fractions import Fraction
+from math import gcd
 
 from infranil.errors import InfranilError
-from infranil.polynomials import (
-    IntPoly,
-    QPoly,
-    _gcd,
-    _remainder_sequence,
-    _sign,
-    _variations,
-    exact_quotient,
-)
+from infranil.polynomials import IntPoly, QPoly, _sign, exact_quotient
+
+
+def _derivative(p: IntPoly) -> IntPoly:
+    return IntPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _neg_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """-(a mod b) times a positive constant, over its content: pseudo-division
+    that scales the remainder by |lc b| at each step lc b does not divide."""
+    rem = list(a.coeffs)
+    d, lead = b.degree, b.leading()
+    for i in range(len(rem) - 1, d - 1, -1):
+        top = rem.pop()
+        c, r = divmod(top, lead)
+        if r:
+            rem = [abs(lead) * v for v in rem]
+            c = top if lead > 0 else -top
+        for j in range(d):
+            rem[i - d + j] -= c * b.coeffs[j]
+    g = gcd(*rem)
+    return IntPoly([-v // g for v in rem]) if g else IntPoly()
+
+
+def _remainder_sequence(a: IntPoly, b: IntPoly) -> list:
+    """a, b (nonzero), then `_neg_rem` of the last two until it vanishes:
+    the last member is a gcd of a and b."""
+    seq = [a, b]
+    while not (r := _neg_rem(seq[-2], seq[-1])).is_zero():
+        seq.append(r)
+    return seq
+
+
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient (zero for two zeros)."""
+    return (a if b.is_zero() else _remainder_sequence(a, b)[-1]).primitive()
+
+
+def _variations(chain, num: int, den: int) -> int:
+    signs = [s for s in (_sign(q.coeffs, num, den) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _squarefree(poly) -> IntPoly:
     """The primitive squarefree part of a QPoly or IntPoly, with positive
     leading coefficient."""
     p = (poly.to_int()[0] if isinstance(poly, QPoly) else poly).primitive()
-    g = _gcd(p, p.derivative())
+    g = _gcd(p, _derivative(p))
     return exact_quotient(p, g) if g.degree > 0 else p
 
 
@@ -48,7 +83,7 @@ def _sturm_chain(p) -> list:
     is a positive multiple of the Euclidean chain's member for the monic
     squarefree part, so the two chains agree in sign at every point."""
     g = _squarefree(p)
-    return _remainder_sequence(g, g.derivative().primitive())
+    return _remainder_sequence(g, _derivative(g).primitive())
 
 
 def _count_open(chain, lo, hi) -> int:

@@ -616,7 +616,8 @@ def test_failed_internal_check_raises_and_exits_4(monkeypatch, capsys, check):
         )
     else:
         message = "factorization does not reproduce the input"
-        monkeypatch.setattr(polynomials, "_factor_squarefree", lambda p: [polynomials.IntPoly([1, 1])])
+        roots = polynomials._rational_roots
+        monkeypatch.setattr(polynomials, "_rational_roots", lambda p: roots(p)[:1])
     with pytest.raises(InfranilError, match=f"^{message}$"):
         fixedpoint.eigen_classify(QMatrix([[3, 0], [0, Fraction(5)]]))
     code, out, err = run(
