@@ -539,8 +539,8 @@ def test_kmax_below_one_is_a_constraint_error(kmax):
 
 def reference_exterior(ext, n):
     """(det_polys, factors) by the route that reads nothing off
-    charpoly(D): Faddeev-LeVerrier on each integer form flat_j of
-    Lambda^j D, and factor_over_q of q_j^d det(I - z flat_j)(z / q_j)."""
+    charpoly(D): the characteristic polynomial of each integer form flat_j
+    of Lambda^j D, and factor_over_q of q_j^d det(I - z flat_j)(z / q_j)."""
     from infranil.matrices import scaled_det_one_minus_z
     from infranil.polynomials import IntPoly, factor_over_q
 
@@ -608,7 +608,7 @@ def random_rational_matrices(rng, per_size):
 def test_exterior_factors_of_d_are_reversed_spectrum_factors(bench_workloads):
     """Every det_polys[j] and factors[j] of `exterior_data` is read off
     charpoly(D) and eigen_classify's factors of it.  They must equal the
-    Faddeev-LeVerrier route with a factorization per j on random rational
+    route with a characteristic polynomial and a factorization per j on random rational
     matrices, singular, nilpotent and repeated-eigenvalue ones, half-integer
     Heisenberg D*, and every corpus seed-1 and random-maps seed-1 candidate;
     on all but the catalog runs, also sympy's minors and factor_list."""

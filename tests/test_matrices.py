@@ -160,9 +160,10 @@ def test_power():
 
 
 def test_charpoly_matches_sympy():
-    """Integer Faddeev-LeVerrier against sympy, n = 1..3, on entries with
-    denominators 1, 2, 3 and 6, singular matrices, and Lambda^2 of
-    Heisenberg linear parts with half-integer entries."""
+    """The closed-form integer characteristic polynomial against sympy,
+    n = 1..3, on entries with denominators 1, 2, 3 and 6, singular
+    matrices, and Lambda^2 of Heisenberg linear parts with half-integer
+    entries."""
     import sympy
 
     rng = random.Random(2027)

@@ -31,7 +31,7 @@ from infranil.fixedpoint import (
     exterior_data,
     positive_part,
 )
-from infranil.matrices import QMatrix, charpoly
+from infranil.matrices import QMatrix, charpoly, scaled_det_one_minus_z
 from infranil.polynomials import IntPoly, QPoly, factor_over_q
 from infranil.selfmaps import family_instantiate, load_corpus, sample_params
 from infranil.series import (
@@ -509,3 +509,208 @@ def test_exponent_off_by_one_is_caught(monkeypatch):
         with pytest.raises(ReconstructionError, match="does not match"):
             exponents_from_logderiv(num, den)
         assert len(calls) == 3
+
+
+
+# ---------------------------------------------------------------------------
+# The closed-form classification on chosen factors, against the Fraction
+# Sturm reference and sympy
+# ---------------------------------------------------------------------------
+
+
+def sympy_factors(coeffs) -> list:
+    """factor_over_q's form of sympy's factorization: each irreducible
+    factor primitive with positive leading coefficient, sorted."""
+    _, factors = sympy.Poly(list(reversed(coeffs)), X).factor_list()
+    out = []
+    for f, mult in factors:
+        c = [int(v) for v in reversed(f.all_coeffs())]
+        out.append((IntPoly([-v for v in c] if c[-1] < 0 else c), mult))
+    return sorted(out, key=lambda fm: fm[0].sort_key())
+
+
+def assert_layout_matches_oracles(coeffs) -> FactorRoots:
+    """The layout of an irreducible factor equals the Fraction reference's,
+    and its real roots below -1, inside (-1, 1) and above 1 equal sympy's."""
+    q = IntPoly(coeffs)
+    fr = _analyze_factor(q, 1)
+    assert fr == ref_analyze_factor(q, 1), coeffs
+    sp = sympy.Poly(list(reversed(coeffs)), X)
+    expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
+                sympy_open_count(sp, F(1), None)]
+    assert [fr.real.count(c) for c in (LTM1, INSIDE, GT1)] == expected, coeffs
+    return fr
+
+
+@pytest.mark.parametrize("coeffs, factors", [
+    ([2, -3, 0, 1], [([-1, 1], 2), ([2, 1], 1)]),      # (x - 1)^2 (x + 2)
+    ([1, 6, 12, 8], [([1, 2], 3)]),                    # (2x + 1)^3
+    ([1, -3, 3, -1], [([-1, 1], 3)]),                  # (1 - x)^3
+    ([12, 24, 12], [([1, 1], 2)]),                     # 12 (x + 1)^2
+    ([0, 0, 5], [([0, 1], 2)]),                        # 5 x^2
+    ([0, 4, 4, 1], [([0, 1], 1), ([2, 1], 2)]),        # x (x + 2)^2
+    ([-9, 3, 5, 1], [([-1, 1], 1), ([3, 1], 2)]),      # (x - 1)(x + 3)^2
+    ([4, -4, -3, 2], [([-2, 1], 1), ([-2, 1, 2], 1)]),  # (x - 2)(2x^2 + x - 2)
+    ([-3, 3, -1], [([3, -3, 1], 1)]),                  # -(x^2 - 3x + 3): content -1
+])
+def test_factor_over_q_pulls_out_repeated_rational_roots(coeffs, factors):
+    """Each rational root comes out with its multiplicity by repeated exact
+    division, and the rest is one simple irreducible factor; checked
+    against the stated factors and against sympy."""
+    want = sorted(((IntPoly(c), m) for c, m in factors), key=lambda fm: fm[0].sort_key())
+    assert factor_over_q(IntPoly(coeffs)) == want == sympy_factors(coeffs)
+
+
+def test_factor_over_q_matches_sympy_on_random_polynomials():
+    rng = random.Random(41)
+    for coeffs in random_polynomials(rng, 600):
+        assert factor_over_q(IntPoly(coeffs)) == sympy_factors(coeffs), coeffs
+
+
+def test_roots_exactly_at_plus_and_minus_one():
+    """A linear factor at 1 or -1 is classed ONE or MINUS_ONE, with its
+    multiplicity, and counts in neither p nor n; a quadratic or cubic with
+    the root 1 or -1 is reducible and raises."""
+    for rows, classes in [([[1, 0], [0, -1]], [(MINUS_ONE,), (ONE,)]),
+                          ([[1, 1], [0, 1]], [(ONE,)]),
+                          ([[-1, 1, 0], [0, -1, 1], [0, 0, -1]], [(MINUS_ONE,)]),
+                          ([[1, 0, 0], [0, 0, -1], [0, 1, 0]], [(ONE,), ()]),
+                          ([[3, 0, 0], [0, 1, 0], [0, 0, -1]], [(MINUS_ONE,), (ONE,), (GT1,)])]:
+        ec = eigen_classify(QMatrix(rows))
+        assert ec == ref_eigen_classify(QMatrix(rows)), rows
+        assert sorted(fr.real for fr in ec.root_data) == sorted(classes), rows
+        assert ec.n == 0 and ec.p == ((GT1,) in classes), rows
+    assert [fr.multiplicity for fr in eigen_classify(QMatrix([[1, 1], [0, 1]])).root_data] == [2]
+    ec = eigen_classify(QMatrix([[-1, 1, 0], [0, -1, 1], [0, 0, -1]]))
+    assert ec.classes == ((0, 3, 0),)
+    for coeffs in ([-1, 0, 1],          # (x - 1)(x + 1)
+                   [-2, 1, 1],          # (x - 1)(x + 2)
+                   [2, 1, 0, 1],        # (x + 1)(x^2 - x + 2)
+                   [-1, -1, 1, 1]):     # (x - 1)(x + 1)^2
+        with pytest.raises(InfranilError, match="has the root 1 or -1"):
+            _analyze_factor(IntPoly(coeffs), 1)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -3, 1],         # 0.38, 2.62
+    [1, 3, 1],          # -2.62, -0.38
+    [-5, 0, 1],         # -2.24, 2.24
+    [-1, 1, 1],         # -1.62, 0.62
+    [-1, 0, 3],         # -0.58, 0.58
+    [-7, 0, 2],         # -1.87, 1.87
+    [1, -3, 0, 1],      # -1.88, 0.35, 1.53
+    [1, -4, 0, 1],      # -2.11, 0.25, 1.86
+    [7, -7, 0, 1],      # -3.05, 1.36, 1.69
+    [-7, -7, 0, 1],     # -1.69, -1.36, 3.05
+    [1, 0, -7, 4],      # -0.35, 0.44, 1.66
+    [-5, 0, 9, -1],     # -(x^3 - 9x^2 + 5): -0.72, 0.78, 8.94
+    [3, -10, 0, 2],     # -2.37, 0.31, 2.07
+    [1, 0, -3, 1],      # -0.53, 0.65, 2.88
+    [1, 7, -6, 1],      # -0.13, 1.80, 4.33
+])
+def test_real_rooted_factors_on_both_sides_of_plus_minus_one(coeffs):
+    """Irreducible quadratics and cubics with only real roots, on both
+    sides of 1 and of -1: Descartes' rule on q(1 + y) and q(-1 - y)."""
+    q = IntPoly(coeffs).primitive()
+    assert factor_over_q(q) == [(q, 1)], coeffs
+    fr = assert_layout_matches_oracles(q.coeffs)
+    assert len(fr.real) == q.degree and fr.pair_class is None
+
+
+@pytest.mark.parametrize("coeffs, real, pair", [
+    ([-1, -1, 0, 1], GT1, "lt"),      # x^3 - x - 1: 1.32, pair modulus 0.87
+    ([1, 0, 0, 3], INSIDE, "lt"),     # 3x^3 + 1: -0.69, pair modulus 0.69
+    ([-1, 0, 1, 1], INSIDE, "gt"),    # x^3 + x^2 - 1: 0.75, pair modulus 1.15
+    ([7, 7, -6, 1], INSIDE, "gt"),    # -0.63, pair 3.31 +- 0.42i: q(1 + y) has 2 sign changes
+    ([-3, 1, 0, 1], GT1, "gt"),       # 1.21, pair modulus 1.57
+    ([-10, 0, 0, 1], GT1, "gt"),      # 2.15, pair modulus 2.15
+    ([2, 0, 0, 1], LTM1, "gt"),       # -1.26, pair modulus 1.26
+    ([5, 3, 1, 1], LTM1, "gt"),       # -1.40, pair modulus 1.89
+])
+def test_one_real_root_cubics(coeffs, real, pair):
+    """An irreducible cubic with negative discriminant: its real root placed
+    by the signs of q(1) and q(-1), its complex pair against the unit circle
+    by the signs of q(+-|c0/c3|), where Descartes' rule would miscount."""
+    q = IntPoly(coeffs)
+    assert factor_over_q(q) == [(q, 1)], coeffs
+    fr = assert_layout_matches_oracles(coeffs)
+    assert (fr.real, fr.pair_class) == ((real,), pair), coeffs
+
+
+def test_cubic_pair_on_the_unit_circle_is_split_off():
+    """A cubic with one real root whose complex pair has modulus 1 is
+    reducible (theta |lambda|^2 = -c0/c3 makes theta rational): the
+    spectrum splits it into the linear factor and the quadratic, whose pair
+    is 'eq', and `_analyze_factor` refuses the cubic itself."""
+    q = IntPoly([-1, 3, -3, 2])      # (2x - 1)(x^2 - x + 1)
+    assert factor_over_q(q) == [(IntPoly([-1, 2]), 1), (IntPoly([1, -1, 1]), 1)]
+    d = QMatrix(companion(F(-1, 2), F(3, 2), F(-3, 2)))
+    ec = eigen_classify(d)
+    assert ec.charpoly == q and ec == ref_eigen_classify(d)
+    assert [(fr.real, fr.pair_class) for fr in ec.root_data] == [((INSIDE,), None), ((), "eq")]
+    with pytest.raises(InfranilError, match="rational root"):
+        _analyze_factor(q, 1)
+
+
+def test_zero_discriminant_is_refused():
+    """A quadratic or cubic with a repeated root is reducible; passed in as
+    a factor with no root at -1 or 1, it raises instead of being counted."""
+    for coeffs in ([4, -4, 1],          # (x - 2)^2
+                   [12, -8, -1, 1],     # (x - 2)^2 (x + 3)
+                   [-8, 12, -6, 1]):    # (x - 2)^3
+        with pytest.raises(InfranilError, match="repeated root"):
+            _analyze_factor(IntPoly(coeffs), 1)
+
+
+def test_classification_at_200_bits_runs_in_polynomial_time():
+    """Coefficients near 2^200, with rational roots near 2^200 and without:
+    every factorization and layout equals sympy's and the Fraction
+    reference's, and the library's part takes under 2 s in all (about
+    0.1 s on a 2-vCPU x86-64 host): bisection within the Fujiwara bound takes
+    about as many steps as the coefficients have bits."""
+    import time
+
+    rng = random.Random(200)
+    big = 2 ** 200
+    polys = []
+    for _ in range(20):
+        a, b = rng.randint(big // 2, big), rng.randint(1, 2 ** 20)
+        polys += [
+            [rng.randint(-big, big) for _ in range(3)] + [rng.choice((1, 3, big + 1))],
+            list((IntPoly([-a, b]) * IntPoly([rng.randint(-9, 9), rng.randint(-9, 9), 1])).coeffs),
+            list((IntPoly([a, 1]) * IntPoly([-a, 1]) * IntPoly([rng.randint(-big, big), 1])).coeffs),
+            list((IntPoly([-a, 3]) * IntPoly([-a, 3]) * IntPoly([1, 1])).coeffs),
+        ]
+    start = time.perf_counter()
+    results = []
+    for coeffs in polys:
+        factors = factor_over_q(IntPoly(coeffs))
+        results.append((factors, [_analyze_factor(q, m) for q, m in factors]))
+    elapsed = time.perf_counter() - start
+    for coeffs, (factors, layouts) in zip(polys, results):
+        assert factors == sympy_factors(coeffs), coeffs
+        assert layouts == [ref_analyze_factor(q, m) for q, m in factors], coeffs
+    assert elapsed < 2.0, elapsed
+
+
+def test_scaled_det_one_minus_z_matches_sympy():
+    """The closed form scale^m det(I - z B / scale) from the trace, the
+    principal 2 x 2 minors and the determinant, against sympy's
+    determinant for m = 1..3, singular B and scales 1, 2, 6 and 2^70
+    included; any other m raises."""
+    z = sympy.Symbol("z")
+    rng = random.Random(33)
+    for m in (1, 2, 3):
+        for trial in range(40):
+            bound = 2 ** 70 if trial % 8 == 0 else 9
+            rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(m)]
+            if trial % 5 == 0 and m > 1:
+                rows[-1] = [2 * v for v in rows[0]]
+            scale = rng.choice((1, 2, 6, 2 ** 70))
+            flat = tuple(v for row in rows for v in row)
+            det = (sympy.eye(m) * scale - z * sympy.Matrix(rows)).det()
+            want = [int(c) for c in reversed(sympy.Poly(sympy.expand(det), z).all_coeffs())]
+            assert scaled_det_one_minus_z(flat, m, scale) == IntPoly(want), (rows, scale)
+    for m in (0, 4):
+        with pytest.raises(InfranilError, match="m = 1..3"):
+            scaled_det_one_minus_z(tuple(range(m * m)), m, 1)

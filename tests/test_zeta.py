@@ -383,8 +383,8 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
                       "matrices.scaled_det_one_minus_z"]
     )
     compute_zeta(cand)
-    # charpoly(D) once, for the spectrum, by the integer Faddeev-LeVerrier on
-    # D's integer form, never through the QPoly charpoly; every Lambda^j D is
+    # charpoly(D) once, for the spectrum, in closed form on D's integer
+    # form, never through the QPoly charpoly; every Lambda^j D is
     # formed from the integer minors of D, never through the QMatrix
     # exterior_power
     q, (flat,) = integer_form([cand.dstar])
