@@ -665,8 +665,8 @@ def test_zero_discriminant_is_refused():
 def test_classification_at_200_bits_runs_in_polynomial_time():
     """Coefficients near 2^200, with rational roots near 2^200 and without:
     every factorization and layout equals sympy's and the Fraction
-    reference's, and the library's part takes under 2 s in all (about
-    0.1 s on a 2-vCPU x86-64 host): bisection within the Fujiwara bound takes
+    reference's, and the library's part takes under 2 s in all (0.03 s
+    on a 2-vCPU x86-64 host): bisection within the Fujiwara bound takes
     about as many steps as the coefficients have bits."""
     import time
 
