@@ -4,9 +4,10 @@
     zeta compute --manifold ID [--family N] [--param a=3 ...] [--kmax 40] [--json]
     zeta verify-tables [--corpus PATH] [--samples N] [--json]
 
-Exit codes: 0 success, 2 invalid map, 3 constraint violation, 4 corpus
-verification failure.  The ZETA_CORPUS environment variable overrides the
-default corpus path.
+Exit codes: 0 success, 2 invalid map or an argparse usage error (such as
+`--kmax abc` or a missing `--manifold`), 3 constraint violation, 4 malformed
+corpus or corpus verification failure.  The ZETA_CORPUS environment
+variable overrides the default corpus path.
 """
 
 from __future__ import annotations
@@ -146,18 +147,15 @@ def cmd_compute(args) -> int:
     if args.json:
         print(json.dumps(data, indent=1))
         return EXIT_OK
-    text = [
-        f"manifold:        {args.manifold} (family {spec.index}: {spec.desc})",
-        f"case:            {res.case_label}   (p = {res.p}, n = {res.n}, index = {res.index})",
-        f"L(f^k) k=1..{min(args.kmax, 10)}:  {list(res.lefschetz_numbers[:10])}",
-        f"N(f^k) k=1..{min(args.kmax, 10)}:  {list(res.nielsen_numbers[:10])}",
-        f"Lefschetz zeta:  {res.lefschetz}",
-    ]
+    print(f"manifold:        {args.manifold} (family {spec.index}: {spec.desc})")
+    print(f"case:            {res.case_label}   (p = {res.p}, n = {res.n}, index = {res.index})")
+    print(f"L(f^k) k=1..{min(args.kmax, 10)}:  {list(res.lefschetz_numbers[:10])}")
+    print(f"N(f^k) k=1..{min(args.kmax, 10)}:  {list(res.nielsen_numbers[:10])}")
+    print(f"Lefschetz zeta:  {res.lefschetz}")
     if res.lefschetz_plus is not None:
-        text.append(f"positive-part:   {res.lefschetz_plus}")
-    text.append(f"Nielsen zeta:    {data['nielsen_zeta_str']}")
-    text.append(f"sign relations:  {'ok' if sign.ok else 'VIOLATED'}")
-    _emit(data, args.json, text)
+        print(f"positive-part:   {res.lefschetz_plus}")
+    print(f"Nielsen zeta:    {data['nielsen_zeta_str']}")
+    print(f"sign relations:  {'ok' if sign.ok else 'VIOLATED'}")
     return EXIT_OK
 
 

@@ -161,9 +161,12 @@ def eval_bool(text, env) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _residue_in(v, arg: str) -> bool:
-    m, residues = arg.split(":")
-    return v % int(m) in {int(r) for r in residues.split(",")}
+def _residues(text: str) -> tuple:
+    """(m, residues) of "m:r1,r2,...": a positive modulus and integers."""
+    m, residues = text.split(":")
+    if (m := int(m)) < 1:
+        raise ValueError(f"modulus {m} is not positive")
+    return m, frozenset(int(r) for r in residues.split(","))
 
 
 def _fractions(text: str) -> tuple:
@@ -176,8 +179,7 @@ def _grids(small, large):
     return lambda arg: (small, large)
 
 
-def _shift_grids(arg: str):
-    base = parse_rational(arg)
+def _shift_grids(base):
     return [base - 1, base, base + 1], [base + 7, base - 8]
 
 
@@ -185,18 +187,18 @@ _INTS = _grids(range(-5, 6), range(7, 24))
 _HALVES = [Fraction(v, 2) for v in range(-3, 4)]
 
 # The domain language, e.g. "int_odd", "int_mod:4:1,3" or "shift:1/3".  Per
-# kind (the text before the first ':'): its membership test, (value, text
-# after the ':') -> bool, and its sample grids, text after the ':' ->
-# (small, large).  A domain's samples are the members of its grid, in grid
-# order.
+# kind (the text before the first ':'): its membership test, (value, arg) ->
+# bool, and its sample grids, arg -> (small, large), where arg is the text
+# after the ':' as `_ARGUMENTS` parses it.  A domain's samples are the
+# members of its grid, in grid order.
 _DOMAINS = {
     "int": (lambda v, arg: _is_int(v), _INTS),
     "int_odd": (lambda v, arg: _is_int(v) and v % 2 == 1, _INTS),
     "int_even": (lambda v, arg: _is_int(v) and v % 2 == 0, _INTS),
-    "int_mod": (lambda v, arg: _is_int(v) and _residue_in(v, arg), _INTS),
-    "int_pos_mod": (lambda v, arg: _is_int(v) and v > 0 and _residue_in(v, arg),
+    "int_mod": (lambda v, arg: _is_int(v) and v % arg[0] in arg[1], _INTS),
+    "int_pos_mod": (lambda v, arg: _is_int(v) and v > 0 and v % arg[0] in arg[1],
                     _grids(range(1, 13), range(7, 36))),
-    "int_multiple": (lambda v, arg: _is_int(v) and v % int(arg) == 0, _INTS),
+    "int_multiple": (lambda v, arg: _is_int(v) and v % arg[0] == 0, _INTS),
     "rational": (lambda v, arg: True,
                  _grids(_fractions("0 1 -1 1/2 -2/3 5/4 2"), _fractions("17/3 -23/4"))),
     "half_int": (lambda v, arg: _is_int(2 * v), _grids(_HALVES, _fractions("15/2 -9"))),
@@ -206,25 +208,35 @@ _DOMAINS = {
                     _grids([Fraction(v, 4) for v in range(-3, 4)], _fractions("29/4 -19/4"))),
     "third_int": (lambda v, arg: _is_int(3 * v),
                   _grids([Fraction(v, 3) for v in range(-4, 5)], _fractions("22/3 -26/3"))),
-    "shift": (lambda v, arg: _is_int(v - parse_rational(arg)), _shift_grids),
+    "shift": (lambda v, arg: _is_int(v - arg), _shift_grids),
 }
+# The kinds that read their argument (int_multiple:m as the residue 0 mod m).
+_ARGUMENTS = {"int_mod": _residues, "int_pos_mod": _residues, "shift": parse_rational,
+              "int_multiple": lambda arg: _residues(arg + ":0")}
 
 
-def _domain(domain: str):
-    """(membership test, sample grids, argument) of a domain string."""
+@lru_cache(maxsize=256)
+def parse_domain(domain: str):
+    """(membership test, sample grids, parsed argument) of a domain string.
+    Raises CorpusError for an unknown kind or a bad argument: int_mod and
+    int_pos_mod take "m:r1,r2,...", int_multiple "m" (m >= 1), shift a rational."""
     kind, _, arg = domain.partition(":")
     if kind not in _DOMAINS:
         raise CorpusError(f"unknown parameter domain {domain!r}")
+    try:
+        arg = _ARGUMENTS.get(kind, str)(arg)
+    except (ValueError, ConstraintError) as exc:
+        raise CorpusError(f"parameter domain {domain!r} has a bad argument ({exc})") from None
     return *_DOMAINS[kind], arg
 
 
 def in_domain(domain: str, value) -> bool:
     """Whether a Fraction lies in a parameter's domain."""
-    member, _, arg = _domain(domain)
+    member, _, arg = parse_domain(domain)
     return member(value, arg)
 
 
 def domain_values(domain: str, large: bool = False):
     """The members of a domain's small or large sample grid, as strings."""
-    member, grids, arg = _domain(domain)
+    member, grids, arg = parse_domain(domain)
     return [str(v) for v in grids(arg)[large] if member(v, arg)]

@@ -22,11 +22,11 @@ read off charpoly(D) and its factors: charpoly(D) is the one polynomial
 formed, in closed form, and the one factored.  The first C(n, j) powers
 of E_j are shared by every holonomy element, every later term costs
 C(n, j) multiplications per element, and Lambda^j A is formed once per
-holonomy group.  The traces run in integers, and a table row is
-(den, nums): the entries' integer numerators over the common denominator
-den = R Q^k, R and Q the lcms of the sequences' scales r_j and q_j
-(positive, not always the least), so L and N are integer sums.  The test oracles form the same determinants
-directly, from D^k by binary powering (`tests/oracles.py`).
+holonomy group.  The traces run in integers, and a table row is (den, nums):
+the entries' integer numerators over the common denominator den = R Q^k, R
+and Q the lcms of the sequences' scales r_j and q_j (positive, not always
+the least), so L and N are integer sums.  The test oracles form the same
+determinants directly, from D^k by binary powering (`tests/oracles.py`).
 
 The spectrum of D* is classified exactly, in integers, in closed form and
 with no root isolated (`_analyze_factor`): the counts p of real
@@ -43,9 +43,9 @@ where h is the minimal polynomial of mu, the product of the expanding
 eigenvalues, read off the spectrum's factors, and j < deg h the least that
 makes the denominator nonzero (`positive_part`): two integer dot products
 with the first C(n, m) terms of the j = m trace sequences.  A `PositivePart`
-holds the index, the signs and the indices of F_+ into the entry's holonomy
-group, which it does not carry; `positive_part` checks on that group's table
-that F_+ is closed.
+holds the index, the signs and the indices of F_+ into the holonomy group,
+which it does not carry; `positive_part` checks on that group's table that
+F_+ is closed.
 The parity relations tying N(f^k) to L(f^k) and L(f_+^k) are checked for a
 range of iterates.
 """
@@ -59,7 +59,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .catalog import HolonomyGroup, holonomy
+from .catalog import HolonomyGroup
 from .errors import ConstraintError, InfranilError, InvalidCandidateError
 from .matrices import (
     QMatrix,
@@ -179,9 +179,7 @@ class EigenClass(NamedTuple):
     """Exact spectrum classification of a linear part."""
 
     charpoly: IntPoly    # primitive, positive leading coefficient
-    factors: tuple        # (IntPoly, multiplicity) of the nonconstant part
-    root_data: tuple      # FactorRoots per factor
-    classes: tuple        # per factor: (lt, eq, gt) counts including multiplicity
+    root_data: tuple      # FactorRoots per factor of the nonconstant part
     p: int                # real eigenvalues > 1, with multiplicity
     n: int                # real eigenvalues < -1, with multiplicity
     dim_gt1: int          # total modulus > 1 count, with multiplicity
@@ -192,21 +190,19 @@ def eigen_classify(dstar: QMatrix) -> EigenClass:
     q, (flat,) = integer_form([dstar])
     rev = scaled_det_one_minus_z(flat, dim, q).coeffs  # q^dim det(I - z D)
     cp = IntPoly((rev + (0,) * (dim + 1 - len(rev)))[::-1]).primitive()
-    factors = factor_over_q(cp)
     data = []
-    classes = []
-    p = n = gt_total = 0
-    for q, mult in factors:
+    p = n = gt_total = total = 0
+    for q, mult in factor_over_q(cp):
         fr = _analyze_factor(q, mult)
         data.append(fr)
         lt, eq, gt = fr.modulus_counts()
-        classes.append((lt * mult, eq * mult, gt * mult))
+        total += (lt + eq + gt) * mult
         gt_total += gt * mult
         p += mult * fr.real.count(GT1)
         n += mult * fr.real.count(LTM1)
-    if sum(lt + eq + gt for lt, eq, gt in classes) != cp.degree:
+    if total != cp.degree:
         raise InfranilError("modulus classes must partition the spectrum")
-    return EigenClass(cp, tuple(factors), tuple(data), tuple(classes), p, n, gt_total)
+    return EigenClass(cp, tuple(data), p, n, gt_total)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +237,7 @@ class ExteriorData(Record):
         the same multiplicity."""
         out = [((IntPoly([-1, 1]), 1),)]  # det(I - z Lambda^0 D) = 1 - z
         reversed_d = []
-        for q, mult in self.spectrum.factors:
+        for q, mult, _, _ in self.spectrum.root_data:
             if q.constant():  # x, a zero eigenvalue, reverses to 1
                 sign = 1 if q.constant() > 0 else -1
                 rev = IntPoly([sign * c for c in reversed(q.coeffs)])
@@ -254,7 +250,7 @@ class ExteriorData(Record):
                 factors = sorted(
                     ((IntPoly([c * a ** t * b ** (f.degree - t)
                                          for t, c in enumerate(f.coeffs)])
-                      .primitive(), mult) for f, mult in self.spectrum.factors),
+                      .primitive(), mult) for f, mult, _, _ in self.spectrum.root_data),
                     key=lambda fm: fm[0].sort_key(),
                 )
             else:  # den poly(z / den), up to its content
@@ -335,30 +331,29 @@ def exterior_traces(ext: ExteriorData, group: HolonomyGroup, kmax: int) -> list:
     ]
 
 
-def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int, traces=None):
+def det_table(ext: ExteriorData, group: HolonomyGroup, kmax: int, traces: list):
     """table[k-1] = (den, nums) with det(I - A_i D^k) = nums[i] / den for
     k = 1..kmax and nums ints, where ext is `exterior_data(D)`, by the
-    exterior-power trace recurrences of the module docstring.  traces, when
-    given, is `exterior_traces(ext, group, kmax)`, formed by the caller so
-    that `positive_part` reads the same sequences.
+    exterior-power trace recurrences of the module docstring.  traces is
+    `exterior_traces(ext, group, K)` for some K >= kmax, which
+    `positive_part` reads too.
 
     den = R Q^k, R and Q the lcms of the r_j and q_j of the trace sequences:
     a positive common denominator, not always the least.  The j-th sequence
     then weighs (-1)^j (R / r_j) (Q / q_j)^k, one int when q_j = Q."""
-    terms = exterior_traces(ext, group, kmax) if traces is None else traces
-    big_r, big_q = lcm(*(r for r, _, _ in terms)), lcm(*(q for _, q, _ in terms))
+    big_r, big_q = lcm(*(r for r, _, _ in traces)), lcm(*(q for _, q, _ in traces))
     dens, den = [], big_r
     for _ in range(kmax):
         den *= big_q
         dens.append(den)
     weights = []
-    for j, (r, q, _) in enumerate(terms, start=1):
+    for j, (r, q, _) in enumerate(traces, start=1):
         w, ratio = (-1) ** j * (big_r // r), big_q // q
         weights.append(w if ratio == 1 else [w * ratio ** k for k in range(1, kmax + 1)])
     columns = []
     for i in range(group.order):
         col = dens
-        for w, (_, _, seqs) in zip(weights, terms):
+        for w, (_, _, seqs) in zip(weights, traces):
             seq = seqs[i][1:]
             if type(w) is int:
                 col = [c + w * t for c, t in zip(col, seq)]
@@ -384,8 +379,7 @@ class PositivePart(NamedTuple):
     """The subgroup F_+ of holonomy elements A whose sign
     eps_A = det(A on V/W) is +1, W the modulus <= 1 subspace of D, together
     with every element's sign (`positive_part` computes them).  Indices are
-    into the candidate's `entry.holonomy_group`, which the part does not
-    carry."""
+    into the holonomy group it was computed on, which it does not carry."""
 
     index: int
     det_signs: tuple      # +1/-1 per holonomy element
@@ -398,11 +392,11 @@ def _root_product(f) -> tuple:
     return (-1) ** (len(f) - 1) * f[0], f[-1]
 
 
-def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> PositivePart:
-    """The sign eps_A = det(A on V/W) of every holonomy element, where ext is
-    `exterior_data(candidate.dstar)`, and the subgroup F_+ where it is +1.
-    traces is the candidate's `exterior_traces`, formed here when not
-    given.
+def positive_part(ext: ExteriorData, group: HolonomyGroup, traces: list) -> PositivePart:
+    """The sign eps_A = det(A on V/W) of every element A of the holonomy
+    group, where ext is `exterior_data(D)`, and the subgroup F_+ where it is
+    +1.  traces is `exterior_traces(ext, group, K)` for any K >= 1; only its
+    first C(n, m) terms of j = m are read.
 
     Let m = dim V/W, mu the product of the expanding eigenvalues and h its
     minimal polynomial.  W is preserved by every holonomy element, and its
@@ -427,7 +421,6 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> Po
     f's roots.
     """
     global MIXED_CUBIC_COUNTER
-    group = holonomy(candidate.entry)
     m = ext.spectrum.dim_gt1
     if m == 0:
         return PositivePart(1, (1,) * group.order, tuple(range(group.order)))
@@ -458,8 +451,6 @@ def positive_part(candidate: MapCandidate, ext: ExteriorData, traces=None) -> Po
     det_poly, size = ext.det_polys[m].coeffs, isqrt(len(flat))
     cp_m = IntPoly((det_poly + (0,) * (size + 1 - len(det_poly)))[::-1])
     g = exact_quotient(cp_m, h).coeffs
-    if traces is None:
-        traces = exterior_traces(ext, group, 1)
     seqs = traces[m - 1][2]
     for j in range(d):
         total = sum(map(mul, g, seqs[0][j:]))
@@ -521,7 +512,7 @@ def _candidate_sequences(candidate: MapCandidate, kmax: int, nterms: int):
     ext = exterior_data(candidate.dstar)
     group = candidate.entry.holonomy_group
     traces = exterior_traces(ext, group, nterms)
-    part = positive_part(candidate, ext, traces)
+    part = positive_part(ext, group, traces)
     return ext, part, _number_sequences(det_table(ext, group, nterms, traces), part)
 
 

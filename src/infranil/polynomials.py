@@ -430,8 +430,6 @@ def factor_over_q(poly: IntPoly) -> list:
     multiplicity, times the signed content of the input, reproduces the input
     exactly (checked here; InfranilError otherwise).
     """
-    if isinstance(poly, QPoly):
-        poly = poly.to_int()[0]
     if poly.is_zero():
         raise InfranilError("cannot factor the zero polynomial")
     if poly.degree > 3:

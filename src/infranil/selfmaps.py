@@ -51,7 +51,7 @@ from .catalog import (
     psi_embed,
 )
 from .errors import CatalogError, ConstraintError, CorpusError, InvalidCandidateError
-from .exprs import domain_values, eval_bool, eval_rational, in_domain, parse_rational
+from .exprs import domain_values, eval_bool, eval_rational, in_domain, parse_domain, parse_rational
 from .matrices import QMatrix, flat_product, integer_form
 from .records import Record
 from .series import parity_signs
@@ -292,12 +292,18 @@ def _parse_corpus(src) -> Corpus:
 
 def _block_specs(block: dict) -> list:
     """The FamilySpecs of one manifold's corpus block; each one's parameters
-    start with the catalog entry's (k)."""
+    start with the catalog entry's (k), and every domain must parse (`parse_domain`)."""
     manifold = block["manifold"]
     try:
         entry_params = catalog_params(manifold)
     except CatalogError as exc:
         raise CorpusError(f"corpus manifold {manifold!r} is not in the catalog") from exc
+    for fam in block["families"]:
+        for p in fam["params"]:
+            try:
+                parse_domain(p["domain"])
+            except CorpusError as exc:
+                raise CorpusError(f"malformed corpus: {manifold}#{fam['index']}: {exc}") from None
     return [
         FamilySpec(
             manifold=manifold,
@@ -363,12 +369,12 @@ def admit_params(spec: FamilySpec, params: dict) -> dict:
     return env
 
 
-def family_instantiate(spec: FamilySpec, params: dict, corpus_check: bool = True) -> MapCandidate:
+def family_instantiate(spec: FamilySpec, params: dict) -> MapCandidate:
     """The candidate of `family_instance`."""
-    return family_instance(spec, params, corpus_check)[1]
+    return family_instance(spec, params)[1]
 
 
-def family_instance(spec: FamilySpec, params: dict, corpus_check: bool = True) -> tuple:
+def family_instance(spec: FamilySpec, params: dict) -> tuple:
     """(env, candidate) for a parameter assignment the family admits: env
     the resolved parameters (`admit_params`: every parameter's domain, then
     every constraint) and the candidate built from them, validated eagerly.
@@ -379,7 +385,7 @@ def family_instance(spec: FamilySpec, params: dict, corpus_check: bool = True) -
     dstar = QMatrix([[eval_rational(e, env) for e in row] for row in spec.dstar])
     translation = tuple(eval_rational(e, env) for e in spec.translation)
     candidate = MapCandidate(entry, translation, dstar)
-    if corpus_check and validate_selfmap(candidate) is None:
+    if validate_selfmap(candidate) is None:
         raise CorpusError(
             f"{spec.label}: instantiation with {params} fails self-map validation "
             "(corpus encoding bug)"

@@ -160,15 +160,13 @@ class RatFuncProduct(Record):
 
     @staticmethod
     def from_factors(pairs) -> "RatFuncProduct":
-        """Build from arbitrary (polynomial, exponent) pairs.  Every
-        polynomial must have constant term 1; each is factored over Q and the
+        """Build from arbitrary (QPoly, exponent) pairs.  Every polynomial
+        must have constant term 1; each is factored over Q and the
         irreducible pieces are normalized to q(0) = 1.  An exponent that is
         not an int raises InfranilError naming it."""
         out = []
         for poly, e in pairs:
             e = _int_exponent(e)
-            if isinstance(poly, IntPoly):
-                poly = poly.to_qpoly()
             if poly.is_zero():
                 raise ReconstructionError("zero polynomial in a product")
             if poly[0] != 1:
@@ -267,11 +265,9 @@ def parity_signs(p: int, n: int):
 
 def factor_with_hints(p: IntPoly, hints):
     """Factor p over a list of known primitive irreducible candidate
-    divisors, by exact trial division in integers, or over Q when `hints` is
-    None.  Returns [(hint, multiplicity), ...]; a factor of p that no hint
-    divides raises ReconstructionError."""
-    if hints is None:
-        return factor_over_q(p)
+    divisors, by exact trial division in integers.  Returns
+    [(hint, multiplicity), ...]; a factor of p that no hint divides raises
+    ReconstructionError."""
     out = {}
     work = p
     seen = set()
@@ -313,16 +309,16 @@ def _exponent_at(num: IntPoly, term: IntPoly, q: IntPoly) -> int:
     return r_num[i] // r_term[i]
 
 
-def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncProduct:
+def exponents_from_logderiv(num: IntPoly, den: IntPoly, hints) -> RatFuncProduct:
     """Invert S = num/den (den(0)=1, den squarefree) to the
     canonical product Z with z (log Z)' = S, in integers.  Each factor q_i of
     den has the term z q_i' (den / q_i); every other term is divisible by
     q_i, so its exponent is read from num = e_i z q_i' (den / q_i) mod q_i.
     The result is verified by cross-multiplication, the only arbiter.
 
-    `hints` may carry primitive irreducible integer polynomials known to
-    divide den (e.g. factors of det(I - z Lambda^j D)); den must then factor
-    over them, and no factorization over Q is done.
+    den is factored over `hints`, primitive irreducible integer polynomials
+    (`factor_with_hints`; in the engine the factors of det(I - z Lambda^j D)
+    and their z -> -z twists), and over nothing else.
     """
     if den.constant() != 1:
         raise ReconstructionError("denominator must satisfy den(0) = 1")

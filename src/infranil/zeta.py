@@ -66,12 +66,6 @@ def candidate_factor_hints(ext: ExteriorData):
     return [h for factors in ext.factors for q, _ in factors for h in (q, q.subs_neg_x())]
 
 
-def zeta_from_sequence(seq, bound: int, hints=None) -> RatFuncProduct:
-    """Canonical product with z (log Z)' = sum seq[k-1] z^k."""
-    num, den = berlekamp_massey_q(seq, bound)
-    return exponents_from_logderiv(num, den, hints)
-
-
 def _averaged_closed_form(ext: ExteriorData, averages) -> RatFuncProduct:
     """prod_j det(I - z P_j Lambda^j D)^((-1)^(j+1)), where averages[j] is the
     integer form (den, flat) of P_j (`HolonomyGroup.exterior_averages`).
@@ -161,20 +155,17 @@ def compute_zeta(candidate: MapCandidate, kmax: int = 40) -> ZetaResult:
         lef_plus = _checked_closed_form(
             ext, group.exterior_averages(part.plus_indices), plus_seq, "L_+"
         )
-    direct = zeta_from_sequence(
-        nie_seq[: sequence_length(dim)], recurrence_bound(dim), candidate_factor_hints(ext)
-    )
+    num, den = berlekamp_massey_q(nie_seq[: sequence_length(dim)], recurrence_bound(dim))
+    direct = exponents_from_logderiv(num, den, candidate_factor_hints(ext))
     structural = _structural(lef, lef_plus, part.index, ec.p, ec.n)
+    label = case_label(part.index, ec.p, ec.n)
     if not rfp_equal(direct, structural):
-        raise RouteMismatchError(
-            f"direct {direct} != structural {structural} "
-            f"({case_label(part.index, ec.p, ec.n)})"
-        )
+        raise RouteMismatchError(f"direct {direct} != structural {structural} ({label})")
     return ZetaResult(
         p=ec.p,
         n=ec.n,
         index=part.index,
-        case_label=case_label(part.index, ec.p, ec.n),
+        case_label=label,
         lefschetz_numbers=lef_seq[:kmax],
         nielsen_numbers=nie_seq[:kmax],
         lefschetz=lef,

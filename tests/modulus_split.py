@@ -3,7 +3,9 @@
 `ref_positive_part` is the modulus split that `fixedpoint.positive_part`
 replaced: the signs det(A on V/W) from rational kernels and solves of the
 modulus <= 1 block, and, when an irreducible factor straddles the unit
-circle, from an eigenvector, kernel and solve over Q(theta).
+circle, from an eigenvector, kernel and solve over Q(theta).  `part_of` is
+the engine's positive part of a candidate, set against it and read by the
+other tests.
 `anosov_fastpath` is the set of sufficient criteria for N(f) = |L(f)|, with
 the holonomy-group predicates it reads.
 """
@@ -12,7 +14,18 @@ from fractions import Fraction
 
 from infranil.catalog import holonomy
 from infranil.errors import InfranilError
-from infranil.fixedpoint import GT1, INSIDE, LTM1, MINUS_ONE, ONE, PositivePart, eigen_classify
+from infranil.fixedpoint import (
+    GT1,
+    INSIDE,
+    LTM1,
+    MINUS_ONE,
+    ONE,
+    PositivePart,
+    eigen_classify,
+    exterior_data,
+    exterior_traces,
+    positive_part,
+)
 from infranil.matrices import QMatrix, charpoly
 from infranil.numberfield import field_det, field_kernel, field_solve_columns
 from infranil.polynomials import QPoly
@@ -117,6 +130,13 @@ def _mixed_signs(dstar, elements, ec, mixed, dets):
             raise InfranilError("restricted determinant fails to be rational")
         signs.append(da / det.as_fraction())
     return signs
+
+
+def part_of(candidate) -> PositivePart:
+    """`fixedpoint.positive_part` of a candidate, on its exterior data and
+    the shortest exterior traces (kmax 1) of its holonomy group."""
+    ext, group = exterior_data(candidate.dstar), candidate.entry.holonomy_group
+    return positive_part(ext, group, exterior_traces(ext, group, 1))
 
 
 def ref_positive_part(candidate, ec) -> PositivePart:

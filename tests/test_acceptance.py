@@ -223,7 +223,8 @@ def test_criterion_7_spectrum_vs_float_oracle(capsys):
     ]
     for m, expected in edges:
         ec = eigen_classify(m)
-        total = tuple(sum(c[i] for c in ec.classes) for i in range(3))
+        total = tuple(sum(fr.modulus_counts()[i] * fr.multiplicity for fr in ec.root_data)
+                      for i in range(3))
         assert total == expected and ec.p == ec.n == 0 and ec.dim_gt1 == 0
     with capsys.disabled():
         report(7, True, "200 random spectra match the float oracle; edge cases exact")

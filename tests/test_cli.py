@@ -218,8 +218,9 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
 def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
     """A corpus file of the wrong shape is a corpus error for every command
     that reads it: exit 4 and one `error:` line naming what is wrong.  A
-    zeta variant is checked when the corpus loads, so a bad product or guard
-    never reaches `expected_zeta_cell`."""
+    zeta variant and every parameter domain are checked when the corpus
+    loads, so a bad product or guard never reaches `expected_zeta_cell`, and
+    a bad domain never reaches `in_domain` or `domain_values`."""
     full = packaged_corpus()
     circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
     factor = circle["families"][0]["zeta"][0]["products"]["1"][0]
@@ -258,10 +259,23 @@ def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
         "float exponent": (variant("products", {"1": [dict(factor, exp=1.0)]}), bad_factor),
         "guard not a string": (variant("guard", 1), "guard 1, not a string"),
     }
+    cases = [(what, data, message, "circle") for what, (data, message) in corpora.items()]
+    for manifold in ("circle", "klein-bottle"):
+        block = next(m for m in full["manifolds"] if m["manifold"] == manifold)
+        for domain in ("int_mod:x:1", "int_mod:4", "int_multiple:0", "int_pos_mod:0:1",
+                       "shift:abc", "bogus"):
+            bad = json.loads(json.dumps(block))
+            bad["families"][0]["params"][0]["domain"] = domain
+            message = (f"unknown parameter domain {domain!r}" if domain == "bogus"
+                       else f"parameter domain {domain!r} has a bad argument")
+            cases.append((f"domain {domain}", {"manifolds": [bad]},
+                          f"malformed corpus: {manifold}#1: {message}", manifold))
     path = tmp_path / "families.json"
-    for what, (data, message) in corpora.items():
+    for what, data, message, manifold in cases:
         path.write_text(json.dumps(data))
-        for argv in (["catalog"], ["compute", "--manifold", "circle", "--param", "d=2"],
+        param = "d=2" if manifold == "circle" else "a=1"
+        compute = ["compute", "--manifold", manifold, "--param", param]
+        for argv in (["catalog"], compute, compute + ["--family", "1"],
                      ["verify-tables", "--samples", "1"]):
             code, out, err = run(capsys, *argv, "--corpus", str(path))
             assert (code, out) == (4, ""), (what, argv, err)

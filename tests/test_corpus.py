@@ -15,12 +15,7 @@ from infranil.catalog import catalog_ids, catalog_lookup, holonomy
 from infranil.cli import _verify_instance
 from infranil.errors import ConstraintError
 from infranil.exprs import domain_values, eval_bool, eval_rational, parse_rational
-from infranil.fixedpoint import (
-    check_sign_relations,
-    eigen_classify,
-    exterior_data,
-    positive_part,
-)
+from infranil.fixedpoint import check_sign_relations, eigen_classify
 from infranil.matrices import QMatrix
 from infranil.selfmaps import (
     MapCandidate,
@@ -31,7 +26,7 @@ from infranil.selfmaps import (
     sample_params,
     validate_selfmap,
 )
-from modulus_split import anosov_fastpath
+from modulus_split import anosov_fastpath, part_of
 from oracles import inverse
 
 CORPUS = load_corpus()
@@ -45,10 +40,6 @@ def build_unchecked(spec, raw_params):
     dstar = QMatrix([[eval_rational(e, env) for e in row] for row in spec.dstar])
     translation = tuple(eval_rational(e, env) for e in spec.translation)
     return MapCandidate(entry, translation, dstar)
-
-
-def part_of(cand):
-    return positive_part(cand, exterior_data(cand.dstar))
 
 
 def test_every_catalog_entry_has_families():
@@ -260,7 +251,7 @@ def test_mixed_cubic_counter_reachable_synthetically():
     # plastic-number companion: one real root > 1, complex pair of modulus < 1
     cand = MapCandidate(entry, (0, 0, 0), QMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]]))
     ec = eigen_classify(cand.dstar)
-    assert ec.dim_gt1 == 1 and ec.factors[0][0].degree == 3
+    assert ec.dim_gt1 == 1 and ec.root_data[0].degree == 3
     before = fp.MIXED_CUBIC_COUNTER
     part = part_of(cand)
     assert part.index == 1

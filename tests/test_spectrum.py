@@ -29,6 +29,7 @@ from infranil.fixedpoint import (
     det_table,
     eigen_classify,
     exterior_data,
+    exterior_traces,
     positive_part,
 )
 from infranil.matrices import QMatrix, charpoly, scaled_det_one_minus_z
@@ -185,18 +186,15 @@ def ref_analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
 
 def ref_eigen_classify(dstar: QMatrix) -> EigenClass:
     cp = charpoly(dstar).to_int()[0]
-    factors = factor_over_q(cp)
-    data, classes = [], []
+    data = []
     p = n = gt_total = 0
-    for q, mult in factors:
+    for q, mult in factor_over_q(cp):
         fr = ref_analyze_factor(q, mult)
         data.append(fr)
-        lt, eq, gt = fr.modulus_counts()
-        classes.append((lt * mult, eq * mult, gt * mult))
-        gt_total += gt * mult
+        gt_total += fr.modulus_counts()[2] * mult
         p += mult * fr.real.count(GT1)
         n += mult * fr.real.count(LTM1)
-    return EigenClass(cp, tuple(factors), tuple(data), tuple(classes), p, n, gt_total)
+    return EigenClass(cp, tuple(data), p, n, gt_total)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def ref_eigen_classify(dstar: QMatrix) -> EigenClass:
 # ---------------------------------------------------------------------------
 
 
-def ref_exponents_from_logderiv(num: IntPoly, den: IntPoly, hints=None) -> RatFuncProduct:
+def ref_exponents_from_logderiv(num: IntPoly, den: IntPoly, hints) -> RatFuncProduct:
     if num.is_zero():
         return RatFuncProduct.one()
     factors = factor_with_hints(den, hints)
@@ -428,8 +426,9 @@ def test_classification_property(rows):
     roots below -1, inside (-1, 1) and above 1 against sympy, on integer
     matrices with entries up to 2^63."""
     ec = eigen_classify(QMatrix(rows))
-    for (q, mult), fr in zip(ec.factors, ec.root_data):
-        assert fr == ref_analyze_factor(q, mult), (rows, q)
+    for fr in ec.root_data:
+        q = fr.factor
+        assert fr == ref_analyze_factor(q, fr.multiplicity), (rows, q)
         sp = sympy.Poly(list(reversed(q.coeffs)), X)
         expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
                     sympy_open_count(sp, F(1), None)]
@@ -465,9 +464,10 @@ def reconstruction_inputs(cand):
     """(num, den, hints) of every reconstruction `compute_zeta` and the
     Lefschetz oracle run for the candidate: N, L, and L_+ on index 2."""
     dim = cand.entry.dim
-    ext = exterior_data(cand.dstar)
-    part = positive_part(cand, ext)
-    table = det_table(ext, cand.entry.holonomy_group, sequence_length(dim))
+    ext, group = exterior_data(cand.dstar), cand.entry.holonomy_group
+    traces = exterior_traces(ext, group, sequence_length(dim))
+    part = positive_part(ext, group, traces)
+    table = det_table(ext, group, sequence_length(dim), traces)
     lef, nie, plus = _number_sequences(table, part)
     seqs = [nie, lef] + ([plus] if part.index == 2 else [])
     hints = candidate_factor_hints(ext)
@@ -496,7 +496,8 @@ def test_exponent_off_by_one_is_caught(monkeypatch):
     """A wrong exponent read must be refused by the cross-multiplication
     check, for every factor position."""
     num, den = berlekamp_massey_q([15 ** k - 5 ** k + 2 ** k for k in range(1, 25)], 4)
-    assert len(exponents_from_logderiv(num, den).factors) == 3
+    hints = [q for q, _ in factor_over_q(den)]
+    assert len(exponents_from_logderiv(num, den, hints).factors) == 3
     read = series._exponent_at
     for target in range(3):
         calls = []
@@ -507,7 +508,7 @@ def test_exponent_off_by_one_is_caught(monkeypatch):
 
         monkeypatch.setattr(series, "_exponent_at", bumped)
         with pytest.raises(ReconstructionError, match="does not match"):
-            exponents_from_logderiv(num, den)
+            exponents_from_logderiv(num, den, hints)
         assert len(calls) == 3
 
 
@@ -582,7 +583,7 @@ def test_roots_exactly_at_plus_and_minus_one():
         assert ec.n == 0 and ec.p == ((GT1,) in classes), rows
     assert [fr.multiplicity for fr in eigen_classify(QMatrix([[1, 1], [0, 1]])).root_data] == [2]
     ec = eigen_classify(QMatrix([[-1, 1, 0], [0, -1, 1], [0, 0, -1]]))
-    assert ec.classes == ((0, 3, 0),)
+    assert [(fr.modulus_counts(), fr.multiplicity) for fr in ec.root_data] == [((0, 1, 0), 3)]
     for coeffs in ([-1, 0, 1],          # (x - 1)(x + 1)
                    [-2, 1, 1],          # (x - 1)(x + 2)
                    [2, 1, 0, 1],        # (x + 1)(x^2 - x + 2)

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from infranil.catalog import catalog_lookup, holonomy
-from infranil.fixedpoint import exterior_data, positive_part
+from infranil.fixedpoint import exterior_data
 from infranil.matrices import QMatrix
 from infranil.polynomials import QPoly
 from infranil.selfmaps import MapCandidate, validate_selfmap
 from infranil.series import RatFuncProduct, rfp_equal
 from infranil.zeta import _structural, compute_zeta
+from modulus_split import part_of
 from oracles import exterior_closed_form
 
 F = Fraction
@@ -205,7 +206,7 @@ def test_compute_zeta_checks_averaged_closed_form(monkeypatch):
         ext = exterior_data(cand.dstar)
         assert rfp_equal(res.lefschetz, closed(ext, group.exterior_averages()))
         if index == 2:
-            plus = positive_part(cand, ext).plus_indices
+            plus = part_of(cand).plus_indices
             plus_averages = group.exterior_averages(plus)
             assert rfp_equal(res.lefschetz_plus, closed(ext, plus_averages))
     assert rfp_equal(compute_zeta(kb(3, 5, 0, F(1, 2))).lefschetz, rfp(([1, -3], 1), ([1, -1], -1)))
@@ -236,14 +237,14 @@ def test_corrupted_lefschetz_number_raises(monkeypatch, case):
         cand = MapCandidate(catalog_lookup("torus-2"), (0, 0), QMatrix([[2, 1], [1, 1]]))
     else:
         cand = kb(3, 5, 0, F(1, 2))
-    plus = positive_part(cand, exterior_data(cand.dstar)).plus_indices
+    plus = part_of(cand).plus_indices
     column = 0 if case == "torus-2" else next(
         i for i in range(2) if (i in plus) == (case == "klein-bottle-plus")
     )
     k = 35
     original = fixedpoint_module.det_table
 
-    def corrupted(ext, group, kmax, traces=None):
+    def corrupted(ext, group, kmax, traces):
         table = original(ext, group, kmax, traces)
         den, nums = table[k - 1]
         nums = list(nums)
@@ -295,26 +296,29 @@ def test_averages_intertwine_exterior_powers_on_corpus():
 
 
 def lefschetz_reconstructions(cand):
-    """zeta_from_sequence on the L and L_+ sequences of the first
-    sequence_length(dim) rows of the determinant table."""
-    from infranil.fixedpoint import _number_sequences, det_table
-    from infranil.zeta import (
-        candidate_factor_hints,
-        recurrence_bound,
-        sequence_length,
-        zeta_from_sequence,
-    )
+    """The direct route's reconstruction (Berlekamp-Massey, then the
+    exponent read over the candidate's factor hints) on the L and L_+
+    sequences of the first sequence_length(dim) rows of the determinant
+    table."""
+    from infranil.fixedpoint import _number_sequences, det_table, exterior_traces, positive_part
+    from infranil.series import berlekamp_massey_q, exponents_from_logderiv
+    from infranil.zeta import candidate_factor_hints, recurrence_bound, sequence_length
 
     dim = cand.entry.dim
-    ext = exterior_data(cand.dstar)
-    part = positive_part(cand, ext)
-    table = det_table(ext, cand.entry.holonomy_group, sequence_length(dim))
+    ext, group = exterior_data(cand.dstar), cand.entry.holonomy_group
+    traces = exterior_traces(ext, group, sequence_length(dim))
+    part = positive_part(ext, group, traces)
+    table = det_table(ext, group, sequence_length(dim), traces)
     hints = candidate_factor_hints(ext)
+
+    def reconstruct(seq):
+        num, den = berlekamp_massey_q(seq, recurrence_bound(dim))
+        return exponents_from_logderiv(num, den, hints)
+
     lef_seq, _, plus = _number_sequences(table, part)
-    lef = zeta_from_sequence(lef_seq, recurrence_bound(dim), hints)
     if part.index == 1:
-        return lef, None
-    return lef, zeta_from_sequence(plus, recurrence_bound(dim), hints)
+        return reconstruct(lef_seq), None
+    return reconstruct(lef_seq), reconstruct(plus)
 
 
 def assert_reconstruction_matches(cand, label):
@@ -412,7 +416,7 @@ def test_identity_average_reads_the_exterior_factors(monkeypatch):
         calls = count_calls(monkeypatch, ["series.factor_with_hints"])
         res = compute_zeta(cand)
         group = holonomy(cand.entry)
-        plus = positive_part(cand, exterior_data(cand.dstar)).plus_indices
+        plus = part_of(cand).plus_indices
         # the Nielsen reconstruction factors one denominator; on the Klein
         # bottle the closed form of L_f divides once per j = 1, 2
         assert len(calls["series.factor_with_hints"]) == 1 + 2 * (group.order > 1)

@@ -18,16 +18,18 @@ next to this file).  It prints seven lines, `<sha256>  <what>`:
   screen    the `repr` of `validate_selfmap` on every `screen` benchmark
             instance of seeds 1 and 2;
   records   the `repr` of `eigen_classify(D)`, of
-            `positive_part(candidate, exterior_data(D))` and of the
-            candidate's `entry.holonomy_group`, whose indices the positive
-            part reads, on every `corpus` and `random-maps` benchmark
-            candidate of seeds 1 and 2: the package's records as they
-            print, nested ones (FactorRoots, and the QMatrix coset
+            `positive_part(ext, group, exterior_traces(ext, group, 1))`
+            (ext = `exterior_data(D)`, group the candidate's
+            `entry.holonomy_group`) and of that group, whose indices the
+            positive part reads, on every `corpus` and `random-maps`
+            benchmark candidate of seeds 1 and 2: the package's records as
+            they print, nested ones (FactorRoots, and the QMatrix coset
             representatives) included;
   validate  the `repr` of `validate_selfmap` on every `corpus` and
             `random-maps` benchmark candidate of seeds 1 and 2, all of them
             accepts: their lattice coordinates, which `screen`, mostly
-            rejects, seldom reaches.
+            rejects, seldom reaches.  `family_instantiate` validates each
+            corpus candidate once already, so those are validated twice.
 
 The instance lists come from `bench/workloads.py`, imported unchanged.
 """
@@ -102,7 +104,8 @@ def records_digest() -> str:
                       for spec, params in workloads.corpus_instances(seed)]
         for cand in candidates + workloads.random_maps_instances(seed):
             spectrum = fixedpoint.eigen_classify(cand.dstar)
-            part = fixedpoint.positive_part(cand, fixedpoint.exterior_data(cand.dstar))
+            ext, group = fixedpoint.exterior_data(cand.dstar), cand.entry.holonomy_group
+            part = fixedpoint.positive_part(ext, group, fixedpoint.exterior_traces(ext, group, 1))
             h.update(f"{spectrum!r}\n{part!r}\n{cand.entry.holonomy_group!r}\n".encode())
     return h.hexdigest()
 
@@ -110,7 +113,7 @@ def records_digest() -> str:
 def validate_digest() -> str:
     h = hashlib.sha256()
     for seed in SEEDS:
-        candidates = [selfmaps.family_instantiate(spec, params, corpus_check=False)
+        candidates = [selfmaps.family_instantiate(spec, params)
                       for spec, params in workloads.corpus_instances(seed)]
         for cand in candidates + workloads.random_maps_instances(seed):
             h.update(f"{selfmaps.validate_selfmap(cand)!r}\n".encode())
