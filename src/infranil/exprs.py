@@ -107,7 +107,7 @@ def _eval_node(node, env):
                 raise ConstraintError("division by zero in expression") from exc
         raise ConstraintError(f"unsupported operator {op.__name__}")
     if isinstance(node, ast.BoolOp):
-        vals = [_eval_node(v, env) for v in node.values]
+        vals = (_eval_node(v, env) for v in node.values)  # left to right, lazily
         return all(vals) if isinstance(node.op, ast.And) else any(vals)
     if isinstance(node, ast.Compare):
         left = _eval_node(node.left, env)

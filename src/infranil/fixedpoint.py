@@ -15,18 +15,19 @@ Lambda^j (A D^k) = Lambda^j A . (Lambda^j D)^k gives
 and each trace sequence obeys the Cayley-Hamilton recurrence of charpoly(E_j),
 of order C(n, j).  `exterior_data` forms the spectrum of D and, once per
 candidate, each E_j in integer form (the integer minors of D's integer
-form, D's own for j = 1).  For n <= 3 the eigenvalues of E_j are the
-j-fold products of those of D, so det(I - z q_j E_j), q_j the common
-denominator of E_j, and on first read the factors of det(I - z E_j) are
-read off charpoly(D) and its factors: charpoly(D) is the one polynomial
-formed, in closed form, and the one factored.  The first C(n, j) powers
+form, D's own for j = 1) and det(I - z q_j E_j), q_j the common
+denominator of E_j, in closed form from that integer form.  For n <= 3
+the eigenvalues of E_j are the j-fold products of those of D, so on first
+read the factors of det(I - z E_j) are read off the factors of
+charpoly(D), the one polynomial factored.  The first C(n, j) powers
 of E_j are shared by every holonomy element, every later term costs
 C(n, j) multiplications per element, and Lambda^j A is formed once per
 holonomy group.  The traces run in integers, and a table row is (den, nums):
 the entries' integer numerators over the common denominator den = R Q^k, R
 and Q the lcms of the sequences' scales r_j and q_j (positive, not always
 the least), so L and N are integer sums.  The test oracles form the same
-determinants directly, from D^k by binary powering (`tests/oracles.py`).
+determinants directly, from explicit integer powers of D
+(`tests/oracles.py`).
 
 The spectrum of D* is classified exactly, in integers, in closed form and
 with no root isolated (`_analyze_factor`): the counts p of real
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -214,8 +215,7 @@ class ExteriorData(Record):
     """Lambda^j D for j = 0..n in integer form, with det(I - z q_j Lambda^j D)
     and the exact spectrum of D, formed once per candidate by
     `exterior_data`.  forms[j] = (q_j, flat_j): Lambda^j D = flat_j / q_j,
-    flat_j row-major ints; det_polys[j] = det(I - z flat_j), an IntPoly read
-    off charpoly(D)."""
+    flat_j row-major ints; det_polys[j] = det(I - z flat_j), an IntPoly."""
 
     _fields = ("forms", "det_polys", "spectrum")
 
@@ -265,32 +265,16 @@ def exterior_data(dstar: QMatrix) -> ExteriorData:
     `det_table`, the factor hints and the closed form all read it.  Each
     Lambda^j D is the integer minors of D's integer form, and Lambda^1 D
     that form itself: its denominator is already the least.  Every
-    det_polys[j] is read off the primitive cp = charpoly(D), of degree
-    n <= 3, in integers, since the eigenvalues of Lambda^j D are the j-fold
-    products of those of D.  With q = q_j:
-
-        j = 1:               (q z)^n cp(1 / (q z)) / cp[n];
-        j = n:               1 + (-1)^(n+1) q cp[0] / cp[n] z   (det D = (-1)^n cp[0] / cp[n]);
-        n = 3, j = 2:        cp(q det D z) / cp[0]              when det D != 0,
-                             1 - q cp[1] / cp[3] z              when det D = 0."""
+    det_polys[j] is `scaled_det_one_minus_z` of flat_j, of size C(n, j), at
+    scale 1; for j = 0 that is 1 - z."""
     spectrum = eigen_classify(dstar)
-    n, cp = dstar.nrows, spectrum.charpoly.coeffs
+    n = dstar.nrows
     form = integer_form([dstar])
     forms, det_polys = [], []
     for j in range(n + 1):
         q, (flat,) = form if j == 1 else exterior_integer_form(form, j)
         forms.append((q, flat))
-        if j == 0:
-            coeffs = [1, -1]
-        elif j == 1:
-            coeffs = [cp[n - t] * q ** t // cp[n] for t in range(n + 1)]
-        elif j == n:
-            coeffs = [1, (-1) ** (n + 1) * q * cp[0] // cp[n]]
-        elif cp[0]:  # n = 3, j = 2, det D = -cp[0] / cp[3] != 0
-            coeffs = [c * (-q * cp[0]) ** t // (cp[3] ** t * cp[0]) for t, c in enumerate(cp)]
-        else:
-            coeffs = [1, -q * cp[1] // cp[3]]
-        det_polys.append(IntPoly(coeffs))
+        det_polys.append(scaled_det_one_minus_z(flat, comb(n, j), 1))
     return ExteriorData(tuple(forms), tuple(det_polys), spectrum)
 
 

@@ -1,5 +1,9 @@
-"""Dense exact rational matrices and the operations the engine needs:
-determinants, characteristic polynomials, exterior powers.
+"""Exact rational matrices and the integer kernels the engine runs on them.
+
+QMatrix is the immutable rational matrix that candidates and catalog
+entries carry.  It offers construction, indexing, the shape, products (by
+a matrix, or on the right by a scalar), powers and the determinant; sums
+and differences of matrices are left to the callers' own arithmetic.
 
 Sizes stay tiny, so determinants, minors and characteristic polynomials
 are formed in integers, on a matrix's integer form (its entries over their
@@ -71,19 +75,6 @@ class QMatrix(Record):
         i, j = ij
         return self.rows[i][j]
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise InfranilError("shape mismatch in matrix addition")
-        return QMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix([[-v for v in row] for row in self.rows])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QMatrix([[v * other for v in row] for row in self.rows])
@@ -94,11 +85,6 @@ class QMatrix(Record):
             return QMatrix(
                 [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
             )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def power(self, k: int) -> "QMatrix":

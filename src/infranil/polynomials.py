@@ -1,9 +1,16 @@
-"""Exact univariate polynomial arithmetic over Q and Z.
+"""Univariate integer polynomials with exact factorization over Q, and the
+rational polynomial type at the library's boundary.
 
 Coefficients are stored ascending (index i holds the coefficient of x^i),
 with trailing zeros stripped, so the zero polynomial has an empty
-coefficient tuple and degree -1.  Everything here is exact: QPoly uses
-`fractions.Fraction`, IntPoly uses Python ints.
+coefficient tuple and degree -1.  Everything here is exact: IntPoly uses
+Python ints, QPoly `fractions.Fraction`.
+
+The engine computes with IntPoly.  QPoly carries rational polynomials
+across the boundary (corpus cells, `matrices.charpoly` and
+`det_one_minus_z`) and offers only what its readers use: construction,
+indexing, `degree` and `is_zero`, products, equality and hashing, `to_int`
+(the split into a primitive IntPoly and its content) and printing.
 
 `IntPoly(coeffs)` accepts ints, integral Fractions and other integers that
 `operator.index` accepts, and raises InfranilError naming any other
@@ -56,29 +63,8 @@ class QPoly(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise InfranilError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -95,30 +81,6 @@ class QPoly(Record):
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        if len(rem) - 1 < d:
-            return QPoly(), self
-        quo = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quo[i - d] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * b
-        return QPoly(quo), QPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QPoly([other])
@@ -126,21 +88,6 @@ class QPoly(Record):
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return QPoly([c / lead for c in self.coeffs])
 
     def to_int(self) -> tuple["IntPoly", Fraction]:
         """Split into (primitive integer polynomial with positive leading
@@ -169,8 +116,6 @@ def _coerce(value) -> QPoly:
         return value
     if isinstance(value, IntPoly):
         return value.to_qpoly()
-    if isinstance(value, (int, Fraction)):
-        return QPoly([value])
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 

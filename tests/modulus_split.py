@@ -10,7 +10,7 @@ other tests.
 the holonomy-group predicates it reads.
 """
 
-from fractions import Fraction
+import sympy
 
 from infranil.catalog import holonomy
 from infranil.errors import InfranilError
@@ -26,30 +26,30 @@ from infranil.fixedpoint import (
     exterior_traces,
     positive_part,
 )
-from infranil.matrices import QMatrix, charpoly
+from infranil.matrices import QMatrix
 from infranil.numberfield import field_det, field_kernel, field_solve_columns
-from infranil.polynomials import QPoly
 from number_field import NumberField
-from oracles import group_elements, kernel, solve_columns
+from oracles import X, group_elements, kernel, qq_poly, solve_columns, sympy_matrix, to_fraction
 from real_roots import isolate_real_roots
 
 
-def _poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
+def _poly_at_matrix(p: sympy.Poly, m: QMatrix) -> QMatrix:
+    """p(m) by Horner's rule, in sympy."""
     n = m.nrows
-    acc = QMatrix([[0] * n] * n)
-    for c in reversed(p.coeffs):
-        acc = acc * m + QMatrix.identity(n) * c
-    return acc
+    sm, acc = sympy_matrix(m.rows), sympy.zeros(n, n)
+    for c in p.all_coeffs():
+        acc = acc * sm + c * sympy.eye(n)
+    return QMatrix([[to_fraction(v) for v in acc.row(i)] for i in range(n)])
 
 
-def _rational_le_block(ec):
+def _rational_le_block(ec) -> sympy.Poly:
     """Product of the pure modulus <= 1 factors with multiplicity (the
     rational part of the <= 1 invariant subspace)."""
-    g = QPoly([1])
+    g = qq_poly(1)
     for fr in ec.root_data:
         if fr.side() == "le":
             for _ in range(fr.multiplicity):
-                g = g * fr.factor.to_qpoly()
+                g = g * qq_poly(fr.factor)
     return g
 
 
@@ -94,8 +94,8 @@ def _mixed_signs(dstar, elements, ec, mixed, dets):
         field = NumberField(mixed.factor, gt_reals[0])
         # <= 1 part of the block: kernel of (D^2 - (e1 - theta) D + e3/theta)
         # where e1, e3 are the sum and product of the factor's roots
-        cf = mixed.factor.to_qpoly().monic()
-        e1, e3 = -cf[2], -cf[0]
+        _, c2, _, c0 = map(to_fraction, qq_poly(mixed.factor).monic().all_coeffs())
+        e1, e3 = -c2, -c0
         theta = field.theta
         s23 = field.elem(e1) - theta
         p23 = field.elem(e3) / theta
@@ -112,7 +112,7 @@ def _mixed_signs(dstar, elements, ec, mixed, dets):
         raise InfranilError("mixed factor without a one-dimensional side")
 
     g = _rational_le_block(ec)
-    rational_basis = kernel(_poly_at_matrix(g, dstar)) if g.degree > 0 else []
+    rational_basis = kernel(_poly_at_matrix(g, dstar)) if g.degree() > 0 else []
     cols = [[field.elem(v) for v in vec] for vec in mixed_basis + rational_basis]
     d = len(cols)
     bmat = [[cols[j][i] for j in range(d)] for i in range(n)]
@@ -155,7 +155,7 @@ def ref_positive_part(candidate, ec) -> PositivePart:
         signs_raw = _mixed_signs(candidate.dstar, elements, ec, mixed, dets)
     else:
         g = _rational_le_block(ec)
-        if g.degree == 0:
+        if g.degree() == 0:
             signs_raw = dets
         else:
             basis = kernel(_poly_at_matrix(g, candidate.dstar))
@@ -232,7 +232,7 @@ def anosov_fastpath(candidate) -> str:
         return "holds"
     if is_cyclic(group):
         for i in cyclic_generators(group):
-            if charpoly(elements[i])(Fraction(-1)) != 0:
+            if sympy_matrix(elements[i].rows).charpoly(X).eval(-1) != 0:
                 return "holds"  # cyclic holonomy, generator without eigenvalue -1
     if not has_index_two_subgroup(group):
         return "holds"

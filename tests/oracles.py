@@ -1,9 +1,10 @@
 """Reference computations the tests compare the engine against, by the
 direct routes the engine does not take.
 
-`direct_row` forms det(I - A D^k) for every holonomy element from D^k by
-binary powering and one determinant per element; `lefschetz_number` and
-`nielsen_number` average its row.  `exterior_closed_form` is the
+`direct_table` forms the `det_table` rows det(I - A D^k) for every
+holonomy element from explicit integer powers of D and one integer
+determinant per element; `lefschetz_number` and `nielsen_number` average
+its row.  `exterior_closed_form` is the
 trivial-holonomy Lefschetz zeta from the exterior powers of D.
 `unipotent_psi_embed` is the Heisenberg embedding as the product that
 defines it, the unipotent block times phi*.
@@ -12,6 +13,11 @@ an entry's embedded matrices by model, as group elements once did
 themselves; `decoded_iterate` decodes a candidate's embedded power that way.
 `kernel`, `solve_columns` and `inverse` are plain row reduction
 (`matrices.kernel_rows` and `matrices.solve_rows`) on a QMatrix.
+`kb` is the Klein-bottle candidate with a diagonal linear part that many
+tests start from.  `qq_poly`, `to_fraction` and `sympy_matrix` carry
+values into and out of sympy, where the references do their rational
+polynomial and matrix arithmetic, and `sympy_factors` is sympy's
+factorization in `factor_over_q`'s form.
 `flat_product`, `flat_det` and `exterior_form` are the integer kernels in
 their generic form, for any n, with none of the library's closed forms;
 `close_holonomy` closes a holonomy group by QMatrix products and a linear
@@ -22,22 +28,20 @@ elements back as QMatrix, from its integer form.
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
-from infranil.catalog import ABELIAN, abelian_embed, holonomy, psi_embed
+import sympy
+
+from infranil.catalog import ABELIAN, abelian_embed, catalog_lookup, holonomy, psi_embed
 from infranil.errors import CatalogError, InfranilError, InvalidCandidateError
 from infranil.fixedpoint import _average
-from infranil.matrices import (
-    QMatrix,
-    det_one_minus_z,
-    exterior_power,
-    integer_form,
-    kernel_rows,
-    solve_rows,
-)
+from infranil.matrices import QMatrix, det_one_minus_z, exterior_power, kernel_rows, solve_rows
+from infranil.polynomials import IntPoly
 from infranil.selfmaps import MapCandidate, _translation_column
 from infranil.series import RatFuncProduct
+
+X = sympy.Symbol("x")
 
 
 def flat_product(a, b, n: int) -> tuple:
@@ -164,14 +168,31 @@ def close_holonomy(entry) -> tuple:
     return tuple(elements), table, tuple(find(p) for p in gen_parts), tuple(reps)
 
 
-def direct_row(candidate, k: int):
-    """The `det_table` row for one k, from D^k by binary powering and direct
-    integer determinants."""
+def int_form(mats):
+    """(r, flats): r is the least common denominator of the matrices'
+    entries, flats[i] the entries of r * mats[i], row-major, as ints."""
+    r = lcm(*(v.denominator for m in mats for row in m.rows for v in row))
+    return r, [[int(v * r) for row in m.rows for v in row] for m in mats]
+
+
+def direct_table(candidate, kmax: int) -> list:
+    """The `det_table` rows for k = 1..kmax, as (den, dets) with
+    det(I - A_i D^k) = dets[i] / den: with D = D'/q and A_i = A_i'/r in
+    integer form, det(I - A_i D^k) is det(r q^k I - A_i' D'^k) / (r q^k)^n,
+    from an explicit power of D' and one integer determinant per element."""
     n = candidate.entry.dim
-    ident, power = QMatrix.identity(n), candidate.dstar.power(k)
-    elements = group_elements(holonomy(candidate.entry))
-    q, flats = integer_form([ident - a * power for a in elements])
-    return q ** n, tuple(flat_det(flat, n) for flat in flats)
+    q, (dq,) = int_form([candidate.dstar])
+    r, elements = int_form(group_elements(holonomy(candidate.entry)))
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    rows, power = [], ident
+    for k in range(1, kmax + 1):
+        power = flat_product(power, dq, n)
+        scale = r * q ** k
+        rows.append((scale ** n, tuple(
+            flat_det([scale * e - v for e, v in zip(ident, flat_product(a, power, n))], n)
+            for a in elements
+        )))
+    return rows
 
 
 def lefschetz_from_row(row, indices=None) -> int:
@@ -187,11 +208,11 @@ def nielsen_from_row(row, indices=None) -> int:
 
 
 def lefschetz_number(candidate, k: int) -> int:
-    return lefschetz_from_row(direct_row(candidate, k))
+    return lefschetz_from_row(direct_table(candidate, k)[-1])
 
 
 def nielsen_number(candidate, k: int) -> int:
-    row = direct_row(candidate, k)
+    row = direct_table(candidate, k)[-1]
     value = nielsen_from_row(row)
     if value < abs(lefschetz_from_row(row)):
         raise InvalidCandidateError("Nielsen number below |Lefschetz number|")
@@ -225,3 +246,40 @@ def inverse(m: QMatrix) -> QMatrix:
     if inv is None:
         raise InfranilError("matrix is singular")
     return inv
+
+
+def kb(a, b, r=0, s=0) -> MapCandidate:
+    """The Klein-bottle candidate with D* = diag(a, b) and translation (r, s)."""
+    return MapCandidate(catalog_lookup("klein-bottle"), (Fraction(r), Fraction(s)),
+                        QMatrix([[a, 0], [0, b]]))
+
+
+def qq_poly(value) -> sympy.Poly:
+    """A sympy polynomial over QQ in X: an IntPoly by its coefficients, an
+    int or a Fraction as a constant."""
+    if isinstance(value, IntPoly):
+        return sympy.Poly(list(reversed(value.coeffs)), X, domain=sympy.QQ)
+    return sympy.Poly(sympy.Rational(value.numerator, value.denominator), X, domain=sympy.QQ)
+
+
+def to_fraction(value) -> Fraction:
+    """A sympy rational as a Fraction."""
+    return Fraction(int(value.p), int(value.q))
+
+
+def sympy_matrix(rows) -> sympy.Matrix:
+    """Rows of Fractions as a sympy matrix of rationals."""
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+def sympy_factors(coeffs) -> list:
+    """`factor_over_q`'s form of sympy's factorization of the polynomial with
+    ascending integer coefficients `coeffs`: each irreducible factor a
+    primitive IntPoly with positive leading coefficient, with its
+    multiplicity, sorted by degree and then coefficients."""
+    _, factors = sympy.Poly(list(reversed(coeffs)), X).factor_list()
+    out = []
+    for f, mult in factors:
+        c = [int(v) for v in reversed(f.all_coeffs())]
+        out.append((IntPoly([-v for v in c] if c[-1] < 0 else c), mult))
+    return sorted(out, key=lambda fm: fm[0].sort_key())

@@ -431,8 +431,9 @@ def test_exterior_averages_are_idempotent_on_every_group():
             for j, average in enumerate(averages):
                 p = averaged_matrix(average)
                 assert p * p == p, (entry.id, indices, j)
-                total = sum((exterior_power(elements[i], j) for i in members[1:]),
-                            exterior_power(elements[members[0]], j))
+                powers = [exterior_power(elements[i], j) for i in members]
+                total = QMatrix([[sum(a[r, c] for a in powers) for c in range(p.ncols)]
+                                 for r in range(p.nrows)])
                 assert p * len(members) == total, (entry.id, indices, j)
                 seen += 1
     assert seen >= 2 * 24 * 3

@@ -71,3 +71,17 @@ def test_nested_powers_are_bounded_by_their_size():
     for text in ("(((2 ** 64) ** 64) ** 64) ** 64", "(((1/2 ** 64) ** 64) ** 64) ** 64"):
         with pytest.raises(ConstraintError, match="power exceeds 1048576 bits"):
             eval_rational(text, {})
+
+
+def test_and_or_stop_at_the_deciding_operand():
+    """`and` and `or` evaluate left to right and stop at the first operand
+    that decides, as Python does: a guard written before a division keeps
+    the division from running at b = 0."""
+    env = {"a": Fraction(1), "b": Fraction(0)}
+    assert eval_expr("b != 0 and a / b > 1", env) is False
+    assert eval_expr("b == 0 or a / b > 1", env) is True
+    assert eval_bool("b != 0 and a / b > 1", env) is False
+    for text in ("b == 0 and a / b > 1", "b != 0 or a / b > 1"):
+        with pytest.raises(ConstraintError, match="^division by zero in expression$"):
+            eval_expr(text, env)
+    assert eval_expr("a > 0 and b == 0 and a / (b + 1) == 1", env) is True

@@ -25,14 +25,17 @@ from infranil.selfmaps import (
     validate_selfmap,
 )
 from modulus_split import anosov_fastpath, part_of
-from oracles import group_elements, lefschetz_number, nielsen_number
+from oracles import (
+    direct_table,
+    flat_product,
+    group_elements,
+    kb,
+    lefschetz_number,
+    nielsen_number,
+    sympy_matrix,
+)
 
 F = Fraction
-
-
-def kb(a, b, r=0, s=0):
-    entry = catalog_lookup("klein-bottle")
-    return MapCandidate(entry, (F(r), F(s)), QMatrix([[a, 0], [0, b]]))
 
 
 def test_klein_bottle_lefschetz_worked_example():
@@ -237,49 +240,6 @@ def test_row_averages_must_be_integral():
 # ---------------------------------------------------------------------------
 
 
-def int_product(a, b, n):
-    """Row-major product of two n x n integer matrices given as flat lists."""
-    return [sum(a[i * n + t] * b[t * n + j] for t in range(n)) for i in range(n) for j in range(n)]
-
-
-def int_det(m, n):
-    """Determinant of the n x n integer matrix m (flat, row-major), by
-    cofactor expansion along the first row."""
-    if n == 1:
-        return m[0]
-    return sum(
-        (-1) ** c * m[c] * int_det([m[r * n + k] for r in range(1, n) for k in range(n) if k != c], n - 1)
-        for c in range(n)
-    )
-
-
-def int_form(mats):
-    """(r, flats): r is the least common denominator of the matrices'
-    entries, flats[i] the entries of r * mats[i], row-major, as ints."""
-    r = lcm(*(v.denominator for m in mats for row in m.rows for v in row))
-    return r, [[int(v * r) for row in m.rows for v in row] for m in mats]
-
-
-def direct_table(cand, group, kmax):
-    """Rows (den, dets) with det(I - A_i D^k) = dets[i] / den: with D = D'/q
-    and A_i = A_i'/r in integer form, det(I - A_i D^k) is
-    det(r q^k I - A_i' D'^k) / (r q^k)^n, from an explicit power of D' and
-    one integer determinant per entry.  The oracle for the recurrence table."""
-    n = cand.entry.dim
-    q, (dq,) = int_form([cand.dstar])
-    r, elements = int_form(group_elements(group))
-    ident = [int(i == j) for i in range(n) for j in range(n)]
-    rows, power = [], ident
-    for k in range(1, kmax + 1):
-        power = int_product(power, dq, n)
-        scale = r * q ** k
-        rows.append((scale ** n, tuple(
-            int_det([scale * e - v for e, v in zip(ident, int_product(a, power, n))], n)
-            for a in elements
-        )))
-    return rows
-
-
 def assert_table_matches(cand, kmax, label):
     group = holonomy(cand.entry)
     ext = exterior_data(cand.dstar)
@@ -289,7 +249,7 @@ def assert_table_matches(cand, kmax, label):
         type(den) is int and den > 0 and all(type(v) is int for v in nums) for den, nums in table
     ), label
     for k, ((den, nums), (oracle_den, dets)) in enumerate(
-        zip(table, direct_table(cand, group, kmax)), start=1
+        zip(table, direct_table(cand, kmax)), start=1
     ):
         # nums[i] / den == dets[i] / oracle_den, both denominators positive
         assert len(nums) == len(dets) and all(
@@ -500,9 +460,9 @@ def test_trace_sequences_against_explicit_powers():
                 expected = [[] for _ in flats]
                 for _ in range(kmax + 1):
                     for seq, flat in zip(expected, flats):
-                        seq.append(sum(int_product(flat, power, order)[t * order + t]
+                        seq.append(sum(flat_product(flat, power, order)[t * order + t]
                                        for t in range(order)))
-                    power = int_product(power, qe, order)
+                    power = flat_product(power, qe, order)
                 assert got[2] == expected, (cand.dstar, j, kmax)
 
 
@@ -562,7 +522,7 @@ def sympy_exterior(m, j):
     import sympy
 
     z = sympy.Symbol("z")
-    dm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows])
+    dm = sympy_matrix(m.rows)
     subsets = list(combinations(range(m.nrows), j))
     ext = sympy.Matrix(len(subsets), len(subsets),
                        lambda a, b: dm.extract(list(subsets[a]), list(subsets[b])).det())

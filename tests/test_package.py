@@ -129,6 +129,24 @@ def test_test_oracles_stay_out_of_the_library():
                    for node in init.body)
 
 
+def test_boundary_types_define_no_test_only_arithmetic():
+    """QPoly and QMatrix carry rational polynomials and matrices across the
+    library's boundary and keep only what the engine, the CLI and the
+    benchmark read.  The sums, quotients, evaluation and normalization that
+    only the test references used are gone; the references run on sympy."""
+    from infranil.matrices import QMatrix
+    from infranil.polynomials import QPoly
+
+    removed = {
+        QPoly: ("leading", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+                "__divmod__", "__floordiv__", "__mod__", "__call__", "derivative", "monic"),
+        QMatrix: ("__add__", "__sub__", "__neg__", "__rmul__"),
+    }
+    present = [(cls.__name__, name) for cls, names in removed.items() for name in names
+               if any(name in vars(base) for base in cls.__mro__[:-1])]  # all but object
+    assert present == []
+
+
 def test_engine_stages_take_what_they_read():
     """The stages of the zeta chain take the inputs they read, with no
     option to build them again or to skip a check: no parameter of

@@ -19,18 +19,20 @@ from infranil.selfmaps import (
     sample_params,
     validate_selfmap,
 )
-from oracles import close_holonomy, decoded_iterate, group_elements, holonomy_part, lattice_element
+from oracles import (
+    close_holonomy,
+    decoded_iterate,
+    group_elements,
+    holonomy_part,
+    kb,
+    lattice_element,
+)
 
 F = Fraction
 
 
-def kb_candidate(a, b, r, s):
-    entry = catalog_lookup("klein-bottle")
-    return MapCandidate(entry, (F(r), F(s)), QMatrix([[a, 0], [0, b]]))
-
-
 def test_klein_bottle_diag_3_5():
-    phi = validate_selfmap(kb_candidate(3, 5, 0, F(1, 2)))
+    phi = validate_selfmap(kb(3, 5, 0, F(1, 2)))
     assert phi is not None
     # the orientation-reversing generator must map to the nontrivial holonomy class
     images = {g: h for g, h, _ in phi.entries}
@@ -40,13 +42,13 @@ def test_klein_bottle_diag_3_5():
 
 def test_klein_bottle_worked_cases():
     # both odd: s must lie in (1/2) Z
-    assert validate_selfmap(kb_candidate(3, 5, F(2, 3), 1)) is not None
-    assert validate_selfmap(kb_candidate(3, 5, 0, F(1, 4))) is None
+    assert validate_selfmap(kb(3, 5, F(2, 3), 1)) is not None
+    assert validate_selfmap(kb(3, 5, 0, F(1, 4))) is None
     # a odd, b even: s in (1/4) Z minus (1/2) Z
-    assert validate_selfmap(kb_candidate(3, 2, 0, F(1, 4))) is not None
-    assert validate_selfmap(kb_candidate(3, 2, 0, F(1, 2))) is None
+    assert validate_selfmap(kb(3, 2, 0, F(1, 4))) is not None
+    assert validate_selfmap(kb(3, 2, 0, F(1, 2))) is None
     # a even diagonal fails regardless
-    assert validate_selfmap(kb_candidate(4, 5, 0, F(1, 2))) is None
+    assert validate_selfmap(kb(4, 5, 0, F(1, 2))) is None
     # rank-one shape with both entries even is fine
     entry = catalog_lookup("klein-bottle")
     c = MapCandidate(entry, (F(1, 3), F(2, 7)), QMatrix([[2, 0], [4, 0]]))
@@ -57,7 +59,7 @@ def test_klein_bottle_worked_cases():
 
 
 def test_klein_bottle_diag_a_zero_invalid():
-    assert validate_selfmap(kb_candidate(3, 0, 0, 0)) is None
+    assert validate_selfmap(kb(3, 0, 0, 0)) is None
 
 
 def test_identity_is_always_valid():
@@ -130,7 +132,7 @@ def test_candidate_rejects_non_endomorphism():
 
 
 def test_iterate_of_valid_map_is_valid():
-    cand = kb_candidate(3, 5, F(1, 3), F(1, 2))
+    cand = kb(3, 5, F(1, 3), F(1, 2))
     for k in (2, 3):
         it = cand.iterate(k)
         assert it.dstar == cand.dstar.power(k)

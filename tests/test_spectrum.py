@@ -1,9 +1,11 @@
 """Oracles for the integer spectrum and the per-factor exponent read.
 
-The `Fraction` implementations that the integer code replaced are kept here
-as references: the Sturm chain, root isolation, root classification and
-factor analysis over QPoly, and the exponent solve by `oracles.solve_columns`.
-sympy gives an independent count of real roots and isolating intervals.
+The rational algorithms that the integer code replaced are kept here as
+references, with their polynomial and matrix arithmetic done in sympy, so
+no fault of the library's arithmetic can hide in them: the Sturm chain,
+root isolation, root classification and factor analysis at Fraction
+points, and the exponent solve as one rational linear system.  sympy also
+gives an independent count of real roots and isolating intervals.
 """
 
 import random
@@ -13,6 +15,9 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.densetools import dup_eval
+from sympy.polys.matrices import DomainMatrix
 
 from infranil import series
 from infranil.errors import InfranilError, ReconstructionError
@@ -43,42 +48,47 @@ from infranil.series import (
     normalize_factor,
 )
 from infranil.zeta import candidate_factor_hints, recurrence_bound, sequence_length
-from oracles import solve_columns
+from oracles import X, qq_poly, sympy_factors, to_fraction
 from real_roots import isolate_real_roots, sturm_count
 
 F = Fraction
-X = sympy.Symbol("x")
 
 
 # ---------------------------------------------------------------------------
-# Reference: the Fraction Sturm machinery and spectrum analysis
+# Reference: the Sturm machinery and spectrum analysis at Fraction points,
+# the polynomial arithmetic in sympy
 # ---------------------------------------------------------------------------
 
 
-def ref_squarefree_part(p: QPoly) -> QPoly:
-    if p.degree <= 0:
+def ref_eval(p: sympy.Poly, x):
+    """p(x) at a Fraction x, by sympy's Horner over its rational field."""
+    return dup_eval(p.rep.to_list(), QQ(x.numerator, x.denominator), QQ)
+
+
+def ref_squarefree_part(p: sympy.Poly) -> sympy.Poly:
+    if p.degree() <= 0:
         return p.monic()
-    a, b = p, p.derivative()
-    while not b.is_zero():
-        a, b = b, a % b
-    return (p // a.monic()).monic()
+    a, b = p, p.diff(X)
+    while not b.is_zero:
+        a, b = b, a.rem(b)
+    return p.quo(a.monic()).monic()
 
 
-def ref_sturm_chain(p: QPoly):
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
+def ref_sturm_chain(p: sympy.Poly):
+    chain = [p, p.diff(X)]
+    while not chain[-1].is_zero:
+        chain.append(-chain[-2].rem(chain[-1]))
     chain.pop()
     return chain
 
 
-def ref_sign_at(p: QPoly, x) -> int:
-    if p.is_zero():
+def ref_sign_at(p: sympy.Poly, x) -> int:
+    if p.is_zero:
         return 0
     if isinstance(x, float):
-        s = 1 if p.leading() > 0 else -1
-        return s if x > 0 or p.degree % 2 == 0 else -s
-    v = p(x)
+        s = 1 if p.LC() > 0 else -1
+        return s if x > 0 or p.degree() % 2 == 0 else -s
+    v = ref_eval(p, x)
     return (v > 0) - (v < 0)
 
 
@@ -87,39 +97,40 @@ def ref_variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def ref_sturm_count(poly: QPoly, lo, hi) -> int:
+def ref_sturm_count(poly: sympy.Poly, lo, hi) -> int:
     sf = ref_squarefree_part(poly)
     chain = ref_sturm_chain(sf)
     count = ref_variations(chain, lo) - ref_variations(chain, hi)
-    if not isinstance(hi, float) and sf(hi) == 0:
+    if not isinstance(hi, float) and ref_eval(sf, hi) == 0:
         count -= 1
     return count
 
 
-def ref_isolate_real_roots(poly: QPoly) -> list:
+def ref_isolate_real_roots(poly: sympy.Poly) -> list:
     sf = ref_squarefree_part(poly)
-    if sf.degree <= 0:
+    if sf.degree() <= 0:
         return []
     chain = ref_sturm_chain(sf)
 
     def count_open(a, b):
         c = ref_variations(chain, a) - ref_variations(chain, b)
-        if sf(b) == 0:
+        if ref_eval(sf, b) == 0:
             c -= 1
         return c
 
-    bound = 1 + max((abs(c) for c in sf.coeffs[:-1]), default=F(0)) / abs(sf.leading())
+    lead, *rest = map(to_fraction, sf.all_coeffs())
+    bound = 1 + max((abs(c) for c in rest), default=F(0)) / abs(lead)
     out = []
     stack = [(-bound, bound, count_open(-bound, bound))]
     while stack:
         lo, hi, cnt = stack.pop()
         if cnt == 0:
             continue
-        if cnt == 1 and sf(lo) != 0 and sf(hi) != 0:
+        if cnt == 1 and ref_eval(sf, lo) != 0 and ref_eval(sf, hi) != 0:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if sf(mid) == 0:
+        if ref_eval(sf, mid) == 0:
             out.append((mid, mid))
             eps = (hi - lo) / 4
             while ref_sturm_count(sf, mid - eps, mid + eps) > 1:
@@ -132,7 +143,7 @@ def ref_isolate_real_roots(poly: QPoly) -> list:
     return sorted(out)
 
 
-def ref_classify_real_root(q: QPoly, lo, hi):
+def ref_classify_real_root(q: sympy.Poly, lo, hi):
     if lo == hi:
         v = lo
         if v == 1:
@@ -152,18 +163,18 @@ def ref_classify_real_root(q: QPoly, lo, hi):
         if lo >= -1 and hi <= 1:
             return INSIDE
         mid = (lo + hi) / 2
-        if q(mid) == 0:
+        if ref_eval(q, mid) == 0:
             return ref_classify_real_root(q, mid, mid)
-        if q(lo) * q(mid) < 0:
+        if ref_eval(q, lo) * ref_eval(q, mid) < 0:
             hi = mid
         else:
             lo = mid
 
 
 def ref_analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
-    """The layout by Fraction isolation and bisection against -1 and 1; the
-    spectrum keeps only the classes, in the intervals' ascending order."""
-    qq = q.to_qpoly()
+    """The layout by isolation and bisection against -1 and 1; the spectrum
+    keeps only the classes, in the intervals' ascending order."""
+    qq = qq_poly(q)
     deg = q.degree
     if deg == 1:
         root = -F(q.coeffs[0], q.coeffs[1])
@@ -198,7 +209,7 @@ def ref_eigen_classify(dstar: QMatrix) -> EigenClass:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the exponent solve as one rational linear system
+# Reference: the exponent solve as one rational linear system, in sympy
 # ---------------------------------------------------------------------------
 
 
@@ -206,24 +217,28 @@ def ref_exponents_from_logderiv(num: IntPoly, den: IntPoly, hints) -> RatFuncPro
     if num.is_zero():
         return RatFuncProduct.one()
     factors = factor_with_hints(den, hints)
-    num, den = num.to_qpoly(), den.to_qpoly()
+    num, den = qq_poly(num), qq_poly(den)
     assert all(m == 1 for _, m in factors)
     qs = [normalize_factor(q) for q, _ in factors]
-    d = den.degree
+    d, m = den.degree(), len(qs)
+
+    def coeffs(p):  # z^1 .. z^d, in QQ
+        c = p.rep.to_list()[::-1]
+        return (c + [QQ(0)] * d)[1:d + 1]
+
     basis = {}
     cols = []
     for q in qs:
-        qq = q.to_qpoly()
-        col = basis[q] = QPoly([0] + list(qq.derivative().coeffs)) * (den // qq)
-        cols.append([col[k] for k in range(1, d + 1)])
-    rhs = QMatrix([[num[k]] for k in range(1, d + 1)])
-    mat = QMatrix([[cols[j][k] for j in range(len(qs))] for k in range(d)])
-    sol = solve_columns(mat, rhs)
-    assert sol is not None
-    exps = [sol[i, 0] for i in range(len(qs))]
+        qq = qq_poly(q)
+        col = basis[q] = sympy.Poly(X, X, domain=QQ) * qq.diff(X) * den.quo(qq)
+        cols.append(coeffs(col))
+    rows = [[col[k] for col in cols] + [rhs] for k, rhs in enumerate(coeffs(num))]
+    reduced, pivots = DomainMatrix(rows, (d, m + 1), QQ).rref(method="GJ")
+    assert pivots == tuple(range(m))  # one solution
+    exps = [row[m] for row in reduced.to_list()[:m]]
     assert all(e.denominator == 1 for e in exps)
-    result = RatFuncProduct.from_irreducibles((q, int(e)) for q, e in zip(qs, exps))
-    check = QPoly()
+    result = RatFuncProduct.from_irreducibles((q, int(e.numerator)) for q, e in zip(qs, exps))
+    check = qq_poly(0)
     for q, e in result.factors:
         check = check + e * basis[q]
     assert check == num
@@ -294,21 +309,21 @@ def test_real_root_machinery_matches_fraction_reference():
     rng = random.Random(12)
     lost = 0
     for coeffs in random_polynomials(rng, 300):
-        p = QPoly(coeffs)
-        expected = ref_isolate_real_roots(p)
+        p, ref = QPoly(coeffs), qq_poly(IntPoly(coeffs))
+        expected = ref_isolate_real_roots(ref)
         if len(expected) == sturm_count(p):
             assert isolate_real_roots(p) == expected, coeffs
         else:
             lost += 1
             assert len(isolate_real_roots(p)) == sturm_count(p) == len(expected) + 1, coeffs
         a, b = sorted(F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4))) for _ in range(2))
-        assert sturm_count(p, a, b) == ref_sturm_count(p, a, b), (coeffs, a, b)
-        assert sturm_count(p, None, b) == ref_sturm_count(p, float("-inf"), b), (coeffs, b)
-        assert sturm_count(p, a, None) == ref_sturm_count(p, a, float("inf")), (coeffs, a)
+        assert sturm_count(p, a, b) == ref_sturm_count(ref, a, b), (coeffs, a, b)
+        assert sturm_count(p, None, b) == ref_sturm_count(ref, float("-inf"), b), (coeffs, b)
+        assert sturm_count(p, a, None) == ref_sturm_count(ref, a, float("inf")), (coeffs, a)
     assert 0 < lost < 30
     # -4x(x - 1)(x - 2): the reference steps from the root 0 onto the root 1
     p = QPoly([0, -8, 12, -4])
-    assert len(ref_isolate_real_roots(p)) == 2
+    assert len(ref_isolate_real_roots(qq_poly(IntPoly([0, -8, 12, -4])))) == 2
     ivals = isolate_real_roots(p)
     assert len(ivals) == 3 and all(lo <= r <= hi for (lo, hi), r in zip(ivals, (0, 1, 2)))
 
@@ -517,17 +532,6 @@ def test_exponent_off_by_one_is_caught(monkeypatch):
 # The closed-form classification on chosen factors, against the Fraction
 # Sturm reference and sympy
 # ---------------------------------------------------------------------------
-
-
-def sympy_factors(coeffs) -> list:
-    """factor_over_q's form of sympy's factorization: each irreducible
-    factor primitive with positive leading coefficient, sorted."""
-    _, factors = sympy.Poly(list(reversed(coeffs)), X).factor_list()
-    out = []
-    for f, mult in factors:
-        c = [int(v) for v in reversed(f.all_coeffs())]
-        out.append((IntPoly([-v for v in c] if c[-1] < 0 else c), mult))
-    return sorted(out, key=lambda fm: fm[0].sort_key())
 
 
 def assert_layout_matches_oracles(coeffs) -> FactorRoots:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,18 +12,13 @@ from infranil.selfmaps import MapCandidate, validate_selfmap
 from infranil.series import RatFuncProduct, rfp_equal
 from infranil.zeta import _structural, compute_zeta
 from modulus_split import part_of
-from oracles import exterior_closed_form
+from oracles import exterior_closed_form, kb
 
 F = Fraction
 
 
 def rfp(*pairs):
     return RatFuncProduct.from_factors([(QPoly(c), e) for c, e in pairs])
-
-
-def kb(a, b, r=0, s=0):
-    entry = catalog_lookup("klein-bottle")
-    return MapCandidate(entry, (F(r), F(s)), QMatrix([[a, 0], [0, b]]))
 
 
 def test_klein_lefschetz_zeta():
@@ -380,6 +376,7 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     cand = family_instantiate(spec, sample_params(spec, 1)[0])
     dim = cand.entry.dim
     cp = charpoly(cand.dstar).to_int()[0]
+    forms = exterior_data(cand.dstar).forms
     # Lambda^j A is formed once per holonomy group, not per candidate
     holonomy(cand.entry).exterior_powers
     calls = count_calls(
@@ -388,15 +385,19 @@ def test_exterior_data_formed_once_per_candidate(monkeypatch, manifold):
     )
     compute_zeta(cand)
     # charpoly(D) once, for the spectrum, in closed form on D's integer
-    # form, never through the QPoly charpoly; every Lambda^j D is
-    # formed from the integer minors of D, never through the QMatrix
-    # exterior_power
+    # form, never through the QPoly charpoly, then det(I - z flat_j) once
+    # per j from each integer form (the closed form of a nontrivial
+    # holonomy's averages follows); every Lambda^j D is formed from the
+    # integer minors of D, never through the QMatrix exterior_power
     q, (flat,) = integer_form([cand.dstar])
-    assert calls["matrices.scaled_det_one_minus_z"].count((flat, dim, q)) == 1
+    formed = calls["matrices.scaled_det_one_minus_z"]
+    assert formed[:dim + 2] == [(flat, dim, q)] + [
+        (f, comb(dim, j), 1) for j, (_, f) in enumerate(forms)]
+    assert formed.count((flat, dim, q)) == 1 + (q == 1)  # j = 1 repeats it when q = 1
     assert calls["matrices.charpoly"] == []
     assert calls["matrices.exterior_power"] == []
-    # exactly one factorization, of charpoly(D): every det(I - z Lambda^j D)
-    # and its factors are read off it
+    # exactly one factorization, of charpoly(D): the factors of every
+    # det(I - z Lambda^j D) are read off it
     assert calls["polynomials.factor_over_q"] == [(cp,)]
 
 
