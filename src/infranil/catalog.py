@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import json
 from functools import cache, cached_property, lru_cache
-from fractions import Fraction
 from importlib import resources
 from math import isqrt
 from types import MappingProxyType
 
 from .errors import CatalogError, ConstraintError
-from .exprs import eval_rational, in_domain, parse_rational
+from .exprs import eval_rational, exact_number, in_domain, parse_rational
 from .matrices import QMatrix, exterior_integer_form, flat_product, integer_form
 from .records import Record
 
@@ -58,8 +57,9 @@ def abelian_embed(rotation: QMatrix, translation) -> QMatrix:
 def psi_embed(x, y, z, phi_star: QMatrix, k) -> QMatrix:
     """The 4x4 image of (h(x,y,z), phi) under the faithful representation,
     with no matrix product: the unipotent factor adds (k y/2) phi*_1 -
-    (k x/2) phi*_2 to row 0 of phi*, and leaves rows 1 and 2 as they are."""
-    x, y, z, k = Fraction(x), Fraction(y), Fraction(z), Fraction(k)
+    (k x/2) phi*_2 to row 0 of phi*, and leaves rows 1 and 2 as they are.
+    x, y, z and k are admitted by `exact_number`."""
+    x, y, z, k = (exact_number(v, "psi_embed argument") for v in (x, y, z, k))
     if phi_star.nrows != 3 or phi_star.ncols != 3:
         raise CatalogError("phi* must be 3x3")
     p0, p1, p2 = phi_star.rows

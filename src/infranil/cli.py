@@ -27,7 +27,7 @@ from .errors import (
     ReconstructionError,
     RouteMismatchError,
 )
-from .exprs import domain_values, eval_rational, format_rational, parse_rational
+from .exprs import domain_values, eval_rational, parse_rational
 from .polynomials import QPoly
 from .selfmaps import (
     admit_params,
@@ -129,7 +129,7 @@ def cmd_compute(args) -> int:
     data = {
         "manifold": args.manifold,
         "family": spec.index,
-        "params": {n: format_rational(v) for n, v in env.items()},
+        "params": {n: str(v) for n, v in env.items()},
         "kmax": args.kmax,
         "p": res.p,
         "n": res.n,

@@ -5,7 +5,8 @@ both files use.
 Expressions are Python syntax restricted to: rational arithmetic
 (+ - * / ** and unary -), integer literals, parameter names, comparisons,
 boolean operators, and the helpers abs/min/max/is_int.  Values are exact
-Fractions; there is no float anywhere.
+Fractions; there is no float anywhere.  Every number a caller passes in
+is admitted by one rule, `exact_number`; text enters through `parse_rational`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import ast
 from fractions import Fraction
 from functools import lru_cache, partial
+from numbers import Rational
+from operator import index
 
-from .errors import ConstraintError, CorpusError
+from .errors import ConstraintError, CorpusError, InfranilError
 
 
 # A few characters must not build an arbitrarily large number: `a ** b`
@@ -25,12 +28,31 @@ MAX_EXPONENT = 64
 MAX_POWER_BITS = 1 << 20
 
 
+def exact_number(value, what: str = "value", integral: bool = False):
+    """`value` as a Fraction (an int, with `integral`), admitted only if it
+    is a `numbers.Rational` and not a bool, and integral with `integral`:
+    an int, a Fraction (returned as it is), a numpy or sympy integer, a
+    sympy rational.  Anything else (a float, NaN, a Decimal, a str, a bool,
+    None) raises InfranilError naming it as `what`."""
+    if type(value) is int:
+        return value if integral else Fraction(value)
+    if type(value) is Fraction and not integral:
+        return value
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        num, den = index(value.numerator), index(value.denominator)
+        if not integral:
+            return Fraction(num, den)
+        if den == 1:
+            return num
+    raise InfranilError(f"{what} {value!r} is not {'an integer' if integral else 'an exact rational'}")
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "3", "-7/4", "1/2", "0.5" (or pass through ints/Fractions)
-    exactly.  Exponent notation is refused: "1e999999999" would build a
-    number of a billion digits."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
+    """Parse "3", "-7/4", "1/2", "0.5" exactly; any other value goes
+    through `exact_number`.  Exponent notation is refused: "1e999999999"
+    would build a number of a billion digits."""
+    if not isinstance(text, str):
+        return exact_number(text)
     text = text.strip()
     if "e" in text or "E" in text:
         raise ConstraintError(f"not an exact rational (no exponent notation): {text!r}")
@@ -38,10 +60,6 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConstraintError(f"not an exact rational: {text!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def _is_int(x) -> bool:
@@ -146,7 +164,7 @@ def eval_rational(text, env) -> Fraction:
     value = eval_expr(str(text), env)
     if isinstance(value, bool):
         raise ConstraintError(f"expected a number from {text!r}")
-    return Fraction(value)
+    return exact_number(value, f"value of {text!r}")
 
 
 def eval_bool(text, env) -> bool:

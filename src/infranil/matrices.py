@@ -1,9 +1,9 @@
 """Exact rational matrices and the integer kernels the engine runs on them.
 
 QMatrix is the immutable rational matrix that candidates and catalog
-entries carry.  It offers construction, indexing, the shape, products (by
-a matrix, or on the right by a scalar), powers and the determinant; sums
-and differences of matrices are left to the callers' own arithmetic.
+entries carry, its entries admitted by `exprs.exact_number`.  It offers
+construction, indexing, the shape, the product of two matrices, powers and
+the determinant; scalar products, sums and differences are the callers'.
 
 Sizes stay tiny, so determinants, minors and characteristic polynomials
 are formed in integers, on a matrix's integer form (its entries over their
@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 from .errors import InfranilError
+from .exprs import exact_number
 from .polynomials import IntPoly, QPoly
 from .records import Record
 
@@ -38,7 +39,8 @@ _SMALL_INTS = {v: Fraction(v) for v in range(-128, 129)}
 
 
 class QMatrix(Record):
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of Fractions, row-major; a Fraction entry is
+    kept as it is."""
 
     __slots__ = ("rows",)
     _fields = __slots__
@@ -46,7 +48,8 @@ class QMatrix(Record):
     def __init__(self, rows):
         small = _SMALL_INTS
         data = tuple(
-            tuple(small[v] if type(v) is int and v in small else Fraction(v) for v in row)
+            tuple(v if type(v) is Fraction else small[v] if type(v) is int and v in small
+                  else exact_number(v, "QMatrix entry") for v in row)
             for row in rows
         )
         if not data or not data[0]:
@@ -76,16 +79,14 @@ class QMatrix(Record):
         return self.rows[i][j]
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QMatrix([[v * other for v in row] for row in self.rows])
-        if isinstance(other, QMatrix):
-            if self.ncols != other.nrows:
-                raise InfranilError("shape mismatch in matrix product")
-            cols = list(zip(*other.rows))
-            return QMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-            )
-        return NotImplemented
+        if other.__class__ is not QMatrix:
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise InfranilError("shape mismatch in matrix product")
+        cols = list(zip(*other.rows))
+        return QMatrix(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+        )
 
     def power(self, k: int) -> "QMatrix":
         if not self.is_square() or k < 0:

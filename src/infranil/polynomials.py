@@ -9,15 +9,17 @@ Python ints, QPoly `fractions.Fraction`.
 The engine computes with IntPoly.  QPoly carries rational polynomials
 across the boundary (corpus cells, `matrices.charpoly` and
 `det_one_minus_z`) and offers only what its readers use: construction,
-indexing, `degree` and `is_zero`, products, equality and hashing, `to_int`
-(the split into a primitive IntPoly and its content) and printing.
+indexing, `degree` and `is_zero`, the product of two QPolys, equality and
+hashing between QPolys, `to_int` (the split into a primitive IntPoly and
+its content) and printing.  IntPoly multiplies only by an IntPoly.
 
-`IntPoly(coeffs)` accepts ints, integral Fractions and other integers that
-`operator.index` accepts, and raises InfranilError naming any other
-coefficient, so a float or a string from JSON, an oracle or a caller is
-never truncated or parsed.  A Python int passes on a type check alone, so
-the kernels' own int results cost little more than the strip of trailing
-zeros.
+Both constructors admit their coefficients by `exprs.exact_number`: QPoly
+any exact rational (an int, a Fraction, a numpy or sympy integer or
+rational), IntPoly only integral ones.  Any other coefficient (a float, a
+string, a bool, None) raises InfranilError naming it, so a value from
+JSON, an oracle or a caller is never truncated, rounded or parsed.  A
+Python int passes IntPoly on a type check alone, so the kernels' own int
+results cost little more than the strip of trailing zeros.
 
 Signs run in integers: p(a/b) has the sign of the integer b^d p(a/b).
 
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import index
 
 from .errors import InfranilError
+from .exprs import exact_number
 from .records import Record
 
 
@@ -54,7 +56,8 @@ class QPoly(Record):
     _fields = __slots__
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
+        coeffs = [exact_number(c, "QPoly coefficient") for c in coeffs]
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     @property
     def degree(self) -> int:
@@ -67,9 +70,8 @@ class QPoly(Record):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly([c * other for c in self.coeffs])
-        other = _coerce(other)
+        if other.__class__ is not QPoly:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -79,12 +81,10 @@ class QPoly(Record):
                     out[i + j] += a * b
         return QPoly(out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly([other])
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        if other.__class__ is QPoly:
+            return self.coeffs == other.coeffs
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -111,41 +111,20 @@ class QPoly(Record):
     __repr__ = __str__
 
 
-def _coerce(value) -> QPoly:
-    if isinstance(value, QPoly):
-        return value
-    if isinstance(value, IntPoly):
-        return value.to_qpoly()
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
-
-
-def _coefficient(c) -> int:
-    """An IntPoly coefficient as an int: an integral Fraction, or a value
-    `operator.index` accepts (int, and numpy or sympy integers)."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
-    else:
-        try:
-            return index(c)
-        except TypeError:
-            pass
-    raise InfranilError(f"IntPoly coefficient {c!r} is not an integer")
-
-
 class IntPoly(Record):
     """Polynomial with integer coefficients, ascending degree.  `degree` is
     stored and the hash kept after its first use.
 
-    `IntPoly(coeffs)` validates every coefficient and raises InfranilError
-    naming one that is not an integer (a float, a string, a non-integral
-    Fraction)."""
+    `IntPoly(coeffs)` admits every coefficient by `exact_number` in its
+    integral form and raises InfranilError naming one that is not an
+    integer (a float, a string, a bool, a non-integral Fraction)."""
 
     __slots__ = ("coeffs", "degree", "_hash")
     _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = _strip([c if type(c) is int else _coefficient(c) for c in coeffs])
+        coeffs = _strip([c if type(c) is int else exact_number(c, "IntPoly coefficient", True)
+                         for c in coeffs])
         _set_coeffs(self, coeffs)
         _set_degree(self, len(coeffs) - 1)
 
@@ -185,9 +164,7 @@ class IntPoly(Record):
         return IntPoly([c // g for c in self.coeffs]) if g else self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        if not isinstance(other, IntPoly):
+        if other.__class__ is not IntPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntPoly()
@@ -197,8 +174,6 @@ class IntPoly(Record):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         acc = 0

@@ -51,7 +51,8 @@ from .catalog import (
     psi_embed,
 )
 from .errors import CatalogError, ConstraintError, CorpusError, InvalidCandidateError
-from .exprs import domain_values, eval_bool, eval_rational, in_domain, parse_domain, parse_rational
+from .exprs import (domain_values, eval_bool, eval_rational, exact_number, in_domain,
+                    parse_domain, parse_rational)
 from .matrices import QMatrix, flat_product, integer_form
 from .records import Record
 from .series import parity_signs
@@ -73,13 +74,15 @@ class MapCandidate(Record):
     Abelian model: `translation` is the vector d, `dstar` the linear part.
     Heisenberg model: `translation` holds the exponential coordinates
     (r, s, t) of d = h(r, s, t) and `dstar` the differential on the Lie
-    algebra in the basis {log c, log a, log b}.
+    algebra in the basis {log c, log a, log b}.  The translation is stored
+    as a tuple of Fractions, each entry admitted by `exact_number`.
     """
 
     __slots__ = ("entry", "translation", "dstar")
     _fields = __slots__
 
     def __init__(self, entry: CatalogEntry, translation: tuple, dstar: QMatrix):
+        translation = tuple(exact_number(v, "translation entry") for v in translation)
         n = entry.dim
         if dstar.nrows != n or dstar.ncols != n:
             raise InvalidCandidateError(f"linear part must be {n}x{n}")

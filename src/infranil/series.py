@@ -17,6 +17,7 @@ from math import gcd
 from operator import mul
 
 from .errors import InfranilError, ReconstructionError
+from .exprs import exact_number
 from .polynomials import IntPoly, exact_quotient, factor_over_q
 from .records import Record
 
@@ -73,9 +74,10 @@ def berlekamp_massey_q(seq, bound: int):
     +-(S * den)_k, with the final connection polynomial and found it 0, so
     those terms are already proved zero.
     """
-    s = [int(c) for c in seq]
-    if s != list(seq):
-        raise ReconstructionError("the sequence has a non-integral term")
+    try:
+        s = [exact_number(c, "term", True) for c in seq]
+    except InfranilError as exc:
+        raise ReconstructionError(f"the sequence has a non-integral term: {exc}") from None
     window = 2 * bound + 2
     if len(s) < window:
         raise ReconstructionError(
@@ -142,11 +144,11 @@ class RatFuncProduct(Record):
     @staticmethod
     def from_irreducibles(pairs) -> "RatFuncProduct":
         """Build from (irreducible IntPoly with q(0)=1, exponent) pairs,
-        merging duplicates and dropping zero exponents.  An exponent that is
-        not an int raises InfranilError naming it."""
+        merging duplicates and dropping zero exponents.  Exponents are
+        admitted by `exact_number` as integers."""
         merged = {}
         for q, e in pairs:
-            e = _int_exponent(e)
+            e = exact_number(e, "exponent", True)
             if q.constant() != 1:
                 raise ReconstructionError(f"factor {q} does not satisfy q(0) = 1")
             if q.degree < 1:
@@ -162,11 +164,11 @@ class RatFuncProduct(Record):
     def from_factors(pairs) -> "RatFuncProduct":
         """Build from arbitrary (QPoly, exponent) pairs.  Every polynomial
         must have constant term 1; each is factored over Q and the
-        irreducible pieces are normalized to q(0) = 1.  An exponent that is
-        not an int raises InfranilError naming it."""
+        irreducible pieces are normalized to q(0) = 1.  Exponents are
+        admitted by `exact_number` as integers."""
         out = []
         for poly, e in pairs:
-            e = _int_exponent(e)
+            e = exact_number(e, "exponent", True)
             if poly.is_zero():
                 raise ReconstructionError("zero polynomial in a product")
             if poly[0] != 1:
@@ -226,8 +228,9 @@ class RatFuncProduct(Record):
     @staticmethod
     def from_json(data) -> "RatFuncProduct":
         """The product `to_json` wrote.  A coefficient or an exponent that
-        is not an integer raises InfranilError naming it, so a corrupted
-        product is never truncated or parsed into another one."""
+        is not an integer (a float, a string, a bool) raises InfranilError
+        naming it, so a corrupted product is never truncated, parsed or read
+        as another one."""
         return RatFuncProduct.from_irreducibles(
             (IntPoly(item["poly"]), item["exp"]) for item in data
         )
@@ -241,12 +244,6 @@ class RatFuncProduct(Record):
         return f"({num}) / ({den})"
 
     __repr__ = __str__
-
-
-def _int_exponent(e) -> int:
-    if type(e) is not int:
-        raise InfranilError(f"exponent {e!r} is not an integer")
-    return e
 
 
 def rfp_equal(a: RatFuncProduct, b: RatFuncProduct) -> bool:

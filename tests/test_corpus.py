@@ -4,6 +4,7 @@ driven by corpus instances."""
 
 import ast
 import itertools
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -94,13 +95,6 @@ _REACH_WITNESSES = {
                           "r": "0", "s": "1"},
 }
 
-# Products that even sample_params(spec, 40) never reaches.
-_UNREACHED = {
-    ("hantzsche-wendt#1", 0, 1), ("hantzsche-wendt#1", 1, 1), ("hantzsche-wendt#1", 2, 1),
-    ("heis-VIII#2", 0, 1), ("heis-VIII#2", 1, 1),
-}
-
-
 def _reached_product(spec, params):
     """(label, guard variant, index): the stored product that the family's
     instance at params reads, the first variant whose guard holds."""
@@ -114,8 +108,8 @@ def test_every_product_is_reached_or_listed():
     """One stored product stands for four parity cells, so a typo in it
     hides four cells.  Every (family, guard variant, index) product must be
     reached by sample_params(spec, 5) or by a pinned witness that the
-    verify-tables check accepts, or be listed as unreached; a listed product
-    that becomes reached must leave the lists."""
+    verify-tables check accepts; a witnessed product that becomes reached
+    must leave the list."""
     products = {(spec.label, v, int(i)) for spec in CORPUS.families
                 for v, template in enumerate(spec.zeta) for i in template.products}
     reached = {_reached_product(spec, params)
@@ -126,8 +120,55 @@ def test_every_product_is_reached_or_listed():
         assert _reached_product(by_label[key[0]], params) == key
         assert _verify_instance(by_label[key[0]], params) == (True, ""), key
     assert reached.isdisjoint(_REACH_WITNESSES)
-    assert products - reached - set(_REACH_WITNESSES) == _UNREACHED
-    assert len(products) == 120
+    assert products - reached - set(_REACH_WITNESSES) == set()
+    assert len(products) == 115
+
+
+# Guarded variants that store no index-1 product: (label -> variants).  Each
+# variant's guard makes the expanding axes of D split the holonomy group.
+_INDEX_TWO_ONLY = {"hantzsche-wendt#1": (0, 1, 2), "heis-VIII#2": (0, 1)}
+
+
+def test_expansion_guards_force_index_two():
+    """On hantzsche-wendt#1 (D = diag(a, b, c)) and heis-VIII#2 (D upper
+    triangular with diagonal (ab, a, b)), with odd a, b, c, the variants of
+    `_INDEX_TWO_ONLY` reach index 2 only, and the fallback variant index 1
+    only, so those variants need no index-1 product.
+
+    Every holonomy element A and D are upper triangular in the catalog's
+    basis, so both keep the standard flag.  W, the sum of D's generalized
+    eigenspaces of modulus <= 1, then meets the flag in steps at exactly
+    the positions i with |D_ii| <= 1, where A acts by A_ii; so
+    det(A on W) is the product of those A_ii, and
+    eps_A = det(A) / det(A on W) is the product of A_ii over the expanding
+    positions.  The A_ii are read off the group's integer form.  Each of
+    a, b (and c) runs over {-3, -1, 1, 3}, which covers every expansion
+    pattern and every sign pattern the guards can see; the derived signs
+    must equal `positive_part`'s on every tuple."""
+    by_label = {spec.label: spec for spec in CORPUS.families}
+    for label, index_two in _INDEX_TWO_ONLY.items():
+        spec = by_label[label]
+        names = [name for name, _ in spec.params if name in ("a", "b", "c")]
+        seen = set()
+        for values in itertools.product((-3, -1, 1, 3), repeat=len(names)):
+            params = {name: "4" if name == "k" else "0" for name, _ in spec.params}
+            params.update((name, str(v)) for name, v in zip(names, values))
+            env, cand = family_instance(spec, params)
+            variant = next(i for i, t in enumerate(spec.zeta)
+                           if t.guard is None or eval_bool(t.guard, env))
+            seen.add(variant)
+            n, dstar = cand.entry.dim, cand.dstar
+            r, flats = cand.entry.holonomy_group.form
+            assert all(dstar[i, j] == 0 for i in range(n) for j in range(i))
+            assert all(flat[i * n + j] == 0 for flat in flats for i in range(n) for j in range(i))
+            expanding = [i for i in range(n) if abs(dstar[i, i]) > 1]
+            signs = tuple(math.prod(flat[i * n + i] // r for i in expanding) for flat in flats)
+            index = len(flats) // signs.count(1)
+            assert index == (2 if variant in index_two else 1), (label, values)
+            assert part_of(cand) == (index, signs, tuple(i for i, e in enumerate(signs) if e == 1))
+            assert str(index) in spec.zeta[variant].products, (label, variant)
+        assert seen == set(range(len(spec.zeta))), label
+        assert all("1" not in spec.zeta[v].products for v in index_two), label
 
 
 def test_no_constraint_restates_a_domain():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from infranil.errors import InfranilError
@@ -25,7 +26,7 @@ def rand_matrix(rng, n, lo=-5, hi=5):
 
 
 def test_small_integer_entries_share_one_fraction():
-    a, b = QMatrix([[2, -128], [0, 129]]), QMatrix([[2, 5], [Fraction(2), True]])
+    a, b = QMatrix([[2, -128], [0, 129]]), QMatrix([[2, 5], [Fraction(2), np.int64(1)]])
     assert a.rows[0][0] is b.rows[0][0] and a.rows[0][0] == Fraction(2)
     assert a.rows[0][1] == -128 and a.rows[1][1] == 129 and b.rows[1] == (2, 1)
     assert all(type(v) is Fraction for m in (a, b) for row in m.rows for v in row)
@@ -50,7 +51,7 @@ def test_charpoly_matches_det_shift():
 
 
 def test_exterior_power_examples():
-    m = QMatrix([["1", 2], [3, 4]])
+    m = QMatrix([[1, 2], [3, 4]])
     assert exterior_power(m, 2) == QMatrix([[-2]])
     assert exterior_power(m, 1) == m
     assert exterior_power(QMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]), 2) == QMatrix(

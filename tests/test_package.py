@@ -33,53 +33,87 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
-def test_removed_zeta_entry_points_stay_gone():
-    for name in ("lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
-                 "exterior_closed_form"):
-        assert name not in infranil.__all__
-        assert not hasattr(infranil, name) and not hasattr(infranil.zeta, name)
+def test_removed_names_stay_gone():
+    """Every name in the table stays gone from its owner and from the
+    package's exports, and no src/ module defines one of `src_gone`.  A
+    class owner may not define the name on itself or any base but
+    `object`; any other owner may not have it as an attribute.
 
-
-def test_removed_fixedpoint_entry_points_stay_gone():
-    """The direct route and lattice membership are test oracles
-    (`tests/oracles.py`), not library code."""
-    for module, name in [
-        (infranil.fixedpoint, "anosov_fastpath"),
-        (infranil.fixedpoint, "lefschetz_number"),
-        (infranil.fixedpoint, "nielsen_number"),
-        (infranil.fixedpoint, "lefschetz_from_row"),
-        (infranil.fixedpoint, "nielsen_from_row"),
-        (infranil.fixedpoint, "_direct_row"),
-        (infranil.catalog, "lattice_member"),
-    ]:
-        assert name not in infranil.__all__
-        assert not hasattr(infranil, name) and not hasattr(module, name)
-
-
-def test_removed_holonomy_copies_stay_gone():
-    """The holonomy group is held once, in the integer form its readers use,
-    by its catalog entry: no QMatrix copy of its elements, no integer form
-    recomputed from them, and no copy inside the positive part.  The corpus
-    path is resolved by `load_corpus` alone.  A group element is its
-    embedded QMatrix: the `AffineElement` wrapper and its decoding are gone
-    (`tests/oracles.py` keeps the decoding).  No src/ module defines the
-    removed names."""
+    - The zeta routes' old entry points, the direct route and lattice
+      membership are test oracles (`tests/oracles.py`), not library code.
+    - The holonomy group is held once, in the integer form its readers use,
+      by its catalog entry: no QMatrix copy of its elements, no integer form
+      recomputed from them, and no copy inside the positive part.  The
+      corpus path is resolved by `load_corpus` alone.  A group element is
+      its embedded QMatrix: the `AffineElement` wrapper and its decoding are
+      gone (`tests/oracles.py` keeps the decoding).
+    - The number field and the Sturm root counting the oracles use live in
+      tests/number_field.py and tests/real_roots.py, with the integer
+      remainder sequences behind the chains; the package has no lazy
+      re-export of them (no module-level `__getattr__`).  The spectrum is
+      classified in closed form, so no Yun squarefree split and no
+      Sturm-chain unit split are left either.
+    - QPoly, IntPoly and QMatrix keep only what the engine, the CLI and the
+      benchmark read: the sums, quotients, evaluation and normalization
+      that only the test references used are gone (the references run on
+      sympy), and so are the scalar operands no caller passes.
+    - Every number a caller passes is admitted by `exprs.exact_number`
+      alone, so the per-module rules it replaced are gone."""
+    from infranil import exprs, fixedpoint, polynomials, selfmaps, series
     from infranil.catalog import HolonomyGroup, catalog_lookup
     from infranil.fixedpoint import PositivePart
+    from infranil.matrices import QMatrix
+    from infranil.polynomials import IntPoly, QPoly
 
     group = catalog_lookup("klein-bottle").holonomy_group
     assert HolonomyGroup._fields == ("form", "table", "generator_indices", "representatives")
     assert PositivePart._fields == ("index", "det_signs", "plus_indices")
-    for owner, name in [(group, "elements"), (group, "integer_elements"),
-                        (PositivePart, "group"), (PositivePart, "plus_subgroup_closed"),
-                        (infranil.selfmaps, "default_corpus_path"),
-                        (infranil, "AffineElement"), (infranil.catalog, "AffineElement")]:
-        assert not hasattr(owner, name), name
-        assert name not in infranil.__all__
-    removed = {"elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path",
-               "AffineElement", "lattice_element", "holonomy_part", "h_coords",
-               "rotation_block", "submatrix"}
-    assert src_definitions(removed) == []
+    gone = [(infranil, name) for name in (
+        "lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
+        "exterior_closed_form", "AffineElement", "NFElem", "NumberField", "nf_sign",
+        "sturm_count", "refine_root", "Rational")]
+    gone += [(infranil.zeta, name) for name in (
+        "lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
+        "exterior_closed_form")]
+    for owner in (infranil, fixedpoint):
+        gone += [(owner, name) for name in (
+            "anosov_fastpath", "lefschetz_number", "nielsen_number", "lefschetz_from_row",
+            "nielsen_from_row", "_direct_row")]
+    gone += [(infranil, "lattice_member"), (infranil, "default_corpus_path"),
+             (infranil.catalog, "lattice_member"), (infranil.catalog, "AffineElement"),
+             (group, "elements"), (group, "integer_elements"),
+             (PositivePart, "group"), (PositivePart, "plus_subgroup_closed"),
+             (selfmaps, "default_corpus_path")]
+    gone += [(QPoly, name) for name in (
+        "leading", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__divmod__",
+        "__floordiv__", "__mod__", "__call__", "derivative", "monic", "__rmul__")]
+    gone += [(QMatrix, name) for name in ("__add__", "__sub__", "__neg__", "__rmul__")]
+    gone += [(IntPoly, "__rmul__"), (polynomials, "_coerce"), (polynomials, "_coefficient"),
+             (series, "_int_exponent"), (exprs, "format_rational")]
+    src_gone = {
+        "elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path",
+        "AffineElement", "lattice_element", "holonomy_part", "h_coords", "rotation_block",
+        "submatrix",
+        "NumberField", "NFElem", "nf_sign", "_interval_eval", "sturm_count", "refine_root",
+        "_squarefree", "_point", "_sturm_chain", "_count_open", "Rational",
+        "_NUMBERFIELD_NAMES", "_yun_squarefree", "_factor_squarefree", "unit_split", "_gcd",
+        "_remainder_sequence", "_neg_rem", "_variations",
+        "_coerce", "_coefficient", "_int_exponent", "format_rational",
+    }
+
+    def defines(owner, name):
+        if isinstance(owner, type):
+            return any(name in vars(base) for base in owner.__mro__[:-1])  # all but object
+        return hasattr(owner, name)
+
+    present = [(getattr(owner, "__name__", type(owner).__name__), name)
+               for owner, name in gone if defines(owner, name)]
+    assert present == []
+    assert [name for _, name in gone if name in infranil.__all__] == []
+    assert src_definitions(src_gone) == []
+    init = dict(src_trees())["__init__.py"]
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+                   for node in init.body)
 
 
 def test_import_leaves_numberfield_unloaded_and_exports_no_oracle():
@@ -108,43 +142,6 @@ def test_import_leaves_numberfield_unloaded_and_exports_no_oracle():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_test_oracles_stay_out_of_the_library():
-    """No src/ module defines the number field or the Sturm root counting
-    the oracles use (they live in tests/number_field.py and
-    tests/real_roots.py, with the integer remainder sequences behind the
-    chains), nor the package's lazy re-export of them: the package has no
-    module-level `__getattr__`.  The spectrum is classified in closed form,
-    so no Yun squarefree split and no Sturm-chain unit split are left in
-    the library either."""
-    moved = {"NumberField", "NFElem", "nf_sign", "_interval_eval", "sturm_count",
-             "refine_root", "_squarefree", "_point", "_sturm_chain", "_count_open",
-             "Rational", "_NUMBERFIELD_NAMES",
-             "_yun_squarefree", "_factor_squarefree", "unit_split", "_gcd",
-             "_remainder_sequence", "_neg_rem", "_variations"}
-    assert src_definitions(moved) == []
-    init = dict(src_trees())["__init__.py"]
-    assert not any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
-                   for node in init.body)
-
-
-def test_boundary_types_define_no_test_only_arithmetic():
-    """QPoly and QMatrix carry rational polynomials and matrices across the
-    library's boundary and keep only what the engine, the CLI and the
-    benchmark read.  The sums, quotients, evaluation and normalization that
-    only the test references used are gone; the references run on sympy."""
-    from infranil.matrices import QMatrix
-    from infranil.polynomials import QPoly
-
-    removed = {
-        QPoly: ("leading", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
-                "__divmod__", "__floordiv__", "__mod__", "__call__", "derivative", "monic"),
-        QMatrix: ("__add__", "__sub__", "__neg__", "__rmul__"),
-    }
-    present = [(cls.__name__, name) for cls, names in removed.items() for name in names
-               if any(name in vars(base) for base in cls.__mro__[:-1])]  # all but object
-    assert present == []
 
 
 def test_engine_stages_take_what_they_read():
@@ -246,3 +243,21 @@ def test_each_test_runs_under_a_time_limit():
         pytest.skip("no SIGALRM on this platform")
     remaining, _ = signal.getitimer(signal.ITIMER_REAL)
     assert 0 < remaining <= TEST_TIME_LIMIT_S
+
+
+def test_readme_library_example_prints_what_it_says():
+    """The README's `python` block runs, and each line it prints is the
+    `# ...` comment beside the `print` that wrote it."""
+    import contextlib
+    import io
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    expected = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(expected) == 3
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -47,7 +47,7 @@ def test_to_int_primitive():
     prim, content = p.to_int()
     assert prim.coeffs == (2, 3)
     assert content == Fraction(1, 4)
-    assert prim.to_qpoly() * content == p
+    assert prim.to_qpoly() * QPoly([content]) == p
 
 
 def test_sturm_trivial_examples():
@@ -241,7 +241,8 @@ def test_exact_quotient_in_integers():
     q = IntPoly([1, -3, 2])  # (1 - z)(1 - 2z), primitive, lc 2
     g = IntPoly([5, 0, -7, 4])
     assert exact_quotient(q * g, q) == g
-    assert exact_quotient(q * g * 6, q) == g * 6
+    six = IntPoly([6])
+    assert exact_quotient(q * g * six, q) == g * six
     off_by_one = IntPoly([c + (i == 0) for i, c in enumerate((q * g).coeffs)])
     assert exact_quotient(off_by_one, q) is None
     assert exact_quotient(IntPoly([3]), q) is None

@@ -372,7 +372,8 @@ def test_witness_returns_the_lattice_coordinates_it_was_built_from():
         n = entry.dim
         scale = 1 if entry.model == HEISENBERG else rng.choice((1, 3, -1))
         candidate = MapCandidate(
-            entry, tuple(rng.choice(QUARTERS) for _ in range(n)), QMatrix.identity(n) * scale
+            entry, tuple(rng.choice(QUARTERS) for _ in range(n)),
+            QMatrix([[scale * (i == j) for j in range(n)] for i in range(n)])
         )
         cand = candidate.embedded()
         _, (dflat,) = integer_form([candidate.dstar])

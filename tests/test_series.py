@@ -281,7 +281,7 @@ def test_rfp_from_json_rejects_non_integers(poly, exp, bad):
 @pytest.mark.parametrize("build, pairs, bad", [
     (RatFuncProduct.from_factors, [(QPoly([1, -2]), 2.9)], "2.9"),
     (RatFuncProduct.from_irreducibles, [(IntPoly([1, -2]), 1.5)], "1.5"),
-    (RatFuncProduct.from_factors, [(QPoly([1, -2]), Fraction(2))], "Fraction(2, 1)"),
+    (RatFuncProduct.from_factors, [(QPoly([1, -2]), Fraction(2, 3))], "Fraction(2, 3)"),
     (RatFuncProduct.from_irreducibles, [(IntPoly([1]), 0.5)], "0.5"),
 ])
 def test_rfp_constructors_reject_non_integer_exponents(build, pairs, bad):

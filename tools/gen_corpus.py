@@ -192,10 +192,12 @@ def _hw_alone(x, yz):
             f" or (abs({x}) <= 1 and abs({yz[0]}) > 1 and abs({yz[1]}) > 1)")
 
 
+# the guarded variants reach index 2 only: one non-identity element keeps
+# eps_A = +1 on the expanding axes (tests/test_corpus.py proves it)
 _hw_diag_zeta = [
-    variant(ratio("a*b*c"), ratio("a", "b*c"), guard=_hw_alone("a", ("b", "c"))),
-    variant(ratio("a*b*c"), ratio("b", "a*c"), guard=_hw_alone("b", ("a", "c"))),
-    variant(ratio("a*b*c"), ratio("c", "a*b"), guard=_hw_alone("c", ("a", "b"))),
+    variant(two=ratio("a", "b*c"), guard=_hw_alone("a", ("b", "c"))),
+    variant(two=ratio("b", "a*c"), guard=_hw_alone("b", ("a", "c"))),
+    variant(two=ratio("c", "a*b"), guard=_hw_alone("c", ("a", "b"))),
     variant(ratio("a*b*c")),
 ]
 
@@ -738,11 +740,9 @@ manifolds.append({
             [["a*b", "k/4*a*(b - 1)", "k/4*(1 - a)*b"],
              ["0", "a", "0"], ["0", "0", "b"]],
             ["r", "s", "t"],
-            [
-                variant(ratio("a*a*b*b"), ratio("a", "a*b*b"),
-                        guard="abs(a) == 1 and abs(b) > 1"),
-                variant(ratio("a*a*b*b"), ratio("b", "a*a*b"),
-                        guard="abs(b) == 1 and abs(a) > 1"),
+            [  # the guarded variants reach index 2 only, as on hantzsche-wendt#1
+                variant(two=ratio("a", "a*b*b"), guard="abs(a) == 1 and abs(b) > 1"),
+                variant(two=ratio("b", "a*a*b"), guard="abs(b) == 1 and abs(a) > 1"),
                 variant(ratio("a*a*b*b")),
             ],
         ),
