@@ -33,73 +33,62 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
-def test_removed_names_stay_gone():
-    """Every name in the table stays gone from its owner and from the
-    package's exports, and no src/ module defines one of `src_gone`.  A
-    class owner may not define the name on itself or any base but
-    `object`; any other owner may not have it as an attribute.
-
-    - The zeta routes' old entry points, the direct route and lattice
-      membership are test oracles (`tests/oracles.py`), not library code.
-    - The holonomy group is held once, in the integer form its readers use,
-      by its catalog entry: no QMatrix copy of its elements, no integer form
-      recomputed from them, and no copy inside the positive part.  The
-      corpus path is resolved by `load_corpus` alone.  A group element is
-      its embedded QMatrix: the `AffineElement` wrapper and its decoding are
-      gone (`tests/oracles.py` keeps the decoding).
-    - The number field and the Sturm root counting the oracles use live in
-      tests/number_field.py and tests/real_roots.py, with the integer
-      remainder sequences behind the chains; the package has no lazy
-      re-export of them (no module-level `__getattr__`).  The spectrum is
-      classified in closed form, so no Yun squarefree split and no
-      Sturm-chain unit split are left either.
-    - QPoly, IntPoly and QMatrix keep only what the engine, the CLI and the
-      benchmark read: the sums, quotients, evaluation and normalization
-      that only the test references used are gone (the references run on
-      sympy), and so are the scalar operands no caller passes.
-    - Every number a caller passes is admitted by `exprs.exact_number`
-      alone, so the per-module rules it replaced are gone."""
+def removed_names():
+    """The one table of names that stay gone, by the test that checks them:
+    (owner, name) pairs that must stay gone from their owner and from the
+    package's exports, and names no src/ module may define."""
     from infranil import exprs, fixedpoint, polynomials, selfmaps, series
-    from infranil.catalog import HolonomyGroup, catalog_lookup
+    from infranil.catalog import catalog_lookup
     from infranil.fixedpoint import PositivePart
     from infranil.matrices import QMatrix
     from infranil.polynomials import IntPoly, QPoly
 
     group = catalog_lookup("klein-bottle").holonomy_group
-    assert HolonomyGroup._fields == ("form", "table", "generator_indices", "representatives")
-    assert PositivePart._fields == ("index", "det_signs", "plus_indices")
-    gone = [(infranil, name) for name in (
-        "lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
-        "exterior_closed_form", "AffineElement", "NFElem", "NumberField", "nf_sign",
-        "sturm_count", "refine_root", "Rational")]
-    gone += [(infranil.zeta, name) for name in (
-        "lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
-        "exterior_closed_form")]
-    for owner in (infranil, fixedpoint):
-        gone += [(owner, name) for name in (
-            "anosov_fastpath", "lefschetz_number", "nielsen_number", "lefschetz_from_row",
-            "nielsen_from_row", "_direct_row")]
-    gone += [(infranil, "lattice_member"), (infranil, "default_corpus_path"),
-             (infranil.catalog, "lattice_member"), (infranil.catalog, "AffineElement"),
-             (group, "elements"), (group, "integer_elements"),
-             (PositivePart, "group"), (PositivePart, "plus_subgroup_closed"),
-             (selfmaps, "default_corpus_path")]
-    gone += [(QPoly, name) for name in (
-        "leading", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__divmod__",
-        "__floordiv__", "__mod__", "__call__", "derivative", "monic", "__rmul__")]
-    gone += [(QMatrix, name) for name in ("__add__", "__sub__", "__neg__", "__rmul__")]
-    gone += [(IntPoly, "__rmul__"), (polynomials, "_coerce"), (polynomials, "_coefficient"),
-             (series, "_int_exponent"), (exprs, "format_rational")]
-    src_gone = {
-        "elements", "integer_elements", "plus_subgroup_closed", "default_corpus_path",
-        "AffineElement", "lattice_element", "holonomy_part", "h_coords", "rotation_block",
-        "submatrix",
-        "NumberField", "NFElem", "nf_sign", "_interval_eval", "sturm_count", "refine_root",
-        "_squarefree", "_point", "_sturm_chain", "_count_open", "Rational",
-        "_NUMBERFIELD_NAMES", "_yun_squarefree", "_factor_squarefree", "unit_split", "_gcd",
-        "_remainder_sequence", "_neg_rem", "_variations",
-        "_coerce", "_coefficient", "_int_exponent", "format_rational",
+    zeta_names = ("lefschetz_zeta", "nielsen_zeta_direct", "nielsen_zeta_structural",
+                  "exterior_closed_form")
+    direct_names = ("anosov_fastpath", "lefschetz_number", "nielsen_number",
+                    "lefschetz_from_row", "nielsen_from_row", "_direct_row")
+    return {
+        "zeta": ([(owner, name) for owner in (infranil, infranil.zeta) for name in zeta_names],
+                 set()),
+        "fixedpoint": ([(owner, name) for owner in (infranil, fixedpoint)
+                        for name in direct_names]
+                       + [(infranil, "lattice_member"), (infranil.catalog, "lattice_member")],
+                       set()),
+        "holonomy": ([(group, "elements"), (group, "integer_elements"),
+                      (PositivePart, "group"), (PositivePart, "plus_subgroup_closed"),
+                      (selfmaps, "default_corpus_path"), (infranil, "default_corpus_path"),
+                      (infranil, "AffineElement"), (infranil.catalog, "AffineElement")],
+                     {"elements", "integer_elements", "plus_subgroup_closed",
+                      "default_corpus_path", "AffineElement", "lattice_element",
+                      "holonomy_part", "h_coords", "rotation_block", "submatrix"}),
+        "oracles": ([(infranil, name) for name in (
+                        "NFElem", "NumberField", "nf_sign", "sturm_count", "refine_root",
+                        "Rational")],
+                    {"NumberField", "NFElem", "nf_sign", "_interval_eval", "sturm_count",
+                     "refine_root", "_squarefree", "_point", "_sturm_chain", "_count_open",
+                     "Rational", "_NUMBERFIELD_NAMES",
+                     "_yun_squarefree", "_factor_squarefree", "unit_split", "_gcd",
+                     "_remainder_sequence", "_neg_rem", "_variations"}),
+        "arithmetic": ([(QPoly, name) for name in (
+                            "leading", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+                            "__divmod__", "__floordiv__", "__mod__", "__call__", "derivative",
+                            "monic", "__rmul__")]
+                       + [(QMatrix, name) for name in ("__add__", "__sub__", "__neg__",
+                                                       "__rmul__")]
+                       + [(IntPoly, "__rmul__"), (polynomials, "_coerce"),
+                          (polynomials, "_coefficient"), (series, "_int_exponent"),
+                          (exprs, "format_rational")],
+                       {"_coerce", "_coefficient", "_int_exponent", "format_rational"}),
     }
+
+
+def assert_gone(row):
+    """Every (owner, name) pair of the table's `row` stays gone from its owner
+    and from the package's exports, and no src/ module defines one of the
+    row's names.  A class owner may not define the name on itself or any
+    base but `object`; any other owner may not have it as an attribute."""
+    pairs, src_names = removed_names()[row]
 
     def defines(owner, name):
         if isinstance(owner, type):
@@ -107,13 +96,62 @@ def test_removed_names_stay_gone():
         return hasattr(owner, name)
 
     present = [(getattr(owner, "__name__", type(owner).__name__), name)
-               for owner, name in gone if defines(owner, name)]
+               for owner, name in pairs if defines(owner, name)]
     assert present == []
-    assert [name for _, name in gone if name in infranil.__all__] == []
-    assert src_definitions(src_gone) == []
+    assert [name for _, name in pairs if name in infranil.__all__] == []
+    assert src_definitions(src_names) == []
+
+
+def test_removed_zeta_entry_points_stay_gone():
+    assert_gone("zeta")
+
+
+def test_removed_fixedpoint_entry_points_stay_gone():
+    """The direct route and lattice membership are test oracles
+    (`tests/oracles.py`), not library code."""
+    assert_gone("fixedpoint")
+
+
+def test_removed_holonomy_copies_stay_gone():
+    """The holonomy group is held once, in the integer form its readers use,
+    by its catalog entry: no QMatrix copy of its elements, no integer form
+    recomputed from them, and no copy inside the positive part.  The corpus
+    path is resolved by `load_corpus` alone.  A group element is its
+    embedded QMatrix: the `AffineElement` wrapper and its decoding are gone
+    (`tests/oracles.py` keeps the decoding).  No src/ module defines the
+    removed names."""
+    from infranil.catalog import HolonomyGroup
+    from infranil.fixedpoint import PositivePart
+
+    assert HolonomyGroup._fields == ("form", "table", "generator_indices", "representatives")
+    assert PositivePart._fields == ("index", "det_signs", "plus_indices")
+    assert_gone("holonomy")
+
+
+def test_test_oracles_stay_out_of_the_library():
+    """No src/ module defines the number field or the Sturm root counting
+    the oracles use (they live in tests/number_field.py and
+    tests/real_roots.py, with the integer remainder sequences behind the
+    chains), nor the package's lazy re-export of them: the package has no
+    module-level `__getattr__`.  The spectrum is classified in closed form,
+    so no Yun squarefree split and no Sturm-chain unit split are left in
+    the library either."""
+    assert_gone("oracles")
     init = dict(src_trees())["__init__.py"]
     assert not any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
                    for node in init.body)
+
+
+def test_boundary_types_define_no_test_only_arithmetic():
+    """QPoly, IntPoly and QMatrix carry rational polynomials and matrices
+    across the library's boundary and keep only what the engine, the CLI
+    and the benchmark read.  The sums, quotients, evaluation and
+    normalization that only the test references used are gone (the
+    references run on sympy), and so are the scalar operands no caller
+    passes.  Every number a caller passes is admitted by
+    `exprs.exact_number` alone, so the per-module rules it replaced are
+    gone."""
+    assert_gone("arithmetic")
 
 
 def test_import_leaves_numberfield_unloaded_and_exports_no_oracle():
