@@ -98,7 +98,9 @@ class HolonomyGroup(Record):
     identity, r the least common denominator), the multiplication table
     (table[i][j] = index of A_i A_j), the generators' element indices, and
     one embedded coset representative per element (a product of generators
-    whose linear part is A_i, as a QMatrix)."""
+    whose linear part is A_i, as a QMatrix).  `generator_order` and the
+    exterior powers are derived from these fields, once per group, and are
+    not fields themselves."""
 
     _fields = ("form", "table", "generator_indices", "representatives")
 
@@ -109,6 +111,14 @@ class HolonomyGroup(Record):
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def generator_order(self) -> tuple:
+        """The generator positions, those with non-trivial holonomy (index
+        other than 0, the identity) first, each part in catalog order: the
+        order in which `validate_selfmap` tries them."""
+        indices = self.generator_indices
+        return tuple(sorted(range(len(indices)), key=lambda g: indices[g] == 0))
 
     @cached_property
     def exterior_powers(self) -> tuple:

@@ -152,12 +152,13 @@ _parse = lru_cache(maxsize=1024)(partial(ast.parse, mode="eval"))
 
 
 def eval_expr(text: str, env: dict):
-    """Evaluate an expression string to a Fraction or bool, exactly."""
+    """Evaluate an expression string to a Fraction or bool, exactly.  An
+    expression nested too deeply to parse or to evaluate (a RecursionError)
+    is a bad expression, as a syntax error is."""
     try:
-        tree = _parse(text)
-    except SyntaxError as exc:
+        return _eval_node(_parse(text), env)
+    except (SyntaxError, RecursionError) as exc:
         raise ConstraintError(f"bad expression {text!r}: {exc}") from exc
-    return _eval_node(tree, env)
 
 
 def eval_rational(text, env) -> Fraction:

@@ -201,8 +201,17 @@ def exterior_integer_form(form, j: int) -> tuple:
 def integer_form(mats) -> tuple:
     """(r, flats): r is the least common denominator of every entry of the
     matrices, and flats[i] holds the entries of r * mats[i], row-major, as
-    ints."""
-    r = lcm(*(v.denominator for m in mats for row in m.rows for v in row))
+    ints.  r starts at 1 and takes an lcm only with a denominator other
+    than 1; when r stays 1, the flats are the numerators as they are."""
+    r = 1
+    for m in mats:
+        for row in m.rows:
+            for v in row:
+                d = v.denominator
+                if d != 1:
+                    r = lcm(r, d)
+    if r == 1:
+        return 1, tuple(tuple(v.numerator for row in m.rows for v in row) for m in mats)
     return r, tuple(
         tuple(v.numerator * (r // v.denominator) for row in m.rows for v in row) for m in mats
     )

@@ -21,7 +21,7 @@ every holonomy element independently.
 Most pairs (generator, holonomy element) fail already at the differential
 level, D A == B D.  That filter runs in integers on the holonomy group as
 the closure keeps it (`HolonomyGroup.form`), with each product formed once
-per call.  Only for the pairs that pass it are the translation columns of
+per call and none with the identity.  Only for the pairs that pass it are the translation columns of
 the two sides formed, in Fractions, and the lattice witness run on them.
 Each coset-side column is a matrix-vector product with the candidate's
 translation column, as is X's on Heisenberg entries, and `psi_embed` is
@@ -173,13 +173,17 @@ def validate_selfmap(candidate: MapCandidate):
     None.  For each generator every holonomy element is tried (the assignment
     need not be a homomorphism); matches follow catalog order, so the result
     is deterministic.  Each generator's match is independent of the others',
-    so the generators with non-trivial holonomy are tried first: most
-    rejects fail there, before any lattice witness.
+    so the generators with non-trivial holonomy are tried first
+    (`HolonomyGroup.generator_order`, formed once per group): most rejects
+    fail there, before any lattice witness.
 
     The rotational filter D A_g == B_h D runs in integers: with q and r the
     common denominators of D and of the holonomy elements, it holds exactly
-    when (qD)(rA_g) == (rB_h)(qD).  Each B_h D is formed once per call and
-    each D A_g once per generator.  Only where the filter passes are the
+    when (qD)(rA_g) == (rB_h)(qD).  D's integer form is read in one pass
+    (`integer_form`).  Each B_h D is formed once per call, with no product
+    for h = 0: index 0 is the identity, r I in `group.form`, so B_0 D is r
+    times D's integer form.  Each D A_g is formed once per generator tried.
+    Only where the filter passes are the
     embedded candidate cand (once per call) and the translation columns of
     X = cand * gen (once per generator) and Y_h = rep_h * cand (once per h,
     shared across generators) formed, in Fractions, for the lattice witness,
@@ -193,14 +197,15 @@ def validate_selfmap(candidate: MapCandidate):
     group = holonomy(entry)
     n = entry.dim
     _, (dflat,) = integer_form([candidate.dstar])
-    _, aflats = group.form
-    b_d = [flat_product(b, dflat, n) for b in aflats]
+    r, aflats = group.form
+    # index 0 is the identity, r I in group.form, so B_0 D is r D
+    b_d = [dflat if r == 1 else tuple(r * v for v in dflat)]
+    b_d += [flat_product(b, dflat, n) for b in aflats[1:]]
     heis = entry.model == HEISENBERG
     cand = None
     ys = {}
     found = []
-    # holonomy index 0 is the identity
-    for gi in sorted(range(len(entry.generators)), key=lambda g: group.generator_indices[g] == 0):
+    for gi in group.generator_order:
         gen, ai = entry.generators[gi], group.generator_indices[gi]
         d_a = flat_product(dflat, aflats[ai], n)
         x = None

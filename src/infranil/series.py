@@ -227,10 +227,18 @@ class RatFuncProduct(Record):
 
     @staticmethod
     def from_json(data) -> "RatFuncProduct":
-        """The product `to_json` wrote.  A coefficient or an exponent that
-        is not an integer (a float, a string, a bool) raises InfranilError
-        naming it, so a corrupted product is never truncated, parsed or read
-        as another one."""
+        """The product `to_json` wrote: a list of {"poly": list, "exp": ...}
+        items.  Anything else (not a list, an item that is not a dict, a
+        missing key, a "poly" that is not a list), and a coefficient or an
+        exponent that is not an integer (a float, a string, a bool), raises
+        InfranilError naming it, so a corrupted product is never truncated,
+        parsed or read as another one."""
+        if not isinstance(data, list):
+            raise InfranilError(f"a product is a list of factors, not {data!r}")
+        for item in data:
+            if not (isinstance(item, dict) and isinstance(item.get("poly"), list)
+                    and "exp" in item):
+                raise InfranilError(f'product factor {item!r} is not {{"poly": list, "exp": ...}}')
         return RatFuncProduct.from_irreducibles(
             (IntPoly(item["poly"]), item["exp"]) for item in data
         )

@@ -23,7 +23,8 @@ their generic form, for any n, with none of the library's closed forms;
 `close_holonomy` closes a holonomy group by QMatrix products and a linear
 scan with Fraction equality, reading each generator's linear part back
 from its embedded matrix.  `group_elements` reads a `HolonomyGroup`'s
-elements back as QMatrix, from its integer form.
+elements back as QMatrix, from its integer form.  `integer_form` is the
+library's integer form as first written, in two passes over the entries.
 """
 
 import itertools
@@ -168,11 +169,14 @@ def close_holonomy(entry) -> tuple:
     return tuple(elements), table, tuple(find(p) for p in gen_parts), tuple(reps)
 
 
-def int_form(mats):
+def integer_form(mats) -> tuple:
     """(r, flats): r is the least common denominator of the matrices'
-    entries, flats[i] the entries of r * mats[i], row-major, as ints."""
+    entries, flats[i] the entries of r * mats[i], row-major, as ints; in two
+    passes, every denominator read for r and again for the flats."""
     r = lcm(*(v.denominator for m in mats for row in m.rows for v in row))
-    return r, [[int(v * r) for row in m.rows for v in row] for m in mats]
+    return r, tuple(
+        tuple(v.numerator * (r // v.denominator) for row in m.rows for v in row) for m in mats
+    )
 
 
 def direct_table(candidate, kmax: int) -> list:
@@ -181,8 +185,8 @@ def direct_table(candidate, kmax: int) -> list:
     integer form, det(I - A_i D^k) is det(r q^k I - A_i' D'^k) / (r q^k)^n,
     from an explicit power of D' and one integer determinant per element."""
     n = candidate.entry.dim
-    q, (dq,) = int_form([candidate.dstar])
-    r, elements = int_form(group_elements(holonomy(candidate.entry)))
+    q, (dq,) = integer_form([candidate.dstar])
+    r, elements = integer_form(group_elements(holonomy(candidate.entry)))
     ident = [int(i == j) for i in range(n) for j in range(n)]
     rows, power = [], ident
     for k in range(1, kmax + 1):

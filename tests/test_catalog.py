@@ -262,6 +262,26 @@ def test_integer_closure_matches_fraction_closure():
     assert count == 13 + 3 * 11
 
 
+def test_generator_order_puts_non_trivial_holonomy_first():
+    """On every catalog entry, Heisenberg types at each k of their small and
+    large sample grids, `generator_order` is the order validate_selfmap
+    once sorted on every call: generators with non-trivial holonomy first,
+    each part in catalog order.  It is not a field."""
+    count = 0
+    for entry_id in catalog_ids():
+        domains = dict(catalog_params(entry_id))
+        ks = [domain_values(domains["k"], large) for large in (False, True)] if domains else [[None]]
+        for k in (k for grid in ks for k in grid):
+            entry = catalog_lookup(entry_id, None if k is None else {"k": k})
+            group = holonomy(entry)
+            expected = sorted(range(len(entry.generators)),
+                              key=lambda g: group.generator_indices[g] == 0)
+            assert group.generator_order == tuple(expected), (entry_id, k)
+            count += 1
+    assert count > len(catalog_ids())
+    assert "generator_order" not in holonomy(catalog_lookup("klein-bottle"))._fields
+
+
 def test_linear_parts_are_the_holonomy_parts_of_the_generators():
     """Every catalog entry, Heisenberg types at their first three admissible
     k: the linear parts the entry stores, which the closure reads, are

@@ -302,6 +302,27 @@ def test_zero_to_a_negative_power_in_a_constraint_exits_3(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_deeply_nested_corpus_expression_exits_3(tmp_path, capsys):
+    """A corpus expression nested too deeply for the parser (circle#1's
+    translation "r" followed by 3,000 "+0") is a bad expression: `compute`
+    exits 3 and `verify-tables` reports the family, each with no traceback."""
+    full = packaged_corpus()
+    circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
+    fam = next(f for f in circle["families"] if f["index"] == 1)
+    fam["translation"] = ["r" + "+0" * 3000]
+    path = tmp_path / "families.json"
+    path.write_text(json.dumps({"schema": full["schema"], "manifolds": [circle]}))
+    code, out, err = run(capsys, "compute", "--corpus", str(path), "--manifold", "circle",
+                         "--param", "d=2", "--param", "r=1/2")
+    assert (code, out) == (3, ""), err[-300:]
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-300:]
+    assert "bad expression" in err and "Traceback" not in err
+    code, out, err = run(capsys, "verify-tables", "--corpus", str(path), "--samples", "1", "--json")
+    assert code == 4, err[-300:]
+    assert [f["family"] for f in json.loads(out)["failing"]] == ["circle#1"]
+    assert "bad expression" in json.loads(out)["failing"][0]["reason"]
+
+
 def test_bad_param_syntax(capsys):
     code, _, err = run(capsys, "compute", "--manifold", "circle", "--param", "d:2")
     assert code == 3

@@ -15,6 +15,16 @@ def test_malformed_expression_raises_on_every_call():
     assert exprs._parse.cache_info().currsize == size
 
 
+def test_deeply_nested_expression_is_a_bad_expression():
+    """An expression nested too deeply to parse ("r" then 3,000 "+0") or to
+    evaluate (2,000 "1+") raises ConstraintError, as a syntax error does,
+    not RecursionError."""
+    for text in ("r" + "+0" * 3000, "1+" * 2000 + "1"):
+        with pytest.raises(ConstraintError, match="bad expression"):
+            eval_expr(text, {"r": Fraction(1, 2)})
+    assert eval_expr("r" + "+0" * 30, {"r": Fraction(1, 2)}) == Fraction(1, 2)
+
+
 def test_cached_expression_reads_each_environment():
     text = "a * b - 1/2"
     assert eval_rational(text, {"a": Fraction(2), "b": Fraction(3)}) == Fraction(11, 2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from infranil import matrices
 from infranil.errors import InfranilError
 from infranil.matrices import (
     QMatrix,
@@ -132,6 +133,35 @@ def test_integer_kernels_match_generic_reference():
                 for j in range(n + 1):
                     assert exterior_form(a, n, j) == oracles.exterior_form(a, n, j), (a, j)
     assert singular == 3 * 2 * 8
+
+
+def test_integer_form_matches_the_two_pass_reference():
+    """integer_form against the two-pass form in tests/oracles.py on seeded
+    lists of 1-3 matrices, 1 x 1 to 4 x 4: integral entries, rational
+    entries with denominators up to 12, negative entries, 200-bit entries,
+    and the empty list.  Both the all-integral case (r = 1) and the
+    rational one are reached."""
+    rng = random.Random(32)
+    big = 2 ** 200
+    entries = {
+        "integral": lambda: rng.randint(-9, 9),
+        "rational": lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+        "large": lambda: rng.choice((rng.randint(-big, big), Fraction(rng.randint(-big, big),
+                                                                       rng.randint(1, 12)))),
+        "mixed": lambda: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-7, 7), 12))),
+    }
+    assert matrices.integer_form([]) == oracles.integer_form([]) == (1, ())
+    scales = set()
+    for n in range(1, 5):
+        for kind, entry in entries.items():
+            for _ in range(8):
+                mats = [QMatrix([[entry() for _ in range(n)] for _ in range(n)])
+                        for _ in range(rng.randint(1, 3))]
+                r, flats = matrices.integer_form(mats)
+                assert (r, flats) == oracles.integer_form(mats), (kind, mats)
+                assert all(type(v) is int for flat in flats for v in flat)
+                scales.add(r == 1)
+    assert scales == {True, False}
 
 
 def test_kernels_reject_n_outside_1_to_3():

@@ -501,6 +501,41 @@ def test_heisenberg_reject_at_rotation_runs_no_witness(monkeypatch):
     assert len(calls) == 3
 
 
+def test_filter_forms_no_product_with_the_identity(monkeypatch):
+    """validate_selfmap forms B_h D for every holonomy element but the
+    identity (index 0, r D with no product) and D A_g once per generator
+    tried: order - 1 + tried calls of `flat_product`, counted through
+    selfmaps' binding.  Each reject below fails at the first generator
+    tried, where its dense D* breaks D A == B D for every B; each accept
+    (D* the identity) tries every generator."""
+    import infranil.selfmaps as sm
+
+    cases = []
+    for entry_id, params, dense in (("flat3-8", None, [[1, 2, 0], [0, 1, 3], [1, 0, 1]]),
+                                    ("heis-II", {"k": 2}, [[1, 1, 0], [0, 2, 1], [0, 1, 1]])):
+        entry = catalog_lookup(entry_id, params)
+        group = holonomy(entry)
+        assert group.order > 1
+        # the first generator with non-trivial holonomy is tried first
+        gi = next(g for g, i in enumerate(group.generator_indices) if i)
+        first = holonomy_part(entry, entry.generators[gi])
+        assert all(QMatrix(dense) * first != b * QMatrix(dense) for b in group_elements(group))
+        cases.append((MapCandidate(entry, (0, 0, 0), QMatrix(dense)), False, 1))
+        cases.append((MapCandidate(entry, (0, 0, 0), QMatrix.identity(3)), True,
+                      len(entry.generators)))
+    calls = []
+
+    def counting_product(a, b, n):
+        calls.append((a, b))
+        return flat_product(a, b, n)
+
+    monkeypatch.setattr(sm, "flat_product", counting_product)
+    for cand, accepted, tried in cases:
+        calls.clear()
+        assert (validate_selfmap(cand) is not None) == accepted, cand.entry.id
+        assert len(calls) == holonomy(cand.entry).order - 1 + tried, (cand.entry.id, accepted)
+
+
 def test_holonomy_form_matches_reference_closure():
     # the filter reads the elements as the closure keeps them, group.form,
     # and generator gi's holonomy part at generator_indices[gi]

@@ -278,6 +278,22 @@ def test_rfp_from_json_rejects_non_integers(poly, exp, bad):
         RatFuncProduct.from_json([{"poly": poly, "exp": exp}])
 
 
+@pytest.mark.parametrize("data, bad", [
+    ([{"poly": [1, -2]}], "{'poly': [1, -2]}"),
+    ([{"exp": 1}], "{'exp': 1}"),
+    ({"poly": [1, -2], "exp": 1}, "{'poly': [1, -2], 'exp': 1}"),
+    ([[1, -2]], "[1, -2]"),
+    ([{"poly": 5, "exp": 1}], "{'poly': 5, 'exp': 1}"),
+    (None, "None"),
+])
+def test_rfp_from_json_rejects_malformed_products(data, bad):
+    """A product that is not a list of {"poly": list, "exp": ...} items
+    raises InfranilError naming what is wrong, not a KeyError or a
+    TypeError."""
+    with pytest.raises(InfranilError, match=re.escape(bad)):
+        RatFuncProduct.from_json(data)
+
+
 @pytest.mark.parametrize("build, pairs, bad", [
     (RatFuncProduct.from_factors, [(QPoly([1, -2]), 2.9)], "2.9"),
     (RatFuncProduct.from_irreducibles, [(IntPoly([1, -2]), 1.5)], "1.5"),

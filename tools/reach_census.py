@@ -13,7 +13,10 @@ lasts SECONDS = 3 seconds.  Every run must end with its expected exit
 status (0, or 3 for the four CLI error exits); if one does not, nothing is
 listed and the census exits 1 naming that run, since a run that failed
 early would make everything it reaches look unreached.  Takes a few
-minutes.
+minutes.  The names it lists, without their line numbers, are pinned in
+`tools/reach_census.expected`:
+
+    python3 tools/reach_census.py | cut -d' ' -f1 | diff - tools/reach_census.expected
 """
 
 from __future__ import annotations
