@@ -21,12 +21,13 @@ every holonomy element independently.
 Most pairs (generator, holonomy element) fail already at the differential
 level, D A == B D.  That filter runs in integers on the holonomy group as
 the closure keeps it (`HolonomyGroup.form`), with each product formed once
-per call and none with the identity.  Only for the pairs that pass it are the translation columns of
-the two sides formed, in Fractions, and the lattice witness run on them.
-Each coset-side column is a matrix-vector product with the candidate's
-translation column, as is X's on Heisenberg entries, and `psi_embed` is
-written out in closed form; so a Heisenberg accept forms no matrix product,
-and an abelian one forms only X = cand * gen, once per generator.
+per call and none with the identity.  Only for the pairs that pass it are
+the translation columns of the two sides formed, in Fractions, and the
+lattice witness run on them.  Each coset-side column is a matrix-vector
+product with the candidate's translation column, as is X's on Heisenberg
+entries, and `psi_embed` is written out in closed form; so a Heisenberg
+accept forms no matrix product, and an abelian one forms only
+X = cand * gen, once per generator.
 """
 
 from __future__ import annotations
@@ -183,16 +184,15 @@ def validate_selfmap(candidate: MapCandidate):
     (`integer_form`).  Each B_h D is formed once per call, with no product
     for h = 0: index 0 is the identity, r I in `group.form`, so B_0 D is r
     times D's integer form.  Each D A_g is formed once per generator tried.
-    Only where the filter passes are the
-    embedded candidate cand (once per call) and the translation columns of
-    X = cand * gen (once per generator) and Y_h = rep_h * cand (once per h,
-    shared across generators) formed, in Fractions, for the lattice witness,
-    which reads nothing else.  Y_h's column is rep_h times cand's
-    translation column, a matrix-vector product, on both models; so is X's
-    on Heisenberg entries (cand times gen's column), while abelian entries
-    form the product cand * gen and slice its column.  Holonomy index 0 is
-    the identity, whose representative is the identity matrix, so Y_0's
-    column is cand's own and costs no product."""
+    Only where the filter passes are the embedded candidate cand (once per
+    call) and the translation columns of X = cand * gen (once per generator)
+    and Y_h = rep_h * cand (once per h, shared across generators) formed, in
+    Fractions, for the lattice witness, which reads nothing else.  Y_h's
+    column is rep_h times cand's translation column, a matrix-vector
+    product, on both models; so is X's on Heisenberg entries (cand times
+    gen's column), while abelian entries form the product cand * gen and
+    slice its column.  Y_0's column is cand's own (rep_0 is the identity
+    matrix) and costs no product."""
     entry = candidate.entry
     group = holonomy(entry)
     n = entry.dim
