@@ -151,6 +151,11 @@ def _eval_node(node, env):
 _parse = lru_cache(maxsize=1024)(partial(ast.parse, mode="eval"))
 
 
+# A bad expression is quoted whole up to this many characters; a longer one
+# by its first ones and its length.
+_QUOTE_LIMIT = 80
+
+
 def eval_expr(text: str, env: dict):
     """Evaluate an expression string to a Fraction or bool, exactly.  An
     expression nested too deeply to parse or to evaluate (a RecursionError)
@@ -158,7 +163,10 @@ def eval_expr(text: str, env: dict):
     try:
         return _eval_node(_parse(text), env)
     except (SyntaxError, RecursionError) as exc:
-        raise ConstraintError(f"bad expression {text!r}: {exc}") from exc
+        shown = repr(text)
+        if len(text) > _QUOTE_LIMIT:
+            shown = f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        raise ConstraintError(f"bad expression {shown}: {exc}") from exc
 
 
 def eval_rational(text, env) -> Fraction:

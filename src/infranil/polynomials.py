@@ -201,7 +201,7 @@ _set_degree = IntPoly.degree.__set__
 _set_hash = IntPoly._hash.__set__
 
 
-def _poly_str(coeffs, var: str = "z") -> str:
+def _poly_str(coeffs) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -212,7 +212,7 @@ def _poly_str(coeffs, var: str = "z") -> str:
             parts.append(str(c))
             continue
         mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        term = f"{mag}{var}" if i == 1 else f"{mag}{var}^{i}"
+        term = f"{mag}z" if i == 1 else f"{mag}z^{i}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -235,7 +235,7 @@ def _sign(coeffs, num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_at(p: IntPoly, num: int, den: int = 1) -> int:
+def sign_at(p: IntPoly, num: int, den: int) -> int:
     """Sign of p at num / den, den > 0, in integers."""
     return _sign(p.coeffs, num, den)
 

@@ -47,3 +47,14 @@ def bench_workloads():
         mp.setitem(sys.modules, spec.name, workloads)
         spec.loader.exec_module(workloads)
         yield workloads
+
+
+@pytest.fixture(scope="session")
+def seed1_corpus():
+    """(spec, params, env, candidate) of every corpus family's
+    `sample_params(spec, 1, 1)` instance, from `family_instance`, in corpus
+    order: the 264 seed-1 instances, built once per session."""
+    from infranil.selfmaps import family_instance, load_corpus, sample_params
+
+    return tuple((spec, params, *family_instance(spec, params))
+                 for spec in load_corpus().families for params in sample_params(spec, 1, 1))

@@ -3,7 +3,8 @@
 `ref_positive_part` is the modulus split that `fixedpoint.positive_part`
 replaced: the signs det(A on V/W) from rational kernels and solves of the
 modulus <= 1 block, and, when an irreducible factor straddles the unit
-circle, from an eigenvector, kernel and solve over Q(theta).  `part_of` is
+circle, from an eigenvector, kernel and solve over Q(theta), with theta the
+factor's real root that sympy's `Poly.intervals` isolates.  `part_of` is
 the engine's positive part of a candidate, set against it and read by the
 other tests.
 `anosov_fastpath` is the set of sufficient criteria for N(f) = |L(f)|, with
@@ -30,7 +31,6 @@ from infranil.matrices import QMatrix
 from infranil.numberfield import field_det, field_kernel, field_solve_columns
 from number_field import NumberField
 from oracles import X, group_elements, kernel, qq_poly, solve_columns, sympy_matrix, to_fraction
-from real_roots import isolate_real_roots
 
 
 def _poly_at_matrix(p: sympy.Poly, m: QMatrix) -> QMatrix:
@@ -83,7 +83,8 @@ def _mixed_signs(dstar, elements, ec, mixed, dets):
     """Determinant signs when one irreducible factor straddles the circle."""
     n = dstar.nrows
     # the spectrum keeps only the real roots' classes, in ascending order
-    reals = list(zip(isolate_real_roots(mixed.factor), mixed.real))
+    intervals = [tuple(map(to_fraction, iv)) for iv, _ in qq_poly(mixed.factor).intervals()]
+    reals = list(zip(intervals, mixed.real))
     le_reals = [iv for iv, c in reals if c in (INSIDE, ONE, MINUS_ONE)]
     gt_reals = [iv for iv, c in reals if c in (GT1, LTM1)]
     lt, eq, gt = mixed.modulus_counts()

@@ -4,9 +4,12 @@ arithmetic with an isolating interval designating which real root theta is.
 Elements are residues mod the minimal polynomial, held as sympy
 polynomials over QQ, so the arithmetic is sympy's and not the library's;
 equality, arithmetic and inversion are symbolic (extended Euclid), so
-exact zero detection never depends on numerics.  Signs are decided by
-interval refinement, which terminates because a nonzero residue cannot
-vanish at a root of an irreducible minimal polynomial.
+exact zero detection never depends on numerics.  The isolating interval is
+checked by sympy's `count_roots` and shrunk by its `refine_root`: the
+minimal polynomial is irreducible of degree >= 2, so no rational endpoint
+is a root.  Signs are decided by interval refinement, which terminates
+because a nonzero residue cannot vanish at a root of an irreducible
+minimal polynomial.
 
 The engine needs no number field (`fixedpoint.positive_part` reads the
 signs off integer trace sequences).  The modulus split in `modulus_split`
@@ -23,8 +26,7 @@ import sympy
 
 from infranil.errors import InfranilError
 from infranil.polynomials import IntPoly
-from oracles import X, qq_poly, to_fraction
-from real_roots import refine_root, sturm_count
+from oracles import X, qq_poly, rational, to_fraction
 
 
 class NumberField:
@@ -38,7 +40,7 @@ class NumberField:
         self.minpoly = minpoly
         self.minpoly_q = qq_poly(minpoly).monic()
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
-        if sturm_count(minpoly, lo, hi) != 1:
+        if self.minpoly_q.count_roots(rational(lo), rational(hi)) != 1:
             raise InfranilError("interval does not isolate exactly one root")
         self.interval = (lo, hi)
 
@@ -64,7 +66,9 @@ class NumberField:
         return self.elem(sympy.Poly(X, X, domain=sympy.QQ))
 
     def refine(self, width: Fraction):
-        self.interval = refine_root(self.minpoly, *self.interval, width)
+        """Shrink the isolating interval below `width`."""
+        lo, hi = self.minpoly_q.refine_root(*map(rational, self.interval), eps=rational(width))
+        self.interval = (to_fraction(lo), to_fraction(hi))
 
     def __repr__(self):
         lo, hi = self.interval

@@ -36,10 +36,9 @@ import sympy
 
 from infranil.catalog import ABELIAN, abelian_embed, catalog_lookup, holonomy, psi_embed
 from infranil.errors import CatalogError, InfranilError, InvalidCandidateError
-from infranil.fixedpoint import _average
 from infranil.matrices import QMatrix, det_one_minus_z, exterior_power, kernel_rows, solve_rows
 from infranil.polynomials import IntPoly
-from infranil.selfmaps import MapCandidate, _translation_column
+from infranil.selfmaps import MapCandidate
 from infranil.series import RatFuncProduct
 
 X = sympy.Symbol("x")
@@ -105,6 +104,12 @@ def holonomy_part(entry, matrix) -> QMatrix:
     return QMatrix([[1, -k * y / 2, k * x / 2], [0, 1, 0], [0, 0, 1]]) * block
 
 
+def translation_column(matrix) -> tuple:
+    """The translation of an embedded element of an abelian entry: the last
+    column without its corner entry."""
+    return tuple(row[-1] for row in matrix.rows[:-1])
+
+
 def h_coords(entry, matrix) -> tuple:
     """Exponential coordinates (x, y, z) of the nilpotent part of an embedded
     element of a Heisenberg entry."""
@@ -128,7 +133,7 @@ def lattice_member(entry, matrix) -> bool:
     if holonomy_part(entry, matrix) != QMatrix.identity(entry.dim):
         return False
     abelian = entry.model == ABELIAN
-    coords = _translation_column(matrix) if abelian else h_coords(entry, matrix)
+    coords = translation_column(matrix) if abelian else h_coords(entry, matrix)
     return all(v.denominator == 1 for v in coords)
 
 
@@ -138,7 +143,7 @@ def decoded_iterate(candidate, k: int) -> MapCandidate:
     the holonomy part."""
     entry = candidate.entry
     power = candidate.embedded().power(k)
-    coords = _translation_column(power) if entry.model == ABELIAN else h_coords(entry, power)
+    coords = translation_column(power) if entry.model == ABELIAN else h_coords(entry, power)
     return MapCandidate(entry, coords, holonomy_part(entry, power))
 
 
@@ -199,16 +204,24 @@ def direct_table(candidate, kmax: int) -> list:
     return rows
 
 
+def exact_average(total: int, count: int, what: str) -> int:
+    """total / count, which must be an integer."""
+    value, rem = divmod(total, count)
+    if rem:
+        raise InvalidCandidateError(f"{what} is not an integer: {Fraction(total, count)}")
+    return value
+
+
 def lefschetz_from_row(row, indices=None) -> int:
     den, nums = row
     vals = nums if indices is None else [nums[i] for i in indices]
-    return _average(sum(vals), den * len(vals), "averaged Lefschetz number")
+    return exact_average(sum(vals), den * len(vals), "averaged Lefschetz number")
 
 
 def nielsen_from_row(row, indices=None) -> int:
     den, nums = row
     vals = nums if indices is None else [nums[i] for i in indices]
-    return _average(sum(map(abs, vals)), den * len(vals), "averaged Nielsen number")
+    return exact_average(sum(map(abs, vals)), den * len(vals), "averaged Nielsen number")
 
 
 def lefschetz_number(candidate, k: int) -> int:
@@ -263,7 +276,12 @@ def qq_poly(value) -> sympy.Poly:
     int or a Fraction as a constant."""
     if isinstance(value, IntPoly):
         return sympy.Poly(list(reversed(value.coeffs)), X, domain=sympy.QQ)
-    return sympy.Poly(sympy.Rational(value.numerator, value.denominator), X, domain=sympy.QQ)
+    return sympy.Poly(rational(value), X, domain=sympy.QQ)
+
+
+def rational(value) -> sympy.Rational:
+    """An int or a Fraction as a sympy rational."""
+    return sympy.Rational(value.numerator, value.denominator)
 
 
 def to_fraction(value) -> Fraction:
@@ -273,7 +291,7 @@ def to_fraction(value) -> Fraction:
 
 def sympy_matrix(rows) -> sympy.Matrix:
     """Rows of Fractions as a sympy matrix of rationals."""
-    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+    return sympy.Matrix([[rational(v) for v in row] for row in rows])
 
 
 def sympy_factors(coeffs) -> list:

@@ -31,8 +31,7 @@ from infranil.matrices import QMatrix, charpoly
 from infranil.selfmaps import MapCandidate, family_instantiate, load_corpus, sample_params
 from infranil.series import rfp_equal
 from infranil.zeta import compute_zeta
-from oracles import exterior_closed_form
-from real_roots import isolate_real_roots, refine_root
+from oracles import exterior_closed_form, qq_poly
 
 F = Fraction
 CORPUS = load_corpus()
@@ -161,12 +160,10 @@ def _approx_roots(ec):
     out = []
     for fr in ec.root_data:
         q = fr.factor
-        qq = q.to_qpoly()
         deg = q.degree
         reals = []
-        for (lo, hi), cls in zip(isolate_real_roots(q), fr.real):
-            lo2, hi2 = refine_root(qq, lo, hi, F(1, 10 ** 13))
-            reals.append((float((lo2 + hi2) / 2), cls))
+        for ((lo, hi), _), cls in zip(qq_poly(q).intervals(eps=F(1, 10 ** 13)), fr.real):
+            reals.append((float((lo + hi) / 2), cls))
         for root, cls in reals:
             for _ in range(fr.multiplicity):
                 out.append((root, 0.0, cls))

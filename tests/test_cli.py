@@ -305,7 +305,8 @@ def test_zero_to_a_negative_power_in_a_constraint_exits_3(tmp_path, capsys):
 def test_deeply_nested_corpus_expression_exits_3(tmp_path, capsys):
     """A corpus expression nested too deeply for the parser (circle#1's
     translation "r" followed by 3,000 "+0") is a bad expression: `compute`
-    exits 3 and `verify-tables` reports the family, each with no traceback."""
+    exits 3 with one `error:` line under 300 characters, and
+    `verify-tables` reports the family, each with no traceback."""
     full = packaged_corpus()
     circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
     fam = next(f for f in circle["families"] if f["index"] == 1)
@@ -317,6 +318,7 @@ def test_deeply_nested_corpus_expression_exits_3(tmp_path, capsys):
     assert (code, out) == (3, ""), err[-300:]
     assert err.startswith("error: ") and err.count("\n") == 1, err[-300:]
     assert "bad expression" in err and "Traceback" not in err
+    assert len(err.rstrip("\n")) < 300, err[:300]
     code, out, err = run(capsys, "verify-tables", "--corpus", str(path), "--samples", "1", "--json")
     assert code == 4, err[-300:]
     assert [f["family"] for f in json.loads(out)["failing"]] == ["circle#1"]

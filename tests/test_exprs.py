@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,20 +9,25 @@ from infranil.exprs import eval_bool, eval_expr, eval_rational
 
 
 def test_malformed_expression_raises_on_every_call():
+    """A malformed expression of at most 80 characters is quoted whole."""
     size = exprs._parse.cache_info().currsize
-    for _ in range(3):
-        with pytest.raises(ConstraintError, match="bad expression"):
-            eval_expr("a + * 2", {"a": Fraction(1)})
+    for text in ("a + * 2", "a +" + " 1 +" * 19 + "*"):  # 7 and 80 characters
+        for _ in range(3):
+            with pytest.raises(ConstraintError, match=re.escape(f"bad expression {text!r}: ")):
+                eval_expr(text, {"a": Fraction(1)})
     assert exprs._parse.cache_info().currsize == size
 
 
 def test_deeply_nested_expression_is_a_bad_expression():
     """An expression nested too deeply to parse ("r" then 3,000 "+0") or to
     evaluate (2,000 "1+") raises ConstraintError, as a syntax error does,
-    not RecursionError."""
+    not RecursionError.  The message quotes its first 80 characters and
+    its length, not the whole text."""
     for text in ("r" + "+0" * 3000, "1+" * 2000 + "1"):
-        with pytest.raises(ConstraintError, match="bad expression"):
+        with pytest.raises(ConstraintError, match="bad expression") as info:
             eval_expr(text, {"r": Fraction(1, 2)})
+        assert f"{text[:80]!r}... ({len(text)} characters)" in str(info.value)
+        assert len(str(info.value)) < 300
     assert eval_expr("r" + "+0" * 30, {"r": Fraction(1, 2)}) == Fraction(1, 2)
 
 

@@ -303,29 +303,27 @@ def test_det_table_matches_direct_determinants_on_random_valid_maps():
         assert_table_matches(cand, 20, label)
 
 
-def mixed_scale_corpus():
+def mixed_scale_corpus(instances):
     """(label, candidate, scales) for the seed-1 corpus instances whose
     trace sequences do not all share R and Q, the lcms of their r_j and q_j:
     there `det_table` weighs a sequence by R / r_j > 1 or by a list of
     (Q / q_j)^k."""
     out = []
-    for spec in load_corpus().families:
-        for params in sample_params(spec, 1, seed=1):
-            cand = family_instantiate(spec, params)
-            traces = exterior_traces(exterior_data(cand.dstar), holonomy(cand.entry), 1)
-            scales = tuple((r, q) for r, q, _ in traces)
-            big_r, big_q = lcm(*(r for r, _ in scales)), lcm(*(q for _, q in scales))
-            if any(r < big_r or q < big_q for r, q in scales):
-                out.append((spec.label, cand, scales))
+    for spec, _, _, cand in instances:
+        traces = exterior_traces(exterior_data(cand.dstar), holonomy(cand.entry), 1)
+        scales = tuple((r, q) for r, q, _ in traces)
+        big_r, big_q = lcm(*(r for r, _ in scales)), lcm(*(q for _, q in scales))
+        if any(r < big_r or q < big_q for r, q in scales):
+            out.append((spec.label, cand, scales))
     return out
 
 
-def test_det_table_matches_direct_determinants_on_mixed_scales():
+def test_det_table_matches_direct_determinants_on_mixed_scales(seed1_corpus):
     """Both weight branches of `det_table` against direct determinants, and
     D's own integer form as Lambda^1 D."""
     from infranil.matrices import exterior_integer_form, integer_form
 
-    cases = mixed_scale_corpus()
+    cases = mixed_scale_corpus(seed1_corpus)
     scales = {s for _, _, s in cases}
     assert {((1, 2), (1, 1), (1, 1)), ((2, 1), (2, 1), (1, 1)),
             ((1, 3), (1, 3), (1, 1))} <= scales
@@ -346,15 +344,11 @@ def reference_number_sequences(table, part):
             tuple(nielsen_from_row(row) for row in table), plus)
 
 
-def test_number_sequences_match_row_averages_on_benchmark_inputs(bench_workloads):
+def test_number_sequences_match_row_averages_on_benchmark_inputs(bench_workloads, seed1_corpus):
     """Every seed-1 corpus and random-maps candidate, index 2 included."""
     from infranil.fixedpoint import _number_sequences
 
-    candidates = [
-        family_instantiate(spec, params)
-        for spec in load_corpus().families
-        for params in sample_params(spec, 1, seed=1)
-    ] + bench_workloads.random_maps_instances(1)
+    candidates = [cand for *_, cand in seed1_corpus] + bench_workloads.random_maps_instances(1)
     indices = set()
     for cand in candidates:
         ext, group = exterior_data(cand.dstar), holonomy(cand.entry)
@@ -466,14 +460,10 @@ def test_trace_sequences_against_explicit_powers():
                 assert got[2] == expected, (cand.dstar, j, kmax)
 
 
-def test_positive_part_reads_the_shared_traces():
+def test_positive_part_reads_the_shared_traces(seed1_corpus):
     """The part is the same whether the traces run to kmax 1, shorter than
     the C(n, m) terms it reads, to exactly C(n, m), or to 40."""
-    corpus = [
-        family_instantiate(spec, params)
-        for spec in load_corpus().families
-        for params in sample_params(spec, 1, seed=1)
-    ]
+    corpus = [cand for *_, cand in seed1_corpus]
     for cand in trace_cases() + corpus:
         ext, group = exterior_data(cand.dstar), holonomy(cand.entry)
         expected = part_of(cand)
@@ -564,7 +554,7 @@ def random_rational_matrices(rng, per_size):
     ]
 
 
-def test_exterior_factors_of_d_are_reversed_spectrum_factors(bench_workloads):
+def test_exterior_factors_of_d_are_reversed_spectrum_factors(bench_workloads, seed1_corpus):
     """Every det_polys[j] and factors[j] of `exterior_data` is read off
     charpoly(D) and eigen_classify's factors of it.  They must equal the
     route with a characteristic polynomial and a factorization per j on random rational
@@ -573,10 +563,8 @@ def test_exterior_factors_of_d_are_reversed_spectrum_factors(bench_workloads):
     on all but the catalog runs, also sympy's minors and factor_list."""
     import random
 
-    from test_spectrum import corpus_candidates
-
     with_sympy = special_matrices() + random_rational_matrices(random.Random(31), 15)
-    cases = with_sympy + [cand.dstar for cand in corpus_candidates()]
+    cases = with_sympy + [cand.dstar for *_, cand in seed1_corpus]
     cases += [cand.dstar for cand in bench_workloads.random_maps_instances(1)]
     assert len(cases) == len(with_sympy) + 264 + 300
     singular = 0

@@ -129,13 +129,13 @@ def test_removed_holonomy_copies_stay_gone():
 
 
 def test_test_oracles_stay_out_of_the_library():
-    """No src/ module defines the number field or the Sturm root counting
-    the oracles use (they live in tests/number_field.py and
-    tests/real_roots.py, with the integer remainder sequences behind the
-    chains), nor the package's lazy re-export of them: the package has no
-    module-level `__getattr__`.  The spectrum is classified in closed form,
-    so no Yun squarefree split and no Sturm-chain unit split are left in
-    the library either."""
+    """No src/ module defines the number field the oracles use (it lives in
+    tests/number_field.py), the Sturm root counting and the integer
+    remainder sequences behind its chains that the oracles once used (they
+    take real roots from sympy now), nor the package's lazy re-export of
+    them: the package has no module-level `__getattr__`.  The spectrum is
+    classified in closed form, so no Yun squarefree split and no
+    Sturm-chain unit split are left in the library either."""
     assert_gone("oracles")
     init = dict(src_trees())["__init__.py"]
     assert not any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
@@ -156,9 +156,9 @@ def test_boundary_types_define_no_test_only_arithmetic():
 
 def test_import_leaves_numberfield_unloaded_and_exports_no_oracle():
     """`import infranil` loads no `numberfield` (no engine module needs it),
-    and the package exports none of the test oracles' number field or Sturm
-    root counting: those live in tests/number_field.py and
-    tests/real_roots.py.  `infranil.numberfield` imports on its own and
+    and the package exports neither the test oracles' number field, which
+    lives in tests/number_field.py, nor Sturm root counting, which the
+    oracles take from sympy.  `infranil.numberfield` imports on its own and
     keeps only the field-generic linear algebra."""
     import os
     import subprocess
@@ -227,6 +227,21 @@ def test_engine_does_not_import_numberfield():
                 continue
             if any(n.strip(".").split(".")[-1] == "numberfield" for n in names):
                 offenders.append(path.name)
+    assert offenders == []
+
+
+def test_oracle_modules_import_no_private_engine_name():
+    """The oracles share no private helper with the engine they check:
+    tests/oracles.py, tests/modulus_split.py and tests/number_field.py
+    import no `_`-prefixed name from `infranil`."""
+    tests = Path(__file__).parent
+    offenders = [
+        (name, node.module, alias.name)
+        for name in ("oracles.py", "modulus_split.py", "number_field.py")
+        for node in ast.walk(ast.parse((tests / name).read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "infranil"
+        for alias in node.names if alias.name.startswith("_")
+    ]
     assert offenders == []
 
 

@@ -13,7 +13,6 @@ from infranil.polynomials import (
 )
 from infranil.errors import InfranilError
 from oracles import sympy_factors
-from real_roots import isolate_real_roots, refine_root, sturm_count
 
 
 def P(*coeffs):
@@ -48,48 +47,6 @@ def test_to_int_primitive():
     assert prim.coeffs == (2, 3)
     assert content == Fraction(1, 4)
     assert prim.to_qpoly() * QPoly([content]) == p
-
-
-def test_sturm_trivial_examples():
-    # roots 3 and 5
-    p = P(15, -8, 1)
-    assert sturm_count(p, 1, None) == 2
-    assert sturm_count(p, None, None) == 2
-    assert sturm_count(p, 3, 5) == 0  # open interval excludes both endpoints
-    assert sturm_count(p, 2, 4) == 1
-    # no real roots
-    assert sturm_count(P(1, 0, 1), None, None) == 0
-    # golden ratio quadratic: one root above 1
-    assert sturm_count(P(-1, -1, 1), 1, None) == 1
-    assert sturm_count(P(-1, -1, 1), None, -1) == 0
-
-
-def test_sturm_interval_additivity():
-    rng = random.Random(7)
-    for _ in range(40):
-        p = QPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 6))])
-        if p.is_zero() or p.degree < 1:
-            continue
-        pts = sorted(rng.sample(range(-8, 9), 3))
-        a, b, c = (Fraction(x) for x in pts)
-        if p.to_int()[0](b) == 0:
-            continue
-        assert sturm_count(p, a, b) + sturm_count(p, b, c) == sturm_count(p, a, c)
-
-
-def test_sturm_counts_distinct_roots():
-    p = P(1, 1) * P(1, 1) * P(-1, 1)  # (x+1)^2 (x-1)
-    assert sturm_count(p, None, None) == 2
-
-
-def test_isolate_real_roots():
-    p = P(15, -8, 1)
-    ivals = isolate_real_roots(p)
-    assert len(ivals) == 2
-    for (lo, hi), root in zip(ivals, (3, 5)):
-        assert lo <= root <= hi
-    lo, hi = refine_root(p, *ivals[0], Fraction(1, 10 ** 6))
-    assert lo <= 3 <= hi
 
 
 def test_factor_rational_roots():

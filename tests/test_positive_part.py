@@ -9,13 +9,7 @@ from fractions import Fraction
 from infranil.catalog import catalog_lookup
 from infranil.fixedpoint import exterior_data
 from infranil.matrices import QMatrix
-from infranil.selfmaps import (
-    MapCandidate,
-    family_instantiate,
-    load_corpus,
-    sample_params,
-    validate_selfmap,
-)
+from infranil.selfmaps import MapCandidate, validate_selfmap
 from modulus_split import part_of, ref_positive_part
 from oracles import inverse
 
@@ -59,12 +53,8 @@ def random_trivial_holonomy_maps(rng, count):
     return out
 
 
-def test_positive_part_matches_modulus_split_on_corpus():
-    cands = [
-        family_instantiate(spec, params)
-        for spec in load_corpus().families
-        for params in sample_params(spec, 1, 1)
-    ]
+def test_positive_part_matches_modulus_split_on_corpus(seed1_corpus):
+    cands = [cand for *_, cand in seed1_corpus]
     assert len(cands) == 264
     straddling, _ = assert_parts_match(cands, "corpus")
     assert straddling > 0

@@ -1,11 +1,9 @@
 """Oracles for the integer spectrum and the per-factor exponent read.
 
-The rational algorithms that the integer code replaced are kept here as
-references, with their polynomial and matrix arithmetic done in sympy, so
-no fault of the library's arithmetic can hide in them: the Sturm chain,
-root isolation, root classification and factor analysis at Fraction
-points, and the exponent solve as one rational linear system.  sympy also
-gives an independent count of real roots and isolating intervals.
+The references take every fact they need from sympy, so no fault of the
+library's arithmetic can hide in them: each factor's layout from sympy's
+real-root counts against -1, 1 and, for a cubic's complex pair, +-|c0/c3|,
+and the exponent solve as one rational linear system.
 """
 
 import random
@@ -16,7 +14,6 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
-from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
 from infranil import series
@@ -38,8 +35,7 @@ from infranil.fixedpoint import (
     positive_part,
 )
 from infranil.matrices import QMatrix, charpoly, scaled_det_one_minus_z
-from infranil.polynomials import IntPoly, QPoly, factor_over_q
-from infranil.selfmaps import family_instantiate, load_corpus, sample_params
+from infranil.polynomials import IntPoly, factor_over_q
 from infranil.series import (
     RatFuncProduct,
     berlekamp_massey_q,
@@ -48,150 +44,59 @@ from infranil.series import (
     normalize_factor,
 )
 from infranil.zeta import candidate_factor_hints, recurrence_bound, sequence_length
-from oracles import X, qq_poly, sympy_factors, to_fraction
-from real_roots import isolate_real_roots, sturm_count
+from oracles import X, qq_poly, rational, sympy_factors
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# Reference: the Sturm machinery and spectrum analysis at Fraction points,
-# the polynomial arithmetic in sympy
+# Reference: the spectrum from sympy's real-root counts
 # ---------------------------------------------------------------------------
 
 
-def ref_eval(p: sympy.Poly, x):
-    """p(x) at a Fraction x, by sympy's Horner over its rational field."""
-    return dup_eval(p.rep.to_list(), QQ(x.numerator, x.denominator), QQ)
+def sympy_open_count(poly: sympy.Poly, lo, hi) -> int:
+    """Distinct real roots in the open interval (lo, hi); None is unbounded."""
+    ends = [None if x is None else rational(x) for x in (lo, hi)]
+    return int(poly.count_roots(*ends)) - sum(x is not None and poly.eval(x) == 0 for x in ends)
 
 
-def ref_squarefree_part(p: sympy.Poly) -> sympy.Poly:
-    if p.degree() <= 0:
-        return p.monic()
-    a, b = p, p.diff(X)
-    while not b.is_zero:
-        a, b = b, a.rem(b)
-    return p.quo(a.monic()).monic()
+def unit_counts(poly: sympy.Poly) -> list:
+    """sympy's counts of the distinct real roots below -1, inside (-1, 1)
+    and above 1."""
+    return [sympy_open_count(poly, lo, hi)
+            for lo, hi in ((None, F(-1)), (F(-1), F(1)), (F(1), None))]
 
 
-def ref_sturm_chain(p: sympy.Poly):
-    chain = [p, p.diff(X)]
-    while not chain[-1].is_zero:
-        chain.append(-chain[-2].rem(chain[-1]))
-    chain.pop()
-    return chain
-
-
-def ref_sign_at(p: sympy.Poly, x) -> int:
-    if p.is_zero:
-        return 0
-    if isinstance(x, float):
-        s = 1 if p.LC() > 0 else -1
-        return s if x > 0 or p.degree() % 2 == 0 else -s
-    v = ref_eval(p, x)
-    return (v > 0) - (v < 0)
-
-
-def ref_variations(chain, x) -> int:
-    signs = [s for s in (ref_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def ref_sturm_count(poly: sympy.Poly, lo, hi) -> int:
-    sf = ref_squarefree_part(poly)
-    chain = ref_sturm_chain(sf)
-    count = ref_variations(chain, lo) - ref_variations(chain, hi)
-    if not isinstance(hi, float) and ref_eval(sf, hi) == 0:
-        count -= 1
-    return count
-
-
-def ref_isolate_real_roots(poly: sympy.Poly) -> list:
-    sf = ref_squarefree_part(poly)
-    if sf.degree() <= 0:
-        return []
-    chain = ref_sturm_chain(sf)
-
-    def count_open(a, b):
-        c = ref_variations(chain, a) - ref_variations(chain, b)
-        if ref_eval(sf, b) == 0:
-            c -= 1
-        return c
-
-    lead, *rest = map(to_fraction, sf.all_coeffs())
-    bound = 1 + max((abs(c) for c in rest), default=F(0)) / abs(lead)
-    out = []
-    stack = [(-bound, bound, count_open(-bound, bound))]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1 and ref_eval(sf, lo) != 0 and ref_eval(sf, hi) != 0:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if ref_eval(sf, mid) == 0:
-            out.append((mid, mid))
-            eps = (hi - lo) / 4
-            while ref_sturm_count(sf, mid - eps, mid + eps) > 1:
-                eps /= 2
-            stack.append((lo, mid - eps, count_open(lo, mid - eps)))
-            stack.append((mid + eps, hi, count_open(mid + eps, hi)))
-        else:
-            stack.append((lo, mid, count_open(lo, mid)))
-            stack.append((mid, hi, count_open(mid, hi)))
-    return sorted(out)
-
-
-def ref_classify_real_root(q: sympy.Poly, lo, hi):
-    if lo == hi:
-        v = lo
-        if v == 1:
-            return ONE
-        if v == -1:
-            return MINUS_ONE
-        if v > 1:
-            return GT1
-        if v < -1:
-            return LTM1
-        return INSIDE
-    while True:
-        if hi <= -1:
-            return LTM1
-        if lo >= 1:
-            return GT1
-        if lo >= -1 and hi <= 1:
-            return INSIDE
-        mid = (lo + hi) / 2
-        if ref_eval(q, mid) == 0:
-            return ref_classify_real_root(q, mid, mid)
-        if ref_eval(q, lo) * ref_eval(q, mid) < 0:
-            hi = mid
-        else:
-            lo = mid
+def ref_classify_rational_root(v: Fraction):
+    if v == 1:
+        return ONE
+    if v == -1:
+        return MINUS_ONE
+    if v > 1:
+        return GT1
+    return LTM1 if v < -1 else INSIDE
 
 
 def ref_analyze_factor(q: IntPoly, mult: int) -> FactorRoots:
-    """The layout by isolation and bisection against -1 and 1; the spectrum
-    keeps only the classes, in the intervals' ascending order."""
-    qq = qq_poly(q)
-    deg = q.degree
-    if deg == 1:
-        root = -F(q.coeffs[0], q.coeffs[1])
-        return FactorRoots(q, mult, (ref_classify_real_root(qq, root, root),), None)
-    if deg == 2:
-        c0, c1, c2 = q.coeffs
-        if c1 * c1 - 4 * c0 * c2 < 0:
-            mod2 = F(c0, c2)
-            return FactorRoots(q, mult, (), "eq" if mod2 == 1 else ("gt" if mod2 > 1 else "lt"))
-        real = tuple(ref_classify_real_root(qq, *iv) for iv in ref_isolate_real_roots(qq))
-        return FactorRoots(q, mult, real, None)
-    intervals = ref_isolate_real_roots(qq)
-    real = tuple(ref_classify_real_root(qq, *iv) for iv in intervals)
+    """The layout from sympy's real-root counts.  A linear factor's root is
+    classified exactly.  A factor of degree 2 or 3 has no rational root, so
+    its real roots below -1, inside (-1, 1) and above 1 fix the classes,
+    which ascend with the roots.  A cubic's real root theta has
+    theta |lambda|^2 = -c0/c3, so its pair is outside the unit circle
+    exactly when theta lies in (-|c0/c3|, |c0/c3|)."""
+    if q.degree == 1:
+        return FactorRoots(q, mult, (ref_classify_rational_root(-F(q.coeffs[0], q.coeffs[1])),),
+                           None)
+    sp = qq_poly(q)
+    below, inside, above = unit_counts(sp)
+    real = (LTM1,) * below + (INSIDE,) * inside + (GT1,) * above
     pair = None
-    if len(intervals) == 1:
+    if q.degree == 2 and not real:
+        mod2 = F(q.coeffs[0], q.coeffs[2])
+        pair = "eq" if mod2 == 1 else ("gt" if mod2 > 1 else "lt")
+    elif q.degree == 3 and len(real) == 1:
         bound = abs(F(q.coeffs[0], q.coeffs[3]))
-        pair = "gt" if ref_sturm_count(qq, -bound, bound) == 1 else "lt"
+        pair = "gt" if sympy_open_count(sp, -bound, bound) == 1 else "lt"
     return FactorRoots(q, mult, real, pair)
 
 
@@ -250,14 +155,6 @@ def ref_exponents_from_logderiv(num: IntPoly, den: IntPoly, hints) -> RatFuncPro
 # ---------------------------------------------------------------------------
 
 
-def corpus_candidates():
-    return [
-        family_instantiate(spec, params)
-        for spec in load_corpus().families
-        for params in sample_params(spec, 1, 1)
-    ]
-
-
 def random_matrices(rng, count):
     """Integer 2x2 and 3x3 matrices with entries in [-9, 9], and upper
     triangular Heisenberg D* with half-integer top row."""
@@ -274,7 +171,7 @@ def random_matrices(rng, count):
 
 
 # ---------------------------------------------------------------------------
-# The integer spectrum against the Fraction reference
+# The integer spectrum against the sympy reference
 # ---------------------------------------------------------------------------
 
 
@@ -283,10 +180,9 @@ def assert_spectra_match(matrices, label):
         assert eigen_classify(m) == ref_eigen_classify(m), (label, i, m)
 
 
-def test_spectrum_matches_fraction_reference_on_corpus():
-    cands = corpus_candidates()
-    assert len(cands) == 264
-    assert_spectra_match([c.dstar for c in cands], "corpus")
+def test_spectrum_matches_fraction_reference_on_corpus(seed1_corpus):
+    assert len(seed1_corpus) == 264
+    assert_spectra_match([cand.dstar for *_, cand in seed1_corpus], "corpus")
 
 
 def test_spectrum_matches_fraction_reference_on_random_maps(bench_workloads):
@@ -301,35 +197,8 @@ def test_spectrum_matches_fraction_reference_on_random_matrices():
     assert_spectra_match(mats, "random")
 
 
-def test_real_root_machinery_matches_fraction_reference():
-    """isolate_real_roots and sturm_count, repeated roots included, against
-    the Fraction chain.  Where the reference steps off a rational root onto
-    another root it loses that root; the integer isolation halves the step
-    once more, so those inputs are checked against the root count instead."""
-    rng = random.Random(12)
-    lost = 0
-    for coeffs in random_polynomials(rng, 300):
-        p, ref = QPoly(coeffs), qq_poly(IntPoly(coeffs))
-        expected = ref_isolate_real_roots(ref)
-        if len(expected) == sturm_count(p):
-            assert isolate_real_roots(p) == expected, coeffs
-        else:
-            lost += 1
-            assert len(isolate_real_roots(p)) == sturm_count(p) == len(expected) + 1, coeffs
-        a, b = sorted(F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4))) for _ in range(2))
-        assert sturm_count(p, a, b) == ref_sturm_count(ref, a, b), (coeffs, a, b)
-        assert sturm_count(p, None, b) == ref_sturm_count(ref, float("-inf"), b), (coeffs, b)
-        assert sturm_count(p, a, None) == ref_sturm_count(ref, a, float("inf")), (coeffs, a)
-    assert 0 < lost < 30
-    # -4x(x - 1)(x - 2): the reference steps from the root 0 onto the root 1
-    p = QPoly([0, -8, 12, -4])
-    assert len(ref_isolate_real_roots(qq_poly(IntPoly([0, -8, 12, -4])))) == 2
-    ivals = isolate_real_roots(p)
-    assert len(ivals) == 3 and all(lo <= r <= hi for (lo, hi), r in zip(ivals, (0, 1, 2)))
-
-
 # ---------------------------------------------------------------------------
-# sympy: real-root counts and isolating intervals
+# sympy: real-root counts and factorizations
 # ---------------------------------------------------------------------------
 
 
@@ -358,58 +227,13 @@ def random_polynomials(rng, count):
     return out
 
 
-def rat(x):
-    return None if x is None else sympy.Rational(x.numerator, x.denominator)
-
-
-def sympy_open_count(poly: sympy.Poly, lo, hi) -> int:
-    """Distinct real roots in the open interval (lo, hi); None is unbounded."""
-    count = poly.count_roots(rat(lo), rat(hi))
-    for end in (lo, hi):
-        if end is not None and poly.eval(rat(end)) == 0:
-            count -= 1
-    return count
-
-
-def test_real_roots_against_sympy():
-    rng = random.Random(29)
-    polys = random_polynomials(rng, 400)
-    on_root = 0
-    for coeffs in polys:
-        sp = sympy.Poly(list(reversed(coeffs)), X)
-        p = QPoly(coeffs)
-        roots = [F(int(a.p), int(a.q)) for (a, b), _ in sp.intervals() if a == b]
-        ends = [None] + [F(rng.randint(-30, 30), rng.choice((1, 2, 3))) for _ in range(3)]
-        ends += roots[:1]  # an endpoint on a rational root
-        for lo in ends:
-            for hi in ends:
-                if lo is not None and hi is not None and lo >= hi:
-                    continue
-                on_root += lo in roots or hi in roots
-                assert sturm_count(p, lo, hi) == sympy_open_count(sp, lo, hi), (coeffs, lo, hi)
-        ivals = isolate_real_roots(p)
-        assert len(ivals) == len(sp.intervals()), coeffs
-        for (lo, hi), (lo2, _) in zip(ivals, ivals[1:]):
-            assert lo <= hi <= lo2, coeffs  # open intervals, increasing
-        for lo, hi in ivals:
-            if lo == hi:
-                assert sp.eval(rat(lo)) == 0, coeffs
-            else:
-                assert sympy_open_count(sp, lo, hi) == 1, coeffs
-                assert sp.eval(rat(lo)) and sp.eval(rat(hi)), coeffs
-    assert on_root > 200
-
-
 def test_factor_root_classes_against_sympy():
     """Each factor's real roots below -1, inside (-1, 1) and above 1."""
     mats = random_matrices(random.Random(31), 300)
     for m in mats:
         for fr in eigen_classify(m).root_data:
-            sp = sympy.Poly(list(reversed(fr.factor.coeffs)), X)
             counts = [fr.real.count(cls) for cls in (LTM1, INSIDE, GT1)]
-            expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
-                        sympy_open_count(sp, F(1), None)]
-            assert counts == expected, (m, fr)
+            assert counts == unit_counts(qq_poly(fr.factor)), (m, fr)
 
 
 def companion(*coeffs):
@@ -437,17 +261,10 @@ def integer_matrices(draw):
 @example(companion(-1, -1, 0))    # x^3 - x - 1: the plastic number, a pair inside
 @example(companion(-1, 0, 1))     # x^3 + x^2 - 1, its reverse: a pair outside
 def test_classification_property(rows):
-    """Every factor's layout against the Fraction reference, and its real
-    roots below -1, inside (-1, 1) and above 1 against sympy, on integer
-    matrices with entries up to 2^63."""
-    ec = eigen_classify(QMatrix(rows))
-    for fr in ec.root_data:
-        q = fr.factor
-        assert fr == ref_analyze_factor(q, fr.multiplicity), (rows, q)
-        sp = sympy.Poly(list(reversed(q.coeffs)), X)
-        expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
-                    sympy_open_count(sp, F(1), None)]
-        assert [fr.real.count(c) for c in (LTM1, INSIDE, GT1)] == expected, (rows, q)
+    """Every factor's layout against sympy's real-root counts
+    (`ref_analyze_factor`), on integer matrices with entries up to 2^63."""
+    for fr in eigen_classify(QMatrix(rows)).root_data:
+        assert fr == ref_analyze_factor(fr.factor, fr.multiplicity), (rows, fr.factor)
 
 
 def test_classification_guard_refuses_reducible_factors():
@@ -460,14 +277,6 @@ def test_classification_guard_refuses_reducible_factors():
                    [-2, -1, -1, 1]):   # (x - 2)(x^2 + x + 1): its root is c0/c3
         with pytest.raises(InfranilError):
             _analyze_factor(IntPoly(coeffs), 1)
-
-
-def test_sturm_count_rejects_float_endpoints():
-    p = QPoly([-1, 0, 1])
-    assert sturm_count(p, F(1, 2), 2) == 1
-    for lo, hi in ((0.5, 2), (None, float("inf")), (float("-inf"), None)):
-        with pytest.raises(InfranilError, match="float"):
-            sturm_count(p, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +308,8 @@ def assert_exponents_match(cands, label):
     return count
 
 
-def test_exponents_match_linear_solve_on_corpus():
-    assert assert_exponents_match(corpus_candidates(), "corpus") > 500
+def test_exponents_match_linear_solve_on_corpus(seed1_corpus):
+    assert assert_exponents_match([cand for *_, cand in seed1_corpus], "corpus") > 500
 
 
 def test_exponents_match_linear_solve_on_random_maps(bench_workloads):
@@ -529,21 +338,16 @@ def test_exponent_off_by_one_is_caught(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The closed-form classification on chosen factors, against the Fraction
-# Sturm reference and sympy
+# The closed-form classification on chosen factors, against sympy
 # ---------------------------------------------------------------------------
 
 
 def assert_layout_matches_oracles(coeffs) -> FactorRoots:
-    """The layout of an irreducible factor equals the Fraction reference's,
-    and its real roots below -1, inside (-1, 1) and above 1 equal sympy's."""
+    """The layout of an irreducible factor equals the one read off sympy's
+    real-root counts."""
     q = IntPoly(coeffs)
     fr = _analyze_factor(q, 1)
     assert fr == ref_analyze_factor(q, 1), coeffs
-    sp = sympy.Poly(list(reversed(coeffs)), X)
-    expected = [sympy_open_count(sp, None, F(-1)), sympy_open_count(sp, F(-1), F(1)),
-                sympy_open_count(sp, F(1), None)]
-    assert [fr.real.count(c) for c in (LTM1, INSIDE, GT1)] == expected, coeffs
     return fr
 
 
@@ -669,10 +473,10 @@ def test_zero_discriminant_is_refused():
 
 def test_classification_at_200_bits_runs_in_polynomial_time():
     """Coefficients near 2^200, with rational roots near 2^200 and without:
-    every factorization and layout equals sympy's and the Fraction
-    reference's, and the library's part takes under 2 s in all (0.03 s
-    on a 2-vCPU x86-64 host): bisection within the Fujiwara bound takes
-    about as many steps as the coefficients have bits."""
+    every factorization equals sympy's and every layout the one read off
+    sympy's root counts, and the library's part takes under 2 s in all
+    (0.03 s on a 2-vCPU x86-64 host): bisection within the Fujiwara bound
+    takes about as many steps as the coefficients have bits."""
     import time
 
     rng = random.Random(200)

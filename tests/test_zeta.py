@@ -262,32 +262,28 @@ def form_matrix(form) -> QMatrix:
     return QMatrix([[F(v, den) for v in flat[i * m:(i + 1) * m]] for i in range(m)])
 
 
-def test_averages_intertwine_exterior_powers_on_corpus():
+def test_averages_intertwine_exterior_powers_on_corpus(seed1_corpus):
     """Lambda^j D . P_j = P_phi(F) . Lambda^j D, where phi(F) is the subgroup
     generated by the holonomy images that validation assigns to the
     generators."""
-    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
-
     checked = 0
-    for spec in load_corpus().families:
-        for params in sample_params(spec, 1, 1):
-            cand = family_instantiate(spec, params)
-            group = holonomy(cand.entry)
-            phi = validate_selfmap(cand)
-            image = {0} | {h for _, h, _ in phi.entries}
-            while True:
-                grown = image | {group.table[a][b] for a in image for b in image}
-                if grown == image:
-                    break
-                image = grown
-            ext = exterior_data(cand.dstar)
-            full = group.exterior_averages()
-            sub = group.exterior_averages(sorted(image))
-            for j, form in enumerate(ext.forms):
-                power = form_matrix(form)
-                p, p_image = form_matrix(full[j]), form_matrix(sub[j])
-                assert power * p == p_image * power, (spec.label, params, j)
-            checked += 1
+    for spec, params, _, cand in seed1_corpus:
+        group = holonomy(cand.entry)
+        phi = validate_selfmap(cand)
+        image = {0} | {h for _, h, _ in phi.entries}
+        while True:
+            grown = image | {group.table[a][b] for a in image for b in image}
+            if grown == image:
+                break
+            image = grown
+        ext = exterior_data(cand.dstar)
+        full = group.exterior_averages()
+        sub = group.exterior_averages(sorted(image))
+        for j, form in enumerate(ext.forms):
+            power = form_matrix(form)
+            p, p_image = form_matrix(full[j]), form_matrix(sub[j])
+            assert power * p == p_image * power, (spec.label, params, j)
+        checked += 1
     assert checked == 264
 
 
@@ -328,13 +324,9 @@ def assert_reconstruction_matches(cand, label):
     return res.index
 
 
-def test_closed_form_matches_lefschetz_reconstruction_on_corpus():
-    from infranil.selfmaps import family_instantiate, load_corpus, sample_params
-
-    indices = []
-    for spec in load_corpus().families:
-        for params in sample_params(spec, 1, 1):
-            indices.append(assert_reconstruction_matches(family_instantiate(spec, params), spec.label))
+def test_closed_form_matches_lefschetz_reconstruction_on_corpus(seed1_corpus):
+    indices = [assert_reconstruction_matches(cand, spec.label)
+               for spec, _, _, cand in seed1_corpus]
     assert len(indices) == 264 and indices.count(2) > 0
 
 
