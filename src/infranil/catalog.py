@@ -54,18 +54,27 @@ def abelian_embed(rotation: QMatrix, translation) -> QMatrix:
     return QMatrix(rows)
 
 
+def psi_form(e, x, y, z, p0, p1, p2, k) -> tuple:
+    """2 e^2 times the first three rows of psi(h(x/e, y/e, z/e), phi), phi*
+    of rows p0/e, p1/e, p2/e, with no matrix product: the unipotent factor
+    adds (k y/2) phi*_1 - (k x/2) phi*_2 to row 0 of phi*.  Only sums and
+    products are taken, so the rows are ints for int arguments (the
+    self-map witness); `psi_embed` reads them at e = 1."""
+    u, v, w = 2 * e, k * y, -k * x
+    return ((*(u * a + v * b + w * c for a, b, c in zip(p0, p1, p2)), w * y + u * z),
+            (*(u * b for b in p1), u * x),
+            (*(u * c for c in p2), u * y))
+
+
 def psi_embed(x, y, z, phi_star: QMatrix, k) -> QMatrix:
-    """The 4x4 image of (h(x,y,z), phi) under the faithful representation,
-    with no matrix product: the unipotent factor adds (k y/2) phi*_1 -
-    (k x/2) phi*_2 to row 0 of phi*, and leaves rows 1 and 2 as they are.
-    x, y, z and k are admitted by `exact_number`."""
+    """The 4x4 image of (h(x,y,z), phi) under the faithful representation:
+    `psi_form` at e = 1, halved.  x, y, z and k are admitted by
+    `exact_number`."""
     x, y, z, k = (exact_number(v, "psi_embed argument") for v in (x, y, z, k))
     if phi_star.nrows != 3 or phi_star.ncols != 3:
         raise CatalogError("phi* must be 3x3")
-    p0, p1, p2 = phi_star.rows
-    u, v = k * y / 2, -k * x / 2
-    return QMatrix([[a + u * b + v * c for a, b, c in zip(p0, p1, p2)] + [-k * x * y / 2 + z],
-                    [*p1, x], [*p2, y], [0, 0, 0, 1]])
+    rows = psi_form(1, x, y, z, *phi_star.rows, k)
+    return QMatrix([[v / 2 for v in row] for row in rows] + [[0, 0, 0, 1]])
 
 
 class CatalogEntry(Record):
@@ -90,6 +99,17 @@ class CatalogEntry(Record):
     @cached_property
     def holonomy_group(self) -> "HolonomyGroup":
         return _close_holonomy(self.id, self.generators, self.linear_parts)
+
+    @cached_property
+    def affine_forms(self) -> tuple:
+        """(g, columns, reps) in ints, formed once per entry for the self-map
+        witness: g the common denominator of the generators and the coset
+        representatives, columns[i] g times generator i's translation column
+        with g appended, reps[h] g times the first n rows of representative h."""
+        n, m = self.dim, len(self.generators)
+        g, flats = integer_form(self.generators + self.holonomy_group.representatives)
+        rows = [tuple(f[i:i + n + 1] for i in range(0, n * (n + 1), n + 1)) for f in flats]
+        return g, tuple(f[n:n * (n + 1):n + 1] + (g,) for f in flats[:m]), tuple(rows[m:])
 
 
 class HolonomyGroup(Record):

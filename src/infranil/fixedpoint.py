@@ -187,8 +187,12 @@ class EigenClass(NamedTuple):
 
 
 def eigen_classify(dstar: QMatrix) -> EigenClass:
-    dim = dstar.nrows
-    q, (flat,) = integer_form([dstar])
+    return _classify(integer_form([dstar]), dstar.nrows)
+
+
+def _classify(form, dim: int) -> EigenClass:
+    """`eigen_classify` of the matrix whose integer form is form = (q, (flat,))."""
+    q, (flat,) = form
     rev = scaled_det_one_minus_z(flat, dim, q).coeffs  # q^dim det(I - z D)
     cp = IntPoly((rev + (0,) * (dim + 1 - len(rev)))[::-1]).primitive()
     data = []
@@ -262,14 +266,15 @@ class ExteriorData(Record):
 
 def exterior_data(dstar: QMatrix) -> ExteriorData:
     """The exterior data of a candidate's linear part: the spectrum,
-    `det_table`, the factor hints and the closed form all read it.  Each
-    Lambda^j D is the integer minors of D's integer form, and Lambda^1 D
-    that form itself: its denominator is already the least.  Every
+    `det_table`, the factor hints and the closed form all read it.  D's
+    integer form is formed once: the spectrum is classified on it, each
+    Lambda^j D is its integer minors, and Lambda^1 D is the form itself,
+    whose denominator is already the least.  Every
     det_polys[j] is `scaled_det_one_minus_z` of flat_j, of size C(n, j), at
     scale 1; for j = 0 that is 1 - z."""
-    spectrum = eigen_classify(dstar)
     n = dstar.nrows
     form = integer_form([dstar])
+    spectrum = _classify(form, n)
     forms, det_polys = [], []
     for j in range(n + 1):
         q, (flat,) = form if j == 1 else exterior_integer_form(form, j)

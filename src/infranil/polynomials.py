@@ -225,19 +225,15 @@ def _poly_str(coeffs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sign(coeffs, num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0: of the integer den^d p(num/den), by
-    homogeneous Horner.  (num, 0) is +infinity for num = 1, -infinity for -1."""
+def sign_at(p: IntPoly, num: int, den: int) -> int:
+    """Sign of p at num / den for den > 0: of the integer den^d p(num / den),
+    by homogeneous Horner."""
+    coeffs = p.coeffs
     acc, scale = coeffs[-1], 1
     for c in coeffs[-2::-1]:
         scale *= den
         acc = acc * num + c * scale
     return (acc > 0) - (acc < 0)
-
-
-def sign_at(p: IntPoly, num: int, den: int) -> int:
-    """Sign of p at num / den, den > 0, in integers."""
-    return _sign(p.coeffs, num, den)
 
 
 def _bisect_root(g: IntPoly, lo: int, hi: int):
@@ -372,7 +368,7 @@ def factor_over_q(poly: IntPoly) -> list:
     for fac, mult in out:
         for _ in range(mult):
             check = check * fac
-    sign = -1 if poly.leading() < 0 else 1
-    if check != prim or IntPoly([c * sign * poly.content() for c in prim.coeffs]) != poly:
+    content = -poly.content() if poly.leading() < 0 else poly.content()
+    if check != prim or IntPoly([c * content for c in prim.coeffs]) != poly:
         raise InfranilError("factorization does not reproduce the input")
     return out

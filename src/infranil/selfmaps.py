@@ -22,12 +22,13 @@ Most pairs (generator, holonomy element) fail already at the differential
 level, D A == B D.  That filter runs in integers on the holonomy group as
 the closure keeps it (`HolonomyGroup.form`), with each product formed once
 per call and none with the identity.  Only for the pairs that pass it are
-the translation columns of the two sides formed, in Fractions, and the
-lattice witness run on them.  Each coset-side column is a matrix-vector
-product with the candidate's translation column, as is X's on Heisenberg
-entries, and `psi_embed` is written out in closed form; so a Heisenberg
-accept forms no matrix product, and an abelian one forms only
-X = cand * gen, once per generator.
+the translation columns of the two sides formed, as int numerators over
+one denominator, and the lattice witness run on them.  The coset side's
+column, and X's on Heisenberg entries, is an integer matrix-vector product
+of the entry's `affine_forms` and the candidate's integer form, which
+`psi_form` (psi in closed form) gives on Heisenberg entries; so a
+Heisenberg candidate is never embedded and does no Fraction arithmetic,
+and an abelian one forms only X = cand * gen, once per generator.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ import json
 import os
 import random
 import zlib
+from fractions import Fraction
 from functools import cache
 from importlib import resources
+from math import lcm
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,6 +54,7 @@ from .catalog import (
     catalog_params,
     holonomy,
     psi_embed,
+    psi_form,
 )
 from .errors import CatalogError, ConstraintError, CorpusError, InvalidCandidateError
 from .exprs import (domain_values, eval_bool, eval_rational, exact_number, in_domain,
@@ -121,12 +126,13 @@ def _translation_column(mat: QMatrix) -> tuple:
     return tuple(row[-1] for row in mat.rows[:-1])
 
 
-def _lattice_witness(entry: CatalogEntry, tx: tuple, ty: tuple):
-    """The integral lattice coordinates c with X = L(c) * Y, or None, where
-    L(c) is the embedded lattice element, X = cand * gen and Y = rep_h * cand
-    for a pair (generator, holonomy element h) that passed the rotational
-    filter D A_g == B_h D, given only the translation columns tx of X and ty
-    of Y (their first n entries).
+def _lattice_witness(entry: CatalogEntry, den: int, tx: tuple, ty: tuple):
+    """The integral lattice coordinates c with X = L(c) * Y, as Fractions,
+    or None, where L(c) is the embedded lattice element, X = cand * gen and
+    Y = rep_h * cand for a pair (generator, holonomy element h) that passed
+    the rotational filter D A_g == B_h D, given only the translation
+    columns of X and Y (their first n entries) as int numerators tx and ty
+    over one denominator den.
 
     The filter makes the matrix identity a question about translation
     columns alone.  Abelian: X and L(c) Y = (B_h D | c + t_Y) share the
@@ -137,29 +143,27 @@ def _lattice_witness(entry: CatalogEntry, tx: tuple, ty: tuple):
     injective in h.  X and L(c) Y have the same automorphism part D A_g =
     B_h D, so they are equal exactly when their translation columns are,
     U(c) t_Y + t(c) = t_X with U(c) the unipotent block of L(c).  Its
-    unique solution is the (z1, z2, z3) below.  Either way no lattice
-    element is formed and no product confirms the solve.  Works for singular
-    linear parts too."""
+    unique solution is the (z1, z2, z3) below, z3 formed only once z1 and z2
+    are integers.  Either way integrality is a remainder of numerators, no
+    lattice element is formed and no product confirms the solve.  Works for
+    singular linear parts too."""
     if entry.model == ABELIAN:
-        coords = tuple(a - b for a, b in zip(tx, ty))
-    else:
-        k = entry.k
-        z1 = tx[1] - ty[1]
-        z2 = tx[2] - ty[2]
-        z3 = tx[0] - ty[0] - k * z2 / 2 * ty[1] + k * z1 / 2 * ty[2] + k * z1 * z2 / 2
-        coords = (z1, z2, z3)
-    if any(c.denominator != 1 for c in coords):
+        coords = [divmod(a - b, den) for a, b in zip(tx, ty)]
+        return None if any(rem for _, rem in coords) else tuple(Fraction(c) for c, _ in coords)
+    z1, r1 = divmod(tx[1] - ty[1], den)
+    z2, r2 = divmod(tx[2] - ty[2], den)
+    if r1 or r2:
         return None
-    return coords
+    k = entry.k.numerator
+    z3, r3 = divmod(2 * (tx[0] - ty[0]) - k * (z2 * ty[1] - z1 * ty[2] - z1 * z2 * den), 2 * den)
+    return None if r3 else (Fraction(z1), Fraction(z2), Fraction(z3))
 
 
-def _product_column(mat: QMatrix, t: tuple) -> tuple:
-    """The translation column of mat * M for an affine matrix M with
-    translation column t: mat's linear block times t, plus mat's own
-    translation column.  Zero terms are skipped; every entry stays a
-    Fraction, as it starts from mat's own."""
-    return tuple(sum((a * b for a, b in zip(row, t) if a and b), row[-1])
-                 for row in mat.rows[:-1])
+def _column(rows, vec: tuple) -> tuple:
+    """rows times vec, in ints: with rows the first n rows of an affine
+    matrix and vec a translation column with its denominator appended, the
+    translation column of their product."""
+    return tuple(sum(map(mul, row, vec)) for row in rows)
 
 
 class PhiAssignment(NamedTuple):
@@ -184,44 +188,58 @@ def validate_selfmap(candidate: MapCandidate):
     (`integer_form`).  Each B_h D is formed once per call, with no product
     for h = 0: index 0 is the identity, r I in `group.form`, so B_0 D is r
     times D's integer form.  Each D A_g is formed once per generator tried.
-    Only where the filter passes are the embedded candidate cand (once per
-    call) and the translation columns of X = cand * gen (once per generator)
-    and Y_h = rep_h * cand (once per h, shared across generators) formed, in
-    Fractions, for the lattice witness, which reads nothing else.  Y_h's
-    column is rep_h times cand's translation column, a matrix-vector
-    product, on both models; so is X's on Heisenberg entries (cand times
-    gen's column), while abelian entries form the product cand * gen and
-    slice its column.  Y_0's column is cand's own (rep_0 is the identity
-    matrix) and costs no product."""
+    Only where the filter passes are the candidate's integer form (once per
+    call: its translation as numerators over e, the least common
+    denominator of it and D; on Heisenberg entries the rows of `psi_form`,
+    over 2 e^2) and the translation columns of X = cand * gen (once per
+    generator) and Y_h = rep_h * cand (once per h, shared across
+    generators) formed, as ints over one denominator, for the lattice
+    witness, which reads nothing else.  Y_h's column is rep_h's rows in
+    the entry's `affine_forms` times cand's column, on both models; so is
+    X's on Heisenberg entries (cand's rows times gen's column).  Abelian
+    entries form the one Fraction product left, cand * gen, and read its
+    column over the same denominator."""
     entry = candidate.entry
     group = holonomy(entry)
     n = entry.dim
-    _, (dflat,) = integer_form([candidate.dstar])
+    q, (dflat,) = integer_form([candidate.dstar])
     r, aflats = group.form
     # index 0 is the identity, r I in group.form, so B_0 D is r D
     b_d = [dflat if r == 1 else tuple(r * v for v in dflat)]
     b_d += [flat_product(b, dflat, n) for b in aflats[1:]]
     heis = entry.model == HEISENBERG
-    cand = None
+    den = None
     ys = {}
     found = []
     for gi in group.generator_order:
-        gen, ai = entry.generators[gi], group.generator_indices[gi]
-        d_a = flat_product(dflat, aflats[ai], n)
-        x = None
-        hit = None
+        d_a = flat_product(dflat, aflats[group.generator_indices[gi]], n)
+        x = hit = None
         for hi, bd in enumerate(b_d):
             if bd != d_a:
                 continue
-            if x is None:
-                if cand is None:
+            if den is None:
+                g, columns, reps = entry.affine_forms
+                t = candidate.translation
+                e = lcm(q, *(v.denominator for v in t))
+                col = tuple(v.numerator * (e // v.denominator) for v in t)
+                if heis:
+                    d = dflat if e == q else tuple(e // q * v for v in dflat)
+                    rows = psi_form(e, *col, d[:3], d[3:6], d[6:], entry.k.numerator)
+                    e, col = 2 * e * e, tuple(row[3] for row in rows)
+                else:
                     cand = candidate.embedded()
-                    ys[0] = _translation_column(cand)
-                x = _product_column(cand, _translation_column(gen)) if heis else _translation_column(cand * gen)
+                den = e * g
+                cvec = col + (e,)
+            if x is None:
+                if heis:
+                    x = _column(rows, columns[gi])
+                else:
+                    x = tuple(v.numerator * (den // v.denominator)
+                              for v in _translation_column(cand * entry.generators[gi]))
             y = ys.get(hi)
             if y is None:
-                y = ys[hi] = _product_column(group.representatives[hi], ys[0])
-            w = _lattice_witness(entry, x, y)
+                y = ys[hi] = _column(reps[hi], cvec)
+            w = _lattice_witness(entry, den, x, y)
             if w is not None:
                 hit = (gi, hi, w)
                 break

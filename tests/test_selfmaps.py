@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 import pytest
 
@@ -200,6 +201,7 @@ def test_unknown_domain_is_a_corpus_error():
 # ---------------------------------------------------------------------------
 
 QUARTERS = [F(q, 4) for q in range(-16, 17)]
+TWELFTHS = [F(q, 12) for q in range(-24, 25)]
 
 
 def reference_witness(entry, x, y):
@@ -285,17 +287,29 @@ def random_linear(rng, n, dense):
     return rows
 
 
-def random_candidate(rng, entry, dense):
-    """Half signed permutation times diagonal, half dense D; translations in
-    (1/4)Z."""
+def random_candidate(rng, entry, dense, grid=QUARTERS):
+    """Half signed permutation times diagonal, half dense D; translations
+    drawn from `grid`, (1/4)Z by default."""
     if entry.model == HEISENBERG:
         (a, b), (c, d) = random_linear(rng, 2, dense)
         top = [rng.randint(-3, 3) if dense else 0 for _ in range(2)]
         rows = [[a * d - b * c] + top, [0, a, b], [0, c, d]]
     else:
         rows = random_linear(rng, entry.dim, dense)
-    translation = tuple(rng.choice(QUARTERS) for _ in range(entry.dim))
+    translation = tuple(rng.choice(grid) for _ in range(entry.dim))
     return MapCandidate(entry, translation, QMatrix(rows))
+
+
+def heisenberg_entries_to_12():
+    """Every Heisenberg entry at every admissible k <= 12."""
+    out = []
+    for entry_id in catalog_ids():
+        for k in range(1, 13) if entry_id.startswith("heis") else ():
+            try:
+                out.append(catalog_lookup(entry_id, {"k": k}))
+            except ConstraintError:
+                continue
+    return out
 
 
 def assert_same(candidate, group):
@@ -323,6 +337,33 @@ def test_filter_matches_fraction_reference():
     for cand in accepted:
         it = cand.iterate(2)
         assert assert_same(it, holonomy(cand.entry)) is not None
+
+    # Heisenberg entries at every admissible k <= 12, translations in
+    # (1/12)Z: per entry two random D, then three D = I with x and y
+    # integral or in (1/12)Z, which the filter passes; the accepts' second
+    # and third iterates carry the largest denominators
+    entries = heisenberg_entries_to_12()
+    assert {(e.id, e.k) for e in entries} >= {("heis-I", 1), ("heis-I", 11),
+                                               ("heis-XIII-k3", 1), ("heis-XIII-k3", 11)}
+    assert len({e.id for e in entries}) == 11 and len(entries) == 60
+    accepted = []
+    for entry in entries:
+        group = holonomy(entry)
+        for i in range(5):
+            if i < 2:
+                cand = random_candidate(rng, entry, dense=i == 1, grid=TWELFTHS)
+            else:
+                xy = [rng.choice(TWELFTHS) if rng.random() < 0.5 else rng.randint(-2, 2)
+                      for _ in range(2)]
+                cand = MapCandidate(entry, (*xy, rng.choice(TWELFTHS)), QMatrix.identity(3))
+            if assert_same(cand, group) is not None:
+                accepted.append(cand)
+    assert 50 < len(accepted) < 250
+    assert len({c.entry.id for c in accepted}) >= 10
+    assert max(v.denominator for c in accepted for v in c.translation) == 12
+    for cand in accepted:
+        for k in (2, 3):
+            assert assert_same(cand.iterate(k), holonomy(cand.entry)) is not None
 
 
 def test_filter_matches_fraction_reference_on_corpus():
@@ -358,13 +399,23 @@ def test_iterate_matches_decoded_embedded_power(bench_workloads):
             assert cand.iterate(k) == decoded_iterate(cand, k), (cand.entry.id, cand.dstar, k)
 
 
+def integer_columns(x, y, scale=1):
+    """(den, tx, ty): the translation columns of the affine matrices x and y
+    as int numerators over one denominator, `scale` times their least."""
+    tx, ty = _translation_column(x), _translation_column(y)
+    den = scale * lcm(*(v.denominator for v in tx + ty))
+    return (den, tuple(v.numerator * (den // v.denominator) for v in tx),
+            tuple(v.numerator * (den // v.denominator) for v in ty))
+
+
 def test_witness_returns_the_lattice_coordinates_it_was_built_from():
     """X = L(c) * rep_h * cand for every holonomy index h of every entry:
-    the witness, given the translation columns of X and Y_h, returns exactly
-    c, and None once c is shifted off the lattice.  cand's linear part is
-    the identity (an odd multiple of it on abelian entries), which commutes
-    with every holonomy element, so each pair (X, Y_h) passes the rotational
-    filter."""
+    the witness, given the translation columns of X and Y_h as numerators
+    over a common denominator (the least, or a multiple of it), returns
+    exactly c, and None once c is shifted off the lattice.  cand's linear
+    part is the identity (an odd multiple of it on abelian entries), which
+    commutes with every holonomy element, so each pair (X, Y_h) passes the
+    rotational filter."""
     rng = random.Random(13)
     count = 0
     for entry in smallest_entries():
@@ -383,12 +434,12 @@ def test_witness_returns_the_lattice_coordinates_it_was_built_from():
             y = rep * cand
             c = tuple(rng.randint(-5, 5) for _ in range(n))
             x = lattice_element(entry, c) * y
-            assert _lattice_witness(entry, _translation_column(x), _translation_column(y)) == c, (
-                entry.id, hi)
+            scale = rng.choice((1, 2, 3))
+            assert _lattice_witness(entry, *integer_columns(x, y, scale)) == c, (entry.id, hi)
             i = rng.randrange(n)
             off = tuple(v + F(1, rng.choice((2, 3, 4))) * (j == i) for j, v in enumerate(c))
             x = lattice_element(entry, off) * y
-            assert _lattice_witness(entry, _translation_column(x), _translation_column(y)) is None, (
+            assert _lattice_witness(entry, *integer_columns(x, y, scale)) is None, (
                 entry.id, hi, off)
             count += 1
     assert count == sum(holonomy(e).order for e in smallest_entries())
@@ -423,19 +474,19 @@ def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
                 tx = _translation_column(x)
                 assert (tx[1] - ty[1], tx[2] - ty[2]) == (z1, z2)
                 expected = (z1, z2, z3) if s == 0 else None
-                assert _lattice_witness(entry, tx, ty) == expected, (entry.id, hi, s)
+                assert _lattice_witness(entry, *integer_columns(x, y)) == expected, (entry.id, hi, s)
                 assert reference_witness(entry, x, y) == expected
     assert cross_off_lattice > 0
 
 
 def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
     """An accepted abelian candidate costs exactly one QMatrix product per
-    generator, X = cand * gen, with trivial holonomy (Y_0 is cand itself)
-    and with non-trivial holonomy alike: Y_h's column is rep_h times cand's
-    translation column, so no rep_h * cand is formed, and no lattice element
-    is built.  An accepted heis-I candidate forms no product at all: its
-    columns are matrix-vector products and psi_embed is a closed form.
-    Either way the candidate is the one element embedded."""
+    generator, X = cand * gen, with trivial holonomy and with non-trivial
+    holonomy alike: Y_h's column is rep_h times cand's translation column,
+    in ints, so no rep_h * cand is formed, and no lattice element is built;
+    the candidate is the one element embedded.  An accepted heis-I
+    candidate forms no product and embeds nothing: its integer form comes
+    from `psi_form` and its columns are integer matrix-vector products."""
     import infranil.selfmaps as sm
 
     torus = MapCandidate(catalog_lookup("torus-3"), (F(1, 3), 0, F(-1, 4)),
@@ -468,7 +519,7 @@ def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
         calls.clear()
         embeds.clear()
         assert validate_selfmap(cand) is not None
-        assert len(embeds) == 1, cand.entry.id
+        assert len(embeds) == (cand is not heis), cand.entry.id
         assert len(calls) == len(gens), cand.entry.id
         embedded = cand.embedded()
         assert sorted(gens.index(g) for _, g in calls) == list(range(len(gens))), cand.entry.id

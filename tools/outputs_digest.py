@@ -4,7 +4,7 @@ can be compared for identical outputs with one command each.
     python3 tools/outputs_digest.py
 
 Run from the repository root (or anywhere: `src/` and `bench/` are found
-next to this file).  It prints seven lines, `<sha256>  <what>`:
+next to this file).  It prints eight lines, `<sha256>  <what>`:
 
   compute   `zeta compute --json` stdout and exit code on every `corpus`
             benchmark instance of seeds 1 and 2 (528 runs);
@@ -29,7 +29,11 @@ next to this file).  It prints seven lines, `<sha256>  <what>`:
             `random-maps` benchmark candidate of seeds 1 and 2, all of them
             accepts: their lattice coordinates, which `screen`, mostly
             rejects, seldom reaches.  `family_instantiate` validates each
-            corpus candidate once already, so those are validated twice.
+            corpus candidate once already, so those are validated twice;
+  iterates  the `repr` of `validate_selfmap(c.iterate(k))`, k in {2, 3},
+            for every accepted `screen` benchmark candidate c of seeds 1
+            and 2: accepts whose Heisenberg translations carry the largest
+            denominators the benchmark inputs reach.
 
 The instance lists come from `bench/workloads.py`, imported unchanged.
 """
@@ -120,11 +124,21 @@ def validate_digest() -> str:
     return h.hexdigest()
 
 
+def iterates_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        for cand in workloads.screen_instances(seed):
+            if selfmaps.validate_selfmap(cand) is not None:
+                for k in (2, 3):
+                    h.update(f"{selfmaps.validate_selfmap(cand.iterate(k))!r}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, digest in (("compute", compute_digest), ("verify", verify_digest),
                          ("random", random_digest), ("samples", samples_digest),
                          ("screen", screen_digest), ("records", records_digest),
-                         ("validate", validate_digest)):
+                         ("validate", validate_digest), ("iterates", iterates_digest)):
         print(f"{digest()}  {name}", flush=True)
     return 0
 
