@@ -44,6 +44,11 @@ EXIT_INVALID_MAP = 2
 EXIT_CONSTRAINT = 3
 EXIT_CORPUS = 4
 
+# The exit code of each library error class; any other InfranilError is internal.
+EXIT_CODES = {ConstraintError: EXIT_CONSTRAINT, CatalogError: EXIT_CONSTRAINT,
+              InvalidCandidateError: EXIT_INVALID_MAP, CorpusError: EXIT_CORPUS,
+              ReconstructionError: EXIT_CORPUS, RouteMismatchError: EXIT_CORPUS}
+
 
 def _emit(data, as_json: bool, text_lines):
     if as_json:
@@ -281,18 +286,10 @@ def _run(argv) -> int:
         return EXIT_CONSTRAINT
     try:
         return args.func(args)
-    except (ConstraintError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (InvalidCandidateError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MAP
-    except (CorpusError, ReconstructionError, RouteMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
     except InfranilError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
+        code = EXIT_CODES.get(type(exc))
+        print(f"{'error' if code else 'internal error'}: {exc}", file=sys.stderr)
+        return code or EXIT_CORPUS
 
 
 if __name__ == "__main__":

@@ -2,11 +2,14 @@
 the catalog and family-corpus data files, and the parameter domains that
 both files use.
 
-Expressions are Python syntax restricted to: rational arithmetic
-(+ - * / ** and unary -), integer literals, parameter names, comparisons,
-boolean operators, and the helpers abs/min/max/is_int.  Values are exact
-Fractions; there is no float anywhere.  Every number a caller passes in
-is admitted by one rule, `exact_number`; text enters through `parse_rational`.
+Expressions are Python syntax restricted to: integer literals and
+parameter names; + - * / % and unary -; the six comparisons; and, or and
+not; and the helpers abs(x) and is_int(x).  Anything else (`**`, min, max,
+unary +, ...) is a ConstraintError naming it.  With no power, a value's
+size grows at most linearly with the expression's length and its inputs'
+sizes.  Values are exact Fractions; there is no float anywhere.  Every
+number a caller passes in is admitted by one rule, `exact_number`; text
+enters through `parse_rational`.
 """
 
 from __future__ import annotations
@@ -18,14 +21,6 @@ from numbers import Rational
 from operator import index
 
 from .errors import ConstraintError, CorpusError, InfranilError
-
-
-# A few characters must not build an arbitrarily large number: `a ** b`
-# takes |b| up to MAX_EXPONENT, and a result of at most MAX_POWER_BITS bits
-# in numerator and denominator, which also stops nested powers such as
-# (((2 ** 64) ** 64) ** 64) ** 64.
-MAX_EXPONENT = 64
-MAX_POWER_BITS = 1 << 20
 
 
 def exact_number(value, what: str = "value", integral: bool = False):
@@ -66,7 +61,7 @@ def _is_int(x) -> bool:
     return x.denominator == 1
 
 
-_HELPERS = {"abs": abs, "min": min, "max": max, "is_int": _is_int}
+_HELPERS = {"abs": abs, "is_int": _is_int}
 
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
@@ -74,7 +69,6 @@ _BINOPS = {
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
     ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** int(b),  # integer exponents in bounds, checked first
 }
 
 _CMPOPS = {
@@ -99,31 +93,21 @@ def _eval_node(node, env):
             return env[node.id]
         raise ConstraintError(f"unknown name {node.id!r} in expression")
     if isinstance(node, ast.UnaryOp):
-        val = _eval_node(node.operand, env)
         if isinstance(node.op, ast.USub):
-            return -val
-        if isinstance(node.op, ast.UAdd):
-            return val
+            return -_eval_node(node.operand, env)
         if isinstance(node.op, ast.Not):
-            return not val
-        raise ConstraintError("unsupported unary operator")
+            return not _eval_node(node.operand, env)
+        raise ConstraintError(f"unsupported unary operator {type(node.op).__name__}")
     if isinstance(node, ast.BinOp):
-        op = type(node.op)
+        fn = _BINOPS.get(type(node.op))
+        if fn is None:
+            raise ConstraintError(f"unsupported operator {type(node.op).__name__}")
         a = _eval_node(node.left, env)
         b = _eval_node(node.right, env)
-        if op is ast.Pow:
-            if not (isinstance(b, Fraction) and b.denominator == 1):
-                raise ConstraintError("exponents must be integers")
-            if abs(b) > MAX_EXPONENT:
-                raise ConstraintError(f"exponent {b} exceeds {MAX_EXPONENT} in absolute value")
-            if abs(b) * max(a.numerator.bit_length(), a.denominator.bit_length()) > MAX_POWER_BITS:
-                raise ConstraintError(f"power exceeds {MAX_POWER_BITS} bits")
-        if op in _BINOPS:
-            try:
-                return _BINOPS[op](a, b)
-            except ZeroDivisionError as exc:
-                raise ConstraintError("division by zero in expression") from exc
-        raise ConstraintError(f"unsupported operator {op.__name__}")
+        try:
+            return fn(a, b)
+        except ZeroDivisionError as exc:
+            raise ConstraintError("division by zero in expression") from exc
     if isinstance(node, ast.BoolOp):
         vals = (_eval_node(v, env) for v in node.values)  # left to right, lazily
         return all(vals) if isinstance(node.op, ast.And) else any(vals)
@@ -133,16 +117,16 @@ def _eval_node(node, env):
             right = _eval_node(comparator, env)
             fn = _CMPOPS.get(type(op))
             if fn is None:
-                raise ConstraintError("unsupported comparison")
+                raise ConstraintError(f"unsupported comparison {type(op).__name__}")
             if not fn(left, right):
                 return False
             left = right
         return True
     if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _HELPERS:
-            raise ConstraintError("only abs/min/max/is_int calls are allowed")
-        args = [_eval_node(a, env) for a in node.args]
-        return _HELPERS[node.func.id](*args)
+        name = getattr(node.func, "id", type(node.func).__name__)
+        if name not in _HELPERS or len(node.args) != 1 or node.keywords:
+            raise ConstraintError(f"unsupported call {name}(...): only abs(x) and is_int(x)")
+        return _HELPERS[name](_eval_node(node.args[0], env))
     raise ConstraintError(f"unsupported expression node {type(node).__name__}")
 
 

@@ -284,19 +284,21 @@ def test_malformed_corpus_exits_4_with_one_error_line(tmp_path, capsys):
 
 
 def test_zero_to_a_negative_power_in_a_constraint_exits_3(tmp_path, capsys):
-    """A corpus constraint that raises 0 to a negative power rejects the
-    parameters like a division by zero: exit 3 and one `error:` line, no
-    traceback."""
+    """A corpus constraint that divides by zero rejects the parameters, and
+    one that raises to a power, which the expression language does not
+    have, is refused: each exits 3 with one `error:` line, no traceback."""
     full = packaged_corpus()
     circle = next(m for m in full["manifolds"] if m["manifold"] == "circle")
-    circle["families"][0]["constraints"] = ["d**-1 != 7"]
     path = tmp_path / "families.json"
-    path.write_text(json.dumps({"schema": full["schema"], "manifolds": [circle]}))
-    code, out, err = run(capsys, "compute", "--corpus", str(path), "--manifold", "circle",
-                         "--family", "1", "--param", "d=0", "--param", "r=0")
-    assert (code, out) == (3, ""), err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "division by zero in expression" in err and "Traceback" not in err
+    for constraint, message in (("d ** 2 != 7", "unsupported operator Pow"),
+                                ("1 / d != 7", "division by zero in expression")):
+        circle["families"][0]["constraints"] = [constraint]
+        path.write_text(json.dumps({"schema": full["schema"], "manifolds": [circle]}))
+        code, out, err = run(capsys, "compute", "--corpus", str(path), "--manifold", "circle",
+                             "--family", "1", "--param", "d=0", "--param", "r=0")
+        assert (code, out) == (3, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
     code, _, err = run(capsys, "compute", "--corpus", str(path), "--manifold", "circle",
                        "--family", "1", "--param", "d=2", "--param", "r=0")
     assert code == 0, err

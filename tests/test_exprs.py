@@ -1,5 +1,8 @@
+import ast
+import json
 import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -44,16 +47,15 @@ def test_cached_expression_reads_each_environment():
 
 
 def test_zero_to_a_negative_power_is_a_division_by_zero():
-    """`/`, `%` and a negative power of zero all divide by zero: each is a
-    ConstraintError, not a ZeroDivisionError."""
+    """`/` and `%` by zero, the only divisions in the language (it has no
+    `**`), are each a ConstraintError, not a ZeroDivisionError."""
     env = {"d": Fraction(0)}
-    for text in ("1 / d", "1 % d", "d ** -1", "(d - 0) ** (-2) + 1"):
+    for text in ("1 / d", "1 % d", "(d - 0) % d + 1"):
         with pytest.raises(ConstraintError, match="^division by zero in expression$"):
             eval_rational(text, env)
         with pytest.raises(ConstraintError, match="^division by zero in expression$"):
             eval_bool(f"{text} != 7", env)
-    assert eval_rational("d ** -1", {"d": Fraction(2, 3)}) == Fraction(3, 2)
-    assert eval_rational("d ** 0", env) == 1
+    assert eval_rational("1 / d", {"d": Fraction(2, 3)}) == Fraction(3, 2)
 
 
 def test_exponent_notation_is_not_a_rational():
@@ -67,26 +69,78 @@ def test_exponent_notation_is_not_a_rational():
     assert exprs.parse_rational("0.5") == Fraction(1, 2)
 
 
-def test_power_exponent_is_bounded():
-    """`a ** b` takes |b| up to MAX_EXPONENT; past it, a ConstraintError
-    rather than a number too large to hold."""
-    for text in ("2 ** 65", "2 ** -65", "3 ** 10 ** 10"):
-        with pytest.raises(ConstraintError, match="exceeds 64"):
-            eval_rational(text, {})
-    assert exprs.MAX_EXPONENT == 64
-    assert eval_rational("2 ** 64", {}) == 2 ** 64
-    assert eval_rational("2 ** -64", {}) == Fraction(1, 2 ** 64)
+def test_constructs_outside_the_language_are_refused():
+    """`**`, `min`, `max` and unary `+` are not in the language, whatever
+    their operands: each raises a ConstraintError naming the construct, on
+    every call, before it builds a value."""
+    env = {"a": Fraction(3, 2)}
+    for text, name in (("2 ** 65", "operator Pow"), ("a ** 2", "operator Pow"),
+                       ("(((2 ** 64) ** 64) ** 64) ** 64", "operator Pow"),
+                       ("min(a, 1)", "call min"), ("max(a, 1)", "call max"),
+                       ("+a", "unary operator UAdd"), ("1 - +a", "unary operator UAdd")):
+        for _ in range(3):
+            with pytest.raises(ConstraintError, match=f"^unsupported {re.escape(name)}"):
+                eval_expr(text, env)
+    assert eval_rational("abs(-a) + -a * 2 % 5", env) == Fraction(7, 2)
 
 
-def test_nested_powers_are_bounded_by_their_size():
-    """Each `**` below takes an exponent of 64, but the fourth level would
-    hold 2 ** (64 ** 4) = 2 ** 16,777,216: past MAX_POWER_BITS, so it is
-    refused before it is formed."""
-    assert eval_rational("((2 ** 64) ** 64) ** 64", {}) == 2 ** (64 ** 3)
-    assert eval_rational("(a ** 64) ** -2", {"a": Fraction(3, 2)}) == Fraction(2, 3) ** 128
-    for text in ("(((2 ** 64) ** 64) ** 64) ** 64", "(((1/2 ** 64) ** 64) ** 64) ** 64"):
-        with pytest.raises(ConstraintError, match="power exceeds 1048576 bits"):
-            eval_rational(text, {})
+def test_helpers_take_one_argument():
+    """`abs` and `is_int` take one positional argument; any other call of
+    them is a ConstraintError, not the TypeError of the Python function."""
+    env = {"a": Fraction(3, 2)}
+    for text in ("abs()", "abs(a, 1)", "abs(x=a)", "is_int()", "is_int(a, a)"):
+        with pytest.raises(ConstraintError, match=r"^unsupported call (abs|is_int)\(\.\.\.\)"):
+            eval_expr(text, env)
+    assert eval_bool("is_int(2 * a) and not is_int(a) and abs(-a) == a", env) is True
+
+
+def test_packaged_expressions_stay_inside_the_language():
+    """Every expression string in both packaged data files uses only what
+    `_eval_node` admits, so a data edit that needs a refused construct
+    fails here, not in a user's run."""
+    unary = {ast.USub, ast.Not}
+    binary = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Mod}
+    compare = {ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE}
+    plain = {ast.Expression, ast.Name, ast.Load, ast.BoolOp, ast.And, ast.Or, ast.Compare}
+    keys = set()
+    for name in ("catalog.json", "families.json"):
+        data = json.loads(resources.files("infranil.data").joinpath(name).read_text())
+        for key, text in expression_strings(data):
+            keys.add(key)
+            for node in ast.walk(ast.parse(text, mode="eval")):
+                kind = type(node)
+                if kind is ast.Constant:
+                    ok = type(node.value) is int
+                elif kind is ast.UnaryOp:
+                    ok = type(node.op) in unary
+                elif kind is ast.BinOp:
+                    ok = type(node.op) in binary
+                elif kind is ast.Call:
+                    ok = (getattr(node.func, "id", None) in ("abs", "is_int")
+                          and len(node.args) == 1 and not node.keywords)
+                else:
+                    ok = kind in plain | unary | binary | compare
+                assert ok, (name, key, text, ast.dump(node))
+    assert keys == {"rotation", "translation", "h", "phi", "dstar", "coeffs", "expr", "guard",
+                    "constraints"}, keys
+
+
+# The string fields of the data files that are not expressions.
+TEXT_KEYS = {"schema", "comment", "id", "model", "notes", "name", "domain", "manifold", "desc"}
+
+
+def expression_strings(data, key=None):
+    """(key, text) for every string in the data that is not under a
+    TEXT_KEYS key, with the nearest dict key it is held under."""
+    if isinstance(data, dict):
+        for k, v in data.items():
+            if k not in TEXT_KEYS:
+                yield from expression_strings(v, k)
+    elif isinstance(data, list):
+        for v in data:
+            yield from expression_strings(v, key)
+    elif isinstance(data, str):
+        yield key, data
 
 
 def test_and_or_stop_at_the_deciding_operand():

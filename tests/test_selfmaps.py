@@ -453,7 +453,12 @@ def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
     rejects every s != 0 and returns (z1, z2, z3) for s = 0, as the matrix
     reference does, also where the cross terms
     -k z2 y1 / 2 + k z1 y2 / 2 + k z1 z2 / 2 are not integral by themselves
-    and the difference of the top entries alone would decide wrongly."""
+    and the difference of the top entries alone would decide wrongly.
+
+    Then, on the entries of odd k, columns whose cross term
+    k (z2 ty1 - z1 ty2 - z1 z2 den), in numerators over the least
+    denominator den, is odd: the shifts s = +-1 / (2 den) keep den, and
+    rounding that term to an even number would accept one of them."""
     rng = random.Random(29)
     entries = [e for e in smallest_entries() if e.model == HEISENBERG and holonomy(e).order > 1]
     assert len(entries) >= 10
@@ -477,6 +482,26 @@ def test_heisenberg_witness_rejects_a_shift_in_z3_alone():
                 assert _lattice_witness(entry, *integer_columns(x, y)) == expected, (entry.id, hi, s)
                 assert reference_witness(entry, x, y) == expected
     assert cross_off_lattice > 0
+    odd_cross = 0
+    for entry in (e for e in smallest_entries() if e.model == HEISENBERG and e.k.numerator % 2):
+        group = holonomy(entry)
+        for _ in range(8):
+            cand = MapCandidate(entry, tuple(F(rng.randint(-6, 6), 3) for _ in range(3)),
+                                QMatrix.identity(3)).embedded()
+            for hi in range(group.order):
+                y = group.representatives[hi] * cand
+                den, _, ty = integer_columns(y, y)
+                z1, z2, z3 = (rng.randint(-5, 5) for _ in range(3))
+                if entry.k.numerator * (z2 * ty[1] - z1 * ty[2] - z1 * z2 * den) % 2 == 0:
+                    continue
+                odd_cross += 1
+                for s in (F(1, 2 * den), F(-1, 2 * den)):
+                    x = lattice_element(entry, (z1, z2, z3 + s)) * y
+                    columns = integer_columns(x, y)
+                    assert columns[0] == den
+                    assert _lattice_witness(entry, *columns) is None, (entry.id, hi, s)
+                    assert reference_witness(entry, x, y) is None
+    assert odd_cross >= 8, odd_cross
 
 
 def test_accepted_candidate_forms_one_product_per_generator(monkeypatch):
