@@ -230,6 +230,15 @@ def random_polynomials(rng, count):
     return out
 
 
+def test_factor_root_classes_against_sympy():
+    """Each factor's real roots below -1, inside (-1, 1) and above 1."""
+    mats = random_matrices(random.Random(31), 300)
+    for m in mats:
+        for fr in eigen_classify(m).root_data:
+            counts = [fr.real.count(cls) for cls in (LTM1, INSIDE, GT1)]
+            assert counts == unit_counts(qq_poly(fr.factor)), (m, fr)
+
+
 def companion(*coeffs):
     """The companion matrix of the monic polynomial with the given
     coefficients, constant term first (leading 1 left out)."""
